@@ -29,10 +29,8 @@ from .errors import (
 from .geometry import (
     Empirical,
     HyperplaneTestResult,
-    PairClassification,
     PartitionOutcome,
     UniformBox,
-    classify_split_pair,
     hyperplane_intersects_polyhedron,
     region_measure,
     split_partitions_region,

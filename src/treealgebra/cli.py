@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,26 +32,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Run-level knobs shared by the subcommands."""
-
-    measure_kind: str = "uniform"
-    data_path: Optional[str] = None
-    weights_path: Optional[str] = None
-    max_nodes: int = 10_000_000
-    seed: int = 0
-    jobs: int = 1
-    simplify: bool = False
-
-    def __post_init__(self):
-        if self.max_nodes < 1:
-            raise DomainError("--max-nodes must be at least 1")
-        for path in (self.data_path, self.weights_path):
-            if path is not None and not os.path.exists(path):
-                raise DomainError(f"input file does not exist: {path}")
-
-
 def _default_seed() -> int:
     return int(os.environ.get("TREEALG_SEED", "0"))
 
@@ -70,27 +49,24 @@ def _add_measure_args(sub):
                      "(defaults to equal weights)")
 
 
-def _config_from(args, **extra) -> RunConfig:
-    return RunConfig(
-        measure_kind=getattr(args, "measure", "uniform"),
-        data_path=getattr(args, "data", None),
-        weights_path=getattr(args, "weights", None),
-        max_nodes=getattr(args, "max_nodes", 10_000_000),
-        seed=getattr(args, "seed", _default_seed()),
-        jobs=getattr(args, "jobs", 1),
-        simplify=getattr(args, "simplify", False),
-        **extra,
-    )
+def _check_inputs(args) -> None:
+    """Reject a bad ``--max-nodes`` and missing ``--data``/``--weights`` files
+    before any work starts."""
+    if getattr(args, "max_nodes", 1) < 1:
+        raise DomainError("--max-nodes must be at least 1")
+    for path in (getattr(args, "data", None), getattr(args, "weights", None)):
+        if path is not None and not os.path.exists(path):
+            raise DomainError(f"input file does not exist: {path}")
 
 
-def _build_measure(config: RunConfig, schema):
-    if config.measure_kind == "uniform":
+def _build_measure(args, schema):
+    if args.measure == "uniform":
         return UniformBox()
-    if config.data_path is None:
+    if args.data is None:
         raise DomainError("--measure empirical needs --data")
-    points = io.read_points_csv(config.data_path, schema)
-    if config.weights_path is not None:
-        weights = io.read_weights_csv(config.weights_path)
+    points = io.read_points_csv(args.data, schema)
+    if args.weights is not None:
+        weights = io.read_weights_csv(args.weights)
     else:
         weights = np.full(len(points), 1.0 / len(points))
     return Empirical(points, weights)
@@ -173,26 +149,13 @@ def _load_weights_for(forest, path) -> list[float]:
 
 
 def _cmd_combine(args) -> int:
-    config = _config_from(args)
     forest = io.load_forest(args.forest)
-    budget = CombineBudget(max_nodes=config.max_nodes)
+    budget = CombineBudget(max_nodes=args.max_nodes)
     if args.weights is not None:
         tree = affine_combination(forest.trees, _load_weights_for(forest, args.weights), budget)
     else:
         tree = combine_many(forest.trees, budget)
-    if config.simplify:
-        tree = simplify(tree)
-    io.save_tree(tree, args.out)
-    print(f"{tree.n_nodes} nodes, {tree.n_leaves} leaves -> {args.out}")
-    return 0
-
-
-def _cmd_affine(args) -> int:
-    config = _config_from(args)
-    forest = io.load_forest(args.forest)
-    budget = CombineBudget(max_nodes=config.max_nodes)
-    tree = affine_combination(forest.trees, _load_weights_for(forest, args.weights), budget)
-    if config.simplify:
+    if args.simplify:
         tree = simplify(tree)
     io.save_tree(tree, args.out)
     print(f"{tree.n_nodes} nodes, {tree.n_leaves} leaves -> {args.out}")
@@ -207,44 +170,40 @@ def _load_single_tree(path):
 
 
 def _cmd_dist(args) -> int:
-    config = _config_from(args)
     schema, a = _load_single_tree(args.a)
     schema_b, b = _load_single_tree(args.b)
     if schema != schema_b:
         raise DomainError("the two trees use different schemas")
-    measure = _build_measure(config, schema)
+    measure = _build_measure(args, schema)
     print(_fmt(measures.tree_distance(a, b, measure)))
     return 0
 
 
 def _cmd_corr(args) -> int:
-    config = _config_from(args)
     schema, a = _load_single_tree(args.a)
     schema_b, b = _load_single_tree(args.b)
     if schema != schema_b:
         raise DomainError("the two trees use different schemas")
-    measure = _build_measure(config, schema)
+    measure = _build_measure(args, schema)
     print(_fmt(measures.tree_correlation(a, b, measure)))
     return 0
 
 
 def _cmd_dist_matrix(args) -> int:
-    config = _config_from(args)
     forest = io.load_forest(args.forest)
-    measure = _build_measure(config, forest.schema)
-    matrix = measures.distance_matrix(forest.trees, measure, jobs=config.jobs)
+    measure = _build_measure(args, forest.schema)
+    matrix = measures.distance_matrix(forest.trees, measure, jobs=args.jobs)
     io.write_matrix_csv(args.out, matrix)
     print(f"{matrix.shape[0]}x{matrix.shape[1]} matrix -> {args.out}")
     return 0
 
 
 def _cmd_forest_dist(args) -> int:
-    config = _config_from(args)
     f = io.load_forest(args.f)
     g = io.load_forest(args.g)
     if f.schema != g.schema:
         raise DomainError("the two forests use different schemas")
-    measure = _build_measure(config, f.schema)
+    measure = _build_measure(args, f.schema)
     print(_fmt(measures.forest_distance(f.trees, g.trees, measure)))
     return 0
 
@@ -287,9 +246,8 @@ def _cmd_mds(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    config = _config_from(args)
     forest = io.load_forest(args.forest)
-    measure = _build_measure(config, forest.schema)
+    measure = _build_measure(args, forest.schema)
     trees = forest.trees
     for i, t in enumerate(trees):
         stats = measures.tree_statistics(t, measure)
@@ -297,7 +255,7 @@ def _cmd_oracle_check(args) -> int:
         grid_norm = oracle.grid_integral([t, t], "product", measure)
         grid_var = grid_norm - grid_mean * grid_mean
         mc_mean, mc_se = oracle.monte_carlo_integral(
-            [t], "raw-value", measure, args.samples, config.seed
+            [t], "raw-value", measure, args.samples, args.seed
         )
         print(
             f"tree {i} mean exact={_fmt(stats.mean)} grid_delta={_fmt(stats.mean - grid_mean)} "
@@ -331,7 +289,7 @@ def _cmd_import(args) -> int:
 
 _HANDLERS = {
     "combine": _cmd_combine,
-    "affine": _cmd_affine,
+    "affine": _cmd_combine,
     "dist": _cmd_dist,
     "corr": _cmd_corr,
     "dist-matrix": _cmd_dist_matrix,
@@ -356,6 +314,7 @@ def run_cli(argv: Sequence[str]) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        _check_inputs(args)
         return _HANDLERS[args.command](args)
     except TreeAlgebraError as e:
         print(f'code={e.code} msg="{e}"', file=sys.stderr)

@@ -24,7 +24,6 @@ from .geometry import (
 )
 from .trees import (
     ClassProbs,
-    Interval,
     LeafValue,
     Region,
     Scalar,
@@ -33,7 +32,6 @@ from .trees import (
     TreeBuilder,
     TupleValue,
     leaf_kind_of,
-    node_region,
 )
 
 __all__ = [
@@ -114,47 +112,19 @@ def collect(source: Tree, region: Region, budget: Optional[CombineBudget] = None
     return builder.build()
 
 
-def _region_subset(inner: Region, outer: Region) -> bool:
-    """Axis-aligned containment test (debug instrumentation only)."""
-    for ci, co in zip(inner.constraints, outer.constraints):
-        if isinstance(ci, Interval):
-            lo_ok = ci.low > co.low or (
-                ci.low == co.low and (co.low_closed or not ci.low_closed)
-            )
-            hi_ok = ci.high < co.high or (
-                ci.high == co.high and (co.high_closed or not ci.high_closed)
-            )
-            if not (lo_ok and hi_ok):
-                return False
-        elif not ci <= co:
-            return False
-    return True
-
-
 def _combine(
     t1: Tree,
     t2: Tree,
     budget: CombineBudget,
     pair_fn: Callable[[LeafValue, LeafValue], LeafValue],
-    debug_containment: bool = False,
 ) -> Tree:
     schema = t1.schema
     builder = TreeBuilder(schema, budget.max_nodes)
     w0 = builder.add_root()
-    region_cache_1: dict[int, Region] = {}
-    region_cache_2: dict[int, Region] = {}
     stack = [(t1.root, t2.root, w0, Region.full(schema))]
     while stack:
         u, v, w, region = stack.pop()
         budget.calls_made += 1
-        if debug_containment:
-            for tree, nid, cache in ((t1, u, region_cache_1), (t2, v, region_cache_2)):
-                if nid not in cache:
-                    cache[nid] = node_region(tree, nid)
-                if not _region_subset(region, cache[nid]):
-                    raise AssertionError(
-                        f"working region escaped the region of node {nid}"
-                    )
         nu = t1.nodes[u]
         nv = t2.nodes[v]
         if nu.left is None and nv.left is None:
@@ -229,29 +199,20 @@ def _require_schema_and_kind(trees: Sequence[Tree]) -> str:
 
 
 def combine_pair(
-    t1: Tree,
-    t2: Tree,
-    budget: Optional[CombineBudget] = None,
-    *,
-    debug_containment: bool = False,
+    t1: Tree, t2: Tree, budget: Optional[CombineBudget] = None
 ) -> Tree:
     """Overlay two trees into one tree with pair-valued leaves.
 
     For every in-domain point the result evaluates to the pair of the source
-    evaluations. Hyperplane splits are supported; note that two hyperplanes
-    that coincide only up to a scale factor are not recognized as identical,
+    evaluations. Hyperplane splits are supported, also in trees that mix them
+    with numeric and categorical splits; note that two hyperplanes that
+    coincide only up to a scale factor are not recognized as identical,
     so the overlay may assign points exactly on their shared boundary (a
     measure-zero set) the value from the wrong side of the second tree.
     """
     _require_schema_and_kind([t1, t2])
     budget = budget if budget is not None else CombineBudget()
-    return _combine(
-        t1,
-        t2,
-        budget,
-        lambda a, b: TupleValue((a, b), (0, 1)),
-        debug_containment=debug_containment,
-    )
+    return _combine(t1, t2, budget, lambda a, b: TupleValue((a, b), (0, 1)))
 
 
 def _map_leaves(tree: Tree, fn: Callable[[LeafValue], LeafValue]) -> Tree:

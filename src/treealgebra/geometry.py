@@ -1,9 +1,9 @@
 """Geometric predicates and measures over regions.
 
 Everything the combination and distance algorithms need to ask about
-geometry lives here: does a split bipartition a region, how do two splits
-interact inside a region, how much mass does a region carry, and does a
-hyperplane intersect a polyhedron (a linear-programming test).
+geometry lives here: does a split bipartition a region, do two splits
+induce the same bipartition of a region, how much mass does a region carry,
+and does a hyperplane intersect a polyhedron (a linear-programming test).
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ from .trees import (
 
 __all__ = [
     "PartitionOutcome",
-    "PairClassification",
     "HyperplaneTestResult",
     "UniformBox",
     "Empirical",
     "Measure",
     "UNIFORM",
     "split_partitions_region",
-    "classify_split_pair",
     "region_measure",
     "hyperplane_intersects_polyhedron",
 ]
@@ -53,14 +51,6 @@ class PartitionOutcome(Enum):
     SPLITS_REGION = "splits_region"
     REGION_IN_LEFT = "region_in_left"
     REGION_IN_RIGHT = "region_in_right"
-
-
-class PairClassification(Enum):
-    CROSSING = "crossing"
-    PARALLEL_SECOND_IN_LEFT = "parallel_second_in_left"
-    PARALLEL_SECOND_IN_RIGHT = "parallel_second_in_right"
-    IDENTICAL_SAME_ORIENTATION = "identical_same_orientation"
-    IDENTICAL_SWAPPED = "identical_swapped"
 
 
 class HyperplaneTestResult(Enum):
@@ -156,10 +146,14 @@ def split_partitions_region(split: Split, region: Region) -> PartitionOutcome:
         f = schema.features[split.feature] if 0 <= split.feature < schema.n_features else None
         if not isinstance(f, NumericFeature):
             raise SchemaError(f"numeric split on feature index {split.feature}")
-        iv: Interval = region.constraints[split.feature]
-        t = split.threshold
-        left_nonempty = iv.low < t or (iv.low == t and iv.low_closed)
-        right_nonempty = iv.high > t
+        if region.half_spaces:
+            left_nonempty = region.try_refine(split, Side.LEFT) is not None
+            right_nonempty = region.try_refine(split, Side.RIGHT) is not None
+        else:
+            iv: Interval = region.constraints[split.feature]
+            t = split.threshold
+            left_nonempty = iv.low < t or (iv.low == t and iv.low_closed)
+            right_nonempty = iv.high > t
     elif isinstance(split, CategoricalSubset):
         f = schema.features[split.feature] if 0 <= split.feature < schema.n_features else None
         if not isinstance(f, CategoricalFeature):
@@ -221,59 +215,6 @@ def same_partition_in_region(
             return "same"
         return None
     return None
-
-
-def classify_split_pair(
-    split_u: Split, split_v: Split, region: Region
-) -> PairClassification:
-    """Classify how two region-partitioning splits interact inside a region.
-
-    The classification evaluates emptiness of the four intersections
-    L/R(u) x L/R(v) inside the region. Both splits must individually
-    partition the region; violations raise :class:`DomainError`.
-
-    For hyperplane splits the cell tests relax strict inequalities, so a
-    pair of hyperplanes that coincide only up to scaling is reported as
-    crossing (their shared boundary slab is measure zero but nonempty to
-    the LP); exact coefficient equality is required for the identical case.
-    Anti-oriented parallel hyperplanes (left of one nested in the right of
-    the other) are mapped onto the parallel variant naming the side of the
-    first split that holds the second split's boundary.
-    """
-    ident = same_partition_in_region(split_u, split_v, region)
-    if ident == "same":
-        return PairClassification.IDENTICAL_SAME_ORIENTATION
-    if ident == "swapped":
-        return PairClassification.IDENTICAL_SWAPPED
-
-    def cell(side_u: Side, side_v: Side) -> bool:
-        r = region.try_refine(split_u, side_u)
-        if r is None:
-            return False
-        return r.try_refine(split_v, side_v) is not None
-
-    ll = cell(Side.LEFT, Side.LEFT)
-    lr = cell(Side.LEFT, Side.RIGHT)
-    rl = cell(Side.RIGHT, Side.LEFT)
-    rr = cell(Side.RIGHT, Side.RIGHT)
-    if not ((ll or lr) and (rl or rr)):
-        raise DomainError("first split does not partition the region")
-    if not ((ll or rl) and (lr or rr)):
-        raise DomainError("second split does not partition the region")
-    empties = [k for k, nonempty in
-               (("ll", ll), ("lr", lr), ("rl", rl), ("rr", rr)) if not nonempty]
-    if not empties:
-        return PairClassification.CROSSING
-    if empties == ["lr", "rl"]:
-        return PairClassification.IDENTICAL_SAME_ORIENTATION
-    if empties == ["ll", "rr"]:
-        return PairClassification.IDENTICAL_SWAPPED
-    if empties == ["lr"] or empties == ["ll"]:
-        # the second split only cuts the right piece of the first
-        return PairClassification.PARALLEL_SECOND_IN_RIGHT
-    if empties == ["rl"] or empties == ["rr"]:
-        return PairClassification.PARALLEL_SECOND_IN_LEFT
-    raise DomainError(f"inconsistent split pair (empty cells {empties})")
 
 
 # ---------------------------------------------------------------------------

@@ -253,11 +253,8 @@ def _validate_forest(schema: FeatureSchema, trees: Sequence[Tree]) -> None:
     for ti, tree in enumerate(trees):
         for violation in validate(tree):
             problems.append(f"tree {ti}: {violation}")
-        try:
-            leaf_values = [tree.nodes[i].value for i in tree.leaf_ids()]
-            kinds.update(value_kind(v) for v in leaf_values if v is not None)
-        except Exception:
-            pass
+        kinds.update(value_kind(n.value) for n in tree.nodes.values()
+                     if n.left is None and n.value is not None)
     if len(kinds) > 1:
         problems.append(f"forest mixes leaf kinds {sorted(kinds)}")
     if problems:

@@ -1,7 +1,7 @@
 """Classical (Torgerson) multidimensional scaling.
 
 Double-centers the squared distance matrix and eigendecomposes the
-resulting Gram matrix with cyclic Jacobi rotations; coordinates come from
+resulting Gram matrix with ``numpy.linalg.eigh``; coordinates come from
 the top eigenpairs, with negative eigenvalues truncated to zero. Meant for
 the small matrices produced by pairwise tree distances, not large-scale
 embedding work.
@@ -13,54 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["jacobi_eigh", "classical_mds", "mds_stress", "pairwise_distances"]
-
-
-def jacobi_eigh(
-    a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm falls below ``tol`` times
-    the matrix norm. Returns (eigenvalues, eigenvectors as columns), both in
-    descending eigenvalue order.
-    """
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0 or n == 1:
-        evals = np.diag(a).copy()
-        return evals, v
-    skip = tol * scale / (n * n)
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    evals = np.diag(a).copy()
-    order = np.argsort(evals)[::-1]
-    return evals[order], v[:, order]
+__all__ = ["classical_mds", "mds_stress", "pairwise_distances"]
 
 
 def _check_distance_matrix(dist: np.ndarray) -> np.ndarray:
@@ -93,7 +46,8 @@ def classical_mds(dist: np.ndarray, dims: int) -> np.ndarray:
         raise DomainError(f"dims must be in [1, {n}]")
     j = np.eye(n) - np.ones((n, n)) / n
     b = -0.5 * j @ (d * d) @ j
-    evals, evecs = jacobi_eigh(b)
+    evals, evecs = np.linalg.eigh(b)
+    evals, evecs = evals[::-1], evecs[:, ::-1]
     coords = np.zeros((n, dims))
     k = min(dims, int(np.sum(evals > 0.0)))
     if k:

@@ -85,17 +85,7 @@ def tree_mean(tree: Tree, measure: Measure) -> Union[float, np.ndarray]:
 
 def tree_variance(tree: Tree, measure: Measure) -> float:
     """Integral of the squared deviation from the mean (never negative)."""
-    mu = tree_mean(tree, measure)
-    acc = 0.0
-    if isinstance(mu, float):
-        for value, mass in _leaf_terms(tree, measure):
-            d = value.value - mu
-            acc += d * d * mass
-    else:
-        for value, mass in _leaf_terms(tree, measure):
-            d = np.asarray(value.probs) - mu
-            acc += float(d @ d) * mass
-    return acc
+    return tree_statistics(tree, measure).variance
 
 
 def tree_statistics(tree: Tree, measure: Measure) -> TreeStatistics:

@@ -399,14 +399,19 @@ class Region:
             if new is None:
                 return None
             if new is iv:
-                cons = self.constraints
-            else:
-                cons = (
-                    self.constraints[: split.feature]
-                    + (new,)
-                    + self.constraints[split.feature + 1 :]
-                )
-            return Region(self.schema, cons, self.half_spaces)
+                return self
+            refined = Region(
+                self.schema,
+                self.constraints[: split.feature]
+                + (new,)
+                + self.constraints[split.feature + 1 :],
+                self.half_spaces,
+            )
+            # a box that is still nonempty can leave the half-spaces with no
+            # room (categorical levels stay outside the LP, so only here)
+            if self.half_spaces and not simplex.feasible(*refined.lp_rows()):
+                return None
+            return refined
         if isinstance(split, CategoricalSubset):
             levels = self.constraints[split.feature]
             new = (
@@ -508,9 +513,6 @@ class Tree:
             return self.nodes[nid]
         except KeyError:
             raise UnknownNodeError(f"no node with id {nid}")
-
-    def is_leaf(self, nid: int) -> bool:
-        return self.node(nid).left is None
 
     @property
     def n_nodes(self) -> int:
@@ -716,6 +718,8 @@ def _check_split_schema(split: Split, schema: FeatureSchema, where: str) -> list
             out.append(f"{where}: split feature index {split.feature} out of range")
         elif not isinstance(schema.features[split.feature], NumericFeature):
             out.append(f"{where}: numeric split on categorical feature")
+        elif np.isnan(split.threshold):
+            out.append(f"{where}: split threshold is NaN")
     elif isinstance(split, CategoricalSubset):
         if not 0 <= split.feature < schema.n_features:
             out.append(f"{where}: split feature index {split.feature} out of range")
@@ -836,18 +840,18 @@ def validate(tree: Tree) -> list[str]:
     # geometric pass over the well-formed reachable part
     from .geometry import PartitionOutcome, split_partitions_region
 
+    # each node is placed once, so a cycle of consistent links cannot loop
+    placed: set[int] = set()
     stack2 = [(tree.root, Region.full(tree.schema))]
     while stack2:
         i, region = stack2.pop()
-        if i not in well_formed:
+        if i not in well_formed or i in placed:
             continue
+        placed.add(i)
         n = nodes[i]
         if n.left is None:
             continue
-        try:
-            outcome = split_partitions_region(n.split, region)
-        except Exception:
-            continue
+        outcome = split_partitions_region(n.split, region)
         if outcome is not PartitionOutcome.SPLITS_REGION:
             v.append(f"node {i}: split does not partition node region")
             continue

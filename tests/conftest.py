@@ -3,6 +3,7 @@ import pytest
 
 from treealgebra import (
     FeatureSchema,
+    Hyperplane,
     NumericFeature,
     NumericThreshold,
     Scalar,
@@ -53,6 +54,34 @@ def stump6(make_stump):
 @pytest.fixture
 def stump_y5(make_stump):
     return make_stump(1, 5.0)
+
+
+@pytest.fixture
+def unit2():
+    """The unit square [0,1] x [0,1]."""
+    return FeatureSchema((NumericFeature("x0", 0, 1), NumericFeature("x1", 0, 1)))
+
+
+@pytest.fixture
+def mixed_pair(unit2):
+    """Two trees on the unit square that mix hyperplane and numeric splits.
+
+    A is the stump ``x0 + x1 <= 0.5``. B splits on ``x0 <= 0.8`` and then,
+    on its right, on ``x0 - x1 <= 0.9``. Inside A's left side the box still
+    reaches ``x0 > 0.8`` but the half-space does not, so only the LP sees
+    that B's first split misses that region.
+    """
+    a = TreeBuilder(unit2)
+    left, right = a.split_node(a.add_root(), Hyperplane((1.0, 1.0), 0.5))
+    a.set_value(left, Scalar(1.0))
+    a.set_value(right, Scalar(2.0))
+    b = TreeBuilder(unit2)
+    left, right = b.split_node(b.add_root(), NumericThreshold(0, 0.8))
+    b.set_value(left, Scalar(3.0))
+    right_left, right_right = b.split_node(right, Hyperplane((1.0, -1.0), 0.9))
+    b.set_value(right_left, Scalar(5.0))
+    b.set_value(right_right, Scalar(7.0))
+    return a.build(), b.build()
 
 
 @pytest.fixture

@@ -5,7 +5,42 @@ import pytest
 
 import treealgebra as ta
 from treealgebra.combine import CombineBudget
-from treealgebra.trees import NumericThreshold, Region, Scalar, Side, evaluate_batch
+from treealgebra.trees import (
+    Interval,
+    NumericThreshold,
+    Region,
+    Scalar,
+    Side,
+    evaluate_batch,
+    iter_leaves_with_regions,
+    route,
+)
+
+
+def region_subset(inner, outer):
+    """Containment of axis-aligned regions, endpoint flags included."""
+    for ci, co in zip(inner.constraints, outer.constraints):
+        if isinstance(ci, Interval):
+            lo_ok = ci.low > co.low or (
+                ci.low == co.low and (co.low_closed or not ci.low_closed)
+            )
+            hi_ok = ci.high < co.high or (
+                ci.high == co.high and (co.high_closed or not ci.high_closed)
+            )
+            if not (lo_ok and hi_ok):
+                return False
+        elif not ci <= co:
+            return False
+    return True
+
+
+def interior_point(region):
+    """An encoded point inside an axis-aligned region: interval midpoints and
+    the smallest admissible level."""
+    return tuple(
+        (c.low + c.high) / 2 if isinstance(c, Interval) else float(min(c))
+        for c in region.constraints
+    )
 
 
 def leaf_values(tree):
@@ -242,13 +277,18 @@ class TestCombineProperties:
             assert ta.pointwise_equivalence(combined, [t1, t2], 2000, seed=trial) is None
 
     def test_working_region_stays_inside_node_regions(self, rng):
-        """Debug instrumentation: every recursive step's region is contained
-        in the regions of both current source nodes."""
+        """Every leaf region of the overlay lies inside the regions of the
+        two source leaves that an interior point of it routes to."""
         for _ in range(10):
             schema = ta.random_schema(rng, max_features=5)
             t1 = ta.random_tree(schema, rng, 25)
             t2 = ta.random_tree(schema, rng, 25)
-            ta.combine_pair(t1, t2, debug_containment=True)
+            combined = ta.combine_pair(t1, t2)
+            for _, region in iter_leaves_with_regions(combined):
+                x = interior_point(region)
+                for source in (t1, t2):
+                    leaf = route(source, x)
+                    assert region_subset(region, ta.node_region(source, leaf))
 
     def test_fold_order_agrees_pointwise(self, rng):
         schema = ta.random_schema(rng, max_features=4)
@@ -271,6 +311,13 @@ class TestCombineProperties:
             va = abc.nodes[int(ids_abc[i])].value.values
             vb = bca.nodes[int(ids_bca[i])].value.values
             assert (va[0], va[1], va[2]) == (vb[2], vb[0], vb[1])
+
+    def test_mixed_hyperplane_and_numeric_splits_combine(self, mixed_pair):
+        a, b = mixed_pair
+        for t1, t2 in ((a, b), (b, a)):
+            combined = ta.combine_pair(t1, t2)
+            assert ta.validate(combined) == []
+            assert ta.pointwise_equivalence(combined, [t1, t2], 4000, seed=0) is None
 
     def test_hyperplane_splits_combine(self, d2, stump4, rng):
         b = ta.TreeBuilder(d2)

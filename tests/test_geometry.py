@@ -1,4 +1,4 @@
-"""Partition predicates, split-pair classification, measures, and the
+"""Partition predicates, identical-split detection, measures, and the
 hyperplane-polyhedron LP test."""
 
 import itertools
@@ -10,11 +10,10 @@ import treealgebra as ta
 from treealgebra.geometry import (
     Empirical,
     HyperplaneTestResult,
-    PairClassification,
     PartitionOutcome,
-    classify_split_pair,
     hyperplane_intersects_polyhedron,
     region_measure,
+    same_partition_in_region,
     split_partitions_region,
 )
 from treealgebra.trees import Hyperplane, NumericThreshold, Region, Side
@@ -55,31 +54,21 @@ class TestSplitPartitionsRegion:
             split_partitions_region(ta.CategoricalSubset(0, frozenset({0})), Region.full(d2))
 
 
-class TestClassifySplitPair:
-    def test_crossing_on_different_axes(self, d2):
-        out = classify_split_pair(NumericThreshold(0, 4.0), NumericThreshold(1, 5.0), Region.full(d2))
-        assert out is PairClassification.CROSSING
-
-    def test_parallel_boundary_in_right(self, d2):
-        out = classify_split_pair(NumericThreshold(0, 4.0), NumericThreshold(0, 6.0), Region.full(d2))
-        assert out is PairClassification.PARALLEL_SECOND_IN_RIGHT
-
-    def test_parallel_boundary_in_left(self, d2):
-        out = classify_split_pair(NumericThreshold(0, 4.0), NumericThreshold(0, 2.0), Region.full(d2))
-        assert out is PairClassification.PARALLEL_SECOND_IN_LEFT
-
+class TestSamePartitionInRegion:
     def test_identical_same_orientation(self, d2):
-        out = classify_split_pair(NumericThreshold(0, 4.0), NumericThreshold(0, 4.0), Region.full(d2))
-        assert out is PairClassification.IDENTICAL_SAME_ORIENTATION
+        out = same_partition_in_region(
+            NumericThreshold(0, 4.0), NumericThreshold(0, 4.0), Region.full(d2)
+        )
+        assert out == "same"
 
     def test_identical_swapped_categorical(self):
         schema = ta.FeatureSchema((ta.CategoricalFeature("c", ("a", "b", "c")),))
-        out = classify_split_pair(
+        out = same_partition_in_region(
             ta.CategoricalSubset(0, frozenset({0})),
             ta.CategoricalSubset(0, frozenset({1, 2})),
             Region.full(schema),
         )
-        assert out is PairClassification.IDENTICAL_SWAPPED
+        assert out == "swapped"
 
     def test_identical_categorical_restricted_to_region(self):
         # left sets differ as sets but agree inside the region
@@ -87,42 +76,34 @@ class TestClassifySplitPair:
         region = Region.full(schema).try_refine(
             ta.CategoricalSubset(0, frozenset({0, 1})), Side.LEFT
         )
-        out = classify_split_pair(
-            ta.CategoricalSubset(0, frozenset({0})),
-            ta.CategoricalSubset(0, frozenset({0, 2})),
-            region,
-        )
-        assert out is PairClassification.IDENTICAL_SAME_ORIENTATION
-
-    def test_precondition_violation(self, d2):
-        region = Region.full(d2).try_refine(NumericThreshold(0, 4.0), Side.LEFT)
-        with pytest.raises(ta.DomainError):
-            classify_split_pair(NumericThreshold(0, 6.0), NumericThreshold(1, 5.0), region)
+        split_u = ta.CategoricalSubset(0, frozenset({0}))
+        split_v = ta.CategoricalSubset(0, frozenset({0, 2}))
+        assert same_partition_in_region(split_u, split_v, region) == "same"
+        assert same_partition_in_region(split_u, split_v, Region.full(schema)) is None
 
     def test_swap_symmetry(self, d2, rng):
-        """Swapping the arguments exchanges the parallel variants and
-        preserves crossing and both identical variants."""
-        swap = {
-            PairClassification.CROSSING: PairClassification.CROSSING,
-            PairClassification.PARALLEL_SECOND_IN_LEFT: PairClassification.PARALLEL_SECOND_IN_RIGHT,
-            PairClassification.PARALLEL_SECOND_IN_RIGHT: PairClassification.PARALLEL_SECOND_IN_LEFT,
-            PairClassification.IDENTICAL_SAME_ORIENTATION: PairClassification.IDENTICAL_SAME_ORIENTATION,
-            PairClassification.IDENTICAL_SWAPPED: PairClassification.IDENTICAL_SWAPPED,
-        }
+        """Swapping the arguments never changes the answer."""
         region = Region.full(d2)
         seen = set()
         for _ in range(200):
-            axis_u = int(rng.integers(0, 2))
-            axis_v = int(rng.integers(0, 2))
-            u = NumericThreshold(axis_u, float(rng.choice([2.0, 4.0, 6.0])))
-            v = NumericThreshold(axis_v, float(rng.choice([2.0, 4.0, 6.0])))
-            out_uv = classify_split_pair(u, v, region)
-            out_vu = classify_split_pair(v, u, region)
-            assert out_vu is swap[out_uv]
+            u = NumericThreshold(int(rng.integers(0, 2)), float(rng.choice([2.0, 4.0, 6.0])))
+            v = NumericThreshold(int(rng.integers(0, 2)), float(rng.choice([2.0, 4.0, 6.0])))
+            out_uv = same_partition_in_region(u, v, region)
+            assert same_partition_in_region(v, u, region) == out_uv
             seen.add(out_uv)
-        assert PairClassification.CROSSING in seen
-        assert PairClassification.PARALLEL_SECOND_IN_RIGHT in seen
-        assert PairClassification.IDENTICAL_SAME_ORIENTATION in seen
+        schema = ta.FeatureSchema((ta.CategoricalFeature("c", ("a", "b", "c", "d")),))
+        region = Region.full(schema)
+
+        def subset():
+            levels = rng.choice(4, int(rng.integers(1, 4)), replace=False)
+            return ta.CategoricalSubset(0, frozenset(levels.tolist()))
+
+        for _ in range(200):
+            u, v = subset(), subset()
+            out_uv = same_partition_in_region(u, v, region)
+            assert same_partition_in_region(v, u, region) == out_uv
+            seen.add(out_uv)
+        assert seen == {"same", "swapped", None}
 
 
 class TestRegionMeasure:

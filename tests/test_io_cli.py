@@ -361,6 +361,44 @@ class TestCli:
         assert run_cli(["validate", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("code=VALIDATION")
 
+    @pytest.mark.parametrize("split_0, split_1", [
+        ({"type": "numeric", "feature": 0, "threshold": 4.0},
+         {"type": "numeric", "feature": 0, "threshold": 2.0}),
+        ({"type": "hyperplane", "coeffs": [1.0, 1.0], "offset": 10.0},) * 2,
+    ])
+    def test_cyclic_node_table_exits_2(self, workdir, capsys, split_0, split_1):
+        # node 1's left child is the root
+        doc = json.loads((workdir / "stump4.json").read_text())
+        doc["nodes"] = [
+            {"id": 0, "split": split_0, "left": 1, "right": 2},
+            {"id": 1, "split": split_1, "left": 0, "right": 3},
+            {"id": 2, "value": {"type": "scalar", "v": 1.0}},
+            {"id": 3, "value": {"type": "scalar", "v": 2.0}},
+        ]
+        cyclic = workdir / "cyclic.json"
+        cyclic.write_text(json.dumps(doc))
+        assert run_cli(["validate", str(cyclic)]) == 2
+        assert capsys.readouterr().err.startswith("code=VALIDATION")
+
+    def test_input_checks_run_before_any_work(self, workdir, capsys):
+        missing = str(workdir / "missing.csv")
+        forest = str(workdir / "three.json")
+        runs = [
+            (["combine", "--forest", forest, "--out", str(workdir / "o.json"),
+              "--max-nodes", "0", "--weights", missing],
+             "--max-nodes must be at least 1"),
+            (["affine", "--forest", forest, "--out", str(workdir / "o.json"),
+              "--weights", missing],
+             f"input file does not exist: {missing}"),
+            (["dist", "--a", str(workdir / "nowhere.json"), "--b", str(workdir / "nowhere.json"),
+              "--measure", "empirical", "--data", missing],
+             f"input file does not exist: {missing}"),
+        ]
+        for argv, message in runs:
+            assert run_cli(argv) == 2
+            assert capsys.readouterr().err == f'code=DOMAIN msg="{message}"\n'
+        assert not (workdir / "o.json").exists()
+
     def test_unknown_flag_exits_1(self, workdir, capsys):
         assert run_cli(["dist", "--bogus"]) == 1
 

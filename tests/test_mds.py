@@ -1,29 +1,10 @@
-"""Classical MDS and the Jacobi eigendecomposition behind it."""
+"""Classical MDS: recovered distances, Gram eigenpairs, stress."""
 
 import numpy as np
 import pytest
 
 import treealgebra as ta
-from treealgebra.mds import classical_mds, jacobi_eigh, mds_stress, pairwise_distances
-
-
-class TestJacobi:
-    def test_matches_numpy_on_random_symmetric(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 12))
-            m = rng.normal(size=(n, n))
-            a = (m + m.T) / 2
-            evals, evecs = jacobi_eigh(a)
-            ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-            assert np.allclose(evals, ref, atol=1e-10)
-            # eigenvector columns reconstruct the matrix
-            assert np.allclose(evecs @ np.diag(evals) @ evecs.T, a, atol=1e-10)
-            assert np.allclose(evecs.T @ evecs, np.eye(n), atol=1e-10)
-
-    def test_zero_matrix(self):
-        evals, evecs = jacobi_eigh(np.zeros((3, 3)))
-        assert (evals == 0.0).all()
-        assert (evecs == np.eye(3)).all()
+from treealgebra.mds import classical_mds, mds_stress, pairwise_distances
 
 
 class TestClassicalMDS:
@@ -39,6 +20,37 @@ class TestClassicalMDS:
         dist = pairwise_distances(config)
         coords = classical_mds(dist, 2)
         assert np.allclose(pairwise_distances(coords), dist, atol=1e-6)
+
+    @staticmethod
+    def random_configurations(rng, count=20):
+        for _ in range(count):
+            p = int(rng.integers(1, 5))
+            n = int(rng.integers(p + 2, 14))
+            yield p, rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0)
+
+    def test_random_configurations_recover_distances(self, rng):
+        for p, config in self.random_configurations(rng):
+            dist = pairwise_distances(config)
+            coords = classical_mds(dist, p)
+            assert np.max(np.abs(pairwise_distances(coords) - dist)) <= 1e-10 * max(
+                1.0, dist.max()
+            )
+
+    def test_columns_are_gram_eigenpairs(self, rng):
+        """Each coordinate column c is sqrt(w) v for an eigenpair (w, v) of
+        the double-centred Gram matrix, in descending eigenvalue order."""
+        for p, config in self.random_configurations(rng):
+            dist = pairwise_distances(config)
+            n = len(dist)
+            j = np.eye(n) - np.ones((n, n)) / n
+            gram = -0.5 * j @ (dist * dist) @ j
+            coords = classical_mds(dist, p)
+            evals = (coords * coords).sum(axis=0)
+            assert (np.diff(evals) <= 1e-10 * np.linalg.norm(gram)).all()
+            for w, c in zip(evals, coords.T):
+                v = c / np.sqrt(w)
+                residual = np.linalg.norm(gram @ v - w * v)
+                assert residual <= 1e-10 * np.linalg.norm(gram)
 
     def test_zero_matrix_gives_zero_coordinates(self):
         coords = classical_mds(np.zeros((2, 2)), 1)

@@ -152,6 +152,14 @@ class TestDistance:
         emp = ta.Empirical.from_rows(d2, [(1, 1), (2, 3)])
         assert ta.tree_distance(stump4, stump6, emp) == 0.0
 
+    def test_empirical_distance_of_mixed_splits_is_a_point_sum(self, mixed_pair, rng):
+        a, b = mixed_pair
+        X = rng.uniform(0.0, 1.0, size=(400, 2))
+        emp = ta.Empirical(X, np.full(len(X), 1.0 / len(X)))
+        diff = ta.evaluate_batch(a, X) - ta.evaluate_batch(b, X)
+        expected = math.sqrt(float((diff * diff).sum()) / len(X))
+        assert abs(ta.tree_distance(a, b, emp) - expected) <= 1e-12
+
     def test_metric_axioms(self, rng, uniform):
         schema = ta.random_schema(rng, max_features=4)
         trees = [ta.random_tree(schema, rng, int(rng.integers(1, 12))) for _ in range(8)]

@@ -131,6 +131,35 @@ class TestValidate:
         b.set_value(b.add_root(), ta.ClassProbs((0.5, 0.3)))
         assert any("sum 0.8" in v for v in ta.validate(b.build()))
 
+    def test_numeric_split_with_no_room_left_by_a_hyperplane(self, unit2):
+        # below x0 + x1 <= 0.5 no point has x0 > 0.9, though the box does
+        b = ta.TreeBuilder(unit2)
+        left, right = b.split_node(b.add_root(), ta.Hyperplane((1.0, 1.0), 0.5))
+        b.set_value(right, ta.Scalar(2.0))
+        left_left, left_right = b.split_node(left, ta.NumericThreshold(0, 0.9))
+        b.set_value(left_left, ta.Scalar(0.0))
+        b.set_value(left_right, ta.Scalar(1.0))
+        assert ta.validate(b.build()) == [
+            f"node {left}: split does not partition node region"
+        ]
+
+    def test_nan_threshold_is_named(self, make_stump):
+        tree = make_stump(0, float("nan"))
+        assert ta.validate(tree) == ["node 0: split threshold is NaN"]
+
+    def test_cycle_of_consistent_links_terminates(self, unit2):
+        # 0 -> 1 -> 0 through identical hyperplanes, which keep touching the
+        # region, so only the once-per-node rule ends the geometric pass
+        h = ta.Hyperplane((1.0, 1.0), 1.0)
+        nodes = {
+            0: Node(parent=1, split=h, left=1, right=2),
+            1: Node(parent=0, split=h, left=0, right=3),
+            2: Node(parent=0, value=ta.Scalar(1.0)),
+            3: Node(parent=1, value=ta.Scalar(2.0)),
+        }
+        messages = ta.validate(ta.Tree(unit2, nodes, 0))
+        assert messages == ["expected exactly one parentless node 0, found []"]
+
     def test_fuzzer_trees_are_clean(self, rng):
         for _ in range(25):
             schema = ta.random_schema(rng, max_features=6)
