@@ -261,6 +261,19 @@ def _validate_forest(schema: FeatureSchema, trees: Sequence[Tree]) -> None:
         raise ValidationError(problems)
 
 
+def _parse_json(text: str, path: str):
+    """Parse a JSON document, rejecting the non-standard ``NaN``,
+    ``Infinity`` and ``-Infinity`` literals."""
+
+    def reject(literal):
+        raise ParseError(f"{path}: non-finite number {literal} is not allowed")
+
+    try:
+        return json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
+
+
 def load_forest(path: str) -> ForestFile:
     """Load and fully validate a tree or forest JSON file.
 
@@ -269,10 +282,7 @@ def load_forest(path: str) -> ForestFile:
     """
     with open(path) as handle:
         text = handle.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
+    doc = _parse_json(text, path)
     try:
         schema = _schema_from_dict(doc["schema"])
         if "trees" in doc:
@@ -292,10 +302,7 @@ def load_forest(path: str) -> ForestFile:
 def load_schema(path: str) -> FeatureSchema:
     """Load a bare schema JSON file (the ``schema`` object on its own)."""
     with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
+        doc = _parse_json(handle.read(), path)
     return _schema_from_dict(doc.get("schema", doc))
 
 
@@ -326,16 +333,17 @@ def read_points_csv(path: str, schema: FeatureSchema) -> np.ndarray:
     values given by level name."""
     raw = []
     with open(path) as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            toks = [t.strip() for t in line.split(",")]
-            if len(toks) != schema.n_features:
-                raise ParseError(
-                    f"{path}: line {line_no}: {len(toks)} columns, expected {schema.n_features}"
-                )
-            raw.append(toks)
+        lines = handle.read().split("\n")
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        toks = line.split(",")
+        if len(toks) != schema.n_features:
+            raise ParseError(
+                f"{path}: line {line_no}: {len(toks)} columns, expected {schema.n_features}"
+            )
+        raw.append([t.strip() for t in toks])
     if not raw:
         raise ParseError(f"{path}: no data points")
     return schema.encode_points(raw)

@@ -1,13 +1,23 @@
 """Exact means, variances, covariances, correlations, and L2 distances.
 
 All quantities are integrals of piecewise-constant functions against a
-probability measure, so they reduce to finite sums over leaf regions.
-Pair quantities (distance, inner product, covariance) first overlay the two
-trees with :func:`~treealgebra.combine.combine_pair` and then run a
-conditional-proportion recursion down the combined tree: a node's value is
-the measure-weighted average of its children's values, and a leaf
-contributes the pointwise term of its pair of values. Leaf sums always run
-depth-first, left before right, so results are bit-reproducible.
+probability measure, so they reduce to finite sums. Single-tree quantities
+(mean, variance, norm) sum over the tree's leaf regions depth-first, left
+before right.
+
+Pair quantities (distance, inner product, covariance) never build the
+combined tree. Under the uniform measure, one walk turns each axis-aligned
+tree into a leaf table: numeric bounds, admissible categorical levels and
+the value of every leaf. Two leaves intersect in a box whose mass is the
+product of per-feature overlaps, so a pair integral is one vectorised sum
+over leaf pairs, e.g. ``sum((v1 - v2)**2 * overlap)``; hyperplane splits
+are unsupported there, as the uniform mass of a polyhedron is. Under the
+empirical measure, each tree is evaluated once at the sample points and a
+pair integral is a weighted sum over the points, for any split geometry and
+with the ``x <= t`` boundary rule of routing. The paper's recursion down the
+combined tree, :func:`treealgebra.oracle.recursive_pair_sum`, is the
+reference these sums are tested against. Every sum runs in a fixed order,
+so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -15,19 +25,27 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import copysign, sqrt
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .combine import CombineBudget, combine_pair
-from .errors import DegenerateCorrelationError, DomainError, LeafKindError
-from .geometry import Measure, region_measure
+from .combine import CombineBudget, _require_schema_and_kind
+from .errors import (
+    DegenerateCorrelationError,
+    DomainError,
+    LeafKindError,
+    UnsupportedGeometryError,
+)
+from .geometry import Measure, UniformBox, region_measure
 from .trees import (
-    Region,
+    CategoricalFeature,
+    CategoricalSubset,
+    FeatureSchema,
+    NumericFeature,
+    NumericThreshold,
     Scalar,
-    Side,
     Tree,
-    TupleValue,
+    evaluate_batch,
     iter_leaves_with_regions,
     leaf_kind_of,
 )
@@ -107,65 +125,132 @@ def tree_statistics(tree: Tree, measure: Measure) -> TreeStatistics:
 
 
 # ---------------------------------------------------------------------------
-# Pair sums over a combined tree
+# Pair integrals without the combined tree
 
 
-def _recursive_pair_sum(
-    combined: Tree, measure: Measure, term: Callable[[TupleValue], float]
-) -> float:
-    """Conditional-proportion recursion: a leaf returns its term, an internal
-    node returns the measure-weighted average of its children, each child
-    weighted by its share of the parent's mass. Zero-mass subtrees are
-    skipped. The root value, scaled by the root mass, is the integral."""
-    root_region = Region.full(combined.schema)
-    order: list[int] = []
-    mass: dict[int, float] = {}
-    stack = [(combined.root, root_region)]
+@dataclass(frozen=True)
+class _LeafTable:
+    """The leaf boxes and values of one axis-aligned tree, as arrays.
+
+    ``lo``/``hi`` have shape (numeric features, leaves) and hold each leaf's
+    numeric bounds; ``levels`` holds one (leaves, levels) 0/1 matrix of
+    admissible levels per categorical feature; ``values`` has shape
+    (leaves, width), width 1 for scalar leaves. Leaves are in depth-first,
+    left-before-right order.
+    """
+
+    schema: FeatureSchema
+    lo: np.ndarray
+    hi: np.ndarray
+    levels: tuple[np.ndarray, ...]
+    values: np.ndarray
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    # a non-finite value would turn a zero mass or weight into nan
+    if not np.isfinite(values).all():
+        raise DomainError("leaf value is not finite")
+    return values
+
+
+def _leaf_table(tree: Tree) -> _LeafTable:
+    """One depth-first walk that records every leaf's box and value."""
+    schema = tree.schema
+    full = tuple(
+        (f.low, f.high) if isinstance(f, NumericFeature) else frozenset(range(len(f.levels)))
+        for f in schema.features
+    )
+    boxes, values = [], []
+    stack = [(tree.root, full)]
     while stack:
-        nid, region = stack.pop()
-        m = region_measure(region, measure)
-        mass[nid] = m
-        order.append(nid)
-        node = combined.nodes[nid]
-        if node.left is None or m == 0.0:
-            continue
-        stack.append((node.right, region.try_refine(node.split, Side.RIGHT)))
-        stack.append((node.left, region.try_refine(node.split, Side.LEFT)))
-    value: dict[int, float] = {}
-    for nid in reversed(order):
-        node = combined.nodes[nid]
+        nid, box = stack.pop()
+        node = tree.nodes[nid]
         if node.left is None:
-            value[nid] = term(node.value)
-        elif mass[nid] == 0.0:
-            value[nid] = 0.0
+            boxes.append(box)
+            values.append(node.value)
+            continue
+        split = node.split
+        if isinstance(split, NumericThreshold):
+            lo, hi = box[split.feature]
+            left = (lo, min(hi, split.threshold))
+            right = (max(lo, split.threshold), hi)
+        elif isinstance(split, CategoricalSubset):
+            left = box[split.feature] & split.left_levels
+            right = box[split.feature] - split.left_levels
         else:
-            p_l = mass[node.left] / mass[nid]
-            p_r = mass[node.right] / mass[nid]
-            value[nid] = p_l * value[node.left] + p_r * value[node.right]
-    return value[combined.root] * mass[combined.root]
+            raise UnsupportedGeometryError(
+                "uniform measure of a region with hyperplane constraints"
+            )
+        j = split.feature
+        stack.append((node.right, box[:j] + (right,) + box[j + 1 :]))
+        stack.append((node.left, box[:j] + (left,) + box[j + 1 :]))
+    num = schema.numeric_indices
+    bounds = np.array([[box[j] for j in num] for box in boxes]).reshape(len(boxes), len(num), 2)
+    levels = tuple(
+        np.array([[float(k in box[j]) for k in range(len(f.levels))] for box in boxes])
+        for j, f in enumerate(schema.features)
+        if isinstance(f, CategoricalFeature)
+    )
+    rows = [(v.value,) if isinstance(v, Scalar) else v.probs for v in values]
+    return _LeafTable(
+        schema,
+        np.ascontiguousarray(bounds[:, :, 0].T),
+        np.ascontiguousarray(bounds[:, :, 1].T),
+        levels,
+        _finite(np.array(rows, dtype=float)),
+    )
 
 
-def _flat_pair_sum(
-    combined: Tree, measure: Measure, term: Callable[[TupleValue], float]
-) -> float:
-    """Plain leaf sum over the same combined tree (cross-check twin of the
-    recursion above; both must agree to float accumulation error)."""
-    acc = 0.0
-    for value, mass in _leaf_terms(combined, measure):
-        acc += term(value) * mass
-    return acc
+def _overlap(a: _LeafTable, b: _LeafTable) -> np.ndarray:
+    """Uniform mass of the intersection of every leaf of ``a`` with every
+    leaf of ``b``: a product of per-feature overlaps, in schema order, as
+    :func:`~treealgebra.geometry.region_measure` computes it. Disjoint
+    leaves get exactly 0."""
+    mass = np.ones((len(a.values), len(b.values)))
+    q = r = 0
+    for f in a.schema.features:
+        if isinstance(f, NumericFeature):
+            width = np.minimum.outer(a.hi[q], b.hi[q]) - np.maximum.outer(a.lo[q], b.lo[q])
+            mass *= np.maximum(width, 0.0) / (f.high - f.low)
+            q += 1
+        else:
+            mass *= (a.levels[r] @ b.levels[r].T) / len(f.levels)
+            r += 1
+    return mass
 
 
-def _sq_diff_term(tv: TupleValue) -> float:
-    a, b = tv.values
-    if isinstance(a, Scalar):
-        d = a.value - b.value
-        return d * d
-    acc = 0.0
-    for pa, pb in zip(a.probs, b.probs):
-        d = pa - pb
-        acc += d * d
-    return acc
+def _prepare(tree: Tree, measure: Measure) -> Union[_LeafTable, np.ndarray]:
+    """What a pair integral needs of one tree: its leaf table under the
+    uniform measure, its (points, width) values under the empirical one."""
+    if isinstance(measure, UniformBox):
+        return _leaf_table(tree)
+    values = evaluate_batch(tree, measure.points)
+    return _finite(values.reshape(len(values), -1))
+
+
+def _pair_integral(a, b, measure: Measure, term) -> float:
+    """Integral of ``term(f1, f2)`` for two prepared trees; ``term`` maps
+    arrays of values (width on the last axis) to that axis summed out."""
+    if isinstance(measure, UniformBox):
+        return float((term(a.values[:, None], b.values[None]) * _overlap(a, b)).sum())
+    return float(measure.weights @ term(a, b))
+
+
+def _sq_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.square(x - y).sum(axis=-1)
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return (x * y).sum(axis=-1)
+
+
+def _distance(a, b, measure: Measure) -> float:
+    return sqrt(max(_pair_integral(a, b, measure, _sq_diff), 0.0))
+
+
+def _require_scalar(trees: Sequence[Tree], name: str) -> None:
+    if any(leaf_kind_of(t) != "scalar" for t in trees):
+        raise LeafKindError(f"{name} needs scalar leaves")
 
 
 def tree_distance(
@@ -175,37 +260,36 @@ def tree_distance(
 
     Scalar leaves use the squared scalar difference; class-probability
     leaves use the squared Euclidean distance of the probability vectors.
+    No combined tree is built, so ``budget`` bounds nothing.
     """
-    combined = combine_pair(t1, t2, budget)
-    sq = _recursive_pair_sum(combined, measure, _sq_diff_term)
-    return sqrt(max(sq, 0.0))
+    _require_schema_and_kind([t1, t2])
+    return _distance(_prepare(t1, measure), _prepare(t2, measure), measure)
 
 
 def tree_inner_product(
     t1: Tree, t2: Tree, measure: Measure, budget: Optional[CombineBudget] = None
 ) -> float:
-    """Integral of the product of two scalar tree functions."""
-    if leaf_kind_of(t1) != "scalar" or leaf_kind_of(t2) != "scalar":
-        raise LeafKindError("tree_inner_product needs scalar leaves")
-    combined = combine_pair(t1, t2, budget)
-    return _recursive_pair_sum(
-        combined, measure, lambda tv: tv.values[0].value * tv.values[1].value
-    )
+    """Integral of the product of two scalar tree functions (``budget``
+    bounds nothing)."""
+    _require_scalar([t1, t2], "tree_inner_product")
+    _require_schema_and_kind([t1, t2])
+    return _pair_integral(_prepare(t1, measure), _prepare(t2, measure), measure, _product)
 
 
 def tree_covariance(
     t1: Tree, t2: Tree, measure: Measure, budget: Optional[CombineBudget] = None
 ) -> float:
-    """Integral of the product of the two trees' deviations from their means."""
-    if leaf_kind_of(t1) != "scalar" or leaf_kind_of(t2) != "scalar":
-        raise LeafKindError("tree_covariance needs scalar leaves")
+    """Integral of the product of the two trees' deviations from their means
+    (``budget`` bounds nothing)."""
+    _require_scalar([t1, t2], "tree_covariance")
     mu1 = tree_mean(t1, measure)
     mu2 = tree_mean(t2, measure)
-    combined = combine_pair(t1, t2, budget)
-    return _recursive_pair_sum(
-        combined,
+    _require_schema_and_kind([t1, t2])
+    return _pair_integral(
+        _prepare(t1, measure),
+        _prepare(t2, measure),
         measure,
-        lambda tv: (tv.values[0].value - mu1) * (tv.values[1].value - mu2),
+        lambda x, y: _product(x - mu1, y - mu2),
     )
 
 
@@ -225,10 +309,11 @@ def tree_correlation(
     (at the 1e-12 level relative to its value scale) counts as constant and
     raises :class:`DegenerateCorrelationError`. A result within 1e-12 of
     unit magnitude snaps to exactly +-1, so correlations of exact affine
-    transforms compare exactly.
+    transforms compare exactly. ``budget`` bounds nothing.
     """
     var1 = tree_variance(t1, measure)
     var2 = tree_variance(t2, measure)
+    _require_scalar([t1, t2], "tree_correlation")
     for name, var, tree in (("first", var1, t1), ("second", var2, t2)):
         scale = max(1.0, _max_abs_leaf(tree))
         if var <= (1e-12 * scale) ** 2:
@@ -254,40 +339,41 @@ def forest_distance(
     """L2 distance between the aggregate (sum) functions of two forests.
 
     Expands the squared difference into pairwise tree inner products, so no
-    combined tree ever involves more than two source trees.
+    integral ever involves more than two source trees. Each tree is prepared
+    once; ``budget`` bounds nothing.
     """
     if not f or not g:
         raise DomainError("forest_distance needs nonempty forests")
+    _require_scalar([*f, *g], "tree_inner_product")
+    _require_schema_and_kind([*f, *g])
+    pf = [_prepare(t, measure) for t in f]
+    pg = [_prepare(t, measure) for t in g]
+
     # all ordered pairs, in the same loop order for each of the three sums:
     # identical forests then produce bitwise-equal sums that cancel exactly
-    ff = 0.0
-    for fi in f:
-        for fj in f:
-            ff += tree_inner_product(fi, fj, measure, budget)
-    gg = 0.0
-    for gi in g:
-        for gj in g:
-            gg += tree_inner_product(gi, gj, measure, budget)
-    fg = 0.0
-    for fi in f:
-        for gj in g:
-            fg += tree_inner_product(fi, gj, measure, budget)
-    return sqrt(max(ff + gg - 2.0 * fg, 0.0))
+    def inner(ps, qs):
+        acc = 0.0
+        for a in ps:
+            for b in qs:
+                acc += _pair_integral(a, b, measure, _product)
+        return acc
+
+    return sqrt(max(inner(pf, pf) + inner(pg, pg) - 2.0 * inner(pf, pg), 0.0))
 
 
-_POOL_TREES: Optional[Sequence[Tree]] = None
+_POOL_PREPARED: Optional[list] = None
 _POOL_MEASURE: Optional[Measure] = None
 
 
-def _pool_init(trees, measure):
-    global _POOL_TREES, _POOL_MEASURE
-    _POOL_TREES = trees
+def _pool_init(prepared, measure):
+    global _POOL_PREPARED, _POOL_MEASURE
+    _POOL_PREPARED = prepared
     _POOL_MEASURE = measure
 
 
 def _pool_pair(pair):
     i, j = pair
-    return tree_distance(_POOL_TREES[i], _POOL_TREES[j], _POOL_MEASURE)
+    return _distance(_POOL_PREPARED[i], _POOL_PREPARED[j], _POOL_MEASURE)
 
 
 def distance_matrix(
@@ -295,19 +381,22 @@ def distance_matrix(
 ) -> np.ndarray:
     """Symmetric matrix of pairwise tree distances with a zero diagonal.
 
-    Each unordered pair is computed once; with ``jobs > 1`` the independent
-    pairs run in a process pool and are assembled in a fixed order.
+    Each tree is prepared once and each unordered pair is computed once;
+    with ``jobs > 1`` the independent pairs run in a process pool and are
+    assembled in a fixed order.
     """
     if len(trees) < 2:
         raise DomainError("distance_matrix needs at least two trees")
+    _require_schema_and_kind(trees)
+    prepared = [_prepare(t, measure) for t in trees]
     n = len(trees)
     out = np.zeros((n, n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if jobs <= 1:
-        dists = [tree_distance(trees[i], trees[j], measure) for i, j in pairs]
+        dists = [_distance(prepared[i], prepared[j], measure) for i, j in pairs]
     else:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_pool_init, initargs=(list(trees), measure)
+            max_workers=jobs, initializer=_pool_init, initargs=(prepared, measure)
         ) as pool:
             dists = list(pool.map(_pool_pair, pairs, chunksize=32))
     for (i, j), d in zip(pairs, dists):

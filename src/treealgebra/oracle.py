@@ -6,7 +6,10 @@ each cell, so any integral of a pointwise combination of the trees reduces
 to an exact finite sum. That makes :func:`grid_integral` an independent
 check for every exact quantity in :mod:`treealgebra.measures`.
 :func:`monte_carlo_integral` is the statistical fallback for trees the grid
-cannot handle (hyperplane splits).
+cannot handle (hyperplane splits). :func:`recursive_pair_sum` is the
+paper's conditional-proportion recursion down a combined tree, the
+reference for the pair statistics, which :mod:`treealgebra.measures`
+computes without building that tree.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, SchemaError, UnsupportedGeometryError
-from .geometry import Empirical, Measure, UniformBox
+from .geometry import Empirical, Measure, UniformBox, region_measure
 from .trees import (
     CategoricalFeature,
     CategoricalSubset,
@@ -32,6 +35,7 @@ from .trees import (
     Side,
     Tree,
     TreeBuilder,
+    TupleValue,
     evaluate_batch,
     route_batch,
 )
@@ -40,6 +44,8 @@ __all__ = [
     "CellGrid",
     "grid_integral",
     "monte_carlo_integral",
+    "recursive_pair_sum",
+    "sq_diff_term",
     "pointwise_equivalence",
     "Counterexample",
     "sample_points",
@@ -235,6 +241,62 @@ def grid_integral(
     values = [evaluate_batch(t, reps) for t in trees]
     combined = _resolve_combiner(combiner, weights)(values)
     return float(combined @ grid.masses(measure))
+
+
+# ---------------------------------------------------------------------------
+# Conditional-proportion recursion over a combined tree
+
+
+def recursive_pair_sum(
+    combined: Tree, measure: Measure, term: Callable[[TupleValue], float]
+) -> float:
+    """Integral of ``term`` over a tree with pair-valued leaves (the output
+    of :func:`~treealgebra.combine.combine_pair`).
+
+    Conditional-proportion recursion: a leaf returns its term, an internal
+    node returns the measure-weighted average of its children, each child
+    weighted by its share of the parent's mass. Zero-mass subtrees are
+    skipped. The root value, scaled by the root mass, is the integral.
+    """
+    root_region = Region.full(combined.schema)
+    order: list[int] = []
+    mass: dict[int, float] = {}
+    stack = [(combined.root, root_region)]
+    while stack:
+        nid, region = stack.pop()
+        m = region_measure(region, measure)
+        mass[nid] = m
+        order.append(nid)
+        node = combined.nodes[nid]
+        if node.left is None or m == 0.0:
+            continue
+        stack.append((node.right, region.try_refine(node.split, Side.RIGHT)))
+        stack.append((node.left, region.try_refine(node.split, Side.LEFT)))
+    value: dict[int, float] = {}
+    for nid in reversed(order):
+        node = combined.nodes[nid]
+        if node.left is None:
+            value[nid] = term(node.value)
+        elif mass[nid] == 0.0:
+            value[nid] = 0.0
+        else:
+            p_l = mass[node.left] / mass[nid]
+            p_r = mass[node.right] / mass[nid]
+            value[nid] = p_l * value[node.left] + p_r * value[node.right]
+    return value[combined.root] * mass[combined.root]
+
+
+def sq_diff_term(tv: TupleValue) -> float:
+    """Squared difference of a pair of scalar or class-probability values."""
+    a, b = tv.values
+    if isinstance(a, Scalar):
+        d = a.value - b.value
+        return d * d
+    acc = 0.0
+    for pa, pb in zip(a.probs, b.probs):
+        d = pa - pb
+        acc += d * d
+    return acc
 
 
 # ---------------------------------------------------------------------------

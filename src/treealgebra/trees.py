@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from math import isfinite
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -163,10 +164,36 @@ class FeatureSchema:
         return tuple(self.encode_value(j, v) for j, v in enumerate(values))
 
     def encode_points(self, rows: Sequence[Sequence]) -> np.ndarray:
-        """Encode many raw points into an (n, p) float matrix."""
-        return np.array([self.encode_point(r) for r in rows], dtype=float).reshape(
-            len(rows), self.n_features
-        )
+        """Encode many raw points into an (n, p) float matrix.
+
+        Encodes column by column; when any cell fails that fast path, the
+        points are encoded again one value at a time, in row-major order, so
+        the error names the first bad value exactly as :meth:`encode_point`
+        does.
+        """
+        n, p = len(rows), self.n_features
+        if all(len(r) == p for r in rows):
+            X = np.empty((n, p))
+            try:
+                for j, column in enumerate(zip(*rows)):
+                    X[:, j] = self._encode_column(j, column)
+                return X
+            except (KeyError, TypeError, ValueError):
+                pass
+        return np.array([self.encode_point(r) for r in rows], dtype=float).reshape(n, p)
+
+    def _encode_column(self, j: int, column: Sequence) -> np.ndarray:
+        """Encode one column of level names or in-range numbers; raises
+        KeyError, TypeError or ValueError on any other value."""
+        f = self.features[j]
+        if isinstance(f, NumericFeature):
+            x = np.fromiter(map(float, column), float, len(column))
+            if not (np.isfinite(x) & (x >= f.low) & (x <= f.high)).all():
+                raise ValueError
+            return x
+        # only names are keys: a level index or any other value misses
+        index = {name: float(k) for k, name in enumerate(f.levels) if isinstance(name, str)}
+        return np.fromiter(map(index.__getitem__, column), float, len(column))
 
     def decode_point(self, x: Sequence[float]) -> tuple:
         """Inverse of :meth:`encode_point`: level indices back to level names."""
@@ -241,14 +268,22 @@ def goes_left(split: Split, x: Sequence[float], schema: FeatureSchema) -> bool:
     return acc <= split.offset
 
 
-def _goes_left_batch(split: Split, X: np.ndarray, schema: FeatureSchema) -> np.ndarray:
+def _goes_left_batch(
+    split: Split,
+    X: np.ndarray,
+    schema: FeatureSchema,
+    rows: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Route the rows of an encoded matrix (all rows, or the index array
+    ``rows``) through one split, gathering only the columns it reads."""
+    if isinstance(split, Hyperplane):
+        num = list(schema.numeric_indices)
+        sub = X[:, num] if rows is None else X[np.ix_(rows, num)]
+        return sub @ np.asarray(split.coefficients) <= split.offset
+    col = X[:, split.feature] if rows is None else X[rows, split.feature]
     if isinstance(split, NumericThreshold):
-        return X[:, split.feature] <= split.threshold
-    if isinstance(split, CategoricalSubset):
-        col = X[:, split.feature].astype(np.int64)
-        return np.isin(col, np.fromiter(split.left_levels, dtype=np.int64))
-    idx = list(schema.numeric_indices)
-    return X[:, idx] @ np.asarray(split.coefficients) <= split.offset
+        return col <= split.threshold
+    return np.isin(col.astype(np.int64), np.fromiter(split.left_levels, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +514,16 @@ def value_kind(value: LeafValue) -> str:
     return _KIND_NAMES[type(value)]
 
 
-def leaf_kind_of(tree: "Tree") -> str:
-    """The single leaf-value kind of a tree; raises when leaves mix kinds."""
-    kinds = {value_kind(tree.nodes[i].value) for i in tree.leaf_ids()}
+def _kind_of(values: Sequence[LeafValue]) -> str:
+    kinds = {value_kind(v) for v in values}
     if len(kinds) != 1:
         raise LeafKindError(f"mixed leaf kinds {sorted(kinds)}")
     return kinds.pop()
+
+
+def leaf_kind_of(tree: "Tree") -> str:
+    """The single leaf-value kind of a tree; raises when leaves mix kinds."""
+    return _kind_of([tree.nodes[i].value for i in tree.leaf_ids()])
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +662,11 @@ def evaluate(tree: Tree, point: Sequence) -> LeafValue:
     return tree.nodes[route(tree, x)].value
 
 
-def route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Leaf ids for every row of an encoded (n, p) matrix."""
+def _route_batch(
+    tree: Tree, X: np.ndarray, label: Optional[dict[int, int]] = None
+) -> np.ndarray:
+    """Route every row of an encoded (n, p) matrix to a leaf and return the
+    leaf's id, or ``label[leaf id]`` when a label map is given."""
     n = len(X)
     out = np.empty(n, dtype=np.int64)
     stack = [(tree.root, np.arange(n))]
@@ -634,12 +676,17 @@ def route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
             continue
         node = tree.nodes[nid]
         if node.left is None:
-            out[idx] = nid
+            out[idx] = nid if label is None else label[nid]
             continue
-        left = _goes_left_batch(node.split, X[idx], tree.schema)
+        left = _goes_left_batch(node.split, X, tree.schema, idx)
         stack.append((node.right, idx[~left]))
         stack.append((node.left, idx[left]))
     return out
+
+
+def route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Leaf ids for every row of an encoded (n, p) matrix."""
+    return _route_batch(tree, X)
 
 
 def evaluate_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -648,20 +695,16 @@ def evaluate_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     Returns shape (n,) for scalar leaves and (n, n_classes) for
     class-probability leaves.
     """
-    leaf_ids = route_batch(tree, X)
-    kind = leaf_kind_of(tree)
+    leaves = tree.leaf_ids()
+    values = [tree.nodes[i].value for i in leaves]
+    kind = _kind_of(values)
     if kind == "scalar":
-        table = {i: tree.nodes[i].value.value for i in tree.leaf_ids()}
-        out = np.empty(len(X))
+        table = np.array([v.value for v in values])
     elif kind == "class_probs":
-        table = {i: np.asarray(tree.nodes[i].value.probs) for i in tree.leaf_ids()}
-        width = len(next(iter(table.values())))
-        out = np.empty((len(X), width))
+        table = np.array([v.probs for v in values])
     else:
         raise LeafKindError("evaluate_batch supports scalar and class_probs leaves")
-    for nid, val in table.items():
-        out[leaf_ids == nid] = val
-    return out
+    return table[_route_batch(tree, X, {nid: k for k, nid in enumerate(leaves)})]
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +763,8 @@ def _check_split_schema(split: Split, schema: FeatureSchema, where: str) -> list
             out.append(f"{where}: numeric split on categorical feature")
         elif np.isnan(split.threshold):
             out.append(f"{where}: split threshold is NaN")
+        elif not isfinite(split.threshold):
+            out.append(f"{where}: split threshold is infinite")
     elif isinstance(split, CategoricalSubset):
         if not 0 <= split.feature < schema.n_features:
             out.append(f"{where}: split feature index {split.feature} out of range")
@@ -734,12 +779,21 @@ def _check_split_schema(split: Split, schema: FeatureSchema, where: str) -> list
     else:
         if len(split.coefficients) != len(schema.numeric_indices):
             out.append(f"{where}: hyperplane arity != number of numeric features")
+        if not all(isfinite(c) for c in split.coefficients):
+            out.append(f"{where}: hyperplane coefficient is not finite")
+        if not isfinite(split.offset):
+            out.append(f"{where}: hyperplane offset is not finite")
     return out
 
 
 def _check_value(value: LeafValue, schema: FeatureSchema, where: str) -> list[str]:
     out = []
-    if isinstance(value, ClassProbs):
+    if isinstance(value, Scalar):
+        if not isfinite(value.value):
+            out.append(f"{where}: leaf value is not finite")
+    elif isinstance(value, ClassProbs):
+        if not all(isfinite(p) for p in value.probs):
+            out.append(f"{where}: class probability is not finite")
         total = sum(value.probs)
         if any(p < 0 for p in value.probs):
             out.append(f"{where}: negative class probability")
@@ -759,7 +813,7 @@ def _check_value(value: LeafValue, schema: FeatureSchema, where: str) -> list[st
         if len(set(value.source_ids)) != len(value.source_ids):
             out.append(f"{where}: duplicate source ids in tuple value")
         for v in value.values:
-            if isinstance(v, ClassProbs):
+            if not isinstance(v, TupleValue):
                 out.extend(_check_value(v, schema, where))
     return out
 

@@ -18,7 +18,7 @@ from treealgebra.combine import CombineBudget
 from treealgebra.geometry import HyperplaneTestResult, hyperplane_intersects_polyhedron
 from treealgebra.io import read_matrix_csv, save_forest, ForestFile
 from treealgebra.mds import classical_mds, mds_stress, pairwise_distances
-from treealgebra.measures import _flat_pair_sum, _recursive_pair_sum, _sq_diff_term
+from treealgebra.oracle import recursive_pair_sum, sq_diff_term
 from treealgebra.trees import Hyperplane, NumericThreshold, Scalar
 
 UNIFORM = ta.UniformBox()
@@ -176,9 +176,8 @@ def test_05_metric_and_algebraic_identities():
         inner = ta.tree_inner_product(trees[i], trees[j], UNIFORM)
         assert abs(D[i, j] ** 2 - (norms[i] + norms[j] - 2 * inner)) <= 1e-9
         combined = ta.combine_pair(trees[i], trees[j])
-        rec = _recursive_pair_sum(combined, UNIFORM, _sq_diff_term)
-        flat = _flat_pair_sum(combined, UNIFORM, _sq_diff_term)
-        assert abs(rec - flat) <= 1e-12
+        rec = recursive_pair_sum(combined, UNIFORM, sq_diff_term)
+        assert abs(rec - D[i, j] ** 2) <= 1e-12
         rho = ta.tree_correlation(trees[i], trees[j], UNIFORM)
         assert abs(rho) <= 1.0 + 1e-12
 

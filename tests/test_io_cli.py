@@ -139,6 +139,62 @@ class TestJsonRoundTrip:
         assert "line 2" in str(err.value)
 
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_rejected(self, tmp_path, stump4, d2, literal):
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(
+            io.tree_to_json(stump4).replace('"threshold": 4.0', f'"threshold": {literal}')
+        )
+        with pytest.raises(ta.ParseError, match=f"non-finite number {literal} is not allowed"):
+            io.load_forest(str(tree_path))
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(
+            json.dumps({"schema": io._schema_to_dict(d2)}).replace("10.0", literal, 1)
+        )
+        with pytest.raises(ta.ParseError, match=f"non-finite number {literal} is not allowed"):
+            io.load_schema(str(schema_path))
+
+    def test_non_finite_literal_exits_2(self, tmp_path, stump4, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(io.tree_to_json(stump4).replace('"v": 1.0', '"v": NaN'))
+        assert run_cli(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f'code=PARSE msg="{path}: non-finite number NaN is not allowed"'
+        )
+
+
+class TestReadPointsCsv:
+    @pytest.fixture
+    def schema(self):
+        return ta.FeatureSchema(
+            (ta.NumericFeature("x1", 0, 10), ta.CategoricalFeature("c", ("a", "b")))
+        )
+
+    def test_reads_points_in_schema_order(self, tmp_path, schema):
+        path = tmp_path / "pts.csv"
+        path.write_text("1.5, a\n\n  10,b  \n0,a")
+        assert io.read_points_csv(str(path), schema).tolist() == [[1.5, 0.0], [10.0, 1.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("1,a\nabc,b\n", ta.DomainError, "feature 'x1': 'abc' is not numeric"),
+            ("1,a\n11,b\n", ta.DomainError, "feature 'x1': 11.0 outside [0.0, 10.0]"),
+            ("nan,a\n", ta.DomainError, "feature 'x1': nan outside [0.0, 10.0]"),
+            ("1,zz\n", ta.DomainError, "feature 'c': unknown level 'zz'"),
+            ("1,zz\n-1,a\n", ta.DomainError, "feature 'c': unknown level 'zz'"),
+            ("1,a\n\n1,a,3\n", ta.ParseError, "{path}: line 3: 3 columns, expected 2"),
+            ("\n \n", ta.ParseError, "{path}: no data points"),
+        ],
+    )
+    def test_bad_input_names_the_first_bad_value(self, tmp_path, schema, text, error, message):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        with pytest.raises(error) as err:
+            io.read_points_csv(str(path), schema)
+        assert str(err.value) == message.format(path=path)
+
+
 class TestAtomicWrites:
     def test_no_temp_files_left_behind(self, workdir):
         names = {p.name for p in workdir.iterdir()}

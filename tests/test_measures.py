@@ -7,12 +7,8 @@ import numpy as np
 import pytest
 
 import treealgebra as ta
-from treealgebra.measures import (
-    _flat_pair_sum,
-    _recursive_pair_sum,
-    _sq_diff_term,
-    tree_statistics,
-)
+from treealgebra.measures import tree_statistics
+from treealgebra.oracle import recursive_pair_sum, sq_diff_term
 from treealgebra.trees import ClassProbs, Scalar
 
 
@@ -138,13 +134,15 @@ class TestDistance:
         assert ta.tree_distance(t1, t2, uniform) == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_recursion_equals_flat_sum(self, rng, uniform):
+        """The paper's recursion over the combined tree equals the flat sum
+        over leaf pairs that tree_distance computes."""
         for _ in range(20):
             schema = ta.random_schema(rng, max_features=4)
             t1 = ta.random_tree(schema, rng, int(rng.integers(1, 20)))
             t2 = ta.random_tree(schema, rng, int(rng.integers(1, 20)))
             combined = ta.combine_pair(t1, t2)
-            rec = _recursive_pair_sum(combined, uniform, _sq_diff_term)
-            flat = _flat_pair_sum(combined, uniform, _sq_diff_term)
+            rec = recursive_pair_sum(combined, uniform, sq_diff_term)
+            flat = ta.tree_distance(t1, t2, uniform) ** 2
             assert abs(rec - flat) <= 1e-12
 
     def test_empirical_distance_ignores_empty_regions(self, stump4, stump6, d2):
@@ -253,3 +251,221 @@ class TestDistanceMatrix:
         serial = ta.distance_matrix(trees, uniform, jobs=1)
         parallel = ta.distance_matrix(trees, uniform, jobs=2)
         assert (serial == parallel).all()
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against the paper's recursion over the combined tree
+
+
+def _squared_scale(*trees):
+    """Squared largest leaf magnitude (at least 1): the unit of the tolerance."""
+    values = [1.0]
+    for t in trees:
+        for nid in t.leaf_ids():
+            v = t.nodes[nid].value
+            values.extend(v.probs if isinstance(v, ClassProbs) else (v.value,))
+    return max(abs(x) for x in values) ** 2
+
+
+def assert_matches_reference(t1, t2, measure):
+    """Distance, inner product and covariance equal the recursion over
+    combine_pair to 1e-12 of the squared value scale."""
+    tol = 1e-12 * _squared_scale(t1, t2)
+    combined = ta.combine_pair(t1, t2)
+    ref_sq = recursive_pair_sum(combined, measure, sq_diff_term)
+    assert abs(ta.tree_distance(t1, t2, measure) ** 2 - ref_sq) <= tol
+    if isinstance(t1.nodes[t1.leaf_ids()[0]].value, Scalar):
+        ref_ip = recursive_pair_sum(
+            combined, measure, lambda tv: tv.values[0].value * tv.values[1].value
+        )
+        assert abs(ta.tree_inner_product(t1, t2, measure) - ref_ip) <= tol
+        mu1, mu2 = ta.tree_mean(t1, measure), ta.tree_mean(t2, measure)
+        ref_cov = recursive_pair_sum(
+            combined,
+            measure,
+            lambda tv: (tv.values[0].value - mu1) * (tv.values[1].value - mu2),
+        )
+        assert abs(ta.tree_covariance(t1, t2, measure) - ref_cov) <= tol
+
+
+def copy_into(builder, nid, tree, src):
+    """Copy the subtree of ``tree`` at ``src`` onto the builder's leaf ``nid``."""
+    node = tree.nodes[src]
+    if node.left is None:
+        builder.set_value(nid, node.value)
+        return
+    left, right = builder.split_node(nid, node.split)
+    copy_into(builder, left, tree, node.left)
+    copy_into(builder, right, tree, node.right)
+
+
+def with_zero_mass_leaf(tree, value):
+    """``tree`` behind a root split at the first feature's low bound, whose
+    left leaf (the single value ``low``) has zero uniform mass."""
+    b = ta.TreeBuilder(tree.schema)
+    left, right = b.split_node(b.add_root(), ta.NumericThreshold(0, tree.schema.features[0].low))
+    b.set_value(left, Scalar(value))
+    copy_into(b, right, tree, tree.root)
+    return b.build()
+
+
+def thresholds_of(tree):
+    return [
+        (n.split.feature, n.split.threshold)
+        for n in tree.nodes.values()
+        if isinstance(n.split, ta.NumericThreshold)
+    ]
+
+
+def boundary_sample(schema, trees, rng, n):
+    """Random encoded points, a third of them moved onto split thresholds
+    (or a feature's low bound), the first ten duplicated, with random
+    weights of which a quarter are zero."""
+    X = ta.oracle.sample_points(schema, ta.UniformBox(), n, rng)
+    cuts = [c for t in trees for c in thresholds_of(t)]
+    cuts += [(j, f.low) for j, f in enumerate(schema.features) if isinstance(f, ta.NumericFeature)]
+    for i in rng.choice(n, size=n // 3, replace=False):
+        j, t = cuts[int(rng.integers(0, len(cuts)))]
+        X[i, j] = t
+    X = np.vstack([X, X[:10]])
+    w = rng.uniform(0.0, 1.0, len(X))
+    w[rng.random(len(X)) < 0.25] = 0.0
+    return ta.Empirical(X, w / w.sum())
+
+
+def oblique_tree(schema, rng, n_splits):
+    """A random tree of hyperplane splits with coefficients in {-1, 1, 2}
+    through points of the 1/8 grid, so grid points can lie exactly on them."""
+    from treealgebra.geometry import PartitionOutcome, split_partitions_region
+
+    b = ta.TreeBuilder(schema)
+    leaves = [(b.add_root(), ta.Region.full(schema))]
+    num = schema.numeric_indices
+    for _ in range(20 * n_splits):
+        if len(leaves) > n_splits:
+            break
+        k = int(rng.integers(0, len(leaves)))
+        nid, region = leaves[k]
+        coeffs = tuple(float(c) for c in rng.choice([-1.0, 1.0, 2.0], size=len(num)))
+        point = [np.round(rng.uniform(region.constraints[j].low, region.constraints[j].high) * 8) / 8
+                 for j in num]
+        split = ta.Hyperplane(coeffs, float(np.dot(coeffs, point)))
+        if split_partitions_region(split, region) is not PartitionOutcome.SPLITS_REGION:
+            continue
+        left, right = b.split_node(nid, split)
+        leaves[k] = (left, region.try_refine(split, ta.Side.LEFT))
+        leaves.append((right, region.try_refine(split, ta.Side.RIGHT)))
+    for nid, _ in leaves:
+        b.set_value(nid, Scalar(float(rng.uniform(-3, 3))))
+    return b.build()
+
+
+class TestFastPathsMatchReference:
+    def test_uniform_random_pairs_with_level_subsets(self, rng, uniform):
+        for k in range(30):
+            schema = ta.random_schema(rng, max_features=5, max_levels=6)
+            span = 1.0 if k % 2 else 40.0
+            t1 = ta.random_tree(schema, rng, int(rng.integers(0, 25)), value_range=(-span, span))
+            t2 = ta.random_tree(schema, rng, int(rng.integers(0, 25)), value_range=(-span, span))
+            assert_matches_reference(t1, t2, uniform)
+
+    def test_zero_mass_leaves(self, rng, uniform):
+        for _ in range(15):
+            schema = ta.random_schema(rng, max_features=4)
+            t1 = with_zero_mass_leaf(ta.random_tree(schema, rng, int(rng.integers(1, 12))), 9.0)
+            t2 = ta.random_tree(schema, rng, int(rng.integers(1, 12)))
+            assert ta.validate(t1) == []
+            assert_matches_reference(t1, t2, uniform)
+            assert_matches_reference(t1, with_zero_mass_leaf(t2, -4.0), uniform)
+            emp = boundary_sample(schema, [t1, t2], rng, 200)
+            assert_matches_reference(t1, t2, emp)
+
+    def test_splits_that_miss_their_region(self, d2, stump6, uniform):
+        # x1 <= 4, then x1 <= 6 on the left and x1 <= 2 on the right: both
+        # inner splits leave one child empty (validate rejects such trees)
+        b = ta.TreeBuilder(d2)
+        left, right = b.split_node(b.add_root(), ta.NumericThreshold(0, 4.0))
+        for nid, t, values in ((left, 6.0, (1.0, 99.0)), (right, 2.0, (99.0, 3.0))):
+            for child, v in zip(b.split_node(nid, ta.NumericThreshold(0, t)), values):
+                b.set_value(child, Scalar(v))
+        tree = b.build()
+        combined = ta.combine_pair(tree, stump6)
+        expected = recursive_pair_sum(combined, uniform, sq_diff_term)
+        assert abs(ta.tree_distance(tree, stump6, uniform) ** 2 - expected) <= 1e-12
+        expected = recursive_pair_sum(
+            combined, uniform, lambda tv: tv.values[0].value * tv.values[1].value
+        )
+        assert abs(ta.tree_inner_product(tree, stump6, uniform) - expected) <= 1e-12
+
+    def test_class_probability_leaves(self, rng, uniform):
+        for _ in range(15):
+            schema = ta.random_schema(rng, max_features=4, class_labels=("a", "b", "c"))
+            t1 = ta.random_tree(schema, rng, int(rng.integers(0, 15)), "class_probs")
+            t2 = ta.random_tree(schema, rng, int(rng.integers(0, 15)), "class_probs")
+            assert_matches_reference(t1, t2, uniform)
+            assert_matches_reference(t1, t2, boundary_sample(schema, [t1, t2], rng, 200))
+
+    def test_empirical_boundaries_duplicates_and_zero_weights(self, rng):
+        for _ in range(20):
+            schema = ta.random_schema(rng, max_features=4)
+            t1 = ta.random_tree(schema, rng, int(rng.integers(1, 15)))
+            t2 = ta.random_tree(schema, rng, int(rng.integers(1, 15)))
+            assert_matches_reference(t1, t2, boundary_sample(schema, [t1, t2], rng, 300))
+
+    def test_empirical_hyperplanes_on_grid_points(self, rng, unit2, mixed_pair):
+        grid = np.array([(i / 8, j / 8) for i in range(9) for j in range(9)])
+        X = np.vstack([grid, grid[:20], rng.uniform(0, 1, (100, 2))])
+        w = rng.uniform(0.0, 1.0, len(X))
+        w[::7] = 0.0
+        emp = ta.Empirical(X, w / w.sum())
+        assert_matches_reference(*mixed_pair, emp)
+        for _ in range(10):
+            t1 = oblique_tree(unit2, rng, int(rng.integers(1, 6)))
+            t2 = oblique_tree(unit2, rng, int(rng.integers(1, 6)))
+            assert ta.validate(t1) == [] and ta.validate(t2) == []
+            assert_matches_reference(t1, t2, emp)
+            assert_matches_reference(t1, mixed_pair[1], emp)
+
+    def test_self_distances_are_exactly_zero(self, rng, uniform, mixed_pair):
+        for _ in range(10):
+            schema = ta.random_schema(rng, max_features=4)
+            forest = [ta.random_tree(schema, rng, int(rng.integers(0, 20))) for _ in range(3)]
+            emp = boundary_sample(schema, forest, rng, 100)
+            for measure in (uniform, emp):
+                for t in forest:
+                    assert ta.tree_distance(t, t, measure) == 0.0
+                assert ta.forest_distance(forest, forest, measure) == 0.0
+                D = ta.distance_matrix(forest, measure)
+                for i, j in ((0, 1), (0, 2), (1, 2)):
+                    assert D[i, j] == D[j, i] == ta.tree_distance(forest[i], forest[j], measure)
+        emp = ta.Empirical(rng.uniform(0, 1, (50, 2)), np.full(50, 1 / 50))
+        a, b = mixed_pair
+        assert ta.tree_distance(b, b, emp) == 0.0
+        assert ta.forest_distance([a, b], [a, b], emp) == 0.0
+
+    def test_uniform_measure_rejects_hyperplanes(self, mixed_pair, stump4, uniform):
+        a, b = mixed_pair
+        message = "uniform measure of a region with hyperplane constraints"
+        for call in (
+            lambda: ta.tree_distance(a, b, uniform),
+            lambda: ta.tree_inner_product(b, a, uniform),
+            lambda: ta.tree_covariance(a, b, uniform),
+            lambda: ta.distance_matrix([a, b], uniform),
+            lambda: ta.forest_distance([a], [b], uniform),
+        ):
+            with pytest.raises(ta.UnsupportedGeometryError, match=message):
+                call()
+
+    def test_non_finite_leaf_value_raises(self, make_stump, stump4, d2, uniform):
+        bad = make_stump(0, 4.0, high=float("inf"))
+        emp = ta.Empirical.from_rows(d2, [(1, 1), (8, 8)], [1.0, 0.0])
+        for measure in (uniform, emp):
+            with pytest.raises(ta.DomainError, match="leaf value is not finite"):
+                ta.tree_distance(stump4, bad, measure)
+
+    def test_correlation_of_class_probability_trees_is_a_leaf_kind_error(
+        self, probs_schema, uniform
+    ):
+        t1 = ta.random_tree(probs_schema, np.random.default_rng(3), 4, "class_probs")
+        with pytest.raises(ta.LeafKindError, match="tree_correlation needs scalar leaves"):
+            ta.tree_correlation(t1, t1, uniform)

@@ -1,5 +1,7 @@
 """Schema, routing, regions, and tree validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,39 @@ class TestSchema:
             schema.encode_point((1.5,))
         with pytest.raises(ta.DomainError):
             schema.encode_point((0.5, 0.5))
+
+    def test_encode_points_equals_pointwise_encoding(self, rng):
+        schema = ta.FeatureSchema(
+            (ta.NumericFeature("x", -2, 3), ta.CategoricalFeature("c", ("a", "b", "c")))
+        )
+        rows = [(str(x), "abc"[k]) for x, k in zip(rng.uniform(-2, 3, 50), rng.integers(0, 3, 50))]
+        rows += [(-2, 0), (3.0, 2), (np.float64(0.25), "b")]
+        X = schema.encode_points(rows)
+        assert X.shape == (53, 2)
+        assert X.tolist() == [list(schema.encode_point(r)) for r in rows]
+        assert schema.encode_points([]).shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([("0.5", "a"), ("abc", "a")], "feature 'x': 'abc' is not numeric"),
+            ([("0.5", "a"), ("4", "a")], "feature 'x': 4.0 outside [-2.0, 3.0]"),
+            ([("nan", "a")], "feature 'x': nan outside [-2.0, 3.0]"),
+            ([("0.5", "zz")], "feature 'c': unknown level 'zz'"),
+            ([("0.5", 7)], "feature 'c': bad level index 7"),
+            ([("0.5", "a", "b")], "point has 3 values, schema has 2 features"),
+            # the first bad value in row-major order is named
+            ([("0.5", "zz"), ("abc", "a")], "feature 'c': unknown level 'zz'"),
+            ([("0.5", "a"), ("0.5",), ("abc", "a")], "point has 1 values, schema has 2 features"),
+        ],
+    )
+    def test_encode_points_names_the_first_bad_value(self, rows, message):
+        schema = ta.FeatureSchema(
+            (ta.NumericFeature("x", -2, 3), ta.CategoricalFeature("c", ("a", "b", "c")))
+        )
+        with pytest.raises(ta.DomainError) as err:
+            schema.encode_points(rows)
+        assert str(err.value) == message
 
 
 class TestEvaluate:
@@ -146,6 +181,44 @@ class TestValidate:
     def test_nan_threshold_is_named(self, make_stump):
         tree = make_stump(0, float("nan"))
         assert ta.validate(tree) == ["node 0: split threshold is NaN"]
+
+    def test_infinite_threshold_is_named(self, make_stump):
+        tree = make_stump(0, float("inf"))
+        assert ta.validate(tree) == ["node 0: split threshold is infinite"]
+
+    @pytest.mark.parametrize(
+        "coefficients, offset, message",
+        [
+            ((float("nan"), 1.0), 0.5, "node 0: hyperplane coefficient is not finite"),
+            ((float("inf"), 1.0), 0.5, "node 0: hyperplane coefficient is not finite"),
+            ((1.0, 1.0), float("nan"), "node 0: hyperplane offset is not finite"),
+            ((1.0, 1.0), float("-inf"), "node 0: hyperplane offset is not finite"),
+        ],
+    )
+    def test_non_finite_hyperplane_is_named(self, unit2, coefficients, offset, message):
+        b = ta.TreeBuilder(unit2)
+        left, right = b.split_node(b.add_root(), ta.Hyperplane(coefficients, offset))
+        b.set_value(left, ta.Scalar(0.0))
+        b.set_value(right, ta.Scalar(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no simplex on NaN rows
+            assert ta.validate(b.build()) == [message]
+
+    def test_non_finite_leaf_values_are_named(self, make_stump, d2):
+        assert ta.validate(make_stump(0, 4.0, high=float("nan"))) == [
+            "node 2: leaf value is not finite"
+        ]
+        assert ta.validate(make_stump(0, 4.0, low=float("-inf"))) == [
+            "node 1: leaf value is not finite"
+        ]
+        schema = ta.FeatureSchema(d2.features, ("a", "b"))
+        b = ta.TreeBuilder(schema)
+        b.set_value(b.add_root(), ta.ClassProbs((float("nan"), 1.0)))
+        assert ta.validate(b.build()) == ["node 0: class probability is not finite"]
+        pair = ta.TupleValue((ta.Scalar(1.0), ta.Scalar(float("inf"))), (0, 1))
+        b = ta.TreeBuilder(d2)
+        b.set_value(b.add_root(), pair)
+        assert ta.validate(b.build()) == ["node 0: leaf value is not finite"]
 
     def test_cycle_of_consistent_links_terminates(self, unit2):
         # 0 -> 1 -> 0 through identical hyperplanes, which keep touching the
