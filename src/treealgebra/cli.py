@@ -17,8 +17,9 @@ import numpy as np
 
 from . import io, measures, mds, oracle
 from .combine import CombineBudget, affine_combination, combine_many, simplify
-from .errors import DomainError, TreeAlgebraError
+from .errors import DomainError, LeafKindError, TreeAlgebraError
 from .geometry import Empirical, UniformBox
+from .trees import leaf_kind_of
 
 PROG = "treealgebra"
 
@@ -104,7 +105,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dist-matrix", help="pairwise distance matrix of a forest")
     p.add_argument("--forest", required=True)
     p.add_argument("--out", required=True, help="output CSV file")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for pairs")
     _add_measure_args(p)
 
     p = sub.add_parser("forest-dist", help="distance between two forests' sum functions")
@@ -192,7 +192,7 @@ def _cmd_corr(args) -> int:
 def _cmd_dist_matrix(args) -> int:
     forest = io.load_forest(args.forest)
     measure = _build_measure(args, forest.schema)
-    matrix = measures.distance_matrix(forest.trees, measure, jobs=args.jobs)
+    matrix = measures.distance_matrix(forest.trees, measure)
     io.write_matrix_csv(args.out, matrix)
     print(f"{matrix.shape[0]}x{matrix.shape[1]} matrix -> {args.out}")
     return 0
@@ -247,6 +247,8 @@ def _cmd_mds(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     forest = io.load_forest(args.forest)
+    if any(leaf_kind_of(t) != "scalar" for t in forest.trees):
+        raise LeafKindError("oracle-check needs scalar leaves")
     measure = _build_measure(args, forest.schema)
     trees = forest.trees
     for i, t in enumerate(trees):

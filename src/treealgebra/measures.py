@@ -1,28 +1,26 @@
 """Exact means, variances, covariances, correlations, and L2 distances.
 
 All quantities are integrals of piecewise-constant functions against a
-probability measure, so they reduce to finite sums. Single-tree quantities
-(mean, variance, norm) sum over the tree's leaf regions depth-first, left
-before right.
-
-Pair quantities (distance, inner product, covariance) never build the
-combined tree. Under the uniform measure, one walk turns each axis-aligned
-tree into a leaf table: numeric bounds, admissible categorical levels and
-the value of every leaf. Two leaves intersect in a box whose mass is the
-product of per-feature overlaps, so a pair integral is one vectorised sum
-over leaf pairs, e.g. ``sum((v1 - v2)**2 * overlap)``; hyperplane splits
-are unsupported there, as the uniform mass of a polyhedron is. Under the
-empirical measure, each tree is evaluated once at the sample points and a
-pair integral is a weighted sum over the points, for any split geometry and
-with the ``x <= t`` boundary rule of routing. The paper's recursion down the
-combined tree, :func:`treealgebra.oracle.recursive_pair_sum`, is the
-reference these sums are tested against. Every sum runs in a fixed order,
+probability measure, so they reduce to finite sums, and every one of them
+starts from the same preparation of each tree (:func:`_prepare`). Under the
+uniform measure, one walk turns an axis-aligned tree into a leaf table:
+numeric bounds, admissible categorical levels and the value of every leaf.
+A box's mass is the product of its per-feature fractions, so a single-tree
+integral is a sum over leaves, e.g. ``sum(v * mass)``, and a pair integral
+is one vectorised sum over leaf pairs weighted by the mass of their
+intersection, e.g. ``sum((v1 - v2)**2 * overlap)``; the combined tree is
+never built. Hyperplane splits are unsupported there, as the uniform mass
+of a polyhedron is. Under the empirical measure, each tree is evaluated
+once at the sample points and every integral is a weighted sum over the
+points, for any split geometry and with the ``x <= t`` boundary rule of
+routing. The region-by-region sum and the paper's recursion down the
+combined tree, :func:`treealgebra.oracle.recursive_pair_sum`, are the
+references these sums are tested against. Every sum runs in a fixed order,
 so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import copysign, sqrt
 from typing import Optional, Sequence, Union
@@ -36,7 +34,7 @@ from .errors import (
     LeafKindError,
     UnsupportedGeometryError,
 )
-from .geometry import Measure, UniformBox, region_measure
+from .geometry import Measure, UniformBox
 from .trees import (
     CategoricalFeature,
     CategoricalSubset,
@@ -46,7 +44,6 @@ from .trees import (
     Scalar,
     Tree,
     evaluate_batch,
-    iter_leaves_with_regions,
     leaf_kind_of,
 )
 
@@ -75,30 +72,13 @@ class TreeStatistics:
     norm_squared: float
 
 
-def _leaf_terms(tree: Tree, measure: Measure):
-    for nid, region in iter_leaves_with_regions(tree):
-        yield tree.nodes[nid].value, region_measure(region, measure)
-
-
 def tree_mean(tree: Tree, measure: Measure) -> Union[float, np.ndarray]:
     """Integral of the tree function: sum of leaf value times leaf mass.
 
     Returns a float for scalar trees and a per-class vector for
     class-probability trees.
     """
-    kind = leaf_kind_of(tree)
-    if kind == "scalar":
-        acc = 0.0
-        for value, mass in _leaf_terms(tree, measure):
-            acc += value.value * mass
-        return acc
-    if kind == "class_probs":
-        acc_vec: Optional[np.ndarray] = None
-        for value, mass in _leaf_terms(tree, measure):
-            term = np.asarray(value.probs) * mass
-            acc_vec = term if acc_vec is None else acc_vec + term
-        return acc_vec
-    raise LeafKindError("tree_mean needs scalar or class_probs leaves")
+    return tree_statistics(tree, measure).mean
 
 
 def tree_variance(tree: Tree, measure: Measure) -> float:
@@ -107,25 +87,30 @@ def tree_variance(tree: Tree, measure: Measure) -> float:
 
 
 def tree_statistics(tree: Tree, measure: Measure) -> TreeStatistics:
-    mu = tree_mean(tree, measure)
-    norm_sq = 0.0
-    var = 0.0
-    if isinstance(mu, float):
-        for value, mass in _leaf_terms(tree, measure):
-            norm_sq += value.value * value.value * mass
-            d = value.value - mu
-            var += d * d * mass
+    return _statistics(tree, measure)[1]
+
+
+def _statistics(tree: Tree, measure: Measure):
+    """The prepared tree and its statistics, from one preparation."""
+    kind = leaf_kind_of(tree)
+    if kind not in ("scalar", "class_probs"):
+        raise LeafKindError("tree_mean needs scalar or class_probs leaves")
+    prepared = _prepare(tree, measure)
+    if isinstance(measure, UniformBox):
+        weights, values = _masses(prepared), prepared.values
     else:
-        for value, mass in _leaf_terms(tree, measure):
-            p = np.asarray(value.probs)
-            norm_sq += float(p @ p) * mass
-            d = p - mu
-            var += float(d @ d) * mass
-    return TreeStatistics(mu, var, norm_sq)
+        weights, values = measure.weights, prepared
+    mu = weights @ values
+    stats = TreeStatistics(
+        float(mu[0]) if kind == "scalar" else mu,
+        float(weights @ np.square(values - mu).sum(axis=1)),
+        float(weights @ np.square(values).sum(axis=1)),
+    )
+    return prepared, stats
 
 
 # ---------------------------------------------------------------------------
-# Pair integrals without the combined tree
+# Integrals on prepared trees
 
 
 @dataclass(frozen=True)
@@ -201,27 +186,40 @@ def _leaf_table(tree: Tree) -> _LeafTable:
     )
 
 
-def _overlap(a: _LeafTable, b: _LeafTable) -> np.ndarray:
-    """Uniform mass of the intersection of every leaf of ``a`` with every
-    leaf of ``b``: a product of per-feature overlaps, in schema order, as
-    :func:`~treealgebra.geometry.region_measure` computes it. Disjoint
-    leaves get exactly 0."""
-    mass = np.ones((len(a.values), len(b.values)))
-    q = r = 0
-    for f in a.schema.features:
+def _box_mass(schema: FeatureSchema, widths, counts):
+    """Uniform mass of boxes from iterators over their numeric widths (one
+    array per numeric feature) and admissible level counts (one per
+    categorical feature): a product of per-feature fractions, in schema
+    order, as :func:`~treealgebra.geometry.region_measure` computes it. A
+    negative width, from disjoint intervals, gives exactly 0."""
+    mass = 1.0
+    for f in schema.features:
         if isinstance(f, NumericFeature):
-            width = np.minimum.outer(a.hi[q], b.hi[q]) - np.maximum.outer(a.lo[q], b.lo[q])
-            mass *= np.maximum(width, 0.0) / (f.high - f.low)
-            q += 1
+            mass = mass * (np.maximum(next(widths), 0.0) / (f.high - f.low))
         else:
-            mass *= (a.levels[r] @ b.levels[r].T) / len(f.levels)
-            r += 1
+            mass = mass * (next(counts) / len(f.levels))
     return mass
 
 
+def _masses(t: _LeafTable) -> np.ndarray:
+    """Uniform mass of every leaf of ``t``."""
+    return _box_mass(t.schema, iter(t.hi - t.lo), (m.sum(axis=1) for m in t.levels))
+
+
+def _overlap(a: _LeafTable, b: _LeafTable) -> np.ndarray:
+    """Uniform mass of the intersection of every leaf of ``a`` with every
+    leaf of ``b``, one pair-sized array per feature. Disjoint leaves get
+    exactly 0."""
+    widths = (
+        np.minimum.outer(a_hi, b_hi) - np.maximum.outer(a_lo, b_lo)
+        for a_lo, a_hi, b_lo, b_hi in zip(a.lo, a.hi, b.lo, b.hi)
+    )
+    return _box_mass(a.schema, widths, (x @ y.T for x, y in zip(a.levels, b.levels)))
+
+
 def _prepare(tree: Tree, measure: Measure) -> Union[_LeafTable, np.ndarray]:
-    """What a pair integral needs of one tree: its leaf table under the
-    uniform measure, its (points, width) values under the empirical one."""
+    """What an integral needs of one tree: its leaf table under the uniform
+    measure, its (points, width) values under the empirical one."""
     if isinstance(measure, UniformBox):
         return _leaf_table(tree)
     values = evaluate_batch(tree, measure.points)
@@ -260,37 +258,31 @@ def tree_distance(
 
     Scalar leaves use the squared scalar difference; class-probability
     leaves use the squared Euclidean distance of the probability vectors.
-    No combined tree is built, so ``budget`` bounds nothing.
+    No combined tree is built, so ``budget`` bounds nothing; it stays in
+    the signature for callers that pass it positionally.
     """
     _require_schema_and_kind([t1, t2])
     return _distance(_prepare(t1, measure), _prepare(t2, measure), measure)
 
 
-def tree_inner_product(
-    t1: Tree, t2: Tree, measure: Measure, budget: Optional[CombineBudget] = None
-) -> float:
-    """Integral of the product of two scalar tree functions (``budget``
-    bounds nothing)."""
+def tree_inner_product(t1: Tree, t2: Tree, measure: Measure) -> float:
+    """Integral of the product of two scalar tree functions."""
     _require_scalar([t1, t2], "tree_inner_product")
     _require_schema_and_kind([t1, t2])
     return _pair_integral(_prepare(t1, measure), _prepare(t2, measure), measure, _product)
 
 
-def tree_covariance(
-    t1: Tree, t2: Tree, measure: Measure, budget: Optional[CombineBudget] = None
-) -> float:
-    """Integral of the product of the two trees' deviations from their means
-    (``budget`` bounds nothing)."""
+def _covariance(a, b, mu1: float, mu2: float, measure: Measure) -> float:
+    return _pair_integral(a, b, measure, lambda x, y: _product(x - mu1, y - mu2))
+
+
+def tree_covariance(t1: Tree, t2: Tree, measure: Measure) -> float:
+    """Integral of the product of the two trees' deviations from their means."""
     _require_scalar([t1, t2], "tree_covariance")
-    mu1 = tree_mean(t1, measure)
-    mu2 = tree_mean(t2, measure)
+    a, stats1 = _statistics(t1, measure)
+    b, stats2 = _statistics(t2, measure)
     _require_schema_and_kind([t1, t2])
-    return _pair_integral(
-        _prepare(t1, measure),
-        _prepare(t2, measure),
-        measure,
-        lambda x, y: _product(x - mu1, y - mu2),
-    )
+    return _covariance(a, b, stats1.mean, stats2.mean, measure)
 
 
 def _max_abs_leaf(tree: Tree) -> float:
@@ -300,27 +292,27 @@ def _max_abs_leaf(tree: Tree) -> float:
     return out
 
 
-def tree_correlation(
-    t1: Tree, t2: Tree, measure: Measure, budget: Optional[CombineBudget] = None
-) -> float:
+def tree_correlation(t1: Tree, t2: Tree, measure: Measure) -> float:
     """Pearson-style correlation of two scalar tree functions, in [-1, 1].
 
     A tree whose variance is indistinguishable from accumulated rounding
     (at the 1e-12 level relative to its value scale) counts as constant and
     raises :class:`DegenerateCorrelationError`. A result within 1e-12 of
     unit magnitude snaps to exactly +-1, so correlations of exact affine
-    transforms compare exactly. ``budget`` bounds nothing.
+    transforms compare exactly.
     """
-    var1 = tree_variance(t1, measure)
-    var2 = tree_variance(t2, measure)
+    a, stats1 = _statistics(t1, measure)
+    b, stats2 = _statistics(t2, measure)
     _require_scalar([t1, t2], "tree_correlation")
-    for name, var, tree in (("first", var1, t1), ("second", var2, t2)):
+    for name, stats, tree in (("first", stats1, t1), ("second", stats2, t2)):
         scale = max(1.0, _max_abs_leaf(tree))
-        if var <= (1e-12 * scale) ** 2:
+        if stats.variance <= (1e-12 * scale) ** 2:
             raise DegenerateCorrelationError(
                 f"zero variance in the {name} tree"
             )
-    rho = tree_covariance(t1, t2, measure, budget) / (sqrt(var1) * sqrt(var2))
+    _require_schema_and_kind([t1, t2])
+    cov = _covariance(a, b, stats1.mean, stats2.mean, measure)
+    rho = cov / (sqrt(stats1.variance) * sqrt(stats2.variance))
     if abs(abs(rho) - 1.0) <= _CORRELATION_SNAP:
         return copysign(1.0, rho)
     return rho
@@ -330,17 +322,12 @@ def tree_correlation(
 # Forests
 
 
-def forest_distance(
-    f: Sequence[Tree],
-    g: Sequence[Tree],
-    measure: Measure,
-    budget: Optional[CombineBudget] = None,
-) -> float:
+def forest_distance(f: Sequence[Tree], g: Sequence[Tree], measure: Measure) -> float:
     """L2 distance between the aggregate (sum) functions of two forests.
 
     Expands the squared difference into pairwise tree inner products, so no
     integral ever involves more than two source trees. Each tree is prepared
-    once; ``budget`` bounds nothing.
+    once.
     """
     if not f or not g:
         raise DomainError("forest_distance needs nonempty forests")
@@ -361,29 +348,10 @@ def forest_distance(
     return sqrt(max(inner(pf, pf) + inner(pg, pg) - 2.0 * inner(pf, pg), 0.0))
 
 
-_POOL_PREPARED: Optional[list] = None
-_POOL_MEASURE: Optional[Measure] = None
-
-
-def _pool_init(prepared, measure):
-    global _POOL_PREPARED, _POOL_MEASURE
-    _POOL_PREPARED = prepared
-    _POOL_MEASURE = measure
-
-
-def _pool_pair(pair):
-    i, j = pair
-    return _distance(_POOL_PREPARED[i], _POOL_PREPARED[j], _POOL_MEASURE)
-
-
-def distance_matrix(
-    trees: Sequence[Tree], measure: Measure, jobs: int = 1
-) -> np.ndarray:
+def distance_matrix(trees: Sequence[Tree], measure: Measure) -> np.ndarray:
     """Symmetric matrix of pairwise tree distances with a zero diagonal.
 
-    Each tree is prepared once and each unordered pair is computed once;
-    with ``jobs > 1`` the independent pairs run in a process pool and are
-    assembled in a fixed order.
+    Each tree is prepared once and each unordered pair is computed once.
     """
     if len(trees) < 2:
         raise DomainError("distance_matrix needs at least two trees")
@@ -391,14 +359,7 @@ def distance_matrix(
     prepared = [_prepare(t, measure) for t in trees]
     n = len(trees)
     out = np.zeros((n, n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if jobs <= 1:
-        dists = [_distance(prepared[i], prepared[j], measure) for i, j in pairs]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_pool_init, initargs=(prepared, measure)
-        ) as pool:
-            dists = list(pool.map(_pool_pair, pairs, chunksize=32))
-    for (i, j), d in zip(pairs, dists):
-        out[i, j] = out[j, i] = d
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = _distance(prepared[i], prepared[j], measure)
     return out

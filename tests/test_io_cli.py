@@ -400,6 +400,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mean exact=" in out and "dist 0,1" in out
 
+    def test_oracle_check_rejects_class_probability_forest(self, tmp_path, d2, capsys):
+        schema = ta.FeatureSchema(d2.features, ("a", "b"))
+        trees = [ta.random_tree(schema, np.random.default_rng(k), 3, "class_probs") for k in range(2)]
+        io.save_forest(io.ForestFile(schema, trees), str(tmp_path / "probs.json"))
+        code = run_cli(["oracle-check", "--forest", str(tmp_path / "probs.json"), "--samples", "200"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'code=LEAF_KIND msg="oracle-check needs scalar leaves"\n'
+
     def test_import_command(self, workdir):
         (workdir / "table.csv").write_text(TestFlatTableImport.STUMP_TABLE)
         out = workdir / "imported.json"
@@ -458,6 +468,15 @@ class TestCli:
     def test_unknown_flag_exits_1(self, workdir, capsys):
         assert run_cli(["dist", "--bogus"]) == 1
 
+    def test_dist_matrix_has_no_jobs_flag(self, workdir, capsys):
+        code = run_cli(
+            ["dist-matrix", "--forest", str(workdir / "three.json"),
+             "--out", str(workdir / "D.csv"), "--jobs", "2"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: unrecognized arguments: --jobs 2\n"
+        assert not (workdir / "D.csv").exists()
+
     def test_missing_command_exits_1(self, capsys):
         assert run_cli([]) == 1
 
@@ -471,7 +490,7 @@ class TestCli:
             "affine": ["--forest", "--out", "--weights", "--simplify", "--max-nodes"],
             "dist": ["--a", "--b", "--measure", "--data", "--weights"],
             "corr": ["--a", "--b", "--measure", "--data", "--weights"],
-            "dist-matrix": ["--forest", "--out", "--jobs", "--measure", "--data", "--weights"],
+            "dist-matrix": ["--forest", "--out", "--measure", "--data", "--weights"],
             "forest-dist": ["--f", "--g", "--measure", "--data", "--weights"],
             "mds": ["--matrix", "--dims", "--out", "--svg"],
             "oracle-check": ["--forest", "--samples", "--seed", "--measure", "--data", "--weights"],

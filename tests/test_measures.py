@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import treealgebra as ta
+from treealgebra.geometry import region_measure
 from treealgebra.measures import tree_statistics
 from treealgebra.oracle import recursive_pair_sum, sq_diff_term
-from treealgebra.trees import ClassProbs, Scalar
+from treealgebra.trees import ClassProbs, Scalar, iter_leaves_with_regions
 
 
 @pytest.fixture
@@ -245,13 +246,6 @@ class TestDistanceMatrix:
         assert D[0, 1] == pytest.approx(math.sqrt(0.2), abs=1e-12)
         assert D[0, 1] == D[1, 0]
 
-    def test_parallel_jobs_match_serial(self, rng, uniform):
-        schema = ta.random_schema(rng, max_features=3)
-        trees = [ta.random_tree(schema, rng, 6) for _ in range(5)]
-        serial = ta.distance_matrix(trees, uniform, jobs=1)
-        parallel = ta.distance_matrix(trees, uniform, jobs=2)
-        assert (serial == parallel).all()
-
 
 # ---------------------------------------------------------------------------
 # Fast paths against the paper's recursion over the combined tree
@@ -267,25 +261,62 @@ def _squared_scale(*trees):
     return max(abs(x) for x in values) ** 2
 
 
+def region_sum(tree, measure, term):
+    """Sum of ``term(leaf value)`` times leaf mass, region by region."""
+    total = 0.0
+    for nid, region in iter_leaves_with_regions(tree):
+        total = total + term(tree.nodes[nid].value) * region_measure(region, measure)
+    return total
+
+
+def leaf_vector(value):
+    return np.asarray(value.probs if isinstance(value, ClassProbs) else (value.value,))
+
+
+def reference_statistics(tree, measure):
+    """Mean (a vector, one entry per class), variance and squared norm,
+    region by region."""
+    mu = region_sum(tree, measure, leaf_vector)
+    var = region_sum(tree, measure, lambda v: float(np.square(leaf_vector(v) - mu).sum()))
+    norm_sq = region_sum(tree, measure, lambda v: float(np.square(leaf_vector(v)).sum()))
+    return mu, var, norm_sq
+
+
 def assert_matches_reference(t1, t2, measure):
-    """Distance, inner product and covariance equal the recursion over
-    combine_pair to 1e-12 of the squared value scale."""
+    """Distance, inner product, covariance and correlation equal the
+    recursion over combine_pair, and each tree's mean, variance and squared
+    norm equal the region-by-region sum, to 1e-12 of the squared value
+    scale."""
     tol = 1e-12 * _squared_scale(t1, t2)
     combined = ta.combine_pair(t1, t2)
     ref_sq = recursive_pair_sum(combined, measure, sq_diff_term)
     assert abs(ta.tree_distance(t1, t2, measure) ** 2 - ref_sq) <= tol
+    refs = []
+    for t in (t1, t2):
+        mu, var, norm_sq = reference_statistics(t, measure)
+        stats = tree_statistics(t, measure)
+        assert np.abs(np.atleast_1d(stats.mean) - mu).max() <= tol
+        assert np.abs(np.atleast_1d(ta.tree_mean(t, measure)) - mu).max() <= tol
+        assert abs(stats.variance - var) <= tol
+        assert abs(stats.norm_squared - norm_sq) <= tol
+        refs.append((float(mu[0]), var))
     if isinstance(t1.nodes[t1.leaf_ids()[0]].value, Scalar):
         ref_ip = recursive_pair_sum(
             combined, measure, lambda tv: tv.values[0].value * tv.values[1].value
         )
         assert abs(ta.tree_inner_product(t1, t2, measure) - ref_ip) <= tol
-        mu1, mu2 = ta.tree_mean(t1, measure), ta.tree_mean(t2, measure)
+        (mu1, var1), (mu2, var2) = refs
         ref_cov = recursive_pair_sum(
             combined,
             measure,
             lambda tv: (tv.values[0].value - mu1) * (tv.values[1].value - mu2),
         )
         assert abs(ta.tree_covariance(t1, t2, measure) - ref_cov) <= tol
+        if min(var1, var2) > tol:
+            # the correlation in covariance units, so the tolerance holds
+            scale = math.sqrt(var1 * var2)
+            rho = ta.tree_correlation(t1, t2, measure)
+            assert abs(rho * scale - ref_cov) <= tol
 
 
 def copy_into(builder, nid, tree, src):
@@ -390,6 +421,13 @@ class TestFastPathsMatchReference:
                 b.set_value(child, Scalar(v))
         tree = b.build()
         combined = ta.combine_pair(tree, stump6)
+        mean = recursive_pair_sum(combined, uniform, lambda tv: tv.values[0].value)
+        assert abs(ta.tree_mean(tree, uniform) - mean) <= 1e-12
+        assert abs(mean - 2.2) <= 1e-12
+        expected = recursive_pair_sum(
+            combined, uniform, lambda tv: (tv.values[0].value - mean) * (tv.values[1].value - 0.4)
+        )
+        assert abs(ta.tree_covariance(tree, stump6, uniform) - expected) <= 1e-12
         expected = recursive_pair_sum(combined, uniform, sq_diff_term)
         assert abs(ta.tree_distance(tree, stump6, uniform) ** 2 - expected) <= 1e-12
         expected = recursive_pair_sum(
@@ -452,6 +490,9 @@ class TestFastPathsMatchReference:
             lambda: ta.tree_covariance(a, b, uniform),
             lambda: ta.distance_matrix([a, b], uniform),
             lambda: ta.forest_distance([a], [b], uniform),
+            lambda: ta.tree_mean(a, uniform),
+            lambda: ta.tree_statistics(b, uniform),
+            lambda: ta.tree_correlation(a, b, uniform),
         ):
             with pytest.raises(ta.UnsupportedGeometryError, match=message):
                 call()
@@ -460,8 +501,12 @@ class TestFastPathsMatchReference:
         bad = make_stump(0, 4.0, high=float("inf"))
         emp = ta.Empirical.from_rows(d2, [(1, 1), (8, 8)], [1.0, 0.0])
         for measure in (uniform, emp):
-            with pytest.raises(ta.DomainError, match="leaf value is not finite"):
-                ta.tree_distance(stump4, bad, measure)
+            for call in (
+                lambda: ta.tree_distance(stump4, bad, measure),
+                lambda: ta.tree_mean(bad, measure),
+            ):
+                with pytest.raises(ta.DomainError, match="leaf value is not finite"):
+                    call()
 
     def test_correlation_of_class_probability_trees_is_a_leaf_kind_error(
         self, probs_schema, uniform
