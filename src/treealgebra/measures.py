@@ -9,7 +9,10 @@ A box's mass is the product of its per-feature fractions, so a single-tree
 integral is a sum over leaves, e.g. ``sum(v * mass)``, and a pair integral
 is one vectorised sum over leaf pairs weighted by the mass of their
 intersection, e.g. ``sum((v1 - v2)**2 * overlap)``; the combined tree is
-never built. Hyperplane splits are unsupported there, as the uniform mass
+never built. The forest statistics score one tree against stacked runs of
+other trees at once, in blocks of bounded size, and sum each pair's part of
+a block on its own, so every pair gets the bits of its single-pair sum.
+Hyperplane splits are unsupported there, as the uniform mass
 of a polyhedron is. Under the empirical measure, each tree is evaluated
 once at the sample points and every integral is a weighted sum over the
 points, for any split geometry and with the ``x <= t`` boundary rule of
@@ -22,6 +25,7 @@ so results are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import copysign, sqrt
 from typing import Optional, Sequence, Union
 
@@ -226,11 +230,17 @@ def _prepare(tree: Tree, measure: Measure) -> Union[_LeafTable, np.ndarray]:
     return _finite(values.reshape(len(values), -1))
 
 
+def _pair_block(a: _LeafTable, b: _LeafTable, term) -> np.ndarray:
+    """``term`` of every leaf pair of ``a`` and ``b`` times the mass of the
+    pair's intersection, shape (leaves of ``a``, leaves of ``b``)."""
+    return term(a.values[:, None], b.values[None]) * _overlap(a, b)
+
+
 def _pair_integral(a, b, measure: Measure, term) -> float:
     """Integral of ``term(f1, f2)`` for two prepared trees; ``term`` maps
     arrays of values (width on the last axis) to that axis summed out."""
     if isinstance(measure, UniformBox):
-        return float((term(a.values[:, None], b.values[None]) * _overlap(a, b)).sum())
+        return float(_pair_block(a, b, term).sum())
     return float(measure.weights @ term(a, b))
 
 
@@ -240,10 +250,6 @@ def _sq_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x * y).sum(axis=-1)
-
-
-def _distance(a, b, measure: Measure) -> float:
-    return sqrt(max(_pair_integral(a, b, measure, _sq_diff), 0.0))
 
 
 def _require_scalar(trees: Sequence[Tree], name: str) -> None:
@@ -262,7 +268,8 @@ def tree_distance(
     the signature for callers that pass it positionally.
     """
     _require_schema_and_kind([t1, t2])
-    return _distance(_prepare(t1, measure), _prepare(t2, measure), measure)
+    a, b = _prepare(t1, measure), _prepare(t2, measure)
+    return sqrt(max(_pair_integral(a, b, measure, _sq_diff), 0.0))
 
 
 def tree_inner_product(t1: Tree, t2: Tree, measure: Measure) -> float:
@@ -321,13 +328,78 @@ def tree_correlation(t1: Tree, t2: Tree, measure: Measure) -> float:
 # ---------------------------------------------------------------------------
 # Forests
 
+# Under the uniform measure one row tree is scored against a run of whole
+# column trees at once; a run grows while its largest pair-sized temporary,
+# (row leaves, run leaves, width) floats, stays within this many bytes, and
+# holds at least one tree.
+_BLOCK_BYTES = 256 * 1024
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """Prepared column trees. Under the uniform measure their leaf tables
+    are stacked into ``table``, tree ``k`` holding leaves
+    ``offsets[k]:offsets[k + 1]``; under the empirical measure ``prepared``
+    is the list itself."""
+
+    prepared: Sequence
+    table: Optional[_LeafTable] = None
+    offsets: tuple[int, ...] = ()
+
+
+def _columns(prepared: Sequence, measure: Measure) -> _Columns:
+    if not isinstance(measure, UniformBox):
+        return _Columns(prepared)
+    table = _LeafTable(
+        prepared[0].schema,
+        np.concatenate([t.lo for t in prepared], axis=1),
+        np.concatenate([t.hi for t in prepared], axis=1),
+        tuple(np.concatenate(m) for m in zip(*(t.levels for t in prepared))),
+        np.concatenate([t.values for t in prepared]),
+    )
+    return _Columns(prepared, table, (0, *accumulate(len(t.values) for t in prepared)))
+
+
+def _leaf_slice(t: _LeafTable, start: int, stop: int) -> _LeafTable:
+    return _LeafTable(
+        t.schema,
+        t.lo[:, start:stop],
+        t.hi[:, start:stop],
+        tuple(m[start:stop] for m in t.levels),
+        t.values[start:stop],
+    )
+
+
+def _row_integrals(a, cols: _Columns, first: int, measure: Measure, term) -> list[float]:
+    """``_pair_integral(a, b, measure, term)`` for every column tree ``b``
+    from index ``first`` on, in order and to the bit. Under the uniform
+    measure each run of column trees costs one :func:`_pair_block`, and each
+    tree's sum is taken over a contiguous copy of its columns, so it adds
+    the same floats in the same order as its own block would."""
+    if cols.table is None:
+        return [_pair_integral(a, b, measure, term) for b in cols.prepared[first:]]
+    offsets, row_bytes = cols.offsets, a.values.nbytes
+    out: list[float] = []
+    k, n = first, len(cols.prepared)
+    while k < n:
+        stop = k + 1
+        while stop < n and row_bytes * (offsets[stop + 1] - offsets[k]) <= _BLOCK_BYTES:
+            stop += 1
+        base = offsets[k]
+        block = _pair_block(a, _leaf_slice(cols.table, base, offsets[stop]), term)
+        for lo, hi in zip(offsets[k:stop], offsets[k + 1 : stop + 1]):
+            out.append(float(np.ascontiguousarray(block[:, lo - base : hi - base]).sum()))
+        k = stop
+    return out
+
 
 def forest_distance(f: Sequence[Tree], g: Sequence[Tree], measure: Measure) -> float:
     """L2 distance between the aggregate (sum) functions of two forests.
 
     Expands the squared difference into pairwise tree inner products, so no
     integral ever involves more than two source trees. Each tree is prepared
-    once.
+    once; under the uniform measure each tree is scored against stacked
+    runs of a forest's trees in blocks of bounded size.
     """
     if not f or not g:
         raise DomainError("forest_distance needs nonempty forests")
@@ -335,31 +407,37 @@ def forest_distance(f: Sequence[Tree], g: Sequence[Tree], measure: Measure) -> f
     _require_schema_and_kind([*f, *g])
     pf = [_prepare(t, measure) for t in f]
     pg = [_prepare(t, measure) for t in g]
+    cf, cg = _columns(pf, measure), _columns(pg, measure)
 
     # all ordered pairs, in the same loop order for each of the three sums:
     # identical forests then produce bitwise-equal sums that cancel exactly
-    def inner(ps, qs):
+    def inner(ps, cols):
         acc = 0.0
         for a in ps:
-            for b in qs:
-                acc += _pair_integral(a, b, measure, _product)
+            for x in _row_integrals(a, cols, 0, measure, _product):
+                acc += x
         return acc
 
-    return sqrt(max(inner(pf, pf) + inner(pg, pg) - 2.0 * inner(pf, pg), 0.0))
+    return sqrt(max(inner(pf, cf) + inner(pg, cg) - 2.0 * inner(pf, cg), 0.0))
 
 
 def distance_matrix(trees: Sequence[Tree], measure: Measure) -> np.ndarray:
     """Symmetric matrix of pairwise tree distances with a zero diagonal.
 
-    Each tree is prepared once and each unordered pair is computed once.
+    Each tree is prepared once and each unordered pair is computed once;
+    under the uniform measure each tree is scored against runs of the later
+    trees in blocks of bounded size. Every entry equals
+    :func:`tree_distance` of its pair, bit for bit.
     """
     if len(trees) < 2:
         raise DomainError("distance_matrix needs at least two trees")
     _require_schema_and_kind(trees)
     prepared = [_prepare(t, measure) for t in trees]
+    cols = _columns(prepared, measure)
     n = len(trees)
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = _distance(prepared[i], prepared[j], measure)
+    for i in range(n - 1):
+        row = _row_integrals(prepared[i], cols, i + 1, measure, _sq_diff)
+        for j, x in enumerate(row, i + 1):
+            out[i, j] = out[j, i] = sqrt(max(x, 0.0))
     return out

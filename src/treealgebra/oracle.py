@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, UnsupportedGeometryError
+from .errors import DomainError, LeafKindError, SchemaError, UnsupportedGeometryError
 from .geometry import Empirical, Measure, UniformBox, region_measure
 from .trees import (
     CategoricalFeature,
@@ -220,6 +220,13 @@ def _resolve_combiner(combiner: Combiner, weights):
     return lambda values: fn(values, weights=weights)
 
 
+def _require_scalar_leaves(trees: Sequence[Tree], name: str) -> None:
+    # the combiners act on one value per point and tree
+    for t in trees:
+        if not all(isinstance(t.nodes[i].value, Scalar) for i in t.leaf_ids()):
+            raise LeafKindError(f"{name} needs scalar leaves")
+
+
 def grid_integral(
     trees: Sequence[Tree],
     combiner: Combiner,
@@ -233,6 +240,7 @@ def grid_integral(
     against the cell masses. Exact (up to float summation) because each tree
     is constant on each cell.
     """
+    _require_scalar_leaves(trees, "grid_integral")
     schema = trees[0].schema
     grid = CellGrid.from_trees(schema, trees)
     if grid.n_cells > _MAX_CELLS:
@@ -331,6 +339,7 @@ def monte_carlo_integral(
 
     Reproducible: identical inputs and seed give bit-identical results.
     """
+    _require_scalar_leaves(trees, "monte_carlo_integral")
     if n < 100:
         raise DomainError("monte_carlo_integral needs n >= 100")
     rng = np.random.default_rng(seed)

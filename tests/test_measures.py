@@ -2,11 +2,13 @@
 distances, checked against the cell-grid oracle and algebraic identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import treealgebra as ta
+from treealgebra import measures
 from treealgebra.geometry import region_measure
 from treealgebra.measures import tree_statistics
 from treealgebra.oracle import recursive_pair_sum, sq_diff_term
@@ -391,6 +393,10 @@ def oblique_tree(schema, rng, n_splits):
     return b.build()
 
 
+def no_pair_block(*args):
+    raise AssertionError("a pair block was built")
+
+
 class TestFastPathsMatchReference:
     def test_uniform_random_pairs_with_level_subsets(self, rng, uniform):
         for k in range(30):
@@ -481,7 +487,9 @@ class TestFastPathsMatchReference:
         assert ta.tree_distance(b, b, emp) == 0.0
         assert ta.forest_distance([a, b], [a, b], emp) == 0.0
 
-    def test_uniform_measure_rejects_hyperplanes(self, mixed_pair, stump4, uniform):
+    def test_uniform_measure_rejects_hyperplanes(self, mixed_pair, stump4, uniform, monkeypatch):
+        # raised while preparing the trees, before any pair block is built
+        monkeypatch.setattr(measures, "_pair_block", no_pair_block)
         a, b = mixed_pair
         message = "uniform measure of a region with hyperplane constraints"
         for call in (
@@ -497,13 +505,17 @@ class TestFastPathsMatchReference:
             with pytest.raises(ta.UnsupportedGeometryError, match=message):
                 call()
 
-    def test_non_finite_leaf_value_raises(self, make_stump, stump4, d2, uniform):
+    def test_non_finite_leaf_value_raises(self, make_stump, stump4, d2, uniform, monkeypatch):
+        # raised while preparing the trees, before any pair block is built
+        monkeypatch.setattr(measures, "_pair_block", no_pair_block)
         bad = make_stump(0, 4.0, high=float("inf"))
         emp = ta.Empirical.from_rows(d2, [(1, 1), (8, 8)], [1.0, 0.0])
         for measure in (uniform, emp):
             for call in (
                 lambda: ta.tree_distance(stump4, bad, measure),
                 lambda: ta.tree_mean(bad, measure),
+                lambda: ta.distance_matrix([stump4, stump4, bad], measure),
+                lambda: ta.forest_distance([stump4], [stump4, bad], measure),
             ):
                 with pytest.raises(ta.DomainError, match="leaf value is not finite"):
                     call()
@@ -514,3 +526,117 @@ class TestFastPathsMatchReference:
         t1 = ta.random_tree(probs_schema, np.random.default_rng(3), 4, "class_probs")
         with pytest.raises(ta.LeafKindError, match="tree_correlation needs scalar leaves"):
             ta.tree_correlation(t1, t1, uniform)
+
+
+# ---------------------------------------------------------------------------
+# The whole-forest kernel against the single-pair path
+
+
+@pytest.fixture
+def mixed_schema():
+    """Two numeric and two categorical features."""
+    return ta.FeatureSchema(
+        (
+            ta.NumericFeature("x0", -2.0, 3.0),
+            ta.CategoricalFeature("c1", ("a", "b", "c", "d", "e")),
+            ta.NumericFeature("x2", 0.0, 1.0),
+            ta.CategoricalFeature("c3", ("u", "v", "w")),
+        ),
+        ("p", "q", "r"),
+    )
+
+
+def kernel_forest(schema, rng, n, leaf_kind="scalar"):
+    """Trees of 1 to about 20 leaves, every fourth a single leaf and, for
+    scalar leaves, every third behind a zero-mass leaf."""
+    forest = []
+    for k in range(n):
+        splits = 0 if k % 4 == 0 else int(rng.integers(1, 20))
+        tree = ta.random_tree(schema, rng, splits, leaf_kind, value_range=(-5.0, 5.0))
+        if leaf_kind == "scalar" and k % 3 == 1:
+            tree = with_zero_mass_leaf(tree, float(rng.uniform(-5, 5)))
+        forest.append(tree)
+    return forest
+
+
+def reference_forest_distance(f, g, measure):
+    """``forest_distance`` as a loop over ordered pairs of single-pair
+    inner products, in the kernel's order."""
+
+    def inner(ps, qs):
+        acc = 0.0
+        for a in ps:
+            for b in qs:
+                acc += ta.tree_inner_product(a, b, measure)
+        return acc
+
+    return math.sqrt(max(inner(f, f) + inner(g, g) - 2.0 * inner(f, g), 0.0))
+
+
+def count_pair_blocks(monkeypatch):
+    calls = []
+    block = measures._pair_block
+
+    def counted(a, b, term):
+        calls.append(len(b.values))
+        return block(a, b, term)
+
+    monkeypatch.setattr(measures, "_pair_block", counted)
+    return calls
+
+
+class TestForestKernel:
+    # 0: one column tree per run; 4 KiB: runs of a few trees
+    BUDGETS = (0, 4096, measures._BLOCK_BYTES)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("leaf_kind", ["scalar", "class_probs"])
+    def test_distance_matrix_equals_tree_distance_bitwise(
+        self, mixed_schema, uniform, monkeypatch, budget, leaf_kind
+    ):
+        rng = np.random.default_rng(7)
+        forest = kernel_forest(mixed_schema, rng, 24, leaf_kind)
+        assert all(ta.validate(t) == [] for t in forest)
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", budget)
+        calls = count_pair_blocks(monkeypatch)
+        D = ta.distance_matrix(forest, uniform)
+        n = len(forest)
+        if budget == 0:
+            assert len(calls) == n * (n - 1) // 2
+        elif budget == 4096:
+            # several runs per row, several trees per run
+            assert n - 1 < len(calls) < n * (n - 1) // 2
+        for i in range(n):
+            assert D[i, i] == 0.0
+            for j in range(i + 1, n):
+                d = ta.tree_distance(forest[i], forest[j], uniform)
+                assert D[i, j] == D[j, i] == d
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_forest_distance_equals_pair_loop_bitwise(
+        self, mixed_schema, uniform, monkeypatch, budget
+    ):
+        rng = np.random.default_rng(11)
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", budget)
+        for nf, ng in ((1, 1), (3, 17), (12, 9)):
+            f = kernel_forest(mixed_schema, rng, nf)
+            g = kernel_forest(mixed_schema, rng, ng)
+            assert ta.forest_distance(f, g, uniform) == reference_forest_distance(f, g, uniform)
+            assert ta.forest_distance(f, f, uniform) == 0.0
+            assert ta.forest_distance(g + f, g + f, uniform) == 0.0
+
+    def test_distance_matrix_memory_is_bounded(self, uniform):
+        # 941 leaves: the kernel peaks near 0.9 MiB; one leaf-pair block
+        # over the whole forest (941 x 941) would peak near 27 MiB
+        rng = np.random.default_rng(5)
+        schema = ta.random_schema(rng, max_features=6)
+        forest = [ta.random_tree(schema, rng, int(rng.integers(4, 14))) for _ in range(100)]
+        leaves = sum(len(t.leaf_ids()) for t in forest)
+        assert leaves == 941
+        tracemalloc.start()
+        try:
+            ta.distance_matrix(forest, uniform)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20

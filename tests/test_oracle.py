@@ -73,7 +73,41 @@ class TestGridIntegral:
             ta.grid_integral([b.build()], "raw-value", uniform)
 
 
+    def test_class_probability_tree_is_a_leaf_kind_error(self, rng, uniform):
+        schema = ta.random_schema(rng, max_features=2, class_labels=("a", "b"))
+        probs = ta.random_tree(schema, rng, 3, "class_probs")
+        scalar = ta.random_tree(schema, rng, 3)
+        for trees, combiner in (
+            ([probs], "raw-value"),
+            ([scalar, probs], "squared-difference"),
+            ([probs, probs], "product"),
+        ):
+            with pytest.raises(ta.LeafKindError, match="^grid_integral needs scalar leaves$"):
+                ta.grid_integral(trees, combiner, uniform)
+
+    def test_leaf_kind_is_checked_before_the_grid(self, d2, uniform):
+        # the hyperplane would be rejected by the grid if it were built
+        b = ta.TreeBuilder(d2)
+        left, right = b.split_node(b.add_root(), ta.Hyperplane((1.0, 1.0), 10.0))
+        b.set_value(left, ta.ClassProbs((0.5, 0.5)))
+        b.set_value(right, ta.ClassProbs((1.0, 0.0)))
+        with pytest.raises(ta.LeafKindError, match="^grid_integral needs scalar leaves$"):
+            ta.grid_integral([b.build()], "raw-value", uniform)
+
+
 class TestMonteCarlo:
+    def test_class_probability_tree_is_a_leaf_kind_error(self, rng, uniform):
+        schema = ta.random_schema(rng, max_features=2, class_labels=("a", "b"))
+        probs = ta.random_tree(schema, rng, 3, "class_probs")
+        scalar = ta.random_tree(schema, rng, 3)
+        message = "^monte_carlo_integral needs scalar leaves$"
+        for trees, combiner in (([probs], "raw-value"), ([scalar, probs], "squared-difference")):
+            with pytest.raises(ta.LeafKindError, match=message):
+                ta.monte_carlo_integral(trees, combiner, uniform, 1000, seed=0)
+        # checked before the sample count
+        with pytest.raises(ta.LeafKindError, match=message):
+            ta.monte_carlo_integral([probs], "raw-value", uniform, 50, seed=0)
+
     def test_matches_grid_within_four_standard_errors(self, stump4, stump6, uniform):
         exact = ta.grid_integral([stump4, stump6], "squared-difference", uniform)
         est, se = ta.monte_carlo_integral(
