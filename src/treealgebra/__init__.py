@@ -21,20 +21,11 @@ from .errors import (
     ParseError,
     SchemaError,
     TreeAlgebraError,
-    UnboundedProblemError,
     UnknownNodeError,
     UnsupportedGeometryError,
     ValidationError,
 )
-from .geometry import (
-    Empirical,
-    HyperplaneTestResult,
-    PartitionOutcome,
-    UniformBox,
-    hyperplane_intersects_polyhedron,
-    region_measure,
-    split_partitions_region,
-)
+from .geometry import Empirical, UniformBox, region_measure
 from .io import ForestFile, import_external_forest, load_forest, save_forest, save_tree
 from .mds import classical_mds, mds_stress
 from .measures import (

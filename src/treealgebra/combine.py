@@ -16,21 +16,19 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 
+from . import simplex
 from .errors import DomainError, LeafKindError, SchemaError
-from .geometry import (
-    PartitionOutcome,
-    same_partition_in_region,
-    split_partitions_region,
-)
+from .geometry import same_partition_in_region
 from .trees import (
     ClassProbs,
     LeafValue,
+    Node,
     Region,
     Scalar,
-    Side,
     Tree,
     TreeBuilder,
     TupleValue,
+    class_counts,
     leaf_kind_of,
 )
 
@@ -42,10 +40,6 @@ __all__ = [
     "affine_combination",
     "simplify",
 ]
-
-_SPLITS = PartitionOutcome.SPLITS_REGION
-_IN_LEFT = PartitionOutcome.REGION_IN_LEFT
-
 
 @dataclass
 class CombineBudget:
@@ -62,36 +56,51 @@ class CombineBudget:
     calls_made: int = 0
 
 
-def _check_region_nonempty(region: Region) -> None:
+def _nonempty(region: Region) -> Region:
+    """A caller's region, checked nonempty; under half-spaces the feasibility
+    LP that checks it also gives the witness its splits start from."""
     for cons in region.constraints:
         if isinstance(cons, frozenset) and not cons:
             raise DomainError("empty region")
-    if region.half_spaces:
-        from . import simplex
+    if not region.half_spaces:
+        return region
+    point = simplex.feasible(*region.lp_rows())
+    if point is None:
+        raise DomainError("empty region")
+    return replace(region, witness=point)
 
-        a, b = region.lp_rows()
-        if not simplex.feasible(a, b):
-            raise DomainError("empty region")
+
+def _descend(node: Node, nid: int, sides):
+    """Where a tree continues in a region, given the sides of its split
+    there: the node and those sides when the split cuts the region, else the
+    child whose side holds the region, whose split is not yet decided."""
+    left, right = sides
+    if left is None:
+        return node.right, None
+    if right is None:
+        return node.left, None
+    return nid, sides
 
 
-def _collect_into(builder, w, region, tree, v, budget, value_fn):
-    stack = [(w, region, v)]
+def _collect_into(builder, w, region, tree, v, budget, value_fn, sides=None):
+    """Copy ``tree`` below node ``v`` into ``builder`` at ``w``, keeping only
+    the splits that cut ``region``; ``sides`` is ``v``'s split already
+    decided in ``region``, when known."""
+    stack = [(w, region, v, sides)]
     while stack:
-        w, region, v = stack.pop()
+        w, region, v, sides = stack.pop()
         budget.calls_made += 1
         node = tree.nodes[v]
         if node.left is None:
             builder.set_value(w, value_fn(node.value))
             continue
-        outcome = split_partitions_region(node.split, region)
-        if outcome is _SPLITS:
-            lw, rw = builder.split_node(w, node.split)
-            stack.append((rw, region.try_refine(node.split, Side.RIGHT), node.right))
-            stack.append((lw, region.try_refine(node.split, Side.LEFT), node.left))
-        elif outcome is _IN_LEFT:
-            stack.append((w, region, node.left))
-        else:
-            stack.append((w, region, node.right))
+        v, sides = _descend(node, v, sides or region.split(node.split))
+        if sides is None:
+            stack.append((w, region, v, None))
+            continue
+        lw, rw = builder.split_node(w, node.split)
+        stack.append((rw, sides[1], node.right, None))
+        stack.append((lw, sides[0], node.left, None))
 
 
 def collect(source: Tree, region: Region, budget: Optional[CombineBudget] = None) -> Tree:
@@ -104,7 +113,7 @@ def collect(source: Tree, region: Region, budget: Optional[CombineBudget] = None
     """
     if region.schema != source.schema:
         raise SchemaError("region schema differs from tree schema")
-    _check_region_nonempty(region)
+    region = _nonempty(region)
     budget = budget if budget is not None else CombineBudget()
     builder = TreeBuilder(source.schema, budget.max_nodes)
     w0 = builder.add_root()
@@ -121,9 +130,11 @@ def _combine(
     schema = t1.schema
     builder = TreeBuilder(schema, budget.max_nodes)
     w0 = builder.add_root()
-    stack = [(t1.root, t2.root, w0, Region.full(schema))]
+    # each entry carries the sides of u's and v's splits in its region when
+    # an earlier step already decided them, so no region decides a split twice
+    stack = [(t1.root, t2.root, w0, Region.full(schema), None, None)]
     while stack:
-        u, v, w, region = stack.pop()
+        u, v, w, region, su, sv = stack.pop()
         budget.calls_made += 1
         nu = t1.nodes[u]
         nv = t2.nodes[v]
@@ -133,54 +144,48 @@ def _combine(
         if nu.left is None:
             _collect_into(
                 builder, w, region, t2, v, budget,
-                lambda fv, a=nu.value: pair_fn(a, fv),
+                lambda fv, a=nu.value: pair_fn(a, fv), sv,
             )
             continue
         if nv.left is None:
             _collect_into(
                 builder, w, region, t1, u, budget,
-                lambda fu, b=nv.value: pair_fn(fu, b),
+                lambda fu, b=nv.value: pair_fn(fu, b), su,
             )
             continue
         cu, cv = nu.split, nv.split
-        pu = split_partitions_region(cu, region)
-        pv = split_partitions_region(cv, region)
-        if pu is not _SPLITS or pv is not _SPLITS:
+        u2, su = _descend(nu, u, su or region.split(cu))
+        v2, sv = _descend(nv, v, sv or region.split(cv))
+        if su is None or sv is None:
             # at least one condition misses the working region: descend into
             # whichever children contain it without adding a node. (The case
             # where both conditions cut the region never reaches this branch;
             # it is handled below.)
-            u2 = u if pu is _SPLITS else (nu.left if pu is _IN_LEFT else nu.right)
-            v2 = v if pv is _SPLITS else (nv.left if pv is _IN_LEFT else nv.right)
-            stack.append((u2, v2, w, region))
+            stack.append((u2, v2, w, region, su, sv))
             continue
         ident = same_partition_in_region(cu, cv, region)
         lw, rw = builder.split_node(w, cu)
-        left_region = region.try_refine(cu, Side.LEFT)
-        right_region = region.try_refine(cu, Side.RIGHT)
+        left_region, right_region = su
         if ident == "same":
-            stack.append((nu.right, nv.right, rw, right_region))
-            stack.append((nu.left, nv.left, lw, left_region))
+            stack.append((nu.right, nv.right, rw, right_region, None, None))
+            stack.append((nu.left, nv.left, lw, left_region, None, None))
             continue
         if ident == "swapped":
-            stack.append((nu.right, nv.left, rw, right_region))
-            stack.append((nu.left, nv.right, lw, left_region))
+            stack.append((nu.right, nv.left, rw, right_region, None, None))
+            stack.append((nu.left, nv.right, lw, left_region, None, None))
             continue
         # crossing or parallel splits: split by the first tree's condition;
         # each child keeps the second tree's node if its condition still cuts
-        # the child region and otherwise descends to the matching daughter
-        for child_u, child_w, child_region in (
-            (nu.right, rw, right_region),
-            (nu.left, lw, left_region),
+        # the child region and otherwise descends to the matching daughter.
+        # The child's sides of cv are cv's sides split by cu, which start from
+        # their own witnesses (a categorical cu needs no LP at all).
+        (ll, lr), (rl, rr) = sv[0].split(cu), sv[1].split(cu)
+        for child_u, child_w, child_region, child_sides in (
+            (nu.right, rw, right_region, (lr, rr)),
+            (nu.left, lw, left_region, (ll, rl)),
         ):
-            pvc = split_partitions_region(cv, child_region)
-            if pvc is _SPLITS:
-                child_v = v
-            elif pvc is _IN_LEFT:
-                child_v = nv.left
-            else:
-                child_v = nv.right
-            stack.append((child_u, child_v, child_w, child_region))
+            child_v, child_sv = _descend(nv, v, child_sides)
+            stack.append((child_u, child_v, child_w, child_region, None, child_sv))
     return builder.build()
 
 
@@ -195,6 +200,11 @@ def _require_schema_and_kind(trees: Sequence[Tree]) -> str:
     kind = kinds.pop()
     if kind == "tuple":
         raise LeafKindError("input trees must have scalar or class_probs leaves")
+    if kind == "class_probs":
+        # each tree's leaves share one length, which leaf_kind_of checked
+        counts = class_counts(t.nodes[t.leaf_ids()[0]].value for t in trees)
+        if len(counts) > 1:
+            raise LeafKindError(f"trees mix class-probability lengths {counts}")
     return kind
 
 

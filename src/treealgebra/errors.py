@@ -71,8 +71,3 @@ class DegenerateCorrelationError(TreeAlgebraError):
 
     code = "DEGENERATE_CORRELATION"
 
-
-class UnboundedProblemError(TreeAlgebraError):
-    """A linear program was unbounded; the caller omitted the bounding box."""
-
-    code = "UNBOUNDED"

@@ -1,63 +1,36 @@
-"""Geometric predicates and measures over regions.
+"""Measures of regions and the comparison of two splits within a region.
 
-Everything the combination and distance algorithms need to ask about
-geometry lives here: does a split bipartition a region, do two splits
-induce the same bipartition of a region, how much mass does a region carry,
-and does a hyperplane intersect a polyhedron (a linear-programming test).
+How much mass does a region carry, and do two splits induce the same
+bipartition of it? Which sides of a split a region meets is
+:meth:`treealgebra.trees.Region.split`, which answers it with at most one
+feasibility LP (:mod:`treealgebra.simplex`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import simplex
-from .errors import (
-    DomainError,
-    SchemaError,
-    UnboundedProblemError,
-    UnsupportedGeometryError,
-)
+from .errors import DomainError, UnsupportedGeometryError
 from .trees import (
-    CategoricalFeature,
     CategoricalSubset,
     FeatureSchema,
     Hyperplane,
-    Interval,
     NumericFeature,
     NumericThreshold,
     Region,
-    Side,
     Split,
 )
 
 __all__ = [
-    "PartitionOutcome",
-    "HyperplaneTestResult",
     "UniformBox",
     "Empirical",
     "Measure",
     "UNIFORM",
-    "split_partitions_region",
     "region_measure",
-    "hyperplane_intersects_polyhedron",
 ]
-
-
-class PartitionOutcome(Enum):
-    SPLITS_REGION = "splits_region"
-    REGION_IN_LEFT = "region_in_left"
-    REGION_IN_RIGHT = "region_in_right"
-
-
-class HyperplaneTestResult(Enum):
-    INTERSECTS = "intersects"
-    POLYHEDRON_IN_UPPER = "polyhedron_in_upper"
-    POLYHEDRON_IN_LOWER = "polyhedron_in_lower"
-    EMPTY_POLYHEDRON = "empty_polyhedron"
 
 
 # ---------------------------------------------------------------------------
@@ -136,49 +109,7 @@ def region_measure(region: Region, measure: Measure) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Split vs region
-
-
-def split_partitions_region(split: Split, region: Region) -> PartitionOutcome:
-    """Report whether a split bipartitions a region, or which side holds it."""
-    schema = region.schema
-    if isinstance(split, NumericThreshold):
-        f = schema.features[split.feature] if 0 <= split.feature < schema.n_features else None
-        if not isinstance(f, NumericFeature):
-            raise SchemaError(f"numeric split on feature index {split.feature}")
-        if region.half_spaces:
-            left_nonempty = region.try_refine(split, Side.LEFT) is not None
-            right_nonempty = region.try_refine(split, Side.RIGHT) is not None
-        else:
-            iv: Interval = region.constraints[split.feature]
-            t = split.threshold
-            left_nonempty = iv.low < t or (iv.low == t and iv.low_closed)
-            right_nonempty = iv.high > t
-    elif isinstance(split, CategoricalSubset):
-        f = schema.features[split.feature] if 0 <= split.feature < schema.n_features else None
-        if not isinstance(f, CategoricalFeature):
-            raise SchemaError(f"categorical split on feature index {split.feature}")
-        levels: frozenset = region.constraints[split.feature]
-        inter = levels & split.left_levels
-        left_nonempty = bool(inter)
-        right_nonempty = inter != levels
-    else:
-        a, b = region.lp_rows()
-        result = hyperplane_intersects_polyhedron(split, list(zip(a, b)))
-        if result is HyperplaneTestResult.INTERSECTS:
-            return PartitionOutcome.SPLITS_REGION
-        if result is HyperplaneTestResult.POLYHEDRON_IN_LOWER:
-            return PartitionOutcome.REGION_IN_LEFT
-        if result is HyperplaneTestResult.POLYHEDRON_IN_UPPER:
-            return PartitionOutcome.REGION_IN_RIGHT
-        raise DomainError("region is empty")
-    if left_nonempty and right_nonempty:
-        return PartitionOutcome.SPLITS_REGION
-    if left_nonempty:
-        return PartitionOutcome.REGION_IN_LEFT
-    if right_nonempty:
-        return PartitionOutcome.REGION_IN_RIGHT
-    raise DomainError("region is empty")
+# Split vs split
 
 
 def same_partition_in_region(
@@ -215,47 +146,3 @@ def same_partition_in_region(
             return "same"
         return None
     return None
-
-
-# ---------------------------------------------------------------------------
-# Hyperplane vs polyhedron
-
-
-def hyperplane_intersects_polyhedron(
-    h: Hyperplane, constraints: Sequence[tuple[Sequence[float], float]]
-) -> HyperplaneTestResult:
-    """Linear-programming test: does ``{c'x = b}`` meet ``{A x <= b_A}``?
-
-    ``constraints`` are closed half-space rows ``(a_i, b_i)`` meaning
-    ``a_i'x <= b_i`` and must include a bounding box so the polyhedron is
-    bounded. Maximizes ``c'x`` under the extra cap ``c'x <= b + 1``; when
-    that is infeasible the test is rerun with signs reversed to distinguish
-    an empty polyhedron from one entirely above the hyperplane. Otherwise
-    the maximum and minimum of ``c'x`` locate the polyhedron: below the
-    hyperplane, above it, or straddling (touching counts as intersecting).
-    """
-    c = np.asarray(h.coefficients, dtype=float)
-    if len(constraints) == 0:
-        raise UnboundedProblemError("no constraints: polyhedron is unbounded")
-    a = np.array([np.asarray(row, dtype=float) for row, _ in constraints])
-    b = np.array([float(rhs) for _, rhs in constraints])
-    capped = simplex.solve_max(c, np.vstack([a, c]), np.append(b, h.offset + 1.0))
-    if capped.status == simplex.INFEASIBLE:
-        reverse = simplex.solve_max(
-            -c, np.vstack([a, -c]), np.append(b, -h.offset + 1.0)
-        )
-        if reverse.status == simplex.INFEASIBLE:
-            return HyperplaneTestResult.EMPTY_POLYHEDRON
-        if reverse.status == simplex.UNBOUNDED:
-            raise UnboundedProblemError("polyhedron is unbounded")
-        return HyperplaneTestResult.POLYHEDRON_IN_UPPER
-    if capped.status == simplex.UNBOUNDED:
-        raise UnboundedProblemError("polyhedron is unbounded")
-    if capped.value < h.offset:
-        return HyperplaneTestResult.POLYHEDRON_IN_LOWER
-    lowest = simplex.solve_max(-c, a, b)
-    if lowest.status == simplex.UNBOUNDED:
-        raise UnboundedProblemError("polyhedron is unbounded")
-    if -lowest.value > h.offset:
-        return HyperplaneTestResult.POLYHEDRON_IN_UPPER
-    return HyperplaneTestResult.INTERSECTS

@@ -42,6 +42,7 @@ from .trees import (
     Scalar,
     Tree,
     TupleValue,
+    class_counts,
     validate,
     value_kind,
 )
@@ -249,14 +250,18 @@ def save_tree(tree: Tree, path: str) -> None:
 
 def _validate_forest(schema: FeatureSchema, trees: Sequence[Tree]) -> None:
     problems: list[str] = []
-    kinds = set()
+    values = []
     for ti, tree in enumerate(trees):
         for violation in validate(tree):
             problems.append(f"tree {ti}: {violation}")
-        kinds.update(value_kind(n.value) for n in tree.nodes.values()
-                     if n.left is None and n.value is not None)
+        values += [n.value for n in tree.nodes.values()
+                   if n.left is None and n.value is not None]
+    kinds = {value_kind(x) for x in values}
     if len(kinds) > 1:
         problems.append(f"forest mixes leaf kinds {sorted(kinds)}")
+    counts = class_counts(values)
+    if schema.class_labels is None and len(counts) > 1:
+        problems.append(f"forest mixes class-probability lengths {counts}")
     if problems:
         raise ValidationError(problems)
 

@@ -32,7 +32,6 @@ from .trees import (
     NumericThreshold,
     Region,
     Scalar,
-    Side,
     Tree,
     TreeBuilder,
     TupleValue,
@@ -278,8 +277,9 @@ def recursive_pair_sum(
         node = combined.nodes[nid]
         if node.left is None or m == 0.0:
             continue
-        stack.append((node.right, region.try_refine(node.split, Side.RIGHT)))
-        stack.append((node.left, region.try_refine(node.split, Side.LEFT)))
+        left, right = region.split(node.split)
+        stack.append((node.right, right))
+        stack.append((node.left, left))
     value: dict[int, float] = {}
     for nid in reversed(order):
         node = combined.nodes[nid]
@@ -450,8 +450,6 @@ def random_tree(
     """Grow a random valid tree: pick a leaf, a feature, and a split value
     uniform over the leaf's current interval (or a random proper level
     subset), until the split count or depth cap is reached."""
-    from .geometry import PartitionOutcome, split_partitions_region
-
     builder = TreeBuilder(schema)
     root = builder.add_root()
     leaves: list[tuple[int, Region, int]] = [(root, Region.full(schema), 0)]
@@ -480,11 +478,12 @@ def random_tree(
             size = int(rng.integers(1, len(admissible)))
             chosen = rng.choice(len(admissible), size=size, replace=False)
             split = CategoricalSubset(j, frozenset(admissible[i] for i in chosen))
-        if split_partitions_region(split, region) is not PartitionOutcome.SPLITS_REGION:
+        left, right = region.split(split)
+        if left is None or right is None:
             continue
         lw, rw = builder.split_node(nid, split)
-        leaves[k] = (lw, region.try_refine(split, Side.LEFT), depth + 1)
-        leaves.append((rw, region.try_refine(split, Side.RIGHT), depth + 1))
+        leaves[k] = (lw, left, depth + 1)
+        leaves.append((rw, right, depth + 1))
         done += 1
     lo, hi = value_range
     for nid, _, _ in leaves:

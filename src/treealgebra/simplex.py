@@ -1,65 +1,39 @@
-"""A small dense two-phase simplex solver.
+"""A small dense Phase-I simplex: one point of ``{x : A x <= b}``, or None.
 
-Solves ``maximize c'x subject to A x <= b`` with free variables, which is
-all the hyperplane/region tests need: the constraint rows always include a
-bounding box, so the feasible set is a (possibly empty) polytope in a
-handful of dimensions. Free variables are handled with the classic
-``x = x+ - x-`` splitting and Bland's rule keeps the tiny tableaus from
-cycling. Not intended for large programs.
+That is all the region tests need: the constraint rows always include a
+bounding box, so the set is a (possibly empty) polytope in a handful of
+dimensions. Free variables are handled with the classic ``x = x+ - x-``
+splitting and Bland's rule keeps the tiny tableaus from cycling. Not
+intended for large programs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
 _TOL = 1e-9
 
 
-@dataclass
-class LPResult:
-    status: str
-    x: Optional[np.ndarray]
-    value: Optional[float]
+def feasible(a, b) -> Optional[np.ndarray]:
+    """A point of ``{x : a x <= b}``, or None when that set is empty.
 
-
-def solve_max(c, a, b) -> LPResult:
-    """Maximize ``c'x`` subject to ``a x <= b`` (x free)."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    a = np.asarray(a, dtype=float).reshape(-1, c.size)
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    n = c.size
-    status, y = _solve_nonneg(
-        np.concatenate([c, -c]), np.hstack([a, -a]), b
-    )
-    if status != OPTIMAL:
-        return LPResult(status, None, None)
-    x = y[:n] - y[n:]
-    return LPResult(OPTIMAL, x, float(c @ x))
-
-
-def feasible(a, b) -> bool:
-    """True when ``{x : a x <= b}`` is nonempty."""
+    The point is the basic solution Phase I ends on, a vertex of the set; it
+    meets every row to within the solver tolerance.
+    """
     a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return True
     b = np.atleast_1d(np.asarray(b, dtype=float))
     n = a.shape[1]
-    status, _ = _solve_nonneg(
-        np.zeros(2 * n), np.hstack([a, -a]), b, phase1_only=True
-    )
-    return status == OPTIMAL
+    y = _phase1(np.hstack([a, -a]), b)
+    if y is None:
+        return None
+    return y[:n] - y[n:]
 
 
-def _solve_nonneg(c, a, b, phase1_only=False):
-    """Maximize ``c'y`` subject to ``a y <= b``, ``y >= 0``."""
+def _phase1(a, b) -> Optional[np.ndarray]:
+    """A point of ``{y >= 0 : a y <= b}``, or None when that set is empty."""
     m, n = a.shape
     art_rows = [i for i in range(m) if b[i] < 0]
     k = len(art_rows)
@@ -81,34 +55,17 @@ def _solve_nonneg(c, a, b, phase1_only=False):
             basis[i] = n + i
 
     if k:
-        # phase 1: minimize the sum of artificials (stored as a cost row)
-        t[-1, :] = 0.0
+        # minimize the sum of artificials (stored as a cost row)
         for i in art_rows:
             t[-1, :] -= t[i, :]
         t[-1, n + m : n + m + k] = 0.0
         _pivot_until_optimal(t, basis, n + m + k)
         if -t[-1, -1] > _TOL:
-            return INFEASIBLE, None
-        _drive_out_artificials(t, basis, n + m)
-
-    if phase1_only:
-        return OPTIMAL, None
-
-    # phase 2: maximize c'y as minimize -c'y over the real columns
-    t[-1, :] = 0.0
-    t[-1, :n] = -c
-    t[-1, n + m :] = 0.0
-    for i in range(m):
-        if basis[i] < n + m and abs(t[-1, basis[i]]) > 0.0:
-            t[-1, :] -= t[-1, basis[i]] * t[i, :]
-    status = _pivot_until_optimal(t, basis, n + m)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None
-    y = np.zeros(n + m)
-    for i in range(m):
-        if basis[i] < n + m:
-            y[basis[i]] = t[i, -1]
-    return OPTIMAL, y[:n]
+            return None
+    # an artificial still basic sits at zero level and leaves y unchanged
+    y = np.zeros(width - 1)
+    y[basis] = t[:m, -1]
+    return y[:n]
 
 
 def _pivot_until_optimal(t, basis, n_cols):
@@ -120,7 +77,7 @@ def _pivot_until_optimal(t, basis, n_cols):
                 enter = j
                 break
         if enter < 0:
-            return OPTIMAL
+            return
         leave, best = -1, np.inf
         for i in range(m):
             if t[i, enter] > _TOL:
@@ -131,21 +88,9 @@ def _pivot_until_optimal(t, basis, n_cols):
                 ):
                     leave, best = i, ratio
         if leave < 0:
-            return UNBOUNDED
+            # cannot happen in Phase I: its objective is bounded below by 0
+            return
         _pivot(t, basis, leave, enter)
-
-
-def _drive_out_artificials(t, basis, n_real):
-    """Replace artificial basics (at zero level) with real columns."""
-    m = t.shape[0] - 1
-    for i in range(m):
-        if basis[i] >= n_real:
-            for j in range(n_real):
-                if abs(t[i, j]) > _TOL:
-                    _pivot(t, basis, i, j)
-                    break
-            # a row with no real pivot candidates is redundant; its basic
-            # artificial stays at zero and never re-enters phase 2
 
 
 def _pivot(t, basis, row, col):

@@ -13,11 +13,11 @@ open at ``t``. Categorical splits route left when the point's level is in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from math import isfinite
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -345,15 +345,25 @@ class Region:
     Half-spaces record hyperplane splits applied along a path: side LEFT
     means ``c'x <= b`` and side RIGHT means ``c'x > b``.
 
-    Regions are only built by :meth:`full` and :meth:`try_refine`, which keep
-    them nonempty by construction (hyperplane emptiness is decided by a
+    Regions are built by :meth:`full` and :meth:`split`, which keep them
+    nonempty by construction. Emptiness under half-spaces is decided by a
     feasibility LP that relaxes strict inequalities to closed ones, so a
-    region touching a hyperplane in a measure-zero set counts as nonempty).
+    region touching a hyperplane in a measure-zero set counts as nonempty.
+
+    ``witness`` is a point of the numeric subspace (in
+    ``schema.numeric_indices`` order) that meets the closed constraints. A
+    split side that holds it is nonempty under the closed relaxation, which
+    is what the LP would report, so :meth:`split` skips that LP and no result
+    changes; the witness is left out of equality and hashing. A region
+    without half-spaces keeps None and uses its box centre, computed only
+    when a hyperplane cuts the box, so ``full`` starts from the centre and
+    axis-aligned splits never pay for a witness.
     """
 
     schema: FeatureSchema
     constraints: tuple[Constraint, ...]
     half_spaces: tuple[tuple[Hyperplane, Side], ...] = ()
+    witness: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def full(cls, schema: FeatureSchema) -> "Region":
@@ -424,51 +434,75 @@ class Region:
                 rhs.append(-h.offset)
         return np.array(rows), np.array(rhs)
 
-    def try_refine(self, split: Split, side: Side) -> Optional["Region"]:
-        """Intersect with one side of a split; None when the result is empty."""
-        if isinstance(split, NumericThreshold):
-            iv = self.constraints[split.feature]
-            new = iv.clip_le(split.threshold) if side is Side.LEFT else iv.clip_gt(
-                split.threshold
+    def split(self, split: Split) -> tuple[Optional["Region"], Optional["Region"]]:
+        """The two sides of a split within this region, each None when empty.
+
+        One None means the region lies in the other side; a numeric or
+        categorical side that leaves the region unchanged is the region
+        itself. Each side is decided under the closed relaxation, so a split
+        that only touches the region still splits it. Without half-spaces a
+        numeric or categorical split runs no LP; otherwise the side that holds
+        the witness is nonempty for free and the other side runs one
+        feasibility LP.
+        """
+        if isinstance(split, Hyperplane):
+            w = self._witness()
+            s = np.nan if w is None else float(np.asarray(split.coefficients) @ w)
+            left, right = (
+                Region(self.schema, self.constraints, self.half_spaces + ((split, side),), w)
+                for side in (Side.LEFT, Side.RIGHT)
             )
-            if new is None:
-                return None
-            if new is iv:
-                return self
-            refined = Region(
-                self.schema,
-                self.constraints[: split.feature]
-                + (new,)
-                + self.constraints[split.feature + 1 :],
-                self.half_spaces,
-            )
-            # a box that is still nonempty can leave the half-spaces with no
-            # room (categorical levels stay outside the LP, so only here)
-            if self.half_spaces and not simplex.feasible(*refined.lp_rows()):
-                return None
-            return refined
+            return self._checked(left, s <= split.offset), self._checked(right, s >= split.offset)
+        j, schema = split.feature, self.schema
         if isinstance(split, CategoricalSubset):
-            levels = self.constraints[split.feature]
-            new = (
-                levels & split.left_levels
-                if side is Side.LEFT
-                else levels - split.left_levels
-            )
-            if not new:
-                return None
-            cons = (
-                self.constraints[: split.feature]
-                + (new,)
-                + self.constraints[split.feature + 1 :]
-            )
-            return Region(self.schema, cons, self.half_spaces)
-        refined = Region(
-            self.schema, self.constraints, self.half_spaces + ((split, side),)
-        )
-        a, b = refined.lp_rows()
-        if not simplex.feasible(a, b):
+            if not (0 <= j < schema.n_features
+                    and isinstance(schema.features[j], CategoricalFeature)):
+                raise SchemaError(f"categorical split on feature index {j}")
+            levels = self.constraints[j]
+            left = levels & split.left_levels
+            return self._narrowed(j, left, levels), self._narrowed(j, levels - left, levels)
+        if not (0 <= j < schema.n_features and isinstance(schema.features[j], NumericFeature)):
+            raise SchemaError(f"numeric split on feature index {j}")
+        iv, t = self.constraints[j], split.threshold
+        left, right = self._narrowed(j, iv.clip_le(t), iv), self._narrowed(j, iv.clip_gt(t), iv)
+        if not self.half_spaces:
+            return left, right
+        # a box that is still nonempty can leave the half-spaces no room
+        # (categorical levels stay outside the LP, so only here)
+        w = self.witness
+        wj = np.nan if w is None else w[schema.numeric_indices.index(j)]
+        return self._checked(left, wj <= t), self._checked(right, wj >= t)
+
+    def try_refine(self, split: Split, side: Side) -> Optional["Region"]:
+        """One side of :meth:`split`; None when it is empty."""
+        left, right = self.split(split)
+        return left if side is Side.LEFT else right
+
+    def _witness(self) -> Optional[np.ndarray]:
+        if self.half_spaces:
+            return self.witness
+        return np.array([(self.constraints[j].low + self.constraints[j].high) / 2
+                         for j in self.schema.numeric_indices])
+
+    def _narrowed(self, j: int, new: Optional[Constraint], old: Constraint) -> Optional["Region"]:
+        """This region with constraint ``j`` narrowed from ``old`` to ``new``,
+        or None when ``new`` is empty. It keeps the witness, which
+        :meth:`_checked` confirms where a narrowed box meets half-spaces."""
+        if not new:
             return None
-        return refined
+        if new is old:
+            return self
+        cons = self.constraints[:j] + (new,) + self.constraints[j + 1 :]
+        return Region(self.schema, cons, self.half_spaces, self.witness)
+
+    def _checked(self, side: Optional["Region"], inside: bool) -> Optional["Region"]:
+        """A side built with this region's witness, kept as it is when the
+        witness lies inside it and otherwise decided by one feasibility LP,
+        whose point becomes the side's witness."""
+        if side is None or side is self or inside:
+            return side
+        point = simplex.feasible(*side.lp_rows())
+        return None if point is None else replace(side, witness=point)
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +548,21 @@ def value_kind(value: LeafValue) -> str:
     return _KIND_NAMES[type(value)]
 
 
+def class_counts(values: Iterable[LeafValue]) -> list[int]:
+    """The distinct lengths of the class-probability values, sorted."""
+    return sorted({len(v.probs) for v in values if isinstance(v, ClassProbs)})
+
+
 def _kind_of(values: Sequence[LeafValue]) -> str:
     kinds = {value_kind(v) for v in values}
     if len(kinds) != 1:
         raise LeafKindError(f"mixed leaf kinds {sorted(kinds)}")
-    return kinds.pop()
+    kind = kinds.pop()
+    if kind == "class_probs":
+        counts = class_counts(values)
+        if len(counts) > 1:
+            raise LeafKindError(f"class-probability leaves mix lengths {counts}")
+    return kind
 
 
 def leaf_kind_of(tree: "Tree") -> str:
@@ -742,8 +786,7 @@ def iter_leaves_with_regions(tree: Tree) -> Iterator[tuple[int, Region]]:
         if node.left is None:
             yield nid, region
             continue
-        left = region.try_refine(node.split, Side.LEFT)
-        right = region.try_refine(node.split, Side.RIGHT)
+        left, right = region.split(node.split)
         if left is None or right is None:
             raise DomainError(f"split at node {nid} does not partition its region")
         stack.append((node.right, right))
@@ -886,14 +929,17 @@ def validate(tree: Tree) -> list[str]:
         v.append(f"node {i}: unreachable from root")
 
     # leaf kind consistency
-    kinds = {value_kind(nodes[i].value) for i in seen
-             if nodes[i].left is None and nodes[i].value is not None}
+    values = [nodes[i].value for i in seen
+              if nodes[i].left is None and nodes[i].value is not None]
+    kinds = {value_kind(x) for x in values}
     if len(kinds) > 1:
         v.append(f"leaf values mix kinds {sorted(kinds)}")
+    # with class labels every leaf's length is checked against them
+    counts = class_counts(values)
+    if tree.schema.class_labels is None and len(counts) > 1:
+        v.append(f"class-probability leaves mix lengths {counts}")
 
-    # geometric pass over the well-formed reachable part
-    from .geometry import PartitionOutcome, split_partitions_region
-
+    # geometric pass over the well-formed reachable part;
     # each node is placed once, so a cycle of consistent links cannot loop
     placed: set[int] = set()
     stack2 = [(tree.root, Region.full(tree.schema))]
@@ -905,15 +951,10 @@ def validate(tree: Tree) -> list[str]:
         n = nodes[i]
         if n.left is None:
             continue
-        outcome = split_partitions_region(n.split, region)
-        if outcome is not PartitionOutcome.SPLITS_REGION:
+        left, right = region.split(n.split)
+        if left is None or right is None:
             v.append(f"node {i}: split does not partition node region")
             continue
-        left = region.try_refine(n.split, Side.LEFT)
-        right = region.try_refine(n.split, Side.RIGHT)
-        for ch, r in ((n.left, left), (n.right, right)):
-            if r is None:
-                v.append(f"node {ch}: empty region")
-            else:
-                stack2.append((ch, r))
+        stack2.append((n.left, left))
+        stack2.append((n.right, right))
     return v

@@ -15,7 +15,6 @@ import pytest
 import treealgebra as ta
 from treealgebra.cli import run_cli
 from treealgebra.combine import CombineBudget
-from treealgebra.geometry import HyperplaneTestResult, hyperplane_intersects_polyhedron
 from treealgebra.io import read_matrix_csv, save_forest, ForestFile
 from treealgebra.mds import classical_mds, mds_stress, pairwise_distances
 from treealgebra.oracle import recursive_pair_sum, sq_diff_term
@@ -235,6 +234,7 @@ def test_07_worked_examples(d2, stump4, stump6):
 
 
 def test_08_lp_against_vertex_enumeration():
+    """Region.split decides a hyperplane on a box as vertex enumeration does."""
     rng = np.random.default_rng(808808)
     agreements = 0
     tested = 0
@@ -250,21 +250,13 @@ def test_08_lp_against_vertex_enumeration():
         offset = float(rng.uniform(vals.min() - 1.0, vals.max() + 1.0))
         if min(abs(vals.min() - offset), abs(vals.max() - offset)) <= 1e-9:
             continue
-        if vals.max() < offset:
-            expected = HyperplaneTestResult.POLYHEDRON_IN_LOWER
-        elif vals.min() > offset:
-            expected = HyperplaneTestResult.POLYHEDRON_IN_UPPER
-        else:
-            expected = HyperplaneTestResult.INTERSECTS
-        rows = []
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            rows.append((e.copy(), highs[i]))
-            rows.append((-e, -lows[i]))
-        got = hyperplane_intersects_polyhedron(Hyperplane(tuple(coeffs), offset), rows)
+        expected = (bool(vals.min() <= offset), bool(vals.max() >= offset))
+        schema = ta.FeatureSchema(
+            tuple(ta.NumericFeature(f"x{i}", lows[i], highs[i]) for i in range(n))
+        )
+        left, right = ta.Region.full(schema).split(Hyperplane(tuple(coeffs), offset))
         tested += 1
-        if got is expected:
+        if (left is not None, right is not None) == expected:
             agreements += 1
     assert agreements == 1000
     print("\nACCEPTANCE 08 lp-vs-vertex-enumeration (1000 cases): PASS")

@@ -1,5 +1,5 @@
-"""Partition predicates, identical-split detection, measures, and the
-hyperplane-polyhedron LP test."""
+"""Region.split (which sides of a split a region meets, with at most one
+feasibility LP), identical-split detection and measures."""
 
 import itertools
 
@@ -7,51 +7,256 @@ import numpy as np
 import pytest
 
 import treealgebra as ta
-from treealgebra.geometry import (
-    Empirical,
-    HyperplaneTestResult,
-    PartitionOutcome,
-    hyperplane_intersects_polyhedron,
-    region_measure,
-    same_partition_in_region,
-    split_partitions_region,
-)
-from treealgebra.trees import Hyperplane, NumericThreshold, Region, Side
+from treealgebra import simplex
+from treealgebra.geometry import Empirical, region_measure, same_partition_in_region
+from treealgebra.trees import Hyperplane, Interval, NumericThreshold, Region, Side
 
-SPLITS = PartitionOutcome.SPLITS_REGION
-IN_LEFT = PartitionOutcome.REGION_IN_LEFT
-IN_RIGHT = PartitionOutcome.REGION_IN_RIGHT
+
+def nonempty(sides):
+    """The (left, right) verdict of Region.split."""
+    return tuple(side is not None for side in sides)
+
+
+@pytest.fixture
+def count_lps(monkeypatch):
+    """The list of feasibility LPs run from now on, as (a, b) pairs."""
+    calls = []
+    feasible = simplex.feasible
+
+    def counted(a, b):
+        calls.append((np.array(a), np.array(b)))
+        return feasible(a, b)
+
+    monkeypatch.setattr(simplex, "feasible", counted)
+    return calls
 
 
 class TestSplitPartitionsRegion:
+    """Region.split: which sides of a split a region meets."""
+
     def test_threshold_inside_box(self, d2):
-        assert split_partitions_region(NumericThreshold(0, 4.0), Region.full(d2)) is SPLITS
+        assert nonempty(Region.full(d2).split(NumericThreshold(0, 4.0))) == (True, True)
 
     def test_region_right_of_threshold(self, d2):
         region = Region.full(d2).try_refine(NumericThreshold(0, 6.0), Side.RIGHT)
-        assert split_partitions_region(NumericThreshold(0, 4.0), region) is IN_RIGHT
+        left, right = region.split(NumericThreshold(0, 4.0))
+        assert left is None and right is region
 
     def test_region_left_of_threshold_boundary_closed(self, d2):
         region = Region.full(d2).try_refine(NumericThreshold(0, 4.0), Side.LEFT)
-        assert split_partitions_region(NumericThreshold(0, 4.0), region) is IN_LEFT
+        left, right = region.split(NumericThreshold(0, 4.0))
+        assert left is region and right is None
 
     def test_categorical(self):
         schema = ta.FeatureSchema((ta.CategoricalFeature("c", ("a", "b", "c")),))
         region = Region.full(schema)
         split = ta.CategoricalSubset(0, frozenset({0}))
-        assert split_partitions_region(split, region) is SPLITS
+        assert nonempty(region.split(split)) == (True, True)
         left = region.try_refine(split, Side.LEFT)
-        assert split_partitions_region(ta.CategoricalSubset(0, frozenset({0, 1})), left) is IN_LEFT
+        assert nonempty(left.split(ta.CategoricalSubset(0, frozenset({0, 1})))) == (True, False)
 
     def test_hyperplane_delegates_to_lp(self, d2):
         region = Region.full(d2)
-        assert split_partitions_region(Hyperplane((1.0, 1.0), 10.0), region) is SPLITS
-        assert split_partitions_region(Hyperplane((1.0, 1.0), 25.0), region) is IN_LEFT
-        assert split_partitions_region(Hyperplane((1.0, 1.0), -5.0), region) is IN_RIGHT
+        assert nonempty(region.split(Hyperplane((1.0, 1.0), 10.0))) == (True, True)
+        assert nonempty(region.split(Hyperplane((1.0, 1.0), 25.0))) == (True, False)
+        assert nonempty(region.split(Hyperplane((1.0, 1.0), -5.0))) == (False, True)
 
     def test_kind_mismatch(self, d2):
         with pytest.raises(ta.SchemaError):
-            split_partitions_region(ta.CategoricalSubset(0, frozenset({0})), Region.full(d2))
+            Region.full(d2).split(ta.CategoricalSubset(0, frozenset({0})))
+
+    def test_touching_counts_as_splitting(self, d2):
+        # the hyperplane meets the box only in its corner (0, 0)
+        assert nonempty(Region.full(d2).split(Hyperplane((1.0, 1.0), 0.0))) == (True, True)
+        # x0 > 5 meets x0 + x1 <= 5 only on the segment's end (5, 0)
+        region = Region.full(d2).try_refine(Hyperplane((1.0, 1.0), 5.0), Side.LEFT)
+        assert nonempty(region.split(NumericThreshold(0, 5.0))) == (True, True)
+
+    def test_numeric_split_the_half_space_leaves_no_room_for(self, d2):
+        region = Region.full(d2).try_refine(Hyperplane((1.0, 1.0), 5.0), Side.LEFT)
+        # the box (6, 10] x [0, 10] is nonempty, but x0 + x1 <= 5 keeps x0 <= 5
+        left, right = region.split(NumericThreshold(0, 6.0))
+        assert right is None
+        assert left.constraints[0] == Interval(0.0, 6.0, True, True)
+
+    def test_witness_on_the_hyperplane_frees_both_sides(self, d2, count_lps):
+        # the box centre (5, 5) lies on x0 + x1 = 10
+        left, right = Region.full(d2).split(Hyperplane((1.0, 1.0), 10.0))
+        assert left is not None and right is not None
+        assert count_lps == []
+        assert list(left.witness) == list(right.witness) == [5.0, 5.0]
+
+    def test_at_most_one_lp_per_split(self, d2, count_lps):
+        region = Region.full(d2)
+        for split in (Hyperplane((1.0, 2.0), 12.0), NumericThreshold(0, 7.0),
+                      Hyperplane((-1.0, 1.0), 1.0), NumericThreshold(1, 1.0)):
+            before = len(count_lps)
+            left, right = region.split(split)
+            assert len(count_lps) - before <= 1
+            region = left if left is not None else right
+            a, b = region.lp_rows()
+            assert (a @ region.witness <= b + 1e-9).all()
+
+    def test_region_without_a_witness_runs_both_lps(self, d2, count_lps):
+        half = ((Hyperplane((1.0, 1.0), 5.0), Side.LEFT),)
+        region = Region(d2, Region.full(d2).constraints, half)
+        assert region == Region.full(d2).try_refine(*half[0])
+        count_lps.clear()
+        assert nonempty(region.split(Hyperplane((1.0, -1.0), 0.0))) == (True, True)
+        assert len(count_lps) == 2
+
+
+def reference_sides(region, split):
+    """Each side of a numeric or hyperplane split in a region, decided apart
+    from Region.split: the interval's endpoint flags, then a plain
+    feasibility LP on the region's rows plus the side's closed row."""
+    a, b = region.lp_rows()
+    num = region.schema.numeric_indices
+    out = []
+    for sign, side in ((1.0, Side.LEFT), (-1.0, Side.RIGHT)):
+        if isinstance(split, NumericThreshold):
+            iv = region.constraints[split.feature]
+            if (iv.clip_le if side is Side.LEFT else iv.clip_gt)(split.threshold) is None:
+                out.append(False)
+                continue
+            row = np.zeros(len(num))
+            row[num.index(split.feature)] = sign
+            rhs = sign * split.threshold
+        else:
+            row, rhs = sign * np.asarray(split.coefficients), sign * split.offset
+        out.append(simplex.feasible(np.vstack([a, row]), np.append(b, rhs)) is not None)
+    return tuple(out)
+
+
+def random_mixed_tree(schema, rng, n_splits, numeric_share=0.3):
+    """Hyperplanes through random box points, mixed with numeric thresholds
+    at the rate ``numeric_share``."""
+    num = schema.numeric_indices
+    b = ta.TreeBuilder(schema)
+    leaves = [(b.add_root(), Region.full(schema))]
+    for _ in range(20 * n_splits):
+        if len(leaves) > n_splits:
+            break
+        k = int(rng.integers(0, len(leaves)))
+        nid, region = leaves[k]
+        if rng.random() < numeric_share:
+            j = num[int(rng.integers(0, len(num)))]
+            iv = region.constraints[j]
+            split = NumericThreshold(j, float(rng.uniform(iv.low, iv.high)))
+        else:
+            coeffs = rng.normal(size=len(num))
+            point = [rng.uniform(region.constraints[j].low, region.constraints[j].high)
+                     for j in num]
+            split = Hyperplane(tuple(coeffs), float(coeffs @ point))
+        left, right = region.split(split)
+        if left is None or right is None:
+            continue
+        lw, rw = b.split_node(nid, split)
+        leaves[k] = (lw, left)
+        leaves.append((rw, right))
+    for nid, _ in leaves:
+        b.set_value(nid, ta.Scalar(float(rng.uniform(-1, 1))))
+    return b.build()
+
+
+def node_regions(tree):
+    """Every node's region, each reached by Region.split from the root."""
+    out, stack = [], [(tree.root, Region.full(tree.schema))]
+    while stack:
+        nid, region = stack.pop()
+        out.append(region)
+        node = tree.nodes[nid]
+        if node.left is not None:
+            left, right = region.split(node.split)
+            stack.append((node.left, left))
+            stack.append((node.right, right))
+    return out
+
+
+class TestSplitMatchesPlainLP:
+    def test_random_oblique_and_mixed_pair_trees(self, rng, mixed_pair):
+        """Every verdict of Region.split, whose witness spares one side's LP,
+        equals a plain LP on both sides, on every region of random oblique
+        trees, of the mixed_pair trees and of their combinations."""
+        forests = [list(mixed_pair) + [ta.combine_pair(*mixed_pair)]]
+        for _ in range(6):
+            schema = ta.FeatureSchema(
+                tuple(ta.NumericFeature(f"x{i}", -1.0, float(i + 1)) for i in range(3))
+            )
+            t1, t2 = (random_mixed_tree(schema, rng, 8) for _ in range(2))
+            forests.append([t1, t2, ta.combine_pair(t1, t2)])
+        checked = 0
+        for trees in forests:
+            splits = [n.split for t in trees[:2] for n in t.nodes.values() if n.left is not None]
+            for region in node_regions(trees[2]):
+                for split in splits:
+                    assert nonempty(region.split(split)) == reference_sides(region, split)
+                    checked += 1
+        assert checked > 1000
+
+
+class TestFeasibilityLPCount:
+    """Each region decides each split once, with at most one LP.
+
+    On oblique trees every region on a different path is cut out by its own
+    set of LP rows, so an LP that repeats its rows, in any order, can only
+    be a split decided twice. (Regions that differ only in categorical
+    levels or in nested thresholds can share rows.)
+    """
+
+    def test_no_lp_repeats_in_combine_or_validate(self, rng, count_lps):
+        schema = ta.FeatureSchema(
+            tuple(ta.NumericFeature(f"x{i}", 0.0, 1.0) for i in range(3))
+        )
+        for _ in range(3):
+            t1, t2 = (random_mixed_tree(schema, rng, 25, 0.0) for _ in range(2))
+            count_lps.clear()
+            combined = ta.combine_pair(t1, t2)
+            assert len(count_lps) > 50
+            self.assert_no_repeats(count_lps)
+            count_lps.clear()
+            assert ta.validate(combined) == []
+            self.assert_no_repeats(count_lps)
+            internal = sum(n.left is not None for n in combined.nodes.values())
+            assert len(count_lps) <= internal
+
+    def test_categorical_split_over_a_hyperplane_adds_no_lp(self, count_lps):
+        schema = ta.FeatureSchema(
+            (ta.NumericFeature("x", 0, 1), ta.NumericFeature("y", 0, 1),
+             ta.CategoricalFeature("c", ("a", "b")))
+        )
+        trees = []
+        for split in (ta.CategoricalSubset(2, frozenset({0})), Hyperplane((1.0, 1.0), 0.3)):
+            b = ta.TreeBuilder(schema)
+            left, right = b.split_node(b.add_root(), split)
+            b.set_value(left, ta.Scalar(1.0))
+            b.set_value(right, ta.Scalar(2.0))
+            trees.append(b.build())
+        assert ta.combine_pair(*trees).n_leaves == 4
+        # the hyperplane is decided once, in the root region
+        assert len(count_lps) == 1
+
+    @staticmethod
+    def assert_no_repeats(calls):
+        keys = [tuple(sorted(zip(map(bytes, a), b.tolist()))) for a, b in calls]
+        assert len(set(keys)) == len(keys)
+
+    def test_collect_into_a_region_built_by_hand(self, rng, count_lps, monkeypatch):
+        """The LP that checks a caller's region also gives its witness, so
+        every split after it runs at most one LP."""
+        schema = ta.FeatureSchema(
+            tuple(ta.NumericFeature(f"x{i}", 0.0, 1.0) for i in range(3))
+        )
+        tree = random_mixed_tree(schema, rng, 25)
+        half = ((Hyperplane((1.0, 1.0, 1.0), 1.5), Side.LEFT),)
+        region = Region(schema, Region.full(schema).constraints, half)
+        splits = []
+        split = Region.split
+        monkeypatch.setattr(Region, "split", lambda r, s: splits.append(s) or split(r, s))
+        count_lps.clear()
+        out = ta.collect(tree, region)
+        assert out.n_leaves > 1
+        assert len(count_lps) <= 1 + len(splits)
 
 
 class TestSamePartitionInRegion:
@@ -154,9 +359,8 @@ class TestRegionMeasure:
                 if node.left is None:
                     continue
                 region = ta.node_region(tree, nid)
-                assert split_partitions_region(node.split, region) is SPLITS
-                left = region.try_refine(node.split, Side.LEFT)
-                right = region.try_refine(node.split, Side.RIGHT)
+                left, right = region.split(node.split)
+                assert left is not None and right is not None
                 total = region_measure(region, uniform)
                 assert abs(
                     region_measure(left, uniform) + region_measure(right, uniform) - total
@@ -197,67 +401,60 @@ class TestRegionMeasure:
 
 
 def classify_by_vertices(vertices, coeffs, offset):
+    """(left nonempty, right nonempty) of ``c'x <= offset`` on a box."""
     vals = vertices @ np.asarray(coeffs)
-    lo, hi = float(vals.min()), float(vals.max())
-    if hi < offset:
-        return HyperplaneTestResult.POLYHEDRON_IN_LOWER
-    if lo > offset:
-        return HyperplaneTestResult.POLYHEDRON_IN_UPPER
-    return HyperplaneTestResult.INTERSECTS
+    return bool(vals.min() <= offset), bool(vals.max() >= offset)
+
+
+def box_region(lows, highs):
+    schema = ta.FeatureSchema(
+        tuple(ta.NumericFeature(f"x{i}", lo, hi) for i, (lo, hi) in enumerate(zip(lows, highs)))
+    )
+    return Region.full(schema)
 
 
 class TestHyperplaneLP:
-    """Expected outcomes derived by enumerating box vertices."""
+    """Region.split of a hyperplane on boxes, against box vertex enumeration."""
 
-    def unit_square_rows(self):
-        return [((1.0, 0.0), 1.0), ((-1.0, 0.0), 0.0), ((0.0, 1.0), 1.0), ((0.0, -1.0), 0.0)]
+    verts = np.array(list(itertools.product([0, 1], repeat=2)), dtype=float)
+
+    def unit_square(self):
+        return box_region([0.0, 0.0], [1.0, 1.0])
 
     def test_plane_above_square(self):
-        verts = np.array(list(itertools.product([0, 1], repeat=2)), dtype=float)
         h = Hyperplane((1.0, 1.0), 3.0)
-        expected = classify_by_vertices(verts, h.coefficients, h.offset)
-        assert expected is HyperplaneTestResult.POLYHEDRON_IN_LOWER
-        assert hyperplane_intersects_polyhedron(h, self.unit_square_rows()) is expected
+        expected = classify_by_vertices(self.verts, h.coefficients, h.offset)
+        assert expected == (True, False)
+        assert nonempty(self.unit_square().split(h)) == expected
 
     def test_plane_through_square(self):
-        verts = np.array(list(itertools.product([0, 1], repeat=2)), dtype=float)
         h = Hyperplane((1.0, 1.0), 1.0)
-        expected = classify_by_vertices(verts, h.coefficients, h.offset)
-        assert expected is HyperplaneTestResult.INTERSECTS
-        assert hyperplane_intersects_polyhedron(h, self.unit_square_rows()) is expected
+        expected = classify_by_vertices(self.verts, h.coefficients, h.offset)
+        assert expected == (True, True)
+        assert nonempty(self.unit_square().split(h)) == expected
 
     def test_plane_below_square(self):
-        verts = np.array(list(itertools.product([0, 1], repeat=2)), dtype=float)
         h = Hyperplane((1.0, 0.0), -1.0)
-        expected = classify_by_vertices(verts, h.coefficients, h.offset)
-        assert expected is HyperplaneTestResult.POLYHEDRON_IN_UPPER
-        assert hyperplane_intersects_polyhedron(h, self.unit_square_rows()) is expected
+        expected = classify_by_vertices(self.verts, h.coefficients, h.offset)
+        assert expected == (False, True)
+        assert nonempty(self.unit_square().split(h)) == expected
 
     def test_empty_polyhedron(self):
-        rows = [((1.0,), 0.0), ((-1.0,), -1.0)]  # x <= 0 and x >= 1
-        out = hyperplane_intersects_polyhedron(Hyperplane((1.0,), 5.0), rows)
-        assert out is HyperplaneTestResult.EMPTY_POLYHEDRON
-
-    def test_unbounded_rejected(self):
-        # only an upper bound: the minimum of c'x is unbounded below
-        with pytest.raises(ta.UnboundedProblemError):
-            hyperplane_intersects_polyhedron(Hyperplane((1.0,), 0.0), [((1.0,), 10.0)])
+        # x in [0, 1] and x <= -1: a hand-built empty region meets neither side
+        schema = ta.FeatureSchema((ta.NumericFeature("x", 0, 1),))
+        region = Region(schema, Region.full(schema).constraints,
+                        ((Hyperplane((1.0,), -1.0), Side.LEFT),))
+        assert region.split(Hyperplane((1.0,), 5.0)) == (None, None)
 
     def test_touching_counts_as_intersection(self):
-        out = hyperplane_intersects_polyhedron(Hyperplane((1.0, 0.0), 1.0), self.unit_square_rows())
-        assert out is HyperplaneTestResult.INTERSECTS
+        out = self.unit_square().split(Hyperplane((1.0, 0.0), 1.0))
+        assert nonempty(out) == (True, True)
 
     def test_random_boxes_agree_with_enumeration(self, rng):
         for _ in range(400):
             n = int(rng.integers(2, 4))
             lows = rng.uniform(-5, 5, n)
             highs = lows + rng.uniform(0.1, 5, n)
-            rows = []
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = 1.0
-                rows.append((e.copy(), highs[i]))
-                rows.append((-e, -lows[i]))
             coeffs = rng.normal(size=n)
             while not coeffs.any():
                 coeffs = rng.normal(size=n)
@@ -267,5 +464,5 @@ class TestHyperplaneLP:
             if min(abs(vals.min() - offset), abs(vals.max() - offset)) <= 1e-9:
                 continue
             expected = classify_by_vertices(verts, coeffs, offset)
-            got = hyperplane_intersects_polyhedron(Hyperplane(tuple(coeffs), offset), rows)
-            assert got is expected
+            got = box_region(lows, highs).split(Hyperplane(tuple(coeffs), offset))
+            assert nonempty(got) == expected

@@ -131,6 +131,18 @@ class TestJsonRoundTrip:
         message = str(err.value)
         assert "tree 0" in message and "node 2" in message and "sum 0.8" in message
 
+    def test_forest_mixing_class_probability_lengths_is_named(self, tmp_path, d2):
+        trees = []
+        for probs in ((0.5, 0.5), (0.2, 0.3, 0.5)):
+            b = ta.TreeBuilder(d2)
+            b.set_value(b.add_root(), ta.ClassProbs(probs))
+            trees.append(b.build())
+        path = tmp_path / "mixed.json"
+        io.save_forest(io.ForestFile(d2, trees, {}), str(path))
+        with pytest.raises(ta.ValidationError) as err:
+            io.load_forest(str(path))
+        assert err.value.violations == ["forest mixes class-probability lengths [2, 3]"]
+
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"schema": \n  oops')

@@ -369,8 +369,6 @@ def boundary_sample(schema, trees, rng, n):
 def oblique_tree(schema, rng, n_splits):
     """A random tree of hyperplane splits with coefficients in {-1, 1, 2}
     through points of the 1/8 grid, so grid points can lie exactly on them."""
-    from treealgebra.geometry import PartitionOutcome, split_partitions_region
-
     b = ta.TreeBuilder(schema)
     leaves = [(b.add_root(), ta.Region.full(schema))]
     num = schema.numeric_indices
@@ -383,11 +381,12 @@ def oblique_tree(schema, rng, n_splits):
         point = [np.round(rng.uniform(region.constraints[j].low, region.constraints[j].high) * 8) / 8
                  for j in num]
         split = ta.Hyperplane(coeffs, float(np.dot(coeffs, point)))
-        if split_partitions_region(split, region) is not PartitionOutcome.SPLITS_REGION:
+        left_region, right_region = region.split(split)
+        if left_region is None or right_region is None:
             continue
         left, right = b.split_node(nid, split)
-        leaves[k] = (left, region.try_refine(split, ta.Side.LEFT))
-        leaves.append((right, region.try_refine(split, ta.Side.RIGHT)))
+        leaves[k] = (left, left_region)
+        leaves.append((right, right_region))
     for nid, _ in leaves:
         b.set_value(nid, Scalar(float(rng.uniform(-3, 3))))
     return b.build()
@@ -526,6 +525,34 @@ class TestFastPathsMatchReference:
         t1 = ta.random_tree(probs_schema, np.random.default_rng(3), 4, "class_probs")
         with pytest.raises(ta.LeafKindError, match="tree_correlation needs scalar leaves"):
             ta.tree_correlation(t1, t1, uniform)
+
+    def test_mixed_class_probability_lengths_are_a_leaf_kind_error(
+        self, d2, uniform, monkeypatch
+    ):
+        # no class labels, so nothing else pins the lengths
+        t2 = constant_probs_tree(d2, (0.5, 0.5))
+        t3 = constant_probs_tree(d2, (0.2, 0.3, 0.5))
+        b = ta.TreeBuilder(d2)
+        left, right = b.split_node(b.add_root(), ta.NumericThreshold(0, 4.0))
+        b.set_value(left, ClassProbs((0.5, 0.5)))
+        b.set_value(right, ClassProbs((0.2, 0.3, 0.5)))
+        mixed = b.build()
+        monkeypatch.setattr(measures, "_prepare", no_pair_block)
+        monkeypatch.setattr(measures, "_pair_block", no_pair_block)
+        for call in (
+            lambda: ta.tree_distance(t2, t3, uniform),
+            lambda: ta.distance_matrix([t2, t2, t3], uniform),
+            lambda: ta.combine_pair(t2, t3),
+        ):
+            with pytest.raises(ta.LeafKindError, match=r"trees mix class-probability lengths \[2, 3\]"):
+                call()
+        for call in (
+            lambda: ta.tree_mean(mixed, uniform),
+            lambda: ta.tree_distance(mixed, mixed, uniform),
+            lambda: ta.evaluate_batch(mixed, np.zeros((1, 2))),
+        ):
+            with pytest.raises(ta.LeafKindError, match=r"class-probability leaves mix lengths \[2, 3\]"):
+                call()
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,13 @@ class TestValidate:
         b.set_value(b.add_root(), ta.ClassProbs((0.5, 0.3)))
         assert any("sum 0.8" in v for v in ta.validate(b.build()))
 
+    def test_class_probability_lengths_mixed_without_labels(self, d2):
+        b = ta.TreeBuilder(d2)
+        left, right = b.split_node(b.add_root(), ta.NumericThreshold(0, 4.0))
+        b.set_value(left, ta.ClassProbs((0.5, 0.5)))
+        b.set_value(right, ta.ClassProbs((0.2, 0.3, 0.5)))
+        assert ta.validate(b.build()) == ["class-probability leaves mix lengths [2, 3]"]
+
     def test_numeric_split_with_no_room_left_by_a_hyperplane(self, unit2):
         # below x0 + x1 <= 0.5 no point has x0 > 0.9, though the box does
         b = ta.TreeBuilder(unit2)
