@@ -8,7 +8,6 @@ forest-to-forest distances under uniform or empirical measures.
 from .combine import (
     CombineBudget,
     affine_combination,
-    collect,
     combine_many,
     combine_pair,
     simplify,
@@ -25,7 +24,7 @@ from .errors import (
     UnsupportedGeometryError,
     ValidationError,
 )
-from .geometry import Empirical, UniformBox, region_measure
+from .geometry import Empirical, UniformBox
 from .io import ForestFile, import_external_forest, load_forest, save_forest, save_tree
 from .mds import classical_mds, mds_stress
 from .measures import (
@@ -67,7 +66,6 @@ from .trees import (
     TupleValue,
     evaluate,
     evaluate_batch,
-    node_region,
     validate,
 )
 

@@ -1,4 +1,4 @@
-"""Combining trees: subtree extraction, product trees, affine sums.
+"""Combining trees: product trees and affine sums.
 
 ``combine_pair`` overlays two recursive partitions into one tree whose
 tuple-valued leaves carry both source values; ``combine_many`` folds that
@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-
-from . import simplex
 from .errors import DomainError, LeafKindError, SchemaError
 from .geometry import same_partition_in_region
 from .trees import (
@@ -28,13 +26,12 @@ from .trees import (
     Tree,
     TreeBuilder,
     TupleValue,
-    class_counts,
-    leaf_kind_of,
+    _kind_of,
+    kinds_and_lengths,
 )
 
 __all__ = [
     "CombineBudget",
-    "collect",
     "combine_pair",
     "combine_many",
     "affine_combination",
@@ -48,26 +45,12 @@ class CombineBudget:
     ``max_nodes`` caps the size of any produced tree (the blow-up can be
     exponential in the number of combined trees, so hitting the cap is a
     clean reported failure instead of memory exhaustion). ``calls_made``
-    counts the recursive combine and collect steps, which lets tests assert
-    the ``n1 * n2`` cost bound.
+    counts the recursive combine steps, copies of one tree below a leaf of
+    the other included, which lets tests assert the ``n1 * n2`` cost bound.
     """
 
     max_nodes: int = 10_000_000
     calls_made: int = 0
-
-
-def _nonempty(region: Region) -> Region:
-    """A caller's region, checked nonempty; under half-spaces the feasibility
-    LP that checks it also gives the witness its splits start from."""
-    for cons in region.constraints:
-        if isinstance(cons, frozenset) and not cons:
-            raise DomainError("empty region")
-    if not region.half_spaces:
-        return region
-    point = simplex.feasible(*region.lp_rows())
-    if point is None:
-        raise DomainError("empty region")
-    return replace(region, witness=point)
 
 
 def _descend(node: Node, nid: int, sides):
@@ -101,24 +84,6 @@ def _collect_into(builder, w, region, tree, v, budget, value_fn, sides=None):
         lw, rw = builder.split_node(w, node.split)
         stack.append((rw, sides[1], node.right, None))
         stack.append((lw, sides[0], node.left, None))
-
-
-def collect(source: Tree, region: Region, budget: Optional[CombineBudget] = None) -> Tree:
-    """Extract a tree equivalent to ``source`` over ``region``.
-
-    The result uses only split conditions from source nodes whose regions
-    intersect the given region: splits that cut the region are copied,
-    splits that miss it are skipped. The returned tree is defined on the
-    whole domain but agrees with ``source`` everywhere inside ``region``.
-    """
-    if region.schema != source.schema:
-        raise SchemaError("region schema differs from tree schema")
-    region = _nonempty(region)
-    budget = budget if budget is not None else CombineBudget()
-    builder = TreeBuilder(source.schema, budget.max_nodes)
-    w0 = builder.add_root()
-    _collect_into(builder, w0, region, source, source.root, budget, lambda v: v)
-    return builder.build()
 
 
 def _combine(
@@ -194,18 +159,20 @@ def _require_schema_and_kind(trees: Sequence[Tree]) -> str:
     for t in trees[1:]:
         if t.schema != schema:
             raise SchemaError("trees use different schemas")
-    kinds = {leaf_kind_of(t) for t in trees}
+    firsts = []
+    for t in trees:
+        values = [t.nodes[i].value for i in t.leaf_ids()]
+        _kind_of(values)
+        firsts.append(values[0])
+    # each tree's leaves share one kind and length, so its first leaf stands for it
+    kinds, lengths = kinds_and_lengths(firsts)
     if len(kinds) > 1:
-        raise LeafKindError(f"trees mix leaf kinds {sorted(kinds)}")
-    kind = kinds.pop()
-    if kind == "tuple":
+        raise LeafKindError(f"trees mix leaf kinds {kinds}")
+    if kinds == ["tuple"]:
         raise LeafKindError("input trees must have scalar or class_probs leaves")
-    if kind == "class_probs":
-        # each tree's leaves share one length, which leaf_kind_of checked
-        counts = class_counts(t.nodes[t.leaf_ids()[0]].value for t in trees)
-        if len(counts) > 1:
-            raise LeafKindError(f"trees mix class-probability lengths {counts}")
-    return kind
+    if len(lengths) > 1:
+        raise LeafKindError(f"trees mix class-probability lengths {lengths}")
+    return kinds[0]
 
 
 def combine_pair(

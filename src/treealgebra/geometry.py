@@ -1,9 +1,11 @@
-"""Measures of regions and the comparison of two splits within a region.
+"""The probability measures, and the comparison of two splits within a region.
 
-How much mass does a region carry, and do two splits induce the same
-bipartition of it? Which sides of a split a region meets is
-:meth:`treealgebra.trees.Region.split`, which answers it with at most one
-feasibility LP (:mod:`treealgebra.simplex`).
+Do two splits induce the same bipartition of a region? Which sides of a
+split a region meets is :meth:`treealgebra.trees.Region.split`, which
+answers it with at most one feasibility LP (:mod:`treealgebra.simplex`).
+The mass of a region is reference code,
+:func:`treealgebra.oracle.region_measure`; the statistics in
+:mod:`treealgebra.measures` never build regions.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedGeometryError
+from .errors import DomainError
 from .trees import (
     CategoricalSubset,
     FeatureSchema,
     Hyperplane,
-    NumericFeature,
     NumericThreshold,
     Region,
     Split,
@@ -29,7 +30,6 @@ __all__ = [
     "Empirical",
     "Measure",
     "UNIFORM",
-    "region_measure",
 ]
 
 
@@ -81,31 +81,6 @@ class Empirical:
 
 
 Measure = Union[UniformBox, Empirical]
-
-
-def region_measure(region: Region, measure: Measure) -> float:
-    """Probability mass of a region.
-
-    The uniform measure is a product over features of normalized interval
-    lengths and level fractions; it cannot handle half-space constraints
-    (that would mean computing polyhedral volumes). The empirical measure
-    sums the weights of the sample points inside the region and supports
-    half-spaces.
-    """
-    if isinstance(measure, UniformBox):
-        if region.half_spaces:
-            raise UnsupportedGeometryError(
-                "uniform measure of a region with hyperplane constraints"
-            )
-        mass = 1.0
-        for f, cons in zip(region.schema.features, region.constraints):
-            if isinstance(f, NumericFeature):
-                mass *= cons.length / (f.high - f.low)
-            else:
-                mass *= len(cons) / len(f.levels)
-        return mass
-    mask = region.contains_batch(measure.points)
-    return float(measure.weights[mask].sum())
 
 
 # ---------------------------------------------------------------------------

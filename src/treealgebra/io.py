@@ -42,9 +42,8 @@ from .trees import (
     Scalar,
     Tree,
     TupleValue,
-    class_counts,
+    kinds_and_lengths,
     validate,
-    value_kind,
 )
 
 __all__ = [
@@ -196,7 +195,6 @@ def _tree_body_to_dict(tree: Tree) -> dict:
 
 
 def _tree_from_body(doc: dict, schema: FeatureSchema) -> Tree:
-    children: dict[int, Node] = {}
     parent_of: dict[int, int] = {}
     raw = {}
     for entry in doc["nodes"]:
@@ -256,12 +254,11 @@ def _validate_forest(schema: FeatureSchema, trees: Sequence[Tree]) -> None:
             problems.append(f"tree {ti}: {violation}")
         values += [n.value for n in tree.nodes.values()
                    if n.left is None and n.value is not None]
-    kinds = {value_kind(x) for x in values}
+    kinds, lengths = kinds_and_lengths(values)
     if len(kinds) > 1:
-        problems.append(f"forest mixes leaf kinds {sorted(kinds)}")
-    counts = class_counts(values)
-    if schema.class_labels is None and len(counts) > 1:
-        problems.append(f"forest mixes class-probability lengths {counts}")
+        problems.append(f"forest mixes leaf kinds {kinds}")
+    if schema.class_labels is None and len(lengths) > 1:
+        problems.append(f"forest mixes class-probability lengths {lengths}")
     if problems:
         raise ValidationError(problems)
 
@@ -380,7 +377,7 @@ def _parse_levels(token: str, feature: CategoricalFeature, where: str) -> frozen
     return frozenset(out)
 
 
-def _parse_leaf(token: str, schema: FeatureSchema, where: str):
+def _parse_leaf(token: str):
     if "|" in token:
         return ClassProbs(tuple(float(p) for p in token.split("|")))
     return Scalar(float(token))
@@ -473,7 +470,7 @@ def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> Fo
                 if row["leaf_value"] == "":
                     raise ParseError(f"{where}: leaf without leaf_value")
                 try:
-                    value = _parse_leaf(row["leaf_value"], schema, where)
+                    value = _parse_leaf(row["leaf_value"])
                 except ValueError:
                     raise ParseError(f"{where}: bad leaf_value {row['leaf_value']!r}")
                 parent = None if row["parent_id"] == "" else int(row["parent_id"])

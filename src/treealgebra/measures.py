@@ -194,8 +194,9 @@ def _box_mass(schema: FeatureSchema, widths, counts):
     """Uniform mass of boxes from iterators over their numeric widths (one
     array per numeric feature) and admissible level counts (one per
     categorical feature): a product of per-feature fractions, in schema
-    order, as :func:`~treealgebra.geometry.region_measure` computes it. A
-    negative width, from disjoint intervals, gives exactly 0."""
+    order, as the reference :func:`~treealgebra.oracle.region_measure`
+    computes it. A negative width, from disjoint intervals, gives exactly
+    0."""
     mass = 1.0
     for f in schema.features:
         if isinstance(f, NumericFeature):

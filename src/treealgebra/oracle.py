@@ -10,31 +10,48 @@ cannot handle (hyperplane splits). :func:`recursive_pair_sum` is the
 paper's conditional-proportion recursion down a combined tree, the
 reference for the pair statistics, which :mod:`treealgebra.measures`
 computes without building that tree.
+
+The region functions are reference code too, since the library never
+needs the region of a node or the mass of a region: :func:`node_region`
+and :func:`iter_leaves_with_regions` give the regions of a tree's nodes,
+:func:`contains_batch` and :func:`region_measure` the points and the mass
+in a region. :func:`route` routes one point at a time, one split at a time
+(:func:`goes_left`), as the check on the library's batch routing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, LeafKindError, SchemaError, UnsupportedGeometryError
-from .geometry import Empirical, Measure, UniformBox, region_measure
+from .errors import (
+    DomainError,
+    LeafKindError,
+    SchemaError,
+    UnknownNodeError,
+    UnsupportedGeometryError,
+)
+from .geometry import Empirical, Measure, UniformBox
 from .trees import (
     CategoricalFeature,
     CategoricalSubset,
     ClassProbs,
     FeatureSchema,
     Hyperplane,
+    Interval,
     LeafValue,
     NumericFeature,
     NumericThreshold,
     Region,
     Scalar,
+    Side,
+    Split,
     Tree,
     TreeBuilder,
     TupleValue,
+    _goes_left_batch,
     evaluate_batch,
     route_batch,
 )
@@ -43,6 +60,12 @@ __all__ = [
     "CellGrid",
     "grid_integral",
     "monte_carlo_integral",
+    "goes_left",
+    "route",
+    "contains_batch",
+    "region_measure",
+    "node_region",
+    "iter_leaves_with_regions",
     "recursive_pair_sum",
     "sq_diff_term",
     "pointwise_equivalence",
@@ -248,6 +271,114 @@ def grid_integral(
     values = [evaluate_batch(t, reps) for t in trees]
     combined = _resolve_combiner(combiner, weights)(values)
     return float(combined @ grid.masses(measure))
+
+
+# ---------------------------------------------------------------------------
+# Point-at-a-time routing and regions
+
+
+def goes_left(split: Split, x: Sequence[float], schema: FeatureSchema) -> bool:
+    """Route an encoded point through one split condition."""
+    if isinstance(split, NumericThreshold):
+        return x[split.feature] <= split.threshold
+    if isinstance(split, CategoricalSubset):
+        return int(x[split.feature]) in split.left_levels
+    acc = 0.0
+    for c, j in zip(split.coefficients, schema.numeric_indices):
+        acc += c * x[j]
+    return acc <= split.offset
+
+
+def route(tree: Tree, x: Sequence[float]) -> int:
+    """Leaf id reached by an encoded in-domain point."""
+    nid = tree.root
+    node = tree.nodes[nid]
+    while node.left is not None:
+        nid = node.left if goes_left(node.split, x, tree.schema) else node.right
+        node = tree.nodes[nid]
+    return nid
+
+
+def contains_batch(region: Region, X: np.ndarray) -> np.ndarray:
+    """Membership of every row of an (n, p) encoded matrix in a region,
+    honoring endpoint flags and half-spaces."""
+    mask = np.ones(len(X), dtype=bool)
+    for j, cons in enumerate(region.constraints):
+        col = X[:, j]
+        if isinstance(cons, Interval):
+            lo = col >= cons.low if cons.low_closed else col > cons.low
+            hi = col <= cons.high if cons.high_closed else col < cons.high
+            mask &= lo & hi
+        else:
+            mask &= np.isin(col.astype(np.int64), np.fromiter(cons, dtype=np.int64))
+    for h, side in region.half_spaces:
+        left = _goes_left_batch(h, X, region.schema)
+        mask &= left if side is Side.LEFT else ~left
+    return mask
+
+
+def region_measure(region: Region, measure: Measure) -> float:
+    """Probability mass of a region.
+
+    The uniform measure is a product over features of normalized interval
+    lengths and level fractions; it cannot handle half-space constraints
+    (that would mean computing polyhedral volumes). The empirical measure
+    sums the weights of the sample points inside the region and supports
+    half-spaces.
+    """
+    if isinstance(measure, UniformBox):
+        if region.half_spaces:
+            raise UnsupportedGeometryError(
+                "uniform measure of a region with hyperplane constraints"
+            )
+        mass = 1.0
+        for f, cons in zip(region.schema.features, region.constraints):
+            if isinstance(f, NumericFeature):
+                mass *= cons.length / (f.high - f.low)
+            else:
+                mass *= len(cons) / len(f.levels)
+        return mass
+    mask = contains_batch(region, measure.points)
+    return float(measure.weights[mask].sum())
+
+
+def node_region(tree: Tree, nid: int) -> Region:
+    """The region of a node: the root domain refined by the splits on its path."""
+    try:
+        node = tree.nodes[nid]
+    except KeyError:
+        raise UnknownNodeError(f"no node with id {nid}")
+    path = []
+    child = nid
+    while node.parent is not None:
+        parent = tree.nodes[node.parent]
+        path.append((parent.split, 0 if parent.left == child else 1))
+        child, node = node.parent, parent
+    region = Region.full(tree.schema)
+    for split, side in reversed(path):
+        region = region.split(split)[side]
+        if region is None:
+            raise DomainError(f"node {nid} has an empty derived region")
+    return region
+
+
+def iter_leaves_with_regions(tree: Tree) -> Iterator[tuple[int, Region]]:
+    """Yield (leaf id, region) depth-first, left before right.
+
+    The fixed order makes downstream sums bit-reproducible.
+    """
+    stack = [(tree.root, Region.full(tree.schema))]
+    while stack:
+        nid, region = stack.pop()
+        node = tree.nodes[nid]
+        if node.left is None:
+            yield nid, region
+            continue
+        left, right = region.split(node.split)
+        if left is None or right is None:
+            raise DomainError(f"split at node {nid} does not partition its region")
+        stack.append((node.right, right))
+        stack.append((node.left, left))
 
 
 # ---------------------------------------------------------------------------

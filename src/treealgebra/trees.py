@@ -17,17 +17,12 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from math import isfinite
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import simplex
-from .errors import (
-    DomainError,
-    LeafKindError,
-    SchemaError,
-    UnknownNodeError,
-)
+from .errors import BudgetExceededError, DomainError, LeafKindError, SchemaError
 
 __all__ = [
     "NumericFeature",
@@ -48,11 +43,8 @@ __all__ = [
     "Tree",
     "TreeBuilder",
     "evaluate",
-    "route",
     "route_batch",
     "evaluate_batch",
-    "node_region",
-    "iter_leaves_with_regions",
     "leaf_kind_of",
     "validate",
 ]
@@ -256,18 +248,6 @@ class Side(Enum):
     RIGHT = "right"
 
 
-def goes_left(split: Split, x: Sequence[float], schema: FeatureSchema) -> bool:
-    """Route an encoded point through one split condition."""
-    if isinstance(split, NumericThreshold):
-        return x[split.feature] <= split.threshold
-    if isinstance(split, CategoricalSubset):
-        return int(x[split.feature]) in split.left_levels
-    acc = 0.0
-    for c, j in zip(split.coefficients, schema.numeric_indices):
-        acc += c * x[j]
-    return acc <= split.offset
-
-
 def _goes_left_batch(
     split: Split,
     X: np.ndarray,
@@ -275,11 +255,17 @@ def _goes_left_batch(
     rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Route the rows of an encoded matrix (all rows, or the index array
-    ``rows``) through one split, gathering only the columns it reads."""
+    ``rows``) through one split, gathering only the columns it reads.
+
+    A hyperplane sums ``c_k * x_k`` left to right, one column at a time, so
+    each row gets the same bits however many other rows are routed with it
+    (a matrix product may round differently with the number of rows).
+    """
     if isinstance(split, Hyperplane):
-        num = list(schema.numeric_indices)
-        sub = X[:, num] if rows is None else X[np.ix_(rows, num)]
-        return sub @ np.asarray(split.coefficients) <= split.offset
+        acc = 0.0
+        for c, j in zip(split.coefficients, schema.numeric_indices):
+            acc = acc + c * (X[:, j] if rows is None else X[rows, j])
+        return acc <= split.offset
     col = X[:, split.feature] if rows is None else X[rows, split.feature]
     if isinstance(split, NumericThreshold):
         return col <= split.threshold
@@ -308,13 +294,6 @@ class Interval:
     @property
     def length(self) -> float:
         return self.high - self.low
-
-    def contains(self, x: float) -> bool:
-        if x < self.low or (x == self.low and not self.low_closed):
-            return False
-        if x > self.high or (x == self.high and not self.high_closed):
-            return False
-        return True
 
     def clip_le(self, t: float) -> Optional["Interval"]:
         """Intersect with ``{x <= t}``; None when empty."""
@@ -375,36 +354,6 @@ class Region:
             for f in schema.features
         )
         return cls(schema, cons)
-
-    def contains(self, x: Sequence[float]) -> bool:
-        """Membership of an encoded point, honoring endpoint flags and half-spaces."""
-        for cons, xj in zip(self.constraints, x):
-            if isinstance(cons, Interval):
-                if not cons.contains(xj):
-                    return False
-            elif int(xj) not in cons:
-                return False
-        for h, side in self.half_spaces:
-            left = goes_left(h, x, self.schema)
-            if (side is Side.LEFT) != left:
-                return False
-        return True
-
-    def contains_batch(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized membership over an (n, p) encoded matrix."""
-        mask = np.ones(len(X), dtype=bool)
-        for j, cons in enumerate(self.constraints):
-            col = X[:, j]
-            if isinstance(cons, Interval):
-                lo = col >= cons.low if cons.low_closed else col > cons.low
-                hi = col <= cons.high if cons.high_closed else col < cons.high
-                mask &= lo & hi
-            else:
-                mask &= np.isin(col.astype(np.int64), np.fromiter(cons, dtype=np.int64))
-        for h, side in self.half_spaces:
-            left = _goes_left_batch(h, X, self.schema)
-            mask &= left if side is Side.LEFT else ~left
-        return mask
 
     def lp_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Closed-inequality rows ``A x <= b`` over the numeric subspace.
@@ -473,11 +422,6 @@ class Region:
         wj = np.nan if w is None else w[schema.numeric_indices.index(j)]
         return self._checked(left, wj <= t), self._checked(right, wj >= t)
 
-    def try_refine(self, split: Split, side: Side) -> Optional["Region"]:
-        """One side of :meth:`split`; None when it is empty."""
-        left, right = self.split(split)
-        return left if side is Side.LEFT else right
-
     def _witness(self) -> Optional[np.ndarray]:
         if self.half_spaces:
             return self.witness
@@ -544,25 +488,24 @@ LeafValue = Union[Scalar, ClassProbs, TupleValue]
 _KIND_NAMES = {Scalar: "scalar", ClassProbs: "class_probs", TupleValue: "tuple"}
 
 
-def value_kind(value: LeafValue) -> str:
-    return _KIND_NAMES[type(value)]
+def kinds_and_lengths(values: Sequence[LeafValue]) -> tuple[list[str], list[int]]:
+    """The distinct kinds of some leaf values and the distinct lengths of
+    their class-probability vectors, each sorted.
 
-
-def class_counts(values: Iterable[LeafValue]) -> list[int]:
-    """The distinct lengths of the class-probability values, sorted."""
-    return sorted({len(v.probs) for v in values if isinstance(v, ClassProbs)})
+    Leaves that are meant to go together have one kind, and, when the schema
+    has no class labels to fix each length, at most one length.
+    """
+    return (sorted({_KIND_NAMES[type(v)] for v in values}),
+            sorted({len(v.probs) for v in values if isinstance(v, ClassProbs)}))
 
 
 def _kind_of(values: Sequence[LeafValue]) -> str:
-    kinds = {value_kind(v) for v in values}
+    kinds, lengths = kinds_and_lengths(values)
     if len(kinds) != 1:
-        raise LeafKindError(f"mixed leaf kinds {sorted(kinds)}")
-    kind = kinds.pop()
-    if kind == "class_probs":
-        counts = class_counts(values)
-        if len(counts) > 1:
-            raise LeafKindError(f"class-probability leaves mix lengths {counts}")
-    return kind
+        raise LeafKindError(f"mixed leaf kinds {kinds}")
+    if len(lengths) > 1:
+        raise LeafKindError(f"class-probability leaves mix lengths {lengths}")
+    return kinds[0]
 
 
 def leaf_kind_of(tree: "Tree") -> str:
@@ -590,12 +533,6 @@ class Tree:
     schema: FeatureSchema
     nodes: dict[int, Node]
     root: int
-
-    def node(self, nid: int) -> Node:
-        try:
-            return self.nodes[nid]
-        except KeyError:
-            raise UnknownNodeError(f"no node with id {nid}")
 
     @property
     def n_nodes(self) -> int:
@@ -627,11 +564,8 @@ class TreeBuilder:
     """
 
     def __init__(self, schema: FeatureSchema, max_nodes: Optional[int] = None):
-        from .errors import BudgetExceededError
-
         self.schema = schema
         self.max_nodes = max_nodes
-        self._exc = BudgetExceededError
         self._parent: list[Optional[int]] = []
         self._split: list[Optional[Split]] = []
         self._left: list[Optional[int]] = []
@@ -645,7 +579,7 @@ class TreeBuilder:
 
     def _new(self, parent: Optional[int]) -> int:
         if self.max_nodes is not None and self.n_nodes >= self.max_nodes:
-            raise self._exc(
+            raise BudgetExceededError(
                 f"node budget exceeded: combined tree already has "
                 f"{self.n_nodes} nodes (max_nodes={self.max_nodes})"
             )
@@ -690,20 +624,10 @@ class TreeBuilder:
 # Evaluation
 
 
-def route(tree: Tree, x: Sequence[float]) -> int:
-    """Leaf id reached by an encoded in-domain point."""
-    nid = tree.root
-    node = tree.nodes[nid]
-    while node.left is not None:
-        nid = node.left if goes_left(node.split, x, tree.schema) else node.right
-        node = tree.nodes[nid]
-    return nid
-
-
 def evaluate(tree: Tree, point: Sequence) -> LeafValue:
     """Evaluate the tree function at a raw point (numbers / level names)."""
     x = tree.schema.encode_point(point)
-    return tree.nodes[route(tree, x)].value
+    return tree.nodes[int(_route_batch(tree, np.array([x]))[0])].value
 
 
 def _route_batch(
@@ -749,48 +673,6 @@ def evaluate_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     else:
         raise LeafKindError("evaluate_batch supports scalar and class_probs leaves")
     return table[_route_batch(tree, X, {nid: k for k, nid in enumerate(leaves)})]
-
-
-# ---------------------------------------------------------------------------
-# Regions of nodes
-
-
-def node_region(tree: Tree, nid: int) -> Region:
-    """The region of a node: the root domain refined by the splits on its path."""
-    path = []
-    cur = tree.node(nid)
-    cur_id = nid
-    while cur.parent is not None:
-        parent = tree.nodes[cur.parent]
-        side = Side.LEFT if parent.left == cur_id else Side.RIGHT
-        path.append((parent.split, side))
-        cur_id = cur.parent
-        cur = parent
-    region = Region.full(tree.schema)
-    for split, side in reversed(path):
-        region = region.try_refine(split, side)
-        if region is None:
-            raise DomainError(f"node {nid} has an empty derived region")
-    return region
-
-
-def iter_leaves_with_regions(tree: Tree) -> Iterator[tuple[int, Region]]:
-    """Yield (leaf id, region) depth-first, left before right.
-
-    The fixed order makes downstream sums bit-reproducible.
-    """
-    stack = [(tree.root, Region.full(tree.schema))]
-    while stack:
-        nid, region = stack.pop()
-        node = tree.nodes[nid]
-        if node.left is None:
-            yield nid, region
-            continue
-        left, right = region.split(node.split)
-        if left is None or right is None:
-            raise DomainError(f"split at node {nid} does not partition its region")
-        stack.append((node.right, right))
-        stack.append((node.left, left))
 
 
 # ---------------------------------------------------------------------------
@@ -931,13 +813,12 @@ def validate(tree: Tree) -> list[str]:
     # leaf kind consistency
     values = [nodes[i].value for i in seen
               if nodes[i].left is None and nodes[i].value is not None]
-    kinds = {value_kind(x) for x in values}
+    kinds, lengths = kinds_and_lengths(values)
     if len(kinds) > 1:
-        v.append(f"leaf values mix kinds {sorted(kinds)}")
+        v.append(f"leaf values mix kinds {kinds}")
     # with class labels every leaf's length is checked against them
-    counts = class_counts(values)
-    if tree.schema.class_labels is None and len(counts) > 1:
-        v.append(f"class-probability leaves mix lengths {counts}")
+    if tree.schema.class_labels is None and len(lengths) > 1:
+        v.append(f"class-probability leaves mix lengths {lengths}")
 
     # geometric pass over the well-formed reachable part;
     # each node is placed once, so a cycle of consistent links cannot loop

@@ -85,6 +85,21 @@ def mixed_pair(unit2):
 
 
 @pytest.fixture
+def on_plane():
+    """The offset that puts an encoded point exactly on the hyperplane
+    ``c'x <= offset``: ``c'x`` summed left to right over the numeric
+    features, as routing sums it."""
+
+    def _offset(coefficients, x):
+        acc = 0.0
+        for c, xj in zip(coefficients, x):
+            acc += c * xj
+        return acc
+
+    return _offset
+
+
+@pytest.fixture
 def uniform():
     return UniformBox()
 

@@ -1,19 +1,17 @@
-"""Subtree extraction, pairwise and multiway combination, affine sums."""
+"""Pairwise and multiway combination, affine sums."""
 
 import numpy as np
 import pytest
 
 import treealgebra as ta
 from treealgebra.combine import CombineBudget
+from treealgebra.oracle import iter_leaves_with_regions, node_region, route
 from treealgebra.trees import (
     Interval,
     NumericThreshold,
     Region,
     Scalar,
-    Side,
     evaluate_batch,
-    iter_leaves_with_regions,
-    route,
 )
 
 
@@ -49,41 +47,6 @@ def leaf_values(tree):
 
 def scalar_leaves(tree):
     return sorted(v.value for v in leaf_values(tree))
-
-
-class TestCollect:
-    def test_region_entirely_right_of_split(self, stump4, d2):
-        region = Region.full(d2).try_refine(NumericThreshold(0, 6.0), Side.RIGHT)
-        out = ta.collect(stump4, region)
-        assert out.n_nodes == 1
-        assert out.nodes[out.root].value == Scalar(1.0)
-
-    def test_full_domain_is_identity(self, stump4, d2, rng):
-        out = ta.collect(stump4, Region.full(d2))
-        assert out.n_nodes == 3
-        assert scalar_leaves(out) == [0.0, 1.0]
-        X = np.column_stack([rng.uniform(0, 10, 500), rng.uniform(0, 10, 500)])
-        assert (evaluate_batch(out, X) == evaluate_batch(stump4, X)).all()
-
-    def test_straddling_region_keeps_split(self, stump4, d2, rng):
-        region = (
-            Region.full(d2)
-            .try_refine(NumericThreshold(0, 2.0), Side.RIGHT)
-            .try_refine(NumericThreshold(0, 6.0), Side.LEFT)
-        )
-        out = ta.collect(stump4, region)
-        assert out.nodes[out.root].split == NumericThreshold(0, 4.0)
-        assert scalar_leaves(out) == [0.0, 1.0]
-        # pointwise agreement with the source on 1000 points inside the region
-        X = np.column_stack(
-            [rng.uniform(2.0001, 6.0, 1000), rng.uniform(0, 10, 1000)]
-        )
-        assert (evaluate_batch(out, X) == evaluate_batch(stump4, X)).all()
-
-    def test_schema_mismatch(self, stump4):
-        other = ta.FeatureSchema((ta.NumericFeature("z", 0, 1),))
-        with pytest.raises(ta.SchemaError):
-            ta.collect(stump4, Region.full(other))
 
 
 class TestCombinePair:
@@ -128,8 +91,16 @@ class TestCombinePair:
 
     def test_tuple_inputs_rejected(self, stump4, stump6):
         combined = ta.combine_pair(stump4, stump6)
-        with pytest.raises(ta.LeafKindError):
+        with pytest.raises(ta.LeafKindError, match=r"^trees mix leaf kinds \['scalar', 'tuple'\]$"):
             ta.combine_pair(combined, stump4)
+        with pytest.raises(ta.LeafKindError,
+                           match="^input trees must have scalar or class_probs leaves$"):
+            ta.combine_pair(combined, combined)
+        nodes = dict(stump4.nodes)
+        right = nodes[stump4.root].right
+        nodes[right] = ta.Node(parent=stump4.root, value=ta.ClassProbs((0.5, 0.5)))
+        with pytest.raises(ta.LeafKindError, match=r"^mixed leaf kinds \['class_probs', 'scalar'\]$"):
+            ta.combine_pair(stump6, ta.Tree(stump4.schema, nodes, stump4.root))
 
     def test_budget_abort_reports_partial_size(self, stump4, stump_y5):
         with pytest.raises(ta.BudgetExceededError) as err:
@@ -288,7 +259,7 @@ class TestCombineProperties:
                 x = interior_point(region)
                 for source in (t1, t2):
                     leaf = route(source, x)
-                    assert region_subset(region, ta.node_region(source, leaf))
+                    assert region_subset(region, node_region(source, leaf))
 
     def test_fold_order_agrees_pointwise(self, rng):
         schema = ta.random_schema(rng, max_features=4)

@@ -8,7 +8,8 @@ import pytest
 
 import treealgebra as ta
 from treealgebra import simplex
-from treealgebra.geometry import Empirical, region_measure, same_partition_in_region
+from treealgebra.geometry import Empirical, same_partition_in_region
+from treealgebra.oracle import contains_batch, node_region, region_measure
 from treealgebra.trees import Hyperplane, Interval, NumericThreshold, Region, Side
 
 
@@ -38,12 +39,12 @@ class TestSplitPartitionsRegion:
         assert nonempty(Region.full(d2).split(NumericThreshold(0, 4.0))) == (True, True)
 
     def test_region_right_of_threshold(self, d2):
-        region = Region.full(d2).try_refine(NumericThreshold(0, 6.0), Side.RIGHT)
+        region = Region.full(d2).split(NumericThreshold(0, 6.0))[1]
         left, right = region.split(NumericThreshold(0, 4.0))
         assert left is None and right is region
 
     def test_region_left_of_threshold_boundary_closed(self, d2):
-        region = Region.full(d2).try_refine(NumericThreshold(0, 4.0), Side.LEFT)
+        region = Region.full(d2).split(NumericThreshold(0, 4.0))[0]
         left, right = region.split(NumericThreshold(0, 4.0))
         assert left is region and right is None
 
@@ -52,7 +53,7 @@ class TestSplitPartitionsRegion:
         region = Region.full(schema)
         split = ta.CategoricalSubset(0, frozenset({0}))
         assert nonempty(region.split(split)) == (True, True)
-        left = region.try_refine(split, Side.LEFT)
+        left = region.split(split)[0]
         assert nonempty(left.split(ta.CategoricalSubset(0, frozenset({0, 1})))) == (True, False)
 
     def test_hyperplane_delegates_to_lp(self, d2):
@@ -69,11 +70,11 @@ class TestSplitPartitionsRegion:
         # the hyperplane meets the box only in its corner (0, 0)
         assert nonempty(Region.full(d2).split(Hyperplane((1.0, 1.0), 0.0))) == (True, True)
         # x0 > 5 meets x0 + x1 <= 5 only on the segment's end (5, 0)
-        region = Region.full(d2).try_refine(Hyperplane((1.0, 1.0), 5.0), Side.LEFT)
+        region = Region.full(d2).split(Hyperplane((1.0, 1.0), 5.0))[0]
         assert nonempty(region.split(NumericThreshold(0, 5.0))) == (True, True)
 
     def test_numeric_split_the_half_space_leaves_no_room_for(self, d2):
-        region = Region.full(d2).try_refine(Hyperplane((1.0, 1.0), 5.0), Side.LEFT)
+        region = Region.full(d2).split(Hyperplane((1.0, 1.0), 5.0))[0]
         # the box (6, 10] x [0, 10] is nonempty, but x0 + x1 <= 5 keeps x0 <= 5
         left, right = region.split(NumericThreshold(0, 6.0))
         assert right is None
@@ -100,7 +101,7 @@ class TestSplitPartitionsRegion:
     def test_region_without_a_witness_runs_both_lps(self, d2, count_lps):
         half = ((Hyperplane((1.0, 1.0), 5.0), Side.LEFT),)
         region = Region(d2, Region.full(d2).constraints, half)
-        assert region == Region.full(d2).try_refine(*half[0])
+        assert region == Region.full(d2).split(half[0][0])[0]
         count_lps.clear()
         assert nonempty(region.split(Hyperplane((1.0, -1.0), 0.0))) == (True, True)
         assert len(count_lps) == 2
@@ -241,23 +242,6 @@ class TestFeasibilityLPCount:
         keys = [tuple(sorted(zip(map(bytes, a), b.tolist()))) for a, b in calls]
         assert len(set(keys)) == len(keys)
 
-    def test_collect_into_a_region_built_by_hand(self, rng, count_lps, monkeypatch):
-        """The LP that checks a caller's region also gives its witness, so
-        every split after it runs at most one LP."""
-        schema = ta.FeatureSchema(
-            tuple(ta.NumericFeature(f"x{i}", 0.0, 1.0) for i in range(3))
-        )
-        tree = random_mixed_tree(schema, rng, 25)
-        half = ((Hyperplane((1.0, 1.0, 1.0), 1.5), Side.LEFT),)
-        region = Region(schema, Region.full(schema).constraints, half)
-        splits = []
-        split = Region.split
-        monkeypatch.setattr(Region, "split", lambda r, s: splits.append(s) or split(r, s))
-        count_lps.clear()
-        out = ta.collect(tree, region)
-        assert out.n_leaves > 1
-        assert len(count_lps) <= 1 + len(splits)
-
 
 class TestSamePartitionInRegion:
     def test_identical_same_orientation(self, d2):
@@ -278,9 +262,7 @@ class TestSamePartitionInRegion:
     def test_identical_categorical_restricted_to_region(self):
         # left sets differ as sets but agree inside the region
         schema = ta.FeatureSchema((ta.CategoricalFeature("c", ("a", "b", "c", "d")),))
-        region = Region.full(schema).try_refine(
-            ta.CategoricalSubset(0, frozenset({0, 1})), Side.LEFT
-        )
+        region = Region.full(schema).split(ta.CategoricalSubset(0, frozenset({0, 1})))[0]
         split_u = ta.CategoricalSubset(0, frozenset({0}))
         split_v = ta.CategoricalSubset(0, frozenset({0, 2}))
         assert same_partition_in_region(split_u, split_v, region) == "same"
@@ -315,8 +297,8 @@ class TestRegionMeasure:
     def test_strip_measure(self, d2, uniform):
         region = (
             Region.full(d2)
-            .try_refine(NumericThreshold(0, 4.0), Side.RIGHT)
-            .try_refine(NumericThreshold(0, 6.0), Side.LEFT)
+            .split(NumericThreshold(0, 4.0))[1]
+            .split(NumericThreshold(0, 6.0))[0]
         )
         assert region_measure(region, uniform) == 0.2
 
@@ -325,11 +307,11 @@ class TestRegionMeasure:
 
     def test_empirical_counts_points(self, d2):
         emp = Empirical.from_rows(d2, [(1, 0), (5, 0), (9, 0)])
-        region = Region.full(d2).try_refine(NumericThreshold(0, 4.0), Side.RIGHT)
+        region = Region.full(d2).split(NumericThreshold(0, 4.0))[1]
         assert region_measure(region, emp) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_uniform_rejects_half_spaces(self, d2, uniform):
-        region = Region.full(d2).try_refine(Hyperplane((1.0, 1.0), 10.0), Side.LEFT)
+        region = Region.full(d2).split(Hyperplane((1.0, 1.0), 10.0))[0]
         with pytest.raises(ta.UnsupportedGeometryError):
             region_measure(region, uniform)
 
@@ -358,7 +340,7 @@ class TestRegionMeasure:
             for nid, node in tree.nodes.items():
                 if node.left is None:
                     continue
-                region = ta.node_region(tree, nid)
+                region = node_region(tree, nid)
                 left, right = region.split(node.split)
                 assert left is not None and right is not None
                 total = region_measure(region, uniform)
@@ -367,9 +349,9 @@ class TestRegionMeasure:
                 ) <= 1e-12
                 # empirical: the point sets partition exactly (no point lost or
                 # double-counted); the float masses agree to the last ulp or two
-                in_region = region.contains_batch(emp.points)
-                in_left = left.contains_batch(emp.points)
-                in_right = right.contains_batch(emp.points)
+                in_region = contains_batch(region, emp.points)
+                in_left = contains_batch(left, emp.points)
+                in_right = contains_batch(right, emp.points)
                 assert not (in_left & in_right).any()
                 assert ((in_left | in_right) == in_region).all()
                 e_total = region_measure(region, emp)
@@ -393,9 +375,9 @@ class TestRegionMeasure:
         for _ in range(10):
             tree = ta.random_tree(schema, rng, 8)
             leaf = tree.leaf_ids()[int(rng.integers(0, tree.n_leaves))]
-            region = ta.node_region(tree, leaf)
+            region = node_region(tree, leaf)
             p = region_measure(region, uniform)
-            frac = float(region.contains_batch(X).mean())
+            frac = float(contains_batch(region, X).mean())
             se = np.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(frac - p) <= 4 * se + 1e-9
 

@@ -9,10 +9,15 @@ import pytest
 
 import treealgebra as ta
 from treealgebra import measures
-from treealgebra.geometry import region_measure
 from treealgebra.measures import tree_statistics
-from treealgebra.oracle import recursive_pair_sum, sq_diff_term
-from treealgebra.trees import ClassProbs, Scalar, iter_leaves_with_regions
+from treealgebra.oracle import (
+    goes_left,
+    iter_leaves_with_regions,
+    recursive_pair_sum,
+    region_measure,
+    sq_diff_term,
+)
+from treealgebra.trees import ClassProbs, Scalar
 
 
 @pytest.fixture
@@ -392,6 +397,29 @@ def oblique_tree(schema, rng, n_splits):
     return b.build()
 
 
+def through_sample_points(schema, X, rng, n_splits, on_plane):
+    """A tree with a numeric root split and hyperplanes below it, each
+    passing exactly through a row of ``X`` that reaches its node."""
+    b = ta.TreeBuilder(schema)
+    t = float(np.median(X[:, 0]))
+    left, right = b.split_node(b.add_root(), ta.NumericThreshold(0, t))
+    leaves = [(left, np.flatnonzero(X[:, 0] <= t)), (right, np.flatnonzero(X[:, 0] > t))]
+    for _ in range(n_splits):
+        k = int(rng.integers(0, len(leaves)))
+        nid, rows = leaves[k]
+        if rows.size == 0:
+            continue
+        coeffs = rng.normal(size=X.shape[1])
+        split = ta.Hyperplane(tuple(coeffs), on_plane(coeffs, X[rng.choice(rows)]))
+        goes = np.array([goes_left(split, X[i], schema) for i in rows], dtype=bool)
+        left, right = b.split_node(nid, split)
+        leaves[k] = (left, rows[goes])
+        leaves.append((right, rows[~goes]))
+    for nid, _ in leaves:
+        b.set_value(nid, Scalar(float(rng.uniform(-1, 1))))
+    return b.build()
+
+
 def no_pair_block(*args):
     raise AssertionError("a pair block was built")
 
@@ -468,6 +496,21 @@ class TestFastPathsMatchReference:
             assert ta.validate(t1) == [] and ta.validate(t2) == []
             assert_matches_reference(t1, t2, emp)
             assert_matches_reference(t1, mixed_pair[1], emp)
+
+    def test_empirical_points_on_hyperplanes_below_a_numeric_root(self, rng, on_plane):
+        """Sample points lie exactly on the hyperplanes, and the root routes
+        a part of them, so the fast path routes subsets of the rows that
+        the reference routes all at once."""
+        for p in (2, 3, 5, 8):
+            schema = ta.FeatureSchema(
+                tuple(ta.NumericFeature(f"x{j}", -1.0, 1.0) for j in range(p))
+            )
+            X = rng.uniform(-1.0, 1.0, (60, p))
+            emp = ta.Empirical(X, np.full(len(X), 1 / len(X)))
+            for _ in range(5):
+                t1, t2 = (through_sample_points(schema, X, rng, 6, on_plane) for _ in range(2))
+                assert ta.validate(t1) == [] and ta.validate(t2) == []
+                assert_matches_reference(t1, t2, emp)
 
     def test_self_distances_are_exactly_zero(self, rng, uniform, mixed_pair):
         for _ in range(10):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import treealgebra as ta
-from treealgebra.oracle import CellGrid, sample_points
-from treealgebra.trees import Scalar, TupleValue, route
+from treealgebra.oracle import CellGrid, route, sample_points
+from treealgebra.trees import Scalar, TupleValue
 
 
 class TestGridIntegral:

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 import treealgebra as ta
-from treealgebra.trees import (
-    Interval,
-    Node,
-    Region,
-    Side,
-    evaluate_batch,
+from treealgebra.oracle import (
+    contains_batch,
+    goes_left,
     iter_leaves_with_regions,
+    node_region,
     route,
 )
+from treealgebra.trees import Interval, Node, Region, evaluate_batch, route_batch
 
 
 class TestSchema:
@@ -111,24 +110,60 @@ class TestEvaluate:
             assert batch[i] == tree.nodes[route(tree, X[i])].value.value
 
 
+class TestHyperplaneRouting:
+    def test_points_on_hyperplanes_reach_one_leaf_on_every_path(self, rng, on_plane):
+        """Each hyperplane passes exactly through a sample point that reaches
+        its node, when one does; evaluate, routing a point alone or with all
+        the others, and the point-at-a-time reference all pick the same leaf."""
+        checked = 0
+        for p in range(2, 9):
+            schema = ta.FeatureSchema(
+                tuple(ta.NumericFeature(f"x{j}", -1.0, 1.0) for j in range(p))
+            )
+            for _ in range(3):
+                X = rng.uniform(-1.0, 1.0, (30, p))
+                b = ta.TreeBuilder(schema)
+                # breadth first: each open node and the rows the reference routes to it
+                frontier = [(b.add_root(), np.arange(len(X)))]
+                for _ in range(12):
+                    nid, rows = frontier.pop(0)
+                    coeffs = rng.normal(size=p)
+                    point = X[rng.choice(rows)] if rows.size else X[0]
+                    split = ta.Hyperplane(tuple(coeffs), on_plane(coeffs, point))
+                    left = np.array([goes_left(split, X[i], schema) for i in rows], dtype=bool)
+                    lw, rw = b.split_node(nid, split)
+                    frontier += [(lw, rows[left]), (rw, rows[~left])]
+                for k, (nid, _) in enumerate(frontier):
+                    b.set_value(nid, ta.Scalar(float(k)))
+                tree = b.build()
+                together = route_batch(tree, X)
+                for i, x in enumerate(X):
+                    leaf = route(tree, x)
+                    assert together[i] == leaf
+                    assert route_batch(tree, X[i : i + 1])[0] == leaf
+                    assert ta.evaluate(tree, tuple(x)) == tree.nodes[leaf].value
+                    checked += 1
+        assert checked == 7 * 3 * 30
+
+
 class TestNodeRegion:
     def test_root_region_is_domain(self, stump4, d2):
-        assert ta.node_region(stump4, stump4.root) == Region.full(d2)
+        assert node_region(stump4, stump4.root) == Region.full(d2)
 
     def test_left_leaf_interval_closed_at_threshold(self, stump4):
         left = stump4.nodes[stump4.root].left
-        region = ta.node_region(stump4, left)
+        region = node_region(stump4, left)
         assert region.constraints[0] == Interval(0.0, 4.0, True, True)
         assert region.constraints[1] == Interval(0.0, 10.0, True, True)
 
     def test_right_leaf_interval_open_at_threshold(self, stump4):
         right = stump4.nodes[stump4.root].right
-        region = ta.node_region(stump4, right)
+        region = node_region(stump4, right)
         assert region.constraints[0] == Interval(4.0, 10.0, False, True)
 
     def test_unknown_node(self, stump4):
         with pytest.raises(ta.UnknownNodeError):
-            ta.node_region(stump4, 99)
+            node_region(stump4, 99)
 
 
 class TestValidate:
@@ -265,9 +300,9 @@ class TestRegionPartitions:
             schema = ta.random_schema(rng, max_features=5)
             tree = ta.random_tree(schema, rng, int(rng.integers(1, 30)))
             X = self._random_points(schema, rng, 300)
-            regions = dict(iter_leaves_with_regions(tree))
+            inside = {nid: contains_batch(r, X) for nid, r in iter_leaves_with_regions(tree)}
             for i in range(len(X)):
-                hits = [nid for nid, r in regions.items() if r.contains(X[i])]
+                hits = [nid for nid, mask in inside.items() if mask[i]]
                 assert len(hits) == 1
                 assert tree.nodes[hits[0]].value == tree.nodes[route(tree, X[i])].value
 
@@ -278,12 +313,12 @@ class TestRegionPartitions:
         for nid, node in tree.nodes.items():
             if node.left is None:
                 continue
-            region = ta.node_region(tree, nid)
-            left = ta.node_region(tree, node.left)
-            right = ta.node_region(tree, node.right)
-            inside = region.contains_batch(X)
-            in_left = left.contains_batch(X)
-            in_right = right.contains_batch(X)
+            region = node_region(tree, nid)
+            left = node_region(tree, node.left)
+            right = node_region(tree, node.right)
+            inside = contains_batch(region, X)
+            in_left = contains_batch(left, X)
+            in_right = contains_batch(right, X)
             assert ((in_left.astype(int) + in_right.astype(int)) == inside.astype(int)).all()
 
 
