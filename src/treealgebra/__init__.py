@@ -5,6 +5,8 @@ L2 norms, distances, means, variances, covariances, correlations, and
 forest-to-forest distances under uniform or empirical measures.
 """
 
+from importlib import import_module
+
 from .combine import (
     CombineBudget,
     affine_combination,
@@ -39,15 +41,6 @@ from .measures import (
     tree_statistics,
     tree_variance,
 )
-from .oracle import (
-    CellGrid,
-    grid_integral,
-    monte_carlo_integral,
-    pointwise_equivalence,
-    random_forest,
-    random_schema,
-    random_tree,
-)
 from .trees import (
     CategoricalFeature,
     CategoricalSubset,
@@ -70,3 +63,15 @@ from .trees import (
 )
 
 __version__ = "0.1.0"
+
+# the brute-force references: the library never needs them, so the module
+# is imported on first use, not at every start of the command line
+_ORACLE = {"oracle", "CellGrid", "grid_integral", "monte_carlo_integral",
+           "pointwise_equivalence", "random_forest", "random_schema", "random_tree"}
+
+
+def __getattr__(name):
+    if name in _ORACLE:
+        oracle = import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

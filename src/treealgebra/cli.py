@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import io, measures, mds, oracle
+from . import io, measures, mds
 from .combine import CombineBudget, affine_combination, combine_many, simplify
 from .errors import DomainError, LeafKindError, TreeAlgebraError
 from .geometry import Empirical, UniformBox
@@ -246,6 +246,8 @@ def _cmd_mds(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    from . import oracle
+
     forest = io.load_forest(args.forest)
     if any(leaf_kind_of(t) != "scalar" for t in forest.trees):
         raise LeafKindError("oracle-check needs scalar leaves")

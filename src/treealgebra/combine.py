@@ -13,22 +13,13 @@ within ``n1 * n2``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError, LeafKindError, SchemaError
 from .geometry import same_partition_in_region
-from .trees import (
-    ClassProbs,
-    LeafValue,
-    Node,
-    Region,
-    Scalar,
-    Tree,
-    TreeBuilder,
-    TupleValue,
-    _kind_of,
-    kinds_and_lengths,
-)
+from .trees import Leaves, Region, Tree, TreeBuilder, leaf_kind_of
 
 __all__ = [
     "CombineBudget",
@@ -53,74 +44,80 @@ class CombineBudget:
     calls_made: int = 0
 
 
-def _descend(node: Node, nid: int, sides):
+def _arrays(tree: Tree):
+    """A tree's child positions, leaf rows and splits, as lists."""
+    return tree.left_pos.tolist(), tree.right_pos.tolist(), tree.leaf.tolist(), tree.splits()
+
+
+def _descend(tree, i: int, sides):
     """Where a tree continues in a region, given the sides of its split
     there: the node and those sides when the split cuts the region, else the
     child whose side holds the region, whose split is not yet decided."""
     left, right = sides
     if left is None:
-        return node.right, None
+        return tree[1][i], None
     if right is None:
-        return node.left, None
-    return nid, sides
+        return tree[0][i], None
+    return i, sides
 
 
 def _collect_into(builder, w, region, tree, v, budget, value_fn, sides=None):
-    """Copy ``tree`` below node ``v`` into ``builder`` at ``w``, keeping only
-    the splits that cut ``region``; ``sides`` is ``v``'s split already
-    decided in ``region``, when known."""
+    """Copy ``tree`` (its :func:`_arrays`) below node ``v`` into ``builder``
+    at ``w``, keeping only the splits that cut ``region``; ``sides`` is
+    ``v``'s split already decided in ``region``, when known."""
+    left, right, leaf, splits = tree
     stack = [(w, region, v, sides)]
     while stack:
         w, region, v, sides = stack.pop()
         budget.calls_made += 1
-        node = tree.nodes[v]
-        if node.left is None:
-            builder.set_value(w, value_fn(node.value))
+        if left[v] < 0:
+            builder.set_value(w, value_fn(leaf[v]))
             continue
-        v, sides = _descend(node, v, sides or region.split(node.split))
+        u, sides = _descend(tree, v, sides or region.split(splits[v]))
         if sides is None:
-            stack.append((w, region, v, None))
+            stack.append((w, region, u, None))
             continue
-        lw, rw = builder.split_node(w, node.split)
-        stack.append((rw, sides[1], node.right, None))
-        stack.append((lw, sides[0], node.left, None))
+        lw, rw = builder.split_node(w, splits[v])
+        stack.append((rw, sides[1], right[v], None))
+        stack.append((lw, sides[0], left[v], None))
 
 
-def _combine(
-    t1: Tree,
-    t2: Tree,
-    budget: CombineBudget,
-    pair_fn: Callable[[LeafValue, LeafValue], LeafValue],
-) -> Tree:
+def _blocks(leaves: Leaves, source: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values and source ids of some leaves as tuple blocks; a leaf
+    that is not a tuple is one block from ``source``."""
+    if leaves.sources is not None:
+        return leaves.values, leaves.sources
+    return leaves.values, np.full((len(leaves.values), 1), source)
+
+
+def _combine(t1: Tree, t2: Tree, budget: CombineBudget, second: int) -> Tree:
+    """The overlay of two trees; its leaf joining leaf rows ``i`` of ``t1``
+    and ``j`` of ``t2`` holds the blocks of both, ``t1``'s first. A leaf
+    that is not a tuple is one block, from source 0 in ``t1`` and from
+    source ``second`` in ``t2``."""
     schema = t1.schema
     builder = TreeBuilder(schema, budget.max_nodes)
     w0 = builder.add_root()
+    a, b = _arrays(t1), _arrays(t2)
+    (left1, right1, leaf1, splits1), (left2, right2, leaf2, splits2) = a, b
     # each entry carries the sides of u's and v's splits in its region when
     # an earlier step already decided them, so no region decides a split twice
-    stack = [(t1.root, t2.root, w0, Region.full(schema), None, None)]
+    stack = [(t1.root_pos, t2.root_pos, w0, Region.full(schema), None, None)]
     while stack:
         u, v, w, region, su, sv = stack.pop()
         budget.calls_made += 1
-        nu = t1.nodes[u]
-        nv = t2.nodes[v]
-        if nu.left is None and nv.left is None:
-            builder.set_value(w, pair_fn(nu.value, nv.value))
+        if left1[u] < 0 and left2[v] < 0:
+            builder.set_value(w, (leaf1[u], leaf2[v]))
             continue
-        if nu.left is None:
-            _collect_into(
-                builder, w, region, t2, v, budget,
-                lambda fv, a=nu.value: pair_fn(a, fv), sv,
-            )
+        if left1[u] < 0:
+            _collect_into(builder, w, region, b, v, budget, lambda j, i=leaf1[u]: (i, j), sv)
             continue
-        if nv.left is None:
-            _collect_into(
-                builder, w, region, t1, u, budget,
-                lambda fu, b=nv.value: pair_fn(fu, b), su,
-            )
+        if left2[v] < 0:
+            _collect_into(builder, w, region, a, u, budget, lambda i, j=leaf2[v]: (i, j), su)
             continue
-        cu, cv = nu.split, nv.split
-        u2, su = _descend(nu, u, su or region.split(cu))
-        v2, sv = _descend(nv, v, sv or region.split(cv))
+        cu, cv = splits1[u], splits2[v]
+        u2, su = _descend(a, u, su or region.split(cu))
+        v2, sv = _descend(b, v, sv or region.split(cv))
         if su is None or sv is None:
             # at least one condition misses the working region: descend into
             # whichever children contain it without adding a node. (The case
@@ -132,12 +129,12 @@ def _combine(
         lw, rw = builder.split_node(w, cu)
         left_region, right_region = su
         if ident == "same":
-            stack.append((nu.right, nv.right, rw, right_region, None, None))
-            stack.append((nu.left, nv.left, lw, left_region, None, None))
+            stack.append((right1[u], right2[v], rw, right_region, None, None))
+            stack.append((left1[u], left2[v], lw, left_region, None, None))
             continue
         if ident == "swapped":
-            stack.append((nu.right, nv.left, rw, right_region, None, None))
-            stack.append((nu.left, nv.right, lw, left_region, None, None))
+            stack.append((right1[u], left2[v], rw, right_region, None, None))
+            stack.append((left1[u], right2[v], lw, left_region, None, None))
             continue
         # crossing or parallel splits: split by the first tree's condition;
         # each child keeps the second tree's node if its condition still cuts
@@ -146,12 +143,19 @@ def _combine(
         # their own witnesses (a categorical cu needs no LP at all).
         (ll, lr), (rl, rr) = sv[0].split(cu), sv[1].split(cu)
         for child_u, child_w, child_region, child_sides in (
-            (nu.right, rw, right_region, (lr, rr)),
-            (nu.left, lw, left_region, (ll, rl)),
+            (right1[u], rw, right_region, (lr, rr)),
+            (left1[u], lw, left_region, (ll, rl)),
         ):
-            child_v, child_sv = _descend(nv, v, child_sides)
+            child_v, child_sv = _descend(b, v, child_sides)
             stack.append((child_u, child_v, child_w, child_region, None, child_sv))
-    return builder.build()
+
+    def pack(pairs) -> Leaves:
+        (va, sa), (vb, sb) = _blocks(t1.leaves, 0), _blocks(t2.leaves, second)
+        i, j = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
+        return Leaves("tuple", t2.leaves.entry, np.hstack((va[i], vb[j])),
+                      np.hstack((sa[i], sb[j])))
+
+    return builder.build(pack)
 
 
 def _require_schema_and_kind(trees: Sequence[Tree]) -> str:
@@ -159,19 +163,18 @@ def _require_schema_and_kind(trees: Sequence[Tree]) -> str:
     for t in trees[1:]:
         if t.schema != schema:
             raise SchemaError("trees use different schemas")
-    firsts = []
+    kinds, lengths = set(), set()
     for t in trees:
-        values = [t.nodes[i].value for i in t.leaf_ids()]
-        _kind_of(values)
-        firsts.append(values[0])
-    # each tree's leaves share one kind and length, so its first leaf stands for it
-    kinds, lengths = kinds_and_lengths(firsts)
+        kinds.add(leaf_kind_of(t))
+        if t.leaves.kind == "class_probs":
+            lengths.add(t.leaves.values.shape[1])
+    kinds = sorted(kinds)
     if len(kinds) > 1:
         raise LeafKindError(f"trees mix leaf kinds {kinds}")
     if kinds == ["tuple"]:
         raise LeafKindError("input trees must have scalar or class_probs leaves")
     if len(lengths) > 1:
-        raise LeafKindError(f"trees mix class-probability lengths {lengths}")
+        raise LeafKindError(f"trees mix class-probability lengths {sorted(lengths)}")
     return kinds[0]
 
 
@@ -189,15 +192,7 @@ def combine_pair(
     """
     _require_schema_and_kind([t1, t2])
     budget = budget if budget is not None else CombineBudget()
-    return _combine(t1, t2, budget, lambda a, b: TupleValue((a, b), (0, 1)))
-
-
-def _map_leaves(tree: Tree, fn: Callable[[LeafValue], LeafValue]) -> Tree:
-    nodes = {
-        i: (replace(n, value=fn(n.value)) if n.left is None else n)
-        for i, n in tree.nodes.items()
-    }
-    return Tree(tree.schema, nodes, tree.root)
+    return _combine(t1, t2, budget, 1)
 
 
 def combine_many(trees: Sequence[Tree], budget: Optional[CombineBudget] = None) -> Tree:
@@ -210,32 +205,11 @@ def combine_many(trees: Sequence[Tree], budget: Optional[CombineBudget] = None) 
         raise DomainError("combine_many needs at least one tree")
     _require_schema_and_kind(trees)
     budget = budget if budget is not None else CombineBudget()
-    result = _map_leaves(trees[0], lambda v: TupleValue((v,), (0,)))
+    values, sources = _blocks(trees[0].leaves, 0)
+    result = replace(trees[0], leaves=Leaves("tuple", trees[0].leaves.kind, values, sources))
     for m in range(1, len(trees)):
-        result = _combine(
-            result,
-            trees[m],
-            budget,
-            lambda a, b, m=m: TupleValue(a.values + (b,), a.source_ids + (m,)),
-        )
+        result = _combine(result, trees[m], budget, m)
     return result
-
-
-def _collapse_tuple(tv: TupleValue, weights: Sequence[float]) -> LeafValue:
-    first = tv.values[0]
-    if isinstance(first, Scalar):
-        acc = weights[0] * first.value
-        for w, val in zip(weights[1:], tv.values[1:]):
-            acc = acc + w * val.value
-        return Scalar(acc)
-    n = len(first.probs)
-    out = []
-    for s in range(n):
-        acc = weights[0] * first.probs[s]
-        for w, val in zip(weights[1:], tv.values[1:]):
-            acc = acc + w * val.probs[s]
-        out.append(acc)
-    return ClassProbs(tuple(out))
 
 
 def affine_combination(
@@ -246,11 +220,11 @@ def affine_combination(
     """A single tree representing the weighted sum of the input trees.
 
     Combines the trees, then replaces each tuple leaf by the weighted sum of
-    its entries, accumulated left to right so that every leaf uses the exact
-    same float summation order. For class-probability trees the sum is
-    componentwise; with weights that are not a convex combination the
-    resulting vectors can leave the probability simplex, which ``validate``
-    then reports.
+    its entries, accumulated left to right over the value columns, so that
+    every leaf uses the exact same float summation order. For
+    class-probability trees the sum is componentwise; with weights that are
+    not a convex combination the resulting vectors can leave the probability
+    simplex, which ``validate`` then reports.
     """
     if len(weights) != len(trees):
         raise DomainError(
@@ -258,7 +232,12 @@ def affine_combination(
         )
     ws = [float(w) for w in weights]
     combined = combine_many(trees, budget)
-    return _map_leaves(combined, lambda tv: _collapse_tuple(tv, ws))
+    blocks = combined.leaves.blocks()
+    acc = ws[0] * blocks[:, 0]
+    for m in range(1, len(ws)):
+        acc = acc + ws[m] * blocks[:, m]
+    kind = combined.leaves.entry
+    return replace(combined, leaves=Leaves(kind, kind, acc))
 
 
 def simplify(tree: Tree) -> Tree:
@@ -267,34 +246,33 @@ def simplify(tree: Tree) -> Tree:
     The represented function is unchanged; only redundant structure is
     dropped. Disabled by default everywhere (call it explicitly).
     """
+    left, right, leaf, splits = _arrays(tree)
+    values = [tree.leaves.value(r) for r in range(len(tree.leaves.values))]
     order = []
-    stack = [tree.root]
+    stack = [tree.root_pos]
     while stack:
-        nid = stack.pop()
-        order.append(nid)
-        node = tree.nodes[nid]
-        if node.left is not None:
-            stack.append(node.left)
-            stack.append(node.right)
-    constant: dict[int, Optional[LeafValue]] = {}
-    for nid in reversed(order):
-        node = tree.nodes[nid]
-        if node.left is None:
-            constant[nid] = node.value
+        i = stack.pop()
+        order.append(i)
+        if left[i] >= 0:
+            stack.append(left[i])
+            stack.append(right[i])
+    # the leaf row whose value the whole subtree holds, -1 when none does
+    constant: dict[int, int] = {}
+    for i in reversed(order):
+        if left[i] < 0:
+            constant[i] = leaf[i]
         else:
-            lv = constant[node.left]
-            rv = constant[node.right]
-            constant[nid] = lv if (lv is not None and lv == rv) else None
+            lv, rv = constant[left[i]], constant[right[i]]
+            constant[i] = lv if (lv >= 0 and rv >= 0 and values[lv] == values[rv]) else -1
     builder = TreeBuilder(tree.schema)
-    new_root = builder.add_root()
-    stack2 = [(tree.root, new_root)]
+    stack2 = [(tree.root_pos, builder.add_root())]
     while stack2:
         old, new = stack2.pop()
-        node = tree.nodes[old]
-        if constant[old] is not None or node.left is None:
-            builder.set_value(new, constant[old] if constant[old] is not None else node.value)
+        if constant[old] >= 0 or left[old] < 0:
+            if constant[old] >= 0:
+                builder.set_value(new, values[constant[old]])
             continue
-        lw, rw = builder.split_node(new, node.split)
-        stack2.append((node.right, rw))
-        stack2.append((node.left, lw))
+        lw, rw = builder.split_node(new, splits[old])
+        stack2.append((right[old], rw))
+        stack2.append((left[old], lw))
     return builder.build()

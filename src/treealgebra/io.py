@@ -31,19 +31,26 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .trees import (
+    CATEGORICAL,
+    HYPERPLANE,
+    NUMERIC,
     CategoricalFeature,
     CategoricalSubset,
     ClassProbs,
     FeatureSchema,
     Hyperplane,
-    Node,
+    Leaves,
     NumericFeature,
     NumericThreshold,
     Scalar,
     Tree,
     TupleValue,
-    kinds_and_lengths,
+    _assemble,
+    _document,
+    _pack,
+    pack_documents,
     validate,
+    value_kinds,
 )
 
 __all__ = [
@@ -101,6 +108,39 @@ def write_text_atomic(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 # JSON encoding
 
+_INT64 = 2 ** 63
+
+
+def _int(x, where: str, key: str, low: int = -_INT64) -> int:
+    """A JSON integer (not a bool or a float) in [low, 2**63); the error
+    names it ``where`` + ``key``."""
+    if type(x) is not int or not low <= x < _INT64:
+        kind = "a non-negative integer" if low == 0 else "an integer"
+        raise ParseError(f"{where}{key} must be {kind}, got {json.dumps(x)}")
+    return x
+
+
+def _real(x, where: str, key: str) -> float:
+    """A JSON number (not a string or a bool) that a float can hold."""
+    if type(x) is float or (type(x) is int and abs(x) <= 1e308):
+        return float(x)
+    raise ParseError(f"{where}{key} must be a number, got {json.dumps(x)}")
+
+
+def _ints(xs: list, where: str, key: str, low: int = -_INT64, at=None) -> list:
+    """``xs``, each checked as :func:`_int` checks it; ``key`` names element
+    ``k`` with ``at[k]`` (or ``k``) in place of ``{}``."""
+    if set(map(type, xs)) <= {int} and low <= min(xs, default=low) and max(xs, default=0) < _INT64:
+        return xs
+    return [_int(x, where, key.format(k if at is None else at[k]), low) for k, x in enumerate(xs)]
+
+
+def _reals(xs: list, where: str, key: str, at=None) -> list:
+    """``xs`` as floats, each checked as :func:`_real` checks it."""
+    if set(map(type, xs)) <= {float}:
+        return xs
+    return [_real(x, where, key.format(k if at is None else at[k])) for k, x in enumerate(xs)]
+
 
 def _schema_to_dict(schema: FeatureSchema) -> dict:
     features = []
@@ -117,11 +157,13 @@ def _schema_to_dict(schema: FeatureSchema) -> dict:
     return {"features": features, "class_labels": labels}
 
 
-def _schema_from_dict(doc: dict) -> FeatureSchema:
+def _schema_from_dict(doc: dict, where: str) -> FeatureSchema:
     features = []
-    for fd in doc["features"]:
+    for k, fd in enumerate(doc["features"]):
         if fd["kind"] == "numeric":
-            features.append(NumericFeature(fd["name"], float(fd["low"]), float(fd["high"])))
+            name = f"{where}features[{k}]"
+            features.append(NumericFeature(fd["name"], _real(fd["low"], name, ".low"),
+                                           _real(fd["high"], name, ".high")))
         elif fd["kind"] == "categorical":
             features.append(CategoricalFeature(fd["name"], tuple(fd["levels"])))
         else:
@@ -130,112 +172,148 @@ def _schema_from_dict(doc: dict) -> FeatureSchema:
     return FeatureSchema(tuple(features), tuple(labels) if labels is not None else None)
 
 
-def _split_to_dict(split) -> dict:
-    if isinstance(split, NumericThreshold):
-        return {"type": "numeric", "feature": split.feature, "threshold": split.threshold}
-    if isinstance(split, CategoricalSubset):
-        return {
-            "type": "categorical",
-            "feature": split.feature,
-            "left_levels": sorted(split.left_levels),
-        }
-    return {"type": "hyperplane", "coeffs": list(split.coefficients), "offset": split.offset}
-
-
-def _split_from_dict(doc: dict):
+def _split_from_dict(doc: dict, where: str):
     kind = doc.get("type")
     if kind == "numeric":
-        return NumericThreshold(int(doc["feature"]), float(doc["threshold"]))
+        return NumericThreshold(_int(doc["feature"], where, ".feature"),
+                                _real(doc["threshold"], where, ".threshold"))
     if kind == "categorical":
-        return CategoricalSubset(int(doc["feature"]), frozenset(int(i) for i in doc["left_levels"]))
+        return CategoricalSubset(_int(doc["feature"], where, ".feature"),
+                                 frozenset(_ints(doc["left_levels"], where, ".left_levels[{}]")))
     if kind == "hyperplane":
-        return Hyperplane(tuple(float(c) for c in doc["coeffs"]), float(doc["offset"]))
+        return Hyperplane(tuple(_reals(doc["coeffs"], where, ".coeffs[{}]")),
+                          _real(doc["offset"], where, ".offset"))
     raise ParseError(f"unknown split type {kind!r}")
 
 
-def _value_to_dict(value) -> dict:
-    if isinstance(value, Scalar):
-        return {"type": "scalar", "v": value.value}
-    if isinstance(value, ClassProbs):
-        return {"type": "class_probs", "probs": list(value.probs)}
-    return {
-        "type": "tuple",
-        "values": [_value_to_dict(v) for v in value.values],
-        "source_ids": list(value.source_ids),
-    }
-
-
-def _value_from_dict(doc: dict):
+def _value_from_dict(doc: dict, where: str):
     kind = doc.get("type")
     if kind == "scalar":
-        return Scalar(float(doc["v"]))
+        return Scalar(_real(doc["v"], where, ".v"))
     if kind == "class_probs":
-        return ClassProbs(tuple(float(p) for p in doc["probs"]))
+        return ClassProbs(_reals(doc["probs"], where, ".probs[{}]"))
     if kind == "tuple":
         return TupleValue(
-            tuple(_value_from_dict(v) for v in doc["values"]),
-            tuple(int(i) for i in doc["source_ids"]),
+            tuple(_value_from_dict(v, f"{where}.values[{k}]") for k, v in enumerate(doc["values"])),
+            _ints(doc["source_ids"], where, ".source_ids[{}]"),
         )
     raise ParseError(f"unknown value type {kind!r}")
 
 
-def _tree_body_to_dict(tree: Tree) -> dict:
-    nodes = []
-    for nid in sorted(tree.nodes):
-        n = tree.nodes[nid]
-        entry: dict = {"id": nid}
-        if n.split is not None:
-            entry["split"] = _split_to_dict(n.split)
-            entry["left"] = n.left
-            entry["right"] = n.right
+def _tree_from_body(doc: dict, schema: FeatureSchema, where: str) -> Tree:
+    """One tree body, read a field at a time into the node arrays;
+    ``where`` prefixes the field names in errors.
+
+    Node ids and child ids are non-negative JSON integers; feature and level
+    indices and source ids are JSON integers; every real is a JSON number.
+    Splits other than numeric ones, and leaf values that are not all floats
+    of one kind and shape, are read one at a time into objects.
+    """
+    entries = doc["nodes"]
+    ids = _ints([e["id"] for e in entries], where, "nodes[{}].id", 0)
+    if len(set(ids)) != len(ids):
+        seen: set = set()  # the first id seen twice
+        raise ParseError(f"duplicate node id {next(i for i in ids if i in seen or seen.add(i))}")
+    links = []
+    for side_name in ("left", "right"):
+        children = [e.get(side_name) for e in entries]
+        _ints([0 if x is None else x for x in children], where, f"nodes[{{}}].{side_name}", 0)
+        links.append([-1 if x is None else x for x in children])
+    n = len(entries)
+    kind, feature, threshold, side = [0] * n, [-1] * n, [np.nan] * n, {}
+    at = [k for k, e in enumerate(entries) if "split" in e]
+    numeric = [k for k in at if entries[k]["split"].get("type") == "numeric"]
+    features = _ints([entries[k]["split"]["feature"] for k in numeric], where,
+                     "nodes[{}].split.feature", at=numeric)
+    thresholds = _reals([entries[k]["split"]["threshold"] for k in numeric], where,
+                        "nodes[{}].split.threshold", at=numeric)
+    for k, f, t in zip(numeric, features, thresholds):
+        kind[k], feature[k], threshold[k] = NUMERIC, f, t
+    for k in at:
+        d = entries[k]["split"]
+        if d.get("type") != "numeric":
+            side[k] = split = _split_from_dict(d, f"{where}nodes[{k}].split")
+            kind[k] = CATEGORICAL if isinstance(split, CategoricalSubset) else HYPERPLANE
+            feature[k] = getattr(split, "feature", -1)
+    at = [k for k, e in enumerate(entries) if "value" in e]
+    leaf = [-1] * n
+    for row, k in enumerate(at):
+        leaf[k] = row
+    docs = [entries[k]["value"] for k in at]
+    leaves = pack_documents(docs)
+    if leaves is None:
+        leaves = _pack([_value_from_dict(d, f"{where}nodes[{k}].value") for k, d in zip(at, docs)])
+    return _assemble(schema, _int(doc["root"], where, "root"), ids, *links, kind, feature,
+                     threshold, side, leaf, leaves)
+
+
+def _real_text(x: float) -> str:
+    # json writes a float as repr does, and refuses a non-finite one
+    return json.dumps(x, allow_nan=False)
+
+
+def _leaf_texts(leaves: Leaves) -> list[str]:
+    """The text of every leaf value, formatted from the value matrix."""
+    if leaves.ragged is not None:
+        return [_dumps(_document(v)) for v in leaves.ragged]
+    _finite(leaves.values)
+    width = leaves.blocks().shape[2]
+    entry = ('{"type": "scalar", "v": %r}' if leaves.entry == "scalar" else
+             '{"type": "class_probs", "probs": [%s]}' % ", ".join(["%r"] * width))
+    if leaves.sources is None:
+        return [entry % tuple(row) for row in leaves.values.tolist()]
+    m = leaves.sources.shape[1]
+    fmt = '{"type": "tuple", "values": [%s], "source_ids": [%s]}' % (
+        ", ".join([entry] * m), ", ".join(["%r"] * m))
+    return [fmt % tuple(v + s) for v, s in zip(leaves.values.tolist(), leaves.sources.tolist())]
+
+
+def _finite(values: np.ndarray) -> None:
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        _real_text(float(bad[0]))  # raises json's ValueError
+
+
+def _body_text(tree: Tree) -> str:
+    """``"nodes": [...], "root": ...`` of one tree, formatted from its arrays
+    in ascending id order."""
+    leaves = _leaf_texts(tree.leaves)
+    _finite(tree.threshold[tree.kind == NUMERIC])
+    out = []
+    for i, (nid, k, f, t, left, right, row) in enumerate(zip(*(a.tolist() for a in (
+            tree.ids, tree.kind, tree.feature, tree.threshold, tree.left, tree.right, tree.leaf)))):
+        if k == NUMERIC:
+            split = '{"type": "numeric", "feature": %d, "threshold": %r}' % (f, t)
+        elif k == CATEGORICAL:
+            s = tree.side[i]
+            split = '{"type": "categorical", "feature": %d, "left_levels": [%s]}' % (
+                s.feature, ", ".join(map(repr, sorted(s.left_levels))))
+        elif k == HYPERPLANE:
+            s = tree.side[i]
+            split = '{"type": "hyperplane", "coeffs": [%s], "offset": %s}' % (
+                ", ".join(map(_real_text, s.coefficients)), _real_text(s.offset))
         else:
-            entry["value"] = _value_to_dict(n.value)
-        nodes.append(entry)
-    return {"nodes": nodes, "root": tree.root}
-
-
-def _tree_from_body(doc: dict, schema: FeatureSchema) -> Tree:
-    parent_of: dict[int, int] = {}
-    raw = {}
-    for entry in doc["nodes"]:
-        nid = int(entry["id"])
-        if nid in raw:
-            raise ParseError(f"duplicate node id {nid}")
-        raw[nid] = entry
-        for side in ("left", "right"):
-            if entry.get(side) is not None:
-                parent_of[int(entry[side])] = nid
-    nodes = {}
-    for nid, entry in raw.items():
-        split = _split_from_dict(entry["split"]) if "split" in entry else None
-        value = _value_from_dict(entry["value"]) if "value" in entry else None
-        nodes[nid] = Node(
-            parent=parent_of.get(nid),
-            split=split,
-            left=int(entry["left"]) if entry.get("left") is not None else None,
-            right=int(entry["right"]) if entry.get("right") is not None else None,
-            value=value,
-        )
-    return Tree(schema, nodes, int(doc["root"]))
+            out.append('{"id": %d, "value": %s}' % (nid, leaves[row] if row >= 0 else "null"))
+            continue
+        out.append('{"id": %d, "split": %s, "left": %s, "right": %s}' % (
+            nid, split, left if left >= 0 else "null", right if right >= 0 else "null"))
+    return '"nodes": [%s], "root": %s' % (", ".join(out), json.dumps(tree.root))
 
 
 def _dumps(doc) -> str:
-    return json.dumps(doc, separators=(", ", ": "), allow_nan=False) + "\n"
+    return json.dumps(doc, separators=(", ", ": "), allow_nan=False)
 
 
 def forest_to_json(forest: ForestFile) -> str:
-    doc = {
-        "schema": _schema_to_dict(forest.schema),
-        "trees": [_tree_body_to_dict(t) for t in forest.trees],
-        "metadata": dict(sorted(forest.metadata.items())),
-    }
-    return _dumps(doc)
+    return '{"schema": %s, "trees": [%s], "metadata": %s}\n' % (
+        _dumps(_schema_to_dict(forest.schema)),
+        ", ".join("{%s}" % _body_text(t) for t in forest.trees),
+        _dumps(dict(sorted(forest.metadata.items()))),
+    )
 
 
 def tree_to_json(tree: Tree) -> str:
-    doc = {"schema": _schema_to_dict(tree.schema)}
-    doc.update(_tree_body_to_dict(tree))
-    return _dumps(doc)
+    return '{"schema": %s, %s}\n' % (_dumps(_schema_to_dict(tree.schema)), _body_text(tree))
 
 
 def save_forest(forest: ForestFile, path: str) -> None:
@@ -248,17 +326,17 @@ def save_tree(tree: Tree, path: str) -> None:
 
 def _validate_forest(schema: FeatureSchema, trees: Sequence[Tree]) -> None:
     problems: list[str] = []
-    values = []
+    kinds, lengths = set(), set()
     for ti, tree in enumerate(trees):
         for violation in validate(tree):
             problems.append(f"tree {ti}: {violation}")
-        values += [n.value for n in tree.nodes.values()
-                   if n.left is None and n.value is not None]
-    kinds, lengths = kinds_and_lengths(values)
+        k, n, _ = value_kinds(tree, tree.left < 0)
+        kinds.update(k)
+        lengths.update(n)
     if len(kinds) > 1:
-        problems.append(f"forest mixes leaf kinds {kinds}")
+        problems.append(f"forest mixes leaf kinds {sorted(kinds)}")
     if schema.class_labels is None and len(lengths) > 1:
-        problems.append(f"forest mixes class-probability lengths {lengths}")
+        problems.append(f"forest mixes class-probability lengths {sorted(lengths)}")
     if problems:
         raise ValidationError(problems)
 
@@ -280,22 +358,23 @@ def load_forest(path: str) -> ForestFile:
     """Load and fully validate a tree or forest JSON file.
 
     Violations name the tree index and node id; parse failures report the
-    line and column.
+    line and column, or name the field.
     """
     with open(path) as handle:
         text = handle.read()
     doc = _parse_json(text, path)
     try:
-        schema = _schema_from_dict(doc["schema"])
+        schema = _schema_from_dict(doc["schema"], f"{path}: schema.")
         if "trees" in doc:
-            trees = [_tree_from_body(td, schema) for td in doc["trees"]]
+            trees = [_tree_from_body(td, schema, f"{path}: trees[{ti}].")
+                     for ti, td in enumerate(doc["trees"])]
             metadata = {str(k): str(v) for k, v in doc.get("metadata", {}).items()}
         else:
-            trees = [_tree_from_body(doc, schema)]
+            trees = [_tree_from_body(doc, schema, f"{path}: ")]
             metadata = {}
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ParseError(f"{path}: malformed document ({e})")
     _validate_forest(schema, trees)
     return ForestFile(schema, trees, metadata)
@@ -305,7 +384,7 @@ def load_schema(path: str) -> FeatureSchema:
     """Load a bare schema JSON file (the ``schema`` object on its own)."""
     with open(path) as handle:
         doc = _parse_json(handle.read(), path)
-    return _schema_from_dict(doc.get("schema", doc))
+    return _schema_from_dict(doc.get("schema", doc), f"{path}: schema.")
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +446,20 @@ def read_weights_csv(path: str) -> np.ndarray:
 # Flat-table import
 
 
-def _parse_levels(token: str, feature: CategoricalFeature, where: str) -> frozenset[int]:
+def _parse_levels(token: str, feature: CategoricalFeature, where: str) -> list[int]:
     out = set()
     for name in token.split("|"):
         try:
             out.add(feature.levels.index(name))
         except ValueError:
             raise ParseError(f"{where}: unknown level {name!r}")
-    return frozenset(out)
+    return sorted(out)
 
 
-def _parse_leaf(token: str):
+def _parse_leaf(token: str) -> dict:
     if "|" in token:
-        return ClassProbs(tuple(float(p) for p in token.split("|")))
-    return Scalar(float(token))
+        return {"type": "class_probs", "probs": [float(p) for p in token.split("|")]}
+    return {"type": "scalar", "v": float(token)}
 
 
 def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> ForestFile:
@@ -408,7 +487,8 @@ def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> Fo
     for line_no, row in enumerate(rows, 2):
         try:
             tid = int(row["tree_id"])
-            int(row["node_id"])
+            if int(row["node_id"]) < 0:
+                raise ValueError
         except ValueError:
             raise ParseError(f"{path}: line {line_no}: bad tree_id/node_id")
         by_tree.setdefault(tid, []).append(row)
@@ -443,10 +523,11 @@ def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> Fo
         if len(roots) != 1:
             raise ParseError(f"tree {tid}: expected one root, found {sorted(roots)}")
 
-        nodes: dict[int, Node] = {}
+        nodes = []
         for nid, row in nodes_raw.items():
             where = f"tree {tid} node {nid}"
             kids = children.get(nid, {})
+            entry = {"id": nid}
             if kids:
                 if set(kids) != {"left", "right"}:
                     raise ParseError(f"{where}: needs both a left and a right child")
@@ -459,23 +540,22 @@ def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> Fo
                 token = row["split_threshold_or_levels"]
                 if isinstance(f, NumericFeature):
                     try:
-                        split = NumericThreshold(j, float(token))
+                        entry["split"] = {"type": "numeric", "feature": j, "threshold": float(token)}
                     except ValueError:
                         raise ParseError(f"{where}: bad numeric threshold {token!r}")
                 else:
-                    split = CategoricalSubset(j, _parse_levels(token, f, where))
-                parent = None if row["parent_id"] == "" else int(row["parent_id"])
-                nodes[nid] = Node(parent, split, kids["left"], kids["right"], None)
+                    entry["split"] = {"type": "categorical", "feature": j,
+                                      "left_levels": _parse_levels(token, f, where)}
+                entry.update(kids)
             else:
                 if row["leaf_value"] == "":
                     raise ParseError(f"{where}: leaf without leaf_value")
                 try:
-                    value = _parse_leaf(row["leaf_value"])
+                    entry["value"] = _parse_leaf(row["leaf_value"])
                 except ValueError:
                     raise ParseError(f"{where}: bad leaf_value {row['leaf_value']!r}")
-                parent = None if row["parent_id"] == "" else int(row["parent_id"])
-                nodes[nid] = Node(parent, None, None, None, value)
-        trees.append(Tree(schema, nodes, roots[0]))
+            nodes.append(entry)
+        trees.append(_tree_from_body({"nodes": nodes, "root": roots[0]}, schema, f"{path}: "))
     if not trees:
         raise ParseError(f"{path}: no nodes")
     _validate_forest(schema, trees)

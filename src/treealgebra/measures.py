@@ -40,14 +40,15 @@ from .errors import (
 )
 from .geometry import Measure, UniformBox
 from .trees import (
+    HYPERPLANE,
     CategoricalFeature,
-    CategoricalSubset,
     FeatureSchema,
     NumericFeature,
-    NumericThreshold,
-    Scalar,
     Tree,
+    box_columns,
+    box_sides,
     evaluate_batch,
+    full_box,
     leaf_kind_of,
 )
 
@@ -143,50 +144,39 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 
 def _leaf_table(tree: Tree) -> _LeafTable:
-    """One depth-first walk that records every leaf's box and value."""
+    """One depth-first walk over the node arrays that records every leaf's
+    box and value row."""
     schema = tree.schema
-    full = tuple(
-        (f.low, f.high) if isinstance(f, NumericFeature) else frozenset(range(len(f.levels)))
-        for f in schema.features
-    )
-    boxes, values = [], []
-    stack = [(tree.root, full)]
+    left, right, leaf = (a.tolist() for a in (tree.left_pos, tree.right_pos, tree.leaf))
+    columns = box_columns(tree)
+    boxes, rows = [], []
+    stack = [(tree.root_pos, full_box(schema))]
     while stack:
-        nid, box = stack.pop()
-        node = tree.nodes[nid]
-        if node.left is None:
+        i, box = stack.pop()
+        if left[i] < 0:
             boxes.append(box)
-            values.append(node.value)
+            rows.append(leaf[i])
             continue
-        split = node.split
-        if isinstance(split, NumericThreshold):
-            lo, hi = box[split.feature]
-            left = (lo, min(hi, split.threshold))
-            right = (max(lo, split.threshold), hi)
-        elif isinstance(split, CategoricalSubset):
-            left = box[split.feature] & split.left_levels
-            right = box[split.feature] - split.left_levels
-        else:
+        if columns[0][i] == HYPERPLANE:
             raise UnsupportedGeometryError(
                 "uniform measure of a region with hyperplane constraints"
             )
-        j = split.feature
-        stack.append((node.right, box[:j] + (right,) + box[j + 1 :]))
-        stack.append((node.left, box[:j] + (left,) + box[j + 1 :]))
+        left_box, right_box, _ = box_sides(columns, i, box)
+        stack.append((right[i], right_box))
+        stack.append((left[i], left_box))
     num = schema.numeric_indices
-    bounds = np.array([[box[j] for j in num] for box in boxes]).reshape(len(boxes), len(num), 2)
+    bounds = np.array([[box[j] for j in num] for box in boxes]).reshape(len(boxes), len(num), 3)
     levels = tuple(
         np.array([[float(k in box[j]) for k in range(len(f.levels))] for box in boxes])
         for j, f in enumerate(schema.features)
         if isinstance(f, CategoricalFeature)
     )
-    rows = [(v.value,) if isinstance(v, Scalar) else v.probs for v in values]
     return _LeafTable(
         schema,
         np.ascontiguousarray(bounds[:, :, 0].T),
         np.ascontiguousarray(bounds[:, :, 1].T),
         levels,
-        _finite(np.array(rows, dtype=float)),
+        _finite(tree.leaves.values[rows]),
     )
 
 
@@ -294,10 +284,7 @@ def tree_covariance(t1: Tree, t2: Tree, measure: Measure) -> float:
 
 
 def _max_abs_leaf(tree: Tree) -> float:
-    out = 0.0
-    for nid in tree.leaf_ids():
-        out = max(out, abs(tree.nodes[nid].value.value))
-    return out
+    return float(np.abs(tree.leaves.values).max(initial=0.0))
 
 
 def tree_correlation(t1: Tree, t2: Tree, measure: Measure) -> float:

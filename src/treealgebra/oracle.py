@@ -35,11 +35,12 @@ from .errors import (
 )
 from .geometry import Empirical, Measure, UniformBox
 from .trees import (
+    HYPERPLANE,
+    NUMERIC,
     CategoricalFeature,
     CategoricalSubset,
     ClassProbs,
     FeatureSchema,
-    Hyperplane,
     Interval,
     LeafValue,
     NumericFeature,
@@ -51,9 +52,11 @@ from .trees import (
     Tree,
     TreeBuilder,
     TupleValue,
+    _entry,
     _goes_left_batch,
+    _route_batch,
     evaluate_batch,
-    route_batch,
+    leaf_kind_of,
 )
 
 __all__ = [
@@ -111,17 +114,12 @@ class CellGrid:
         for t in trees:
             if t.schema != schema:
                 raise SchemaError("tree schema differs from grid schema")
-            for node in t.nodes.values():
-                s = node.split
-                if s is None:
-                    continue
-                if isinstance(s, Hyperplane):
-                    raise UnsupportedGeometryError(
-                        "cell grid cannot refine by hyperplane splits"
-                    )
-                if isinstance(s, NumericThreshold):
-                    if schema.features[s.feature].low < s.threshold < schema.features[s.feature].high:
-                        cuts[s.feature].add(s.threshold)
+            if (t.kind == HYPERPLANE).any():
+                raise UnsupportedGeometryError("cell grid cannot refine by hyperplane splits")
+            numeric = t.kind == NUMERIC
+            for j, s in zip(t.feature[numeric].tolist(), t.threshold[numeric].tolist()):
+                if schema.features[j].low < s < schema.features[j].high:
+                    cuts[j].add(s)
         if extra_breakpoints is not None:
             for j, extras in enumerate(extra_breakpoints):
                 f = schema.features[j]
@@ -244,9 +242,8 @@ def _resolve_combiner(combiner: Combiner, weights):
 
 def _require_scalar_leaves(trees: Sequence[Tree], name: str) -> None:
     # the combiners act on one value per point and tree
-    for t in trees:
-        if not all(isinstance(t.nodes[i].value, Scalar) for i in t.leaf_ids()):
-            raise LeafKindError(f"{name} needs scalar leaves")
+    if any(t.leaves.kind != "scalar" for t in trees):
+        raise LeafKindError(f"{name} needs scalar leaves")
 
 
 def grid_integral(
@@ -291,11 +288,11 @@ def goes_left(split: Split, x: Sequence[float], schema: FeatureSchema) -> bool:
 
 def route(tree: Tree, x: Sequence[float]) -> int:
     """Leaf id reached by an encoded in-domain point."""
-    nid = tree.root
-    node = tree.nodes[nid]
+    nodes, nid = tree.nodes, tree.root
+    node = nodes[nid]
     while node.left is not None:
         nid = node.left if goes_left(node.split, x, tree.schema) else node.right
-        node = tree.nodes[nid]
+        node = nodes[nid]
     return nid
 
 
@@ -344,14 +341,15 @@ def region_measure(region: Region, measure: Measure) -> float:
 
 def node_region(tree: Tree, nid: int) -> Region:
     """The region of a node: the root domain refined by the splits on its path."""
+    nodes = tree.nodes
     try:
-        node = tree.nodes[nid]
+        node = nodes[nid]
     except KeyError:
         raise UnknownNodeError(f"no node with id {nid}")
     path = []
     child = nid
     while node.parent is not None:
-        parent = tree.nodes[node.parent]
+        parent = nodes[node.parent]
         path.append((parent.split, 0 if parent.left == child else 1))
         child, node = node.parent, parent
     region = Region.full(tree.schema)
@@ -367,10 +365,11 @@ def iter_leaves_with_regions(tree: Tree) -> Iterator[tuple[int, Region]]:
 
     The fixed order makes downstream sums bit-reproducible.
     """
+    nodes = tree.nodes
     stack = [(tree.root, Region.full(tree.schema))]
     while stack:
         nid, region = stack.pop()
-        node = tree.nodes[nid]
+        node = nodes[nid]
         if node.left is None:
             yield nid, region
             continue
@@ -397,6 +396,7 @@ def recursive_pair_sum(
     skipped. The root value, scaled by the root mass, is the integral.
     """
     root_region = Region.full(combined.schema)
+    nodes = combined.nodes
     order: list[int] = []
     mass: dict[int, float] = {}
     stack = [(combined.root, root_region)]
@@ -405,7 +405,7 @@ def recursive_pair_sum(
         m = region_measure(region, measure)
         mass[nid] = m
         order.append(nid)
-        node = combined.nodes[nid]
+        node = nodes[nid]
         if node.left is None or m == 0.0:
             continue
         left, right = region.split(node.split)
@@ -413,7 +413,7 @@ def recursive_pair_sum(
         stack.append((node.left, left))
     value: dict[int, float] = {}
     for nid in reversed(order):
-        node = combined.nodes[nid]
+        node = nodes[nid]
         if node.left is None:
             value[nid] = term(node.value)
         elif mass[nid] == 0.0:
@@ -507,39 +507,20 @@ def pointwise_equivalence(
             raise SchemaError("original tree schema differs from combined tree")
     rng = np.random.default_rng(seed)
     X = sample_points(schema, UniformBox(), n, rng)
-    leaf_ids = route_batch(t_combined, X)
-    leaf_list = t_combined.leaf_ids()
+    rows = t_combined.leaf[_route_batch(t_combined, X)]
+    blocks = t_combined.leaves.blocks()[rows]
+    per_source = [evaluate_batch(orig, X).reshape(n, -1) for orig in originals]
     bad = np.zeros(n, dtype=bool)
-    per_source = []
-    for m, orig in enumerate(originals):
-        orig_vals = evaluate_batch(orig, X)
-        if orig_vals.ndim == 1:
-            comb = np.empty(n)
-            for nid in leaf_list:
-                comb[leaf_ids == nid] = t_combined.nodes[nid].value.values[m].value
-            bad |= comb != orig_vals
-        else:
-            comb = np.empty_like(orig_vals)
-            for nid in leaf_list:
-                comb[leaf_ids == nid] = np.asarray(
-                    t_combined.nodes[nid].value.values[m].probs
-                )
-            bad |= (comb != orig_vals).any(axis=1)
-        per_source.append(orig_vals)
+    for m, values in enumerate(per_source):
+        bad |= (blocks[:, m] != values).any(axis=1)
     if not bad.any():
         return None
     i = int(np.argmax(bad))
-    expected = []
-    for m, orig in enumerate(originals):
-        vals = per_source[m]
-        if vals.ndim == 1:
-            expected.append(Scalar(float(vals[i])))
-        else:
-            expected.append(ClassProbs(tuple(float(p) for p in vals[i])))
     return Counterexample(
         schema.decode_point(X[i]),
-        t_combined.nodes[int(leaf_ids[i])].value,
-        tuple(expected),
+        t_combined.leaves.value(int(rows[i])),
+        tuple(_entry(leaf_kind_of(orig), values[i].tolist())
+              for orig, values in zip(originals, per_source)),
     )
 
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from math import isfinite
-from typing import Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -508,17 +509,114 @@ def _kind_of(values: Sequence[LeafValue]) -> str:
     return kinds[0]
 
 
+def _entry(kind: str, row: list) -> LeafValue:
+    return Scalar(row[0]) if kind == "scalar" else ClassProbs(row)
+
+
+@dataclass(frozen=True, eq=False)
+class Leaves:
+    """The values of a tree's leaves, one row per leaf.
+
+    ``values`` is a (leaves, width) float matrix: width 1 for scalar leaves,
+    one column per class for class-probability leaves. A tuple leaf holds one
+    column block per source, each of kind ``entry``, and ``sources`` is the
+    (leaves, sources) matrix of their source ids. Leaves that cannot share
+    one matrix (mixed kinds or lengths, nested tuples), which ``validate``
+    names, keep their value objects in ``ragged`` and have no kind.
+    """
+
+    kind: Optional[str]
+    entry: Optional[str]
+    values: np.ndarray
+    sources: Optional[np.ndarray] = None
+    ragged: Optional[tuple] = None
+
+    def blocks(self) -> np.ndarray:
+        """``values`` as a (leaves, sources, entry width) array."""
+        m = 1 if self.sources is None else self.sources.shape[1]
+        return self.values.reshape(len(self.values), m, self.values.shape[1] // m)
+
+    def value(self, row: int) -> Optional[LeafValue]:
+        """The value object of one row; None for row -1."""
+        if row < 0:
+            return None
+        if self.ragged is not None:
+            return self.ragged[row]
+        if self.sources is None:
+            return _entry(self.kind, self.values[row].tolist())
+        return TupleValue(tuple(_entry(self.entry, b) for b in self.blocks()[row].tolist()),
+                          tuple(self.sources[row].tolist()))
+
+
+def _document(value: LeafValue) -> dict:
+    """A leaf value in the form a tree file gives it."""
+    if isinstance(value, Scalar):
+        return {"type": "scalar", "v": value.value}
+    if isinstance(value, ClassProbs):
+        return {"type": "class_probs", "probs": value.probs}
+    return {"type": "tuple", "values": [_document(e) for e in value.values],
+            "source_ids": value.source_ids}
+
+
+def pack_documents(docs: Sequence[dict]) -> Optional[Leaves]:
+    """The leaf table of leaf values in the form a tree file gives them, one
+    row each, in order; None unless they share one kind and shape (one
+    class-probability length, one tuple length, one entry kind that is not
+    a tuple) and every number has its field's type: a float for a value, an
+    int for a source id."""
+    try:
+        (kind,) = {d["type"] for d in docs}
+        entries, sources = docs, None
+        if kind == "tuple":
+            (m,) = {len(d["values"]) for d in docs} | {len(d["source_ids"]) for d in docs}
+            flat = [i for d in docs for i in d["source_ids"]]
+            if not set(map(type, flat)) <= {int}:
+                return None
+            sources = np.array(flat, dtype=np.int64).reshape(len(docs), m)
+            entries = [e for d in docs for e in d["values"]]
+        (entry,) = {d["type"] for d in entries}
+        if entry == "scalar":
+            flat = [d["v"] for d in entries]
+        elif entry == "class_probs":
+            (_width,) = {len(d["probs"]) for d in entries}
+            flat = [p for d in entries for p in d["probs"]]
+        else:
+            return None
+        if not set(map(type, flat)) <= {float}:
+            return None
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    values = np.array(flat, dtype=float)
+    return Leaves(kind, entry, values.reshape(len(docs), values.size // len(docs)), sources)
+
+
+def _pack(values: Sequence[LeafValue]) -> Leaves:
+    """The leaf table of some leaf values, one row each, in order; values
+    that no matrix can hold keep their objects."""
+    packed = pack_documents([_document(v) for v in values])
+    if packed is None:
+        return Leaves(None, None, np.zeros((len(values), 0)), None, tuple(values))
+    return packed
+
+
 def leaf_kind_of(tree: "Tree") -> str:
     """The single leaf-value kind of a tree; raises when leaves mix kinds."""
-    return _kind_of([tree.nodes[i].value for i in tree.leaf_ids()])
+    leaves = tree.leaves
+    return leaves.kind if leaves.ragged is None else _kind_of(leaves.ragged)
 
 
 # ---------------------------------------------------------------------------
 # Trees
 
+# split kinds in Tree.kind; 0 is a node without a split
+NUMERIC, CATEGORICAL, HYPERPLANE = 1, 2, 3
+_KIND_CODES = {NumericThreshold: NUMERIC, CategoricalSubset: CATEGORICAL, Hyperplane: HYPERPLANE}
+
 
 @dataclass(frozen=True)
 class Node:
+    """One node of the read-only view :attr:`Tree.nodes`."""
+
     parent: Optional[int]
     split: Optional[Split] = None
     left: Optional[int] = None
@@ -526,34 +624,121 @@ class Node:
     value: Optional[LeafValue] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
-    """An immutable arena of nodes representing a recursive partition function."""
+    """A recursive partition function, stored as parallel node arrays in
+    ascending node-id order, like scikit-learn's ``tree_``.
+
+    ``ids`` are the node ids; ``left``, ``right`` and ``parent`` hold node
+    ids, -1 for none. ``kind`` is each node's split kind (0 for none, else
+    :data:`NUMERIC`, :data:`CATEGORICAL` or :data:`HYPERPLANE`). A numeric
+    split is ``feature`` and ``threshold``; ``side`` maps the position of
+    every categorical or hyperplane node to its split, and ``feature`` holds
+    a categorical split's feature too. ``leaf`` is each node's row in
+    ``leaves``, -1 for a node without a value.
+    """
 
     schema: FeatureSchema
-    nodes: dict[int, Node]
-    root: int
+    root: Optional[int]
+    ids: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    parent: np.ndarray
+    kind: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    side: dict
+    leaf: np.ndarray
+    leaves: Leaves
+    # positions of the root and of every node's children, -1 where the
+    # node is absent or not in the tree
+    root_pos: int = field(init=False, repr=False)
+    left_pos: np.ndarray = field(init=False, repr=False)
+    right_pos: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        at = len(self.ids) if self.root is None else int(np.searchsorted(self.ids, self.root))
+        found = at < len(self.ids) and self.ids[at] == self.root
+        object.__setattr__(self, "root_pos", at if found else -1)
+        object.__setattr__(self, "left_pos", _positions(self.ids, self.left))
+        object.__setattr__(self, "right_pos", _positions(self.ids, self.right))
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    def leaf_ids(self) -> list[int]:
-        """Leaf node ids in depth-first, left-before-right order."""
-        out, stack = [], [self.root]
-        while stack:
-            nid = stack.pop()
-            node = self.nodes[nid]
-            if node.left is None:
-                out.append(nid)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
+        return len(self.ids)
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaf_ids())
+        """The number of nodes without a left child."""
+        return int(np.count_nonzero(self.left < 0))
+
+    def splits(self) -> Sequence[Optional[Split]]:
+        """The split object of every node, None for a node without one."""
+        return [NumericThreshold(f, t) if k == NUMERIC else self.side.get(i)
+                for i, (k, f, t) in enumerate(zip(self.kind.tolist(), self.feature.tolist(),
+                                                  self.threshold.tolist()))]
+
+    def leaf_ids(self) -> list[int]:
+        """Leaf node ids in depth-first, left-before-right order."""
+        left, right = (a.tolist() for a in (self.left_pos, self.right_pos))
+        ids = self.ids.tolist()
+        out, stack = [], [self.root_pos]
+        while stack:
+            i = stack.pop()
+            if left[i] < 0:
+                out.append(ids[i])
+            else:
+                stack += (right[i], left[i])
+        return out
+
+    @property
+    def nodes(self) -> Mapping[int, Node]:
+        """A read-only view of the nodes by id, built on each access. The
+        library reads the arrays; the oracle and the tests read this."""
+        def opt(a):
+            return [None if x < 0 else x for x in a.tolist()]
+
+        return MappingProxyType({
+            i: Node(p, s, l, r, self.leaves.value(k))
+            for i, p, s, l, r, k in zip(self.ids.tolist(), opt(self.parent), self.splits(),
+                                        opt(self.left), opt(self.right), self.leaf.tolist())
+        })
+
+
+def _positions(ids: np.ndarray, children: np.ndarray) -> np.ndarray:
+    """The positions in the ascending node ids ``ids`` of some child ids
+    (-1 for none), -1 for ids not among them."""
+    n = len(ids)
+    pos = np.minimum(np.searchsorted(ids, children), max(n - 1, 0))
+    return np.where((ids[pos] == children) if n else False, pos, -1)
+
+
+def _split_arrays(splits: Sequence[Optional[Split]]):
+    """Kind, feature and threshold arrays and the side table of some splits."""
+    return (np.array([_KIND_CODES.get(type(s), 0) for s in splits], dtype=np.int8),
+            np.array([getattr(s, "feature", -1) for s in splits], dtype=np.int64),
+            np.array([getattr(s, "threshold", np.nan) for s in splits], dtype=float),
+            {i: s for i, s in enumerate(splits) if isinstance(s, (CategoricalSubset, Hyperplane))})
+
+
+def _assemble(schema, root, ids, left, right, kind, feature, threshold, side, leaf,
+              leaves) -> Tree:
+    """A tree from per-node lists in any order, e.g. a file's: sorted by
+    id, with each node's parent the last node in the given order that names
+    it as a child. Ids must be distinct and non-negative."""
+    parent_of = {}
+    for i, l, r in zip(ids, left, right):
+        parent_of[l] = parent_of[r] = i
+    columns = [ids, left, right, kind, feature, threshold, leaf]
+    if ids != sorted(ids):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        columns = [[c[k] for k in order] for c in columns]
+        side = {r: side[k] for r, k in enumerate(order) if k in side}
+    ids, left, right, kind, feature, threshold, leaf = columns
+    as_int = partial(np.array, dtype=np.int64)
+    return Tree(schema, root, as_int(ids), as_int(left), as_int(right),
+                as_int([parent_of.get(i, -1) for i in ids]), np.array(kind, dtype=np.int8),
+                as_int(feature), np.array(threshold, dtype=float), side, as_int(leaf), leaves)
 
 
 class TreeBuilder:
@@ -566,18 +751,19 @@ class TreeBuilder:
     def __init__(self, schema: FeatureSchema, max_nodes: Optional[int] = None):
         self.schema = schema
         self.max_nodes = max_nodes
-        self._parent: list[Optional[int]] = []
+        self._parent: list[int] = []
         self._split: list[Optional[Split]] = []
-        self._left: list[Optional[int]] = []
-        self._right: list[Optional[int]] = []
-        self._value: list[Optional[LeafValue]] = []
+        self._left: list[int] = []
+        self._right: list[int] = []
+        self._leaf: list[int] = []
+        self._values: list = []
         self.root: Optional[int] = None
 
     @property
     def n_nodes(self) -> int:
         return len(self._parent)
 
-    def _new(self, parent: Optional[int]) -> int:
+    def _new(self, parent: int) -> int:
         if self.max_nodes is not None and self.n_nodes >= self.max_nodes:
             raise BudgetExceededError(
                 f"node budget exceeded: combined tree already has "
@@ -585,20 +771,20 @@ class TreeBuilder:
             )
         self._parent.append(parent)
         self._split.append(None)
-        self._left.append(None)
-        self._right.append(None)
-        self._value.append(None)
+        self._left.append(-1)
+        self._right.append(-1)
+        self._leaf.append(-1)
         return self.n_nodes - 1
 
     def add_root(self) -> int:
         if self.root is not None:
             raise ValueError("root already created")
-        self.root = self._new(None)
+        self.root = self._new(-1)
         return self.root
 
     def split_node(self, nid: int, split: Split) -> tuple[int, int]:
         """Turn a leaf of the arena into an internal node; returns (left, right)."""
-        if self._split[nid] is not None or self._value[nid] is not None:
+        if self._split[nid] is not None or self._leaf[nid] >= 0:
             raise ValueError(f"node {nid} already finished")
         self._split[nid] = split
         left = self._new(nid)
@@ -607,17 +793,25 @@ class TreeBuilder:
         self._right[nid] = right
         return left, right
 
-    def set_value(self, nid: int, value: LeafValue) -> None:
+    def set_value(self, nid: int, value) -> None:
+        """Make ``nid`` a leaf holding ``value``: a leaf value, or whatever
+        the ``pack`` given to :meth:`build` turns into a row."""
         if self._split[nid] is not None:
             raise ValueError(f"node {nid} is internal")
-        self._value[nid] = value
+        if self._leaf[nid] >= 0:
+            self._values[self._leaf[nid]] = value
+        else:
+            self._leaf[nid] = len(self._values)
+            self._values.append(value)
 
-    def build(self) -> Tree:
-        nodes = {
-            i: Node(self._parent[i], self._split[i], self._left[i], self._right[i], self._value[i])
-            for i in range(self.n_nodes)
-        }
-        return Tree(self.schema, nodes, self.root)
+    def build(self, pack: Optional[Callable[[list], Leaves]] = None) -> Tree:
+        """Freeze the arena into arrays. ``pack`` turns the values, one per
+        leaf in the order their leaves were first set, into the leaf table;
+        by default they are leaf values."""
+        as_array = partial(np.array, dtype=np.int64)
+        return Tree(self.schema, self.root, np.arange(self.n_nodes), as_array(self._left),
+                    as_array(self._right), as_array(self._parent), *_split_arrays(self._split),
+                    as_array(self._leaf), (pack or _pack)(self._values))
 
 
 # ---------------------------------------------------------------------------
@@ -627,34 +821,32 @@ class TreeBuilder:
 def evaluate(tree: Tree, point: Sequence) -> LeafValue:
     """Evaluate the tree function at a raw point (numbers / level names)."""
     x = tree.schema.encode_point(point)
-    return tree.nodes[int(_route_batch(tree, np.array([x]))[0])].value
+    return tree.leaves.value(int(tree.leaf[_route_batch(tree, np.array([x]))[0]]))
 
 
-def _route_batch(
-    tree: Tree, X: np.ndarray, label: Optional[dict[int, int]] = None
-) -> np.ndarray:
-    """Route every row of an encoded (n, p) matrix to a leaf and return the
-    leaf's id, or ``label[leaf id]`` when a label map is given."""
-    n = len(X)
-    out = np.empty(n, dtype=np.int64)
-    stack = [(tree.root, np.arange(n))]
+def _route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """The position of the leaf that every row of an encoded (n, p) matrix
+    reaches."""
+    left, right = (a.tolist() for a in (tree.left_pos, tree.right_pos))
+    splits = tree.splits()
+    out = np.empty(len(X), dtype=np.int64)
+    stack = [(tree.root_pos, np.arange(len(X)))]
     while stack:
-        nid, idx = stack.pop()
+        i, idx = stack.pop()
         if idx.size == 0:
             continue
-        node = tree.nodes[nid]
-        if node.left is None:
-            out[idx] = nid if label is None else label[nid]
+        if left[i] < 0:
+            out[idx] = i
             continue
-        left = _goes_left_batch(node.split, X, tree.schema, idx)
-        stack.append((node.right, idx[~left]))
-        stack.append((node.left, idx[left]))
+        go = _goes_left_batch(splits[i], X, tree.schema, idx)
+        stack.append((right[i], idx[~go]))
+        stack.append((left[i], idx[go]))
     return out
 
 
 def route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     """Leaf ids for every row of an encoded (n, p) matrix."""
-    return _route_batch(tree, X)
+    return tree.ids[_route_batch(tree, X)]
 
 
 def evaluate_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -663,84 +855,264 @@ def evaluate_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     Returns shape (n,) for scalar leaves and (n, n_classes) for
     class-probability leaves.
     """
-    leaves = tree.leaf_ids()
-    values = [tree.nodes[i].value for i in leaves]
-    kind = _kind_of(values)
-    if kind == "scalar":
-        table = np.array([v.value for v in values])
-    elif kind == "class_probs":
-        table = np.array([v.probs for v in values])
-    else:
+    kind = leaf_kind_of(tree)
+    if kind not in ("scalar", "class_probs"):
         raise LeafKindError("evaluate_batch supports scalar and class_probs leaves")
-    return table[_route_batch(tree, X, {nid: k for k, nid in enumerate(leaves)})]
+    table = tree.leaves.values[:, 0] if kind == "scalar" else tree.leaves.values
+    return table[tree.leaf[_route_batch(tree, X)]]
+
+
+# ---------------------------------------------------------------------------
+# Boxes
+
+
+def full_box(schema: FeatureSchema) -> tuple:
+    """The whole domain as a box: per numeric feature its bounds and whether
+    the lower one is closed (the upper one always is), per categorical
+    feature the set of its level indices."""
+    return tuple((f.low, f.high, True) if isinstance(f, NumericFeature)
+                 else frozenset(range(len(f.levels))) for f in schema.features)
+
+
+def box_columns(tree: Tree) -> tuple:
+    """What :func:`box_sides` reads of a tree: its kind, feature and
+    threshold lists and its side table."""
+    return (*(a.tolist() for a in (tree.kind, tree.feature, tree.threshold)), tree.side)
+
+
+def box_sides(columns: tuple, i: int, box: tuple) -> tuple:
+    """The boxes on the two sides of the numeric or categorical split of the
+    node at position ``i`` (of a tree's :func:`box_columns`) within ``box``,
+    and whether both sides hold a point. A side without points has
+    low > high, or no levels."""
+    kind, feature, threshold, side = columns
+    j = feature[i]
+    if kind[i] == NUMERIC:
+        lo, hi, closed = box[j]
+        t = threshold[i]
+        left, right = (lo, t if t < hi else hi, closed), (t if t > lo else lo, hi, False)
+        cut = (lo < t or (t == lo and closed)) and t < hi
+    else:
+        levels = side[i].left_levels
+        left, right = box[j] & levels, box[j] - levels
+        cut = bool(left and right)
+    return box[:j] + (left,) + box[j + 1 :], box[:j] + (right,) + box[j + 1 :], cut
 
 
 # ---------------------------------------------------------------------------
 # Validation
 
+# A rule of validate over the rows of a leaf table: a mask of the rows it
+# flags, and the messages of a flagged row
+Rule = tuple[np.ndarray, Callable[[int], list[str]]]
 
-def _check_split_schema(split: Split, schema: FeatureSchema, where: str) -> list[str]:
+
+def _split_faults(kind: int, j: int, t: float, split: Optional[Split],
+                  schema: FeatureSchema) -> list[str]:
+    """What is wrong with a split on a schema: a numeric split is feature
+    ``j`` and threshold ``t``, the others are ``split``."""
+    if kind == HYPERPLANE:
+        return [text for bad, text in (
+            (len(split.coefficients) != len(schema.numeric_indices),
+             "hyperplane arity != number of numeric features"),
+            (not all(map(isfinite, split.coefficients)), "hyperplane coefficient is not finite"),
+            (not isfinite(split.offset), "hyperplane offset is not finite")) if bad]
+    if not 0 <= j < schema.n_features:
+        return [f"split feature index {j} out of range"]
+    on_numeric = isinstance(schema.features[j], NumericFeature)
+    if kind == NUMERIC:
+        if not on_numeric:
+            return ["numeric split on categorical feature"]
+        if t != t:
+            return ["split threshold is NaN"]
+        return [] if isfinite(t) else ["split threshold is infinite"]
+    if on_numeric:
+        return ["categorical split on numeric feature"]
+    if not split.left_levels:
+        return ["empty left level set"]
+    if not split.left_levels < set(range(len(schema.features[j].levels))):
+        return ["left levels not a proper subset of the levels"]
+    return []
+
+
+def _value_rules(leaves: Leaves, schema: FeatureSchema) -> list[Rule]:
+    """The rules of the rows of a leaf table, in order; a ragged table's
+    rows are looked at one at a time."""
+    if leaves.ragged is not None:
+        return [(np.ones(len(leaves.ragged), dtype=bool),
+                 lambda r: _ragged_faults(leaves.ragged[r], schema))]
+    rules = []
+    if leaves.sources is not None:
+        s = np.sort(leaves.sources, axis=1)
+        rules.append(((s[:, 1:] == s[:, :-1]).any(axis=1),
+                      lambda r: ["duplicate source ids in tuple value"]))
+    if leaves.entry is None:
+        return rules
+    labels, blocks = schema.class_labels, leaves.blocks()
+    for b in range(blocks.shape[1]):  # each source's (leaves, width) block
+        V = blocks[:, b]
+        if leaves.entry == "scalar":
+            rules.append((~np.isfinite(V[:, 0]), lambda r: ["leaf value is not finite"]))
+            continue
+        total = np.zeros(len(V))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for c in range(V.shape[1]):  # left to right, as sum() adds
+                total = total + V[:, c]
+        rules += [(~np.isfinite(V).all(axis=1), lambda r: ["class probability is not finite"]),
+                  ((V < 0).any(axis=1), lambda r: ["negative class probability"]),
+                  (abs(total - 1.0) > 1e-9,
+                   lambda r, total=total: [f"class probabilities sum {total[r]:.9g} != 1"])]
+        if labels is not None and V.shape[1] != len(labels):
+            text = f"{V.shape[1]} probabilities for {len(labels)} class labels"
+            rules.append((np.ones(len(V), dtype=bool), lambda r, text=text: [text]))
+    return rules
+
+
+def _messages(rules: Sequence[Rule], k: int) -> list[str]:
+    return [text for mask, texts in rules if mask[k] for text in texts(k)]
+
+
+def _ragged_faults(value: LeafValue, schema: FeatureSchema) -> list[str]:
+    """The messages of one value of a ragged table. A value that packs alone
+    is checked as a table of one row; a tuple that does not is named nested
+    or mixed, and its source ids and other entries are checked."""
+    one = _pack([value])
+    if one.ragged is None:
+        return _messages(_value_rules(one, schema), 0)
+    kinds = {type(e) for e in value.values}
+    out = (["nested tuple value"] if TupleValue in kinds
+           else ["tuple mixes value kinds"] if len(kinds) > 1 else [])
+    ids = Leaves(None, None, np.zeros((1, 0)), np.array([value.source_ids], dtype=np.int64))
+    out += _messages(_value_rules(ids, schema), 0)
+    for e in value.values:
+        if not isinstance(e, TupleValue):
+            out += _ragged_faults(e, schema)
+    return out
+
+
+def _node_faults(tree: Tree) -> tuple[list[str], list[bool]]:
+    """Every per-node violation, in node order, and which nodes are well
+    formed: internal nodes with a sound split and both children linked
+    back, and leaves with a value. Leaf values are checked a whole table at
+    a time (:func:`_value_rules`); only a flagged row is looked at again."""
+    parent, feature, threshold = (a.tolist() for a in (tree.parent, tree.feature, tree.threshold))
+    rules = _value_rules(tree.leaves, tree.schema)
+    flagged = {r for mask, _ in rules for r in np.flatnonzero(mask).tolist()}
+    v: list[str] = []
+    well = []
+    for i, (nid, left, right, left_pos, right_pos, kind, row) in enumerate(zip(*(
+            a.tolist() for a in (tree.ids, tree.left, tree.right, tree.left_pos, tree.right_pos,
+                                 tree.kind, tree.leaf)))):
+        if left >= 0 and right >= 0:
+            ok = kind > 0
+            if not ok:
+                v.append(f"node {nid}: internal node without split")
+            if row >= 0:
+                v.append(f"node {nid}: internal node with value")
+            for name, child, pos in (("left", left, left_pos), ("right", right, right_pos)):
+                if pos < 0:
+                    v.append(f"node {nid}: {name} child {child} missing from arena")
+                    ok = False
+                elif parent[pos] != nid:
+                    v.append(f"node {child}: parent link does not point to {nid}")
+                    ok = False
+            if ok:
+                faults = _split_faults(kind, feature[i], threshold[i], tree.side.get(i),
+                                       tree.schema)
+                v.extend(f"node {nid}: {text}" for text in faults)
+                ok = not faults
+            well.append(ok)
+            continue
+        one_child = left >= 0 or right >= 0
+        if one_child:
+            v.append(f"node {nid}: has exactly one child")
+        if row < 0:
+            v.append(f"node {nid}: leaf without value")
+        elif row in flagged:
+            v.extend(f"node {nid}: {text}" for text in _messages(rules, row))
+        if kind > 0:
+            v.append(f"node {nid}: leaf with split")
+        well.append(row >= 0 and not one_child)
+    return v, well
+
+
+def _reached(tree: Tree) -> np.ndarray:
+    """The nodes reachable from the root through children in the tree."""
+    left, right = tree.left_pos.tolist(), tree.right_pos.tolist()
+    seen, stack = set(), [tree.root_pos]
+    while stack:
+        i = stack.pop()
+        if i >= 0 and i not in seen:
+            seen.add(i)
+            stack += (left[i], right[i])
+    out = np.zeros(tree.n_nodes, dtype=bool)
+    out[list(seen)] = True
+    return out
+
+
+def value_kinds(tree: Tree, nodes: np.ndarray) -> tuple[list[str], list[int], list]:
+    """:func:`kinds_and_lengths` of the values of some nodes (a mask), and
+    those values when the leaves are ragged (else an empty list)."""
+    rows = tree.leaf[nodes & (tree.leaf >= 0)]
+    leaves = tree.leaves
+    if leaves.ragged is not None:
+        values = [leaves.ragged[r] for r in rows.tolist()]
+        return (*kinds_and_lengths(values), values)
+    if not rows.size:
+        return [], [], []
+    return [leaves.kind], [leaves.values.shape[1]] if leaves.kind == "class_probs" else [], []
+
+
+def _tuple_faults(values: Sequence[LeafValue], schema: FeatureSchema) -> list[str]:
+    """The ways tuple leaves differ from each other, so that no one matrix
+    can hold them."""
+    tuples = [v for v in values if isinstance(v, TupleValue)]
     out = []
-    if isinstance(split, NumericThreshold):
-        if not 0 <= split.feature < schema.n_features:
-            out.append(f"{where}: split feature index {split.feature} out of range")
-        elif not isinstance(schema.features[split.feature], NumericFeature):
-            out.append(f"{where}: numeric split on categorical feature")
-        elif np.isnan(split.threshold):
-            out.append(f"{where}: split threshold is NaN")
-        elif not isfinite(split.threshold):
-            out.append(f"{where}: split threshold is infinite")
-    elif isinstance(split, CategoricalSubset):
-        if not 0 <= split.feature < schema.n_features:
-            out.append(f"{where}: split feature index {split.feature} out of range")
-        elif not isinstance(schema.features[split.feature], CategoricalFeature):
-            out.append(f"{where}: categorical split on numeric feature")
-        else:
-            levels = set(range(len(schema.features[split.feature].levels)))
-            if not split.left_levels:
-                out.append(f"{where}: empty left level set")
-            elif not split.left_levels < levels:
-                out.append(f"{where}: left levels not a proper subset of the levels")
+    lengths = sorted({len(v.values) for v in tuples} | {len(v.source_ids) for v in tuples})
+    if len(lengths) > 1:
+        out.append(f"tuple leaves mix lengths {lengths}")
+    inner = [kinds_and_lengths([e for e in v.values if not isinstance(e, TupleValue)])
+             for v in tuples]
+    kinds = sorted({k[0] for k, _ in inner if len(k) == 1})
+    if len(kinds) > 1:
+        out.append(f"tuple leaves mix value kinds {kinds}")
+    lengths = sorted({n for _, ns in inner for n in ns})
+    if schema.class_labels is None and len(lengths) > 1:
+        out.append(f"tuple leaves mix class-probability lengths {lengths}")
+    return out
+
+
+def _partition_faults(tree: Tree, well: list[bool]) -> list[int]:
+    """The positions of the well-formed splits reachable from the root that
+    leave a side of their node's region empty, depth first, right before
+    left. Each node is placed once, so a cycle of consistent links cannot
+    loop. An axis-aligned tree carries boxes (:func:`box_sides`), a tree
+    with hyperplane splits :class:`Region` objects."""
+    left, right = tree.left_pos.tolist(), tree.right_pos.tolist()
+    if (tree.kind == HYPERPLANE).any():
+        splits, region = tree.splits(), Region.full(tree.schema)
+
+        def sides_of(i, region):
+            left, right = region.split(splits[i])
+            return left, right, left is not None and right is not None
     else:
-        if len(split.coefficients) != len(schema.numeric_indices):
-            out.append(f"{where}: hyperplane arity != number of numeric features")
-        if not all(isfinite(c) for c in split.coefficients):
-            out.append(f"{where}: hyperplane coefficient is not finite")
-        if not isfinite(split.offset):
-            out.append(f"{where}: hyperplane offset is not finite")
-    return out
+        sides_of, region = partial(box_sides, box_columns(tree)), full_box(tree.schema)
 
-
-def _check_value(value: LeafValue, schema: FeatureSchema, where: str) -> list[str]:
-    out = []
-    if isinstance(value, Scalar):
-        if not isfinite(value.value):
-            out.append(f"{where}: leaf value is not finite")
-    elif isinstance(value, ClassProbs):
-        if not all(isfinite(p) for p in value.probs):
-            out.append(f"{where}: class probability is not finite")
-        total = sum(value.probs)
-        if any(p < 0 for p in value.probs):
-            out.append(f"{where}: negative class probability")
-        if abs(total - 1.0) > 1e-9:
-            out.append(f"{where}: class probabilities sum {total:.9g} != 1")
-        if schema.class_labels is not None and len(value.probs) != len(
-            schema.class_labels
-        ):
-            out.append(f"{where}: {len(value.probs)} probabilities for "
-                       f"{len(schema.class_labels)} class labels")
-    elif isinstance(value, TupleValue):
-        kinds = {type(v) for v in value.values}
-        if TupleValue in kinds:
-            out.append(f"{where}: nested tuple value")
-        elif len(kinds) > 1:
-            out.append(f"{where}: tuple mixes value kinds")
-        if len(set(value.source_ids)) != len(value.source_ids):
-            out.append(f"{where}: duplicate source ids in tuple value")
-        for v in value.values:
-            if not isinstance(v, TupleValue):
-                out.extend(_check_value(v, schema, where))
-    return out
+    placed, faults, stack = set(), [], [(tree.root_pos, region)]
+    while stack:
+        i, region = stack.pop()
+        if not well[i] or i in placed:
+            continue
+        placed.add(i)
+        if left[i] < 0:
+            continue
+        left_side, right_side, cut = sides_of(i, region)
+        if not cut:
+            faults.append(i)
+            continue
+        stack.append((left[i], left_side))
+        stack.append((right[i], right_side))
+    return faults
 
 
 def validate(tree: Tree) -> list[str]:
@@ -750,92 +1122,30 @@ def validate(tree: Tree) -> list[str]:
     the geometric pass (nonempty regions, genuinely partitioning splits) runs
     over whatever part of the tree is reachable and well-formed.
     """
-    v: list[str] = []
-    nodes = tree.nodes
-    if tree.root not in nodes:
+    if tree.root_pos < 0:
         return [f"root id {tree.root} not in arena"]
-    roots = sorted(i for i, n in nodes.items() if n.parent is None)
+    ids, schema = tree.ids, tree.schema
+    v: list[str] = []
+    roots = ids[tree.parent < 0].tolist()
     if roots != [tree.root]:
         v.append(f"expected exactly one parentless node {tree.root}, found {roots}")
 
-    well_formed = set()
-    for i in sorted(nodes):
-        n = nodes[i]
-        ok = True
-        if (n.left is None) != (n.right is None):
-            v.append(f"node {i}: has exactly one child")
-            ok = False
-        internal = n.left is not None and n.right is not None
-        if internal:
-            if n.split is None:
-                v.append(f"node {i}: internal node without split")
-                ok = False
-            if n.value is not None:
-                v.append(f"node {i}: internal node with value")
-            for side, ch in (("left", n.left), ("right", n.right)):
-                if ch not in nodes:
-                    v.append(f"node {i}: {side} child {ch} missing from arena")
-                    ok = False
-                elif nodes[ch].parent != i:
-                    v.append(f"node {ch}: parent link does not point to {i}")
-                    ok = False
-            if ok and n.split is not None:
-                errs = _check_split_schema(n.split, tree.schema, f"node {i}")
-                v.extend(errs)
-                ok = ok and not errs
-        else:
-            if n.value is None:
-                v.append(f"node {i}: leaf without value")
-                ok = False
-            else:
-                v.extend(_check_value(n.value, tree.schema, f"node {i}"))
-            if n.split is not None:
-                v.append(f"node {i}: leaf with split")
-        if ok:
-            well_formed.add(i)
+    faults, well = _node_faults(tree)
+    v.extend(faults)
 
-    # reachability
-    seen = set()
-    stack = [tree.root]
-    while stack:
-        i = stack.pop()
-        if i in seen or i not in nodes:
-            continue
-        seen.add(i)
-        n = nodes[i]
-        if n.left is not None and n.left in nodes:
-            stack.append(n.left)
-        if n.right is not None and n.right in nodes:
-            stack.append(n.right)
-    for i in sorted(set(nodes) - seen):
-        v.append(f"node {i}: unreachable from root")
+    seen = _reached(tree)
+    v.extend(f"node {i}: unreachable from root" for i in ids[~seen].tolist())
 
     # leaf kind consistency
-    values = [nodes[i].value for i in seen
-              if nodes[i].left is None and nodes[i].value is not None]
-    kinds, lengths = kinds_and_lengths(values)
+    kinds, lengths, values = value_kinds(tree, seen & (tree.left < 0))
     if len(kinds) > 1:
         v.append(f"leaf values mix kinds {kinds}")
     # with class labels every leaf's length is checked against them
-    if tree.schema.class_labels is None and len(lengths) > 1:
+    if schema.class_labels is None and len(lengths) > 1:
         v.append(f"class-probability leaves mix lengths {lengths}")
+    if values:
+        v.extend(_tuple_faults(values, schema))
 
-    # geometric pass over the well-formed reachable part;
-    # each node is placed once, so a cycle of consistent links cannot loop
-    placed: set[int] = set()
-    stack2 = [(tree.root, Region.full(tree.schema))]
-    while stack2:
-        i, region = stack2.pop()
-        if i not in well_formed or i in placed:
-            continue
-        placed.add(i)
-        n = nodes[i]
-        if n.left is None:
-            continue
-        left, right = region.split(n.split)
-        if left is None or right is None:
-            v.append(f"node {i}: split does not partition node region")
-            continue
-        stack2.append((n.left, left))
-        stack2.append((n.right, right))
+    v.extend(f"node {ids[i]}: split does not partition node region"
+             for i in _partition_faults(tree, well))
     return v

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from treealgebra import io
 from treealgebra import (
     FeatureSchema,
     Hyperplane,
@@ -107,3 +110,22 @@ def uniform():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def workdir(tmp_path, d2, make_stump, make_constant):
+    stumps = {
+        "stump4": make_stump(0, 4.0),
+        "stump6": make_stump(0, 6.0),
+        "stump_y5": make_stump(1, 5.0),
+    }
+    io.save_tree(stumps["stump4"], str(tmp_path / "stump4.json"))
+    io.save_tree(stumps["stump6"], str(tmp_path / "stump6.json"))
+    io.save_tree(make_constant(7.0), str(tmp_path / "const7.json"))
+    forest = io.ForestFile(d2, list(stumps.values()), {"note": "three stumps"})
+    io.save_forest(forest, str(tmp_path / "three.json"))
+    (tmp_path / "schema.json").write_text(
+        json.dumps({"schema": io._schema_to_dict(d2)}) + "\n"
+    )
+    (tmp_path / "w.csv").write_text("0.5\n0.25\n0.25\n")
+    return tmp_path

@@ -96,11 +96,12 @@ class TestCombinePair:
         with pytest.raises(ta.LeafKindError,
                            match="^input trees must have scalar or class_probs leaves$"):
             ta.combine_pair(combined, combined)
-        nodes = dict(stump4.nodes)
-        right = nodes[stump4.root].right
-        nodes[right] = ta.Node(parent=stump4.root, value=ta.ClassProbs((0.5, 0.5)))
+        b = ta.TreeBuilder(stump4.schema)
+        left, right = b.split_node(b.add_root(), NumericThreshold(0, 4.0))
+        b.set_value(left, Scalar(0.0))
+        b.set_value(right, ta.ClassProbs((0.5, 0.5)))
         with pytest.raises(ta.LeafKindError, match=r"^mixed leaf kinds \['class_probs', 'scalar'\]$"):
-            ta.combine_pair(stump6, ta.Tree(stump4.schema, nodes, stump4.root))
+            ta.combine_pair(stump6, b.build())
 
     def test_budget_abort_reports_partial_size(self, stump4, stump_y5):
         with pytest.raises(ta.BudgetExceededError) as err:
@@ -278,9 +279,10 @@ class TestCombineProperties:
 
         ids_abc = route_batch(abc, X)
         ids_bca = route_batch(bca, X)
+        nodes_abc, nodes_bca = abc.nodes, bca.nodes
         for i in range(len(X)):
-            va = abc.nodes[int(ids_abc[i])].value.values
-            vb = bca.nodes[int(ids_bca[i])].value.values
+            va = nodes_abc[int(ids_abc[i])].value.values
+            vb = nodes_bca[int(ids_bca[i])].value.values
             assert (va[0], va[1], va[2]) == (vb[2], vb[0], vb[1])
 
     def test_mixed_hyperplane_and_numeric_splits_combine(self, mixed_pair):

@@ -1,12 +1,15 @@
 """The brute-force references themselves: grid exactness, Monte Carlo
 behavior, equivalence checking, and the fuzzer."""
 
+import json
+
 import numpy as np
 import pytest
 
 import treealgebra as ta
+from treealgebra import io
 from treealgebra.oracle import CellGrid, route, sample_points
-from treealgebra.trees import Scalar, TupleValue
+from treealgebra.trees import Scalar
 
 
 class TestGridIntegral:
@@ -154,11 +157,10 @@ class TestPointwiseEquivalence:
         combined = ta.combine_pair(stump4, stump_y5)
         # corrupt the leaf that covers a known interior point
         target = route(combined, d2.encode_point((2.0, 2.0)))
-        nodes = dict(combined.nodes)
-        node = nodes[target]
-        bad = TupleValue((Scalar(42.0), node.value.values[1]), node.value.source_ids)
-        nodes[target] = type(node)(node.parent, node.split, node.left, node.right, bad)
-        corrupted = ta.Tree(d2, nodes, combined.root)
+        doc = json.loads(io.tree_to_json(combined))
+        entry = next(e for e in doc["nodes"] if e["id"] == target)
+        entry["value"]["values"][0]["v"] = 42.0
+        corrupted = io._tree_from_body(doc, d2, "")
         counterexample = ta.pointwise_equivalence(corrupted, [stump4, stump_y5], 10_000, seed=0)
         assert counterexample is not None
         assert counterexample.combined_value.values[0] == Scalar(42.0)

@@ -1,11 +1,13 @@
 """Schema, routing, regions, and tree validation."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 import treealgebra as ta
+from treealgebra import io
 from treealgebra.oracle import (
     contains_batch,
     goes_left,
@@ -13,7 +15,13 @@ from treealgebra.oracle import (
     node_region,
     route,
 )
-from treealgebra.trees import Interval, Node, Region, evaluate_batch, route_batch
+from treealgebra.trees import Interval, Region, evaluate_batch, route_batch
+
+
+def tree_from_nodes(schema, nodes, root):
+    """A tree read from a file body that lists ``nodes``, so it may break
+    any invariant that ``validate`` checks."""
+    return io._tree_from_body({"nodes": nodes, "root": root}, schema, "")
 
 
 class TestSchema:
@@ -171,28 +179,35 @@ class TestValidate:
         assert ta.validate(stump4) == []
 
     def test_leaf_without_value(self, stump4, d2):
-        nodes = dict(stump4.nodes)
-        right = nodes[stump4.root].right
-        nodes[right] = Node(parent=stump4.root)
-        broken = ta.Tree(d2, nodes, stump4.root)
+        b = ta.TreeBuilder(d2)
+        left, right = b.split_node(b.add_root(), ta.NumericThreshold(0, 4.0))
+        b.set_value(left, ta.Scalar(0.0))
+        broken = b.build()
         assert any("leaf without value" in v for v in ta.validate(broken))
 
     def test_split_outside_domain_does_not_partition(self, make_stump):
         tree = make_stump(0, 12.0)
         assert any("does not partition" in v for v in ta.validate(tree))
 
+    def test_split_at_the_domain_ends(self, make_stump):
+        # x <= 10 leaves nothing on the right of [0, 10]; x <= 0 keeps the
+        # point 0 on the left, since the domain's lower end is closed
+        assert ta.validate(make_stump(0, 10.0)) == ["node 0: split does not partition node region"]
+        assert ta.validate(make_stump(0, 0.0)) == []
+
     def test_unreachable_node(self, stump4, d2):
-        nodes = dict(stump4.nodes)
-        nodes[77] = Node(parent=stump4.root, value=ta.Scalar(3.0))
-        broken = ta.Tree(d2, nodes, stump4.root)
+        nodes = json.loads(io.tree_to_json(stump4))["nodes"]
+        nodes.append({"id": 77, "value": {"type": "scalar", "v": 3.0}})
+        broken = tree_from_nodes(d2, nodes, stump4.root)
         messages = ta.validate(broken)
         assert any("unreachable" in v for v in messages)
 
     def test_mixed_leaf_kinds(self, stump4, d2):
-        nodes = dict(stump4.nodes)
-        right = nodes[stump4.root].right
-        nodes[right] = Node(parent=stump4.root, value=ta.ClassProbs((0.5, 0.5)))
-        broken = ta.Tree(d2, nodes, stump4.root)
+        b = ta.TreeBuilder(d2)
+        left, right = b.split_node(b.add_root(), ta.NumericThreshold(0, 4.0))
+        b.set_value(left, ta.Scalar(0.0))
+        b.set_value(right, ta.ClassProbs((0.5, 0.5)))
+        broken = b.build()
         assert any("mix kinds" in v for v in ta.validate(broken))
 
     def test_bad_class_probs(self, d2):
@@ -265,14 +280,14 @@ class TestValidate:
     def test_cycle_of_consistent_links_terminates(self, unit2):
         # 0 -> 1 -> 0 through identical hyperplanes, which keep touching the
         # region, so only the once-per-node rule ends the geometric pass
-        h = ta.Hyperplane((1.0, 1.0), 1.0)
-        nodes = {
-            0: Node(parent=1, split=h, left=1, right=2),
-            1: Node(parent=0, split=h, left=0, right=3),
-            2: Node(parent=0, value=ta.Scalar(1.0)),
-            3: Node(parent=1, value=ta.Scalar(2.0)),
-        }
-        messages = ta.validate(ta.Tree(unit2, nodes, 0))
+        h = {"type": "hyperplane", "coeffs": [1.0, 1.0], "offset": 1.0}
+        nodes = [
+            {"id": 0, "split": h, "left": 1, "right": 2},
+            {"id": 1, "split": h, "left": 0, "right": 3},
+            {"id": 2, "value": {"type": "scalar", "v": 1.0}},
+            {"id": 3, "value": {"type": "scalar", "v": 2.0}},
+        ]
+        messages = ta.validate(tree_from_nodes(unit2, nodes, 0))
         assert messages == ["expected exactly one parentless node 0, found []"]
 
     def test_fuzzer_trees_are_clean(self, rng):
