@@ -48,7 +48,6 @@ from .trees import (
     FeatureSchema,
     Hyperplane,
     Interval,
-    Node,
     NumericFeature,
     NumericThreshold,
     Region,

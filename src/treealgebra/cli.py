@@ -139,20 +139,11 @@ def build_parser() -> _Parser:
 # Handlers
 
 
-def _load_weights_for(forest, path) -> list[float]:
-    weights = io.read_weights_csv(path)
-    if len(weights) != len(forest.trees):
-        raise DomainError(
-            f"{len(weights)} weights for {len(forest.trees)} trees"
-        )
-    return [float(w) for w in weights]
-
-
 def _cmd_combine(args) -> int:
     forest = io.load_forest(args.forest)
     budget = CombineBudget(max_nodes=args.max_nodes)
     if args.weights is not None:
-        tree = affine_combination(forest.trees, _load_weights_for(forest, args.weights), budget)
+        tree = affine_combination(forest.trees, io.read_weights_csv(args.weights), budget)
     else:
         tree = combine_many(forest.trees, budget)
     if args.simplify:
@@ -169,23 +160,14 @@ def _load_single_tree(path):
     return forest.schema, forest.trees[0]
 
 
-def _cmd_dist(args) -> int:
+def _cmd_pair(args) -> int:
     schema, a = _load_single_tree(args.a)
     schema_b, b = _load_single_tree(args.b)
     if schema != schema_b:
         raise DomainError("the two trees use different schemas")
     measure = _build_measure(args, schema)
-    print(_fmt(measures.tree_distance(a, b, measure)))
-    return 0
-
-
-def _cmd_corr(args) -> int:
-    schema, a = _load_single_tree(args.a)
-    schema_b, b = _load_single_tree(args.b)
-    if schema != schema_b:
-        raise DomainError("the two trees use different schemas")
-    measure = _build_measure(args, schema)
-    print(_fmt(measures.tree_correlation(a, b, measure)))
+    statistic = measures.tree_distance if args.command == "dist" else measures.tree_correlation
+    print(_fmt(statistic(a, b, measure)))
     return 0
 
 
@@ -294,8 +276,8 @@ def _cmd_import(args) -> int:
 _HANDLERS = {
     "combine": _cmd_combine,
     "affine": _cmd_combine,
-    "dist": _cmd_dist,
-    "corr": _cmd_corr,
+    "dist": _cmd_pair,
+    "corr": _cmd_pair,
     "dist-matrix": _cmd_dist_matrix,
     "forest-dist": _cmd_forest_dist,
     "mds": _cmd_mds,

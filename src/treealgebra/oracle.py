@@ -54,6 +54,7 @@ from .trees import (
     TupleValue,
     _entry,
     _goes_left_batch,
+    _positions,
     _route_batch,
     evaluate_batch,
     leaf_kind_of,
@@ -288,12 +289,10 @@ def goes_left(split: Split, x: Sequence[float], schema: FeatureSchema) -> bool:
 
 def route(tree: Tree, x: Sequence[float]) -> int:
     """Leaf id reached by an encoded in-domain point."""
-    nodes, nid = tree.nodes, tree.root
-    node = nodes[nid]
-    while node.left is not None:
-        nid = node.left if goes_left(node.split, x, tree.schema) else node.right
-        node = nodes[nid]
-    return nid
+    i = tree.root_pos
+    while tree.left_pos[i] >= 0:
+        i = tree.left_pos[i] if goes_left(tree.split(i), x, tree.schema) else tree.right_pos[i]
+    return int(tree.ids[i])
 
 
 def contains_batch(region: Region, X: np.ndarray) -> np.ndarray:
@@ -341,17 +340,14 @@ def region_measure(region: Region, measure: Measure) -> float:
 
 def node_region(tree: Tree, nid: int) -> Region:
     """The region of a node: the root domain refined by the splits on its path."""
-    nodes = tree.nodes
-    try:
-        node = nodes[nid]
-    except KeyError:
+    parent = _positions(tree.ids, tree.parent).tolist()
+    i = int(_positions(tree.ids, np.array([nid]))[0])
+    if i < 0:
         raise UnknownNodeError(f"no node with id {nid}")
     path = []
-    child = nid
-    while node.parent is not None:
-        parent = nodes[node.parent]
-        path.append((parent.split, 0 if parent.left == child else 1))
-        child, node = node.parent, parent
+    while parent[i] >= 0:
+        path.append((tree.split(parent[i]), 0 if tree.left_pos[parent[i]] == i else 1))
+        i = parent[i]
     region = Region.full(tree.schema)
     for split, side in reversed(path):
         region = region.split(split)[side]
@@ -365,19 +361,18 @@ def iter_leaves_with_regions(tree: Tree) -> Iterator[tuple[int, Region]]:
 
     The fixed order makes downstream sums bit-reproducible.
     """
-    nodes = tree.nodes
-    stack = [(tree.root, Region.full(tree.schema))]
+    ids, left, right = (a.tolist() for a in (tree.ids, tree.left_pos, tree.right_pos))
+    stack = [(tree.root_pos, Region.full(tree.schema))]
     while stack:
-        nid, region = stack.pop()
-        node = nodes[nid]
-        if node.left is None:
-            yield nid, region
+        i, region = stack.pop()
+        if left[i] < 0:
+            yield ids[i], region
             continue
-        left, right = region.split(node.split)
-        if left is None or right is None:
-            raise DomainError(f"split at node {nid} does not partition its region")
-        stack.append((node.right, right))
-        stack.append((node.left, left))
+        left_side, right_side = region.split(tree.split(i))
+        if left_side is None or right_side is None:
+            raise DomainError(f"split at node {ids[i]} does not partition its region")
+        stack.append((right[i], right_side))
+        stack.append((left[i], left_side))
 
 
 # ---------------------------------------------------------------------------
@@ -395,34 +390,32 @@ def recursive_pair_sum(
     weighted by its share of the parent's mass. Zero-mass subtrees are
     skipped. The root value, scaled by the root mass, is the integral.
     """
-    root_region = Region.full(combined.schema)
-    nodes = combined.nodes
+    left, right = combined.left_pos.tolist(), combined.right_pos.tolist()
+    splits, leaf = combined.splits(), combined.leaf.tolist()
     order: list[int] = []
     mass: dict[int, float] = {}
-    stack = [(combined.root, root_region)]
+    stack = [(combined.root_pos, Region.full(combined.schema))]
     while stack:
-        nid, region = stack.pop()
+        i, region = stack.pop()
         m = region_measure(region, measure)
-        mass[nid] = m
-        order.append(nid)
-        node = nodes[nid]
-        if node.left is None or m == 0.0:
+        mass[i] = m
+        order.append(i)
+        if left[i] < 0 or m == 0.0:
             continue
-        left, right = region.split(node.split)
-        stack.append((node.right, right))
-        stack.append((node.left, left))
+        left_side, right_side = region.split(splits[i])
+        stack.append((right[i], right_side))
+        stack.append((left[i], left_side))
     value: dict[int, float] = {}
-    for nid in reversed(order):
-        node = nodes[nid]
-        if node.left is None:
-            value[nid] = term(node.value)
-        elif mass[nid] == 0.0:
-            value[nid] = 0.0
+    for i in reversed(order):
+        if left[i] < 0:
+            value[i] = term(combined.leaves.value(leaf[i]))
+        elif mass[i] == 0.0:
+            value[i] = 0.0
         else:
-            p_l = mass[node.left] / mass[nid]
-            p_r = mass[node.right] / mass[nid]
-            value[nid] = p_l * value[node.left] + p_r * value[node.right]
-    return value[combined.root] * mass[combined.root]
+            p_l = mass[left[i]] / mass[i]
+            p_r = mass[right[i]] / mass[i]
+            value[i] = p_l * value[left[i]] + p_r * value[right[i]]
+    return value[combined.root_pos] * mass[combined.root_pos]
 
 
 def sq_diff_term(tv: TupleValue) -> float:

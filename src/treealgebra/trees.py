@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
 from math import isfinite
-from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "ClassProbs",
     "TupleValue",
     "LeafValue",
-    "Node",
     "Tree",
     "TreeBuilder",
     "evaluate",
@@ -613,17 +611,6 @@ NUMERIC, CATEGORICAL, HYPERPLANE = 1, 2, 3
 _KIND_CODES = {NumericThreshold: NUMERIC, CategoricalSubset: CATEGORICAL, Hyperplane: HYPERPLANE}
 
 
-@dataclass(frozen=True)
-class Node:
-    """One node of the read-only view :attr:`Tree.nodes`."""
-
-    parent: Optional[int]
-    split: Optional[Split] = None
-    left: Optional[int] = None
-    right: Optional[int] = None
-    value: Optional[LeafValue] = None
-
-
 @dataclass(frozen=True, eq=False)
 class Tree:
     """A recursive partition function, stored as parallel node arrays in
@@ -673,36 +660,18 @@ class Tree:
         return int(np.count_nonzero(self.left < 0))
 
     def splits(self) -> Sequence[Optional[Split]]:
-        """The split object of every node, None for a node without one."""
+        """The split object of every node, None for a node without one: for
+        a walk that reaches every node, faster than :meth:`split` one by one."""
         return [NumericThreshold(f, t) if k == NUMERIC else self.side.get(i)
                 for i, (k, f, t) in enumerate(zip(self.kind.tolist(), self.feature.tolist(),
                                                   self.threshold.tolist()))]
 
-    def leaf_ids(self) -> list[int]:
-        """Leaf node ids in depth-first, left-before-right order."""
-        left, right = (a.tolist() for a in (self.left_pos, self.right_pos))
-        ids = self.ids.tolist()
-        out, stack = [], [self.root_pos]
-        while stack:
-            i = stack.pop()
-            if left[i] < 0:
-                out.append(ids[i])
-            else:
-                stack += (right[i], left[i])
-        return out
-
-    @property
-    def nodes(self) -> Mapping[int, Node]:
-        """A read-only view of the nodes by id, built on each access. The
-        library reads the arrays; the oracle and the tests read this."""
-        def opt(a):
-            return [None if x < 0 else x for x in a.tolist()]
-
-        return MappingProxyType({
-            i: Node(p, s, l, r, self.leaves.value(k))
-            for i, p, s, l, r, k in zip(self.ids.tolist(), opt(self.parent), self.splits(),
-                                        opt(self.left), opt(self.right), self.leaf.tolist())
-        })
+    def split(self, i: int) -> Optional[Split]:
+        """The split object of the node at position ``i``, None without one;
+        a walk that reaches few nodes builds only theirs."""
+        if self.kind[i] == NUMERIC:
+            return NumericThreshold(int(self.feature[i]), float(self.threshold[i]))
+        return self.side.get(int(i))
 
 
 def _positions(ids: np.ndarray, children: np.ndarray) -> np.ndarray:
@@ -827,8 +796,7 @@ def evaluate(tree: Tree, point: Sequence) -> LeafValue:
 def _route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     """The position of the leaf that every row of an encoded (n, p) matrix
     reaches."""
-    left, right = (a.tolist() for a in (tree.left_pos, tree.right_pos))
-    splits = tree.splits()
+    left, right = tree.left_pos, tree.right_pos
     out = np.empty(len(X), dtype=np.int64)
     stack = [(tree.root_pos, np.arange(len(X)))]
     while stack:
@@ -838,7 +806,7 @@ def _route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
         if left[i] < 0:
             out[idx] = i
             continue
-        go = _goes_left_batch(splits[i], X, tree.schema, idx)
+        go = _goes_left_batch(tree.split(i), X, tree.schema, idx)
         stack.append((right[i], idx[~go]))
         stack.append((left[i], idx[go]))
     return out

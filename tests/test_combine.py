@@ -42,7 +42,7 @@ def interior_point(region):
 
 
 def leaf_values(tree):
-    return [tree.nodes[i].value for i in tree.leaf_ids()]
+    return [tree.leaves.value(r) for r in tree.leaf[tree.left < 0].tolist()]
 
 
 def scalar_leaves(tree):
@@ -203,7 +203,7 @@ class TestSimplify:
     def test_cancelled_tree_collapses_to_one_leaf(self, stump4):
         out = ta.simplify(ta.affine_combination([stump4, stump4], [1.0, -1.0]))
         assert out.n_nodes == 1
-        assert out.nodes[out.root].value == Scalar(0.0)
+        assert out.leaves.value(out.leaf[out.root_pos]) == Scalar(0.0)
 
     def test_distinct_leaves_untouched(self, stump4):
         out = ta.simplify(stump4)
@@ -277,12 +277,12 @@ class TestCombineProperties:
         )
         from treealgebra.trees import route_batch
 
-        ids_abc = route_batch(abc, X)
-        ids_bca = route_batch(bca, X)
-        nodes_abc, nodes_bca = abc.nodes, bca.nodes
+        # combined trees are built, so their node ids are their positions
+        rows_abc = abc.leaf[route_batch(abc, X)]
+        rows_bca = bca.leaf[route_batch(bca, X)]
         for i in range(len(X)):
-            va = nodes_abc[int(ids_abc[i])].value.values
-            vb = nodes_bca[int(ids_bca[i])].value.values
+            va = abc.leaves.value(rows_abc[i]).values
+            vb = bca.leaves.value(rows_bca[i]).values
             assert (va[0], va[1], va[2]) == (vb[2], vb[0], vb[1])
 
     def test_mixed_hyperplane_and_numeric_splits_combine(self, mixed_pair):

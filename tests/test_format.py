@@ -1,6 +1,7 @@
 """The file format on node arrays: strict numbers, tuple leaves, the writer
-against a reference serializer, the full list of validation messages, and
-the hot paths never building the per-node view."""
+against a reference serializer, the full list of validation messages, the
+command line on the arrays, and routing that builds only the splits it
+reaches."""
 
 import json
 
@@ -9,7 +10,7 @@ import pytest
 import treealgebra as ta
 from treealgebra import io
 from treealgebra.cli import run_cli
-from treealgebra.trees import Tree
+from treealgebra.trees import Tree, route_batch
 
 
 # ---------------------------------------------------------------------------
@@ -36,12 +37,13 @@ def value_dict(value) -> dict:
 
 def body_dict(tree) -> dict:
     nodes = []
-    for nid, node in sorted(tree.nodes.items()):
+    for nid, split, left, right, row in zip(tree.ids.tolist(), tree.splits(), tree.left.tolist(),
+                                            tree.right.tolist(), tree.leaf.tolist()):
         entry = {"id": nid}
-        if node.split is not None:
-            entry.update(split=split_dict(node.split), left=node.left, right=node.right)
+        if split is not None:
+            entry.update(split=split_dict(split), left=left, right=right)
         else:
-            entry["value"] = value_dict(node.value)
+            entry["value"] = value_dict(tree.leaves.value(row))
         nodes.append(entry)
     return {"nodes": nodes, "root": tree.root}
 
@@ -462,15 +464,17 @@ class TestEveryValidationMessage:
 
 
 @pytest.fixture
-def no_node_view(monkeypatch):
+def refuse_whole_tree_splits(monkeypatch):
+    """Call it to make ``Tree.splits``, the split object of every node,
+    raise from then on."""
     def refuse(self):
-        raise AssertionError("the per-node view was built")
+        raise AssertionError("a split object was built for every node")
 
-    monkeypatch.setattr(Tree, "nodes", property(refuse))
+    return lambda: monkeypatch.setattr(Tree, "splits", refuse)
 
 
 class TestHotPathsReadArrays:
-    def test_cli_requests(self, workdir, unit2, no_node_view, capsys):
+    def test_cli_requests(self, workdir, unit2, capsys):
         oblique = ta.TreeBuilder(unit2)
         left, right = oblique.split_node(oblique.add_root(), ta.Hyperplane((1.0, 1.0), 1.0))
         oblique.set_value(left, ta.Scalar(0.0))
@@ -494,9 +498,17 @@ class TestHotPathsReadArrays:
         for argv in requests:
             assert run_cli(argv) == 0, capsys.readouterr().err
 
-    def test_evaluate_batch(self, rng, no_node_view):
+    def test_evaluate_batch(self, rng, refuse_whole_tree_splits):
+        """Routing builds the splits of the nodes it reaches, never the
+        whole tree's list (which the overlay builds)."""
         schema = ta.random_schema(rng, max_features=4, class_labels=("a", "b"))
-        for kind in ("scalar", "class_probs"):
-            tree = ta.random_tree(schema, rng, 12, kind)
-            X = ta.oracle.sample_points(schema, ta.UniformBox(), 50, rng)
+        trees = [ta.random_tree(schema, rng, 12, kind) for kind in ("scalar", "class_probs")]
+        t1, t2 = (ta.random_tree(schema, rng, 12) for _ in range(2))
+        combined = ta.combine_pair(t1, t2)
+        refuse_whole_tree_splits()
+        X = ta.oracle.sample_points(schema, ta.UniformBox(), 50, rng)
+        for tree in trees:
             assert len(ta.evaluate_batch(tree, X)) == 50
+            assert len(route_batch(tree, X)) == 50
+            assert ta.evaluate(tree, schema.decode_point(X[0])) is not None
+        assert ta.pointwise_equivalence(combined, [t1, t2], 200, seed=0) is None

@@ -9,7 +9,12 @@ import pytest
 import treealgebra as ta
 from treealgebra import simplex
 from treealgebra.geometry import Empirical, same_partition_in_region
-from treealgebra.oracle import contains_batch, node_region, region_measure
+from treealgebra.oracle import (
+    contains_batch,
+    iter_leaves_with_regions,
+    node_region,
+    region_measure,
+)
 from treealgebra.trees import Hyperplane, Interval, NumericThreshold, Region, Side
 
 
@@ -162,15 +167,14 @@ def random_mixed_tree(schema, rng, n_splits, numeric_share=0.3):
 
 def node_regions(tree):
     """Every node's region, each reached by Region.split from the root."""
-    out, stack = [], [(tree.root, Region.full(tree.schema))]
+    out, stack = [], [(tree.root_pos, Region.full(tree.schema))]
     while stack:
-        nid, region = stack.pop()
+        i, region = stack.pop()
         out.append(region)
-        node = tree.nodes[nid]
-        if node.left is not None:
-            left, right = region.split(node.split)
-            stack.append((node.left, left))
-            stack.append((node.right, right))
+        if tree.left_pos[i] >= 0:
+            left, right = region.split(tree.split(i))
+            stack.append((tree.left_pos[i], left))
+            stack.append((tree.right_pos[i], right))
     return out
 
 
@@ -188,7 +192,7 @@ class TestSplitMatchesPlainLP:
             forests.append([t1, t2, ta.combine_pair(t1, t2)])
         checked = 0
         for trees in forests:
-            splits = [n.split for t in trees[:2] for n in t.nodes.values() if n.left is not None]
+            splits = [s for t in trees[:2] for s in t.splits() if s is not None]
             for region in node_regions(trees[2]):
                 for split in splits:
                     assert nonempty(region.split(split)) == reference_sides(region, split)
@@ -218,7 +222,7 @@ class TestFeasibilityLPCount:
             count_lps.clear()
             assert ta.validate(combined) == []
             self.assert_no_repeats(count_lps)
-            internal = sum(n.left is not None for n in combined.nodes.values())
+            internal = int(np.count_nonzero(combined.left >= 0))
             assert len(count_lps) <= internal
 
     def test_categorical_split_over_a_hyperplane_adds_no_lp(self, count_lps):
@@ -337,11 +341,9 @@ class TestRegionMeasure:
                 ),
                 np.full(50, 1 / 50),
             )
-            for nid, node in tree.nodes.items():
-                if node.left is None:
-                    continue
-                region = node_region(tree, nid)
-                left, right = region.split(node.split)
+            for i in np.flatnonzero(tree.left >= 0):
+                region = node_region(tree, tree.ids[i])
+                left, right = region.split(tree.split(i))
                 assert left is not None and right is not None
                 total = region_measure(region, uniform)
                 assert abs(
@@ -374,8 +376,8 @@ class TestRegionMeasure:
         )
         for _ in range(10):
             tree = ta.random_tree(schema, rng, 8)
-            leaf = tree.leaf_ids()[int(rng.integers(0, tree.n_leaves))]
-            region = node_region(tree, leaf)
+            leaves = [nid for nid, _ in iter_leaves_with_regions(tree)]
+            region = node_region(tree, leaves[int(rng.integers(0, tree.n_leaves))])
             p = region_measure(region, uniform)
             frac = float(contains_batch(region, X).mean())
             se = np.sqrt(max(p * (1 - p), 1e-12) / n)

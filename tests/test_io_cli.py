@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -97,7 +99,7 @@ class TestJsonRoundTrip:
         path = tmp_path / "t.json"
         io.save_tree(tree, str(path))
         reloaded = io.load_forest(str(path)).trees[0]
-        assert reloaded.nodes[reloaded.root].split.threshold == 0.1 + 0.2
+        assert reloaded.threshold[reloaded.root_pos] == 0.1 + 0.2
 
     def test_bad_probs_name_tree_and_node(self, tmp_path, d2):
         schema = ta.FeatureSchema(d2.features, ("a", "b"))
@@ -265,14 +267,14 @@ class TestFlatTableImport:
                  for _ in range(50)]
         lines = [",".join(io.FLAT_TABLE_COLUMNS)]
         for ti, tree in enumerate(trees):
-            for nid in sorted(tree.nodes):
-                node = tree.nodes[nid]
-                parent = "" if node.parent is None else str(node.parent)
+            # a built tree's node ids are its positions
+            for nid, split, row in zip(tree.ids.tolist(), tree.splits(), tree.leaf.tolist()):
+                up = int(tree.parent[nid])
+                parent = "" if up < 0 else str(up)
                 is_left = ""
-                if node.parent is not None:
-                    is_left = "1" if tree.nodes[node.parent].left == nid else "0"
-                if node.split is not None:
-                    split = node.split
+                if up >= 0:
+                    is_left = "1" if tree.left[up] == nid else "0"
+                if split is not None:
                     if isinstance(split, ta.NumericThreshold):
                         feat, payload = split.feature, repr(split.threshold)
                     else:
@@ -281,7 +283,7 @@ class TestFlatTableImport:
                         payload = "|".join(levels[i] for i in sorted(split.left_levels))
                     lines.append(f"{ti},{nid},{parent},{is_left},{feat},{payload},")
                 else:
-                    lines.append(f"{ti},{nid},{parent},{is_left},,,{node.value.value!r}")
+                    lines.append(f"{ti},{nid},{parent},{is_left},,,{tree.leaves.value(row).value!r}")
         path = tmp_path / "forest.csv"
         path.write_text("\n".join(lines) + "\n")
         forest = io.import_external_forest(str(path), "flat-table", schema)
@@ -326,13 +328,24 @@ class TestCli:
         ) == 0
         assert run_cli(["validate", str(out)]) == 0
 
+    @pytest.mark.parametrize("command", ["affine", "combine"])
+    def test_weight_count_must_match_tree_count(self, workdir, capsys, command):
+        (workdir / "w2.csv").write_text("0.5\n0.5\n")
+        out = workdir / "c.json"
+        assert run_cli(
+            [command, "--forest", str(workdir / "three.json"),
+             "--weights", str(workdir / "w2.csv"), "--out", str(out)]
+        ) == 2
+        assert capsys.readouterr().err == 'code=DOMAIN msg="2 weights for 3 trees"\n'
+        assert not out.exists()
+
     def test_combine_without_weights_keeps_tuples(self, workdir):
         out = workdir / "tuples.json"
         assert run_cli(
             ["combine", "--forest", str(workdir / "three.json"), "--out", str(out)]
         ) == 0
         tree = io.load_forest(str(out)).trees[0]
-        assert isinstance(tree.nodes[tree.leaf_ids()[0]].value, ta.TupleValue)
+        assert isinstance(tree.leaves.value(0), ta.TupleValue)
 
     def test_affine_simplify(self, workdir, capsys):
         (workdir / "wz.csv").write_text("1.0\n-1.0\n")
@@ -507,3 +520,16 @@ class TestCli:
              "--samples", "500", "--seed", "99"]
         )
         assert capsys.readouterr().out == first
+
+
+class TestStartUp:
+    def test_import_leaves_the_oracle_unloaded(self):
+        """The brute-force oracle is imported on first use: a fresh import
+        without cached bytecode compiles the library but not the oracle."""
+        src = os.path.dirname(os.path.dirname(ta.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
+        code = "import treealgebra, sys; print('treealgebra.oracle' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout == "False\n"

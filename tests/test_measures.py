@@ -17,7 +17,7 @@ from treealgebra.oracle import (
     region_measure,
     sq_diff_term,
 )
-from treealgebra.trees import ClassProbs, Scalar
+from treealgebra.trees import NUMERIC, ClassProbs, Scalar
 
 
 @pytest.fixture
@@ -260,19 +260,15 @@ class TestDistanceMatrix:
 
 def _squared_scale(*trees):
     """Squared largest leaf magnitude (at least 1): the unit of the tolerance."""
-    values = [1.0]
-    for t in trees:
-        for nid in t.leaf_ids():
-            v = t.nodes[nid].value
-            values.extend(v.probs if isinstance(v, ClassProbs) else (v.value,))
-    return max(abs(x) for x in values) ** 2
+    return max([1.0] + [float(np.abs(t.leaves.values).max()) for t in trees]) ** 2
 
 
 def region_sum(tree, measure, term):
     """Sum of ``term(leaf value)`` times leaf mass, region by region."""
     total = 0.0
     for nid, region in iter_leaves_with_regions(tree):
-        total = total + term(tree.nodes[nid].value) * region_measure(region, measure)
+        row = tree.leaf[np.searchsorted(tree.ids, nid)]
+        total = total + term(tree.leaves.value(row)) * region_measure(region, measure)
     return total
 
 
@@ -307,7 +303,7 @@ def assert_matches_reference(t1, t2, measure):
         assert abs(stats.variance - var) <= tol
         assert abs(stats.norm_squared - norm_sq) <= tol
         refs.append((float(mu[0]), var))
-    if isinstance(t1.nodes[t1.leaf_ids()[0]].value, Scalar):
+    if t1.leaves.kind == "scalar":
         ref_ip = recursive_pair_sum(
             combined, measure, lambda tv: tv.values[0].value * tv.values[1].value
         )
@@ -327,14 +323,13 @@ def assert_matches_reference(t1, t2, measure):
 
 
 def copy_into(builder, nid, tree, src):
-    """Copy the subtree of ``tree`` at ``src`` onto the builder's leaf ``nid``."""
-    node = tree.nodes[src]
-    if node.left is None:
-        builder.set_value(nid, node.value)
+    """Copy the subtree of ``tree`` at position ``src`` onto the builder's leaf ``nid``."""
+    if tree.left_pos[src] < 0:
+        builder.set_value(nid, tree.leaves.value(tree.leaf[src]))
         return
-    left, right = builder.split_node(nid, node.split)
-    copy_into(builder, left, tree, node.left)
-    copy_into(builder, right, tree, node.right)
+    left, right = builder.split_node(nid, tree.split(src))
+    copy_into(builder, left, tree, tree.left_pos[src])
+    copy_into(builder, right, tree, tree.right_pos[src])
 
 
 def with_zero_mass_leaf(tree, value):
@@ -343,16 +338,13 @@ def with_zero_mass_leaf(tree, value):
     b = ta.TreeBuilder(tree.schema)
     left, right = b.split_node(b.add_root(), ta.NumericThreshold(0, tree.schema.features[0].low))
     b.set_value(left, Scalar(value))
-    copy_into(b, right, tree, tree.root)
+    copy_into(b, right, tree, tree.root_pos)
     return b.build()
 
 
 def thresholds_of(tree):
-    return [
-        (n.split.feature, n.split.threshold)
-        for n in tree.nodes.values()
-        if isinstance(n.split, ta.NumericThreshold)
-    ]
+    numeric = tree.kind == NUMERIC
+    return list(zip(tree.feature[numeric].tolist(), tree.threshold[numeric].tolist()))
 
 
 def boundary_sample(schema, trees, rng, n):
@@ -701,7 +693,7 @@ class TestForestKernel:
         rng = np.random.default_rng(5)
         schema = ta.random_schema(rng, max_features=6)
         forest = [ta.random_tree(schema, rng, int(rng.integers(4, 14))) for _ in range(100)]
-        leaves = sum(len(t.leaf_ids()) for t in forest)
+        leaves = sum(t.n_leaves for t in forest)
         assert leaves == 941
         tracemalloc.start()
         try:

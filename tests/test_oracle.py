@@ -8,8 +8,14 @@ import pytest
 
 import treealgebra as ta
 from treealgebra import io
-from treealgebra.oracle import CellGrid, route, sample_points
-from treealgebra.trees import Scalar
+from treealgebra.oracle import (
+    CellGrid,
+    iter_leaves_with_regions,
+    node_region,
+    route,
+    sample_points,
+)
+from treealgebra.trees import Hyperplane, NumericThreshold, Region, Scalar, route_batch
 
 
 class TestGridIntegral:
@@ -188,11 +194,12 @@ class TestFuzzer:
     def test_depth_cap(self, rng):
         schema = ta.random_schema(rng, max_features=3)
         tree = ta.random_tree(schema, rng, 40, max_depth=4)
-        for leaf in tree.leaf_ids():
+        # a built tree's node ids are its positions
+        for leaf in np.flatnonzero(tree.left < 0):
             depth = 0
             nid = leaf
-            while tree.nodes[nid].parent is not None:
-                nid = tree.nodes[nid].parent
+            while tree.parent[nid] >= 0:
+                nid = tree.parent[nid]
                 depth += 1
             assert depth <= 4
 
@@ -209,3 +216,37 @@ class TestFuzzer:
                 assert (X[:, j] >= f.low).all() and (X[:, j] <= f.high).all()
             else:
                 assert set(np.unique(X[:, j])) <= set(map(float, range(len(f.levels))))
+
+
+class TestSparseUnsortedIds:
+    """The oracle walks on a tree whose file lists its node ids out of
+    order and with gaps: every id they return or take is a file id."""
+
+    @pytest.fixture
+    def sparse(self, tmp_path, d2):
+        numeric = {"type": "numeric", "feature": 0, "threshold": 4.0}
+        oblique = {"type": "hyperplane", "coeffs": [1.0, 1.0], "offset": 12.0}
+        nodes = [{"id": 7, "split": numeric, "left": 2, "right": 11},
+                 {"id": 2, "value": {"type": "scalar", "v": 1.0}},
+                 {"id": 11, "split": oblique, "left": 4, "right": 9},
+                 {"id": 4, "value": {"type": "scalar", "v": 2.0}},
+                 {"id": 9, "value": {"type": "scalar", "v": 3.0}}]
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps({"schema": io._schema_to_dict(d2), "nodes": nodes, "root": 7}))
+        return io.load_forest(str(path)).trees[0]
+
+    def test_routing_returns_file_ids(self, sparse):
+        X = np.array([[1.0, 9.0], [5.0, 5.0], [9.0, 9.0]])
+        assert [route(sparse, x) for x in X] == [2, 4, 9]
+        assert route_batch(sparse, X).tolist() == [2, 4, 9]
+
+    def test_regions_are_named_by_file_ids(self, sparse, d2):
+        full = Region.full(d2)
+        left, right = full.split(NumericThreshold(0, 4.0))
+        right_left, right_right = right.split(Hyperplane((1.0, 1.0), 12.0))
+        expected = {7: full, 2: left, 11: right, 4: right_left, 9: right_right}
+        assert list(iter_leaves_with_regions(sparse)) == [(k, expected[k]) for k in (2, 4, 9)]
+        for nid, region in expected.items():
+            assert node_region(sparse, nid) == region
+        with pytest.raises(ta.UnknownNodeError, match="^no node with id 3$"):
+            node_region(sparse, 3)

@@ -114,8 +114,8 @@ class TestEvaluate:
             for _ in range(200)
         ])
         batch = evaluate_batch(tree, X)
-        for i in range(len(X)):
-            assert batch[i] == tree.nodes[route(tree, X[i])].value.value
+        for i in range(len(X)):  # a built tree's node ids are its positions
+            assert batch[i] == tree.leaves.values[tree.leaf[route(tree, X[i])], 0]
 
 
 class TestHyperplaneRouting:
@@ -143,13 +143,13 @@ class TestHyperplaneRouting:
                     frontier += [(lw, rows[left]), (rw, rows[~left])]
                 for k, (nid, _) in enumerate(frontier):
                     b.set_value(nid, ta.Scalar(float(k)))
-                tree = b.build()
+                tree = b.build()  # its node ids are its positions
                 together = route_batch(tree, X)
                 for i, x in enumerate(X):
                     leaf = route(tree, x)
                     assert together[i] == leaf
                     assert route_batch(tree, X[i : i + 1])[0] == leaf
-                    assert ta.evaluate(tree, tuple(x)) == tree.nodes[leaf].value
+                    assert ta.evaluate(tree, tuple(x)) == tree.leaves.value(tree.leaf[leaf])
                     checked += 1
         assert checked == 7 * 3 * 30
 
@@ -159,13 +159,13 @@ class TestNodeRegion:
         assert node_region(stump4, stump4.root) == Region.full(d2)
 
     def test_left_leaf_interval_closed_at_threshold(self, stump4):
-        left = stump4.nodes[stump4.root].left
+        left = int(stump4.left[stump4.root_pos])
         region = node_region(stump4, left)
         assert region.constraints[0] == Interval(0.0, 4.0, True, True)
         assert region.constraints[1] == Interval(0.0, 10.0, True, True)
 
     def test_right_leaf_interval_open_at_threshold(self, stump4):
-        right = stump4.nodes[stump4.root].right
+        right = int(stump4.right[stump4.root_pos])
         region = node_region(stump4, right)
         assert region.constraints[0] == Interval(4.0, 10.0, False, True)
 
@@ -318,19 +318,16 @@ class TestRegionPartitions:
             inside = {nid: contains_batch(r, X) for nid, r in iter_leaves_with_regions(tree)}
             for i in range(len(X)):
                 hits = [nid for nid, mask in inside.items() if mask[i]]
-                assert len(hits) == 1
-                assert tree.nodes[hits[0]].value == tree.nodes[route(tree, X[i])].value
+                assert hits == [route(tree, X[i])]
 
     def test_children_partition_parent(self, rng):
         schema = ta.random_schema(rng, max_features=4)
         tree = ta.random_tree(schema, rng, 15)
         X = self._random_points(schema, rng, 500)
-        for nid, node in tree.nodes.items():
-            if node.left is None:
-                continue
-            region = node_region(tree, nid)
-            left = node_region(tree, node.left)
-            right = node_region(tree, node.right)
+        for i in np.flatnonzero(tree.left >= 0):
+            region = node_region(tree, tree.ids[i])
+            left = node_region(tree, tree.left[i])
+            right = node_region(tree, tree.right[i])
             inside = contains_batch(region, X)
             in_left = contains_batch(left, X)
             in_right = contains_batch(right, X)
