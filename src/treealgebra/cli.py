@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -160,13 +161,12 @@ def _load_single_tree(path):
     return forest.schema, forest.trees[0]
 
 
-def _cmd_pair(args) -> int:
+def _cmd_pair(statistic, args) -> int:
     schema, a = _load_single_tree(args.a)
     schema_b, b = _load_single_tree(args.b)
     if schema != schema_b:
         raise DomainError("the two trees use different schemas")
     measure = _build_measure(args, schema)
-    statistic = measures.tree_distance if args.command == "dist" else measures.tree_correlation
     print(_fmt(statistic(a, b, measure)))
     return 0
 
@@ -276,8 +276,8 @@ def _cmd_import(args) -> int:
 _HANDLERS = {
     "combine": _cmd_combine,
     "affine": _cmd_combine,
-    "dist": _cmd_pair,
-    "corr": _cmd_pair,
+    "dist": partial(_cmd_pair, measures.tree_distance),
+    "corr": partial(_cmd_pair, measures.tree_correlation),
     "dist-matrix": _cmd_dist_matrix,
     "forest-dist": _cmd_forest_dist,
     "mds": _cmd_mds,

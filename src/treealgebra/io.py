@@ -204,7 +204,7 @@ def _tree_from_body(doc: dict, schema: FeatureSchema, where: str) -> Tree:
     """One tree body, read a field at a time into the node arrays;
     ``where`` prefixes the field names in errors.
 
-    The ids of nodes and children are non-negative JSON integers; feature and level
+    Node ids and child ids are non-negative JSON integers; feature and level
     indices and source ids are JSON integers; every real is a JSON number.
     Splits other than numeric ones, and leaf values that are not all floats
     of one kind and shape, are read one at a time into objects.

@@ -289,9 +289,10 @@ def goes_left(split: Split, x: Sequence[float], schema: FeatureSchema) -> bool:
 
 def route(tree: Tree, x: Sequence[float]) -> int:
     """Leaf id reached by an encoded in-domain point."""
-    i = tree.root_pos
-    while tree.left_pos[i] >= 0:
-        i = tree.left_pos[i] if goes_left(tree.split(i), x, tree.schema) else tree.right_pos[i]
+    left, right = tree.left_pos.tolist(), tree.right_pos.tolist()
+    splits, i = tree.splits(), tree.root_pos
+    while left[i] >= 0:
+        i = left[i] if goes_left(splits[i], x, tree.schema) else right[i]
     return int(tree.ids[i])
 
 
@@ -344,9 +345,9 @@ def node_region(tree: Tree, nid: int) -> Region:
     i = int(_positions(tree.ids, np.array([nid]))[0])
     if i < 0:
         raise UnknownNodeError(f"no node with id {nid}")
-    path = []
+    splits, left, path = tree.splits(), tree.left_pos.tolist(), []
     while parent[i] >= 0:
-        path.append((tree.split(parent[i]), 0 if tree.left_pos[parent[i]] == i else 1))
+        path.append((splits[parent[i]], 0 if left[parent[i]] == i else 1))
         i = parent[i]
     region = Region.full(tree.schema)
     for split, side in reversed(path):
@@ -362,13 +363,14 @@ def iter_leaves_with_regions(tree: Tree) -> Iterator[tuple[int, Region]]:
     The fixed order makes downstream sums bit-reproducible.
     """
     ids, left, right = (a.tolist() for a in (tree.ids, tree.left_pos, tree.right_pos))
+    splits = tree.splits()
     stack = [(tree.root_pos, Region.full(tree.schema))]
     while stack:
         i, region = stack.pop()
         if left[i] < 0:
             yield ids[i], region
             continue
-        left_side, right_side = region.split(tree.split(i))
+        left_side, right_side = region.split(splits[i])
         if left_side is None or right_side is None:
             raise DomainError(f"split at node {ids[i]} does not partition its region")
         stack.append((right[i], right_side))

@@ -660,18 +660,10 @@ class Tree:
         return int(np.count_nonzero(self.left < 0))
 
     def splits(self) -> Sequence[Optional[Split]]:
-        """The split object of every node, None for a node without one: for
-        a walk that reaches every node, faster than :meth:`split` one by one."""
+        """The split object of every node, None for a node without one."""
         return [NumericThreshold(f, t) if k == NUMERIC else self.side.get(i)
                 for i, (k, f, t) in enumerate(zip(self.kind.tolist(), self.feature.tolist(),
                                                   self.threshold.tolist()))]
-
-    def split(self, i: int) -> Optional[Split]:
-        """The split object of the node at position ``i``, None without one;
-        a walk that reaches few nodes builds only theirs."""
-        if self.kind[i] == NUMERIC:
-            return NumericThreshold(int(self.feature[i]), float(self.threshold[i]))
-        return self.side.get(int(i))
 
 
 def _positions(ids: np.ndarray, children: np.ndarray) -> np.ndarray:
@@ -796,7 +788,8 @@ def evaluate(tree: Tree, point: Sequence) -> LeafValue:
 def _route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     """The position of the leaf that every row of an encoded (n, p) matrix
     reaches."""
-    left, right = tree.left_pos, tree.right_pos
+    left, right = (a.tolist() for a in (tree.left_pos, tree.right_pos))
+    splits = tree.splits()
     out = np.empty(len(X), dtype=np.int64)
     stack = [(tree.root_pos, np.arange(len(X)))]
     while stack:
@@ -806,7 +799,7 @@ def _route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
         if left[i] < 0:
             out[idx] = i
             continue
-        go = _goes_left_batch(tree.split(i), X, tree.schema, idx)
+        go = _goes_left_batch(splits[i], X, tree.schema, idx)
         stack.append((right[i], idx[~go]))
         stack.append((left[i], idx[go]))
     return out

