@@ -108,6 +108,27 @@ class TestCombinePair:
             ta.combine_pair(stump4, stump_y5, CombineBudget(max_nodes=3))
         assert "3 nodes" in str(err.value)
 
+    @pytest.mark.parametrize("max_nodes", [1, 2, 5, 6])
+    def test_budget_message_when_the_first_fold_step_overflows(
+            self, stump4, stump_y5, stump6, max_nodes):
+        # stump4 x stump_y5 has 7 nodes
+        with pytest.raises(ta.BudgetExceededError) as err:
+            ta.combine_many([stump4, stump_y5, stump6], CombineBudget(max_nodes=max_nodes))
+        assert str(err.value) == (f"node budget exceeded: combined tree already has "
+                                  f"{max_nodes} nodes (max_nodes={max_nodes})")
+
+    @pytest.mark.parametrize("max_nodes", [7, 8, 10])
+    def test_budget_message_when_only_the_last_fold_step_overflows(
+            self, stump4, stump_y5, stump6, max_nodes):
+        # the first step has 7 nodes, the second 11
+        trees = [stump4, stump_y5, stump6]
+        assert ta.combine_many(trees[:2], CombineBudget(max_nodes=max_nodes)).n_nodes == 7
+        with pytest.raises(ta.BudgetExceededError) as err:
+            ta.combine_many(trees, CombineBudget(max_nodes=max_nodes))
+        assert str(err.value) == (f"node budget exceeded: combined tree already has "
+                                  f"{max_nodes} nodes (max_nodes={max_nodes})")
+        assert ta.combine_many(trees, CombineBudget(max_nodes=11)).n_nodes == 11
+
 
 class TestCombineMany:
     def test_singleton_fold_wraps_leaves(self, stump4):

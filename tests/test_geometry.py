@@ -242,6 +242,25 @@ class TestFeasibilityLPCount:
         # the hyperplane is decided once, in the root region
         assert len(count_lps) == 1
 
+    def test_lp_count_of_a_fixed_hyperplane_overlay(self, mixed_pair, count_lps):
+        """The overlay runs as many LPs as the per-node overlay it replaced
+        (4, 4 and 466 for these inputs), so no region decides a split twice."""
+        a, b = mixed_pair
+        counts = []
+        for trees in ([a, b], [b, a]):
+            count_lps.clear()
+            ta.combine_pair(*trees)
+            counts.append(len(count_lps))
+        schema = ta.FeatureSchema(
+            tuple(ta.NumericFeature(f"x{i}", 0.0, 1.0) for i in range(3))
+        )
+        rng = np.random.default_rng(11)
+        trees = [random_mixed_tree(schema, rng, 12) for _ in range(3)]
+        count_lps.clear()
+        assert ta.combine_many(trees).n_nodes == 349
+        counts.append(len(count_lps))
+        assert counts == [4, 4, 466]
+
     @staticmethod
     def assert_no_repeats(calls):
         keys = [tuple(sorted(zip(map(bytes, a), b.tolist()))) for a, b in calls]

@@ -204,6 +204,21 @@ class TestAtomicWrites:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_nodes", ["2", "5"])
+    def test_budget_abort_prints_one_line_and_writes_nothing(self, workdir, capsys,
+                                                             max_nodes):
+        # three.json folds to 5 nodes after its first step and to 11 after its last
+        out = workdir / "never.json"
+        code = run_cli(["combine", "--forest", str(workdir / "three.json"),
+                        "--out", str(out), "--max-nodes", max_nodes])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f'code=BUDGET_EXCEEDED msg="node budget exceeded: combined tree already has '
+            f'{max_nodes} nodes (max_nodes={max_nodes})"\n')
+        assert not out.exists()
+
 
 class TestFlatTableImport:
     STUMP_TABLE = (
