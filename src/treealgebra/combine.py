@@ -3,11 +3,24 @@
 ``combine_pair`` overlays two recursive partitions into one tree whose
 tuple-valued leaves carry both source values; ``combine_many`` folds that
 over a list; ``affine_combination`` collapses the tuples into weighted sums.
-The recursion works region by region: when both splits genuinely cut the
-working region it always splits by the first tree's condition and routes the
-second tree into whichever children its condition still cuts (a fixed
-tie-break that makes the output deterministic and keeps the call count
-within ``n1 * n2``).
+
+The overlay is the paper's recursion on the product of two partitions,
+evaluated one frontier at a time. A row of the frontier is a pair of node
+positions ``(u, v)``, one per tree, and the region of one output node. In
+each round a split that does not cut its row's region moves the row to the
+child that holds the region; a row whose splits all cut splits by ``u``'s
+split when ``u`` has one, else by ``v``'s, into two rows; a row of two leaves
+becomes a leaf. So when both splits cut, the first tree's split always wins
+(a fixed tie-break that makes the output deterministic and keeps the rows
+processed within ``n1 * n2``).
+
+Axis-aligned regions are rows of one box matrix: the lower and upper bound
+and a lower-closed flag per feature, plus a bitmask of admissible levels.
+A row that meets a hyperplane instead keeps a :class:`Region` and the sides
+of its splits that are already decided, and is decided one row at a time by
+:meth:`Region.split`, so no region decides a split twice. Nodes are numbered
+at the end in the order a depth-first build gives them, which
+:func:`treealgebra.oracle.combine_many_reference` still follows.
 """
 
 from __future__ import annotations
@@ -18,8 +31,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, LeafKindError, SchemaError
-from .geometry import same_partition_in_region
-from .trees import Leaves, Region, Tree, TreeBuilder, leaf_kind_of
+from .trees import (
+    CATEGORICAL,
+    HYPERPLANE,
+    NUMERIC,
+    CategoricalFeature,
+    Hyperplane,
+    Interval,
+    Leaves,
+    NumericThreshold,
+    Region,
+    Tree,
+    TreeBuilder,
+    check_node_budget,
+    leaf_kind_of,
+)
 
 __all__ = [
     "CombineBudget",
@@ -36,8 +62,9 @@ class CombineBudget:
     ``max_nodes`` caps the size of any produced tree (the blow-up can be
     exponential in the number of combined trees, so hitting the cap is a
     clean reported failure instead of memory exhaustion). ``calls_made``
-    counts the recursive combine steps, copies of one tree below a leaf of
-    the other included, which lets tests assert the ``n1 * n2`` cost bound.
+    counts the overlay rows processed, one per node pair and output node
+    they were processed for, which lets tests assert the ``n1 * n2`` cost
+    bound.
     """
 
     max_nodes: int = 10_000_000
@@ -49,39 +76,6 @@ def _arrays(tree: Tree):
     return tree.left_pos.tolist(), tree.right_pos.tolist(), tree.leaf.tolist(), tree.splits()
 
 
-def _descend(tree, i: int, sides):
-    """Where a tree continues in a region, given the sides of its split
-    there: the node and those sides when the split cuts the region, else the
-    child whose side holds the region, whose split is not yet decided."""
-    left, right = sides
-    if left is None:
-        return tree[1][i], None
-    if right is None:
-        return tree[0][i], None
-    return i, sides
-
-
-def _collect_into(builder, w, region, tree, v, budget, value_fn, sides=None):
-    """Copy ``tree`` (its :func:`_arrays`) below node ``v`` into ``builder``
-    at ``w``, keeping only the splits that cut ``region``; ``sides`` is
-    ``v``'s split already decided in ``region``, when known."""
-    left, right, leaf, splits = tree
-    stack = [(w, region, v, sides)]
-    while stack:
-        w, region, v, sides = stack.pop()
-        budget.calls_made += 1
-        if left[v] < 0:
-            builder.set_value(w, value_fn(leaf[v]))
-            continue
-        u, sides = _descend(tree, v, sides or region.split(splits[v]))
-        if sides is None:
-            stack.append((w, region, u, None))
-            continue
-        lw, rw = builder.split_node(w, splits[v])
-        stack.append((rw, sides[1], right[v], None))
-        stack.append((lw, sides[0], left[v], None))
-
-
 def _blocks(leaves: Leaves, source: int) -> tuple[np.ndarray, np.ndarray]:
     """The values and source ids of some leaves as tuple blocks; a leaf
     that is not a tuple is one block from ``source``."""
@@ -90,72 +84,322 @@ def _blocks(leaves: Leaves, source: int) -> tuple[np.ndarray, np.ndarray]:
     return leaves.values, np.full((len(leaves.values), 1), source)
 
 
-def _combine(t1: Tree, t2: Tree, budget: CombineBudget, second: int) -> Tree:
-    """The overlay of two trees; its leaf joining leaf rows ``i`` of ``t1``
-    and ``j`` of ``t2`` holds the blocks of both, ``t1``'s first. A leaf
+def tuple_tree(tree: Tree) -> Tree:
+    """A tree with its leaves as tuples of one block from source 0, the
+    start of a fold."""
+    values, sources = _blocks(tree.leaves, 0)
+    return replace(tree, leaves=Leaves("tuple", tree.leaves.kind, values, sources))
+
+
+def pack_pairs(t1: Tree, t2: Tree, second: int, i: np.ndarray, j: np.ndarray) -> Leaves:
+    """The leaf table of an overlay whose leaves join leaf rows ``i`` of
+    ``t1`` and ``j`` of ``t2``: the blocks of both, ``t1``'s first. A leaf
     that is not a tuple is one block, from source 0 in ``t1`` and from
     source ``second`` in ``t2``."""
-    schema = t1.schema
-    builder = TreeBuilder(schema, budget.max_nodes)
-    w0 = builder.add_root()
-    a, b = _arrays(t1), _arrays(t2)
-    (left1, right1, leaf1, splits1), (left2, right2, leaf2, splits2) = a, b
-    # each entry carries the sides of u's and v's splits in its region when
-    # an earlier step already decided them, so no region decides a split twice
-    stack = [(t1.root_pos, t2.root_pos, w0, Region.full(schema), None, None)]
-    while stack:
-        u, v, w, region, su, sv = stack.pop()
-        budget.calls_made += 1
-        if left1[u] < 0 and left2[v] < 0:
-            builder.set_value(w, (leaf1[u], leaf2[v]))
-            continue
-        if left1[u] < 0:
-            _collect_into(builder, w, region, b, v, budget, lambda j, i=leaf1[u]: (i, j), sv)
-            continue
-        if left2[v] < 0:
-            _collect_into(builder, w, region, a, u, budget, lambda i, j=leaf2[v]: (i, j), su)
-            continue
-        cu, cv = splits1[u], splits2[v]
-        u2, su = _descend(a, u, su or region.split(cu))
-        v2, sv = _descend(b, v, sv or region.split(cv))
-        if su is None or sv is None:
-            # at least one condition misses the working region: descend into
-            # whichever children contain it without adding a node. (The case
-            # where both conditions cut the region never reaches this branch;
-            # it is handled below.)
-            stack.append((u2, v2, w, region, su, sv))
-            continue
-        ident = same_partition_in_region(cu, cv, region)
-        lw, rw = builder.split_node(w, cu)
-        left_region, right_region = su
-        if ident == "same":
-            stack.append((right1[u], right2[v], rw, right_region, None, None))
-            stack.append((left1[u], left2[v], lw, left_region, None, None))
-            continue
-        if ident == "swapped":
-            stack.append((right1[u], left2[v], rw, right_region, None, None))
-            stack.append((left1[u], right2[v], lw, left_region, None, None))
-            continue
-        # crossing or parallel splits: split by the first tree's condition;
-        # each child keeps the second tree's node if its condition still cuts
-        # the child region and otherwise descends to the matching daughter.
-        # The child's sides of cv are cv's sides split by cu, which start from
-        # their own witnesses (a categorical cu needs no LP at all).
-        (ll, lr), (rl, rr) = sv[0].split(cu), sv[1].split(cu)
-        for child_u, child_w, child_region, child_sides in (
-            (right1[u], rw, right_region, (lr, rr)),
-            (left1[u], lw, left_region, (ll, rl)),
-        ):
-            child_v, child_sv = _descend(b, v, child_sides)
-            stack.append((child_u, child_v, child_w, child_region, None, child_sv))
+    (va, sa), (vb, sb) = _blocks(t1.leaves, 0), _blocks(t2.leaves, second)
+    return Leaves("tuple", t2.leaves.entry, np.hstack((va[i], vb[j])), np.hstack((sa[i], sb[j])))
 
-    def pack(pairs) -> Leaves:
-        (va, sa), (vb, sb) = _blocks(t1.leaves, 0), _blocks(t2.leaves, second)
-        i, j = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
-        return Leaves("tuple", t2.leaves.entry, np.hstack((va[i], vb[j])),
-                      np.hstack((sa[i], sb[j])))
 
-    return builder.build(pack)
+_WORD = (1 << 64) - 1
+
+
+class _Nodes:
+    """The nodes of two trees in one table, the second tree's positions
+    after the first's: children, leaf rows, splits, and per categorical
+    split the level masks of its sides.
+
+    A box is a row of ``3 * slots`` floats, three blocks of one slot per
+    feature plus a spare slot: the bound ``g`` below which a threshold
+    leaves the left side empty (the lower bound when open, the float just
+    below it when closed), the upper bound, and the lower bound. A numeric
+    split ``x_j <= t`` meets the box's left side when ``t > g`` and its right
+    side when ``t < hi``. Every other node reads and writes the spare slot
+    with its NaN threshold, which meets no side."""
+
+    def __init__(self, t1: Tree, t2: Tree):
+        self.trees, self.n1 = (t1, t2), t1.n_nodes
+        join = lambda a, b: np.concatenate((a, np.where(b >= 0, b + self.n1, -1)))
+        self.left = join(t1.left_pos, t2.left_pos)
+        self.right = join(t1.right_pos, t2.right_pos)
+        self.leaf = np.concatenate((t1.leaf, t2.leaf))
+        self.kind = np.concatenate((t1.kind, t2.kind))
+        self.feature = np.concatenate((t1.feature, t2.feature))
+        self.threshold = np.concatenate((t1.threshold, t2.threshold))
+        schema = t1.schema
+        self.slots = schema.n_features + 1
+        self.slot = np.where(self.kind == NUMERIC, self.feature, schema.n_features)
+        self._cells = np.zeros(0, dtype=np.int64)
+        self.offsets, n_levels = {}, 0
+        for j, f in enumerate(schema.features):
+            if isinstance(f, CategoricalFeature):
+                self.offsets[j] = n_levels
+                n_levels += len(f.levels)
+        self.words = -(-n_levels // 64)
+        self.hyperplanes = bool((self.kind == HYPERPLANE).any())
+        self.categorical = bool((self.kind == CATEGORICAL).any())
+        if self.categorical:
+            self._level_masks(schema)
+
+    def _level_masks(self, schema) -> None:
+        """``on_left``/``on_right``: the levels each categorical split sends
+        to each side, as bits of a level mask of ``words`` 64-bit words;
+        ``keep_left``/``keep_right``: the bits a mask keeps on each side of
+        any split."""
+        pos = np.flatnonzero(self.kind == CATEGORICAL)
+        masks, cache = [], {}
+        for split in self.splits(pos):
+            if id(split) not in cache:
+                j, off = split.feature, self.offsets[split.feature]
+                n = len(schema.features[j].levels)
+                every = ((1 << n) - 1) << off
+                bits = sum(1 << (off + x) for x in split.left_levels if 0 <= x < n)
+                cache[id(split)] = [(b >> (64 * k)) & _WORD for b in (bits, every & ~bits)
+                                    for k in range(self.words)]
+            masks.append(cache[id(split)])
+        sides = np.zeros((len(self.kind), 2 * self.words), dtype=np.uint64)
+        sides[pos] = np.array(masks, dtype=np.uint64).reshape(len(pos), 2 * self.words)
+        self.on_left, self.on_right = sides[:, :self.words], sides[:, self.words:]
+        self.keep_left, self.keep_right = ~self.on_right, ~self.on_left
+
+    def full_box(self) -> np.ndarray:
+        """The box of the whole domain, as a matrix of one row."""
+        box = np.zeros((3, self.slots))
+        for j, f in enumerate(self.trees[0].schema.features):
+            if j not in self.offsets:
+                box[:, j] = np.nextafter(f.low, -np.inf), f.high, f.low
+        return box.reshape(1, -1)
+
+    def cells(self, n: int) -> np.ndarray:
+        """The offsets into a flat box matrix of rows 0, 0, 1, 1, ...: ``n``
+        of them, for the two nodes of each row."""
+        if len(self._cells) < n:
+            self._cells = (np.arange(2 * n) >> 1) * (3 * self.slots)
+        return self._cells[:n]
+
+    def region(self, box: np.ndarray, mask: Optional[np.ndarray]) -> Region:
+        """The :class:`Region` of a box and its level mask (None: every
+        level)."""
+        g, hi, lo = box.reshape(3, self.slots).tolist()
+        bits = -1 if mask is None else sum(w << (64 * k) for k, w in enumerate(mask.tolist()))
+        return Region(self.trees[0].schema, tuple(
+            frozenset(x for x in range(len(f.levels)) if bits >> (self.offsets[j] + x) & 1)
+            if j in self.offsets else Interval(lo[j], hi[j], g[j] < lo[j], True)
+            for j, f in enumerate(self.trees[0].schema.features)))
+
+    def lists(self) -> tuple[list, list, list]:
+        """The child positions and leaf rows as lists, for one row at a time."""
+        if not hasattr(self, "_lists"):
+            self._lists = self.left.tolist(), self.right.tolist(), self.leaf.tolist()
+        return self._lists
+
+    def splits(self, pos: np.ndarray) -> list:
+        """The split objects of some categorical or hyperplane nodes."""
+        second = pos >= self.n1
+        out = np.empty(len(pos), dtype=object)
+        for t, tree, at in ((0, self.trees[0], pos[~second]), (1, self.trees[1], pos[second])):
+            out[second if t else ~second] = list(map(tree.side.__getitem__, (at - t * self.n1).tolist()))
+        return out.tolist()
+
+    def split(self, p: int):
+        """The split object of the node at stacked position ``p``."""
+        if self.kind[p] == NUMERIC:
+            return NumericThreshold(int(self.feature[p]), float(self.threshold[p]))
+        t = p >= self.n1
+        return self.trees[t].side[p - t * self.n1]
+
+
+class _Overlay:
+    """The output of an overlay while it grows. The root is node 0; the
+    ``k``-th split made gives its node children ``1 + 2k`` and ``2 + 2k``.
+    ``parents``/``sources`` hold each split's node and the stacked position
+    of the split it copies, one array per batch of splits; ``leaves`` holds
+    leaf nodes and the pairs of leaf rows they join."""
+
+    def __init__(self, max_nodes: Optional[int]):
+        self.max_nodes = max_nodes
+        self.n_splits = 0
+        self.parents, self.sources, self.leaves = [], [], []
+        check_node_budget(1, max_nodes)
+
+    def add_splits(self, parents: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        """Split some nodes none of which has a child yet; returns their left
+        children (the right ones are one more)."""
+        k = self.n_splits
+        self.n_splits += len(parents)
+        check_node_budget(1 + 2 * self.n_splits, self.max_nodes)
+        self.parents.append(parents)
+        self.sources.append(sources)
+        return np.arange(1 + 2 * k, 1 + 2 * self.n_splits, 2)
+
+    def tree(self, nodes: _Nodes, second: int) -> Tree:
+        """The overlay as a tree, numbered as a depth-first build numbers
+        it: internal node ``p`` with preorder rank ``r`` among the internal
+        nodes gets children ``1 + 2r`` and ``2 + 2r``, and leaves get their
+        leaf rows in preorder."""
+        k, n = self.n_splits, 1 + 2 * self.n_splits
+        parents = np.concatenate(self.parents or [np.zeros(0, dtype=np.int64)])
+        sources = np.concatenate(self.sources or [np.zeros(0, dtype=np.int64)])
+        bounds = np.cumsum([0] + [len(p) for p in self.parents]).tolist()
+        # a batch splits nodes made by earlier batches, so subtree sizes
+        # come from the last batch up and preorder positions from the first
+        batches = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+        size = np.ones(n, dtype=np.int64)
+        for a, b in reversed(batches):
+            size[parents[a:b]] = 1 + size[1 + 2 * a:1 + 2 * b:2] + size[2 + 2 * a:2 + 2 * b:2]
+        pre = np.zeros(n, dtype=np.int64)
+        for a, b in batches:
+            pre[1 + 2 * a:1 + 2 * b:2] = pre[parents[a:b]] + 1
+            pre[2 + 2 * a:2 + 2 * b:2] = pre[1 + 2 * a:1 + 2 * b:2] + size[1 + 2 * a:1 + 2 * b:2]
+        rank = np.empty(k, dtype=np.int64)
+        rank[np.argsort(pre[parents])] = np.arange(k)
+        new = np.zeros(n, dtype=np.int64)
+        new[1::2] = 1 + 2 * rank
+        new[2::2] = 2 + 2 * rank
+        at = new[parents]
+        left, right, parent = (np.full(n, -1, dtype=np.int64) for _ in range(3))
+        left[at], right[at] = new[1::2], new[2::2]
+        parent[new[1::2]] = parent[new[2::2]] = at
+        kind, feature, threshold = np.zeros(n, dtype=np.int8), left.copy(), np.full(n, np.nan)
+        kind[at], feature[at], threshold[at] = (a[sources] for a in (
+            nodes.kind, nodes.feature, nodes.threshold))
+        tabled = np.flatnonzero(kind[at] >= CATEGORICAL)
+        tabled = tabled[np.argsort(at[tabled])]
+        side = dict(zip(at[tabled].tolist(), nodes.splits(sources[tabled])))
+        w, rows = (np.concatenate(c) for c in zip(*self.leaves))
+        order = np.argsort(pre[w])
+        leaf = np.full(n, -1, dtype=np.int64)
+        leaf[new[w[order]]] = np.arange(len(w))
+        t1, t2 = nodes.trees
+        return Tree(t1.schema, 0, np.arange(n), left, right, parent, kind, feature, threshold,
+                    side, leaf, pack_pairs(t1, t2, second, *rows[order].T))
+
+
+def _box_round(nodes: _Nodes, out: _Overlay, pairs, w, box, masks):
+    """One round over the rows whose regions are boxes: node pairs
+    ``pairs[r]`` (an (n, 2) matrix) for output nodes ``w[r]``, with the
+    boxes ``box[r]`` of :class:`_Nodes` and the level masks ``masks[r]``
+    (None when no split is categorical). Returns the next rows."""
+    r, m = len(pairs), nodes.slots
+    at = pairs.ravel()
+    # which sides of each node's split the row's box meets
+    cell, t, flat = nodes.cells(2 * r) + nodes.slot[at], nodes.threshold[at], box.ravel()
+    on_left, on_right = t > flat[cell], t < flat[cell + m]
+    if masks is not None:
+        both = np.repeat(masks, 2, axis=0)
+        on_left |= (both & nodes.on_left[at]).any(axis=1)
+        on_right |= (both & nodes.on_right[at]).any(axis=1)
+    left = nodes.left[at]
+    inner = left >= 0
+    moves = inner & ~(on_left & on_right)
+    pairs = np.where(moves, np.where(on_left, left, nodes.right[at]), at).reshape(r, 2)
+    inner = inner.reshape(r, 2)
+    moved, done = moves.reshape(r, 2).any(axis=1), ~inner.any(axis=1)
+    if done.any():
+        out.leaves.append((w[done], nodes.leaf[pairs[done]]))
+    stay, cut = np.flatnonzero(moved), np.flatnonzero(~(moved | done))
+    # a row splits by u's split when u has one, else by v's
+    by = (~inner[cut, 0]).astype(np.intp)
+    src = pairs[cut, by]
+    first = out.add_splits(w[cut], src)
+    take = np.concatenate((stay, cut, cut))
+    pairs, box, w = pairs[take], box[take], np.concatenate((w[stay], first, first + 1))
+    to_left = np.arange(len(stay), len(stay) + len(cut))
+    to_right = to_left + len(cut)
+    pairs[to_left, by], pairs[to_right, by] = nodes.left[src], nodes.right[src]
+    # x_j <= t cuts [lo, hi] into [lo, t] and (t, hi]
+    j, t = nodes.slot[src], nodes.threshold[src]
+    box[to_left, m + j] = t
+    box[to_right, j] = t
+    box[to_right, 2 * m + j] = t
+    if masks is not None:
+        masks = masks[take]
+        masks[to_left] &= nodes.keep_left[src]
+        masks[to_right] &= nodes.keep_right[src]
+    return pairs, w, box, masks
+
+
+def _region_round(nodes: _Nodes, out: _Overlay, rows: list) -> list:
+    """One round over the rows that keep a :class:`Region`, one row at a
+    time: ``(u, v, w, region, su, sv)``, where ``su``/``sv`` are the sides
+    of ``u``'s/``v``'s split in the region once decided. The splits are
+    decided by exactly the :meth:`Region.split` calls of the depth-first
+    overlay. Returns the next rows."""
+    left, right, leaf = nodes.lists()
+
+    def descend(i, sides):
+        # the node and its sides when its split cuts, else the child that
+        # holds the region, whose split is not yet decided
+        if sides[0] is None:
+            return right[i], None
+        if sides[1] is None:
+            return left[i], None
+        return i, sides
+
+    nxt, parents, sources, children, leaves = [], [], [], [], []
+    for u, v, w, region, su, sv in rows:
+        inner_u, inner_v = left[u] >= 0, left[v] >= 0
+        if not (inner_u or inner_v):
+            leaves.append((w, leaf[u], leaf[v]))
+            continue
+        cu = nodes.split(u) if inner_u else None
+        cv = nodes.split(v) if inner_v else None
+        u2, su = descend(u, su or region.split(cu)) if inner_u else (u, None)
+        v2, sv = descend(v, sv or region.split(cv)) if inner_v else (v, None)
+        if (inner_u and su is None) or (inner_v and sv is None):
+            nxt.append((u2, v2, w, region, su, sv))
+            continue
+        parents.append(w)
+        sources.append(u if inner_u else v)
+        if not inner_v:
+            children.append(((left[u], v, su[0], None, None), (right[u], v, su[1], None, None)))
+        elif not inner_u:
+            children.append(((u, left[v], sv[0], None, None), (u, right[v], sv[1], None, None)))
+        elif isinstance(cu, Hyperplane) and cu == cv:
+            # under the closed relaxation each side of a hyperplane meets
+            # the other side, so an identical one must not be split again
+            children.append(((left[u], left[v], su[0], None, None),
+                             (right[u], right[v], su[1], None, None)))
+        else:
+            # each child keeps v's split where it still cuts the child's
+            # region; its sides there are v's sides split by u's split
+            (ll, lr), (rl, rr) = sv[0].split(cu), sv[1].split(cu)
+            (vl, sl), (vr, sr) = descend(v, (ll, rl)), descend(v, (lr, rr))
+            children.append(((left[u], vl, su[0], None, sl), (right[u], vr, su[1], None, sr)))
+    if leaves:
+        w, i, j = zip(*leaves)
+        out.leaves.append((np.array(w), np.array([i, j]).T))
+    if parents:
+        first = out.add_splits(np.array(parents), np.array(sources)).tolist()
+        for k, pair in zip(first, children):
+            for node, (a, b, region, su, sv) in zip((k, k + 1), pair):
+                nxt.append((a, b, node, region, su, sv))
+    return nxt
+
+
+def _combine(t1: Tree, t2: Tree, budget: CombineBudget, second: int) -> Tree:
+    """The overlay of two trees, with the leaf table of :func:`pack_pairs`,
+    one frontier of rows at a time."""
+    nodes, out = _Nodes(t1, t2), _Overlay(budget.max_nodes)
+    pairs, w = np.array([[t1.root_pos, t2.root_pos + nodes.n1]]), np.zeros(1, dtype=np.int64)
+    box = nodes.full_box()
+    masks = np.full((1, nodes.words), _WORD, dtype=np.uint64) if nodes.categorical else None
+    regions: list = []
+    while len(pairs) or regions:
+        budget.calls_made += len(pairs) + len(regions)
+        if nodes.hyperplanes and len(pairs):
+            # a row that meets a hyperplane keeps a Region from now on
+            meets = (nodes.kind[pairs] == HYPERPLANE).any(axis=1)
+            for r in np.flatnonzero(meets).tolist():
+                region = nodes.region(box[r], None if masks is None else masks[r])
+                regions.append((*pairs[r].tolist(), int(w[r]), region, None, None))
+            if meets.any():
+                pairs, w, box = pairs[~meets], w[~meets], box[~meets]
+                masks = None if masks is None else masks[~meets]
+        if len(pairs):
+            pairs, w, box, masks = _box_round(nodes, out, pairs, w, box, masks)
+        if regions:
+            regions = _region_round(nodes, out, regions)
+    return out.tree(nodes, second)
 
 
 def _require_schema_and_kind(trees: Sequence[Tree]) -> str:
@@ -205,8 +449,7 @@ def combine_many(trees: Sequence[Tree], budget: Optional[CombineBudget] = None) 
         raise DomainError("combine_many needs at least one tree")
     _require_schema_and_kind(trees)
     budget = budget if budget is not None else CombineBudget()
-    values, sources = _blocks(trees[0].leaves, 0)
-    result = replace(trees[0], leaves=Leaves("tuple", trees[0].leaves.kind, values, sources))
+    result = tuple_tree(trees[0])
     for m in range(1, len(trees)):
         result = _combine(result, trees[m], budget, m)
     return result

@@ -1,9 +1,9 @@
-"""The probability measures, and the comparison of two splits within a region.
+"""The probability measures.
 
-Do two splits induce the same bipartition of a region? Which sides of a
-split a region meets is :meth:`treealgebra.trees.Region.split`, which
-answers it with at most one feasibility LP (:mod:`treealgebra.simplex`).
-The mass of a region is reference code,
+Which sides of a split a region meets is
+:meth:`treealgebra.trees.Region.split`, which answers it with at most one
+feasibility LP (:mod:`treealgebra.simplex`). The mass of a region is
+reference code,
 :func:`treealgebra.oracle.region_measure`; the statistics in
 :mod:`treealgebra.measures` never build regions.
 """
@@ -16,14 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError
-from .trees import (
-    CategoricalSubset,
-    FeatureSchema,
-    Hyperplane,
-    NumericThreshold,
-    Region,
-    Split,
-)
+from .trees import FeatureSchema
 
 __all__ = [
     "UniformBox",
@@ -81,43 +74,3 @@ class Empirical:
 
 
 Measure = Union[UniformBox, Empirical]
-
-
-# ---------------------------------------------------------------------------
-# Split vs split
-
-
-def same_partition_in_region(
-    split_u: Split, split_v: Split, region: Region
-) -> Optional[str]:
-    """``"same"``/``"swapped"`` when two splits induce one bipartition of the
-    region, else None.
-
-    Numeric thresholds and hyperplanes are compared by exact equality (trees
-    built from the same data reuse exact split values; epsilon-merging would
-    silently change the represented function). Categorical splits compare
-    their left level sets restricted to the region.
-    """
-    if isinstance(split_u, NumericThreshold) and isinstance(split_v, NumericThreshold):
-        if split_u.feature == split_v.feature and split_u.threshold == split_v.threshold:
-            return "same"
-        return None
-    if isinstance(split_u, CategoricalSubset) and isinstance(split_v, CategoricalSubset):
-        if split_u.feature != split_v.feature:
-            return None
-        admissible: frozenset = region.constraints[split_u.feature]
-        lu = split_u.left_levels & admissible
-        lv = split_v.left_levels & admissible
-        if lu == lv:
-            return "same"
-        if lu == admissible - lv:
-            return "swapped"
-        return None
-    if isinstance(split_u, Hyperplane) and isinstance(split_v, Hyperplane):
-        if (
-            split_u.coefficients == split_v.coefficients
-            and split_u.offset == split_v.offset
-        ):
-            return "same"
-        return None
-    return None

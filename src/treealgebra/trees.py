@@ -702,6 +702,15 @@ def _assemble(schema, root, ids, left, right, kind, feature, threshold, side, le
                 as_int(feature), np.array(threshold, dtype=float), side, as_int(leaf), leaves)
 
 
+def check_node_budget(n_nodes: int, max_nodes: Optional[int]) -> None:
+    """Raise :class:`~treealgebra.errors.BudgetExceededError` when a tree
+    growing one node at a time would reach ``n_nodes`` nodes past the cap
+    ``max_nodes`` (None for none); the message names the size it stopped at."""
+    if max_nodes is not None and n_nodes > max_nodes:
+        raise BudgetExceededError(f"node budget exceeded: combined tree already has "
+                                  f"{max(max_nodes, 0)} nodes (max_nodes={max_nodes})")
+
+
 class TreeBuilder:
     """Mutable arena used while growing a tree; ``build`` freezes it.
 
@@ -725,11 +734,7 @@ class TreeBuilder:
         return len(self._parent)
 
     def _new(self, parent: int) -> int:
-        if self.max_nodes is not None and self.n_nodes >= self.max_nodes:
-            raise BudgetExceededError(
-                f"node budget exceeded: combined tree already has "
-                f"{self.n_nodes} nodes (max_nodes={self.max_nodes})"
-            )
+        check_node_budget(self.n_nodes + 1, self.max_nodes)
         self._parent.append(parent)
         self._split.append(None)
         self._left.append(-1)

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 import treealgebra as ta
+from treealgebra import simplex
 from treealgebra.combine import CombineBudget
-from treealgebra.oracle import iter_leaves_with_regions, node_region, route
+from treealgebra.oracle import (
+    combine_many_reference,
+    iter_leaves_with_regions,
+    node_region,
+    route,
+)
 from treealgebra.trees import (
+    Hyperplane,
     Interval,
     NumericThreshold,
     Region,
@@ -322,3 +329,140 @@ class TestCombineProperties:
         combined = ta.combine_pair(hyper, stump4)
         assert ta.validate(combined) == []
         assert ta.pointwise_equivalence(combined, [hyper, stump4], 4000, seed=0) is None
+
+
+def assert_same_overlay(got, want):
+    """Equal node arrays, side tables and leaf tables."""
+    for name in ("ids", "left", "right", "parent", "kind", "feature", "threshold", "leaf"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b, equal_nan=name == "threshold"), name
+    assert got.root == want.root
+    assert got.side == want.side
+    assert (got.leaves.kind, got.leaves.entry) == (want.leaves.kind, want.leaves.entry)
+    assert np.array_equal(got.leaves.values, want.leaves.values)
+    assert np.array_equal(got.leaves.sources, want.leaves.sources)
+
+
+def pool_tree(schema, rng, n_splits, pool):
+    """A random valid tree whose splits come from ``pool``, a list of
+    functions of the rng that each return a split: every split cuts its
+    node's region, as decided by Region.split."""
+    b = ta.TreeBuilder(schema)
+    leaves = [(b.add_root(), Region.full(schema))]
+    for _ in range(20 * n_splits):
+        if len(leaves) > n_splits:
+            break
+        k = int(rng.integers(0, len(leaves)))
+        nid, region = leaves[k]
+        split = pool[int(rng.integers(0, len(pool)))](rng)
+        left, right = region.split(split)
+        if left is None or right is None:
+            continue
+        lw, rw = b.split_node(nid, split)
+        leaves[k] = (lw, left)
+        leaves.append((rw, right))
+    for nid, _ in leaves:
+        b.set_value(nid, Scalar(float(rng.uniform(-1, 1))))
+    return b.build()
+
+
+def grid_pool(schema, steps):
+    """Numeric thresholds on a grid of ``steps`` + 1 points per feature, its
+    lower bound included, and random categorical level subsets."""
+    pool = []
+    for j, f in enumerate(schema.features):
+        if isinstance(f, ta.NumericFeature):
+            grid = np.linspace(f.low, f.high, steps + 1)[:-1]
+            pool.append(lambda rng, j=j, grid=grid: NumericThreshold(j, float(rng.choice(grid))))
+        else:
+            n = len(f.levels)
+            pool.append(lambda rng, j=j, n=n: ta.CategoricalSubset(
+                j, frozenset(rng.choice(n, int(rng.integers(1, n)), replace=False).tolist())))
+    return pool
+
+
+class TestFrontierOverlayMatchesReference:
+    """The frontier overlay builds the tree the depth-first reference
+    overlay builds, array for array, on pairs and on 3-5 tree folds."""
+
+    def check(self, trees, lps=None):
+        """The overlay of some trees by both; with ``lps``, the list that
+        records feasibility LPs, both must run as many."""
+        budget = CombineBudget()
+        start = len(lps or ())
+        if len(trees) == 2:
+            got = ta.combine_pair(*trees, budget)
+            assert budget.calls_made <= trees[0].n_nodes * trees[1].n_nodes
+        else:
+            got = ta.combine_many(trees, budget)
+        middle = len(lps or ())
+        assert_same_overlay(got, combine_many_reference(trees))
+        assert len(lps or ()) - middle == middle - start
+        return got
+
+    def test_random_trees(self, rng):
+        for _ in range(80):
+            schema = ta.random_schema(rng, max_features=5)
+            k = int(rng.choice([2, 2, 3, 4, 5]))
+            self.check([ta.random_tree(schema, rng, int(rng.integers(0, 12))) for _ in range(k)])
+
+    def test_shared_grid_thresholds_and_many_levels(self, rng):
+        # thresholds coincide, nest and sit on a closed lower bound; the
+        # 70-level feature puts the level masks of the next one across
+        # two 64-bit words
+        schema = ta.FeatureSchema((
+            ta.NumericFeature("x", 0.0, 1.0),
+            ta.CategoricalFeature("many", tuple(f"m{i}" for i in range(70))),
+            ta.NumericFeature("y", -2.0, 2.0),
+            ta.CategoricalFeature("few", ("a", "b", "c")),
+        ))
+        pool = grid_pool(schema, 4)
+        sizes = {}
+        for _ in range(60):
+            k = int(rng.choice([2, 2, 3, 4, 5]))
+            trees = [pool_tree(schema, rng, int(rng.integers(1, 7)), pool) for _ in range(k)]
+            out = self.check(trees)
+            sizes[k] = max(sizes.get(k, 0), out.n_nodes)
+        assert sizes[2] > 20 and max(sizes.values()) > 100
+
+    def test_hyperplane_and_numeric_mixes(self, rng, monkeypatch):
+        schema = ta.FeatureSchema((
+            ta.CategoricalFeature("many", tuple(f"m{i}" for i in range(70))),
+            ta.NumericFeature("x0", 0.0, 1.0),
+            ta.NumericFeature("x1", 0.0, 1.0),
+            ta.CategoricalFeature("c", ("a", "b", "c")),
+        ))
+        # a small pool, so identical hyperplanes recur within and across
+        # trees; x0 + x1 <= 0 only touches the domain at a corner, and
+        # x0 <= 0.5 as a hyperplane only touches the region right of the
+        # same threshold
+        planes = [Hyperplane((1.0, 1.0), 0.0), Hyperplane((1.0, 1.0), 1.0),
+                  Hyperplane((1.0, -1.0), 0.25), Hyperplane((1.0, 0.0), 0.5),
+                  Hyperplane((-1.0, 2.0), 0.5)]
+        pool = grid_pool(schema, 2) + [lambda rng: planes[int(rng.integers(0, len(planes)))]] * 4
+        calls = []
+        feasible = simplex.feasible
+
+        def counted(a, b):
+            calls.append(1)
+            return feasible(a, b)
+
+        monkeypatch.setattr(simplex, "feasible", counted)
+        for _ in range(50):
+            k = int(rng.choice([2, 2, 3, 4]))
+            trees = [pool_tree(schema, rng, int(rng.integers(1, 6)), pool) for _ in range(k)]
+            self.check(trees, calls)
+        assert len(calls) > 100
+
+    def test_budget_overflow_matches(self, rng):
+        schema = ta.random_schema(rng, max_features=4)
+        trees = [ta.random_tree(schema, rng, 6) for _ in range(3)]
+        size = ta.combine_many(trees).n_nodes
+        for max_nodes in (1, 2, size // 2, size - 1):
+            with pytest.raises(ta.BudgetExceededError) as got:
+                ta.combine_many(trees, CombineBudget(max_nodes=max_nodes))
+            with pytest.raises(ta.BudgetExceededError) as want:
+                combine_many_reference(trees, CombineBudget(max_nodes=max_nodes))
+            assert str(got.value) == str(want.value)
+        assert ta.combine_many(trees, CombineBudget(max_nodes=size)).n_nodes == size

@@ -8,12 +8,13 @@ import pytest
 
 import treealgebra as ta
 from treealgebra import simplex
-from treealgebra.geometry import Empirical, same_partition_in_region
+from treealgebra.geometry import Empirical
 from treealgebra.oracle import (
     contains_batch,
     iter_leaves_with_regions,
     node_region,
     region_measure,
+    same_partition_in_region,
 )
 from treealgebra.trees import Hyperplane, Interval, NumericThreshold, Region, Side
 
