@@ -14,18 +14,21 @@ becomes a leaf. So when both splits cut, the first tree's split always wins
 (a fixed tie-break that makes the output deterministic and keeps the rows
 processed within ``n1 * n2``).
 
-Axis-aligned regions are rows of one box matrix: the lower and upper bound
-and a lower-closed flag per feature, plus a bitmask of admissible levels.
+Axis-aligned regions are rows of one box matrix, two bounds per numeric
+feature, plus a bitmask of admissible levels when some split is
+categorical, so a round decides every row with a few array operations.
 A row that meets a hyperplane instead keeps a :class:`Region` and the sides
 of its splits that are already decided, and is decided one row at a time by
-:meth:`Region.split`, so no region decides a split twice. Nodes are numbered
-at the end in the order a depth-first build gives them, which
-:func:`treealgebra.oracle.combine_many_reference` still follows.
+exactly the :meth:`Region.split` calls of the depth-first overlay, so no
+region decides a split twice. Nodes are numbered at the end in the order a
+depth-first build gives them; :func:`treealgebra.oracle.combine_many_reference`
+is that build, the reference the tests compare with array for array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,14 +87,14 @@ def _blocks(leaves: Leaves, source: int) -> tuple[np.ndarray, np.ndarray]:
     return leaves.values, np.full((len(leaves.values), 1), source)
 
 
-def tuple_tree(tree: Tree) -> Tree:
+def _tuple_tree(tree: Tree) -> Tree:
     """A tree with its leaves as tuples of one block from source 0, the
     start of a fold."""
     values, sources = _blocks(tree.leaves, 0)
     return replace(tree, leaves=Leaves("tuple", tree.leaves.kind, values, sources))
 
 
-def pack_pairs(t1: Tree, t2: Tree, second: int, i: np.ndarray, j: np.ndarray) -> Leaves:
+def _pack_pairs(t1: Tree, t2: Tree, second: int, i: np.ndarray, j: np.ndarray) -> Leaves:
     """The leaf table of an overlay whose leaves join leaf rows ``i`` of
     ``t1`` and ``j`` of ``t2``: the blocks of both, ``t1``'s first. A leaf
     that is not a tuple is one block, from source 0 in ``t1`` and from
@@ -108,13 +111,14 @@ class _Nodes:
     after the first's: children, leaf rows, splits, and per categorical
     split the level masks of its sides.
 
-    A box is a row of ``3 * slots`` floats, three blocks of one slot per
-    feature plus a spare slot: the bound ``g`` below which a threshold
-    leaves the left side empty (the lower bound when open, the float just
-    below it when closed), the upper bound, and the lower bound. A numeric
+    A box is a row of ``2 * slots`` floats, two blocks of one slot per
+    numeric feature plus a spare slot: the bound ``g`` below which a
+    threshold leaves the left side empty, and the upper bound. A numeric
     split ``x_j <= t`` meets the box's left side when ``t > g`` and its right
-    side when ``t < hi``. Every other node reads and writes the spare slot
-    with its NaN threshold, which meets no side."""
+    side when ``t < hi``. A lower bound is closed only where no split has
+    cut the domain from below, and then ``g`` is the float just below it;
+    else it is open and equals ``g``. Every other node reads and writes the
+    spare slot with its NaN threshold, which meets no side."""
 
     def __init__(self, t1: Tree, t2: Tree):
         self.trees, self.n1 = (t1, t2), t1.n_nodes
@@ -126,8 +130,11 @@ class _Nodes:
         self.feature = np.concatenate((t1.feature, t2.feature))
         self.threshold = np.concatenate((t1.threshold, t2.threshold))
         schema = t1.schema
-        self.slots = schema.n_features + 1
-        self.slot = np.where(self.kind == NUMERIC, self.feature, schema.n_features)
+        numeric = schema.numeric_indices
+        self.slots = len(numeric) + 1
+        slot_of = np.full(schema.n_features + 1, len(numeric))
+        slot_of[list(numeric)] = np.arange(len(numeric))
+        self.slot = np.where(self.kind == NUMERIC, slot_of[self.feature], len(numeric))
         self._cells = np.zeros(0, dtype=np.int64)
         self.offsets, n_levels = {}, 0
         for j, f in enumerate(schema.features):
@@ -163,41 +170,43 @@ class _Nodes:
 
     def full_box(self) -> np.ndarray:
         """The box of the whole domain, as a matrix of one row."""
-        box = np.zeros((3, self.slots))
-        for j, f in enumerate(self.trees[0].schema.features):
-            if j not in self.offsets:
-                box[:, j] = np.nextafter(f.low, -np.inf), f.high, f.low
-        return box.reshape(1, -1)
+        features = self.trees[0].schema.features
+        low, high = ([getattr(features[j], a) for j in self.trees[0].schema.numeric_indices]
+                     for a in ("low", "high"))
+        return np.array([np.nextafter(low, -np.inf).tolist() + [0.0] + high + [0.0]])
 
     def cells(self, n: int) -> np.ndarray:
         """The offsets into a flat box matrix of rows 0, 0, 1, 1, ...: ``n``
         of them, for the two nodes of each row."""
         if len(self._cells) < n:
-            self._cells = (np.arange(2 * n) >> 1) * (3 * self.slots)
+            self._cells = (np.arange(2 * n) >> 1) * (2 * self.slots)
         return self._cells[:n]
 
     def region(self, box: np.ndarray, mask: Optional[np.ndarray]) -> Region:
         """The :class:`Region` of a box and its level mask (None: every
         level)."""
-        g, hi, lo = box.reshape(3, self.slots).tolist()
+        schema = self.trees[0].schema
+        g, hi = box.reshape(2, self.slots).tolist()
         bits = -1 if mask is None else sum(w << (64 * k) for k, w in enumerate(mask.tolist()))
-        return Region(self.trees[0].schema, tuple(
-            frozenset(x for x in range(len(f.levels)) if bits >> (self.offsets[j] + x) & 1)
-            if j in self.offsets else Interval(lo[j], hi[j], g[j] < lo[j], True)
-            for j, f in enumerate(self.trees[0].schema.features)))
+        cons = [frozenset(x for x in range(len(f.levels)) if bits >> (self.offsets[j] + x) & 1)
+                if j in self.offsets else None for j, f in enumerate(schema.features)]
+        for k, j in enumerate(schema.numeric_indices):
+            low = schema.features[j].low
+            cons[j] = Interval(low, hi[k], True, True) if g[k] < low else Interval(
+                g[k], hi[k], False, True)
+        return Region(schema, tuple(cons))
 
+    @cached_property
     def lists(self) -> tuple[list, list, list]:
         """The child positions and leaf rows as lists, for one row at a time."""
-        if not hasattr(self, "_lists"):
-            self._lists = self.left.tolist(), self.right.tolist(), self.leaf.tolist()
-        return self._lists
+        return self.left.tolist(), self.right.tolist(), self.leaf.tolist()
 
     def splits(self, pos: np.ndarray) -> list:
         """The split objects of some categorical or hyperplane nodes."""
-        second = pos >= self.n1
+        (t1, t2), second = self.trees, pos >= self.n1
         out = np.empty(len(pos), dtype=object)
-        for t, tree, at in ((0, self.trees[0], pos[~second]), (1, self.trees[1], pos[second])):
-            out[second if t else ~second] = list(map(tree.side.__getitem__, (at - t * self.n1).tolist()))
+        out[~second] = list(map(t1.side.__getitem__, pos[~second].tolist()))
+        out[second] = list(map(t2.side.__getitem__, (pos[second] - self.n1).tolist()))
         return out.tolist()
 
     def split(self, p: int):
@@ -259,7 +268,7 @@ class _Overlay:
         left, right, parent = (np.full(n, -1, dtype=np.int64) for _ in range(3))
         left[at], right[at] = new[1::2], new[2::2]
         parent[new[1::2]] = parent[new[2::2]] = at
-        kind, feature, threshold = np.zeros(n, dtype=np.int8), left.copy(), np.full(n, np.nan)
+        kind, feature, threshold = np.zeros(n, dtype=np.int8), np.full(n, -1), np.full(n, np.nan)
         kind[at], feature[at], threshold[at] = (a[sources] for a in (
             nodes.kind, nodes.feature, nodes.threshold))
         tabled = np.flatnonzero(kind[at] >= CATEGORICAL)
@@ -271,7 +280,7 @@ class _Overlay:
         leaf[new[w[order]]] = np.arange(len(w))
         t1, t2 = nodes.trees
         return Tree(t1.schema, 0, np.arange(n), left, right, parent, kind, feature, threshold,
-                    side, leaf, pack_pairs(t1, t2, second, *rows[order].T))
+                    side, leaf, _pack_pairs(t1, t2, second, *rows[order].T))
 
 
 def _box_round(nodes: _Nodes, out: _Overlay, pairs, w, box, masks):
@@ -310,7 +319,6 @@ def _box_round(nodes: _Nodes, out: _Overlay, pairs, w, box, masks):
     j, t = nodes.slot[src], nodes.threshold[src]
     box[to_left, m + j] = t
     box[to_right, j] = t
-    box[to_right, 2 * m + j] = t
     if masks is not None:
         masks = masks[take]
         masks[to_left] &= nodes.keep_left[src]
@@ -324,7 +332,7 @@ def _region_round(nodes: _Nodes, out: _Overlay, rows: list) -> list:
     of ``u``'s/``v``'s split in the region once decided. The splits are
     decided by exactly the :meth:`Region.split` calls of the depth-first
     overlay. Returns the next rows."""
-    left, right, leaf = nodes.lists()
+    left, right, leaf = nodes.lists
 
     def descend(i, sides):
         # the node and its sides when its split cuts, else the child that
@@ -377,7 +385,7 @@ def _region_round(nodes: _Nodes, out: _Overlay, rows: list) -> list:
 
 
 def _combine(t1: Tree, t2: Tree, budget: CombineBudget, second: int) -> Tree:
-    """The overlay of two trees, with the leaf table of :func:`pack_pairs`,
+    """The overlay of two trees, with the leaf table of :func:`_pack_pairs`,
     one frontier of rows at a time."""
     nodes, out = _Nodes(t1, t2), _Overlay(budget.max_nodes)
     pairs, w = np.array([[t1.root_pos, t2.root_pos + nodes.n1]]), np.zeros(1, dtype=np.int64)
@@ -449,7 +457,7 @@ def combine_many(trees: Sequence[Tree], budget: Optional[CombineBudget] = None) 
         raise DomainError("combine_many needs at least one tree")
     _require_schema_and_kind(trees)
     budget = budget if budget is not None else CombineBudget()
-    result = tuple_tree(trees[0])
+    result = _tuple_tree(trees[0])
     for m in range(1, len(trees)):
         result = _combine(result, trees[m], budget, m)
     return result

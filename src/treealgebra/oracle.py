@@ -17,6 +17,10 @@ and :func:`iter_leaves_with_regions` give the regions of a tree's nodes,
 :func:`contains_batch` and :func:`region_measure` the points and the mass
 in a region. :func:`route` routes one point at a time, one split at a time
 (:func:`goes_left`), as the check on the library's batch routing.
+:func:`combine_many_reference` is the overlay built one output node at a
+time, depth first, with :func:`same_partition_in_region` matching
+identical splits: the check on the frontier overlay of
+:mod:`treealgebra.combine`.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import (
     UnknownNodeError,
     UnsupportedGeometryError,
 )
-from .combine import CombineBudget, _arrays, _blocks, tuple_tree
+from .combine import CombineBudget, _arrays, _blocks, _tuple_tree
 from .geometry import Empirical, Measure, UniformBox
 from .trees import (
     HYPERPLANE,
@@ -530,7 +534,7 @@ def combine_many_reference(
     one output node at a time: the reference for the frontier overlay,
     which must give the same node arrays, side tables and leaf tables."""
     budget = budget if budget is not None else CombineBudget()
-    result = tuple_tree(trees[0])
+    result = _tuple_tree(trees[0])
     for m in range(1, len(trees)):
         result = _combine(result, trees[m], budget, m)
     return result

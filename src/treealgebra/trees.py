@@ -703,9 +703,10 @@ def _assemble(schema, root, ids, left, right, kind, feature, threshold, side, le
 
 
 def check_node_budget(n_nodes: int, max_nodes: Optional[int]) -> None:
-    """Raise :class:`~treealgebra.errors.BudgetExceededError` when a tree
-    growing one node at a time would reach ``n_nodes`` nodes past the cap
-    ``max_nodes`` (None for none); the message names the size it stopped at."""
+    """Raise :class:`~treealgebra.errors.BudgetExceededError` when a tree of
+    ``n_nodes`` nodes exceeds the cap ``max_nodes`` (None for none). Trees
+    grow one node at a time, so the message names the size reached at the
+    cap: ``max_nodes``, or 0 for a negative cap."""
     if max_nodes is not None and n_nodes > max_nodes:
         raise BudgetExceededError(f"node budget exceeded: combined tree already has "
                                   f"{max(max_nodes, 0)} nodes (max_nodes={max_nodes})")

@@ -449,6 +449,18 @@ class TestFrontierOverlayMatchesReference:
             return feasible(a, b)
 
         monkeypatch.setattr(simplex, "feasible", counted)
+        # a row that meets a hyperplane right of x0 <= 0, whose region is
+        # open at the domain's lower bound, then meets x0 <= 0 again
+        a = ta.TreeBuilder(schema)
+        left, right = a.split_node(a.add_root(), NumericThreshold(1, 0.0))
+        a.set_value(left, Scalar(1.0))
+        for node, value in zip(a.split_node(right, planes[1]), (2.0, 3.0)):
+            a.set_value(node, Scalar(value))
+        stump = ta.TreeBuilder(schema)
+        for node, value in zip(stump.split_node(stump.add_root(), NumericThreshold(1, 0.0)),
+                               (4.0, 5.0)):
+            stump.set_value(node, Scalar(value))
+        self.check([a.build(), stump.build()], calls)
         for _ in range(50):
             k = int(rng.choice([2, 2, 3, 4]))
             trees = [pool_tree(schema, rng, int(rng.integers(1, 6)), pool) for _ in range(k)]
