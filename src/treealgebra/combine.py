@@ -42,7 +42,6 @@ from .trees import (
     Hyperplane,
     Interval,
     Leaves,
-    NumericThreshold,
     Region,
     Tree,
     TreeBuilder,
@@ -192,14 +191,17 @@ class _Nodes:
                 if j in self.offsets else None for j, f in enumerate(schema.features)]
         for k, j in enumerate(schema.numeric_indices):
             low = schema.features[j].low
-            cons[j] = Interval(low, hi[k], True, True) if g[k] < low else Interval(
-                g[k], hi[k], False, True)
+            closed = g[k] < low
+            cons[j] = Interval(low if closed else g[k], hi[k], closed, True)
         return Region(schema, tuple(cons))
 
     @cached_property
-    def lists(self) -> tuple[list, list, list]:
-        """The child positions and leaf rows as lists, for one row at a time."""
-        return self.left.tolist(), self.right.tolist(), self.leaf.tolist()
+    def lists(self) -> tuple[list, list, list, list]:
+        """The child positions, leaf rows and split objects as lists, for
+        one row at a time."""
+        t1, t2 = self.trees
+        return (self.left.tolist(), self.right.tolist(), self.leaf.tolist(),
+                t1.splits() + t2.splits())
 
     def splits(self, pos: np.ndarray) -> list:
         """The split objects of some categorical or hyperplane nodes."""
@@ -208,13 +210,6 @@ class _Nodes:
         out[~second] = list(map(t1.side.__getitem__, pos[~second].tolist()))
         out[second] = list(map(t2.side.__getitem__, (pos[second] - self.n1).tolist()))
         return out.tolist()
-
-    def split(self, p: int):
-        """The split object of the node at stacked position ``p``."""
-        if self.kind[p] == NUMERIC:
-            return NumericThreshold(int(self.feature[p]), float(self.threshold[p]))
-        t = p >= self.n1
-        return self.trees[t].side[p - t * self.n1]
 
 
 class _Overlay:
@@ -332,7 +327,7 @@ def _region_round(nodes: _Nodes, out: _Overlay, rows: list) -> list:
     of ``u``'s/``v``'s split in the region once decided. The splits are
     decided by exactly the :meth:`Region.split` calls of the depth-first
     overlay. Returns the next rows."""
-    left, right, leaf = nodes.lists
+    left, right, leaf, splits = nodes.lists
 
     def descend(i, sides):
         # the node and its sides when its split cuts, else the child that
@@ -349,8 +344,7 @@ def _region_round(nodes: _Nodes, out: _Overlay, rows: list) -> list:
         if not (inner_u or inner_v):
             leaves.append((w, leaf[u], leaf[v]))
             continue
-        cu = nodes.split(u) if inner_u else None
-        cv = nodes.split(v) if inner_v else None
+        cu, cv = splits[u], splits[v]
         u2, su = descend(u, su or region.split(cu)) if inner_u else (u, None)
         v2, sv = descend(v, sv or region.split(cv)) if inner_v else (v, None)
         if (inner_u and su is None) or (inner_v and sv is None):
