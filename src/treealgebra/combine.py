@@ -222,7 +222,8 @@ class _Overlay:
     def __init__(self, max_nodes: Optional[int]):
         self.max_nodes = max_nodes
         self.n_splits = 0
-        self.parents, self.sources, self.leaves = [], [], []
+        self.parents, self.sources = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        self.leaves = []
         check_node_budget(1, max_nodes)
 
     def add_splits(self, parents: np.ndarray, sources: np.ndarray) -> np.ndarray:
@@ -241,19 +242,20 @@ class _Overlay:
         nodes gets children ``1 + 2r`` and ``2 + 2r``, and leaves get their
         leaf rows in preorder."""
         k, n = self.n_splits, 1 + 2 * self.n_splits
-        parents = np.concatenate(self.parents or [np.zeros(0, dtype=np.int64)])
-        sources = np.concatenate(self.sources or [np.zeros(0, dtype=np.int64)])
+        parents, sources = np.concatenate(self.parents), np.concatenate(self.sources)
         bounds = np.cumsum([0] + [len(p) for p in self.parents]).tolist()
-        # a batch splits nodes made by earlier batches, so subtree sizes
-        # come from the last batch up and preorder positions from the first
-        batches = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+        # each batch's nodes and their left and right children; a batch
+        # splits nodes made by earlier batches, so subtree sizes come from
+        # the last batch up and preorder positions from the first down
+        batches = [(parents[a:b], slice(1 + 2 * a, 1 + 2 * b, 2), slice(2 + 2 * a, 2 + 2 * b, 2))
+                   for a, b in zip(bounds, bounds[1:]) if b > a]
         size = np.ones(n, dtype=np.int64)
-        for a, b in reversed(batches):
-            size[parents[a:b]] = 1 + size[1 + 2 * a:1 + 2 * b:2] + size[2 + 2 * a:2 + 2 * b:2]
+        for p, lc, rc in reversed(batches):
+            size[p] = 1 + size[lc] + size[rc]
         pre = np.zeros(n, dtype=np.int64)
-        for a, b in batches:
-            pre[1 + 2 * a:1 + 2 * b:2] = pre[parents[a:b]] + 1
-            pre[2 + 2 * a:2 + 2 * b:2] = pre[1 + 2 * a:1 + 2 * b:2] + size[1 + 2 * a:1 + 2 * b:2]
+        for p, lc, rc in batches:
+            pre[lc] = pre[p] + 1
+            pre[rc] = pre[lc] + size[lc]
         rank = np.empty(k, dtype=np.int64)
         rank[np.argsort(pre[parents])] = np.arange(k)
         new = np.zeros(n, dtype=np.int64)
