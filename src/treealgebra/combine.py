@@ -312,7 +312,7 @@ def _box_round(nodes: _Nodes, out: _Overlay, pairs, w, box, masks):
     to_left = np.arange(len(stay), len(stay) + len(cut))
     to_right = to_left + len(cut)
     pairs[to_left, by], pairs[to_right, by] = nodes.left[src], nodes.right[src]
-    # x_j <= t cuts [lo, hi] into [lo, t] and (t, hi]
+    # x_j <= t leaves the left child's box below t and the right one open above t
     j, t = nodes.slot[src], nodes.threshold[src]
     box[to_left, m + j] = t
     box[to_right, j] = t
