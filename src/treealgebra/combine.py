@@ -28,21 +28,18 @@ is that build, the reference the tests compare with array for array.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, LeafKindError, SchemaError
 from .trees import (
+    _WORD,
     CATEGORICAL,
     HYPERPLANE,
-    NUMERIC,
-    CategoricalFeature,
     Hyperplane,
-    Interval,
     Leaves,
-    Region,
+    NodeTable,
     Tree,
     TreeBuilder,
     check_node_budget,
@@ -102,116 +99,6 @@ def _pack_pairs(t1: Tree, t2: Tree, second: int, i: np.ndarray, j: np.ndarray) -
     return Leaves("tuple", t2.leaves.entry, np.hstack((va[i], vb[j])), np.hstack((sa[i], sb[j])))
 
 
-_WORD = (1 << 64) - 1
-
-
-class _Nodes:
-    """The nodes of two trees in one table, the second tree's positions
-    after the first's: children, leaf rows, splits, and per categorical
-    split the level masks of its sides.
-
-    A box is a row of ``2 * slots`` floats, two blocks of one slot per
-    numeric feature plus a spare slot: the bound ``g`` below which a
-    threshold leaves the left side empty, and the upper bound. A numeric
-    split ``x_j <= t`` meets the box's left side when ``t > g`` and its right
-    side when ``t < hi``. A lower bound is closed only where no split has
-    cut the domain from below, and then ``g`` is the float just below it;
-    else it is open and equals ``g``. Every other node reads and writes the
-    spare slot with its NaN threshold, which meets no side."""
-
-    def __init__(self, t1: Tree, t2: Tree):
-        self.trees, self.n1 = (t1, t2), t1.n_nodes
-        join = lambda a, b: np.concatenate((a, np.where(b >= 0, b + self.n1, -1)))
-        self.left = join(t1.left_pos, t2.left_pos)
-        self.right = join(t1.right_pos, t2.right_pos)
-        self.leaf = np.concatenate((t1.leaf, t2.leaf))
-        self.kind = np.concatenate((t1.kind, t2.kind))
-        self.feature = np.concatenate((t1.feature, t2.feature))
-        self.threshold = np.concatenate((t1.threshold, t2.threshold))
-        schema = t1.schema
-        numeric = schema.numeric_indices
-        self.slots = len(numeric) + 1
-        slot_of = np.full(schema.n_features + 1, len(numeric))
-        slot_of[list(numeric)] = np.arange(len(numeric))
-        self.slot = np.where(self.kind == NUMERIC, slot_of[self.feature], len(numeric))
-        self._cells = np.zeros(0, dtype=np.int64)
-        self.offsets, n_levels = {}, 0
-        for j, f in enumerate(schema.features):
-            if isinstance(f, CategoricalFeature):
-                self.offsets[j] = n_levels
-                n_levels += len(f.levels)
-        self.words = -(-n_levels // 64)
-        self.hyperplanes = bool((self.kind == HYPERPLANE).any())
-        self.categorical = bool((self.kind == CATEGORICAL).any())
-        if self.categorical:
-            self._level_masks(schema)
-
-    def _level_masks(self, schema) -> None:
-        """``on_left``/``on_right``: the levels each categorical split sends
-        to each side, as bits of a level mask of ``words`` 64-bit words;
-        ``keep_left``/``keep_right``: the bits a mask keeps on each side of
-        any split."""
-        pos = np.flatnonzero(self.kind == CATEGORICAL)
-        masks, cache = [], {}
-        for split in self.splits(pos):
-            if id(split) not in cache:
-                j, off = split.feature, self.offsets[split.feature]
-                n = len(schema.features[j].levels)
-                every = ((1 << n) - 1) << off
-                bits = sum(1 << (off + x) for x in split.left_levels if 0 <= x < n)
-                cache[id(split)] = [(b >> (64 * k)) & _WORD for b in (bits, every & ~bits)
-                                    for k in range(self.words)]
-            masks.append(cache[id(split)])
-        sides = np.zeros((len(self.kind), 2 * self.words), dtype=np.uint64)
-        sides[pos] = np.array(masks, dtype=np.uint64).reshape(len(pos), 2 * self.words)
-        self.on_left, self.on_right = sides[:, :self.words], sides[:, self.words:]
-        self.keep_left, self.keep_right = ~self.on_right, ~self.on_left
-
-    def full_box(self) -> np.ndarray:
-        """The box of the whole domain, as a matrix of one row."""
-        features = self.trees[0].schema.features
-        low, high = ([getattr(features[j], a) for j in self.trees[0].schema.numeric_indices]
-                     for a in ("low", "high"))
-        return np.array([np.nextafter(low, -np.inf).tolist() + [0.0] + high + [0.0]])
-
-    def cells(self, n: int) -> np.ndarray:
-        """The offsets into a flat box matrix of rows 0, 0, 1, 1, ...: ``n``
-        of them, for the two nodes of each row."""
-        if len(self._cells) < n:
-            self._cells = (np.arange(2 * n) >> 1) * (2 * self.slots)
-        return self._cells[:n]
-
-    def region(self, box: np.ndarray, mask: Optional[np.ndarray]) -> Region:
-        """The :class:`Region` of a box and its level mask (None: every
-        level)."""
-        schema = self.trees[0].schema
-        g, hi = box.reshape(2, self.slots).tolist()
-        bits = -1 if mask is None else sum(w << (64 * k) for k, w in enumerate(mask.tolist()))
-        cons = [frozenset(x for x in range(len(f.levels)) if bits >> (self.offsets[j] + x) & 1)
-                if j in self.offsets else None for j, f in enumerate(schema.features)]
-        for k, j in enumerate(schema.numeric_indices):
-            low = schema.features[j].low
-            closed = g[k] < low
-            cons[j] = Interval(low if closed else g[k], hi[k], closed, True)
-        return Region(schema, tuple(cons))
-
-    @cached_property
-    def lists(self) -> tuple[list, list, list, list]:
-        """The child positions, leaf rows and split objects as lists, for
-        one row at a time."""
-        t1, t2 = self.trees
-        return (self.left.tolist(), self.right.tolist(), self.leaf.tolist(),
-                t1.splits() + t2.splits())
-
-    def splits(self, pos: np.ndarray) -> list:
-        """The split objects of some categorical or hyperplane nodes."""
-        (t1, t2), second = self.trees, pos >= self.n1
-        out = np.empty(len(pos), dtype=object)
-        out[~second] = list(map(t1.side.__getitem__, pos[~second].tolist()))
-        out[second] = list(map(t2.side.__getitem__, (pos[second] - self.n1).tolist()))
-        return out.tolist()
-
-
 class _Overlay:
     """The output of an overlay while it grows. The root is node 0; the
     ``k``-th split made gives its node children ``1 + 2k`` and ``2 + 2k``.
@@ -236,7 +123,7 @@ class _Overlay:
         self.sources.append(sources)
         return np.arange(1 + 2 * k, 1 + 2 * self.n_splits, 2)
 
-    def tree(self, nodes: _Nodes, second: int) -> Tree:
+    def tree(self, nodes: NodeTable, second: int) -> Tree:
         """The overlay as a tree, numbered as a depth-first build numbers
         it: internal node ``p`` with preorder rank ``r`` among the internal
         nodes gets children ``1 + 2r`` and ``2 + 2r``, and leaves get their
@@ -280,20 +167,15 @@ class _Overlay:
                     side, leaf, _pack_pairs(t1, t2, second, *rows[order].T))
 
 
-def _box_round(nodes: _Nodes, out: _Overlay, pairs, w, box, masks):
+def _box_round(nodes: NodeTable, out: _Overlay, pairs, w, box, masks):
     """One round over the rows whose regions are boxes: node pairs
     ``pairs[r]`` (an (n, 2) matrix) for output nodes ``w[r]``, with the
-    boxes ``box[r]`` of :class:`_Nodes` and the level masks ``masks[r]``
+    boxes ``box[r]`` of :class:`NodeTable` and the level masks ``masks[r]``
     (None when no split is categorical). Returns the next rows."""
-    r, m = len(pairs), nodes.slots
+    r = len(pairs)
     at = pairs.ravel()
     # which sides of each node's split the row's box meets
-    cell, t, flat = nodes.cells(2 * r) + nodes.slot[at], nodes.threshold[at], box.ravel()
-    on_left, on_right = t > flat[cell], t < flat[cell + m]
-    if masks is not None:
-        both = np.repeat(masks, 2, axis=0)
-        on_left |= (both & nodes.on_left[at]).any(axis=1)
-        on_right |= (both & nodes.on_right[at]).any(axis=1)
+    on_left, on_right = nodes.meets(at, box, masks, 2)
     left = nodes.left[at]
     inner = left >= 0
     moves = inner & ~(on_left & on_right)
@@ -312,18 +194,13 @@ def _box_round(nodes: _Nodes, out: _Overlay, pairs, w, box, masks):
     to_left = np.arange(len(stay), len(stay) + len(cut))
     to_right = to_left + len(cut)
     pairs[to_left, by], pairs[to_right, by] = nodes.left[src], nodes.right[src]
-    # x_j <= t leaves the left child's box below t and the right one open above t
-    j, t = nodes.slot[src], nodes.threshold[src]
-    box[to_left, m + j] = t
-    box[to_right, j] = t
-    if masks is not None:
-        masks = masks[take]
-        masks[to_left] &= nodes.keep_left[src]
-        masks[to_right] &= nodes.keep_right[src]
+    masks = None if masks is None else masks[take]
+    nodes.narrow(src, box, masks, to_left, True)
+    nodes.narrow(src, box, masks, to_right, False)
     return pairs, w, box, masks
 
 
-def _region_round(nodes: _Nodes, out: _Overlay, rows: list) -> list:
+def _region_round(nodes: NodeTable, out: _Overlay, rows: list) -> list:
     """One round over the rows that keep a :class:`Region`, one row at a
     time: ``(u, v, w, region, su, sv)``, where ``su``/``sv`` are the sides
     of ``u``'s/``v``'s split in the region once decided. The splits are
@@ -383,8 +260,9 @@ def _region_round(nodes: _Nodes, out: _Overlay, rows: list) -> list:
 def _combine(t1: Tree, t2: Tree, budget: CombineBudget, second: int) -> Tree:
     """The overlay of two trees, with the leaf table of :func:`_pack_pairs`,
     one frontier of rows at a time."""
-    nodes, out = _Nodes(t1, t2), _Overlay(budget.max_nodes)
-    pairs, w = np.array([[t1.root_pos, t2.root_pos + nodes.n1]]), np.zeros(1, dtype=np.int64)
+    nodes, out = NodeTable((t1, t2)), _Overlay(budget.max_nodes)
+    pairs = np.array([[t1.root_pos, t2.root_pos + nodes.starts[1]]])
+    w = np.zeros(1, dtype=np.int64)
     box = nodes.full_box()
     masks = np.full((1, nodes.words), _WORD, dtype=np.uint64) if nodes.categorical else None
     regions: list = []

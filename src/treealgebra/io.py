@@ -48,8 +48,8 @@ from .trees import (
     _assemble,
     _document,
     _pack,
+    check_trees,
     pack_documents,
-    validate,
     value_kinds,
 )
 
@@ -325,10 +325,14 @@ def save_tree(tree: Tree, path: str) -> None:
 
 
 def _validate_forest(schema: FeatureSchema, trees: Sequence[Tree]) -> None:
+    """Raise :class:`ValidationError` with the violations of the trees of
+    one file, checked together (:func:`~treealgebra.trees.check_trees`),
+    each prefixed with its tree's index, then the leaf kinds or
+    class-probability lengths that differ between the trees."""
     problems: list[str] = []
     kinds, lengths = set(), set()
-    for ti, tree in enumerate(trees):
-        for violation in validate(tree):
+    for ti, (tree, violations) in enumerate(zip(trees, check_trees(trees))):
+        for violation in violations:
             problems.append(f"tree {ti}: {violation}")
         k, n, _ = value_kinds(tree, tree.left < 0)
         kinds.update(k)
@@ -361,8 +365,7 @@ def load_forest(path: str) -> ForestFile:
     line and column, or name the field.
     """
     with open(path) as handle:
-        text = handle.read()
-    doc = _parse_json(text, path)
+        doc = _parse_json(handle.read(), path)
     try:
         schema = _schema_from_dict(doc["schema"], f"{path}: schema.")
         if "trees" in doc:
@@ -376,6 +379,8 @@ def load_forest(path: str) -> ForestFile:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ParseError(f"{path}: malformed document ({e})")
+    # the parsed document goes before the validation arrays are made
+    del doc
     _validate_forest(schema, trees)
     return ForestFile(schema, trees, metadata)
 

@@ -20,12 +20,15 @@ in a region. :func:`route` routes one point at a time, one split at a time
 :func:`combine_many_reference` is the overlay built one output node at a
 time, depth first, with :func:`same_partition_in_region` matching
 identical splits: the check on the frontier overlay of
-:mod:`treealgebra.combine`.
+:mod:`treealgebra.combine`. :func:`validate_reference` checks a tree one
+node at a time, depth first: the check on the stacked validation pass of
+:mod:`treealgebra.trees`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -62,9 +65,17 @@ from .trees import (
     _entry,
     _goes_left_batch,
     _positions,
+    _messages,
     _route_batch,
+    _split_faults,
+    _tuple_faults,
+    _value_rules,
+    box_columns,
+    box_sides,
     evaluate_batch,
+    full_box,
     leaf_kind_of,
+    value_kinds,
 )
 
 __all__ = [
@@ -79,6 +90,7 @@ __all__ = [
     "iter_leaves_with_regions",
     "same_partition_in_region",
     "combine_many_reference",
+    "validate_reference",
     "recursive_pair_sum",
     "sq_diff_term",
     "pointwise_equivalence",
@@ -538,6 +550,136 @@ def combine_many_reference(
     for m in range(1, len(trees)):
         result = _combine(result, trees[m], budget, m)
     return result
+
+
+# ---------------------------------------------------------------------------
+# Per-node validation
+
+
+def _node_faults(tree: Tree) -> tuple[list[str], list[bool]]:
+    """Every per-node violation, in node order, and which nodes are well
+    formed: internal nodes with a sound split and both children linked
+    back, and leaves with a value. Leaf values are checked a whole table at
+    a time (:func:`_value_rules`); only a flagged row is looked at again."""
+    parent, feature, threshold = (a.tolist() for a in (tree.parent, tree.feature, tree.threshold))
+    rules = _value_rules(tree.leaves, tree.schema)
+    flagged = {r for mask, _ in rules for r in np.flatnonzero(mask).tolist()}
+    v: list[str] = []
+    well = []
+    for i, (nid, left, right, left_pos, right_pos, kind, row) in enumerate(zip(*(
+            a.tolist() for a in (tree.ids, tree.left, tree.right, tree.left_pos, tree.right_pos,
+                                 tree.kind, tree.leaf)))):
+        if left >= 0 and right >= 0:
+            ok = kind > 0
+            if not ok:
+                v.append(f"node {nid}: internal node without split")
+            if row >= 0:
+                v.append(f"node {nid}: internal node with value")
+            for name, child, pos in (("left", left, left_pos), ("right", right, right_pos)):
+                if pos < 0:
+                    v.append(f"node {nid}: {name} child {child} missing from arena")
+                    ok = False
+                elif parent[pos] != nid:
+                    v.append(f"node {child}: parent link does not point to {nid}")
+                    ok = False
+            if ok:
+                faults = _split_faults(kind, feature[i], threshold[i], tree.side.get(i),
+                                       tree.schema)
+                v.extend(f"node {nid}: {text}" for text in faults)
+                ok = not faults
+            well.append(ok)
+            continue
+        one_child = left >= 0 or right >= 0
+        if one_child:
+            v.append(f"node {nid}: has exactly one child")
+        if row < 0:
+            v.append(f"node {nid}: leaf without value")
+        elif row in flagged:
+            v.extend(f"node {nid}: {text}" for text in _messages(rules, row))
+        if kind > 0:
+            v.append(f"node {nid}: leaf with split")
+        well.append(row >= 0 and not one_child)
+    return v, well
+
+
+def _reached(tree: Tree) -> np.ndarray:
+    """The nodes reachable from the root through children in the tree."""
+    left, right = tree.left_pos.tolist(), tree.right_pos.tolist()
+    seen, stack = set(), [tree.root_pos]
+    while stack:
+        i = stack.pop()
+        if i >= 0 and i not in seen:
+            seen.add(i)
+            stack += (left[i], right[i])
+    out = np.zeros(tree.n_nodes, dtype=bool)
+    out[list(seen)] = True
+    return out
+
+
+def _partition_faults(tree: Tree, well: list[bool]) -> list[int]:
+    """The positions of the well-formed splits reachable from the root that
+    leave a side of their node's region empty, depth first, right before
+    left. Each node is placed once, so a cycle of consistent links cannot
+    loop. An axis-aligned tree carries boxes (:func:`box_sides`), a tree
+    with hyperplane splits :class:`Region` objects."""
+    left, right = tree.left_pos.tolist(), tree.right_pos.tolist()
+    if (tree.kind == HYPERPLANE).any():
+        splits, region = tree.splits(), Region.full(tree.schema)
+
+        def sides_of(i, region):
+            left, right = region.split(splits[i])
+            return left, right, left is not None and right is not None
+    else:
+        sides_of, region = partial(box_sides, box_columns(tree)), full_box(tree.schema)
+
+    placed, faults, stack = set(), [], [(tree.root_pos, region)]
+    while stack:
+        i, region = stack.pop()
+        if not well[i] or i in placed:
+            continue
+        placed.add(i)
+        if left[i] < 0:
+            continue
+        left_side, right_side, cut = sides_of(i, region)
+        if not cut:
+            faults.append(i)
+            continue
+        stack.append((left[i], left_side))
+        stack.append((right[i], right_side))
+    return faults
+
+
+def validate_reference(tree: Tree) -> list[str]:
+    """:func:`~treealgebra.trees.validate` one node at a time, depth first:
+    the reference for the stacked validation pass, which must give the same
+    messages in the same order."""
+    if tree.root_pos < 0:
+        return [f"root id {tree.root} not in arena"]
+    ids, schema = tree.ids, tree.schema
+    v: list[str] = []
+    roots = ids[tree.parent < 0].tolist()
+    if roots != [tree.root]:
+        v.append(f"expected exactly one parentless node {tree.root}, found {roots}")
+
+    faults, well = _node_faults(tree)
+    v.extend(faults)
+
+    seen = _reached(tree)
+    v.extend(f"node {i}: unreachable from root" for i in ids[~seen].tolist())
+
+    # leaf kind consistency
+    kinds, lengths, values = value_kinds(tree, seen & (tree.left < 0))
+    if len(kinds) > 1:
+        v.append(f"leaf values mix kinds {kinds}")
+    # with class labels every leaf's length is checked against them
+    if schema.class_labels is None and len(lengths) > 1:
+        v.append(f"class-probability leaves mix lengths {lengths}")
+    if values:
+        v.extend(_tuple_faults(values, schema))
+
+    v.extend(f"node {ids[i]}: split does not partition node region"
+             for i in _partition_faults(tree, well))
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
+from itertools import accumulate
 from math import isfinite
 from typing import Callable, Optional, Sequence, Union
 
@@ -670,6 +671,9 @@ def _positions(ids: np.ndarray, children: np.ndarray) -> np.ndarray:
     """The positions in the ascending node ids ``ids`` of some child ids
     (-1 for none), -1 for ids not among them."""
     n = len(ids)
+    if n and ids[0] == 0 and ids[-1] == n - 1:
+        # n distinct ascending ids from 0 to n - 1: each id is its position
+        return np.where((children >= 0) & (children < n), children, -1)
     pos = np.minimum(np.searchsorted(ids, children), max(n - 1, 0))
     return np.where((ids[pos] == children) if n else False, pos, -1)
 
@@ -687,19 +691,28 @@ def _assemble(schema, root, ids, left, right, kind, feature, threshold, side, le
     """A tree from per-node lists in any order, e.g. a file's: sorted by
     id, with each node's parent the last node in the given order that names
     it as a child. Ids must be distinct and non-negative."""
-    parent_of = {}
-    for i, l, r in zip(ids, left, right):
-        parent_of[l] = parent_of[r] = i
-    columns = [ids, left, right, kind, feature, threshold, leaf]
-    if ids != sorted(ids):
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        columns = [[c[k] for k in order] for c in columns]
-        side = {r: side[k] for r, k in enumerate(order) if k in side}
-    ids, left, right, kind, feature, threshold, leaf = columns
     as_int = partial(np.array, dtype=np.int64)
-    return Tree(schema, root, as_int(ids), as_int(left), as_int(right),
-                as_int([parent_of.get(i, -1) for i in ids]), np.array(kind, dtype=np.int8),
-                as_int(feature), np.array(threshold, dtype=float), side, as_int(leaf), leaves)
+    columns = [as_int(ids), as_int(left), as_int(right), np.array(kind, dtype=np.int8),
+               as_int(feature), np.array(threshold, dtype=float), as_int(leaf)]
+    ids = columns[0]
+    # every child link in the given order, left before right, and its node
+    links, namer = np.empty(2 * len(ids), dtype=np.int64), np.repeat(ids, 2)
+    links[0::2], links[1::2] = columns[1], columns[2]
+    if not (ids[1:] > ids[:-1]).all():
+        order = np.argsort(ids)
+        columns = [c[order] for c in columns]
+        side = {r: side[k] for r, k in enumerate(order.tolist()) if k in side}
+    ids, left, right, kind, feature, threshold, leaf = columns
+    # a stable sort keeps the links to each child in the given order
+    pos = _positions(ids, links)
+    by = np.argsort(pos, kind="stable")
+    pos, namer = pos[by], namer[by]
+    last = pos >= 0
+    last[:-1] &= pos[1:] != pos[:-1]
+    parent = np.full(len(ids), -1, dtype=np.int64)
+    parent[pos[last]] = namer[last]
+    return Tree(schema, root, ids, left, right, parent, kind, feature, threshold, side, leaf,
+                leaves)
 
 
 def check_node_budget(n_nodes: int, max_nodes: Optional[int]) -> None:
@@ -867,10 +880,144 @@ def box_sides(columns: tuple, i: int, box: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Stacked node tables
+
+_WORD = (1 << 64) - 1
+
+
+class NodeTable:
+    """The nodes of some trees on one schema in one table, each tree's
+    positions after the previous tree's (from ``starts``): children as
+    table positions, each tree's own leaf rows, and splits, with ``side``
+    holding split objects by position.
+
+    A box is a row of ``2 * slots`` floats, two blocks of one slot per
+    numeric feature plus a spare slot: the bound ``g`` below which a
+    threshold leaves the left side empty, and the upper bound. A numeric
+    split ``x_j <= t`` meets the box's left side when ``t > g`` and its right
+    side when ``t < hi``. A lower bound is closed only where no split has
+    cut the domain from below, and then ``g`` is the float just below it;
+    else it is open and equals ``g``. Every other node reads and writes the
+    spare slot with its NaN threshold, which meets no side."""
+
+    def __init__(self, trees: Sequence[Tree]):
+        self.trees, schema = trees, trees[0].schema
+        sizes = [t.n_nodes for t in trees]
+        self.starts = list(accumulate(sizes[:-1], initial=0))
+        stacked = lambda name: np.concatenate([getattr(t, name) for t in trees])
+        offset = np.repeat(self.starts, sizes)
+        self.left, self.right = (np.where(p >= 0, p + offset, -1)
+                                 for p in (stacked("left_pos"), stacked("right_pos")))
+        self.leaf, self.kind, self.feature, self.threshold = map(
+            stacked, ("leaf", "kind", "feature", "threshold"))
+        self.side = {s + i: split for s, t in zip(self.starts, trees)
+                     for i, split in t.side.items()}
+        numeric = schema.numeric_indices
+        self.slots = len(numeric) + 1
+        slot_of = np.full(schema.n_features + 1, len(numeric))
+        slot_of[list(numeric)] = np.arange(len(numeric))
+        # a feature out of range reads the spare slot, as -1 does
+        self.slot = np.where(self.kind == NUMERIC, slot_of[np.minimum(
+            np.maximum(self.feature, -1), schema.n_features)], len(numeric))
+        self.offsets, n_levels = {}, 0
+        for j, f in enumerate(schema.features):
+            if isinstance(f, CategoricalFeature):
+                self.offsets[j] = n_levels
+                n_levels += len(f.levels)
+        self.words = -(-n_levels // 64)
+        kinds = np.bincount(self.kind, minlength=HYPERPLANE + 1)
+        self.hyperplanes, self.categorical = bool(kinds[HYPERPLANE]), bool(kinds[CATEGORICAL])
+        self.proper = np.zeros(len(self.kind), dtype=bool)
+        if self.categorical:
+            self._level_masks(schema)
+
+    def _level_masks(self, schema) -> None:
+        """``on_sides``: the levels each categorical split sends left and
+        right, as bits of two level masks of ``words`` 64-bit words;
+        ``proper``: whether a split sends some, not all, levels left."""
+        pos = (self.kind == CATEGORICAL).nonzero()[0]
+        masks, proper, cache = [], [], {}
+        for split in self.splits(pos):
+            j, levels = key = split.feature, split.left_levels
+            if key not in cache:
+                n = len(schema.features[j].levels) if j in self.offsets else 0
+                bits = sum(1 << (self.offsets[j] + x) for x in range(n) if x in levels)
+                every = ((1 << n) - 1) << self.offsets.get(j, 0)
+                cache[key] = ([(b >> (64 * k)) & _WORD for b in (bits, every & ~bits)
+                               for k in range(self.words)],
+                              n > 0 and bool(levels) and levels < set(range(n)))
+            masks.append(cache[key][0])
+            proper.append(cache[key][1])
+        self.on_sides = np.zeros((len(self.kind), 2 * self.words), dtype=np.uint64)
+        self.on_sides[pos] = np.array(masks, dtype=np.uint64).reshape(len(pos), 2 * self.words)
+        self.proper[pos] = proper
+
+    def full_box(self) -> np.ndarray:
+        """The box of the whole domain, as a matrix of one row."""
+        schema = self.trees[0].schema
+        low, high = ([getattr(schema.features[j], a) for j in schema.numeric_indices]
+                     for a in ("low", "high"))
+        return np.array([np.nextafter(low, -np.inf).tolist() + [0.0] + high + [0.0]])
+
+    def meets(self, at: np.ndarray, box: np.ndarray, masks: Optional[np.ndarray],
+              per_row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Which sides of the splits at positions ``at`` their boxes meet;
+        the rows of ``box`` and ``masks`` (None: every level) each serve
+        ``per_row`` positions in turn."""
+        cell = np.arange(len(at)) // per_row * (2 * self.slots) + self.slot[at]
+        t, flat = self.threshold[at], box.ravel()
+        on_left, on_right = t > flat[cell], t < flat[cell + self.slots]
+        if masks is not None:
+            masks = np.repeat(masks, per_row, axis=0) if per_row > 1 else masks
+            hits = np.concatenate((masks, masks), axis=1) & self.on_sides[at]
+            hits = hits.reshape(len(at), 2, self.words).any(axis=2)
+            on_left |= hits[:, 0]
+            on_right |= hits[:, 1]
+        return on_left, on_right
+
+    def narrow(self, src: np.ndarray, box: np.ndarray, masks: Optional[np.ndarray],
+               rows: np.ndarray, left: bool) -> None:
+        """Narrow rows ``rows`` of ``box`` and ``masks`` to the left (or
+        right) sides of the splits at positions ``src``."""
+        # x_j <= t leaves the left side's box below t and the right one open above t
+        j, t = self.slot[src], self.threshold[src]
+        box[rows, self.slots + j if left else j] = t
+        if masks is not None:
+            # a side keeps every level but those the split sends the other way
+            other = self.on_sides[src, self.words:] if left else self.on_sides[src, :self.words]
+            masks[rows] &= ~other
+
+    def region(self, box: np.ndarray, mask: Optional[np.ndarray]) -> Region:
+        """The :class:`Region` of a box and its level mask (None: every
+        level)."""
+        schema = self.trees[0].schema
+        g, hi = box.reshape(2, self.slots).tolist()
+        bits = -1 if mask is None else sum(w << (64 * k) for k, w in enumerate(mask.tolist()))
+        cons = [frozenset(x for x in range(len(f.levels)) if bits >> (self.offsets[j] + x) & 1)
+                if j in self.offsets else None for j, f in enumerate(schema.features)]
+        for k, j in enumerate(schema.numeric_indices):
+            low = schema.features[j].low
+            closed = g[k] < low
+            cons[j] = Interval(low if closed else g[k], hi[k], closed, True)
+        return Region(schema, tuple(cons))
+
+    @cached_property
+    def lists(self) -> tuple[list, list, list, list]:
+        """The child positions, leaf rows and split objects as lists, for
+        one row at a time."""
+        return (self.left.tolist(), self.right.tolist(), self.leaf.tolist(),
+                [s for t in self.trees for s in t.splits()])
+
+    def splits(self, pos: np.ndarray) -> list:
+        """The split objects of some categorical or hyperplane nodes."""
+        return list(map(self.side.__getitem__, pos.tolist()))
+
+
+# ---------------------------------------------------------------------------
 # Validation
 
-# A rule of validate over the rows of a leaf table: a mask of the rows it
-# flags, and the messages of a flagged row
+# A rule of validate over the rows of a leaf table or the nodes of a node
+# table: a mask of the rows it flags, and the messages of a flagged row
 Rule = tuple[np.ndarray, Callable[[int], list[str]]]
 
 
@@ -957,66 +1104,6 @@ def _ragged_faults(value: LeafValue, schema: FeatureSchema) -> list[str]:
     return out
 
 
-def _node_faults(tree: Tree) -> tuple[list[str], list[bool]]:
-    """Every per-node violation, in node order, and which nodes are well
-    formed: internal nodes with a sound split and both children linked
-    back, and leaves with a value. Leaf values are checked a whole table at
-    a time (:func:`_value_rules`); only a flagged row is looked at again."""
-    parent, feature, threshold = (a.tolist() for a in (tree.parent, tree.feature, tree.threshold))
-    rules = _value_rules(tree.leaves, tree.schema)
-    flagged = {r for mask, _ in rules for r in np.flatnonzero(mask).tolist()}
-    v: list[str] = []
-    well = []
-    for i, (nid, left, right, left_pos, right_pos, kind, row) in enumerate(zip(*(
-            a.tolist() for a in (tree.ids, tree.left, tree.right, tree.left_pos, tree.right_pos,
-                                 tree.kind, tree.leaf)))):
-        if left >= 0 and right >= 0:
-            ok = kind > 0
-            if not ok:
-                v.append(f"node {nid}: internal node without split")
-            if row >= 0:
-                v.append(f"node {nid}: internal node with value")
-            for name, child, pos in (("left", left, left_pos), ("right", right, right_pos)):
-                if pos < 0:
-                    v.append(f"node {nid}: {name} child {child} missing from arena")
-                    ok = False
-                elif parent[pos] != nid:
-                    v.append(f"node {child}: parent link does not point to {nid}")
-                    ok = False
-            if ok:
-                faults = _split_faults(kind, feature[i], threshold[i], tree.side.get(i),
-                                       tree.schema)
-                v.extend(f"node {nid}: {text}" for text in faults)
-                ok = not faults
-            well.append(ok)
-            continue
-        one_child = left >= 0 or right >= 0
-        if one_child:
-            v.append(f"node {nid}: has exactly one child")
-        if row < 0:
-            v.append(f"node {nid}: leaf without value")
-        elif row in flagged:
-            v.extend(f"node {nid}: {text}" for text in _messages(rules, row))
-        if kind > 0:
-            v.append(f"node {nid}: leaf with split")
-        well.append(row >= 0 and not one_child)
-    return v, well
-
-
-def _reached(tree: Tree) -> np.ndarray:
-    """The nodes reachable from the root through children in the tree."""
-    left, right = tree.left_pos.tolist(), tree.right_pos.tolist()
-    seen, stack = set(), [tree.root_pos]
-    while stack:
-        i = stack.pop()
-        if i >= 0 and i not in seen:
-            seen.add(i)
-            stack += (left[i], right[i])
-    out = np.zeros(tree.n_nodes, dtype=bool)
-    out[list(seen)] = True
-    return out
-
-
 def value_kinds(tree: Tree, nodes: np.ndarray) -> tuple[list[str], list[int], list]:
     """:func:`kinds_and_lengths` of the values of some nodes (a mask), and
     those values when the leaves are ragged (else an empty list)."""
@@ -1049,70 +1136,194 @@ def _tuple_faults(values: Sequence[LeafValue], schema: FeatureSchema) -> list[st
     return out
 
 
-def _partition_faults(tree: Tree, well: list[bool]) -> list[int]:
-    """The positions of the well-formed splits reachable from the root that
-    leave a side of their node's region empty, depth first, right before
-    left. Each node is placed once, so a cycle of consistent links cannot
-    loop. An axis-aligned tree carries boxes (:func:`box_sides`), a tree
-    with hyperplane splits :class:`Region` objects."""
-    left, right = tree.left_pos.tolist(), tree.right_pos.tolist()
-    if (tree.kind == HYPERPLANE).any():
-        splits, region = tree.splits(), Region.full(tree.schema)
+def _reached(nodes: NodeTable, roots: np.ndarray) -> np.ndarray:
+    """The positions reachable from ``roots`` through children, one
+    frontier at a time; a node is visited once, so cycles and diamonds
+    end."""
+    seen, owner = np.zeros(len(nodes.kind), dtype=bool), np.zeros(len(nodes.kind), dtype=np.int64)
+    pos = roots
+    while pos.size:
+        seen[pos] = True
+        pos = np.concatenate((nodes.left[pos], nodes.right[pos]))
+        pos = pos[pos >= 0]
+        pos = pos[~seen[pos]]
+        # a node named twice keeps the one row that its owner entry names
+        rows = np.arange(len(pos))
+        owner[pos] = rows
+        pos = pos[owner[pos] == rows]
+    return seen
 
-        def sides_of(i, region):
-            left, right = region.split(splits[i])
-            return left, right, left is not None and right is not None
-    else:
-        sides_of, region = partial(box_sides, box_columns(tree)), full_box(tree.schema)
 
-    placed, faults, stack = set(), [], [(tree.root_pos, region)]
+def _box_faults(nodes: NodeTable, well: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The positions of the well-formed splits reached from ``roots``
+    through well-formed splits that leave a side of their node's box
+    empty, in each tree depth first, right before left: one frontier of
+    boxes over all the trees. A well-formed split is its children's only
+    parent, so each node is placed once; a root is not placed again (a
+    cycle), and a child named on both sides is placed from the right."""
+    splits = well & (nodes.left >= 0)
+    at = splits.nonzero()[0]
+    left, right = nodes.left[at], nodes.right[at]
+    enters = splits.copy()
+    enters[roots] = False
+    # each split's children to place, -1 for none
+    next_left, next_right = np.full(len(well), -1), np.full(len(well), -1)
+    next_left[at] = np.where(enters[left] & (left != right), left, -1)
+    next_right[at] = np.where(enters[right], right, -1)
+    pos = roots[splits[roots]]
+    box = np.repeat(nodes.full_box(), len(pos), axis=0)
+    masks = np.full((len(pos), nodes.words), _WORD, dtype=np.uint64) if nodes.categorical else None
+    via, rounds, faults = pos, [], [pos[:0]]
+    while pos.size:
+        rounds.append((pos, via))
+        cut = np.logical_and(*nodes.meets(pos, box, masks, 1))
+        faults.append(pos[~cut])
+        rows = cut.nonzero()[0]
+        kids = np.concatenate((next_right[pos[rows]], next_left[pos[rows]]))
+        rows = np.concatenate((rows, rows))[kids >= 0]
+        pos, via, box = kids[kids >= 0], pos[rows], box[rows]
+        masks = None if masks is None else masks[rows]
+        k = np.count_nonzero(kids[:len(kids) // 2] >= 0)
+        nodes.narrow(via[:k], box, masks, np.arange(k), False)
+        nodes.narrow(via[k:], box, masks, np.arange(k, len(pos)), True)
+    faults = np.concatenate(faults)
+    if len(faults) > 1:
+        # preorder ranks, right before left, from the sizes of the subtrees placed
+        size, right_size, rank = (np.zeros(len(well), dtype=np.int64) for _ in range(3))
+        for child, parent in reversed(rounds[1:]):
+            size[child] += 1
+            right = child == nodes.right[parent]
+            right_size[parent[right]] = size[child[right]]
+            np.add.at(size, parent, size[child])
+        for child, parent in rounds[1:]:
+            rank[child] = rank[parent] + 1 + (child != nodes.right[parent]) * right_size[parent]
+        faults = faults[np.argsort(rank[faults])]
+    return faults
+
+
+def _region_faults(tree: Tree, well: list[bool]) -> list[int]:
+    """:func:`_box_faults` for a tree with hyperplane splits: one node at a
+    time, depth first, each split decided by one :meth:`Region.split`."""
+    left, right, splits = tree.left_pos.tolist(), tree.right_pos.tolist(), tree.splits()
+    placed, faults, stack = set(), [], [(tree.root_pos, Region.full(tree.schema))]
     while stack:
         i, region = stack.pop()
-        if not well[i] or i in placed:
-            continue
-        placed.add(i)
-        if left[i] < 0:
-            continue
-        left_side, right_side, cut = sides_of(i, region)
-        if not cut:
-            faults.append(i)
-            continue
-        stack.append((left[i], left_side))
-        stack.append((right[i], right_side))
+        if well[i] and i not in placed:
+            placed.add(i)
+            sides = region.split(splits[i]) if left[i] >= 0 else ()
+            if None in sides:
+                faults.append(i)
+            else:
+                stack += zip((left[i], right[i]), sides)
     return faults
+
+
+def check_trees(trees: Sequence[Tree]) -> list[list[str]]:
+    """The violations of each of some trees on one schema, as :func:`validate`
+    orders them, found together: each node rule is a mask over one
+    :class:`NodeTable` of all their nodes, reachability one frontier, and
+    the splits of trees without hyperplanes one frontier of boxes."""
+    if not trees:
+        return []
+    nodes, schema = NodeTable(trees), trees[0].schema
+    tree_of = np.repeat(np.arange(len(trees)), [t.n_nodes for t in trees])
+    ids, left, right, parent = (np.concatenate([getattr(t, a) for t in trees])
+                                for a in ("ids", "left", "right", "parent"))
+    kind, leaf, feature, threshold = nodes.kind, nodes.leaf, nodes.feature, nodes.threshold
+    found: list[list[int]] = [[] for _ in trees]
+    for t, nid in zip(tree_of[parent < 0].tolist(), ids[parent < 0].tolist()):
+        found[t].append(nid)
+    out = [[] if found[t] == [tree.root] else
+           [f"expected exactly one parentless node {tree.root}, found {found[t]}"]
+           for t, tree in enumerate(trees)]
+
+    # the node rules, in the order of a node's messages
+    internal, lone = (left >= 0) & (right >= 0), (left < 0) | (right < 0)
+    missing = [internal & (p < 0) for p in (nodes.left, nodes.right)]
+    astray = [internal & (p >= 0) & (parent[p] != ids) for p in (nodes.left, nodes.right)]
+    linked = internal & (kind > 0) & ~(missing[0] | missing[1] | astray[0] | astray[1])
+    # a numeric split reads a spare slot unless its feature is numeric
+    faulty = np.where(kind == NUMERIC, (nodes.slot == nodes.slots - 1) | ~np.isfinite(threshold),
+                      (kind == CATEGORICAL) & ~nodes.proper)
+    at = (kind == HYPERPLANE).nonzero()[0]
+    faulty[at] = [bool(_split_faults(HYPERPLANE, -1, np.nan, h, schema)) for h in nodes.splits(at)]
+    one_child = lone & ((left >= 0) | (right >= 0))
+    # the leaf rows of all the trees in one row space, and a last for none
+    value_rules = [_value_rules(t.leaves, schema) for t in trees]
+    first = np.cumsum([0] + [len(t.leaves.values) for t in trees])
+    flags = np.zeros(first[-1] + 1, dtype=bool)
+    for rules, base in zip(value_rules, first.tolist()):
+        for mask, _ in rules:
+            flags[base:base + len(mask)] |= mask
+    row = np.where(leaf >= 0, leaf + first[tree_of], -1)
+    well = (linked & ~faulty) | (lone & (leaf >= 0) & ~one_child)
+
+    def note(text):
+        return lambda i: [text.format(nid=ids[i], left=left[i], right=right[i])]
+
+    def split_texts(i):
+        return [f"node {ids[i]}: {text}" for text in _split_faults(
+            int(kind[i]), int(feature[i]), float(threshold[i]), nodes.side.get(i), schema)]
+
+    def value_texts(i):
+        t = tree_of[i]
+        return [f"node {ids[i]}: {text}" for text in _messages(value_rules[t], row[i] - first[t])]
+
+    rules = [(internal & (kind == 0), note("node {nid}: internal node without split")),
+             (internal & (leaf >= 0), note("node {nid}: internal node with value")),
+             (missing[0], note("node {nid}: left child {left} missing from arena")),
+             (astray[0], note("node {left}: parent link does not point to {nid}")),
+             (missing[1], note("node {nid}: right child {right} missing from arena")),
+             (astray[1], note("node {right}: parent link does not point to {nid}")),
+             (linked & faulty, split_texts),
+             (one_child, note("node {nid}: has exactly one child")),
+             (lone & (leaf < 0), note("node {nid}: leaf without value")),
+             (lone & flags[row], value_texts),
+             (lone & (kind > 0), note("node {nid}: leaf with split"))]
+    flagged = np.zeros(len(kind), dtype=bool)
+    for mask, _ in rules:
+        flagged |= mask
+    flagged = flagged.nonzero()[0]
+    for t, i in zip(tree_of[flagged].tolist(), flagged.tolist()):
+        out[t] += _messages(rules, i)
+
+    live = [t for t, tree in enumerate(trees) if tree.root_pos >= 0]
+    roots = np.array([nodes.starts[t] + trees[t].root_pos for t in live], dtype=np.int64)
+    seen = _reached(nodes, roots)
+    for t, nid in zip(tree_of[~seen].tolist(), ids[~seen].tolist()):
+        out[t].append(f"node {nid}: unreachable from root")
+
+    # a leaf table that is not ragged holds one kind and shape
+    for t, (tree, s) in enumerate(zip(trees, nodes.starts)):
+        if tree.leaves.ragged is None:
+            continue
+        kinds, lengths, values = value_kinds(tree, seen[s:s + tree.n_nodes] & (tree.left < 0))
+        if len(kinds) > 1:
+            out[t].append(f"leaf values mix kinds {kinds}")
+        # with class labels every leaf's length is checked against them
+        if schema.class_labels is None and len(lengths) > 1:
+            out[t].append(f"class-probability leaves mix lengths {lengths}")
+        out[t] += _tuple_faults(values, schema)
+
+    oblique = set(tree_of[kind == HYPERPLANE].tolist())
+    faults = _box_faults(nodes, well, roots[[t not in oblique for t in live]])
+    for t, nid in zip(tree_of[faults].tolist(), ids[faults].tolist()):
+        out[t].append(f"node {nid}: split does not partition node region")
+    for t in sorted(oblique.intersection(live)):
+        s, tree = nodes.starts[t], trees[t]
+        out[t] += [f"node {tree.ids[i]}: split does not partition node region"
+                   for i in _region_faults(tree, well[s:s + tree.n_nodes].tolist())]
+    return [messages if tree.root_pos >= 0 else [f"root id {tree.root} not in arena"]
+            for messages, tree in zip(out, trees)]
 
 
 def validate(tree: Tree) -> list[str]:
     """Check every tree invariant; an empty list means the tree is valid.
 
-    Structural problems (broken links, missing values) are reported first;
-    the geometric pass (nonempty regions, genuinely partitioning splits) runs
-    over whatever part of the tree is reachable and well-formed.
+    In order: the parentless nodes; each node's faults, in node order; the
+    nodes the root does not reach; leaves that mix kinds; and last the
+    reachable well-formed splits that leave a side of their region empty,
+    depth first, right before left. This is :func:`check_trees` of the
+    tree alone.
     """
-    if tree.root_pos < 0:
-        return [f"root id {tree.root} not in arena"]
-    ids, schema = tree.ids, tree.schema
-    v: list[str] = []
-    roots = ids[tree.parent < 0].tolist()
-    if roots != [tree.root]:
-        v.append(f"expected exactly one parentless node {tree.root}, found {roots}")
-
-    faults, well = _node_faults(tree)
-    v.extend(faults)
-
-    seen = _reached(tree)
-    v.extend(f"node {i}: unreachable from root" for i in ids[~seen].tolist())
-
-    # leaf kind consistency
-    kinds, lengths, values = value_kinds(tree, seen & (tree.left < 0))
-    if len(kinds) > 1:
-        v.append(f"leaf values mix kinds {kinds}")
-    # with class labels every leaf's length is checked against them
-    if schema.class_labels is None and len(lengths) > 1:
-        v.append(f"class-probability leaves mix lengths {lengths}")
-    if values:
-        v.extend(_tuple_faults(values, schema))
-
-    v.extend(f"node {ids[i]}: split does not partition node region"
-             for i in _partition_faults(tree, well))
-    return v
+    return check_trees([tree])[0]

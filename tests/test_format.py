@@ -4,6 +4,7 @@ the command line and batch evaluation on the arrays."""
 
 import json
 
+import numpy as np
 import pytest
 
 import treealgebra as ta
@@ -455,6 +456,183 @@ class TestEveryValidationMessage:
             io.load_forest(str(path))
         assert "tree 0: node 3: parent link does not point to 1" in err.value.violations
         assert not any("unreachable" in m for m in err.value.violations)
+
+
+# ---------------------------------------------------------------------------
+# The stacked validation pass against the per-node reference
+
+
+def internal_entries(nodes):
+    return [e for e in nodes if "left" in e and "right" in e]
+
+
+def numeric_entries(nodes):
+    return [e for e in internal_entries(nodes) if e["split"]["type"] == "numeric"]
+
+
+def pick(rng, entries):
+    return entries[int(rng.integers(len(entries)))] if entries else None
+
+
+def drop_child(rng, nodes, schema, root):
+    victim = pick(rng, [e for e in nodes if e["id"] != root])
+    if victim is not None:
+        nodes.remove(victim)
+
+
+def reparent_child(rng, nodes, schema, root):
+    a, b = pick(rng, internal_entries(nodes)), pick(rng, internal_entries(nodes))
+    if a is not None and a is not b:
+        a["left"] = b["right"]
+
+
+def cycle_to_root(rng, nodes, schema, root):
+    a = pick(rng, internal_entries(nodes))
+    if a is not None:
+        a["right"] = root
+
+
+def diamond(rng, nodes, schema, root):
+    a = pick(rng, internal_entries(nodes))
+    if a is not None:
+        a["right"] = a["left"]
+
+
+def one_child(rng, nodes, schema, root):
+    a = pick(rng, internal_entries(nodes))
+    if a is not None:
+        del a["right"]
+
+
+def second_parentless(rng, nodes, schema, root):
+    nodes.append({"id": max(e["id"] for e in nodes) + 1, "value": scalar()})
+
+
+def internal_value(rng, nodes, schema, root):
+    a = pick(rng, internal_entries(nodes))
+    if a is not None:
+        a["value"] = scalar()
+
+
+def infinite_threshold(rng, nodes, schema, root):
+    a = pick(rng, numeric_entries(nodes))
+    if a is not None:
+        a["split"] = {**a["split"], "threshold": ["+inf", "-inf"][int(rng.integers(2))]}
+
+
+def empty_or_full_levels(rng, nodes, schema, root):
+    a = pick(rng, [e for e in internal_entries(nodes) if e["split"]["type"] == "categorical"])
+    if a is not None:
+        n = len(schema.features[a["split"]["feature"]].levels)
+        a["split"] = {**a["split"], "left_levels": [[], list(range(n))][int(rng.integers(2))]}
+
+
+def repeated_split(rng, nodes, schema, root):
+    """A child that repeats its parent's split, so one of its sides is empty."""
+    by_id = {e["id"]: e for e in nodes}
+    pairs = [(a, by_id[a[side]]) for a in internal_entries(nodes) for side in ("left", "right")
+             if "right" in by_id.get(a[side], {}) and "left" in by_id[a[side]]]
+    if pairs:
+        parent, child = pick(rng, pairs)
+        child["split"] = parent["split"]
+
+
+def closed_lower_bound(rng, nodes, schema, root):
+    """A numeric split at its feature's low end: the left side keeps only
+    that value, which is empty unless the bound is still closed."""
+    a = pick(rng, numeric_entries(nodes))
+    if a is not None:
+        low = schema.features[a["split"]["feature"]].low
+        a["split"] = {**a["split"], "threshold": low}
+
+
+def other_leaf_kind(rng, nodes, schema, root):
+    a = pick(rng, [e for e in nodes if "value" in e])
+    if a is not None:
+        a["value"] = {"type": "class_probs", "probs": [0.25, 0.75]}
+
+
+# the faults that empty a side come up more often, so trees carry several
+FAULTS = (drop_child, reparent_child, cycle_to_root, diamond, one_child, second_parentless,
+          internal_value, infinite_threshold, empty_or_full_levels, other_leaf_kind,
+          *(repeated_split, closed_lower_bound) * 3)
+
+
+def read_unchecked(path):
+    """The trees of a tree or forest file, not validated."""
+    doc = json.loads(path.read_text())
+    schema = io._schema_from_dict(doc["schema"], "")
+    return [io._tree_from_body(body, schema, "") for body in doc.get("trees", [doc])]
+
+
+def reference_violations(trees):
+    """``io._validate_forest``'s messages, made one node at a time."""
+    problems = [f"tree {ti}: {m}" for ti, t in enumerate(trees)
+                for m in ta.oracle.validate_reference(t)]
+    kinds, lengths = set(), set()
+    for tree in trees:
+        k, n, _ = ta.trees.value_kinds(tree, tree.left < 0)
+        kinds.update(k)
+        lengths.update(n)
+    if len(kinds) > 1:
+        problems.append(f"forest mixes leaf kinds {sorted(kinds)}")
+    if trees[0].schema.class_labels is None and len(lengths) > 1:
+        problems.append(f"forest mixes class-probability lengths {sorted(lengths)}")
+    return problems
+
+
+class TestStackedValidation:
+    def test_fuzzed_forests_match_the_per_node_reference(self, tmp_path):
+        """Random forests, every third with a tree of hyperplane splits among
+        the axis-aligned ones, with faults of every kind injected and node
+        order shuffled: the messages of the file, of its trees checked
+        together and of each tree checked alone are the reference's, in
+        its order."""
+        rng = np.random.default_rng(12)
+        path = tmp_path / "fuzz.json"
+        messages = 0
+        for case in range(100):
+            schema = ta.random_schema(rng, max_features=4, max_levels=4)
+            trees = [ta.random_tree(schema, rng, int(rng.integers(0, 20)))
+                     for _ in range(int(rng.integers(1, 6)))]
+            if case % 3 == 0:
+                oblique = mixed_tree(schema, rng, 6, "scalar")
+                trees.insert(int(rng.integers(len(trees) + 1)), oblique)
+            bodies = []
+            for tree in trees:
+                body = body_dict(tree)
+                for fault in FAULTS:
+                    if rng.random() < 0.12:
+                        fault(rng, body["nodes"], schema, body["root"])
+                if rng.random() < 0.3:
+                    rng.shuffle(body["nodes"])
+                bodies.append(body)
+            doc = {"schema": io._schema_to_dict(schema), "trees": bodies, "metadata": {}}
+            path.write_text(json.dumps(doc).replace('"+inf"', "1e999").replace('"-inf"', "-1e999"))
+            loaded = read_unchecked(path)
+            expected = reference_violations(loaded)
+            if expected:
+                with pytest.raises(ta.ValidationError) as err:
+                    io.load_forest(str(path))
+                assert err.value.violations == expected
+            else:
+                io.load_forest(str(path))
+            assert ta.trees.check_trees(loaded) == [
+                ta.oracle.validate_reference(t) for t in loaded]
+            for tree in loaded:
+                assert ta.validate(tree) == ta.oracle.validate_reference(tree)
+            messages += len(expected)
+        assert messages > 200
+
+    def test_dense_ids_map_a_child_beyond_them_to_no_position(self, tmp_path):
+        nodes = [{"id": 0, "split": NUM, "left": 1, "right": 6},
+                 {"id": 1, "value": scalar()}, {"id": 2, "value": scalar()}]
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"schema": MALFORMED["schema"], "nodes": nodes, "root": 0}))
+        (tree,) = read_unchecked(path)
+        assert tree.right_pos.tolist() == [-1, -1, -1]
+        assert tree.left_pos.tolist() == [1, -1, -1]
+        assert "node 0: right child 6 missing from arena" in ta.validate(tree)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import treealgebra as ta
-from treealgebra import simplex
+from treealgebra import io, simplex
 from treealgebra.geometry import Empirical
 from treealgebra.oracle import (
     contains_batch,
@@ -261,6 +261,29 @@ class TestFeasibilityLPCount:
         assert ta.combine_many(trees).n_nodes == 349
         counts.append(len(count_lps))
         assert counts == [4, 4, 466]
+
+    def test_lp_count_of_validating_a_fixed_hyperplane_forest(self, count_lps, tmp_path):
+        """Validating runs as many LPs as the per-node validation did (8, 12,
+        12 and 170 for these trees, 32 for a file of the first three and an
+        axis-aligned tree): trees with hyperplanes keep their Region.split
+        walk, and the box frontier of the others runs none."""
+        schema = ta.FeatureSchema(
+            tuple(ta.NumericFeature(f"x{i}", 0.0, 1.0) for i in range(3))
+        )
+        rng = np.random.default_rng(11)
+        trees = [random_mixed_tree(schema, rng, 12) for _ in range(3)]
+        trees.append(ta.combine_many(trees))
+        counts = []
+        for tree in trees:
+            count_lps.clear()
+            assert ta.validate(tree) == []
+            counts.append(len(count_lps))
+        path = str(tmp_path / "forest.json")
+        io.save_forest(io.ForestFile(schema, trees[:3] + [ta.random_tree(schema, rng, 10)]), path)
+        count_lps.clear()
+        io.load_forest(path)
+        counts.append(len(count_lps))
+        assert counts == [8, 12, 12, 170, 32]
 
     @staticmethod
     def assert_no_repeats(calls):
