@@ -63,8 +63,9 @@ from .trees import (
 
 __version__ = "0.1.0"
 
-# the brute-force references: the library never needs them, so the module
-# is imported on first use, not at every start of the command line
+# the brute-force references, and the per-node walk that writes the
+# messages of a tree that may be invalid: the module is imported on first
+# use, which a valid file never makes, not at every start of the command line
 _ORACLE = {"oracle", "CellGrid", "grid_integral", "monte_carlo_integral",
            "pointwise_equivalence", "random_forest", "random_schema", "random_tree"}
 

@@ -356,11 +356,16 @@ def affine_combination(
             f"{len(weights)} weights for {len(trees)} trees"
         )
     ws = [float(w) for w in weights]
+    if not np.isfinite(ws).all():
+        raise DomainError(f"affine weights must be finite, got {ws}")
     combined = combine_many(trees, budget)
     blocks = combined.leaves.blocks()
-    acc = ws[0] * blocks[:, 0]
-    for m in range(1, len(ws)):
-        acc = acc + ws[m] * blocks[:, m]
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = ws[0] * blocks[:, 0]
+        for m in range(1, len(ws)):
+            acc = acc + ws[m] * blocks[:, m]
+    if not np.isfinite(acc).all():
+        raise DomainError("affine combination overflows to a non-finite leaf value")
     kind = combined.leaves.entry
     return replace(combined, leaves=Leaves(kind, kind, acc))
 

@@ -53,6 +53,10 @@ class Empirical:
         object.__setattr__(self, "weights", w)
         if len(pts) != len(w):
             raise DomainError("points and weights differ in length")
+        if not np.isfinite(pts).all():
+            raise DomainError("empirical point is not finite")
+        if not np.isfinite(w).all():
+            raise DomainError("empirical weight is not finite")
         if np.any(w < 0):
             raise DomainError("negative empirical weight")
         if abs(float(w.sum()) - 1.0) > 1e-12:

@@ -389,7 +389,10 @@ def load_schema(path: str) -> FeatureSchema:
     """Load a bare schema JSON file (the ``schema`` object on its own)."""
     with open(path) as handle:
         doc = _parse_json(handle.read(), path)
-    return _schema_from_dict(doc.get("schema", doc), f"{path}: schema.")
+    try:
+        return _schema_from_dict(doc.get("schema", doc), f"{path}: schema.")
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ParseError(f"{path}: malformed document ({e})")
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +405,30 @@ def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     write_text_atomic(path, "\n".join(rows) + "\n")
 
 
-def read_matrix_csv(path: str) -> np.ndarray:
+def _real_rows(path: str) -> list[tuple[int, list[float]]]:
+    """The non-blank lines of a headerless CSV file of reals, each with its
+    line number."""
     rows = []
     with open(path) as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, 1):
             line = line.strip()
             if line:
-                rows.append([float(tok) for tok in line.split(",")])
+                try:
+                    rows.append((line_no, [float(tok) for tok in line.split(",")]))
+                except ValueError as e:
+                    raise ParseError(f"{path}: line {line_no}: {e}")
+    return rows
+
+
+def read_matrix_csv(path: str) -> np.ndarray:
+    rows = _real_rows(path)
     if not rows:
         raise ParseError(f"{path}: empty matrix")
-    return np.array(rows)
+    width = len(rows[0][1])
+    for line_no, row in rows:
+        if len(row) != width:
+            raise ParseError(f"{path}: line {line_no}: {len(row)} columns, expected {width}")
+    return np.array([row for _, row in rows])
 
 
 def read_points_csv(path: str, schema: FeatureSchema) -> np.ndarray:
@@ -436,12 +453,7 @@ def read_points_csv(path: str, schema: FeatureSchema) -> np.ndarray:
 
 
 def read_weights_csv(path: str) -> np.ndarray:
-    values = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                values.extend(float(tok) for tok in line.split(","))
+    values = [x for _, row in _real_rows(path) for x in row]
     if not values:
         raise ParseError(f"{path}: no weights")
     return np.array(values)

@@ -20,6 +20,8 @@ def _check_distance_matrix(dist: np.ndarray) -> np.ndarray:
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DomainError("distance matrix must be square")
+    if not np.isfinite(d).all():
+        raise DomainError("distance matrix has non-finite entries")
     if np.any(d < -1e-12):
         raise DomainError("distance matrix has negative entries")
     if np.max(np.abs(d - d.T)) > 1e-9:
@@ -65,6 +67,8 @@ def pairwise_distances(coords: np.ndarray) -> np.ndarray:
 def mds_stress(dist: np.ndarray, coords: np.ndarray) -> float:
     """Sum of squared distance residuals over the sum of squared distances."""
     d = np.asarray(dist, dtype=float)
+    if not (np.isfinite(d).all() and np.isfinite(coords).all()):
+        raise DomainError("distances and coordinates must be finite")
     rec = pairwise_distances(coords)
     iu = np.triu_indices(d.shape[0], k=1)
     denom = float((d[iu] ** 2).sum())

@@ -1,4 +1,5 @@
-"""Brute-force reference computations and random-tree generation.
+"""Brute-force reference computations, random-tree generation and the
+per-node validation walk.
 
 The cell grid enumerates the exact refinement of the domain by every
 threshold appearing in a set of axis-aligned trees; each tree is constant on
@@ -20,9 +21,13 @@ in a region. :func:`route` routes one point at a time, one split at a time
 :func:`combine_many_reference` is the overlay built one output node at a
 time, depth first, with :func:`same_partition_in_region` matching
 identical splits: the check on the frontier overlay of
-:mod:`treealgebra.combine`. :func:`validate_reference` checks a tree one
-node at a time, depth first: the check on the stacked validation pass of
-:mod:`treealgebra.trees`.
+:mod:`treealgebra.combine`.
+
+:func:`validate_reference` checks a tree one node at a time, depth first,
+and is the only code that writes validation messages: the stacked pass of
+:func:`treealgebra.trees.check_trees` decides which trees may be invalid
+and imports this module to describe only those. So the library needs this
+module on the error path, and a valid file never loads it.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .trees import (
     NumericFeature,
     NumericThreshold,
     Region,
+    Rule,
     Scalar,
     Side,
     Split,
@@ -64,16 +70,16 @@ from .trees import (
     TupleValue,
     _entry,
     _goes_left_batch,
+    _pack,
     _positions,
-    _messages,
     _route_batch,
     _split_faults,
-    _tuple_faults,
     _value_rules,
     box_columns,
     box_sides,
     evaluate_batch,
     full_box,
+    kinds_and_lengths,
     leaf_kind_of,
     value_kinds,
 )
@@ -556,13 +562,39 @@ def combine_many_reference(
 # Per-node validation
 
 
+def _messages(rules: Sequence[Rule], k: int) -> list[str]:
+    return [text for mask, texts in rules if mask[k] for text in texts(k)]
+
+
+def _ragged_faults(value: LeafValue, schema: FeatureSchema) -> list[str]:
+    """The messages of one value of a ragged table. A value that packs alone
+    is checked as a table of one row; a tuple that does not is named nested
+    or mixed, and its source ids and other entries are checked."""
+    one = _pack([value])
+    if one.ragged is None:
+        return _messages(_value_rules(one, schema), 0)
+    kinds = {type(e) for e in value.values}
+    out = (["nested tuple value"] if TupleValue in kinds
+           else ["tuple mixes value kinds"] if len(kinds) > 1 else [])
+    ids = Leaves(None, None, np.zeros((1, 0)), np.array([value.source_ids], dtype=np.int64))
+    out += _messages(_value_rules(ids, schema), 0)
+    for e in value.values:
+        if not isinstance(e, TupleValue):
+            out += _ragged_faults(e, schema)
+    return out
+
+
 def _node_faults(tree: Tree) -> tuple[list[str], list[bool]]:
     """Every per-node violation, in node order, and which nodes are well
     formed: internal nodes with a sound split and both children linked
     back, and leaves with a value. Leaf values are checked a whole table at
-    a time (:func:`_value_rules`); only a flagged row is looked at again."""
+    a time (:func:`_value_rules`), a ragged table's rows one at a time; only
+    a flagged row is looked at again."""
     parent, feature, threshold = (a.tolist() for a in (tree.parent, tree.feature, tree.threshold))
-    rules = _value_rules(tree.leaves, tree.schema)
+    leaves, schema = tree.leaves, tree.schema
+    rules = (_value_rules(leaves, schema) if leaves.ragged is None else
+             [(np.ones(len(leaves.ragged), dtype=bool),
+               lambda r: _ragged_faults(leaves.ragged[r], schema))])
     flagged = {r for mask, _ in rules for r in np.flatnonzero(mask).tolist()}
     v: list[str] = []
     well = []
@@ -649,10 +681,29 @@ def _partition_faults(tree: Tree, well: list[bool]) -> list[int]:
     return faults
 
 
+def _tuple_faults(values: Sequence[LeafValue], schema: FeatureSchema) -> list[str]:
+    """The ways tuple leaves differ from each other, so that no one matrix
+    can hold them."""
+    tuples = [v for v in values if isinstance(v, TupleValue)]
+    out = []
+    lengths = sorted({len(v.values) for v in tuples} | {len(v.source_ids) for v in tuples})
+    if len(lengths) > 1:
+        out.append(f"tuple leaves mix lengths {lengths}")
+    inner = [kinds_and_lengths([e for e in v.values if not isinstance(e, TupleValue)])
+             for v in tuples]
+    kinds = sorted({k[0] for k, _ in inner if len(k) == 1})
+    if len(kinds) > 1:
+        out.append(f"tuple leaves mix value kinds {kinds}")
+    lengths = sorted({n for _, ns in inner for n in ns})
+    if schema.class_labels is None and len(lengths) > 1:
+        out.append(f"tuple leaves mix class-probability lengths {lengths}")
+    return out
+
+
 def validate_reference(tree: Tree) -> list[str]:
-    """:func:`~treealgebra.trees.validate` one node at a time, depth first:
-    the reference for the stacked validation pass, which must give the same
-    messages in the same order."""
+    """The violations of a tree, found one node at a time, depth first, in
+    the order :func:`~treealgebra.trees.validate` gives them; the stacked
+    pass calls it for each tree it cannot show valid."""
     if tree.root_pos < 0:
         return [f"root id {tree.root} not in arena"]
     ids, schema = tree.ids, tree.schema

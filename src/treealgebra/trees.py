@@ -1016,8 +1016,8 @@ class NodeTable:
 # ---------------------------------------------------------------------------
 # Validation
 
-# A rule of validate over the rows of a leaf table or the nodes of a node
-# table: a mask of the rows it flags, and the messages of a flagged row
+# A rule of validate over the rows of a leaf table: a mask of the rows it
+# flags, and the messages of a flagged row
 Rule = tuple[np.ndarray, Callable[[int], list[str]]]
 
 
@@ -1050,11 +1050,7 @@ def _split_faults(kind: int, j: int, t: float, split: Optional[Split],
 
 
 def _value_rules(leaves: Leaves, schema: FeatureSchema) -> list[Rule]:
-    """The rules of the rows of a leaf table, in order; a ragged table's
-    rows are looked at one at a time."""
-    if leaves.ragged is not None:
-        return [(np.ones(len(leaves.ragged), dtype=bool),
-                 lambda r: _ragged_faults(leaves.ragged[r], schema))]
+    """The rules of the rows of a leaf table that is not ragged, in order."""
     rules = []
     if leaves.sources is not None:
         s = np.sort(leaves.sources, axis=1)
@@ -1082,28 +1078,6 @@ def _value_rules(leaves: Leaves, schema: FeatureSchema) -> list[Rule]:
     return rules
 
 
-def _messages(rules: Sequence[Rule], k: int) -> list[str]:
-    return [text for mask, texts in rules if mask[k] for text in texts(k)]
-
-
-def _ragged_faults(value: LeafValue, schema: FeatureSchema) -> list[str]:
-    """The messages of one value of a ragged table. A value that packs alone
-    is checked as a table of one row; a tuple that does not is named nested
-    or mixed, and its source ids and other entries are checked."""
-    one = _pack([value])
-    if one.ragged is None:
-        return _messages(_value_rules(one, schema), 0)
-    kinds = {type(e) for e in value.values}
-    out = (["nested tuple value"] if TupleValue in kinds
-           else ["tuple mixes value kinds"] if len(kinds) > 1 else [])
-    ids = Leaves(None, None, np.zeros((1, 0)), np.array([value.source_ids], dtype=np.int64))
-    out += _messages(_value_rules(ids, schema), 0)
-    for e in value.values:
-        if not isinstance(e, TupleValue):
-            out += _ragged_faults(e, schema)
-    return out
-
-
 def value_kinds(tree: Tree, nodes: np.ndarray) -> tuple[list[str], list[int], list]:
     """:func:`kinds_and_lengths` of the values of some nodes (a mask), and
     those values when the leaves are ragged (else an empty list)."""
@@ -1117,204 +1091,96 @@ def value_kinds(tree: Tree, nodes: np.ndarray) -> tuple[list[str], list[int], li
     return [leaves.kind], [leaves.values.shape[1]] if leaves.kind == "class_probs" else [], []
 
 
-def _tuple_faults(values: Sequence[LeafValue], schema: FeatureSchema) -> list[str]:
-    """The ways tuple leaves differ from each other, so that no one matrix
-    can hold them."""
-    tuples = [v for v in values if isinstance(v, TupleValue)]
-    out = []
-    lengths = sorted({len(v.values) for v in tuples} | {len(v.source_ids) for v in tuples})
-    if len(lengths) > 1:
-        out.append(f"tuple leaves mix lengths {lengths}")
-    inner = [kinds_and_lengths([e for e in v.values if not isinstance(e, TupleValue)])
-             for v in tuples]
-    kinds = sorted({k[0] for k, _ in inner if len(k) == 1})
-    if len(kinds) > 1:
-        out.append(f"tuple leaves mix value kinds {kinds}")
-    lengths = sorted({n for _, ns in inner for n in ns})
-    if schema.class_labels is None and len(lengths) > 1:
-        out.append(f"tuple leaves mix class-probability lengths {lengths}")
-    return out
-
-
-def _reached(nodes: NodeTable, roots: np.ndarray) -> np.ndarray:
-    """The positions reachable from ``roots`` through children, one
-    frontier at a time; a node is visited once, so cycles and diamonds
-    end."""
-    seen, owner = np.zeros(len(nodes.kind), dtype=bool), np.zeros(len(nodes.kind), dtype=np.int64)
+def _cut_reach(nodes: NodeTable, roots: np.ndarray) -> np.ndarray:
+    """The positions reached from ``roots`` through splits that leave
+    neither side of their node's box empty: one frontier of boxes over all
+    the trees. Every node of those trees must be the child of at most one
+    split, on one side, so that no node is reached twice."""
+    reached = np.zeros(len(nodes.kind), dtype=bool)
     pos = roots
-    while pos.size:
-        seen[pos] = True
-        pos = np.concatenate((nodes.left[pos], nodes.right[pos]))
-        pos = pos[pos >= 0]
-        pos = pos[~seen[pos]]
-        # a node named twice keeps the one row that its owner entry names
-        rows = np.arange(len(pos))
-        owner[pos] = rows
-        pos = pos[owner[pos] == rows]
-    return seen
-
-
-def _box_faults(nodes: NodeTable, well: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """The positions of the well-formed splits reached from ``roots``
-    through well-formed splits that leave a side of their node's box
-    empty, in each tree depth first, right before left: one frontier of
-    boxes over all the trees. A well-formed split is its children's only
-    parent, so each node is placed once; a root is not placed again (a
-    cycle), and a child named on both sides is placed from the right."""
-    splits = well & (nodes.left >= 0)
-    at = splits.nonzero()[0]
-    left, right = nodes.left[at], nodes.right[at]
-    enters = splits.copy()
-    enters[roots] = False
-    # each split's children to place, -1 for none
-    next_left, next_right = np.full(len(well), -1), np.full(len(well), -1)
-    next_left[at] = np.where(enters[left] & (left != right), left, -1)
-    next_right[at] = np.where(enters[right], right, -1)
-    pos = roots[splits[roots]]
     box = np.repeat(nodes.full_box(), len(pos), axis=0)
     masks = np.full((len(pos), nodes.words), _WORD, dtype=np.uint64) if nodes.categorical else None
-    via, rounds, faults = pos, [], [pos[:0]]
     while pos.size:
-        rounds.append((pos, via))
-        cut = np.logical_and(*nodes.meets(pos, box, masks, 1))
-        faults.append(pos[~cut])
-        rows = cut.nonzero()[0]
-        kids = np.concatenate((next_right[pos[rows]], next_left[pos[rows]]))
-        rows = np.concatenate((rows, rows))[kids >= 0]
-        pos, via, box = kids[kids >= 0], pos[rows], box[rows]
-        masks = None if masks is None else masks[rows]
-        k = np.count_nonzero(kids[:len(kids) // 2] >= 0)
-        nodes.narrow(via[:k], box, masks, np.arange(k), False)
-        nodes.narrow(via[k:], box, masks, np.arange(k, len(pos)), True)
-    faults = np.concatenate(faults)
-    if len(faults) > 1:
-        # preorder ranks, right before left, from the sizes of the subtrees placed
-        size, right_size, rank = (np.zeros(len(well), dtype=np.int64) for _ in range(3))
-        for child, parent in reversed(rounds[1:]):
-            size[child] += 1
-            right = child == nodes.right[parent]
-            right_size[parent[right]] = size[child[right]]
-            np.add.at(size, parent, size[child])
-        for child, parent in rounds[1:]:
-            rank[child] = rank[parent] + 1 + (child != nodes.right[parent]) * right_size[parent]
-        faults = faults[np.argsort(rank[faults])]
-    return faults
+        reached[pos] = True
+        rows = (nodes.left[pos] >= 0).nonzero()[0]
+        rows = rows[np.logical_and(*nodes.meets(pos[rows], box[rows],
+                                                None if masks is None else masks[rows], 1))]
+        pos, k = pos[rows], len(rows)
+        rows = np.concatenate((rows, rows))
+        box, masks = box[rows], None if masks is None else masks[rows]
+        nodes.narrow(pos, box, masks, np.arange(k), True)
+        nodes.narrow(pos, box, masks, np.arange(k, 2 * k), False)
+        pos = np.concatenate((nodes.left[pos], nodes.right[pos]))
+    return reached
 
 
-def _region_faults(tree: Tree, well: list[bool]) -> list[int]:
-    """:func:`_box_faults` for a tree with hyperplane splits: one node at a
-    time, depth first, each split decided by one :meth:`Region.split`."""
+def _regions_cut(tree: Tree) -> bool:
+    """Whether the root of a tree with hyperplane splits reaches every node
+    through splits that leave neither side of their node's region empty,
+    each decided by one :meth:`Region.split`, depth first; the tree must be
+    one as for :func:`_cut_reach`."""
     left, right, splits = tree.left_pos.tolist(), tree.right_pos.tolist(), tree.splits()
-    placed, faults, stack = set(), [], [(tree.root_pos, Region.full(tree.schema))]
+    stack, reached = [(tree.root_pos, Region.full(tree.schema))], 0
     while stack:
         i, region = stack.pop()
-        if well[i] and i not in placed:
-            placed.add(i)
-            sides = region.split(splits[i]) if left[i] >= 0 else ()
+        reached += 1
+        if left[i] >= 0:
+            sides = region.split(splits[i])
             if None in sides:
-                faults.append(i)
-            else:
-                stack += zip((left[i], right[i]), sides)
-    return faults
+                return False
+            stack += zip((left[i], right[i]), sides)
+    return reached == tree.n_nodes
 
 
 def check_trees(trees: Sequence[Tree]) -> list[list[str]]:
     """The violations of each of some trees on one schema, as :func:`validate`
-    orders them, found together: each node rule is a mask over one
-    :class:`NodeTable` of all their nodes, reachability one frontier, and
-    the splits of trees without hyperplanes one frontier of boxes."""
+    gives them.
+
+    The trees are decided together over one :class:`NodeTable` of all
+    their nodes: each node rule is a mask, and the splits of the trees
+    without hyperplanes one frontier of boxes, which also finds the nodes
+    the root reaches. A tree that may be invalid is then checked alone, one
+    node at a time (:func:`treealgebra.oracle.validate_reference`), and that
+    check writes its messages; a tree found valid never loads the oracle.
+    """
     if not trees:
         return []
     nodes, schema = NodeTable(trees), trees[0].schema
     tree_of = np.repeat(np.arange(len(trees)), [t.n_nodes for t in trees])
     ids, left, right, parent = (np.concatenate([getattr(t, a) for t in trees])
                                 for a in ("ids", "left", "right", "parent"))
-    kind, leaf, feature, threshold = nodes.kind, nodes.leaf, nodes.feature, nodes.threshold
-    found: list[list[int]] = [[] for _ in trees]
-    for t, nid in zip(tree_of[parent < 0].tolist(), ids[parent < 0].tolist()):
-        found[t].append(nid)
-    out = [[] if found[t] == [tree.root] else
-           [f"expected exactly one parentless node {tree.root}, found {found[t]}"]
-           for t, tree in enumerate(trees)]
-
-    # the node rules, in the order of a node's messages
-    internal, lone = (left >= 0) & (right >= 0), (left < 0) | (right < 0)
-    missing = [internal & (p < 0) for p in (nodes.left, nodes.right)]
-    astray = [internal & (p >= 0) & (parent[p] != ids) for p in (nodes.left, nodes.right)]
-    linked = internal & (kind > 0) & ~(missing[0] | missing[1] | astray[0] | astray[1])
+    kind, leaf, at_left, at_right = nodes.kind, nodes.leaf, nodes.left, nodes.right
+    # two distinct children that name the node as their parent; a child
+    # named on both sides (a twin) is left to the walk, which places it once
+    linked = ((at_left >= 0) & (at_right >= 0) & (at_left != at_right)
+              & (parent[at_left] == ids) & (parent[at_right] == ids))
     # a numeric split reads a spare slot unless its feature is numeric
-    faulty = np.where(kind == NUMERIC, (nodes.slot == nodes.slots - 1) | ~np.isfinite(threshold),
+    faulty = np.where(kind == NUMERIC, (nodes.slot == nodes.slots - 1) | ~np.isfinite(nodes.threshold),
                       (kind == CATEGORICAL) & ~nodes.proper)
     at = (kind == HYPERPLANE).nonzero()[0]
     faulty[at] = [bool(_split_faults(HYPERPLANE, -1, np.nan, h, schema)) for h in nodes.splits(at)]
-    one_child = lone & ((left >= 0) | (right >= 0))
-    # the leaf rows of all the trees in one row space, and a last for none
-    value_rules = [_value_rules(t.leaves, schema) for t in trees]
-    first = np.cumsum([0] + [len(t.leaves.values) for t in trees])
-    flags = np.zeros(first[-1] + 1, dtype=bool)
-    for rules, base in zip(value_rules, first.tolist()):
-        for mask, _ in rules:
-            flags[base:base + len(mask)] |= mask
-    row = np.where(leaf >= 0, leaf + first[tree_of], -1)
-    well = (linked & ~faulty) | (lone & (leaf >= 0) & ~one_child)
+    sound = np.where(linked, (kind > 0) & (leaf < 0) & ~faulty,
+                     (left < 0) & (right < 0) & (leaf >= 0) & (kind == 0))
+    live = np.array([t.root_pos >= 0 for t in trees])
+    roots = np.array(nodes.starts) + [t.root_pos for t in trees]
+    is_root = np.zeros(len(kind), dtype=bool)
+    is_root[roots[live]] = True
+    # a ragged leaf table holds values of more than one kind or shape
+    suspect = ~live | [t.leaves.ragged is not None
+                       or any(mask.any() for mask, _ in _value_rules(t.leaves, schema))
+                       for t in trees]
+    suspect[tree_of[~sound | ((parent < 0) != is_root)]] = True
 
-    def note(text):
-        return lambda i: [text.format(nid=ids[i], left=left[i], right=right[i])]
-
-    def split_texts(i):
-        return [f"node {ids[i]}: {text}" for text in _split_faults(
-            int(kind[i]), int(feature[i]), float(threshold[i]), nodes.side.get(i), schema)]
-
-    def value_texts(i):
-        t = tree_of[i]
-        return [f"node {ids[i]}: {text}" for text in _messages(value_rules[t], row[i] - first[t])]
-
-    rules = [(internal & (kind == 0), note("node {nid}: internal node without split")),
-             (internal & (leaf >= 0), note("node {nid}: internal node with value")),
-             (missing[0], note("node {nid}: left child {left} missing from arena")),
-             (astray[0], note("node {left}: parent link does not point to {nid}")),
-             (missing[1], note("node {nid}: right child {right} missing from arena")),
-             (astray[1], note("node {right}: parent link does not point to {nid}")),
-             (linked & faulty, split_texts),
-             (one_child, note("node {nid}: has exactly one child")),
-             (lone & (leaf < 0), note("node {nid}: leaf without value")),
-             (lone & flags[row], value_texts),
-             (lone & (kind > 0), note("node {nid}: leaf with split"))]
-    flagged = np.zeros(len(kind), dtype=bool)
-    for mask, _ in rules:
-        flagged |= mask
-    flagged = flagged.nonzero()[0]
-    for t, i in zip(tree_of[flagged].tolist(), flagged.tolist()):
-        out[t] += _messages(rules, i)
-
-    live = [t for t, tree in enumerate(trees) if tree.root_pos >= 0]
-    roots = np.array([nodes.starts[t] + trees[t].root_pos for t in live], dtype=np.int64)
-    seen = _reached(nodes, roots)
-    for t, nid in zip(tree_of[~seen].tolist(), ids[~seen].tolist()):
-        out[t].append(f"node {nid}: unreachable from root")
-
-    # a leaf table that is not ragged holds one kind and shape
-    for t, (tree, s) in enumerate(zip(trees, nodes.starts)):
-        if tree.leaves.ragged is None:
-            continue
-        kinds, lengths, values = value_kinds(tree, seen[s:s + tree.n_nodes] & (tree.left < 0))
-        if len(kinds) > 1:
-            out[t].append(f"leaf values mix kinds {kinds}")
-        # with class labels every leaf's length is checked against them
-        if schema.class_labels is None and len(lengths) > 1:
-            out[t].append(f"class-probability leaves mix lengths {lengths}")
-        out[t] += _tuple_faults(values, schema)
-
-    oblique = set(tree_of[kind == HYPERPLANE].tolist())
-    faults = _box_faults(nodes, well, roots[[t not in oblique for t in live]])
-    for t, nid in zip(tree_of[faults].tolist(), ids[faults].tolist()):
-        out[t].append(f"node {nid}: split does not partition node region")
-    for t in sorted(oblique.intersection(live)):
-        s, tree = nodes.starts[t], trees[t]
-        out[t] += [f"node {tree.ids[i]}: split does not partition node region"
-                   for i in _region_faults(tree, well[s:s + tree.n_nodes].tolist())]
-    return [messages if tree.root_pos >= 0 else [f"root id {tree.root} not in arena"]
-            for messages, tree in zip(out, trees)]
+    oblique = np.zeros(len(trees), dtype=bool)
+    oblique[tree_of[kind == HYPERPLANE]] = True
+    boxed = ~suspect & ~oblique
+    suspect[tree_of[~_cut_reach(nodes, roots[boxed]) & boxed[tree_of]]] = True
+    for t in (~suspect & oblique).nonzero()[0].tolist():
+        suspect[t] = not _regions_cut(trees[t])
+    if not suspect.any():
+        return [[] for _ in trees]
+    from .oracle import validate_reference
+    return [validate_reference(t) if s else [] for t, s in zip(trees, suspect.tolist())]
 
 
 def validate(tree: Tree) -> list[str]:
@@ -1324,6 +1190,7 @@ def validate(tree: Tree) -> list[str]:
     nodes the root does not reach; leaves that mix kinds; and last the
     reachable well-formed splits that leave a side of their region empty,
     depth first, right before left. This is :func:`check_trees` of the
-    tree alone.
+    tree alone: the messages of a tree it cannot show valid are written by
+    :func:`treealgebra.oracle.validate_reference`.
     """
     return check_trees([tree])[0]

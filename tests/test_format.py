@@ -3,6 +3,7 @@ against a reference serializer, the full list of validation messages, and
 the command line and batch evaluation on the arrays."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -456,6 +457,50 @@ class TestEveryValidationMessage:
             io.load_forest(str(path))
         assert "tree 0: node 3: parent link does not point to 1" in err.value.violations
         assert not any("unreachable" in m for m in err.value.violations)
+
+    @pytest.mark.parametrize("split", [NUM, {"type": "hyperplane", "coeffs": [1.0, 1.0],
+                                             "offset": 5.0}])
+    def test_detached_cycle_is_unreachable(self, tmp_path, split):
+        """Nodes 3 and 4 are each other's parent: every node is linked back
+        and only the root is parentless, yet the root reaches neither."""
+        nodes = [{"id": 0, "split": split, "left": 1, "right": 2},
+                 {"id": 3, "split": NUM, "left": 4, "right": 5},
+                 {"id": 4, "split": NUM, "left": 3, "right": 6}]
+        nodes += [{"id": k, "value": scalar()} for k in (1, 2, 5, 6)]
+        path = tmp_path / "detached.json"
+        path.write_text(json.dumps({"schema": MALFORMED["schema"], "nodes": nodes, "root": 0}))
+        with pytest.raises(ta.ValidationError) as err:
+            io.load_forest(str(path))
+        assert err.value.violations == [f"tree 0: node {k}: unreachable from root"
+                                        for k in (3, 4, 5, 6)]
+
+    def test_twin_child_is_placed_from_the_right(self, tmp_path):
+        """A node that names one child on both sides: the child is placed
+        once, in the right-hand box (x > 4), where its split x <= 7 cuts;
+        in the left-hand box it would not."""
+        nodes = [{"id": 0, "split": NUM, "left": 1, "right": 1},
+                 {"id": 1, "split": {"type": "numeric", "feature": 0, "threshold": 7.0},
+                  "left": 2, "right": 3},
+                 {"id": 2, "value": scalar()}, {"id": 3, "value": scalar()}]
+        path = tmp_path / "twin.json"
+        path.write_text(json.dumps({"schema": MALFORMED["schema"], "nodes": nodes, "root": 0}))
+        (tree,) = io.load_forest(str(path)).trees
+        assert ta.validate(tree) == []
+
+    def test_twin_chain_is_walked_once_per_node(self, tmp_path):
+        """64 twin links in a row, each split on its own feature so that
+        every one cuts: a pass that carried one box per path would carry
+        2**64 of them."""
+        features = [{"name": f"x{k}", "kind": "numeric", "low": 0.0, "high": 1.0}
+                    for k in range(64)]
+        nodes = [{"id": k, "split": {"type": "numeric", "feature": k, "threshold": 0.5},
+                  "left": k + 1, "right": k + 1} for k in range(64)]
+        nodes.append({"id": 64, "value": scalar()})
+        path = tmp_path / "twins.json"
+        path.write_text(json.dumps({"schema": {"features": features}, "nodes": nodes, "root": 0}))
+        start = time.perf_counter()
+        io.load_forest(str(path))
+        assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

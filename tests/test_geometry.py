@@ -367,6 +367,15 @@ class TestRegionMeasure:
         with pytest.raises(ta.DomainError):
             Empirical.from_rows(d2, [(1, 1), (2, 2)], weights=[0.5, 0.4])
 
+    @pytest.mark.parametrize("point, weight, message", [
+        (np.nan, 0.5, "empirical point is not finite"),
+        (2.0, np.nan, "empirical weight is not finite"),
+        (2.0, np.inf, "empirical weight is not finite"),
+    ])
+    def test_empirical_rejects_non_finite_input(self, point, weight, message):
+        with pytest.raises(ta.DomainError, match=message):
+            Empirical(np.array([[1.0, 1.0], [point, 2.0]]), np.array([0.5, weight]))
+
     def test_split_measures_add_up(self, rng, uniform):
         """Refining by a partitioning split conserves mass, and the pieces
         are disjoint (checked by membership on random points)."""

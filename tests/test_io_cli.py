@@ -486,6 +486,50 @@ class TestCli:
             assert capsys.readouterr().err == f'code=DOMAIN msg="{message}"\n'
         assert not (workdir / "o.json").exists()
 
+    @pytest.mark.parametrize("text, command, err", [
+        ("0,1\n1,x\n", "mds --matrix {} --dims 1 --out {out}",
+         "PARSE msg=\"{}: line 2: could not convert string to float: 'x'\""),
+        ("0,1\n1,0,2\n", "mds --matrix {} --dims 1 --out {out}",
+         'PARSE msg="{}: line 2: 3 columns, expected 2"'),
+        ("0,nan\nnan,0\n", "mds --matrix {} --dims 1 --out {out}",
+         'DOMAIN msg="distance matrix has non-finite entries"'),
+        ("0,inf\ninf,0\n", "mds --matrix {} --dims 1 --out {out}",
+         'DOMAIN msg="distance matrix has non-finite entries"'),
+        ("0.5\nabc\n0.25\n", "affine --forest {three} --weights {} --out {out}",
+         "PARSE msg=\"{}: line 2: could not convert string to float: 'abc'\""),
+        ("0.5\nabc\n0.25\n", "combine --forest {three} --weights {} --out {out}",
+         "PARSE msg=\"{}: line 2: could not convert string to float: 'abc'\""),
+        ("0.5\nabc\n0.25\n", "dist --a {stump4} --b {stump6} --measure empirical "
+         "--data {pts} --weights {}",
+         "PARSE msg=\"{}: line 2: could not convert string to float: 'abc'\""),
+        ("0.5\nnan\n0.5\n", "dist --a {stump4} --b {stump6} --measure empirical "
+         "--data {pts} --weights {}", 'DOMAIN msg="empirical weight is not finite"'),
+        ("0.5\nnan\n0.5\n", "corr --a {stump4} --b {stump6} --measure empirical "
+         "--data {pts} --weights {}", 'DOMAIN msg="empirical weight is not finite"'),
+        ("0.5\nnan\n0.5\n", "affine --forest {three} --weights {} --out {out}",
+         'DOMAIN msg="affine weights must be finite, got [0.5, nan, 0.5]"'),
+        ("1e308\n1e308\n1e308\n", "affine --forest {three} --weights {} --out {out}",
+         'DOMAIN msg="affine combination overflows to a non-finite leaf value"'),
+        ("{}", "import --table {table} --schema {} --out {out}",
+         "PARSE msg=\"{}: malformed document ('features')\""),
+        ("[1, 2]", "import --table {table} --schema {} --out {out}",
+         "PARSE msg=\"{}: malformed document ('list' object has no attribute 'get')\""),
+    ])
+    def test_malformed_or_non_finite_input_exits_2(self, workdir, capsys, text, command, err):
+        """A bad input file gets one diagnostic line and exit 2, and no
+        output is written."""
+        bad, out = workdir / "bad.txt", workdir / "out.txt"
+        bad.write_text(text)
+        (workdir / "pts.csv").write_text("1,0\n5,0\n9,0\n")
+        (workdir / "table.csv").write_text(TestFlatTableImport.STUMP_TABLE)
+        files = {name: str(workdir / f"{name}.{ext}") for name, ext in (
+            ("three", "json"), ("stump4", "json"), ("stump6", "json"), ("pts", "csv"),
+            ("table", "csv"))}
+        argv = [arg.format(str(bad), out=str(out), **files) for arg in command.split()]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"code={err.format(bad)}\n"
+        assert not out.exists()
+
     def test_unknown_flag_exits_1(self, workdir, capsys):
         assert run_cli(["dist", "--bogus"]) == 1
 
@@ -546,5 +590,39 @@ class TestStartUp:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
         code = "import treealgebra, sys; print('treealgebra.oracle' in sys.modules)"
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout == "False\n"
+
+    def test_loading_valid_files_leaves_the_oracle_unloaded(self, workdir, unit2):
+        """Only a tree that may be invalid is checked by the per-node walk
+        in the oracle: loading valid files of every split and leaf kind,
+        and of combine and affine output, never imports it."""
+        cat = ta.FeatureSchema((ta.NumericFeature("x", 0, 1),
+                                ta.CategoricalFeature("c", ("a", "b", "c"))))
+        b = ta.TreeBuilder(cat)
+        left, right = b.split_node(b.add_root(), ta.CategoricalSubset(1, {0, 2}))
+        b.set_value(left, ta.Scalar(1.0))
+        low, high = b.split_node(right, ta.NumericThreshold(0, 0.5))
+        b.set_value(low, ta.Scalar(2.0))
+        b.set_value(high, ta.Scalar(3.0))
+        io.save_tree(b.build(), str(workdir / "categorical.json"))
+        b = ta.TreeBuilder(unit2)
+        left, right = b.split_node(b.add_root(), ta.Hyperplane((1.0, 1.0), 1.0))
+        b.set_value(left, ta.ClassProbs((0.25, 0.75)))
+        b.set_value(right, ta.ClassProbs((1.0, 0.0)))
+        io.save_tree(b.build(), str(workdir / "oblique.json"))
+        three = str(workdir / "three.json")
+        assert run_cli(["combine", "--forest", three, "--out", str(workdir / "tuples.json")]) == 0
+        assert run_cli(["affine", "--forest", three, "--weights", str(workdir / "w.csv"),
+                        "--out", str(workdir / "affine.json")]) == 0
+        paths = [str(workdir / f"{name}.json") for name in
+                 ("three", "stump4", "categorical", "oblique", "tuples", "affine")]
+        src = os.path.dirname(os.path.dirname(ta.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
+        code = ("import sys; from treealgebra import io\n"
+                "for p in sys.argv[1:]: io.load_forest(p)\n"
+                "print('treealgebra.oracle' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", code, *paths], env=env, capture_output=True,
                              text=True, check=True)
         assert run.stdout == "False\n"

@@ -74,6 +74,14 @@ class TestClassicalMDS:
         with pytest.raises(ta.DomainError):
             classical_mds(bad, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        dist = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ta.DomainError, match="non-finite"):
+            classical_mds(dist, 1)
+        with pytest.raises(ta.DomainError, match="must be finite"):
+            mds_stress(np.ones((2, 2)) - np.eye(2), np.array([[0.0], [bad]]))
+
     def test_stress_zero_for_exact_embedding(self, rng):
         config = rng.normal(size=(6, 3))
         dist = pairwise_distances(config)
