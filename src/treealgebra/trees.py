@@ -1161,8 +1161,8 @@ def check_trees(trees: Sequence[Tree]) -> list[list[str]]:
     faulty[at] = [bool(_split_faults(HYPERPLANE, -1, np.nan, h, schema)) for h in nodes.splits(at)]
     sound = np.where(linked, (kind > 0) & (leaf < 0) & ~faulty,
                      (left < 0) & (right < 0) & (leaf >= 0) & (kind == 0))
-    live = np.array([t.root_pos >= 0 for t in trees])
-    roots = np.array(nodes.starts) + [t.root_pos for t in trees]
+    root_pos = np.array([t.root_pos for t in trees])
+    live, roots = root_pos >= 0, np.array(nodes.starts) + root_pos
     is_root = np.zeros(len(kind), dtype=bool)
     is_root[roots[live]] = True
     # a ragged leaf table holds values of more than one kind or shape
