@@ -47,7 +47,6 @@ from .trees import (
     ClassProbs,
     FeatureSchema,
     Hyperplane,
-    Interval,
     NumericFeature,
     NumericThreshold,
     Region,

@@ -1,10 +1,9 @@
 """The probability measures.
 
-Which sides of a split a region meets is
-:meth:`treealgebra.trees.Region.split`, which answers it with at most one
-feasibility LP (:mod:`treealgebra.simplex`). The mass of a region is
-reference code,
-:func:`treealgebra.oracle.region_measure`; the statistics in
+Which sides of a split a region meets is decided by
+:meth:`treealgebra.trees.Region.split`, with at most one feasibility LP
+(:mod:`treealgebra.simplex`). The mass of a region is reference code
+(:func:`treealgebra.oracle.region_measure`): the statistics in
 :mod:`treealgebra.measures` never build regions.
 """
 

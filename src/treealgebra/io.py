@@ -135,6 +135,13 @@ def _ints(xs: list, where: str, key: str, low: int = -_INT64, at=None) -> list:
     return [_int(x, where, key.format(k if at is None else at[k]), low) for k, x in enumerate(xs)]
 
 
+def _names(x, where: str, key: str) -> tuple:
+    # a JSON string is a sequence too, but of characters
+    if not isinstance(x, list):
+        raise ParseError(f"{where}{key} must be a list of names, got {json.dumps(x)}")
+    return tuple(x)
+
+
 def _reals(xs: list, where: str, key: str, at=None) -> list:
     """``xs`` as floats, each checked as :func:`_real` checks it."""
     if set(map(type, xs)) <= {float}:
@@ -165,11 +172,13 @@ def _schema_from_dict(doc: dict, where: str) -> FeatureSchema:
             features.append(NumericFeature(fd["name"], _real(fd["low"], name, ".low"),
                                            _real(fd["high"], name, ".high")))
         elif fd["kind"] == "categorical":
-            features.append(CategoricalFeature(fd["name"], tuple(fd["levels"])))
+            features.append(CategoricalFeature(
+                fd["name"], _names(fd["levels"], f"{where}features[{k}]", ".levels")))
         else:
             raise ParseError(f"unknown feature kind {fd['kind']!r}")
     labels = doc.get("class_labels")
-    return FeatureSchema(tuple(features), tuple(labels) if labels is not None else None)
+    return FeatureSchema(tuple(features),
+                         None if labels is None else _names(labels, where, "class_labels"))
 
 
 def _split_from_dict(doc: dict, where: str):
@@ -499,15 +508,24 @@ def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> Fo
             raise ParseError(
                 f"{path}: header must be exactly {','.join(FLAT_TABLE_COLUMNS)}"
             )
-        rows = [{k: (v or "").strip() for k, v in row.items()} for row in reader]
+        rows = list(reader)
     by_tree: dict[int, list[dict]] = {}
     for line_no, row in enumerate(rows, 2):
+        if None in row:  # the fields past the header's
+            raise ParseError(f"{path}: line {line_no}: {len(FLAT_TABLE_COLUMNS) + len(row[None])} "
+                             f"fields, expected {len(FLAT_TABLE_COLUMNS)}")
+        row = {k: (v or "").strip() for k, v in row.items()}
         try:
             tid = int(row["tree_id"])
             if int(row["node_id"]) < 0:
                 raise ValueError
         except ValueError:
             raise ParseError(f"{path}: line {line_no}: bad tree_id/node_id")
+        for key in ("parent_id", "split_feature"):
+            try:
+                int(row[key] or 0)
+            except ValueError:
+                raise ParseError(f"{path}: line {line_no}: bad {key} {row[key]!r}")
         by_tree.setdefault(tid, []).append(row)
 
     trees = []

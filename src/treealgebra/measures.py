@@ -41,11 +41,11 @@ from .errors import (
 from .geometry import Measure, UniformBox
 from .trees import (
     HYPERPLANE,
+    NUMERIC,
     CategoricalFeature,
     FeatureSchema,
     NumericFeature,
     Tree,
-    box_columns,
     box_sides,
     evaluate_batch,
     full_box,
@@ -147,8 +147,8 @@ def _leaf_table(tree: Tree) -> _LeafTable:
     """One depth-first walk over the node arrays that records every leaf's
     box and value row."""
     schema = tree.schema
-    left, right, leaf = (a.tolist() for a in (tree.left_pos, tree.right_pos, tree.leaf))
-    columns = box_columns(tree)
+    left, right, leaf, kind, feature, threshold = (a.tolist() for a in (
+        tree.left_pos, tree.right_pos, tree.leaf, tree.kind, tree.feature, tree.threshold))
     boxes, rows = [], []
     stack = [(tree.root_pos, full_box(schema))]
     while stack:
@@ -157,11 +157,12 @@ def _leaf_table(tree: Tree) -> _LeafTable:
             boxes.append(box)
             rows.append(leaf[i])
             continue
-        if columns[0][i] == HYPERPLANE:
+        if kind[i] == HYPERPLANE:
             raise UnsupportedGeometryError(
                 "uniform measure of a region with hyperplane constraints"
             )
-        left_box, right_box, _ = box_sides(columns, i, box)
+        cut = threshold[i] if kind[i] == NUMERIC else tree.side[i].left_levels
+        left_box, right_box, _ = box_sides(box, feature[i], cut)
         stack.append((right[i], right_box))
         stack.append((left[i], left_box))
     num = schema.numeric_indices

@@ -33,7 +33,6 @@ module on the error path, and a valid file never loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -55,7 +54,6 @@ from .trees import (
     ClassProbs,
     FeatureSchema,
     Hyperplane,
-    Interval,
     Leaves,
     LeafValue,
     NumericFeature,
@@ -75,10 +73,7 @@ from .trees import (
     _route_batch,
     _split_faults,
     _value_rules,
-    box_columns,
-    box_sides,
     evaluate_batch,
-    full_box,
     kinds_and_lengths,
     leaf_kind_of,
     value_kinds,
@@ -329,12 +324,11 @@ def contains_batch(region: Region, X: np.ndarray) -> np.ndarray:
     mask = np.ones(len(X), dtype=bool)
     for j, cons in enumerate(region.constraints):
         col = X[:, j]
-        if isinstance(cons, Interval):
-            lo = col >= cons.low if cons.low_closed else col > cons.low
-            hi = col <= cons.high if cons.high_closed else col < cons.high
-            mask &= lo & hi
-        else:
+        if isinstance(cons, frozenset):
             mask &= np.isin(col.astype(np.int64), np.fromiter(cons, dtype=np.int64))
+        else:
+            low, high, low_closed = cons
+            mask &= (col >= low if low_closed else col > low) & (col <= high)
     for h, side in region.half_spaces:
         left = _goes_left_batch(h, X, region.schema)
         mask &= left if side is Side.LEFT else ~left
@@ -358,7 +352,7 @@ def region_measure(region: Region, measure: Measure) -> float:
         mass = 1.0
         for f, cons in zip(region.schema.features, region.constraints):
             if isinstance(f, NumericFeature):
-                mass *= cons.length / (f.high - f.low)
+                mass *= (cons[1] - cons[0]) / (f.high - f.low)
             else:
                 mass *= len(cons) / len(f.levels)
         return mass
@@ -652,19 +646,9 @@ def _partition_faults(tree: Tree, well: list[bool]) -> list[int]:
     """The positions of the well-formed splits reachable from the root that
     leave a side of their node's region empty, depth first, right before
     left. Each node is placed once, so a cycle of consistent links cannot
-    loop. An axis-aligned tree carries boxes (:func:`box_sides`), a tree
-    with hyperplane splits :class:`Region` objects."""
-    left, right = tree.left_pos.tolist(), tree.right_pos.tolist()
-    if (tree.kind == HYPERPLANE).any():
-        splits, region = tree.splits(), Region.full(tree.schema)
-
-        def sides_of(i, region):
-            left, right = region.split(splits[i])
-            return left, right, left is not None and right is not None
-    else:
-        sides_of, region = partial(box_sides, box_columns(tree)), full_box(tree.schema)
-
-    placed, faults, stack = set(), [], [(tree.root_pos, region)]
+    loop. Each split is decided by one :meth:`Region.split`."""
+    left, right, splits = tree.left_pos.tolist(), tree.right_pos.tolist(), tree.splits()
+    placed, faults, stack = set(), [], [(tree.root_pos, Region.full(tree.schema))]
     while stack:
         i, region = stack.pop()
         if not well[i] or i in placed:
@@ -672,8 +656,8 @@ def _partition_faults(tree: Tree, well: list[bool]) -> list[int]:
         placed.add(i)
         if left[i] < 0:
             continue
-        left_side, right_side, cut = sides_of(i, region)
-        if not cut:
+        left_side, right_side = region.split(splits[i])
+        if left_side is None or right_side is None:
             faults.append(i)
             continue
         stack.append((left[i], left_side))
@@ -932,8 +916,8 @@ def random_tree(
         j = int(rng.integers(0, schema.n_features))
         f = schema.features[j]
         if isinstance(f, NumericFeature):
-            iv = region.constraints[j]
-            split = NumericThreshold(j, float(rng.uniform(iv.low, iv.high)))
+            low, high, _ = region.constraints[j]
+            split = NumericThreshold(j, float(rng.uniform(low, high)))
         else:
             admissible = sorted(region.constraints[j])
             if len(admissible) < 2:

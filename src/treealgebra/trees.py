@@ -34,7 +34,6 @@ __all__ = [
     "Hyperplane",
     "Split",
     "Side",
-    "Interval",
     "Region",
     "Scalar",
     "ClassProbs",
@@ -276,58 +275,50 @@ def _goes_left_batch(
 # Regions
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A nonempty interval with explicit closed/open endpoint flags."""
-
-    low: float
-    high: float
-    low_closed: bool
-    high_closed: bool
-
-    def __post_init__(self):
-        if self.low > self.high or (
-            self.low == self.high and not (self.low_closed and self.high_closed)
-        ):
-            raise DomainError(f"empty interval {self}")
-
-    @property
-    def length(self) -> float:
-        return self.high - self.low
-
-    def clip_le(self, t: float) -> Optional["Interval"]:
-        """Intersect with ``{x <= t}``; None when empty."""
-        if t >= self.high:
-            return self
-        if t < self.low or (t == self.low and not self.low_closed):
-            return None
-        return Interval(self.low, t, self.low_closed, True)
-
-    def clip_gt(self, t: float) -> Optional["Interval"]:
-        """Intersect with ``{x > t}``; None when empty."""
-        if t < self.low or (t == self.low and not self.low_closed):
-            return self
-        if t >= self.high:
-            return None
-        return Interval(t, self.high, False, self.high_closed)
+def full_box(schema: FeatureSchema) -> tuple:
+    """The whole domain as a box. A box has one entry per feature: for a
+    numeric feature its bounds and whether the lower one is closed,
+    ``(low, high, low_closed)``, the upper one always being closed; for a
+    categorical feature the frozenset of its admissible level indices."""
+    return tuple((f.low, f.high, True) if isinstance(f, NumericFeature)
+                 else frozenset(range(len(f.levels))) for f in schema.features)
 
 
-Constraint = Union[Interval, frozenset]
+def box_sides(box: tuple, j: int, cut) -> tuple:
+    """The boxes on the two sides of a split of feature ``j`` within ``box``,
+    and whether both sides hold a point. ``cut`` is a numeric split's
+    threshold ``t``, whose left side ``x_j <= t`` is closed at ``t`` and
+    whose right side is open there, or a categorical split's left levels.
+    A left side that holds the whole box keeps the box's entry as it is. A
+    side without points has low > high, low == high with an open lower end
+    (a cut at ``high``, or at an open lower end), or no levels."""
+    if isinstance(cut, frozenset):
+        left, right = box[j] & cut, box[j] - cut
+        both = bool(left and right)
+    else:
+        lo, hi, closed = box[j]
+        left, right = (lo, cut if cut < hi else hi, closed), (cut if cut > lo else lo, hi, False)
+        both = (lo < cut or (cut == lo and closed)) and cut < hi
+    return box[:j] + (left,) + box[j + 1 :], box[:j] + (right,) + box[j + 1 :], both
 
 
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned constraints per feature plus optional half-space constraints.
+    """A box plus half-space constraints.
 
-    ``constraints[j]`` is an :class:`Interval` for numeric features and a
-    ``frozenset`` of admissible level indices for categorical features.
-    Half-spaces record hyperplane splits applied along a path: side LEFT
-    means ``c'x <= b`` and side RIGHT means ``c'x > b``.
+    ``constraints`` is a box (:func:`full_box`): ``(low, high, low_closed)``
+    per numeric feature, closed at ``high``, and a frozenset of admissible
+    level indices per categorical feature. Half-spaces record hyperplane
+    splits applied along a path: side LEFT means ``c'x <= b`` and side RIGHT
+    means ``c'x > b``.
 
     Regions are built by :meth:`full` and :meth:`split`, which keep them
-    nonempty by construction. Emptiness under half-spaces is decided by a
-    feasibility LP that relaxes strict inequalities to closed ones, so a
-    region touching a hyperplane in a measure-zero set counts as nonempty.
+    nonempty by construction. A numeric or categorical split cuts the box
+    by :func:`box_sides`, the rule that the leaf tables of
+    :mod:`treealgebra.measures` and the oracle's validation walk follow too.
+    Emptiness under half-spaces is decided by a feasibility LP that relaxes
+    strict inequalities to closed ones, so a region touching a hyperplane
+    in a measure-zero set counts as nonempty.
 
     ``witness`` is a point of the numeric subspace (in
     ``schema.numeric_indices`` order) that meets the closed constraints. A
@@ -340,39 +331,33 @@ class Region:
     """
 
     schema: FeatureSchema
-    constraints: tuple[Constraint, ...]
+    constraints: tuple
     half_spaces: tuple[tuple[Hyperplane, Side], ...] = ()
     witness: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def full(cls, schema: FeatureSchema) -> "Region":
         """The root domain: the full box times all levels."""
-        cons = tuple(
-            Interval(f.low, f.high, True, True)
-            if isinstance(f, NumericFeature)
-            else frozenset(range(len(f.levels)))
-            for f in schema.features
-        )
-        return cls(schema, cons)
+        return cls(schema, full_box(schema))
 
     def lp_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Closed-inequality rows ``A x <= b`` over the numeric subspace.
 
-        Interval bounds and half-spaces are emitted with strict parts relaxed
-        to closed, which is what the LP machinery expects.
+        Box bounds and half-spaces are emitted with strict parts relaxed to
+        closed, which is what the LP machinery expects.
         """
         num = self.schema.numeric_indices
         pos = {j: k for k, j in enumerate(num)}
         rows, rhs = [], []
         for j in num:
-            iv = self.constraints[j]
+            low, high, _ = self.constraints[j]
             row = np.zeros(len(num))
             row[pos[j]] = 1.0
             rows.append(row.copy())
-            rhs.append(iv.high)
+            rhs.append(high)
             row[pos[j]] = -1.0
             rows.append(row)
-            rhs.append(-iv.low)
+            rhs.append(-low)
         for h, side in self.half_spaces:
             c = np.asarray(h.coefficients, dtype=float)
             if side is Side.LEFT:
@@ -386,13 +371,12 @@ class Region:
     def split(self, split: Split) -> tuple[Optional["Region"], Optional["Region"]]:
         """The two sides of a split within this region, each None when empty.
 
-        One None means the region lies in the other side; a numeric or
-        categorical side that leaves the region unchanged is the region
-        itself. Each side is decided under the closed relaxation, so a split
-        that only touches the region still splits it. Without half-spaces a
-        numeric or categorical split runs no LP; otherwise the side that holds
-        the witness is nonempty for free and the other side runs one
-        feasibility LP.
+        One None means the region lies in the other side, which is then the
+        region itself. Each side is decided under the closed relaxation, so
+        a split that only touches the region still splits it. Without
+        half-spaces a numeric or categorical split runs no LP; otherwise the
+        side that holds the witness is nonempty for free and the other side
+        runs one feasibility LP.
         """
         if isinstance(split, Hyperplane):
             w = self._witness()
@@ -403,47 +387,35 @@ class Region:
             )
             return self._checked(left, s <= split.offset), self._checked(right, s >= split.offset)
         j, schema = split.feature, self.schema
-        if isinstance(split, CategoricalSubset):
-            if not (0 <= j < schema.n_features
-                    and isinstance(schema.features[j], CategoricalFeature)):
-                raise SchemaError(f"categorical split on feature index {j}")
-            levels = self.constraints[j]
-            left = levels & split.left_levels
-            return self._narrowed(j, left, levels), self._narrowed(j, levels - left, levels)
-        if not (0 <= j < schema.n_features and isinstance(schema.features[j], NumericFeature)):
-            raise SchemaError(f"numeric split on feature index {j}")
-        iv, t = self.constraints[j], split.threshold
-        left, right = self._narrowed(j, iv.clip_le(t), iv), self._narrowed(j, iv.clip_gt(t), iv)
-        if not self.half_spaces:
+        numeric = isinstance(split, NumericThreshold)
+        if not (0 <= j < schema.n_features and isinstance(
+                schema.features[j], NumericFeature if numeric else CategoricalFeature)):
+            raise SchemaError(f"{'numeric' if numeric else 'categorical'} split on feature index {j}")
+        cut = split.threshold if numeric else split.left_levels
+        left, right, both = box_sides(self.constraints, j, cut)
+        if not both:
+            # the side that is not empty keeps the whole box
+            return (self, None) if left[j] == self.constraints[j] else (None, self)
+        left, right = (Region(schema, box, self.half_spaces, self.witness) for box in (left, right))
+        if not (numeric and self.half_spaces):
             return left, right
         # a box that is still nonempty can leave the half-spaces no room
         # (categorical levels stay outside the LP, so only here)
         w = self.witness
         wj = np.nan if w is None else w[schema.numeric_indices.index(j)]
-        return self._checked(left, wj <= t), self._checked(right, wj >= t)
+        return self._checked(left, wj <= cut), self._checked(right, wj >= cut)
 
     def _witness(self) -> Optional[np.ndarray]:
         if self.half_spaces:
             return self.witness
-        return np.array([(self.constraints[j].low + self.constraints[j].high) / 2
+        return np.array([(self.constraints[j][0] + self.constraints[j][1]) / 2
                          for j in self.schema.numeric_indices])
 
-    def _narrowed(self, j: int, new: Optional[Constraint], old: Constraint) -> Optional["Region"]:
-        """This region with constraint ``j`` narrowed from ``old`` to ``new``,
-        or None when ``new`` is empty. It keeps the witness, which
-        :meth:`_checked` confirms where a narrowed box meets half-spaces."""
-        if not new:
-            return None
-        if new is old:
-            return self
-        cons = self.constraints[:j] + (new,) + self.constraints[j + 1 :]
-        return Region(self.schema, cons, self.half_spaces, self.witness)
-
-    def _checked(self, side: Optional["Region"], inside: bool) -> Optional["Region"]:
+    def _checked(self, side: "Region", inside: bool) -> Optional["Region"]:
         """A side built with this region's witness, kept as it is when the
         witness lies inside it and otherwise decided by one feasibility LP,
         whose point becomes the side's witness."""
-        if side is None or side is self or inside:
+        if inside:
             return side
         point = simplex.feasible(*side.lp_rows())
         return None if point is None else replace(side, witness=point)
@@ -843,43 +815,6 @@ def evaluate_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Boxes
-
-
-def full_box(schema: FeatureSchema) -> tuple:
-    """The whole domain as a box: per numeric feature its bounds and whether
-    the lower one is closed (the upper one always is), per categorical
-    feature the set of its level indices."""
-    return tuple((f.low, f.high, True) if isinstance(f, NumericFeature)
-                 else frozenset(range(len(f.levels))) for f in schema.features)
-
-
-def box_columns(tree: Tree) -> tuple:
-    """What :func:`box_sides` reads of a tree: its kind, feature and
-    threshold lists and its side table."""
-    return (*(a.tolist() for a in (tree.kind, tree.feature, tree.threshold)), tree.side)
-
-
-def box_sides(columns: tuple, i: int, box: tuple) -> tuple:
-    """The boxes on the two sides of the numeric or categorical split of the
-    node at position ``i`` (of a tree's :func:`box_columns`) within ``box``,
-    and whether both sides hold a point. A side without points has
-    low > high, or no levels."""
-    kind, feature, threshold, side = columns
-    j = feature[i]
-    if kind[i] == NUMERIC:
-        lo, hi, closed = box[j]
-        t = threshold[i]
-        left, right = (lo, t if t < hi else hi, closed), (t if t > lo else lo, hi, False)
-        cut = (lo < t or (t == lo and closed)) and t < hi
-    else:
-        levels = side[i].left_levels
-        left, right = box[j] & levels, box[j] - levels
-        cut = bool(left and right)
-    return box[:j] + (left,) + box[j + 1 :], box[:j] + (right,) + box[j + 1 :], cut
-
-
-# ---------------------------------------------------------------------------
 # Stacked node tables
 
 _WORD = (1 << 64) - 1
@@ -998,7 +933,7 @@ class NodeTable:
         for k, j in enumerate(schema.numeric_indices):
             low = schema.features[j].low
             closed = g[k] < low
-            cons[j] = Interval(low if closed else g[k], hi[k], closed, True)
+            cons[j] = (low if closed else g[k], hi[k], closed)
         return Region(schema, tuple(cons))
 
     @cached_property

@@ -14,7 +14,6 @@ from treealgebra.oracle import (
 )
 from treealgebra.trees import (
     Hyperplane,
-    Interval,
     NumericThreshold,
     Region,
     Scalar,
@@ -25,16 +24,13 @@ from treealgebra.trees import (
 def region_subset(inner, outer):
     """Containment of axis-aligned regions, endpoint flags included."""
     for ci, co in zip(inner.constraints, outer.constraints):
-        if isinstance(ci, Interval):
-            lo_ok = ci.low > co.low or (
-                ci.low == co.low and (co.low_closed or not ci.low_closed)
-            )
-            hi_ok = ci.high < co.high or (
-                ci.high == co.high and (co.high_closed or not ci.high_closed)
-            )
-            if not (lo_ok and hi_ok):
+        if isinstance(ci, frozenset):
+            if not ci <= co:
                 return False
-        elif not ci <= co:
+            continue
+        (lo_i, hi_i, closed_i), (lo_o, hi_o, closed_o) = ci, co
+        # both upper ends are closed
+        if not ((lo_i > lo_o or (lo_i == lo_o and (closed_o or not closed_i))) and hi_i <= hi_o):
             return False
     return True
 
@@ -43,7 +39,7 @@ def interior_point(region):
     """An encoded point inside an axis-aligned region: interval midpoints and
     the smallest admissible level."""
     return tuple(
-        (c.low + c.high) / 2 if isinstance(c, Interval) else float(min(c))
+        float(min(c)) if isinstance(c, frozenset) else (c[0] + c[1]) / 2
         for c in region.constraints
     )
 

@@ -16,7 +16,7 @@ from treealgebra.oracle import (
     region_measure,
     same_partition_in_region,
 )
-from treealgebra.trees import Hyperplane, Interval, NumericThreshold, Region, Side
+from treealgebra.trees import Hyperplane, NumericThreshold, Region, Side
 
 
 def nonempty(sides):
@@ -84,7 +84,7 @@ class TestSplitPartitionsRegion:
         # the box (6, 10] x [0, 10] is nonempty, but x0 + x1 <= 5 keeps x0 <= 5
         left, right = region.split(NumericThreshold(0, 6.0))
         assert right is None
-        assert left.constraints[0] == Interval(0.0, 6.0, True, True)
+        assert left.constraints[0] == (0.0, 6.0, True)
 
     def test_witness_on_the_hyperplane_frees_both_sides(self, d2, count_lps):
         # the box centre (5, 5) lies on x0 + x1 = 10
@@ -115,15 +115,18 @@ class TestSplitPartitionsRegion:
 
 def reference_sides(region, split):
     """Each side of a numeric or hyperplane split in a region, decided apart
-    from Region.split: the interval's endpoint flags, then a plain
-    feasibility LP on the region's rows plus the side's closed row."""
+    from Region.split: the box side's ends, then a plain feasibility LP on
+    the region's rows plus the side's closed row."""
     a, b = region.lp_rows()
     num = region.schema.numeric_indices
     out = []
     for sign, side in ((1.0, Side.LEFT), (-1.0, Side.RIGHT)):
         if isinstance(split, NumericThreshold):
-            iv = region.constraints[split.feature]
-            if (iv.clip_le if side is Side.LEFT else iv.clip_gt)(split.threshold) is None:
+            low, high, low_closed = region.constraints[split.feature]
+            t = split.threshold
+            # x <= t holds no point below the lower end or on an open one,
+            # and x > t none from the closed upper end up
+            if (t < low or (t == low and not low_closed)) if side is Side.LEFT else t >= high:
                 out.append(False)
                 continue
             row = np.zeros(len(num))
@@ -148,12 +151,11 @@ def random_mixed_tree(schema, rng, n_splits, numeric_share=0.3):
         nid, region = leaves[k]
         if rng.random() < numeric_share:
             j = num[int(rng.integers(0, len(num)))]
-            iv = region.constraints[j]
-            split = NumericThreshold(j, float(rng.uniform(iv.low, iv.high)))
+            low, high, _ = region.constraints[j]
+            split = NumericThreshold(j, float(rng.uniform(low, high)))
         else:
             coeffs = rng.normal(size=len(num))
-            point = [rng.uniform(region.constraints[j].low, region.constraints[j].high)
-                     for j in num]
+            point = [rng.uniform(*region.constraints[j][:2]) for j in num]
             split = Hyperplane(tuple(coeffs), float(coeffs @ point))
         left, right = region.split(split)
         if left is None or right is None:

@@ -12,6 +12,8 @@ import treealgebra as ta
 from treealgebra import io
 from treealgebra.cli import run_cli
 
+FLAT_HEADER = ",".join(io.FLAT_TABLE_COLUMNS) + "\n"
+
 GOLDEN_USAGE = """\
 usage: treealgebra [-h] COMMAND ...
 
@@ -148,6 +150,21 @@ class TestJsonRoundTrip:
         )
         with pytest.raises(ta.ParseError, match=f"non-finite number {literal} is not allowed"):
             io.load_schema(str(schema_path))
+
+    @pytest.mark.parametrize("key, text", [("features[1].levels", "abc"), ("class_labels", "xy")])
+    def test_name_lists_must_be_lists(self, tmp_path, key, text):
+        # a string would otherwise be read as one name per character
+        levels, labels = (text, ["u", "v"]) if key != "class_labels" else (["a", "b"], text)
+        schema = {"features": [{"name": "x", "kind": "numeric", "low": 0, "high": 1},
+                               {"name": "c", "kind": "categorical", "levels": levels}],
+                  "class_labels": labels}
+        leaf = {"id": 0, "value": {"type": "class_probs", "probs": [0.5, 0.5]}}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"schema": schema, "nodes": [leaf], "root": 0}))
+        for load in (io.load_forest, io.load_schema):
+            with pytest.raises(ta.ParseError) as err:
+                load(str(path))
+            assert str(err.value) == f'{path}: schema.{key} must be a list of names, got "{text}"'
 
     def test_non_finite_literal_exits_2(self, tmp_path, stump4, capsys):
         path = tmp_path / "tree.json"
@@ -514,6 +531,15 @@ class TestCli:
          "PARSE msg=\"{}: malformed document ('features')\""),
         ("[1, 2]", "import --table {table} --schema {} --out {out}",
          "PARSE msg=\"{}: malformed document ('list' object has no attribute 'get')\""),
+        (FLAT_HEADER + "0,0,,,0,4.0,\n0,1,x,1,,,0.0\n0,2,0,0,,,1.0\n",
+         "import --table {} --schema {schema} --out {out}",
+         "PARSE msg=\"{}: line 3: bad parent_id 'x'\""),
+        (FLAT_HEADER + "0,0,,,0.5,4.0,\n0,1,0,1,,,0.0\n0,2,0,0,,,1.0\n",
+         "import --table {} --schema {schema} --out {out}",
+         "PARSE msg=\"{}: line 2: bad split_feature '0.5'\""),
+        (FLAT_HEADER + "0,0,,,0,4.0,\n0,1,0,1,,,0.0,9\n0,2,0,0,,,1.0\n",
+         "import --table {} --schema {schema} --out {out}",
+         'PARSE msg="{}: line 3: 8 fields, expected 7"'),
     ])
     def test_malformed_or_non_finite_input_exits_2(self, workdir, capsys, text, command, err):
         """A bad input file gets one diagnostic line and exit 2, and no
@@ -524,7 +550,7 @@ class TestCli:
         (workdir / "table.csv").write_text(TestFlatTableImport.STUMP_TABLE)
         files = {name: str(workdir / f"{name}.{ext}") for name, ext in (
             ("three", "json"), ("stump4", "json"), ("stump6", "json"), ("pts", "csv"),
-            ("table", "csv"))}
+            ("table", "csv"), ("schema", "json"))}
         argv = [arg.format(str(bad), out=str(out), **files) for arg in command.split()]
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == f"code={err.format(bad)}\n"

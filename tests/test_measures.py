@@ -375,8 +375,7 @@ def oblique_tree(schema, rng, n_splits):
         k = int(rng.integers(0, len(leaves)))
         nid, region = leaves[k]
         coeffs = tuple(float(c) for c in rng.choice([-1.0, 1.0, 2.0], size=len(num)))
-        point = [np.round(rng.uniform(region.constraints[j].low, region.constraints[j].high) * 8) / 8
-                 for j in num]
+        point = [np.round(rng.uniform(*region.constraints[j][:2]) * 8) / 8 for j in num]
         split = ta.Hyperplane(coeffs, float(np.dot(coeffs, point)))
         left_region, right_region = region.split(split)
         if left_region is None or right_region is None:

@@ -15,7 +15,7 @@ from treealgebra.oracle import (
     node_region,
     route,
 )
-from treealgebra.trees import Interval, Region, evaluate_batch, route_batch
+from treealgebra.trees import Region, evaluate_batch, route_batch
 
 
 def tree_from_nodes(schema, nodes, root):
@@ -161,13 +161,13 @@ class TestNodeRegion:
     def test_left_leaf_interval_closed_at_threshold(self, stump4):
         left = int(stump4.left[stump4.root_pos])
         region = node_region(stump4, left)
-        assert region.constraints[0] == Interval(0.0, 4.0, True, True)
-        assert region.constraints[1] == Interval(0.0, 10.0, True, True)
+        assert region.constraints[0] == (0.0, 4.0, True)
+        assert region.constraints[1] == (0.0, 10.0, True)
 
     def test_right_leaf_interval_open_at_threshold(self, stump4):
         right = int(stump4.right[stump4.root_pos])
         region = node_region(stump4, right)
-        assert region.constraints[0] == Interval(4.0, 10.0, False, True)
+        assert region.constraints[0] == (4.0, 10.0, False)
 
     def test_unknown_node(self, stump4):
         with pytest.raises(ta.UnknownNodeError):
@@ -334,20 +334,48 @@ class TestRegionPartitions:
             assert ((in_left.astype(int) + in_right.astype(int)) == inside.astype(int)).all()
 
 
-class TestInterval:
-    def test_point_interval_needs_closed_ends(self):
-        Interval(2.0, 2.0, True, True)
-        with pytest.raises(ta.DomainError):
-            Interval(2.0, 2.0, True, False)
-        with pytest.raises(ta.DomainError):
-            Interval(3.0, 2.0, True, True)
+class TestNumericSplitBoundaries:
+    """Region.split of ``x <= t`` at each end of a numeric side of the box."""
 
-    def test_clip_le_keeps_flags(self):
-        iv = Interval(0.0, 10.0, True, True)
-        assert iv.clip_le(4.0) == Interval(0.0, 4.0, True, True)
-        assert iv.clip_le(12.0) is iv
-        assert iv.clip_gt(4.0) == Interval(4.0, 10.0, False, True)
-        assert iv.clip_gt(-1.0) is iv
-        assert iv.clip_gt(10.0) is None
-        open_low = Interval(4.0, 10.0, False, True)
-        assert open_low.clip_le(4.0) is None
+    @pytest.fixture
+    def line(self):
+        return Region.full(ta.FeatureSchema((ta.NumericFeature("x", 0.0, 10.0),)))
+
+    def test_left_keeps_the_closed_lower_end_and_right_is_open_at_t(self, line):
+        left, right = line.split(ta.NumericThreshold(0, 4.0))
+        assert left.constraints == ((0.0, 4.0, True),)
+        assert right.constraints == ((4.0, 10.0, False),)
+
+    def test_threshold_at_or_above_high_leaves_the_region_left(self, line):
+        for t in (10.0, 12.0):
+            left, right = line.split(ta.NumericThreshold(0, t))
+            assert left is line and right is None
+
+    def test_threshold_below_low_leaves_the_region_right(self, line):
+        left, right = line.split(ta.NumericThreshold(0, -1.0))
+        assert left is None and right is line
+
+    def test_threshold_on_a_closed_lower_end_splits_off_the_point(self, line):
+        left, right = line.split(ta.NumericThreshold(0, 0.0))
+        assert left.constraints == ((0.0, 0.0, True),)
+        assert right.constraints == ((0.0, 10.0, False),)
+        assert left.split(ta.NumericThreshold(0, -1.0)) == (None, left)
+        assert left.split(ta.NumericThreshold(0, 0.0)) == (left, None)
+
+    def test_threshold_on_an_open_lower_end_leaves_no_left_side(self, line):
+        right = line.split(ta.NumericThreshold(0, 4.0))[1]
+        left, same = right.split(ta.NumericThreshold(0, 4.0))
+        assert left is None and same is right
+
+    def test_sides_hold_the_points_that_route_to_them(self, line):
+        X = np.array([[0.0], [2.0], [4.0], [7.0], [10.0]])
+        regions = [line, *line.split(ta.NumericThreshold(0, 4.0)),
+                   line.split(ta.NumericThreshold(0, 0.0))[0]]
+        for region in regions:
+            inside = contains_batch(region, X)
+            for t in (-1.0, 0.0, 2.0, 4.0, 10.0, 12.0):
+                split = ta.NumericThreshold(0, t)
+                go = np.array([goes_left(split, x, region.schema) for x in X])
+                for side, expected in zip(region.split(split), (inside & go, inside & ~go)):
+                    got = np.zeros(len(X), dtype=bool) if side is None else contains_batch(side, X)
+                    assert got.tolist() == expected.tolist(), (region, t)
