@@ -66,7 +66,7 @@ __version__ = "0.1.0"
 # messages of a tree that may be invalid: the module is imported on first
 # use, which a valid file never makes, not at every start of the command line
 _ORACLE = {"oracle", "CellGrid", "grid_integral", "monte_carlo_integral",
-           "pointwise_equivalence", "random_forest", "random_schema", "random_tree"}
+           "pointwise_equivalence", "random_schema", "random_tree"}
 
 
 def __getattr__(name):

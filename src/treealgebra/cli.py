@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -32,10 +32,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("TREEALG_SEED", "0"))
 
 
 def _fmt(x: float) -> str:
@@ -74,6 +70,7 @@ def _build_measure(args, schema):
     return Empirical(points, weights)
 
 
+@cache  # once per process: a default read from the environment is read per request
 def build_parser() -> _Parser:
     parser = _Parser(prog=PROG, description="Exact algebra on decision-tree functions.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -122,7 +119,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle-check", help="compare exact statistics against brute-force oracles")
     p.add_argument("--forest", required=True)
     p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     _add_measure_args(p)
 
     p = sub.add_parser("validate", help="validate a tree or forest JSON file")
@@ -235,13 +232,14 @@ def _cmd_oracle_check(args) -> int:
         raise LeafKindError("oracle-check needs scalar leaves")
     measure = _build_measure(args, forest.schema)
     trees = forest.trees
+    seed = int(os.environ.get("TREEALG_SEED", "0")) if args.seed is None else args.seed
     for i, t in enumerate(trees):
         stats = measures.tree_statistics(t, measure)
         grid_mean = oracle.grid_integral([t], "raw-value", measure)
         grid_norm = oracle.grid_integral([t, t], "product", measure)
         grid_var = grid_norm - grid_mean * grid_mean
         mc_mean, mc_se = oracle.monte_carlo_integral(
-            [t], "raw-value", measure, args.samples, args.seed
+            [t], "raw-value", measure, args.samples, seed
         )
         print(
             f"tree {i} mean exact={_fmt(stats.mean)} grid_delta={_fmt(stats.mean - grid_mean)} "

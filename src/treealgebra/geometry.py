@@ -21,7 +21,6 @@ __all__ = [
     "UniformBox",
     "Empirical",
     "Measure",
-    "UNIFORM",
 ]
 
 
@@ -33,9 +32,6 @@ __all__ = [
 class UniformBox:
     """The uniform probability measure: independent uniform marginals on the
     bounding box intervals and uniform weights on categorical levels."""
-
-
-UNIFORM = UniformBox()
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,10 @@ round-trippable decimals. A single tree file looks like::
 A forest file replaces ``nodes``/``root`` with ``"trees": [{"nodes": ...,
 "root": ...}, ...]`` plus a free-form string ``"metadata"`` map; both forms
 load through :func:`load_forest`.
+
+The writer formats a tree a column at a time from its node arrays, and each
+distinct float bit pattern once; the bytes are those of formatting every
+number on its own.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .trees import (
     Hyperplane,
     Leaves,
     NumericFeature,
-    NumericThreshold,
     Scalar,
     Tree,
     TupleValue,
@@ -136,9 +139,13 @@ def _ints(xs: list, where: str, key: str, low: int = -_INT64, at=None) -> list:
 
 
 def _names(x, where: str, key: str) -> tuple:
-    # a JSON string is a sequence too, but of characters
+    # a JSON string is a sequence too, but of characters; a name that is
+    # not a string could never be used, as points name levels with CSV text
     if not isinstance(x, list):
         raise ParseError(f"{where}{key} must be a list of names, got {json.dumps(x)}")
+    for k, name in enumerate(x):
+        if type(name) is not str:
+            raise ParseError(f"{where}{key}[{k}] must be a string, got {json.dumps(name)}")
     return tuple(x)
 
 
@@ -150,16 +157,10 @@ def _reals(xs: list, where: str, key: str, at=None) -> list:
 
 
 def _schema_to_dict(schema: FeatureSchema) -> dict:
-    features = []
-    for f in schema.features:
-        if isinstance(f, NumericFeature):
-            features.append(
-                {"name": f.name, "kind": "numeric", "low": f.low, "high": f.high}
-            )
-        else:
-            features.append(
+    features = [{"name": f.name, "kind": "numeric", "low": f.low, "high": f.high}
+                if isinstance(f, NumericFeature) else
                 {"name": f.name, "kind": "categorical", "levels": list(f.levels)}
-            )
+                for f in schema.features]
     labels = list(schema.class_labels) if schema.class_labels is not None else None
     return {"features": features, "class_labels": labels}
 
@@ -182,10 +183,8 @@ def _schema_from_dict(doc: dict, where: str) -> FeatureSchema:
 
 
 def _split_from_dict(doc: dict, where: str):
+    """A categorical or hyperplane split; numeric ones are read as columns."""
     kind = doc.get("type")
-    if kind == "numeric":
-        return NumericThreshold(_int(doc["feature"], where, ".feature"),
-                                _real(doc["threshold"], where, ".threshold"))
     if kind == "categorical":
         return CategoricalSubset(_int(doc["feature"], where, ".feature"),
                                  frozenset(_ints(doc["left_levels"], where, ".left_levels[{}]")))
@@ -256,57 +255,73 @@ def _tree_from_body(doc: dict, schema: FeatureSchema, where: str) -> Tree:
                      threshold, side, leaf, leaves)
 
 
-def _real_text(x: float) -> str:
-    # json writes a float as repr does, and refuses a non-finite one
-    return json.dumps(x, allow_nan=False)
-
-
-def _leaf_texts(leaves: Leaves) -> list[str]:
-    """The text of every leaf value, formatted from the value matrix."""
-    if leaves.ragged is not None:
-        return [_dumps(_document(v)) for v in leaves.ragged]
-    _finite(leaves.values)
-    width = leaves.blocks().shape[2]
-    entry = ('{"type": "scalar", "v": %r}' if leaves.entry == "scalar" else
-             '{"type": "class_probs", "probs": [%s]}' % ", ".join(["%r"] * width))
-    if leaves.sources is None:
-        return [entry % tuple(row) for row in leaves.values.tolist()]
-    m = leaves.sources.shape[1]
-    fmt = '{"type": "tuple", "values": [%s], "source_ids": [%s]}' % (
-        ", ".join([entry] * m), ", ".join(["%r"] * m))
-    return [fmt % tuple(v + s) for v, s in zip(leaves.values.tolist(), leaves.sources.tolist())]
-
-
-def _finite(values: np.ndarray) -> None:
+def _real_texts(values: np.ndarray) -> np.ndarray:
+    """The text of every float of a 1-D array, as an object array. Each
+    distinct bit pattern is formatted once: keyed on the value instead,
+    ``0.0`` and ``-0.0`` would share one text."""
     bad = values[~np.isfinite(values)]
     if bad.size:
-        _real_text(float(bad[0]))  # raises json's ValueError
+        _dumps(float(bad[0]))  # raises json's ValueError
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, keys.view(float).tolist())), dtype=object)[inverse]
+
+
+def _leaf_fields(leaves: Leaves, texts: np.ndarray,
+                 ragged: list | None) -> tuple[str, list[np.ndarray]]:
+    """A leaf value's template and its fields, a column each with a row per
+    leaf, from ``texts`` of the value matrix or the ``ragged`` leaf texts."""
+    if ragged is not None:
+        return "%s", [np.array(ragged, dtype=object)]
+    width = leaves.blocks().shape[2]
+    entry = ('{"type": "scalar", "v": %s}' if leaves.entry == "scalar" else
+             '{"type": "class_probs", "probs": [%s]}' % ", ".join(["%s"] * width))
+    columns = list(texts.reshape(leaves.values.shape).T)
+    if leaves.sources is None:
+        return entry, columns
+    m = leaves.sources.shape[1]
+    return '{"type": "tuple", "values": [%s], "source_ids": [%s]}' % (
+        ", ".join([entry] * m), ", ".join(["%d"] * m)), columns + list(leaves.sources.T)
+
+
+def _links(children: np.ndarray) -> list:
+    """Child ids as the writer fills them in: "null" for none."""
+    out = children.tolist()
+    return out if children.min(initial=0) >= 0 else [c if c >= 0 else "null" for c in out]
 
 
 def _body_text(tree: Tree) -> str:
-    """``"nodes": [...], "root": ...`` of one tree, formatted from its arrays
-    in ascending id order."""
-    leaves = _leaf_texts(tree.leaves)
-    _finite(tree.threshold[tree.kind == NUMERIC])
-    out = []
-    for i, (nid, k, f, t, left, right, row) in enumerate(zip(*(a.tolist() for a in (
-            tree.ids, tree.kind, tree.feature, tree.threshold, tree.left, tree.right, tree.leaf)))):
-        if k == NUMERIC:
-            split = '{"type": "numeric", "feature": %d, "threshold": %r}' % (f, t)
-        elif k == CATEGORICAL:
-            s = tree.side[i]
-            split = '{"type": "categorical", "feature": %d, "left_levels": [%s]}' % (
-                s.feature, ", ".join(map(repr, sorted(s.left_levels))))
-        elif k == HYPERPLANE:
-            s = tree.side[i]
-            split = '{"type": "hyperplane", "coeffs": [%s], "offset": %s}' % (
-                ", ".join(map(_real_text, s.coefficients)), _real_text(s.offset))
-        else:
-            out.append('{"id": %d, "value": %s}' % (nid, leaves[row] if row >= 0 else "null"))
-            continue
-        out.append('{"id": %d, "split": %s, "left": %s, "right": %s}' % (
-            nid, split, left if left >= 0 else "null", right if right >= 0 else "null"))
-    return '"nodes": [%s], "root": %s' % (", ".join(out), json.dumps(tree.root))
+    """``"nodes": [...], "root": ...`` of one tree in ascending id order,
+    formatted a column at a time: the floats of the leaf values and numeric
+    thresholds through one table of distinct texts, then the lines of the
+    leaves and of the numeric splits with one template each."""
+    leaves, numeric = tree.leaves, np.flatnonzero(tree.kind == NUMERIC)
+    # ragged leaves have no value matrix; they are written, and refused, first
+    ragged = None if leaves.ragged is None else [_dumps(_document(v)) for v in leaves.ragged]
+    size = leaves.values.size
+    texts = _real_texts(np.concatenate([leaves.values.ravel(), tree.threshold[numeric]]))
+    (template, fields), thresholds = _leaf_fields(leaves, texts[:size], ragged), texts[size:]
+    out = np.empty(len(tree.ids), dtype=object)
+    leaf = tree.kind == 0
+    at, none = np.flatnonzero(leaf & (tree.leaf >= 0)), np.flatnonzero(leaf & (tree.leaf < 0))
+    rows = tree.leaf[at]
+    out[at] = list(map(('{"id": %%d, "value": %s}' % template).__mod__,
+                       zip(tree.ids[at].tolist(), *(c[rows].tolist() for c in fields))))
+    out[none] = ['{"id": %d, "value": null}' % i for i in tree.ids[none].tolist()]
+    out[numeric] = list(map(
+        '{"id": %d, "split": {"type": "numeric", "feature": %d, "threshold": %s}, '
+        '"left": %s, "right": %s}'.__mod__,
+        zip(tree.ids[numeric].tolist(), tree.feature[numeric].tolist(), thresholds.tolist(),
+            _links(tree.left[numeric]), _links(tree.right[numeric]))))
+    at = np.flatnonzero(tree.kind > NUMERIC)
+    for i, nid, k, left, right in zip(at.tolist(), tree.ids[at].tolist(), tree.kind[at].tolist(),
+                                      _links(tree.left[at]), _links(tree.right[at])):
+        s = tree.side[i]
+        split = ('{"type": "categorical", "feature": %d, "left_levels": [%s]}' % (
+            s.feature, ", ".join(map(repr, sorted(s.left_levels)))) if k == CATEGORICAL else
+            '{"type": "hyperplane", "coeffs": %s, "offset": %s}' % (
+                _dumps(s.coefficients), _dumps(s.offset)))
+        out[i] = '{"id": %d, "split": %s, "left": %s, "right": %s}' % (nid, split, left, right)
+    return '"nodes": [%s], "root": %s' % (", ".join(out.tolist()), json.dumps(tree.root))
 
 
 def _dumps(doc) -> str:
@@ -509,7 +524,7 @@ def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> Fo
                 f"{path}: header must be exactly {','.join(FLAT_TABLE_COLUMNS)}"
             )
         rows = list(reader)
-    by_tree: dict[int, list[dict]] = {}
+    by_tree: dict[int, list[tuple[int, dict]]] = {}
     for line_no, row in enumerate(rows, 2):
         if None in row:  # the fields past the header's
             raise ParseError(f"{path}: line {line_no}: {len(FLAT_TABLE_COLUMNS) + len(row[None])} "
@@ -526,41 +541,44 @@ def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> Fo
                 int(row[key] or 0)
             except ValueError:
                 raise ParseError(f"{path}: line {line_no}: bad {key} {row[key]!r}")
-        by_tree.setdefault(tid, []).append(row)
+        by_tree.setdefault(tid, []).append((line_no, row))
 
     trees = []
     for tid in sorted(by_tree):
-        nodes_raw: dict[int, dict] = {}
-        for row in by_tree[tid]:
+        # each node's row and the line it came from
+        nodes_raw: dict[int, tuple[int, dict]] = {}
+        for line_no, row in by_tree[tid]:
             nid = int(row["node_id"])
             if nid in nodes_raw:
-                raise ParseError(f"tree {tid} node {nid}: duplicate node id")
-            nodes_raw[nid] = row
+                raise ParseError(f"{path}: line {line_no}: tree {tid} node {nid}: duplicate node id")
+            nodes_raw[nid] = line_no, row
         children: dict[int, dict[str, int]] = {}
         roots = []
-        for nid, row in nodes_raw.items():
+        for nid, (line_no, row) in nodes_raw.items():
+            at = f"{path}: line {line_no}: tree {tid}"
             if row["parent_id"] == "":
                 roots.append(nid)
                 continue
             pid = int(row["parent_id"])
             if pid not in nodes_raw:
-                raise ParseError(
-                    f"tree {tid} node {nid}: orphan node (parent {pid} missing)"
-                )
+                raise ParseError(f"{at} node {nid}: orphan node (parent {pid} missing)")
             flag = row["is_left_child"].lower()
             if flag not in ("0", "1", "true", "false"):
-                raise ParseError(f"tree {tid} node {nid}: bad is_left_child {flag!r}")
+                raise ParseError(f"{at} node {nid}: bad is_left_child {flag!r}")
             side = "left" if flag in ("1", "true") else "right"
             slot = children.setdefault(pid, {})
             if side in slot:
-                raise ParseError(f"tree {tid} node {pid}: two {side} children")
+                raise ParseError(f"{at} node {pid}: two {side} children")
             slot[side] = nid
         if len(roots) != 1:
-            raise ParseError(f"tree {tid}: expected one root, found {sorted(roots)}")
+            # the second root's line, or the tree's first line when none is
+            line_no = nodes_raw[roots[1]][0] if roots else by_tree[tid][0][0]
+            raise ParseError(f"{path}: line {line_no}: tree {tid}: expected one root, "
+                             f"found {sorted(roots)}")
 
         nodes = []
-        for nid, row in nodes_raw.items():
-            where = f"tree {tid} node {nid}"
+        for nid, (line_no, row) in nodes_raw.items():
+            where = f"{path}: line {line_no}: tree {tid} node {nid}"
             kids = children.get(nid, {})
             entry = {"id": nid}
             if kids:

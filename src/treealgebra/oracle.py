@@ -33,6 +33,7 @@ module on the error path, and a valid file never loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -71,7 +72,6 @@ from .trees import (
     _pack,
     _positions,
     _route_batch,
-    _split_faults,
     _value_rules,
     evaluate_batch,
     kinds_and_lengths,
@@ -99,7 +99,6 @@ __all__ = [
     "sample_points",
     "random_schema",
     "random_tree",
-    "random_forest",
 ]
 
 _MAX_CELLS = 4_000_000
@@ -556,6 +555,34 @@ def combine_many_reference(
 # Per-node validation
 
 
+def _split_faults(kind: int, j: int, t: float, split: Optional[Split],
+                  schema: FeatureSchema) -> list[str]:
+    """What is wrong with a split on a schema: a numeric split is feature
+    ``j`` and threshold ``t``, the others are ``split``."""
+    if kind == HYPERPLANE:
+        return [text for bad, text in (
+            (len(split.coefficients) != len(schema.numeric_indices),
+             "hyperplane arity != number of numeric features"),
+            (not all(map(isfinite, split.coefficients)), "hyperplane coefficient is not finite"),
+            (not isfinite(split.offset), "hyperplane offset is not finite")) if bad]
+    if not 0 <= j < schema.n_features:
+        return [f"split feature index {j} out of range"]
+    on_numeric = isinstance(schema.features[j], NumericFeature)
+    if kind == NUMERIC:
+        if not on_numeric:
+            return ["numeric split on categorical feature"]
+        if t != t:
+            return ["split threshold is NaN"]
+        return [] if isfinite(t) else ["split threshold is infinite"]
+    if on_numeric:
+        return ["categorical split on numeric feature"]
+    if not split.left_levels:
+        return ["empty left level set"]
+    if not split.left_levels < set(range(len(schema.features[j].levels))):
+        return ["left levels not a proper subset of the levels"]
+    return []
+
+
 def _messages(rules: Sequence[Rule], k: int) -> list[str]:
     return [text for mask, texts in rules if mask[k] for text in texts(k)]
 
@@ -944,16 +971,3 @@ def random_tree(
         else:
             raise DomainError(f"unsupported leaf kind {leaf_kind!r}")
     return builder.build()
-
-
-def random_forest(
-    schema: FeatureSchema,
-    rng: np.random.Generator,
-    n_trees: int,
-    max_splits: int,
-    leaf_kind: str = "scalar",
-) -> list[Tree]:
-    return [
-        random_tree(schema, rng, int(rng.integers(1, max_splits + 1)), leaf_kind)
-        for _ in range(n_trees)
-    ]

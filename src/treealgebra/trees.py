@@ -956,34 +956,6 @@ class NodeTable:
 Rule = tuple[np.ndarray, Callable[[int], list[str]]]
 
 
-def _split_faults(kind: int, j: int, t: float, split: Optional[Split],
-                  schema: FeatureSchema) -> list[str]:
-    """What is wrong with a split on a schema: a numeric split is feature
-    ``j`` and threshold ``t``, the others are ``split``."""
-    if kind == HYPERPLANE:
-        return [text for bad, text in (
-            (len(split.coefficients) != len(schema.numeric_indices),
-             "hyperplane arity != number of numeric features"),
-            (not all(map(isfinite, split.coefficients)), "hyperplane coefficient is not finite"),
-            (not isfinite(split.offset), "hyperplane offset is not finite")) if bad]
-    if not 0 <= j < schema.n_features:
-        return [f"split feature index {j} out of range"]
-    on_numeric = isinstance(schema.features[j], NumericFeature)
-    if kind == NUMERIC:
-        if not on_numeric:
-            return ["numeric split on categorical feature"]
-        if t != t:
-            return ["split threshold is NaN"]
-        return [] if isfinite(t) else ["split threshold is infinite"]
-    if on_numeric:
-        return ["categorical split on numeric feature"]
-    if not split.left_levels:
-        return ["empty left level set"]
-    if not split.left_levels < set(range(len(schema.features[j].levels))):
-        return ["left levels not a proper subset of the levels"]
-    return []
-
-
 def _value_rules(leaves: Leaves, schema: FeatureSchema) -> list[Rule]:
     """The rules of the rows of a leaf table that is not ragged, in order."""
     rules = []
@@ -1093,7 +1065,8 @@ def check_trees(trees: Sequence[Tree]) -> list[list[str]]:
     faulty = np.where(kind == NUMERIC, (nodes.slot == nodes.slots - 1) | ~np.isfinite(nodes.threshold),
                       (kind == CATEGORICAL) & ~nodes.proper)
     at = (kind == HYPERPLANE).nonzero()[0]
-    faulty[at] = [bool(_split_faults(HYPERPLANE, -1, np.nan, h, schema)) for h in nodes.splits(at)]
+    faulty[at] = [len(h.coefficients) != len(schema.numeric_indices)
+                  or not all(map(isfinite, h.coefficients + (h.offset,))) for h in nodes.splits(at)]
     sound = np.where(linked, (kind > 0) & (leaf < 0) & ~faulty,
                      (left < 0) & (right < 0) & (leaf >= 0) & (kind == 0))
     root_pos = np.array([t.root_pos for t in trees])

@@ -124,6 +124,38 @@ class TestWriterParity:
                            "scalar:scalar", "class_probs:class_probs",
                            "tuple:scalar", "tuple:class_probs"}
 
+    def test_floats_are_written_by_bit_pattern_not_by_value(self):
+        # 0.0 and -0.0 compare equal but read differently, so a table of
+        # distinct floats keyed on values would write one of them wrongly
+        schema = ta.FeatureSchema((ta.NumericFeature("x", -1.0, 1.0),
+                                   ta.NumericFeature("y", -1.0, 1.0)))
+
+        def chain(thresholds, values):
+            """A right-leaning chain of numeric splits with leaf values
+            ``values``, one more than ``thresholds``."""
+            b = ta.TreeBuilder(schema)
+            nid = b.add_root()
+            for k, t in enumerate(thresholds):
+                left, nid = b.split_node(nid, ta.NumericThreshold(k % 2, t))
+                b.set_value(left, values[k])
+            b.set_value(nid, values[-1])
+            return b.build()
+
+        scalars = [chain([0.0, -0.0, 0.0, 0.5], list(map(ta.Scalar, (-0.0, 0.0, 0.5, -0.0, 0.5)))),
+                   chain([-0.0, 0.25], list(map(ta.Scalar, (0.25, -0.0, 1.0))))]
+        probs = [chain([-0.0, 0.0], list(map(ta.ClassProbs, ((0.0, 1.0), (-0.0, 1.0), (1.0, -0.0))))),
+                 chain([0.0], list(map(ta.ClassProbs, ((-0.0, 0.0), (0.5, 0.5)))))]
+        combined = [ta.combine_many(scalars), ta.combine_many(probs)]
+        assert combined[1].leaves.kind == "tuple" and combined[1].leaves.entry == "class_probs"
+        for tree in scalars + probs + combined:
+            text = io.tree_to_json(tree)
+            assert text == reference_tree_json(tree)
+        for trees in (scalars, probs, combined):
+            forest = io.ForestFile(schema, trees, {})
+            text = io.forest_to_json(forest)
+            assert text == reference_forest_json(forest)
+            assert '"threshold": -0.0' in text and '"threshold": 0.0' in text
+
     def test_non_finite_value_is_refused_as_json_refuses_it(self, make_stump):
         tree = make_stump(0, 4.0, high=float("inf"))
         with pytest.raises(ValueError) as ours:

@@ -166,6 +166,27 @@ class TestJsonRoundTrip:
                 load(str(path))
             assert str(err.value) == f'{path}: schema.{key} must be a list of names, got "{text}"'
 
+    @pytest.mark.parametrize("levels, labels, message", [
+        ([1, 2], None, "schema.features[1].levels[0] must be a string, got 1"),
+        (["a", None], None, "schema.features[1].levels[1] must be a string, got null"),
+        (["a", "b"], ["u", 2.0], "schema.class_labels[1] must be a string, got 2.0"),
+    ])
+    def test_names_must_be_strings(self, tmp_path, capsys, levels, labels, message):
+        # points name their levels with CSV text, so no point could use the
+        # level 1; the name is refused at load rather than later
+        schema = {"features": [{"name": "x", "kind": "numeric", "low": 0, "high": 1},
+                               {"name": "c", "kind": "categorical", "levels": levels}],
+                  "class_labels": labels}
+        leaf = {"id": 0, "value": {"type": "scalar", "v": 0.5}}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"schema": schema, "nodes": [leaf], "root": 0}))
+        for load in (io.load_forest, io.load_schema):
+            with pytest.raises(ta.ParseError) as err:
+                load(str(path))
+            assert str(err.value) == f"{path}: {message}"
+        assert run_cli(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f'code=PARSE msg="{path}: {message}"\n'
+
     def test_non_finite_literal_exits_2(self, tmp_path, stump4, capsys):
         path = tmp_path / "tree.json"
         path.write_text(io.tree_to_json(stump4).replace('"v": 1.0', '"v": NaN'))
@@ -263,6 +284,38 @@ class TestFlatTableImport:
         with pytest.raises(ta.ParseError) as err:
             io.import_external_forest(str(path), "flat-table", d2)
         assert "tree 0 node 2" in str(err.value)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,,,0,4.0,\n0,1,0,1,,,0.0\n0,1,0,0,,,1.0\n",
+         "line 4: tree 0 node 1: duplicate node id"),
+        ("0,0,,,0,4.0,\n0,1,0,1,,,0.0\n0,2,0,1,,,1.0\n",
+         "line 4: tree 0 node 0: two left children"),
+        ("0,0,,,0,4.0,\n0,1,0,1,,,0.0\n",
+         "line 2: tree 0 node 0: needs both a left and a right child"),
+        ("0,0,,,0,4.0,\n0,1,0,1,,,0.0\n0,2,5,0,,,1.0\n",
+         "line 4: tree 0 node 2: orphan node (parent 5 missing)"),
+        ("0,0,,,0,4.0,\n0,1,0,1,,,0.0\n0,2,,,,,1.0\n",
+         "line 4: tree 0: expected one root, found [0, 2]"),
+        ("0,0,1,1,,,0.0\n0,1,0,1,,,1.0\n",
+         "line 2: tree 0: expected one root, found []"),
+        ("0,0,,,2,4.0,\n0,1,0,1,,,0.0\n0,2,0,0,,,1.0\n",
+         "line 2: tree 0 node 0: split feature 2 out of range"),
+        ("0,0,,,0,four,\n0,1,0,1,,,0.0\n0,2,0,0,,,1.0\n",
+         "line 2: tree 0 node 0: bad numeric threshold 'four'"),
+        ("0,0,,,0,4.0,\n0,1,0,1,,,0.0\n0,2,0,0,,,one\n",
+         "line 4: tree 0 node 2: bad leaf_value 'one'"),
+    ])
+    def test_node_messages_name_the_file_and_line(self, tmp_path, d2, capsys, rows, message):
+        path = tmp_path / "table.csv"
+        path.write_text(FLAT_HEADER + rows)
+        with pytest.raises(ta.ParseError) as err:
+            io.import_external_forest(str(path), "flat-table", d2)
+        assert str(err.value) == f"{path}: {message}"
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"schema": io._schema_to_dict(d2)}))
+        argv = ["import", "--table", str(path), "--schema", str(schema), "--out", str(tmp_path / "o")]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f'code=PARSE msg="{path}: {message}"\n'
 
     def test_unknown_dialect(self, tmp_path, d2):
         path = tmp_path / "table.csv"
