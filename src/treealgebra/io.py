@@ -138,15 +138,19 @@ def _ints(xs: list, where: str, key: str, low: int = -_INT64, at=None) -> list:
     return [_int(x, where, key.format(k if at is None else at[k]), low) for k, x in enumerate(xs)]
 
 
+def _str(x, where: str, key: str) -> str:
+    # every name is a string: a level name that is not one could never be
+    # used, as points name levels with CSV text
+    if type(x) is not str:
+        raise ParseError(f"{where}{key} must be a string, got {json.dumps(x)}")
+    return x
+
+
 def _names(x, where: str, key: str) -> tuple:
-    # a JSON string is a sequence too, but of characters; a name that is
-    # not a string could never be used, as points name levels with CSV text
+    # a JSON string is a sequence too, but of characters
     if not isinstance(x, list):
         raise ParseError(f"{where}{key} must be a list of names, got {json.dumps(x)}")
-    for k, name in enumerate(x):
-        if type(name) is not str:
-            raise ParseError(f"{where}{key}[{k}] must be a string, got {json.dumps(name)}")
-    return tuple(x)
+    return tuple(_str(name, where, f"{key}[{k}]") for k, name in enumerate(x))
 
 
 def _reals(xs: list, where: str, key: str, at=None) -> list:
@@ -168,15 +172,16 @@ def _schema_to_dict(schema: FeatureSchema) -> dict:
 def _schema_from_dict(doc: dict, where: str) -> FeatureSchema:
     features = []
     for k, fd in enumerate(doc["features"]):
+        at = f"{where}features[{k}]"
+        name = _str(fd["name"], at, ".name")
         if fd["kind"] == "numeric":
-            name = f"{where}features[{k}]"
-            features.append(NumericFeature(fd["name"], _real(fd["low"], name, ".low"),
-                                           _real(fd["high"], name, ".high")))
+            features.append(NumericFeature(name, _real(fd["low"], at, ".low"),
+                                           _real(fd["high"], at, ".high")))
         elif fd["kind"] == "categorical":
-            features.append(CategoricalFeature(
-                fd["name"], _names(fd["levels"], f"{where}features[{k}]", ".levels")))
+            features.append(CategoricalFeature(name, _names(fd["levels"], at, ".levels")))
         else:
-            raise ParseError(f"unknown feature kind {fd['kind']!r}")
+            raise ParseError(f'{at}.kind must be "numeric" or "categorical", '
+                             f'got {json.dumps(fd["kind"])}')
     labels = doc.get("class_labels")
     return FeatureSchema(tuple(features),
                          None if labels is None else _names(labels, where, "class_labels"))
@@ -189,9 +194,12 @@ def _split_from_dict(doc: dict, where: str):
         return CategoricalSubset(_int(doc["feature"], where, ".feature"),
                                  frozenset(_ints(doc["left_levels"], where, ".left_levels[{}]")))
     if kind == "hyperplane":
-        return Hyperplane(tuple(_reals(doc["coeffs"], where, ".coeffs[{}]")),
-                          _real(doc["offset"], where, ".offset"))
-    raise ParseError(f"unknown split type {kind!r}")
+        coeffs = _reals(doc["coeffs"], where, ".coeffs[{}]")
+        if not any(coeffs):
+            raise ParseError(f"{where}.coeffs must not all be zero, got {json.dumps(coeffs)}")
+        return Hyperplane(tuple(coeffs), _real(doc["offset"], where, ".offset"))
+    raise ParseError(f'{where}.type must be "numeric", "categorical" or "hyperplane", '
+                     f"got {json.dumps(kind)}")
 
 
 def _value_from_dict(doc: dict, where: str):
@@ -205,7 +213,8 @@ def _value_from_dict(doc: dict, where: str):
             tuple(_value_from_dict(v, f"{where}.values[{k}]") for k, v in enumerate(doc["values"])),
             _ints(doc["source_ids"], where, ".source_ids[{}]"),
         )
-    raise ParseError(f"unknown value type {kind!r}")
+    raise ParseError(f'{where}.type must be "scalar", "class_probs" or "tuple", '
+                     f"got {json.dumps(kind)}")
 
 
 def _tree_from_body(doc: dict, schema: FeatureSchema, where: str) -> Tree:
@@ -214,6 +223,7 @@ def _tree_from_body(doc: dict, schema: FeatureSchema, where: str) -> Tree:
 
     Node ids and child ids are non-negative JSON integers; feature and level
     indices and source ids are JSON integers; every real is a JSON number.
+    A null ``split``, ``value``, ``left`` or ``right`` counts as absent.
     Splits other than numeric ones, and leaf values that are not all floats
     of one kind and shape, are read one at a time into objects.
     """
@@ -229,7 +239,7 @@ def _tree_from_body(doc: dict, schema: FeatureSchema, where: str) -> Tree:
         links.append([-1 if x is None else x for x in children])
     n = len(entries)
     kind, feature, threshold, side = [0] * n, [-1] * n, [np.nan] * n, {}
-    at = [k for k, e in enumerate(entries) if "split" in e]
+    at = [k for k, e in enumerate(entries) if e.get("split") is not None]
     numeric = [k for k in at if entries[k]["split"].get("type") == "numeric"]
     features = _ints([entries[k]["split"]["feature"] for k in numeric], where,
                      "nodes[{}].split.feature", at=numeric)
@@ -243,7 +253,7 @@ def _tree_from_body(doc: dict, schema: FeatureSchema, where: str) -> Tree:
             side[k] = split = _split_from_dict(d, f"{where}nodes[{k}].split")
             kind[k] = CATEGORICAL if isinstance(split, CategoricalSubset) else HYPERPLANE
             feature[k] = getattr(split, "feature", -1)
-    at = [k for k, e in enumerate(entries) if "value" in e]
+    at = [k for k, e in enumerate(entries) if e.get("value") is not None]
     leaf = [-1] * n
     for row, k in enumerate(at):
         leaf[k] = row

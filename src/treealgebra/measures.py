@@ -1,31 +1,31 @@
 """Exact means, variances, covariances, correlations, and L2 distances.
 
 All quantities are integrals of piecewise-constant functions against a
-probability measure, so they reduce to finite sums, and every one of them
-starts from the same preparation of each tree (:func:`_prepare`). Under the
-uniform measure, one walk turns an axis-aligned tree into a leaf table:
-numeric bounds, admissible categorical levels and the value of every leaf.
-A box's mass is the product of its per-feature fractions, so a single-tree
-integral is a sum over leaves, e.g. ``sum(v * mass)``, and a pair integral
-is one vectorised sum over leaf pairs weighted by the mass of their
-intersection, e.g. ``sum((v1 - v2)**2 * overlap)``; the combined tree is
-never built. The forest statistics score one tree against stacked runs of
-other trees at once, in blocks of bounded size, and sum each pair's part of
-a block on its own, so every pair gets the bits of its single-pair sum.
-Hyperplane splits are unsupported there, as the uniform mass
-of a polyhedron is. Under the empirical measure, each tree is evaluated
-once at the sample points and every integral is a weighted sum over the
-points, for any split geometry and with the ``x <= t`` boundary rule of
-routing. The region-by-region sum and the paper's recursion down the
-combined tree, :func:`treealgebra.oracle.recursive_pair_sum`, are the
-references these sums are tested against. Every sum runs in a fixed order,
-so results are bit-reproducible.
+probability measure, so they reduce to finite sums. Every statistic
+prepares its trees as one *stack* (:func:`_prepare`), a single tree or each
+tree of a pair as a stack of one. Under the uniform measure a stack is one
+leaf table: a walk per tree records the numeric bounds, admissible
+categorical levels and value of every leaf, and each tree holds a
+contiguous run of the table's leaves. A box's mass is the product of its
+per-feature fractions, so a single-tree integral is a sum over leaves, e.g.
+``sum(v * mass)``, and a pair integral is a sum over leaf pairs weighted by
+the mass of their intersection, e.g. ``sum((v1 - v2)**2 * overlap)``; the
+combined tree is never built. Hyperplane splits are unsupported there, as
+the uniform mass of a polyhedron is. Under the empirical measure a stack
+holds each tree's values at the sample points, and every integral is a
+weighted sum over the points, for any split geometry and with the
+``x <= t`` boundary rule of routing. Every pair integral comes from one
+kernel, :func:`_row_integrals`, which scores one tree against the trees of
+a stack; a single pair is its one-tree case. The region-by-region sum and
+the paper's recursion down the combined tree,
+:func:`treealgebra.oracle.recursive_pair_sum`, are the references these
+sums are tested against. Every sum runs in a fixed order, so results are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import copysign, sqrt
 from typing import Optional, Sequence, Union
 
@@ -96,15 +96,15 @@ def tree_statistics(tree: Tree, measure: Measure) -> TreeStatistics:
 
 
 def _statistics(tree: Tree, measure: Measure):
-    """The prepared tree and its statistics, from one preparation."""
+    """The tree prepared as a stack of one, and its statistics."""
     kind = leaf_kind_of(tree)
     if kind not in ("scalar", "class_probs"):
         raise LeafKindError("tree_mean needs scalar or class_probs leaves")
-    prepared = _prepare(tree, measure)
+    prepared = _prepare([tree], measure)
     if isinstance(measure, UniformBox):
         weights, values = _masses(prepared), prepared.values
     else:
-        weights, values = measure.weights, prepared
+        weights, values = measure.weights, prepared[0]
     mu = weights @ values
     stats = TreeStatistics(
         float(mu[0]) if kind == "scalar" else mu,
@@ -120,13 +120,13 @@ def _statistics(tree: Tree, measure: Measure):
 
 @dataclass(frozen=True)
 class _LeafTable:
-    """The leaf boxes and values of one axis-aligned tree, as arrays.
+    """The leaf boxes and values of a stack of axis-aligned trees, as arrays.
 
     ``lo``/``hi`` have shape (numeric features, leaves) and hold each leaf's
     numeric bounds; ``levels`` holds one (leaves, levels) 0/1 matrix of
     admissible levels per categorical feature; ``values`` has shape
-    (leaves, width), width 1 for scalar leaves. Leaves are in depth-first,
-    left-before-right order.
+    (leaves, width), width 1 for scalar leaves. Tree ``k`` holds leaves
+    ``offsets[k]:offsets[k + 1]``, in depth-first, left-before-right order.
     """
 
     schema: FeatureSchema
@@ -134,6 +134,7 @@ class _LeafTable:
     hi: np.ndarray
     levels: tuple[np.ndarray, ...]
     values: np.ndarray
+    offsets: tuple[int, ...]
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -143,41 +144,56 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _leaf_table(tree: Tree) -> _LeafTable:
-    """One depth-first walk over the node arrays that records every leaf's
-    box and value row."""
-    schema = tree.schema
-    left, right, leaf, kind, feature, threshold = (a.tolist() for a in (
-        tree.left_pos, tree.right_pos, tree.leaf, tree.kind, tree.feature, tree.threshold))
-    boxes, rows = [], []
-    stack = [(tree.root_pos, full_box(schema))]
-    while stack:
-        i, box = stack.pop()
-        if left[i] < 0:
-            boxes.append(box)
-            rows.append(leaf[i])
-            continue
-        if kind[i] == HYPERPLANE:
-            raise UnsupportedGeometryError(
-                "uniform measure of a region with hyperplane constraints"
-            )
-        cut = threshold[i] if kind[i] == NUMERIC else tree.side[i].left_levels
-        left_box, right_box, _ = box_sides(box, feature[i], cut)
-        stack.append((right[i], right_box))
-        stack.append((left[i], left_box))
-    num = schema.numeric_indices
-    bounds = np.array([[box[j] for j in num] for box in boxes]).reshape(len(boxes), len(num), 3)
+def _leaf_table(trees: Sequence[Tree]) -> _LeafTable:
+    """One depth-first walk over each tree's node arrays that records every
+    leaf's box and value row; the boxes of all trees become arrays at once."""
+    schema = trees[0].schema
+    boxes, values, offsets = [], [], [0]
+    for tree in trees:
+        left, right, leaf, kind, feature, threshold = (a.tolist() for a in (
+            tree.left_pos, tree.right_pos, tree.leaf, tree.kind, tree.feature, tree.threshold))
+        rows = []
+        stack = [(tree.root_pos, full_box(schema))]
+        while stack:
+            i, box = stack.pop()
+            if left[i] < 0:
+                boxes.append(box)
+                rows.append(leaf[i])
+                continue
+            if kind[i] == HYPERPLANE:
+                raise UnsupportedGeometryError(
+                    "uniform measure of a region with hyperplane constraints"
+                )
+            cut = threshold[i] if kind[i] == NUMERIC else tree.side[i].left_levels
+            left_box, right_box, _ = box_sides(box, feature[i], cut)
+            stack.append((right[i], right_box))
+            stack.append((left[i], left_box))
+        values.append(_finite(tree.leaves.values[rows]))
+        offsets.append(len(boxes))
+    num, n = schema.numeric_indices, len(boxes)
+    lo, hi = (np.fromiter((box[j][end] for j in num for box in boxes), float, len(num) * n)
+              .reshape(len(num), n) for end in (0, 1))
     levels = tuple(
-        np.array([[float(k in box[j]) for k in range(len(f.levels))] for box in boxes])
+        np.fromiter((k in box[j] for box in boxes for k in range(len(f.levels))), float,
+                    n * len(f.levels)).reshape(n, len(f.levels))
         for j, f in enumerate(schema.features)
         if isinstance(f, CategoricalFeature)
     )
+    return _LeafTable(schema, lo, hi, levels, np.concatenate(values), tuple(offsets))
+
+
+def _sub_stack(t: _LeafTable, first: int, stop: int) -> _LeafTable:
+    """Trees ``first`` to ``stop - 1`` of the stack ``t``: ``t`` or views of it."""
+    if first == 0 and stop == len(t.offsets) - 1:
+        return t
+    lo, hi = t.offsets[first], t.offsets[stop]
     return _LeafTable(
-        schema,
-        np.ascontiguousarray(bounds[:, :, 0].T),
-        np.ascontiguousarray(bounds[:, :, 1].T),
-        levels,
-        _finite(tree.leaves.values[rows]),
+        t.schema,
+        t.lo[:, lo:hi],
+        t.hi[:, lo:hi],
+        tuple(m[lo:hi] for m in t.levels),
+        t.values[lo:hi],
+        tuple(o - lo for o in t.offsets[first : stop + 1]),
     )
 
 
@@ -213,13 +229,21 @@ def _overlap(a: _LeafTable, b: _LeafTable) -> np.ndarray:
     return _box_mass(a.schema, widths, (x @ y.T for x, y in zip(a.levels, b.levels)))
 
 
-def _prepare(tree: Tree, measure: Measure) -> Union[_LeafTable, np.ndarray]:
-    """What an integral needs of one tree: its leaf table under the uniform
-    measure, its (points, width) values under the empirical one."""
+def _prepare(trees: Sequence[Tree], measure: Measure) -> Union[_LeafTable, list]:
+    """The trees as one stack: under the uniform measure the leaf table of
+    all their leaves, under the empirical one the list of each tree's
+    (points, width) values. Each tree's values are checked once it is read."""
     if isinstance(measure, UniformBox):
-        return _leaf_table(tree)
-    values = evaluate_batch(tree, measure.points)
-    return _finite(values.reshape(len(values), -1))
+        return _leaf_table(trees)
+    values = (evaluate_batch(t, measure.points) for t in trees)
+    return [_finite(v.reshape(len(v), -1)) for v in values]
+
+
+def _parts(stack) -> list:
+    """Each tree of a stack, as a stack of one."""
+    if isinstance(stack, list):
+        return [[v] for v in stack]
+    return [_sub_stack(stack, k, k + 1) for k in range(len(stack.offsets) - 1)]
 
 
 def _pair_block(a: _LeafTable, b: _LeafTable, term) -> np.ndarray:
@@ -228,12 +252,37 @@ def _pair_block(a: _LeafTable, b: _LeafTable, term) -> np.ndarray:
     return term(a.values[:, None], b.values[None]) * _overlap(a, b)
 
 
-def _pair_integral(a, b, measure: Measure, term) -> float:
-    """Integral of ``term(f1, f2)`` for two prepared trees; ``term`` maps
-    arrays of values (width on the last axis) to that axis summed out."""
-    if isinstance(measure, UniformBox):
-        return float(_pair_block(a, b, term).sum())
-    return float(measure.weights @ term(a, b))
+# Under the uniform measure one row tree is scored against a run of whole
+# column trees at once; a run grows while its largest pair-sized temporary,
+# (row leaves, run leaves, width) floats, stays within this many bytes, and
+# holds at least one tree.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _row_integrals(a, cols, first: int, measure: Measure, term) -> list[float]:
+    """The one kernel of every pair integral: the integral of ``term(f, g)``
+    for the tree ``f`` of the stack of one ``a`` and every tree ``g`` of the
+    stack ``cols`` from index ``first`` on, in order. ``term`` maps arrays
+    of values (width on the last axis) to that axis summed out. A single
+    pair is the one-tree case. Under the uniform measure each run of column
+    trees costs one :func:`_pair_block`, and each tree's sum is taken over a
+    contiguous copy of its columns, so it adds the same floats in the same
+    order whether its run holds it alone or among others."""
+    if not isinstance(measure, UniformBox):
+        return [float(measure.weights @ term(a[0], b)) for b in cols[first:]]
+    offsets, row_bytes = cols.offsets, a.values.nbytes
+    out: list[float] = []
+    k, n = first, len(offsets) - 1
+    while k < n:
+        stop = k + 1
+        while stop < n and row_bytes * (offsets[stop + 1] - offsets[k]) <= _BLOCK_BYTES:
+            stop += 1
+        run = _sub_stack(cols, k, stop)
+        block = _pair_block(a, run, term)
+        for lo, hi in zip(run.offsets, run.offsets[1:]):
+            out.append(float(np.ascontiguousarray(block[:, lo:hi]).sum()))
+        k = stop
+    return out
 
 
 def _sq_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -260,19 +309,20 @@ def tree_distance(
     the signature for callers that pass it positionally.
     """
     _require_schema_and_kind([t1, t2])
-    a, b = _prepare(t1, measure), _prepare(t2, measure)
-    return sqrt(max(_pair_integral(a, b, measure, _sq_diff), 0.0))
+    a, b = _prepare([t1], measure), _prepare([t2], measure)
+    return sqrt(max(_row_integrals(a, b, 0, measure, _sq_diff)[0], 0.0))
 
 
 def tree_inner_product(t1: Tree, t2: Tree, measure: Measure) -> float:
     """Integral of the product of two scalar tree functions."""
     _require_scalar([t1, t2], "tree_inner_product")
     _require_schema_and_kind([t1, t2])
-    return _pair_integral(_prepare(t1, measure), _prepare(t2, measure), measure, _product)
+    a, b = _prepare([t1], measure), _prepare([t2], measure)
+    return _row_integrals(a, b, 0, measure, _product)[0]
 
 
 def _covariance(a, b, mu1: float, mu2: float, measure: Measure) -> float:
-    return _pair_integral(a, b, measure, lambda x, y: _product(x - mu1, y - mu2))
+    return _row_integrals(a, b, 0, measure, lambda x, y: _product(x - mu1, y - mu2))[0]
 
 
 def tree_covariance(t1: Tree, t2: Tree, measure: Measure) -> float:
@@ -317,116 +367,49 @@ def tree_correlation(t1: Tree, t2: Tree, measure: Measure) -> float:
 # ---------------------------------------------------------------------------
 # Forests
 
-# Under the uniform measure one row tree is scored against a run of whole
-# column trees at once; a run grows while its largest pair-sized temporary,
-# (row leaves, run leaves, width) floats, stays within this many bytes, and
-# holds at least one tree.
-_BLOCK_BYTES = 256 * 1024
-
-
-@dataclass(frozen=True)
-class _Columns:
-    """Prepared column trees. Under the uniform measure their leaf tables
-    are stacked into ``table``, tree ``k`` holding leaves
-    ``offsets[k]:offsets[k + 1]``; under the empirical measure ``prepared``
-    is the list itself."""
-
-    prepared: Sequence
-    table: Optional[_LeafTable] = None
-    offsets: tuple[int, ...] = ()
-
-
-def _columns(prepared: Sequence, measure: Measure) -> _Columns:
-    if not isinstance(measure, UniformBox):
-        return _Columns(prepared)
-    table = _LeafTable(
-        prepared[0].schema,
-        np.concatenate([t.lo for t in prepared], axis=1),
-        np.concatenate([t.hi for t in prepared], axis=1),
-        tuple(np.concatenate(m) for m in zip(*(t.levels for t in prepared))),
-        np.concatenate([t.values for t in prepared]),
-    )
-    return _Columns(prepared, table, (0, *accumulate(len(t.values) for t in prepared)))
-
-
-def _leaf_slice(t: _LeafTable, start: int, stop: int) -> _LeafTable:
-    return _LeafTable(
-        t.schema,
-        t.lo[:, start:stop],
-        t.hi[:, start:stop],
-        tuple(m[start:stop] for m in t.levels),
-        t.values[start:stop],
-    )
-
-
-def _row_integrals(a, cols: _Columns, first: int, measure: Measure, term) -> list[float]:
-    """``_pair_integral(a, b, measure, term)`` for every column tree ``b``
-    from index ``first`` on, in order and to the bit. Under the uniform
-    measure each run of column trees costs one :func:`_pair_block`, and each
-    tree's sum is taken over a contiguous copy of its columns, so it adds
-    the same floats in the same order as its own block would."""
-    if cols.table is None:
-        return [_pair_integral(a, b, measure, term) for b in cols.prepared[first:]]
-    offsets, row_bytes = cols.offsets, a.values.nbytes
-    out: list[float] = []
-    k, n = first, len(cols.prepared)
-    while k < n:
-        stop = k + 1
-        while stop < n and row_bytes * (offsets[stop + 1] - offsets[k]) <= _BLOCK_BYTES:
-            stop += 1
-        base = offsets[k]
-        block = _pair_block(a, _leaf_slice(cols.table, base, offsets[stop]), term)
-        for lo, hi in zip(offsets[k:stop], offsets[k + 1 : stop + 1]):
-            out.append(float(np.ascontiguousarray(block[:, lo - base : hi - base]).sum()))
-        k = stop
-    return out
-
 
 def forest_distance(f: Sequence[Tree], g: Sequence[Tree], measure: Measure) -> float:
     """L2 distance between the aggregate (sum) functions of two forests.
 
     Expands the squared difference into pairwise tree inner products, so no
-    integral ever involves more than two source trees. Each tree is prepared
-    once; under the uniform measure each tree is scored against stacked
-    runs of a forest's trees in blocks of bounded size.
+    integral ever involves more than two source trees. Each forest is
+    prepared as one stack, and each tree is scored against runs of a stack's
+    trees in blocks of bounded size.
     """
     if not f or not g:
         raise DomainError("forest_distance needs nonempty forests")
     _require_scalar([*f, *g], "tree_inner_product")
     _require_schema_and_kind([*f, *g])
-    pf = [_prepare(t, measure) for t in f]
-    pg = [_prepare(t, measure) for t in g]
-    cf, cg = _columns(pf, measure), _columns(pg, measure)
+    sf, sg = _prepare(f, measure), _prepare(g, measure)
 
     # all ordered pairs, in the same loop order for each of the three sums:
     # identical forests then produce bitwise-equal sums that cancel exactly
-    def inner(ps, cols):
+    def inner(rows, cols):
         acc = 0.0
-        for a in ps:
+        for a in _parts(rows):
             for x in _row_integrals(a, cols, 0, measure, _product):
                 acc += x
         return acc
 
-    return sqrt(max(inner(pf, cf) + inner(pg, cg) - 2.0 * inner(pf, cg), 0.0))
+    return sqrt(max(inner(sf, sf) + inner(sg, sg) - 2.0 * inner(sf, sg), 0.0))
 
 
 def distance_matrix(trees: Sequence[Tree], measure: Measure) -> np.ndarray:
     """Symmetric matrix of pairwise tree distances with a zero diagonal.
 
-    Each tree is prepared once and each unordered pair is computed once;
-    under the uniform measure each tree is scored against runs of the later
-    trees in blocks of bounded size. Every entry equals
-    :func:`tree_distance` of its pair, bit for bit.
+    The trees are prepared as one stack and each unordered pair is computed
+    once; each tree is scored against runs of the later trees in blocks of
+    bounded size. Every entry equals :func:`tree_distance` of its pair, bit
+    for bit.
     """
     if len(trees) < 2:
         raise DomainError("distance_matrix needs at least two trees")
     _require_schema_and_kind(trees)
-    prepared = [_prepare(t, measure) for t in trees]
-    cols = _columns(prepared, measure)
+    stack = _prepare(trees, measure)
     n = len(trees)
     out = np.zeros((n, n))
-    for i in range(n - 1):
-        row = _row_integrals(prepared[i], cols, i + 1, measure, _sq_diff)
+    for i, a in enumerate(_parts(stack)[:-1]):
+        row = _row_integrals(a, stack, i + 1, measure, _sq_diff)
         for j, x in enumerate(row, i + 1):
             out[i, j] = out[j, i] = sqrt(max(x, 0.0))
     return out

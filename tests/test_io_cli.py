@@ -14,6 +14,19 @@ from treealgebra.cli import run_cli
 
 FLAT_HEADER = ",".join(io.FLAT_TABLE_COLUMNS) + "\n"
 
+
+def stump_json(split=None, value=None, feature=None) -> str:
+    """A stump over two numeric features as the text of a tree file, with
+    the root's split, the left leaf's value or the second feature replaced."""
+    features = [{"name": name, "kind": "numeric", "low": 0.0, "high": 10.0} for name in "xy"]
+    features[1] = feature or features[1]
+    nodes = [{"id": 0, "split": split or {"type": "numeric", "feature": 0, "threshold": 4.0},
+              "left": 1, "right": 2},
+             {"id": 1, "value": value or {"type": "scalar", "v": 0.0}},
+             {"id": 2, "value": {"type": "scalar", "v": 1.0}}]
+    return json.dumps({"schema": {"features": features, "class_labels": None},
+                       "nodes": nodes, "root": 0})
+
 GOLDEN_USAGE = """\
 usage: treealgebra [-h] COMMAND ...
 
@@ -115,6 +128,25 @@ class TestJsonRoundTrip:
             io.load_forest(str(path))
         message = str(err.value)
         assert "tree 0" in message and "node 2" in message and "sum 0.8" in message
+
+    def test_null_value_or_split_counts_as_absent(self, tmp_path, d2):
+        # the writer emits "value": null for a leaf that was never set
+        b = ta.TreeBuilder(d2)
+        left, _right = b.split_node(b.add_root(), ta.NumericThreshold(0, 4.0))
+        b.set_value(left, ta.Scalar(1.0))
+        path = tmp_path / "unset.json"
+        io.save_tree(b.build(), str(path))
+        assert '{"id": 2, "value": null}' in path.read_text()
+        with pytest.raises(ta.ValidationError) as err:
+            io.load_forest(str(path))
+        assert err.value.violations == ["tree 0: node 2: leaf without value"]
+        doc = json.loads(path.read_text())
+        doc["nodes"][0]["split"] = None
+        doc["nodes"][2]["value"] = {"type": "scalar", "v": 2.0}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ta.ValidationError) as err:
+            io.load_forest(str(path))
+        assert err.value.violations == ["tree 0: node 0: internal node without split"]
 
     def test_forest_mixing_class_probability_lengths_is_named(self, tmp_path, d2):
         trees = []
@@ -593,6 +625,22 @@ class TestCli:
         (FLAT_HEADER + "0,0,,,0,4.0,\n0,1,0,1,,,0.0,9\n0,2,0,0,,,1.0\n",
          "import --table {} --schema {schema} --out {out}",
          'PARSE msg="{}: line 3: 8 fields, expected 7"'),
+        (stump_json(split={"type": "x", "feature": 0}), "validate {}",
+         'PARSE msg="{}: nodes[0].split.type must be "numeric", "categorical" or '
+         '"hyperplane", got "x""'),
+        (stump_json(value={"type": "x", "v": 0.0}), "validate {}",
+         'PARSE msg="{}: nodes[1].value.type must be "scalar", "class_probs" or "tuple", '
+         'got "x""'),
+        (stump_json(feature={"name": "y", "kind": "x"}), "dist --a {} --b {stump4}",
+         'PARSE msg="{}: schema.features[1].kind must be "numeric" or "categorical", got "x""'),
+        (stump_json(split={"type": "hyperplane", "coeffs": [0.0, -0.0], "offset": 1.0}),
+         "validate {}",
+         'PARSE msg="{}: nodes[0].split.coeffs must not all be zero, got [0.0, -0.0]"'),
+        (stump_json(feature={"name": ["y"], "kind": "numeric", "low": 0.0, "high": 1.0}),
+         "validate {}", 'PARSE msg="{}: schema.features[1].name must be a string, got ["y"]"'),
+        (stump_json(feature={"name": 1, "kind": "numeric", "low": 0.0, "high": 1.0}),
+         "dist-matrix --forest {} --out {out}",
+         'PARSE msg="{}: schema.features[1].name must be a string, got 1"'),
     ])
     def test_malformed_or_non_finite_input_exits_2(self, workdir, capsys, text, command, err):
         """A bad input file gets one diagnostic line and exit 2, and no

@@ -652,17 +652,22 @@ class TestForestKernel:
 
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("leaf_kind", ["scalar", "class_probs"])
+    @pytest.mark.parametrize("measure_kind", ["uniform", "empirical"])
     def test_distance_matrix_equals_tree_distance_bitwise(
-        self, mixed_schema, uniform, monkeypatch, budget, leaf_kind
+        self, mixed_schema, uniform, monkeypatch, measure_kind, budget, leaf_kind
     ):
         rng = np.random.default_rng(7)
         forest = kernel_forest(mixed_schema, rng, 24, leaf_kind)
         assert all(ta.validate(t) == [] for t in forest)
+        empirical = measure_kind == "empirical"
+        measure = boundary_sample(mixed_schema, forest, rng, 200) if empirical else uniform
         monkeypatch.setattr(measures, "_BLOCK_BYTES", budget)
         calls = count_pair_blocks(monkeypatch)
-        D = ta.distance_matrix(forest, uniform)
+        D = ta.distance_matrix(forest, measure)
         n = len(forest)
-        if budget == 0:
+        if empirical:
+            assert calls == []
+        elif budget == 0:
             assert len(calls) == n * (n - 1) // 2
         elif budget == 4096:
             # several runs per row, several trees per run
@@ -670,21 +675,25 @@ class TestForestKernel:
         for i in range(n):
             assert D[i, i] == 0.0
             for j in range(i + 1, n):
-                d = ta.tree_distance(forest[i], forest[j], uniform)
+                d = ta.tree_distance(forest[i], forest[j], measure)
                 assert D[i, j] == D[j, i] == d
 
     @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("measure_kind", ["uniform", "empirical"])
     def test_forest_distance_equals_pair_loop_bitwise(
-        self, mixed_schema, uniform, monkeypatch, budget
+        self, mixed_schema, uniform, monkeypatch, measure_kind, budget
     ):
         rng = np.random.default_rng(11)
         monkeypatch.setattr(measures, "_BLOCK_BYTES", budget)
         for nf, ng in ((1, 1), (3, 17), (12, 9)):
             f = kernel_forest(mixed_schema, rng, nf)
             g = kernel_forest(mixed_schema, rng, ng)
-            assert ta.forest_distance(f, g, uniform) == reference_forest_distance(f, g, uniform)
-            assert ta.forest_distance(f, f, uniform) == 0.0
-            assert ta.forest_distance(g + f, g + f, uniform) == 0.0
+            measure = uniform
+            if measure_kind == "empirical":
+                measure = boundary_sample(mixed_schema, f + g, rng, 200)
+            assert ta.forest_distance(f, g, measure) == reference_forest_distance(f, g, measure)
+            assert ta.forest_distance(f, f, measure) == 0.0
+            assert ta.forest_distance(g + f, g + f, measure) == 0.0
 
     def test_distance_matrix_memory_is_bounded(self, uniform):
         # 941 leaves: the kernel peaks near 0.9 MiB; one leaf-pair block
