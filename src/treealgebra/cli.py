@@ -48,10 +48,12 @@ def _add_measure_args(sub):
 
 
 def _check_inputs(args) -> None:
-    """Reject a bad ``--max-nodes`` and missing ``--data``/``--weights`` files
-    before any work starts."""
+    """Reject a bad ``--max-nodes``, an ``--svg`` of fewer than 2 dims and
+    missing ``--data``/``--weights`` files before any work starts."""
     if getattr(args, "max_nodes", 1) < 1:
         raise DomainError("--max-nodes must be at least 1")
+    if getattr(args, "svg", None) is not None and args.dims < 2:
+        raise DomainError("--svg needs at least 2 dims")
     for path in (getattr(args, "data", None), getattr(args, "weights", None)):
         if path is not None and not os.path.exists(path):
             raise DomainError(f"input file does not exist: {path}")
@@ -217,8 +219,6 @@ def _cmd_mds(args) -> int:
         )
     io.write_matrix_csv(args.out, coords)
     if args.svg is not None:
-        if coords.shape[1] < 2:
-            raise DomainError("--svg needs at least 2 dims")
         io.write_text_atomic(args.svg, _scatter_svg(coords[:, :2]))
     print(f"stress={_fmt(mds.mds_stress(matrix, coords))}")
     return 0

@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -95,11 +94,16 @@ class ForestFile:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temp file plus rename, so readers never see a partial file."""
+    """Write via a temp file plus rename, so readers never see a partial
+    file, with the mode ``open(path, "w")`` would give: the replaced file's,
+    or else 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
+            if os.path.exists(path):
+                os.chmod(fd, os.stat(path).st_mode & 0o7777)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -265,6 +269,34 @@ def _tree_from_body(doc: dict, schema: FeatureSchema, where: str) -> Tree:
                      threshold, side, leaf, leaves)
 
 
+# The objects and lists of a tree or forest file: an object maps keys to the
+# shapes of their values, a list holds the shape of its elements, if checked.
+_VALUE_SHAPE: dict = {"probs": [], "source_ids": []}
+_VALUE_SHAPE["values"] = [_VALUE_SHAPE]
+_BODY_SHAPE = {"nodes": [{"split": {"coeffs": [], "left_levels": []}, "value": _VALUE_SHAPE}]}
+_FILE_SHAPE = {"schema": {"features": [{}]}, "trees": [_BODY_SHAPE], "metadata": {},
+               **_BODY_SHAPE}
+
+
+def _check_shape(x, shape, path: str, where: str = "") -> None:
+    """Raise a ParseError naming the first field of ``x`` (the field
+    ``where`` of the file ``path``, or the whole document) that should hold
+    a JSON object or list but holds another value; a null field counts as
+    absent. Run only once loading has failed, so valid loads pay nothing."""
+    kind, name = (dict, "an object") if isinstance(shape, dict) else (list, "a list")
+    if not isinstance(x, kind):
+        text = json.dumps(x)
+        raise ParseError(f"{path}: {where or 'document'} must be {name}, "
+                         f"got {text if len(text) <= 40 else text[:37] + '...'}")
+    if kind is dict:
+        for key, inner in shape.items():
+            if x.get(key) is not None:
+                _check_shape(x[key], inner, path, f"{where}.{key}".lstrip("."))
+    elif shape:
+        for k, item in enumerate(x):
+            _check_shape(item, shape[0], path, f"{where}[{k}]")
+
+
 def _real_texts(values: np.ndarray) -> np.ndarray:
     """The text of every float of a 1-D array, as an object array. Each
     distinct bit pattern is formatted once: keyed on the value instead,
@@ -379,15 +411,16 @@ def _validate_forest(schema: FeatureSchema, trees: Sequence[Tree]) -> None:
         raise ValidationError(problems)
 
 
-def _parse_json(text: str, path: str):
-    """Parse a JSON document, rejecting the non-standard ``NaN``,
+def _parse_json(path: str):
+    """Read and parse a JSON file, rejecting the non-standard ``NaN``,
     ``Infinity`` and ``-Infinity`` literals."""
 
     def reject(literal):
         raise ParseError(f"{path}: non-finite number {literal} is not allowed")
 
     try:
-        return json.loads(text, parse_constant=reject)
+        with open(path) as handle:
+            return json.load(handle, parse_constant=reject)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
 
@@ -398,8 +431,7 @@ def load_forest(path: str) -> ForestFile:
     Violations name the tree index and node id; parse failures report the
     line and column, or name the field.
     """
-    with open(path) as handle:
-        doc = _parse_json(handle.read(), path)
+    doc = _parse_json(path)
     try:
         schema = _schema_from_dict(doc["schema"], f"{path}: schema.")
         if "trees" in doc:
@@ -409,9 +441,11 @@ def load_forest(path: str) -> ForestFile:
         else:
             trees = [_tree_from_body(doc, schema, f"{path}: ")]
             metadata = {}
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (ParseError, KeyError, TypeError, ValueError, AttributeError) as e:
+        # a field of the wrong JSON type can fail far from where it is read
+        _check_shape(doc, _FILE_SHAPE, path)
+        if isinstance(e, ParseError):
+            raise
         raise ParseError(f"{path}: malformed document ({e})")
     # the parsed document goes before the validation arrays are made
     del doc
@@ -421,8 +455,7 @@ def load_forest(path: str) -> ForestFile:
 
 def load_schema(path: str) -> FeatureSchema:
     """Load a bare schema JSON file (the ``schema`` object on its own)."""
-    with open(path) as handle:
-        doc = _parse_json(handle.read(), path)
+    doc = _parse_json(path)
     try:
         return _schema_from_dict(doc.get("schema", doc), f"{path}: schema.")
     except (KeyError, TypeError, ValueError, AttributeError) as e:

@@ -188,13 +188,8 @@ class FeatureSchema:
 
     def decode_point(self, x: Sequence[float]) -> tuple:
         """Inverse of :meth:`encode_point`: level indices back to level names."""
-        out = []
-        for f, xj in zip(self.features, x):
-            if isinstance(f, NumericFeature):
-                out.append(float(xj))
-            else:
-                out.append(f.levels[int(xj)])
-        return tuple(out)
+        return tuple(float(xj) if isinstance(f, NumericFeature) else f.levels[int(xj)]
+                     for f, xj in zip(self.features, x))
 
 
 # ---------------------------------------------------------------------------
@@ -341,32 +336,19 @@ class Region:
         return cls(schema, full_box(schema))
 
     def lp_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-inequality rows ``A x <= b`` over the numeric subspace.
-
-        Box bounds and half-spaces are emitted with strict parts relaxed to
-        closed, which is what the LP machinery expects.
-        """
-        num = self.schema.numeric_indices
-        pos = {j: k for k, j in enumerate(num)}
-        rows, rhs = [], []
-        for j in num:
-            low, high, _ = self.constraints[j]
-            row = np.zeros(len(num))
-            row[pos[j]] = 1.0
-            rows.append(row.copy())
-            rhs.append(high)
-            row[pos[j]] = -1.0
-            rows.append(row)
-            rhs.append(-low)
-        for h, side in self.half_spaces:
-            c = np.asarray(h.coefficients, dtype=float)
-            if side is Side.LEFT:
-                rows.append(c)
-                rhs.append(h.offset)
-            else:
-                rows.append(-c)
-                rhs.append(-h.offset)
-        return np.array(rows), np.array(rhs)
+        """Closed-inequality rows ``A x <= b`` over the numeric subspace:
+        ``+x_j`` and then ``-x_j`` per numeric feature, then the half-spaces
+        in path order, a RIGHT one negated. Strict parts are relaxed to
+        closed, which is what the LP machinery expects."""
+        num, hs, box = self.schema.numeric_indices, self.half_spaces, self.constraints
+        d = len(num)
+        a, b = np.zeros((2 * d + len(hs), d)), np.empty(2 * d + len(hs))
+        a[np.arange(2 * d), np.arange(2 * d) // 2] = np.tile([1.0, -1.0], d)
+        b[: 2 * d] = [bound for j in num for bound in (box[j][1], -box[j][0])]
+        sign = np.array([1.0 if side is Side.LEFT else -1.0 for _, side in hs])
+        a[2 * d :] = sign[:, None] * np.reshape([h.coefficients for h, _ in hs], (-1, d))
+        b[2 * d :] = sign * [h.offset for h, _ in hs]
+        return a, b
 
     def split(self, split: Split) -> tuple[Optional["Region"], Optional["Region"]]:
         """The two sides of a split within this region, each None when empty.

@@ -453,6 +453,27 @@ def box_region(lows, highs):
     return Region.full(schema)
 
 
+def test_lp_rows_are_pinned():
+    """The rows of a box with a categorical feature between two numeric
+    ones, a LEFT and two RIGHT half-spaces: +x_j then -x_j per numeric
+    feature, then the half-spaces in path order, a RIGHT one negated;
+    the bytes pin the signs of zero entries too."""
+    schema = ta.FeatureSchema((ta.NumericFeature("x", -1.0, 2.0),
+                               ta.CategoricalFeature("c", ("a", "b")),
+                               ta.NumericFeature("y", 0.0, 3.0)))
+    box = ((-1.0, 1.5, True), frozenset({1}), (0.0, 3.0, False))
+    half_spaces = ((Hyperplane((0.0, 1.0), 2.0), Side.LEFT),
+                   (Hyperplane((1.0, -0.0), 0.0), Side.RIGHT),
+                   (Hyperplane((-0.5, 2.0), -1.25), Side.RIGHT))
+    a, b = Region(schema, box, half_spaces).lp_rows()
+    expected_a = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                           [0.0, 1.0], [-1.0, 0.0], [0.5, -2.0]])
+    expected_b = np.array([1.5, 1.0, 3.0, -0.0, 2.0, -0.0, 1.25])
+    for got, want in ((a, expected_a), (b, expected_b)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestHyperplaneLP:
     """Region.split of a hyperplane on boxes, against box vertex enumeration."""
 

@@ -27,6 +27,20 @@ def stump_json(split=None, value=None, feature=None) -> str:
     return json.dumps({"schema": {"features": features, "class_labels": None},
                        "nodes": nodes, "root": 0})
 
+
+def stump_with(*keys, to, forest=False) -> str:
+    """The stump of :func:`stump_json` with the field reached by ``keys``
+    set to ``to``; as a one-tree forest file first when ``forest``."""
+    doc = json.loads(stump_json())
+    if forest:
+        doc = {"schema": doc["schema"], "trees": [{"nodes": doc["nodes"], "root": 0}],
+               "metadata": {}}
+    field = doc
+    for key in keys[:-1]:
+        field = field[key]
+    field[keys[-1]] = to
+    return json.dumps(doc)
+
 GOLDEN_USAGE = """\
 usage: treealgebra [-h] COMMAND ...
 
@@ -274,6 +288,23 @@ class TestAtomicWrites:
         assert code == 2
         assert not out.exists()
 
+    def test_written_file_gets_the_mode_open_gives(self, tmp_path, stump4):
+        """0o666 less the umask for a new file, the old mode for a replaced one."""
+        path = tmp_path / "tree.json"
+        old = os.umask(0o022)
+        try:
+            io.save_tree(stump4, str(path))
+            assert path.stat().st_mode & 0o777 == 0o644
+            os.umask(0o077)
+            io.save_tree(stump4, str(tmp_path / "private.json"))
+            assert (tmp_path / "private.json").stat().st_mode & 0o777 == 0o600
+            path.chmod(0o640)
+            io.save_tree(stump4, str(path))
+            assert path.stat().st_mode & 0o777 == 0o640
+        finally:
+            os.umask(old)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["private.json", "tree.json"]
+
     @pytest.mark.parametrize("max_nodes", ["2", "5"])
     def test_budget_abort_prints_one_line_and_writes_nothing(self, workdir, capsys,
                                                              max_nodes):
@@ -497,6 +528,14 @@ class TestCli:
         assert io.read_matrix_csv(str(coords_path)).shape == (3, 2)
         assert svg_path.read_text().startswith("<svg")
 
+    def test_mds_svg_of_one_dim_exits_2_before_writing(self, workdir, capsys):
+        (workdir / "D.csv").write_text("0,1\n1,0\n")
+        out, svg = workdir / "coords.csv", workdir / "cloud.svg"
+        assert run_cli(["mds", "--matrix", str(workdir / "D.csv"), "--dims", "1",
+                        "--out", str(out), "--svg", str(svg)]) == 2
+        assert capsys.readouterr() == ("", 'code=DOMAIN msg="--svg needs at least 2 dims"\n')
+        assert not out.exists() and not svg.exists()
+
     def test_forest_dist(self, workdir, capsys):
         code = run_cli(
             ["forest-dist", "--f", str(workdir / "stump4.json"), "--g", str(workdir / "stump6.json")]
@@ -641,6 +680,31 @@ class TestCli:
         (stump_json(feature={"name": 1, "kind": "numeric", "low": 0.0, "high": 1.0}),
          "dist-matrix --forest {} --out {out}",
          'PARSE msg="{}: schema.features[1].name must be a string, got 1"'),
+        ("[1, 2]", "validate {}", 'PARSE msg="{}: document must be an object, got [1, 2]"'),
+        (stump_with("nodes", 1, "value", to=5), "validate {}",
+         'PARSE msg="{}: nodes[1].value must be an object, got 5"'),
+        (stump_with("nodes", 0, "split", to=5), "validate {}",
+         'PARSE msg="{}: nodes[0].split must be an object, got 5"'),
+        (stump_with("nodes", 2, to="leaf"), "validate {}",
+         'PARSE msg="{}: nodes[2] must be an object, got "leaf""'),
+        (stump_json(value={"type": "tuple", "values": [None], "source_ids": [0]}), "validate {}",
+         'PARSE msg="{}: nodes[1].value.values[0] must be an object, got null"'),
+        (stump_json(split={"type": "hyperplane", "coeffs": 1.0, "offset": 1.0}), "validate {}",
+         'PARSE msg="{}: nodes[0].split.coeffs must be a list, got 1.0"'),
+        (stump_json(value={"type": "class_probs", "probs": 1.0}), "validate {}",
+         'PARSE msg="{}: nodes[1].value.probs must be a list, got 1.0"'),
+        (stump_json(split={"type": "categorical", "feature": 0, "left_levels": "ab"}),
+         "validate {}", 'PARSE msg="{}: nodes[0].split.left_levels must be a list, got "ab""'),
+        (stump_with("nodes", to={"0": {"id": 0}}), "validate {}",
+         'PARSE msg="{}: nodes must be a list, got {{"0": {{"id": 0}}}}"'),
+        (stump_with("trees", to=5, forest=True), "validate {}",
+         'PARSE msg="{}: trees must be a list, got 5"'),
+        (stump_with("metadata", to=[1], forest=True), "validate {}",
+         'PARSE msg="{}: metadata must be an object, got [1]"'),
+        (stump_with("schema", "features", to=5), "dist --a {} --b {stump4}",
+         'PARSE msg="{}: schema.features must be a list, got 5"'),
+        (stump_with("trees", 0, "nodes", 1, "value", to="x" * 50, forest=True), "validate {}",
+         'PARSE msg="{}: trees[0].nodes[1].value must be an object, got "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx..."'),
     ])
     def test_malformed_or_non_finite_input_exits_2(self, workdir, capsys, text, command, err):
         """A bad input file gets one diagnostic line and exit 2, and no

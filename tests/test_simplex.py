@@ -1,9 +1,11 @@
 """The dense Phase-I simplex: its empty/nonempty verdict against box vertex
-enumeration, and the point it returns against every row."""
+enumeration, the point it returns against every row, and that point bit
+for bit on degenerate systems."""
 
 import itertools
 
 import numpy as np
+import pytest
 
 from treealgebra import simplex
 
@@ -98,3 +100,48 @@ def test_random_boxes_with_cut_rows(rng):
         a2 = np.vstack([a, cuts])
         b2 = np.append(b, cuts @ center)
         assert_point_of(simplex.feasible(a2, b2), a2, b2)
+
+
+def stacked(lows, highs, rows, rhs):
+    a, b = box_rows(lows, highs)
+    return np.vstack([a, rows]), np.append(b, rhs)
+
+
+# Degenerate systems whose vertex Bland's tie rule picks, with the exact
+# point (``float.hex`` per coordinate) the solver returns, or None.
+PINNED = {
+    # x + y >= 1.3, 2x - y <= 0.5 and x - 3y <= -1.5 all pass through (0.6, 0.7)
+    "three_rows_one_vertex": (
+        stacked([0.0, 0.0], [1.0, 1.0], [[-1.0, -1.0], [2.0, -1.0], [1.0, -3.0]],
+                [-1.3, 0.5, -1.5]),
+        ["0x1.3333333333333p-1", "0x1.6666666666667p-1"]),
+    # four rows through (0.5, 0.25, 1.0)
+    "four_rows_one_vertex_3d": (
+        stacked([-0.5, -0.25, 0.0], [1.5, 0.75, 2.0],
+                [[-1.0, -1.0, -1.0], [-1.0, 0.0, -2.0], [0.0, -3.0, -1.0], [-2.0, -1.0, 0.0]],
+                [-1.75, -2.5, -1.75, -1.25]),
+        ["0x1.0000000000000p-1", "0x1.0000000000001p-2", "0x1.0000000000000p+0"]),
+    # x + y = 0 twice over, y - x >= 0.5 twice, and an all-zero row
+    "duplicate_rows_zero_rhs": (
+        stacked([-1.0, -1.0], [1.0, 1.0],
+                [[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, -1.0], [0.0, 0.0]],
+                [0.0, 0.0, 0.0, -0.5, -0.5, 0.0]),
+        ["-0x1.0000000000000p-2", "0x1.0000000000000p-2"]),
+    # every box row of a negative box and three cuts need artificials
+    "negative_rhs_artificials": (
+        stacked([-5.0, -3.0, -2.0], [-1.0, 4.0, 3.0],
+                [[0.3, -0.7, 1.1], [-1.0, -1.0, 0.0], [0.0, 1.0, -2.0]], [-0.2, -0.9, -1.7]),
+        ["-0x1.1c71c71c71c74p+1", "0x1.8fa4fa4fa4fa8p+1", "0x1.349f49f49f4a0p+1"]),
+    # x <= 0.25 and x >= 0.25 + 2e-9: empty by twice the tolerance
+    "infeasible_by_2e-9": (stacked([0.0], [1.0], [[1.0], [-1.0]], [0.25, -(0.25 + 2e-9)]), None),
+    # the same gap of 5e-10 lies within the tolerance
+    "within_tol_5e-10": (stacked([0.0], [1.0], [[1.0], [-1.0]], [0.25, -(0.25 + 5e-10)]),
+                         ["0x1.0000000000000p-2"]),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_degenerate_systems_end_on_pinned_point(name):
+    (a, b), expected = PINNED[name]
+    x = simplex.feasible(a, b)
+    assert (None if x is None else [float(v).hex() for v in x]) == expected
