@@ -14,15 +14,18 @@ becomes a leaf. So when both splits cut, the first tree's split always wins
 (a fixed tie-break that makes the output deterministic and keeps the rows
 processed within ``n1 * n2``).
 
-Axis-aligned regions are rows of one box matrix, two bounds per numeric
-feature, plus a bitmask of admissible levels when some split is
-categorical, so a round decides every row with a few array operations.
-A row that meets a hyperplane instead keeps a :class:`Region` and the sides
+A pair of trees is overlaid in one of two ways, chosen by the splits of
+its node table. Without a hyperplane, the regions are rows of one box
+matrix, two bounds per numeric feature, plus a bitmask of admissible levels
+when some split is categorical, so a round decides every row with a few
+array operations. With a hyperplane anywhere in either tree, every row
+keeps a :class:`Region`, from :meth:`Region.full` at the root, and the sides
 of its splits that are already decided, and is decided one row at a time by
 exactly the :meth:`Region.split` calls of the depth-first overlay, so no
-region decides a split twice. Nodes are numbered at the end in the order a
-depth-first build gives them; :func:`treealgebra.oracle.combine_many_reference`
-is that build, the reference the tests compare with array for array.
+region decides a split twice and the LPs are the reference's. Nodes are
+numbered at the end in the order a depth-first build gives them;
+:func:`treealgebra.oracle.combine_many_reference` is that build, the
+reference the tests compare with array for array.
 """
 
 from __future__ import annotations
@@ -35,11 +38,10 @@ import numpy as np
 from .errors import DomainError, LeafKindError, SchemaError
 from .trees import (
     _WORD,
-    CATEGORICAL,
-    HYPERPLANE,
     Hyperplane,
     Leaves,
     NodeTable,
+    Region,
     Tree,
     TreeBuilder,
     check_node_budget,
@@ -153,22 +155,20 @@ class _Overlay:
         left[at], right[at] = new[1::2], new[2::2]
         parent[new[1::2]] = parent[new[2::2]] = at
         kind, feature, threshold = np.zeros(n, dtype=np.int8), np.full(n, -1), np.full(n, np.nan)
-        kind[at], feature[at], threshold[at] = (a[sources] for a in (
-            nodes.kind, nodes.feature, nodes.threshold))
-        tabled = np.flatnonzero(kind[at] >= CATEGORICAL)
-        tabled = tabled[np.argsort(at[tabled])]
-        side = dict(zip(at[tabled].tolist(), nodes.splits(sources[tabled])))
+        split = np.full(n, None, dtype=object)
+        kind[at], feature[at], threshold[at], split[at] = (a[sources] for a in (
+            nodes.kind, nodes.feature, nodes.threshold, nodes.split))
         w, rows = (np.concatenate(c) for c in zip(*self.leaves))
         order = np.argsort(pre[w])
         leaf = np.full(n, -1, dtype=np.int64)
         leaf[new[w[order]]] = np.arange(len(w))
         t1, t2 = nodes.trees
         return Tree(t1.schema, 0, np.arange(n), left, right, parent, kind, feature, threshold,
-                    side, leaf, _pack_pairs(t1, t2, second, *rows[order].T))
+                    split, leaf, _pack_pairs(t1, t2, second, *rows[order].T))
 
 
 def _box_round(nodes: NodeTable, out: _Overlay, pairs, w, box, masks):
-    """One round over the rows whose regions are boxes: node pairs
+    """One round over rows whose regions are boxes: node pairs
     ``pairs[r]`` (an (n, 2) matrix) for output nodes ``w[r]``, with the
     boxes ``box[r]`` of :class:`NodeTable` and the level masks ``masks[r]``
     (None when no split is categorical). Returns the next rows."""
@@ -201,11 +201,11 @@ def _box_round(nodes: NodeTable, out: _Overlay, pairs, w, box, masks):
 
 
 def _region_round(nodes: NodeTable, out: _Overlay, rows: list) -> list:
-    """One round over the rows that keep a :class:`Region`, one row at a
-    time: ``(u, v, w, region, su, sv)``, where ``su``/``sv`` are the sides
-    of ``u``'s/``v``'s split in the region once decided. The splits are
-    decided by exactly the :meth:`Region.split` calls of the depth-first
-    overlay. Returns the next rows."""
+    """One round over rows whose regions are :class:`Region` objects, one
+    row at a time: ``(u, v, w, region, su, sv)``, where ``su``/``sv`` are
+    the sides of ``u``'s/``v``'s split in the region once decided. The
+    splits are decided by exactly the :meth:`Region.split` calls of the
+    depth-first overlay. Returns the next rows."""
     left, right, leaf, splits = nodes.lists
 
     def descend(i, sides):
@@ -259,28 +259,22 @@ def _region_round(nodes: NodeTable, out: _Overlay, rows: list) -> list:
 
 def _combine(t1: Tree, t2: Tree, budget: CombineBudget, second: int) -> Tree:
     """The overlay of two trees, with the leaf table of :func:`_pack_pairs`,
-    one frontier of rows at a time."""
+    one frontier of rows at a time: rounds of :class:`Region` rows when a
+    split of either tree is a hyperplane, else rounds of box rows."""
     nodes, out = NodeTable((t1, t2)), _Overlay(budget.max_nodes)
-    pairs = np.array([[t1.root_pos, t2.root_pos + nodes.starts[1]]])
-    w = np.zeros(1, dtype=np.int64)
+    u, v = t1.root_pos, t2.root_pos + nodes.starts[1]
+    if nodes.hyperplanes:
+        rows = [(u, v, 0, Region.full(t1.schema), None, None)]
+        while rows:
+            budget.calls_made += len(rows)
+            rows = _region_round(nodes, out, rows)
+        return out.tree(nodes, second)
+    pairs, w = np.array([[u, v]]), np.zeros(1, dtype=np.int64)
     box = nodes.full_box()
     masks = np.full((1, nodes.words), _WORD, dtype=np.uint64) if nodes.categorical else None
-    regions: list = []
-    while len(pairs) or regions:
-        budget.calls_made += len(pairs) + len(regions)
-        if nodes.hyperplanes and len(pairs):
-            # a row that meets a hyperplane keeps a Region from now on
-            meets = (nodes.kind[pairs] == HYPERPLANE).any(axis=1)
-            for r in np.flatnonzero(meets).tolist():
-                region = nodes.region(box[r], None if masks is None else masks[r])
-                regions.append((*pairs[r].tolist(), int(w[r]), region, None, None))
-            if meets.any():
-                pairs, w, box = pairs[~meets], w[~meets], box[~meets]
-                masks = None if masks is None else masks[~meets]
-        if len(pairs):
-            pairs, w, box, masks = _box_round(nodes, out, pairs, w, box, masks)
-        if regions:
-            regions = _region_round(nodes, out, regions)
+    while len(pairs):
+        budget.calls_made += len(pairs)
+        pairs, w, box, masks = _box_round(nodes, out, pairs, w, box, masks)
     return out.tree(nodes, second)
 
 

@@ -234,15 +234,16 @@ def _tree_from_body(doc: dict, schema: FeatureSchema, where: str) -> Tree:
     entries = doc["nodes"]
     ids = _ints([e["id"] for e in entries], where, "nodes[{}].id", 0)
     if len(set(ids)) != len(ids):
-        seen: set = set()  # the first id seen twice
-        raise ParseError(f"duplicate node id {next(i for i in ids if i in seen or seen.add(i))}")
+        seen: set = set()  # the first entry whose id an earlier entry has
+        k = next(k for k, i in enumerate(ids) if i in seen or seen.add(i))
+        raise ParseError(f"{where}nodes[{k}].id: duplicate node id {ids[k]}")
     links = []
     for side_name in ("left", "right"):
         children = [e.get(side_name) for e in entries]
         _ints([0 if x is None else x for x in children], where, f"nodes[{{}}].{side_name}", 0)
         links.append([-1 if x is None else x for x in children])
     n = len(entries)
-    kind, feature, threshold, side = [0] * n, [-1] * n, [np.nan] * n, {}
+    kind, feature, threshold, split = [0] * n, [-1] * n, [np.nan] * n, [None] * n
     at = [k for k, e in enumerate(entries) if e.get("split") is not None]
     numeric = [k for k in at if entries[k]["split"].get("type") == "numeric"]
     features = _ints([entries[k]["split"]["feature"] for k in numeric], where,
@@ -254,9 +255,9 @@ def _tree_from_body(doc: dict, schema: FeatureSchema, where: str) -> Tree:
     for k in at:
         d = entries[k]["split"]
         if d.get("type") != "numeric":
-            side[k] = split = _split_from_dict(d, f"{where}nodes[{k}].split")
-            kind[k] = CATEGORICAL if isinstance(split, CategoricalSubset) else HYPERPLANE
-            feature[k] = getattr(split, "feature", -1)
+            split[k] = s = _split_from_dict(d, f"{where}nodes[{k}].split")
+            kind[k] = CATEGORICAL if isinstance(s, CategoricalSubset) else HYPERPLANE
+            feature[k] = getattr(s, "feature", -1)
     at = [k for k, e in enumerate(entries) if e.get("value") is not None]
     leaf = [-1] * n
     for row, k in enumerate(at):
@@ -266,7 +267,7 @@ def _tree_from_body(doc: dict, schema: FeatureSchema, where: str) -> Tree:
     if leaves is None:
         leaves = _pack([_value_from_dict(d, f"{where}nodes[{k}].value") for k, d in zip(at, docs)])
     return _assemble(schema, _int(doc["root"], where, "root"), ids, *links, kind, feature,
-                     threshold, side, leaf, leaves)
+                     threshold, split, leaf, leaves)
 
 
 # The objects and lists of a tree or forest file: an object maps keys to the
@@ -357,7 +358,7 @@ def _body_text(tree: Tree) -> str:
     at = np.flatnonzero(tree.kind > NUMERIC)
     for i, nid, k, left, right in zip(at.tolist(), tree.ids[at].tolist(), tree.kind[at].tolist(),
                                       _links(tree.left[at]), _links(tree.right[at])):
-        s = tree.side[i]
+        s = tree.split[i]
         split = ('{"type": "categorical", "feature": %d, "left_levels": [%s]}' % (
             s.feature, ", ".join(map(repr, sorted(s.left_levels)))) if k == CATEGORICAL else
             '{"type": "hyperplane", "coeffs": %s, "offset": %s}' % (
@@ -454,11 +455,15 @@ def load_forest(path: str) -> ForestFile:
 
 
 def load_schema(path: str) -> FeatureSchema:
-    """Load a bare schema JSON file (the ``schema`` object on its own)."""
+    """Load a bare schema JSON file (the ``schema`` object on its own, or
+    in a document under ``schema``); a field of the wrong JSON type is
+    named as ``schema.`` and its path."""
     doc = _parse_json(path)
     try:
         return _schema_from_dict(doc.get("schema", doc), f"{path}: schema.")
     except (KeyError, TypeError, ValueError, AttributeError) as e:
+        if isinstance(doc, dict):
+            _check_shape(doc.get("schema", doc), _FILE_SHAPE["schema"], path, "schema")
         raise ParseError(f"{path}: malformed document ({e})")
 
 

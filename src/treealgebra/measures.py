@@ -150,8 +150,9 @@ def _leaf_table(trees: Sequence[Tree]) -> _LeafTable:
     schema = trees[0].schema
     boxes, values, offsets = [], [], [0]
     for tree in trees:
-        left, right, leaf, kind, feature, threshold = (a.tolist() for a in (
-            tree.left_pos, tree.right_pos, tree.leaf, tree.kind, tree.feature, tree.threshold))
+        left, right, leaf, kind, feature, threshold, split = (a.tolist() for a in (
+            tree.left_pos, tree.right_pos, tree.leaf, tree.kind, tree.feature, tree.threshold,
+            tree.split))
         rows = []
         stack = [(tree.root_pos, full_box(schema))]
         while stack:
@@ -164,7 +165,7 @@ def _leaf_table(trees: Sequence[Tree]) -> _LeafTable:
                 raise UnsupportedGeometryError(
                     "uniform measure of a region with hyperplane constraints"
                 )
-            cut = threshold[i] if kind[i] == NUMERIC else tree.side[i].left_levels
+            cut = threshold[i] if kind[i] == NUMERIC else split[i].left_levels
             left_box, right_box, _ = box_sides(box, feature[i], cut)
             stack.append((right[i], right_box))
             stack.append((left[i], left_box))

@@ -543,7 +543,7 @@ def combine_many_reference(
 ) -> Tree:
     """:func:`~treealgebra.combine.combine_many` by the depth-first overlay,
     one output node at a time: the reference for the frontier overlay,
-    which must give the same node arrays, side tables and leaf tables."""
+    which must give the same node arrays, split columns and leaf tables."""
     budget = budget if budget is not None else CombineBudget()
     result = _tuple_tree(trees[0])
     for m in range(1, len(trees)):
@@ -611,7 +611,8 @@ def _node_faults(tree: Tree) -> tuple[list[str], list[bool]]:
     back, and leaves with a value. Leaf values are checked a whole table at
     a time (:func:`_value_rules`), a ragged table's rows one at a time; only
     a flagged row is looked at again."""
-    parent, feature, threshold = (a.tolist() for a in (tree.parent, tree.feature, tree.threshold))
+    parent, feature, threshold, split = (a.tolist() for a in (
+        tree.parent, tree.feature, tree.threshold, tree.split))
     leaves, schema = tree.leaves, tree.schema
     rules = (_value_rules(leaves, schema) if leaves.ragged is None else
              [(np.ones(len(leaves.ragged), dtype=bool),
@@ -636,8 +637,7 @@ def _node_faults(tree: Tree) -> tuple[list[str], list[bool]]:
                     v.append(f"node {child}: parent link does not point to {nid}")
                     ok = False
             if ok:
-                faults = _split_faults(kind, feature[i], threshold[i], tree.side.get(i),
-                                       tree.schema)
+                faults = _split_faults(kind, feature[i], threshold[i], split[i], tree.schema)
                 v.extend(f"node {nid}: {text}" for text in faults)
                 ok = not faults
             well.append(ok)

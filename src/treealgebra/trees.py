@@ -249,7 +249,8 @@ def _goes_left_batch(
     rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Route the rows of an encoded matrix (all rows, or the index array
-    ``rows``) through one split, gathering only the columns it reads.
+    ``rows``) through one categorical or hyperplane split, gathering only
+    the columns it reads.
 
     A hyperplane sums ``c_k * x_k`` left to right, one column at a time, so
     each row gets the same bits however many other rows are routed with it
@@ -261,8 +262,6 @@ def _goes_left_batch(
             acc = acc + c * (X[:, j] if rows is None else X[rows, j])
         return acc <= split.offset
     col = X[:, split.feature] if rows is None else X[rows, split.feature]
-    if isinstance(split, NumericThreshold):
-        return col <= split.threshold
     return np.isin(col.astype(np.int64), np.fromiter(split.left_levels, dtype=np.int64))
 
 
@@ -574,10 +573,11 @@ class Tree:
     ``ids`` are the node ids; ``left``, ``right`` and ``parent`` hold node
     ids, -1 for none. ``kind`` is each node's split kind (0 for none, else
     :data:`NUMERIC`, :data:`CATEGORICAL` or :data:`HYPERPLANE`). A numeric
-    split is ``feature`` and ``threshold``; ``side`` maps the position of
-    every categorical or hyperplane node to its split, and ``feature`` holds
-    a categorical split's feature too. ``leaf`` is each node's row in
-    ``leaves``, -1 for a node without a value.
+    split is ``feature`` and ``threshold``; ``split`` is an object column
+    that holds the split of every categorical or hyperplane node and None
+    elsewhere, and ``feature`` holds a categorical split's feature too.
+    ``leaf`` is each node's row in ``leaves``, -1 for a node without a
+    value.
     """
 
     schema: FeatureSchema
@@ -589,7 +589,7 @@ class Tree:
     kind: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
-    side: dict
+    split: np.ndarray
     leaf: np.ndarray
     leaves: Leaves
     # positions of the root and of every node's children, -1 where the
@@ -616,9 +616,8 @@ class Tree:
 
     def splits(self) -> Sequence[Optional[Split]]:
         """The split object of every node, None for a node without one."""
-        return [NumericThreshold(f, t) if k == NUMERIC else self.side.get(i)
-                for i, (k, f, t) in enumerate(zip(self.kind.tolist(), self.feature.tolist(),
-                                                  self.threshold.tolist()))]
+        return [NumericThreshold(f, t) if k == NUMERIC else s for k, f, t, s in zip(
+            self.kind.tolist(), self.feature.tolist(), self.threshold.tolist(), self.split)]
 
 
 def _positions(ids: np.ndarray, children: np.ndarray) -> np.ndarray:
@@ -633,21 +632,23 @@ def _positions(ids: np.ndarray, children: np.ndarray) -> np.ndarray:
 
 
 def _split_arrays(splits: Sequence[Optional[Split]]):
-    """Kind, feature and threshold arrays and the side table of some splits."""
+    """Kind, feature, threshold and split columns of some splits."""
     return (np.array([_KIND_CODES.get(type(s), 0) for s in splits], dtype=np.int8),
             np.array([getattr(s, "feature", -1) for s in splits], dtype=np.int64),
             np.array([getattr(s, "threshold", np.nan) for s in splits], dtype=float),
-            {i: s for i, s in enumerate(splits) if isinstance(s, (CategoricalSubset, Hyperplane))})
+            np.fromiter((s if isinstance(s, (CategoricalSubset, Hyperplane)) else None
+                         for s in splits), dtype=object, count=len(splits)))
 
 
-def _assemble(schema, root, ids, left, right, kind, feature, threshold, side, leaf,
+def _assemble(schema, root, ids, left, right, kind, feature, threshold, split, leaf,
               leaves) -> Tree:
     """A tree from per-node lists in any order, e.g. a file's: sorted by
     id, with each node's parent the last node in the given order that names
     it as a child. Ids must be distinct and non-negative."""
     as_int = partial(np.array, dtype=np.int64)
     columns = [as_int(ids), as_int(left), as_int(right), np.array(kind, dtype=np.int8),
-               as_int(feature), np.array(threshold, dtype=float), as_int(leaf)]
+               as_int(feature), np.array(threshold, dtype=float),
+               np.fromiter(split, dtype=object, count=len(split)), as_int(leaf)]
     ids = columns[0]
     # every child link in the given order, left before right, and its node
     links, namer = np.empty(2 * len(ids), dtype=np.int64), np.repeat(ids, 2)
@@ -655,8 +656,7 @@ def _assemble(schema, root, ids, left, right, kind, feature, threshold, side, le
     if not (ids[1:] > ids[:-1]).all():
         order = np.argsort(ids)
         columns = [c[order] for c in columns]
-        side = {r: side[k] for r, k in enumerate(order.tolist()) if k in side}
-    ids, left, right, kind, feature, threshold, leaf = columns
+    ids, left, right, kind, feature, threshold, split, leaf = columns
     # a stable sort keeps the links to each child in the given order
     pos = _positions(ids, links)
     by = np.argsort(pos, kind="stable")
@@ -665,7 +665,7 @@ def _assemble(schema, root, ids, left, right, kind, feature, threshold, side, le
     last[:-1] &= pos[1:] != pos[:-1]
     parent = np.full(len(ids), -1, dtype=np.int64)
     parent[pos[last]] = namer[last]
-    return Tree(schema, root, ids, left, right, parent, kind, feature, threshold, side, leaf,
+    return Tree(schema, root, ids, left, right, parent, kind, feature, threshold, split, leaf,
                 leaves)
 
 
@@ -760,9 +760,10 @@ def evaluate(tree: Tree, point: Sequence) -> LeafValue:
 
 def _route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     """The position of the leaf that every row of an encoded (n, p) matrix
-    reaches."""
-    left, right = (a.tolist() for a in (tree.left_pos, tree.right_pos))
-    splits = tree.splits()
+    reaches. A numeric split compares its column with its threshold; only
+    the other kinds read their split objects."""
+    left, right, kind, feature, threshold = (a.tolist() for a in (
+        tree.left_pos, tree.right_pos, tree.kind, tree.feature, tree.threshold))
     out = np.empty(len(X), dtype=np.int64)
     stack = [(tree.root_pos, np.arange(len(X)))]
     while stack:
@@ -772,7 +773,8 @@ def _route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
         if left[i] < 0:
             out[idx] = i
             continue
-        go = _goes_left_batch(splits[i], X, tree.schema, idx)
+        go = (X[idx, feature[i]] <= threshold[i] if kind[i] == NUMERIC
+              else _goes_left_batch(tree.split[i], X, tree.schema, idx))
         stack.append((right[i], idx[~go]))
         stack.append((left[i], idx[go]))
     return out
@@ -804,9 +806,10 @@ _WORD = (1 << 64) - 1
 
 class NodeTable:
     """The nodes of some trees on one schema in one table, each tree's
-    positions after the previous tree's (from ``starts``): children as
-    table positions, each tree's own leaf rows, and splits, with ``side``
-    holding split objects by position.
+    positions after the previous tree's (from ``starts``): the trees' node
+    columns stacked, with children as table positions and each tree's own
+    leaf rows. Boxes and level masks are derived from these columns; a
+    region with half-spaces is left to :class:`Region`.
 
     A box is a row of ``2 * slots`` floats, two blocks of one slot per
     numeric feature plus a spare slot: the bound ``g`` below which a
@@ -825,10 +828,8 @@ class NodeTable:
         offset = np.repeat(self.starts, sizes)
         self.left, self.right = (np.where(p >= 0, p + offset, -1)
                                  for p in (stacked("left_pos"), stacked("right_pos")))
-        self.leaf, self.kind, self.feature, self.threshold = map(
-            stacked, ("leaf", "kind", "feature", "threshold"))
-        self.side = {s + i: split for s, t in zip(self.starts, trees)
-                     for i, split in t.side.items()}
+        self.leaf, self.kind, self.feature, self.threshold, self.split = map(
+            stacked, ("leaf", "kind", "feature", "threshold", "split"))
         numeric = schema.numeric_indices
         self.slots = len(numeric) + 1
         slot_of = np.full(schema.n_features + 1, len(numeric))
@@ -854,7 +855,7 @@ class NodeTable:
         ``proper``: whether a split sends some, not all, levels left."""
         pos = (self.kind == CATEGORICAL).nonzero()[0]
         masks, proper, cache = [], [], {}
-        for split in self.splits(pos):
+        for split in self.split[pos].tolist():
             j, levels = key = split.feature, split.left_levels
             if key not in cache:
                 n = len(schema.features[j].levels) if j in self.offsets else 0
@@ -904,30 +905,12 @@ class NodeTable:
             other = self.on_sides[src, self.words:] if left else self.on_sides[src, :self.words]
             masks[rows] &= ~other
 
-    def region(self, box: np.ndarray, mask: Optional[np.ndarray]) -> Region:
-        """The :class:`Region` of a box and its level mask (None: every
-        level)."""
-        schema = self.trees[0].schema
-        g, hi = box.reshape(2, self.slots).tolist()
-        bits = -1 if mask is None else sum(w << (64 * k) for k, w in enumerate(mask.tolist()))
-        cons = [frozenset(x for x in range(len(f.levels)) if bits >> (self.offsets[j] + x) & 1)
-                if j in self.offsets else None for j, f in enumerate(schema.features)]
-        for k, j in enumerate(schema.numeric_indices):
-            low = schema.features[j].low
-            closed = g[k] < low
-            cons[j] = (low if closed else g[k], hi[k], closed)
-        return Region(schema, tuple(cons))
-
     @cached_property
     def lists(self) -> tuple[list, list, list, list]:
         """The child positions, leaf rows and split objects as lists, for
         one row at a time."""
         return (self.left.tolist(), self.right.tolist(), self.leaf.tolist(),
                 [s for t in self.trees for s in t.splits()])
-
-    def splits(self, pos: np.ndarray) -> list:
-        """The split objects of some categorical or hyperplane nodes."""
-        return list(map(self.side.__getitem__, pos.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -1048,7 +1031,7 @@ def check_trees(trees: Sequence[Tree]) -> list[list[str]]:
                       (kind == CATEGORICAL) & ~nodes.proper)
     at = (kind == HYPERPLANE).nonzero()[0]
     faulty[at] = [len(h.coefficients) != len(schema.numeric_indices)
-                  or not all(map(isfinite, h.coefficients + (h.offset,))) for h in nodes.splits(at)]
+                  or not all(map(isfinite, h.coefficients + (h.offset,))) for h in nodes.split[at].tolist()]
     sound = np.where(linked, (kind > 0) & (leaf < 0) & ~faulty,
                      (left < 0) & (right < 0) & (leaf >= 0) & (kind == 0))
     root_pos = np.array([t.root_pos for t in trees])

@@ -167,6 +167,10 @@ class TestCombineMany:
                 trees.append(b.build())
             assert ta.combine_many(trees).n_nodes == 2 ** (m + 1) - 1
 
+    def test_empty_fold_is_refused(self):
+        with pytest.raises(ta.DomainError, match="^combine_many needs at least one tree$"):
+            ta.combine_many([])
+
 
 class TestAffineCombination:
     def test_scaling(self, stump4):
@@ -328,13 +332,14 @@ class TestCombineProperties:
 
 
 def assert_same_overlay(got, want):
-    """Equal node arrays, side tables and leaf tables."""
+    """Equal node arrays, split columns and leaf tables."""
     for name in ("ids", "left", "right", "parent", "kind", "feature", "threshold", "leaf"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b, equal_nan=name == "threshold"), name
     assert got.root == want.root
-    assert got.side == want.side
+    assert got.split.dtype == want.split.dtype == object
+    assert got.split.tolist() == want.split.tolist()
     assert (got.leaves.kind, got.leaves.entry) == (want.leaves.kind, want.leaves.entry)
     assert np.array_equal(got.leaves.values, want.leaves.values)
     assert np.array_equal(got.leaves.sources, want.leaves.sources)

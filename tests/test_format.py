@@ -177,8 +177,16 @@ class TestStrictNumbers:
     def test_duplicate_node_id_is_named(self, tmp_path, stump4):
         path = tmp_path / "t.json"
         path.write_text(stump_text(stump4).replace('{"id": 2, ', '{"id": 1, '))
-        with pytest.raises(ta.ParseError, match="^duplicate node id 1$"):
+        with pytest.raises(ta.ParseError) as err:
             io.load_forest(str(path))
+        assert str(err.value) == f"{path}: nodes[2].id: duplicate node id 1"
+        # in a forest file the field is under its tree
+        doc = json.loads(path.read_text())
+        doc = {"schema": doc["schema"], "trees": [{"nodes": doc["nodes"], "root": 0}]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ta.ParseError) as err:
+            io.load_forest(str(path))
+        assert str(err.value) == f"{path}: trees[0].nodes[2].id: duplicate node id 1"
 
     @pytest.mark.parametrize(
         "old, new, message",

@@ -41,6 +41,10 @@ def stump_with(*keys, to, forest=False) -> str:
     field[keys[-1]] = to
     return json.dumps(doc)
 
+# a forest file of two stumps
+TWO_STUMPS = stump_with("trees", to=[{"nodes": json.loads(stump_json())["nodes"], "root": 0}] * 2,
+                        forest=True)
+
 GOLDEN_USAGE = """\
 usage: treealgebra [-h] COMMAND ...
 
@@ -278,6 +282,15 @@ class TestAtomicWrites:
     def test_no_temp_files_left_behind(self, workdir):
         names = {p.name for p in workdir.iterdir()}
         assert not any(n.startswith(".tmp-") for n in names)
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        # a lone surrogate has no UTF-8 encoding, so the write itself fails
+        with pytest.raises(UnicodeEncodeError):
+            io.write_text_atomic(str(path), "new \ud800\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert path.read_text() == "old\n"
 
     def test_failed_run_leaves_no_output(self, workdir):
         out = workdir / "never.json"
@@ -705,6 +718,24 @@ class TestCli:
          'PARSE msg="{}: schema.features must be a list, got 5"'),
         (stump_with("trees", 0, "nodes", 1, "value", to="x" * 50, forest=True), "validate {}",
          'PARSE msg="{}: trees[0].nodes[1].value must be an object, got "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx..."'),
+        ('{"features": 5}', "import --table {table} --schema {} --out {out}",
+         'PARSE msg="{}: schema.features must be a list, got 5"'),
+        ('{"features": [5]}', "import --table {table} --schema {} --out {out}",
+         'PARSE msg="{}: schema.features[0] must be an object, got 5"'),
+        ("0,1,2\n1,0,2\n", "mds --matrix {} --dims 1 --out {out}",
+         'DOMAIN msg="distance matrix must be square"'),
+        ("0,-1\n-1,0\n", "mds --matrix {} --dims 1 --out {out}",
+         'DOMAIN msg="distance matrix has negative entries"'),
+        ("0,1\n1,0\n", "mds --matrix {} --dims 3 --out {out}", 'DOMAIN msg="dims must be in [1, 2]"'),
+        ("0,1\n1,0\n", "mds --matrix {} --dims 0 --out {out}", 'DOMAIN msg="dims must be in [1, 2]"'),
+        (stump_json(), "dist --a {stump4} --b {stump6} --measure empirical",
+         'DOMAIN msg="--measure empirical needs --data"'),
+        (TWO_STUMPS, "dist --a {} --b {stump4}", 'DOMAIN msg="{} holds 2 trees, expected 1"'),
+        (TWO_STUMPS, "corr --a {stump4} --b {}", 'DOMAIN msg="{} holds 2 trees, expected 1"'),
+        (stump_json(feature={"name": "z", "kind": "numeric", "low": 0.0, "high": 10.0}),
+         "dist --a {} --b {stump4}", 'DOMAIN msg="the two trees use different schemas"'),
+        (stump_json(feature={"name": "z", "kind": "numeric", "low": 0.0, "high": 10.0}),
+         "forest-dist --f {three} --g {}", 'DOMAIN msg="the two forests use different schemas"'),
     ])
     def test_malformed_or_non_finite_input_exits_2(self, workdir, capsys, text, command, err):
         """A bad input file gets one diagnostic line and exit 2, and no

@@ -229,6 +229,12 @@ class TestForestDistance:
             math.sqrt(0.2), abs=1e-12
         )
 
+    @pytest.mark.parametrize("f_empty", [True, False])
+    def test_empty_forest_is_refused(self, stump4, uniform, f_empty):
+        f, g = ([], [stump4]) if f_empty else ([stump4], [])
+        with pytest.raises(ta.DomainError, match="^forest_distance needs nonempty forests$"):
+            ta.forest_distance(f, g, uniform)
+
     def test_expansion_matches_combined_difference(self, rng, uniform):
         for _ in range(10):
             schema = ta.random_schema(rng, max_features=4)
@@ -247,6 +253,10 @@ class TestDistanceMatrix:
     def test_two_identical_trees(self, stump4, uniform):
         D = ta.distance_matrix([stump4, stump4], uniform)
         assert (D == 0.0).all()
+
+    def test_one_tree_is_refused(self, stump4, uniform):
+        with pytest.raises(ta.DomainError, match="^distance_matrix needs at least two trees$"):
+            ta.distance_matrix([stump4], uniform)
 
     def test_pair_value(self, stump4, stump6, uniform):
         D = ta.distance_matrix([stump4, stump6], uniform)

@@ -104,6 +104,37 @@ class TestEvaluate:
         with pytest.raises(ta.DomainError):
             ta.evaluate(stump4, (1,))
 
+    def test_routing_reads_the_node_columns(self, monkeypatch, on_plane):
+        """evaluate and evaluate_batch compare a numeric split's column with
+        its threshold and never build the whole-tree split list; on a tree
+        of all three split kinds they reach the reference's leaf, also from
+        points exactly on a threshold or on the hyperplane."""
+        schema = ta.FeatureSchema((ta.NumericFeature("x0", 0, 1), ta.NumericFeature("x1", 0, 1),
+                                   ta.CategoricalFeature("c", ("a", "b", "c"))))
+        b = ta.TreeBuilder(schema)
+        left, right = b.split_node(b.add_root(), ta.NumericThreshold(0, 0.5))
+        cat_left, cat_right = b.split_node(left, ta.CategoricalSubset(2, {0, 2}))
+        plane = (1.0, -1.0)
+        ends = b.split_node(right, ta.Hyperplane(plane, on_plane(plane, (0.75, 0.25))))
+        ends += b.split_node(cat_left, ta.NumericThreshold(1, 0.25)) + (cat_right,)
+        for k, nid in enumerate(ends):
+            b.set_value(nid, ta.Scalar(float(k)))
+        tree = b.build()  # its node ids are its positions
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        X = np.array([[x0, x1, c] for x0 in grid for x1 in grid for c in (0.0, 1.0, 2.0)])
+        want = [route(tree, x) for x in X]
+        assert len(set(want)) == len(ends)
+        values = tree.leaves.values[tree.leaf[want], 0].tolist()
+
+        def splits(self):
+            raise AssertionError("routing built the split list")
+
+        monkeypatch.setattr(ta.Tree, "splits", splits)
+        assert route_batch(tree, X).tolist() == want
+        assert evaluate_batch(tree, X).tolist() == values
+        for x, value in zip(X, values):
+            assert ta.evaluate(tree, schema.decode_point(x)) == ta.Scalar(value)
+
     def test_batch_matches_pointwise(self, rng):
         schema = ta.random_schema(rng, max_features=5)
         tree = ta.random_tree(schema, rng, 20)
@@ -215,6 +246,15 @@ class TestValidate:
         b = ta.TreeBuilder(schema)
         b.set_value(b.add_root(), ta.ClassProbs((0.5, 0.3)))
         assert any("sum 0.8" in v for v in ta.validate(b.build()))
+
+    def test_class_probability_count_must_match_the_labels(self, d2):
+        schema = ta.FeatureSchema(d2.features, ("a", "b"))
+        b = ta.TreeBuilder(schema)
+        left, right = b.split_node(b.add_root(), ta.NumericThreshold(0, 4.0))
+        b.set_value(left, ta.ClassProbs((0.2, 0.3, 0.5)))
+        b.set_value(right, ta.ClassProbs((0.2, 0.3, 0.5)))
+        assert ta.validate(b.build()) == ["node 1: 3 probabilities for 2 class labels",
+                                          "node 2: 3 probabilities for 2 class labels"]
 
     def test_class_probability_lengths_mixed_without_labels(self, d2):
         b = ta.TreeBuilder(d2)
