@@ -1,29 +1,28 @@
 """Combining trees: product trees and affine sums.
 
-``combine_pair`` overlays two recursive partitions into one tree whose
-tuple-valued leaves carry both source values; ``combine_many`` folds that
-over a list; ``affine_combination`` collapses the tuples into weighted sums.
+``combine_many`` overlays recursive partitions into one tree whose
+tuple-valued leaves carry every source value; ``combine_pair`` overlays
+two; ``affine_combination`` collapses the tuples into weighted sums.
 
 The overlay is the paper's recursion on the product of two partitions,
-evaluated one frontier at a time. A row of the frontier is a pair of node
-positions ``(u, v)``, one per tree, and the region of one output node. In
-each round a split that does not cut its row's region moves the row to the
-child that holds the region; a row whose splits all cut splits by ``u``'s
-split when ``u`` has one, else by ``v``'s, into two rows; a row of two leaves
-becomes a leaf. So when both splits cut, the first tree's split always wins
-(a fixed tie-break that makes the output deterministic and keeps the rows
-processed within ``n1 * n2``).
+folded left over the trees and evaluated one frontier at a time. Where two
+splits both cut a region the first tree's wins (a fixed tie-break that
+makes the output deterministic), and a box cut is exact, so a fold without
+hyperplanes is one walk through the trees of one :class:`NodeTable`, with
+no intermediate tree. A row is a node position and the region of one
+output node: a row of one box matrix, two bounds per numeric feature, plus
+a bitmask of admissible levels when some split is categorical. A split that
+does not cut the region moves the row to the child that holds it, a split
+that cuts makes two rows, and a row at a leaf goes on at the next tree's
+root, or after the last tree becomes an output leaf.
 
-A pair of trees is overlaid in one of two ways, chosen by the splits of
-its node table. Without a hyperplane, the regions are rows of one box
-matrix, two bounds per numeric feature, plus a bitmask of admissible levels
-when some split is categorical, so a round decides every row with a few
-array operations. With a hyperplane anywhere in either tree, every row
-keeps a :class:`Region`, from :meth:`Region.full` at the root, and the sides
-of its splits that are already decided, and is decided one row at a time by
-exactly the :meth:`Region.split` calls of the depth-first overlay, so no
-region decides a split twice and the LPs are the reference's. Nodes are
-numbered at the end in the order a depth-first build gives them;
+A fold that meets a hyperplane goes on a pair at a time, as the reference
+does, since each step decides the splits of the tree folded so far again:
+a row is a pair of node positions with a :class:`Region` from
+:meth:`Region.full` and the sides of its splits already decided, and is
+decided one row at a time by exactly the :meth:`Region.split` calls of the
+depth-first overlay, so the LPs are the reference's. Nodes are numbered at
+the end in the order a depth-first build gives them;
 :func:`treealgebra.oracle.combine_many_reference` is that build, the
 reference the tests compare with array for array.
 """
@@ -37,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, LeafKindError, SchemaError
 from .trees import (
-    _WORD,
+    HYPERPLANE,
     Hyperplane,
     Leaves,
     NodeTable,
@@ -63,9 +62,10 @@ class CombineBudget:
     ``max_nodes`` caps the size of any produced tree (the blow-up can be
     exponential in the number of combined trees, so hitting the cap is a
     clean reported failure instead of memory exhaustion). ``calls_made``
-    counts the overlay rows processed, one per node pair and output node
-    they were processed for, which lets tests assert the ``n1 * n2`` cost
-    bound.
+    counts the overlay rows processed, one per round a row spends at a node
+    (a node pair once a fold meets a hyperplane); a row at a leaf goes on in
+    the next tree in the same round, so a pair takes at most
+    ``(n1 - L1) + L1 * n2 <= n1 * n2`` rows (``L1``: the first tree's leaves).
     """
 
     max_nodes: int = 10_000_000
@@ -92,13 +92,13 @@ def _tuple_tree(tree: Tree) -> Tree:
     return replace(tree, leaves=Leaves("tuple", tree.leaves.kind, values, sources))
 
 
-def _pack_pairs(t1: Tree, t2: Tree, second: int, i: np.ndarray, j: np.ndarray) -> Leaves:
-    """The leaf table of an overlay whose leaves join leaf rows ``i`` of
-    ``t1`` and ``j`` of ``t2``: the blocks of both, ``t1``'s first. A leaf
-    that is not a tuple is one block, from source 0 in ``t1`` and from
-    source ``second`` in ``t2``."""
-    (va, sa), (vb, sb) = _blocks(t1.leaves, 0), _blocks(t2.leaves, second)
-    return Leaves("tuple", t2.leaves.entry, np.hstack((va[i], vb[j])), np.hstack((sa[i], sb[j])))
+def _pack_rows(trees: Sequence[Tree], sources: Sequence[int], rows: np.ndarray) -> Leaves:
+    """The leaf table of an overlay whose leaves join leaf rows ``rows[:, k]``
+    of ``trees[k]``: the blocks of every tree in turn. A leaf that is not a
+    tuple is one block, from source ``sources[k]``."""
+    values, ids = zip(*(_blocks(t.leaves, s) for t, s in zip(trees, sources)))
+    return Leaves("tuple", trees[-1].leaves.entry, np.hstack([v[r] for v, r in zip(values, rows.T)]),
+                  np.hstack([i[r] for i, r in zip(ids, rows.T)]))
 
 
 class _Overlay:
@@ -106,7 +106,7 @@ class _Overlay:
     ``k``-th split made gives its node children ``1 + 2k`` and ``2 + 2k``.
     ``parents``/``sources`` hold each split's node and the stacked position
     of the split it copies, one array per batch of splits; ``leaves`` holds
-    leaf nodes and the pairs of leaf rows they join."""
+    leaf nodes and the leaf rows they join, one column per tree."""
 
     def __init__(self, max_nodes: Optional[int]):
         self.max_nodes = max_nodes
@@ -125,11 +125,11 @@ class _Overlay:
         self.sources.append(sources)
         return np.arange(1 + 2 * k, 1 + 2 * self.n_splits, 2)
 
-    def tree(self, nodes: NodeTable, second: int) -> Tree:
-        """The overlay as a tree, numbered as a depth-first build numbers
-        it: internal node ``p`` with preorder rank ``r`` among the internal
-        nodes gets children ``1 + 2r`` and ``2 + 2r``, and leaves get their
-        leaf rows in preorder."""
+    def tree(self, nodes: NodeTable, source_ids: Sequence[int]) -> Tree:
+        """The overlay as a tree with the leaves of :func:`_pack_rows`, numbered
+        as a depth-first build numbers it: internal node ``p`` with preorder
+        rank ``r`` among the internal nodes gets children ``1 + 2r`` and
+        ``2 + 2r``, and leaves get their leaf rows in preorder."""
         k, n = self.n_splits, 1 + 2 * self.n_splits
         parents, sources = np.concatenate(self.parents), np.concatenate(self.sources)
         bounds = np.cumsum([0] + [len(p) for p in self.parents]).tolist()
@@ -162,42 +162,44 @@ class _Overlay:
         order = np.argsort(pre[w])
         leaf = np.full(n, -1, dtype=np.int64)
         leaf[new[w[order]]] = np.arange(len(w))
-        t1, t2 = nodes.trees
-        return Tree(t1.schema, 0, np.arange(n), left, right, parent, kind, feature, threshold,
-                    split, leaf, _pack_pairs(t1, t2, second, *rows[order].T))
+        return Tree(nodes.trees[0].schema, 0, np.arange(n), left, right, parent, kind, feature,
+                    threshold, split, leaf, _pack_rows(nodes.trees, source_ids, rows[order]))
 
 
-def _box_round(nodes: NodeTable, out: _Overlay, pairs, w, box, masks):
-    """One round over rows whose regions are boxes: node pairs
-    ``pairs[r]`` (an (n, 2) matrix) for output nodes ``w[r]``, with the
-    boxes ``box[r]`` of :class:`NodeTable` and the level masks ``masks[r]``
-    (None when no split is categorical). Returns the next rows."""
-    r = len(pairs)
-    at = pairs.ravel()
-    # which sides of each node's split the row's box meets
-    on_left, on_right = nodes.meets(at, box, masks, 2)
-    left = nodes.left[at]
-    inner = left >= 0
-    moves = inner & ~(on_left & on_right)
-    pairs = np.where(moves, np.where(on_left, left, nodes.right[at]), at).reshape(r, 2)
-    inner = inner.reshape(r, 2)
-    moved, done = moves.reshape(r, 2).any(axis=1), ~inner.any(axis=1)
-    if done.any():
-        out.leaves.append((w[done], nodes.leaf[pairs[done]]))
-    stay, cut = np.flatnonzero(moved), np.flatnonzero(~(moved | done))
-    # a row splits by u's split when u has one, else by v's
-    by = (~inner[cut, 0]).astype(np.intp)
-    src = pairs[cut, by]
-    first = out.add_splits(w[cut], src)
-    take = np.concatenate((stay, cut, cut))
-    pairs, box, w = pairs[take], box[take], np.concatenate((w[stay], first, first + 1))
-    to_left = np.arange(len(stay), len(stay) + len(cut))
-    to_right = to_left + len(cut)
-    pairs[to_left, by], pairs[to_right, by] = nodes.left[src], nodes.right[src]
-    masks = None if masks is None else masks[take]
-    nodes.narrow(src, box, masks, to_left, True)
-    nodes.narrow(src, box, masks, to_right, False)
-    return pairs, w, box, masks
+def _walk(nodes: NodeTable, out: _Overlay, budget: CombineBudget) -> None:
+    """The overlay of the trees of a table without hyperplanes, as rounds
+    of box rows: node positions ``pos[r]`` for output nodes ``w[r]``, with
+    the boxes ``box[r]`` of :class:`NodeTable`, the level masks ``masks[r]``
+    (None when no split is categorical) and the trees' leaf rows ``rows[r]``."""
+    # a row leaves a tree's leaf for the root of the next tree with a
+    # split, or -1 after the last; a one-leaf tree's row is known up front
+    roots = nodes.roots
+    later = np.flatnonzero(nodes.left[roots] >= 0)
+    after = np.append(roots[later], -1)[np.searchsorted(later, np.arange(len(roots)), "right")]
+    pos, w, rows = roots[:1].copy(), np.zeros(1, dtype=np.int64), nodes.leaf[roots][None]
+    box, masks = nodes.full_box(1)
+    while len(pos):
+        budget.calls_made += len(pos)
+        at = (nodes.left[pos] < 0).nonzero()[0]
+        t = nodes.tree_of[pos[at]]
+        rows[at, t] = nodes.leaf[pos[at]]
+        pos[at] = after[t]
+        done = pos < 0
+        out.leaves.append((w[done], rows[done]))
+        on_left, on_right = nodes.meets(pos, box, masks)
+        cut = on_left & on_right & ~done
+        stay, cut = (~(cut | done)).nonzero()[0], cut.nonzero()[0]
+        src = pos[cut]
+        first = out.add_splits(w[cut], src)
+        take = np.concatenate((stay, cut, cut))
+        pos = np.where(on_left, nodes.left[pos], nodes.right[pos])
+        pos = np.concatenate((pos[stay], nodes.left[src], nodes.right[src]))
+        w = np.concatenate((w[stay], first, first + 1))
+        box, rows = box[take], rows[take]
+        masks = None if masks is None else masks[take]
+        to_left = np.arange(len(stay), len(stay) + len(cut))
+        nodes.narrow(src, box, masks, to_left, True)
+        nodes.narrow(src, box, masks, to_left + len(cut), False)
 
 
 def _region_round(nodes: NodeTable, out: _Overlay, rows: list) -> list:
@@ -257,25 +259,19 @@ def _region_round(nodes: NodeTable, out: _Overlay, rows: list) -> list:
     return nxt
 
 
-def _combine(t1: Tree, t2: Tree, budget: CombineBudget, second: int) -> Tree:
-    """The overlay of two trees, with the leaf table of :func:`_pack_pairs`,
-    one frontier of rows at a time: rounds of :class:`Region` rows when a
-    split of either tree is a hyperplane, else rounds of box rows."""
-    nodes, out = NodeTable((t1, t2)), _Overlay(budget.max_nodes)
-    u, v = t1.root_pos, t2.root_pos + nodes.starts[1]
+def _overlay(nodes: NodeTable, budget: CombineBudget, source_ids: Sequence[int]) -> Tree:
+    """The overlay of the trees of a table, with the leaf table of
+    :func:`_pack_rows`: rounds of :class:`Region` rows when a split of
+    its two trees is a hyperplane, else one :func:`_walk`."""
+    out = _Overlay(budget.max_nodes)
     if nodes.hyperplanes:
-        rows = [(u, v, 0, Region.full(t1.schema), None, None)]
+        rows = [(*nodes.roots.tolist(), 0, Region.full(nodes.trees[0].schema), None, None)]
         while rows:
             budget.calls_made += len(rows)
             rows = _region_round(nodes, out, rows)
-        return out.tree(nodes, second)
-    pairs, w = np.array([[u, v]]), np.zeros(1, dtype=np.int64)
-    box = nodes.full_box()
-    masks = np.full((1, nodes.words), _WORD, dtype=np.uint64) if nodes.categorical else None
-    while len(pairs):
-        budget.calls_made += len(pairs)
-        pairs, w, box, masks = _box_round(nodes, out, pairs, w, box, masks)
-    return out.tree(nodes, second)
+    else:
+        _walk(nodes, out, budget)
+    return out.tree(nodes, source_ids)
 
 
 def _require_schema_and_kind(trees: Sequence[Tree]) -> str:
@@ -310,24 +306,25 @@ def combine_pair(
     so the overlay may assign points exactly on their shared boundary (a
     measure-zero set) the value from the wrong side of the second tree.
     """
-    _require_schema_and_kind([t1, t2])
-    budget = budget if budget is not None else CombineBudget()
-    return _combine(t1, t2, budget, 1)
+    return combine_many([t1, t2], budget)
 
 
 def combine_many(trees: Sequence[Tree], budget: Optional[CombineBudget] = None) -> Tree:
     """Left fold of :func:`combine_pair` with flattened tuple leaves.
 
     Each leaf of the result holds one value per input tree, in input order,
-    with source ids recording the positions so weights align.
+    with source ids recording the positions so weights align. The trees
+    before the first with a hyperplane split are overlaid by one walk, and
+    each later tree is overlaid on the fold so far.
     """
     if not trees:
         raise DomainError("combine_many needs at least one tree")
     _require_schema_and_kind(trees)
     budget = budget if budget is not None else CombineBudget()
-    result = _tuple_tree(trees[0])
-    for m in range(1, len(trees)):
-        result = _combine(result, trees[m], budget, m)
+    k = next((k for k, t in enumerate(trees) if (t.kind == HYPERPLANE).any()), len(trees))
+    result = _tuple_tree(trees[0]) if k < 2 else _overlay(NodeTable(trees[:k]), budget, range(k))
+    for m in range(max(k, 1), len(trees)):
+        result = _overlay(NodeTable((result, trees[m])), budget, (0, m))
     return result
 
 

@@ -279,11 +279,12 @@ _FILE_SHAPE = {"schema": {"features": [{}]}, "trees": [_BODY_SHAPE], "metadata":
                **_BODY_SHAPE}
 
 
-def _check_shape(x, shape, path: str, where: str = "") -> None:
+def _check_shape(x, shape, path: str, where: str = "", nulls: bool = True) -> None:
     """Raise a ParseError naming the first field of ``x`` (the field
     ``where`` of the file ``path``, or the whole document) that should hold
-    a JSON object or list but holds another value; a null field counts as
-    absent. Run only once loading has failed, so valid loads pay nothing."""
+    a JSON object or list but holds another value, with ``nulls`` null too
+    unless it is a ``split`` or ``value``. Run only once loading has failed,
+    so valid loads pay nothing."""
     kind, name = (dict, "an object") if isinstance(shape, dict) else (list, "a list")
     if not isinstance(x, kind):
         text = json.dumps(x)
@@ -291,11 +292,11 @@ def _check_shape(x, shape, path: str, where: str = "") -> None:
                          f"got {text if len(text) <= 40 else text[:37] + '...'}")
     if kind is dict:
         for key, inner in shape.items():
-            if x.get(key) is not None:
-                _check_shape(x[key], inner, path, f"{where}.{key}".lstrip("."))
+            if key in x and (x[key] is not None or nulls and key not in ("split", "value")):
+                _check_shape(x[key], inner, path, f"{where}.{key}".lstrip("."), nulls)
     elif shape:
         for k, item in enumerate(x):
-            _check_shape(item, shape[0], path, f"{where}[{k}]")
+            _check_shape(item, shape[0], path, f"{where}[{k}]", nulls)
 
 
 def _real_texts(values: np.ndarray) -> np.ndarray:
@@ -443,10 +444,12 @@ def load_forest(path: str) -> ForestFile:
             trees = [_tree_from_body(doc, schema, f"{path}: ")]
             metadata = {}
     except (ParseError, KeyError, TypeError, ValueError, AttributeError) as e:
-        # a field of the wrong JSON type can fail far from where it is read
-        _check_shape(doc, _FILE_SHAPE, path)
+        # a field of the wrong JSON type can fail far from where it is read;
+        # a null one is named only in place of Python's own error text
+        _check_shape(doc, _FILE_SHAPE, path, nulls=False)
         if isinstance(e, ParseError):
             raise
+        _check_shape(doc, _FILE_SHAPE, path)
         raise ParseError(f"{path}: malformed document ({e})")
     # the parsed document goes before the validation arrays are made
     del doc

@@ -45,7 +45,7 @@ from .errors import (
     UnknownNodeError,
     UnsupportedGeometryError,
 )
-from .combine import CombineBudget, _arrays, _blocks, _tuple_tree
+from .combine import CombineBudget, _arrays, _pack_rows, _tuple_tree
 from .geometry import Empirical, Measure, UniformBox
 from .trees import (
     HYPERPLANE,
@@ -529,13 +529,8 @@ def _combine(t1: Tree, t2: Tree, budget: CombineBudget, second: int) -> Tree:
             child_v, child_sv = _descend(b, v, child_sides)
             stack.append((child_u, child_v, child_w, child_region, None, child_sv))
 
-    def pack(pairs) -> Leaves:
-        (va, sa), (vb, sb) = _blocks(t1.leaves, 0), _blocks(t2.leaves, second)
-        i, j = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
-        return Leaves("tuple", t2.leaves.entry, np.hstack((va[i], vb[j])),
-                      np.hstack((sa[i], sb[j])))
-
-    return builder.build(pack)
+    return builder.build(lambda pairs: _pack_rows(
+        (t1, t2), (0, second), np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)))
 
 
 def combine_many_reference(

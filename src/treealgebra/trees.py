@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
-from itertools import accumulate
 from math import isfinite
 from typing import Callable, Optional, Sequence, Union
 
@@ -806,10 +805,11 @@ _WORD = (1 << 64) - 1
 
 class NodeTable:
     """The nodes of some trees on one schema in one table, each tree's
-    positions after the previous tree's (from ``starts``): the trees' node
-    columns stacked, with children as table positions and each tree's own
-    leaf rows. Boxes and level masks are derived from these columns; a
-    region with half-spaces is left to :class:`Region`.
+    positions after the previous tree's (``tree_of`` holds each position's
+    tree, ``roots`` each tree's root, -1 for none): the trees' node columns
+    stacked, with children as table positions and each tree's own leaf
+    rows. Boxes and level masks are derived from these columns; a region
+    with half-spaces is left to :class:`Region`.
 
     A box is a row of ``2 * slots`` floats, two blocks of one slot per
     numeric feature plus a spare slot: the bound ``g`` below which a
@@ -823,9 +823,11 @@ class NodeTable:
     def __init__(self, trees: Sequence[Tree]):
         self.trees, schema = trees, trees[0].schema
         sizes = [t.n_nodes for t in trees]
-        self.starts = list(accumulate(sizes[:-1], initial=0))
+        starts, root_pos = np.cumsum([0] + sizes[:-1]), np.array([t.root_pos for t in trees])
+        self.roots = np.where(root_pos >= 0, starts + root_pos, -1)
+        self.tree_of = np.repeat(np.arange(len(trees)), sizes)
         stacked = lambda name: np.concatenate([getattr(t, name) for t in trees])
-        offset = np.repeat(self.starts, sizes)
+        offset = np.repeat(starts, sizes)
         self.left, self.right = (np.where(p >= 0, p + offset, -1)
                                  for p in (stacked("left_pos"), stacked("right_pos")))
         self.leaf, self.kind, self.feature, self.threshold, self.split = map(
@@ -870,23 +872,23 @@ class NodeTable:
         self.on_sides[pos] = np.array(masks, dtype=np.uint64).reshape(len(pos), 2 * self.words)
         self.proper[pos] = proper
 
-    def full_box(self) -> np.ndarray:
-        """The box of the whole domain, as a matrix of one row."""
+    def full_box(self, rows: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """The box and level masks (None when no split is categorical) of
+        the whole domain, as matrices of ``rows`` equal rows."""
         schema = self.trees[0].schema
         low, high = ([getattr(schema.features[j], a) for j in schema.numeric_indices]
                      for a in ("low", "high"))
-        return np.array([np.nextafter(low, -np.inf).tolist() + [0.0] + high + [0.0]])
+        box = np.array([np.nextafter(low, -np.inf).tolist() + [0.0] + high + [0.0]] * rows)
+        return box, np.full((rows, self.words), _WORD, dtype=np.uint64) if self.categorical else None
 
-    def meets(self, at: np.ndarray, box: np.ndarray, masks: Optional[np.ndarray],
-              per_row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Which sides of the splits at positions ``at`` their boxes meet;
-        the rows of ``box`` and ``masks`` (None: every level) each serve
-        ``per_row`` positions in turn."""
-        cell = np.arange(len(at)) // per_row * (2 * self.slots) + self.slot[at]
+    def meets(self, at: np.ndarray, box: np.ndarray,
+              masks: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Which sides of the splits at positions ``at`` the rows of ``box``
+        and ``masks`` (None: every level) meet, a row per position."""
+        cell = np.arange(len(at)) * (2 * self.slots) + self.slot[at]
         t, flat = self.threshold[at], box.ravel()
         on_left, on_right = t > flat[cell], t < flat[cell + self.slots]
         if masks is not None:
-            masks = np.repeat(masks, per_row, axis=0) if per_row > 1 else masks
             hits = np.concatenate((masks, masks), axis=1) & self.on_sides[at]
             hits = hits.reshape(len(at), 2, self.words).any(axis=2)
             on_left |= hits[:, 0]
@@ -970,13 +972,12 @@ def _cut_reach(nodes: NodeTable, roots: np.ndarray) -> np.ndarray:
     split, on one side, so that no node is reached twice."""
     reached = np.zeros(len(nodes.kind), dtype=bool)
     pos = roots
-    box = np.repeat(nodes.full_box(), len(pos), axis=0)
-    masks = np.full((len(pos), nodes.words), _WORD, dtype=np.uint64) if nodes.categorical else None
+    box, masks = nodes.full_box(len(pos))
     while pos.size:
         reached[pos] = True
         rows = (nodes.left[pos] >= 0).nonzero()[0]
         rows = rows[np.logical_and(*nodes.meets(pos[rows], box[rows],
-                                                None if masks is None else masks[rows], 1))]
+                                                None if masks is None else masks[rows]))]
         pos, k = pos[rows], len(rows)
         rows = np.concatenate((rows, rows))
         box, masks = box[rows], None if masks is None else masks[rows]
@@ -1018,10 +1019,10 @@ def check_trees(trees: Sequence[Tree]) -> list[list[str]]:
     if not trees:
         return []
     nodes, schema = NodeTable(trees), trees[0].schema
-    tree_of = np.repeat(np.arange(len(trees)), [t.n_nodes for t in trees])
     ids, left, right, parent = (np.concatenate([getattr(t, a) for t in trees])
                                 for a in ("ids", "left", "right", "parent"))
-    kind, leaf, at_left, at_right = nodes.kind, nodes.leaf, nodes.left, nodes.right
+    tree_of, kind, leaf = nodes.tree_of, nodes.kind, nodes.leaf
+    at_left, at_right = nodes.left, nodes.right
     # two distinct children that name the node as their parent; a child
     # named on both sides (a twin) is left to the walk, which places it once
     linked = ((at_left >= 0) & (at_right >= 0) & (at_left != at_right)
@@ -1034,8 +1035,7 @@ def check_trees(trees: Sequence[Tree]) -> list[list[str]]:
                   or not all(map(isfinite, h.coefficients + (h.offset,))) for h in nodes.split[at].tolist()]
     sound = np.where(linked, (kind > 0) & (leaf < 0) & ~faulty,
                      (left < 0) & (right < 0) & (leaf >= 0) & (kind == 0))
-    root_pos = np.array([t.root_pos for t in trees])
-    live, roots = root_pos >= 0, np.array(nodes.starts) + root_pos
+    live, roots = nodes.roots >= 0, nodes.roots
     is_root = np.zeros(len(kind), dtype=bool)
     is_root[roots[live]] = True
     # a ragged leaf table holds values of more than one kind or shape

@@ -14,6 +14,7 @@ from treealgebra.oracle import (
 )
 from treealgebra.trees import (
     Hyperplane,
+    NodeTable,
     NumericThreshold,
     Region,
     Scalar,
@@ -166,6 +167,28 @@ class TestCombineMany:
                 b.set_value(right, Scalar(1.0))
                 trees.append(b.build())
             assert ta.combine_many(trees).n_nodes == 2 ** (m + 1) - 1
+
+    def test_an_axis_aligned_fold_is_one_walk(self, d2, make_stump, monkeypatch):
+        """An axis-aligned fold walks all its trees in one node table; a
+        tree with a hyperplane split is overlaid on the fold so far, one
+        table per step."""
+        built = []
+        init = NodeTable.__init__
+        monkeypatch.setattr(NodeTable, "__init__",
+                            lambda self, trees: built.append(len(trees)) or init(self, trees))
+        stumps = [make_stump(k % 2, 1.0 + k) for k in range(5)]
+        assert ta.combine_many(stumps).n_leaves == 4 * 3
+        assert built == [5]
+        b = ta.TreeBuilder(d2)
+        for node, value in zip(b.split_node(b.add_root(), Hyperplane((1.0, 1.0), 10.0)), (0.0, 1.0)):
+            b.set_value(node, Scalar(value))
+        hyper = b.build()
+        built.clear()
+        ta.combine_many([hyper] + stumps[:4])
+        assert built == [2] * 4
+        built.clear()
+        ta.combine_many(stumps[:3] + [hyper] + stumps[3:])
+        assert built == [3, 2, 2, 2]
 
     def test_empty_fold_is_refused(self):
         with pytest.raises(ta.DomainError, match="^combine_many needs at least one tree$"):
@@ -385,7 +408,7 @@ def grid_pool(schema, steps):
 
 class TestFrontierOverlayMatchesReference:
     """The frontier overlay builds the tree the depth-first reference
-    overlay builds, array for array, on pairs and on 3-5 tree folds."""
+    overlay builds, array for array, on pairs and on folds of 3-10 trees."""
 
     def check(self, trees, lps=None):
         """The overlay of some trees by both; with ``lps``, the list that
@@ -426,6 +449,25 @@ class TestFrontierOverlayMatchesReference:
             out = self.check(trees)
             sizes[k] = max(sizes.get(k, 0), out.n_nodes)
         assert sizes[2] > 20 and max(sizes.values()) > 100
+
+    def test_long_folds_with_one_leaf_trees(self, rng):
+        # a one-leaf tree first, in the middle and last: the walk skips
+        # each, with its leaf row filled in from the start
+        schema = ta.FeatureSchema((
+            ta.NumericFeature("x", 0.0, 1.0),
+            ta.CategoricalFeature("c", ("a", "b", "c", "d")),
+            ta.NumericFeature("y", -2.0, 2.0),
+        ))
+        pool = grid_pool(schema, 4)
+        sizes = []
+        for _ in range(15):
+            k = int(rng.integers(4, 8))
+            trees = [pool_tree(schema, rng, int(rng.integers(1, 3)), pool) for _ in range(k)]
+            for at in (0, k // 2 + 1, k + 2):
+                trees.insert(at, pool_tree(schema, rng, 0, pool))
+            sizes.append(self.check(trees).n_nodes)
+        self.check([pool_tree(schema, rng, 0, pool) for _ in range(3)])
+        assert max(sizes) > 50
 
     def test_hyperplane_and_numeric_mixes(self, rng, monkeypatch):
         schema = ta.FeatureSchema((

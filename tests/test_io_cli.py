@@ -380,6 +380,9 @@ class TestFlatTableImport:
          "line 2: tree 0 node 0: bad numeric threshold 'four'"),
         ("0,0,,,0,4.0,\n0,1,0,1,,,0.0\n0,2,0,0,,,one\n",
          "line 4: tree 0 node 2: bad leaf_value 'one'"),
+        ("0,0,,,0,4.0,\n0,1,0,maybe,,,0.0\n0,2,0,0,,,1.0\n",
+         "line 3: tree 0 node 1: bad is_left_child 'maybe'"),
+        ("", "no nodes"),
     ])
     def test_node_messages_name_the_file_and_line(self, tmp_path, d2, capsys, rows, message):
         path = tmp_path / "table.csv"
@@ -728,6 +731,30 @@ class TestCli:
          'DOMAIN msg="distance matrix has negative entries"'),
         ("0,1\n1,0\n", "mds --matrix {} --dims 3 --out {out}", 'DOMAIN msg="dims must be in [1, 2]"'),
         ("0,1\n1,0\n", "mds --matrix {} --dims 0 --out {out}", 'DOMAIN msg="dims must be in [1, 2]"'),
+        ("", "mds --matrix {} --dims 1 --out {out}", 'PARSE msg="{}: empty matrix"'),
+        ("", "affine --forest {three} --weights {} --out {out}", 'PARSE msg="{}: no weights"'),
+        # README's example of a field a loader reads without naming it
+        (stump_json().replace('{"id": 1, ', "{"), "validate {}",
+         "PARSE msg=\"{}: malformed document ('id')\""),
+        # null is absent only for a split or a value; any other field is named
+        (stump_with("nodes", to=None), "validate {}", 'PARSE msg="{}: nodes must be a list, got null"'),
+        (stump_with("trees", to=None, forest=True), "validate {}",
+         'PARSE msg="{}: trees must be a list, got null"'),
+        (stump_with("metadata", to=None, forest=True), "validate {}",
+         'PARSE msg="{}: metadata must be an object, got null"'),
+        (stump_with("schema", to=None), "validate {}",
+         'PARSE msg="{}: schema must be an object, got null"'),
+        (stump_with("schema", "features", to=None), "dist --a {} --b {stump4}",
+         'PARSE msg="{}: schema.features must be a list, got null"'),
+        (stump_json(value={"type": "class_probs", "probs": None}), "validate {}",
+         'PARSE msg="{}: nodes[1].value.probs must be a list, got null"'),
+        # ... but not in place of a message that names the fault
+        (stump_json(value={"type": "scalar", "v": "x", "probs": None}), "validate {}",
+         'PARSE msg="{}: nodes[1].value.v must be a number, got "x""'),
+        ('{"features": null}', "import --table {table} --schema {} --out {out}",
+         'PARSE msg="{}: schema.features must be a list, got null"'),
+        ('{"schema": null}', "import --table {table} --schema {} --out {out}",
+         'PARSE msg="{}: schema must be an object, got null"'),
         (stump_json(), "dist --a {stump4} --b {stump6} --measure empirical",
          'DOMAIN msg="--measure empirical needs --data"'),
         (TWO_STUMPS, "dist --a {} --b {stump4}", 'DOMAIN msg="{} holds 2 trees, expected 1"'),
@@ -751,6 +778,23 @@ class TestCli:
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == f"code={err.format(bad)}\n"
         assert not out.exists()
+
+    def test_a_directory_as_input_is_an_io_error(self, workdir, capsys):
+        out = workdir / "o.json"
+        assert run_cli(["combine", "--forest", str(workdir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith('code=IO msg="') and str(workdir) in err
+        assert not out.exists()
+
+    def test_mds_notes_fewer_positive_eigenvalues_than_dims(self, workdir, capsys):
+        (workdir / "D.csv").write_text("0,1\n1,0\n")
+        out = workdir / "coords.csv"
+        assert run_cli(["mds", "--matrix", str(workdir / "D.csv"), "--dims", "2",
+                        "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "note: only 1 positive eigenvalues; trailing coordinates are zero\n"
+        assert captured.out == "stress=0\n"
+        assert (io.read_matrix_csv(str(out))[:, 1] == 0.0).all()
 
     def test_unknown_flag_exits_1(self, workdir, capsys):
         assert run_cli(["dist", "--bogus"]) == 1
