@@ -63,8 +63,9 @@ from .trees import (
 __version__ = "0.1.0"
 
 # the brute-force references, and the per-node walk that writes the
-# messages of a tree that may be invalid: the module is imported on first
-# use, which a valid file never makes, not at every start of the command line
+# messages of a tree that may be invalid: imported on first use, not at
+# every start of the command line; neither a valid file nor a fold with
+# hyperplanes (its depth-first overlay is in combine) uses it
 _ORACLE = {"oracle", "CellGrid", "grid_integral", "monte_carlo_integral",
            "pointwise_equivalence", "random_schema", "random_tree"}
 

@@ -213,10 +213,9 @@ def _cmd_mds(args) -> int:
     coords = mds.classical_mds(matrix, args.dims)
     effective = int(np.sum(np.any(coords != 0.0, axis=0)))
     if effective < args.dims:
-        print(
-            f"note: only {effective} positive eigenvalues; trailing coordinates are zero",
-            file=sys.stderr,
-        )
+        noun = "eigenvalue" if effective == 1 else "eigenvalues"
+        print(f"note: only {effective} positive {noun}; trailing coordinates are zero",
+              file=sys.stderr)
     io.write_matrix_csv(args.out, coords)
     if args.svg is not None:
         io.write_text_atomic(args.svg, _scatter_svg(coords[:, :2]))

@@ -5,26 +5,27 @@ tuple-valued leaves carry every source value; ``combine_pair`` overlays
 two; ``affine_combination`` collapses the tuples into weighted sums.
 
 The overlay is the paper's recursion on the product of two partitions,
-folded left over the trees and evaluated one frontier at a time. Where two
-splits both cut a region the first tree's wins (a fixed tie-break that
-makes the output deterministic), and a box cut is exact, so a fold without
-hyperplanes is one walk through the trees of one :class:`NodeTable`, with
-no intermediate tree. A row is a node position and the region of one
-output node: a row of one box matrix, two bounds per numeric feature, plus
-a bitmask of admissible levels when some split is categorical. A split that
-does not cut the region moves the row to the child that holds it, a split
-that cuts makes two rows, and a row at a leaf goes on at the next tree's
-root, or after the last tree becomes an output leaf.
+folded left over the trees. Where two splits both cut a region the first
+tree's wins (a fixed tie-break that makes the output deterministic).
 
-A fold that meets a hyperplane goes on a pair at a time, as the reference
-does, since each step decides the splits of the tree folded so far again:
-a row is a pair of node positions with a :class:`Region` from
-:meth:`Region.full` and the sides of its splits already decided, and is
-decided one row at a time by exactly the :meth:`Region.split` calls of the
-depth-first overlay, so the LPs are the reference's. Nodes are numbered at
-the end in the order a depth-first build gives them;
-:func:`treealgebra.oracle.combine_many_reference` is that build, the
-reference the tests compare with array for array.
+A box cut is exact, so the trees before the first with a hyperplane split
+are overlaid in one walk through the trees of one :class:`NodeTable`, a
+frontier at a time, with no intermediate tree. A row is a node position
+and the region of one output node: a row of one box matrix, two bounds per
+numeric feature, plus a bitmask of admissible levels when some split is
+categorical. A split that does not cut the region moves the row to the
+child that holds it, a split that cuts makes two rows, and a row at a leaf
+goes on at the next tree's root, or after the last tree becomes an output
+leaf. Nodes are numbered at the end in the order a depth-first build gives
+them.
+
+From the first tree with a hyperplane split on, each tree is overlaid on
+the fold so far by the paper's depth-first recursion, one output node at a
+time, in :class:`Region` objects from :meth:`Region.full`: each step
+decides the splits of the tree folded so far again with
+:meth:`Region.split`. :func:`treealgebra.oracle.combine_many_reference`
+folds every tree with that recursion, the reference the tests compare the
+walk with array for array.
 """
 
 from __future__ import annotations
@@ -37,10 +38,13 @@ import numpy as np
 from .errors import DomainError, LeafKindError, SchemaError
 from .trees import (
     HYPERPLANE,
+    CategoricalSubset,
     Hyperplane,
     Leaves,
     NodeTable,
+    NumericThreshold,
     Region,
+    Split,
     Tree,
     TreeBuilder,
     check_node_budget,
@@ -61,11 +65,14 @@ class CombineBudget:
 
     ``max_nodes`` caps the size of any produced tree (the blow-up can be
     exponential in the number of combined trees, so hitting the cap is a
-    clean reported failure instead of memory exhaustion). ``calls_made``
-    counts the overlay rows processed, one per round a row spends at a node
-    (a node pair once a fold meets a hyperplane); a row at a leaf goes on in
-    the next tree in the same round, so a pair takes at most
-    ``(n1 - L1) + L1 * n2 <= n1 * n2`` rows (``L1``: the first tree's leaves).
+    clean reported failure instead of memory exhaustion): the walk checks
+    it once per round, the depth-first steps once per node. ``calls_made``
+    counts the overlay's node-pair states: in the walk one per round a row
+    spends at a node, where a row at a leaf goes on in the next tree in the
+    same round, so a pair takes at most ``(n1 - L1) + L1 * n2`` (``L1``: the
+    first tree's leaves); then, in each depth-first step, one per pair of
+    node positions it visits in a region, and no pair arises twice. Either
+    way a pair of trees takes at most ``n1 * n2``.
     """
 
     max_nodes: int = 10_000_000
@@ -125,7 +132,7 @@ class _Overlay:
         self.sources.append(sources)
         return np.arange(1 + 2 * k, 1 + 2 * self.n_splits, 2)
 
-    def tree(self, nodes: NodeTable, source_ids: Sequence[int]) -> Tree:
+    def tree(self, nodes: NodeTable) -> Tree:
         """The overlay as a tree with the leaves of :func:`_pack_rows`, numbered
         as a depth-first build numbers it: internal node ``p`` with preorder
         rank ``r`` among the internal nodes gets children ``1 + 2r`` and
@@ -162,15 +169,18 @@ class _Overlay:
         order = np.argsort(pre[w])
         leaf = np.full(n, -1, dtype=np.int64)
         leaf[new[w[order]]] = np.arange(len(w))
+        leaves = _pack_rows(nodes.trees, range(len(nodes.trees)), rows[order])
         return Tree(nodes.trees[0].schema, 0, np.arange(n), left, right, parent, kind, feature,
-                    threshold, split, leaf, _pack_rows(nodes.trees, source_ids, rows[order]))
+                    threshold, split, leaf, leaves)
 
 
-def _walk(nodes: NodeTable, out: _Overlay, budget: CombineBudget) -> None:
-    """The overlay of the trees of a table without hyperplanes, as rounds
-    of box rows: node positions ``pos[r]`` for output nodes ``w[r]``, with
-    the boxes ``box[r]`` of :class:`NodeTable`, the level masks ``masks[r]``
-    (None when no split is categorical) and the trees' leaf rows ``rows[r]``."""
+def _walk(trees: Sequence[Tree], budget: CombineBudget) -> Tree:
+    """The overlay of trees without hyperplanes, with the leaf table of
+    :func:`_pack_rows`, as rounds of box rows over one :class:`NodeTable`:
+    node positions ``pos[r]`` for output nodes ``w[r]``, with the boxes
+    ``box[r]``, the level masks ``masks[r]`` (None when no split is
+    categorical) and the trees' leaf rows ``rows[r]``."""
+    nodes, out = NodeTable(trees), _Overlay(budget.max_nodes)
     # a row leaves a tree's leaf for the root of the next tree with a
     # split, or -1 after the last; a one-leaf tree's row is known up front
     roots = nodes.roots
@@ -200,78 +210,126 @@ def _walk(nodes: NodeTable, out: _Overlay, budget: CombineBudget) -> None:
         to_left = np.arange(len(stay), len(stay) + len(cut))
         nodes.narrow(src, box, masks, to_left, True)
         nodes.narrow(src, box, masks, to_left + len(cut), False)
+    return out.tree(nodes)
 
 
-def _region_round(nodes: NodeTable, out: _Overlay, rows: list) -> list:
-    """One round over rows whose regions are :class:`Region` objects, one
-    row at a time: ``(u, v, w, region, su, sv)``, where ``su``/``sv`` are
-    the sides of ``u``'s/``v``'s split in the region once decided. The
-    splits are decided by exactly the :meth:`Region.split` calls of the
-    depth-first overlay. Returns the next rows."""
-    left, right, leaf, splits = nodes.lists
+# ---------------------------------------------------------------------------
+# Depth-first overlay
 
-    def descend(i, sides):
-        # the node and its sides when its split cuts, else the child that
-        # holds the region, whose split is not yet decided
-        if sides[0] is None:
-            return right[i], None
-        if sides[1] is None:
-            return left[i], None
-        return i, sides
 
-    nxt, parents, sources, children, leaves = [], [], [], [], []
-    for u, v, w, region, su, sv in rows:
-        inner_u, inner_v = left[u] >= 0, left[v] >= 0
-        if not (inner_u or inner_v):
-            leaves.append((w, leaf[u], leaf[v]))
+def same_partition_in_region(
+    split_u: Split, split_v: Split, region: Region
+) -> Optional[str]:
+    """``"same"``/``"swapped"`` when two splits induce one bipartition of the
+    region, else None.
+
+    Numeric thresholds and hyperplanes are compared by exact equality (trees
+    built from the same data reuse exact split values; epsilon-merging would
+    silently change the represented function). Categorical splits compare
+    their left level sets restricted to the region.
+    """
+    if isinstance(split_u, NumericThreshold) and isinstance(split_v, NumericThreshold):
+        if split_u.feature == split_v.feature and split_u.threshold == split_v.threshold:
+            return "same"
+        return None
+    if isinstance(split_u, CategoricalSubset) and isinstance(split_v, CategoricalSubset):
+        if split_u.feature != split_v.feature:
+            return None
+        admissible: frozenset = region.constraints[split_u.feature]
+        lu = split_u.left_levels & admissible
+        lv = split_v.left_levels & admissible
+        if lu == lv:
+            return "same"
+        if lu == admissible - lv:
+            return "swapped"
+        return None
+    if isinstance(split_u, Hyperplane) and isinstance(split_v, Hyperplane):
+        return "same" if split_u == split_v else None
+    return None
+
+
+def _descend(tree, i: int, sides):
+    """Where a tree continues in a region, given the sides of its split
+    there: the node and those sides when the split cuts the region, else the
+    child whose side holds the region, whose split is not yet decided."""
+    left, right = sides
+    if left is None:
+        return tree[1][i], None
+    if right is None:
+        return tree[0][i], None
+    return i, sides
+
+
+def _collect_into(builder, w, region, tree, v, budget, value_fn, sides=None):
+    """Copy ``tree`` (its :func:`_arrays`) below node ``v`` into ``builder``
+    at ``w``, keeping only the splits that cut ``region``; ``sides`` is
+    ``v``'s split already decided in ``region``, when known. Counts every
+    state it visits, the one it starts from too."""
+    left, right, leaf, splits = tree
+    stack = [(w, region, v, sides)]
+    while stack:
+        w, region, v, sides = stack.pop()
+        budget.calls_made += 1
+        if left[v] < 0:
+            builder.set_value(w, value_fn(leaf[v]))
             continue
-        cu, cv = splits[u], splits[v]
-        u2, su = descend(u, su or region.split(cu)) if inner_u else (u, None)
-        v2, sv = descend(v, sv or region.split(cv)) if inner_v else (v, None)
-        if (inner_u and su is None) or (inner_v and sv is None):
-            nxt.append((u2, v2, w, region, su, sv))
+        u, sides = _descend(tree, v, sides or region.split(splits[v]))
+        if sides is None:
+            stack.append((w, region, u, None))
             continue
-        parents.append(w)
-        sources.append(u if inner_u else v)
-        if not inner_v:
-            children.append(((left[u], v, su[0], None, None), (right[u], v, su[1], None, None)))
-        elif not inner_u:
-            children.append(((u, left[v], sv[0], None, None), (u, right[v], sv[1], None, None)))
-        elif isinstance(cu, Hyperplane) and cu == cv:
-            # under the closed relaxation each side of a hyperplane meets
-            # the other side, so an identical one must not be split again
-            children.append(((left[u], left[v], su[0], None, None),
-                             (right[u], right[v], su[1], None, None)))
-        else:
-            # each child keeps v's split where it still cuts the child's
-            # region; its sides there are v's sides split by u's split
-            (ll, lr), (rl, rr) = sv[0].split(cu), sv[1].split(cu)
-            (vl, sl), (vr, sr) = descend(v, (ll, rl)), descend(v, (lr, rr))
-            children.append(((left[u], vl, su[0], None, sl), (right[u], vr, su[1], None, sr)))
-    if leaves:
-        w, i, j = zip(*leaves)
-        out.leaves.append((np.array(w), np.array([i, j]).T))
-    if parents:
-        first = out.add_splits(np.array(parents), np.array(sources)).tolist()
-        for k, pair in zip(first, children):
-            for node, (a, b, region, su, sv) in zip((k, k + 1), pair):
-                nxt.append((a, b, node, region, su, sv))
-    return nxt
+        lw, rw = builder.split_node(w, splits[v])
+        stack.append((rw, sides[1], right[v], None))
+        stack.append((lw, sides[0], left[v], None))
 
 
-def _overlay(nodes: NodeTable, budget: CombineBudget, source_ids: Sequence[int]) -> Tree:
-    """The overlay of the trees of a table, with the leaf table of
-    :func:`_pack_rows`: rounds of :class:`Region` rows when a split of
-    its two trees is a hyperplane, else one :func:`_walk`."""
-    out = _Overlay(budget.max_nodes)
-    if nodes.hyperplanes:
-        rows = [(*nodes.roots.tolist(), 0, Region.full(nodes.trees[0].schema), None, None)]
-        while rows:
-            budget.calls_made += len(rows)
-            rows = _region_round(nodes, out, rows)
-    else:
-        _walk(nodes, out, budget)
-    return out.tree(nodes, source_ids)
+def _combine(t1: Tree, t2: Tree, budget: CombineBudget, second: int) -> Tree:
+    """The overlay of two trees; its leaf joining leaf rows ``i`` of ``t1``
+    and ``j`` of ``t2`` holds the blocks of both, ``t1``'s first. A leaf
+    that is not a tuple is one block, from source 0 in ``t1`` and from
+    source ``second`` in ``t2``."""
+    schema = t1.schema
+    builder = TreeBuilder(schema, budget.max_nodes)
+    a, b = _arrays(t1), _arrays(t2)
+    (left1, right1, leaf1, splits1), (left2, right2, leaf2, splits2) = a, b
+    # each entry carries the sides of u's and v's splits in its region when
+    # an earlier step already decided them, so no region decides a split twice
+    stack = [(t1.root_pos, t2.root_pos, builder.add_root(), Region.full(schema), None, None)]
+    while stack:
+        u, v, w, region, su, sv = stack.pop()
+        if left1[u] < 0:
+            _collect_into(builder, w, region, b, v, budget, lambda j, i=leaf1[u]: (i, j), sv)
+            continue
+        if left2[v] < 0:
+            _collect_into(builder, w, region, a, u, budget, lambda i, j=leaf2[v]: (i, j), su)
+            continue
+        budget.calls_made += 1
+        cu, cv = splits1[u], splits2[v]
+        u2, su = _descend(a, u, su or region.split(cu))
+        v2, sv = _descend(b, v, sv or region.split(cv))
+        if su is None or sv is None:
+            # a split that misses the region descends without adding a node
+            stack.append((u2, v2, w, region, su, sv))
+            continue
+        ident = same_partition_in_region(cu, cv, region)
+        lw, rw = builder.split_node(w, cu)
+        left_region, right_region = su
+        if ident:
+            vl, vr = (left2[v], right2[v]) if ident == "same" else (right2[v], left2[v])
+            stack.append((right1[u], vr, rw, right_region, None, None))
+            stack.append((left1[u], vl, lw, left_region, None, None))
+            continue
+        # crossing or parallel splits: split by the first tree's condition;
+        # each child keeps the second tree's node if its condition still cuts
+        # the child region and otherwise descends to the matching daughter.
+        # The child's sides of cv are cv's sides split by cu, which start from
+        # their own witnesses (a categorical cu needs no LP at all).
+        (ll, lr), (rl, rr) = sv[0].split(cu), sv[1].split(cu)
+        (vl, sl), (vr, sr) = _descend(b, v, (ll, rl)), _descend(b, v, (lr, rr))
+        stack.append((right1[u], vr, rw, right_region, None, sr))
+        stack.append((left1[u], vl, lw, left_region, None, sl))
+
+    return builder.build(lambda pairs: _pack_rows(
+        (t1, t2), (0, second), np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)))
 
 
 def _require_schema_and_kind(trees: Sequence[Tree]) -> str:
@@ -315,16 +373,16 @@ def combine_many(trees: Sequence[Tree], budget: Optional[CombineBudget] = None) 
     Each leaf of the result holds one value per input tree, in input order,
     with source ids recording the positions so weights align. The trees
     before the first with a hyperplane split are overlaid by one walk, and
-    each later tree is overlaid on the fold so far.
+    each later tree is overlaid on the fold so far, depth first.
     """
     if not trees:
         raise DomainError("combine_many needs at least one tree")
     _require_schema_and_kind(trees)
     budget = budget if budget is not None else CombineBudget()
     k = next((k for k, t in enumerate(trees) if (t.kind == HYPERPLANE).any()), len(trees))
-    result = _tuple_tree(trees[0]) if k < 2 else _overlay(NodeTable(trees[:k]), budget, range(k))
+    result = _tuple_tree(trees[0]) if k < 2 else _walk(trees[:k], budget)
     for m in range(max(k, 1), len(trees)):
-        result = _overlay(NodeTable((result, trees[m])), budget, (0, m))
+        result = _combine(result, trees[m], budget, m)
     return result
 
 

@@ -270,11 +270,16 @@ def _tree_from_body(doc: dict, schema: FeatureSchema, where: str) -> Tree:
                      threshold, split, leaf, leaves)
 
 
+class _ByType(dict):
+    """The shape of an object by its ``type``; another type checks none."""
+
+
 # The objects and lists of a tree or forest file: an object maps keys to the
 # shapes of their values, a list holds the shape of its elements, if checked.
-_VALUE_SHAPE: dict = {"probs": [], "source_ids": []}
-_VALUE_SHAPE["values"] = [_VALUE_SHAPE]
-_BODY_SHAPE = {"nodes": [{"split": {"coeffs": [], "left_levels": []}, "value": _VALUE_SHAPE}]}
+_VALUE_SHAPE = _ByType(class_probs={"probs": []}, tuple={"source_ids": []})
+_VALUE_SHAPE["tuple"]["values"] = [_VALUE_SHAPE]
+_SPLIT_SHAPE = _ByType(categorical={"left_levels": []}, hyperplane={"coeffs": []})
+_BODY_SHAPE = {"nodes": [{"split": _SPLIT_SHAPE, "value": _VALUE_SHAPE}]}
 _FILE_SHAPE = {"schema": {"features": [{}]}, "trees": [_BODY_SHAPE], "metadata": {},
                **_BODY_SHAPE}
 
@@ -283,13 +288,16 @@ def _check_shape(x, shape, path: str, where: str = "", nulls: bool = True) -> No
     """Raise a ParseError naming the first field of ``x`` (the field
     ``where`` of the file ``path``, or the whole document) that should hold
     a JSON object or list but holds another value, with ``nulls`` null too
-    unless it is a ``split`` or ``value``. Run only once loading has failed,
-    so valid loads pay nothing."""
+    unless it is a ``split`` or ``value``. A split or value is checked only
+    for the fields its ``type`` reads. Run only once loading has failed, so
+    valid loads pay nothing."""
     kind, name = (dict, "an object") if isinstance(shape, dict) else (list, "a list")
     if not isinstance(x, kind):
         text = json.dumps(x)
         raise ParseError(f"{path}: {where or 'document'} must be {name}, "
                          f"got {text if len(text) <= 40 else text[:37] + '...'}")
+    if isinstance(shape, _ByType):
+        shape = shape.get(x.get("type"), {}) if isinstance(x.get("type"), str) else {}
     if kind is dict:
         for key, inner in shape.items():
             if key in x and (x[key] is not None or nulls and key not in ("split", "value")):

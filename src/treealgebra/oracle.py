@@ -18,10 +18,11 @@ and :func:`iter_leaves_with_regions` give the regions of a tree's nodes,
 :func:`contains_batch` and :func:`region_measure` the points and the mass
 in a region. :func:`route` routes one point at a time, one split at a time
 (:func:`goes_left`), as the check on the library's batch routing.
-:func:`combine_many_reference` is the overlay built one output node at a
-time, depth first, with :func:`same_partition_in_region` matching
-identical splits: the check on the frontier overlay of
-:mod:`treealgebra.combine`.
+:func:`combine_many_reference` folds every tree with the depth-first pair
+overlay of :mod:`treealgebra.combine`, which the library uses only from
+the first tree with a hyperplane split on: the check on its walk of an
+axis-aligned fold. :func:`same_partition_in_region`, which that overlay
+matches identical splits with, is re-exported here.
 
 :func:`validate_reference` checks a tree one node at a time, depth first,
 and is the only code that writes validation messages: the stacked pass of
@@ -45,7 +46,7 @@ from .errors import (
     UnknownNodeError,
     UnsupportedGeometryError,
 )
-from .combine import CombineBudget, _arrays, _pack_rows, _tuple_tree
+from .combine import CombineBudget, _combine, _tuple_tree, same_partition_in_region
 from .geometry import Empirical, Measure, UniformBox
 from .trees import (
     HYPERPLANE,
@@ -54,7 +55,6 @@ from .trees import (
     CategoricalSubset,
     ClassProbs,
     FeatureSchema,
-    Hyperplane,
     Leaves,
     LeafValue,
     NumericFeature,
@@ -398,147 +398,16 @@ def iter_leaves_with_regions(tree: Tree) -> Iterator[tuple[int, Region]]:
 
 
 # ---------------------------------------------------------------------------
-# Depth-first overlay
-
-
-def same_partition_in_region(
-    split_u: Split, split_v: Split, region: Region
-) -> Optional[str]:
-    """``"same"``/``"swapped"`` when two splits induce one bipartition of the
-    region, else None.
-
-    Numeric thresholds and hyperplanes are compared by exact equality (trees
-    built from the same data reuse exact split values; epsilon-merging would
-    silently change the represented function). Categorical splits compare
-    their left level sets restricted to the region.
-    """
-    if isinstance(split_u, NumericThreshold) and isinstance(split_v, NumericThreshold):
-        if split_u.feature == split_v.feature and split_u.threshold == split_v.threshold:
-            return "same"
-        return None
-    if isinstance(split_u, CategoricalSubset) and isinstance(split_v, CategoricalSubset):
-        if split_u.feature != split_v.feature:
-            return None
-        admissible: frozenset = region.constraints[split_u.feature]
-        lu = split_u.left_levels & admissible
-        lv = split_v.left_levels & admissible
-        if lu == lv:
-            return "same"
-        if lu == admissible - lv:
-            return "swapped"
-        return None
-    if isinstance(split_u, Hyperplane) and isinstance(split_v, Hyperplane):
-        if (
-            split_u.coefficients == split_v.coefficients
-            and split_u.offset == split_v.offset
-        ):
-            return "same"
-        return None
-    return None
-
-
-def _descend(tree, i: int, sides):
-    """Where a tree continues in a region, given the sides of its split
-    there: the node and those sides when the split cuts the region, else the
-    child whose side holds the region, whose split is not yet decided."""
-    left, right = sides
-    if left is None:
-        return tree[1][i], None
-    if right is None:
-        return tree[0][i], None
-    return i, sides
-
-
-def _collect_into(builder, w, region, tree, v, budget, value_fn, sides=None):
-    """Copy ``tree`` (its :func:`_arrays`) below node ``v`` into ``builder``
-    at ``w``, keeping only the splits that cut ``region``; ``sides`` is
-    ``v``'s split already decided in ``region``, when known."""
-    left, right, leaf, splits = tree
-    stack = [(w, region, v, sides)]
-    while stack:
-        w, region, v, sides = stack.pop()
-        budget.calls_made += 1
-        if left[v] < 0:
-            builder.set_value(w, value_fn(leaf[v]))
-            continue
-        u, sides = _descend(tree, v, sides or region.split(splits[v]))
-        if sides is None:
-            stack.append((w, region, u, None))
-            continue
-        lw, rw = builder.split_node(w, splits[v])
-        stack.append((rw, sides[1], right[v], None))
-        stack.append((lw, sides[0], left[v], None))
-
-
-def _combine(t1: Tree, t2: Tree, budget: CombineBudget, second: int) -> Tree:
-    """The overlay of two trees; its leaf joining leaf rows ``i`` of ``t1``
-    and ``j`` of ``t2`` holds the blocks of both, ``t1``'s first. A leaf
-    that is not a tuple is one block, from source 0 in ``t1`` and from
-    source ``second`` in ``t2``."""
-    schema = t1.schema
-    builder = TreeBuilder(schema, budget.max_nodes)
-    w0 = builder.add_root()
-    a, b = _arrays(t1), _arrays(t2)
-    (left1, right1, leaf1, splits1), (left2, right2, leaf2, splits2) = a, b
-    # each entry carries the sides of u's and v's splits in its region when
-    # an earlier step already decided them, so no region decides a split twice
-    stack = [(t1.root_pos, t2.root_pos, w0, Region.full(schema), None, None)]
-    while stack:
-        u, v, w, region, su, sv = stack.pop()
-        budget.calls_made += 1
-        if left1[u] < 0 and left2[v] < 0:
-            builder.set_value(w, (leaf1[u], leaf2[v]))
-            continue
-        if left1[u] < 0:
-            _collect_into(builder, w, region, b, v, budget, lambda j, i=leaf1[u]: (i, j), sv)
-            continue
-        if left2[v] < 0:
-            _collect_into(builder, w, region, a, u, budget, lambda i, j=leaf2[v]: (i, j), su)
-            continue
-        cu, cv = splits1[u], splits2[v]
-        u2, su = _descend(a, u, su or region.split(cu))
-        v2, sv = _descend(b, v, sv or region.split(cv))
-        if su is None or sv is None:
-            # at least one condition misses the working region: descend into
-            # whichever children contain it without adding a node. (The case
-            # where both conditions cut the region never reaches this branch;
-            # it is handled below.)
-            stack.append((u2, v2, w, region, su, sv))
-            continue
-        ident = same_partition_in_region(cu, cv, region)
-        lw, rw = builder.split_node(w, cu)
-        left_region, right_region = su
-        if ident == "same":
-            stack.append((right1[u], right2[v], rw, right_region, None, None))
-            stack.append((left1[u], left2[v], lw, left_region, None, None))
-            continue
-        if ident == "swapped":
-            stack.append((right1[u], left2[v], rw, right_region, None, None))
-            stack.append((left1[u], right2[v], lw, left_region, None, None))
-            continue
-        # crossing or parallel splits: split by the first tree's condition;
-        # each child keeps the second tree's node if its condition still cuts
-        # the child region and otherwise descends to the matching daughter.
-        # The child's sides of cv are cv's sides split by cu, which start from
-        # their own witnesses (a categorical cu needs no LP at all).
-        (ll, lr), (rl, rr) = sv[0].split(cu), sv[1].split(cu)
-        for child_u, child_w, child_region, child_sides in (
-            (right1[u], rw, right_region, (lr, rr)),
-            (left1[u], lw, left_region, (ll, rl)),
-        ):
-            child_v, child_sv = _descend(b, v, child_sides)
-            stack.append((child_u, child_v, child_w, child_region, None, child_sv))
-
-    return builder.build(lambda pairs: _pack_rows(
-        (t1, t2), (0, second), np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)))
+# Overlay reference
 
 
 def combine_many_reference(
     trees: Sequence[Tree], budget: Optional[CombineBudget] = None
 ) -> Tree:
-    """:func:`~treealgebra.combine.combine_many` by the depth-first overlay,
-    one output node at a time: the reference for the frontier overlay,
-    which must give the same node arrays, split columns and leaf tables."""
+    """:func:`~treealgebra.combine.combine_many` as a left fold of the
+    depth-first pair overlay, one output node at a time: the reference for
+    the walk of an axis-aligned fold, which must give the same node arrays,
+    split columns and leaf tables."""
     budget = budget if budget is not None else CombineBudget()
     result = _tuple_tree(trees[0])
     for m in range(1, len(trees)):

@@ -845,8 +845,7 @@ class NodeTable:
                 self.offsets[j] = n_levels
                 n_levels += len(f.levels)
         self.words = -(-n_levels // 64)
-        kinds = np.bincount(self.kind, minlength=HYPERPLANE + 1)
-        self.hyperplanes, self.categorical = bool(kinds[HYPERPLANE]), bool(kinds[CATEGORICAL])
+        self.categorical = bool((self.kind == CATEGORICAL).any())
         self.proper = np.zeros(len(self.kind), dtype=bool)
         if self.categorical:
             self._level_masks(schema)
@@ -906,13 +905,6 @@ class NodeTable:
             # a side keeps every level but those the split sends the other way
             other = self.on_sides[src, self.words:] if left else self.on_sides[src, :self.words]
             masks[rows] &= ~other
-
-    @cached_property
-    def lists(self) -> tuple[list, list, list, list]:
-        """The child positions, leaf rows and split objects as lists, for
-        one row at a time."""
-        return (self.left.tolist(), self.right.tolist(), self.leaf.tolist(),
-                [s for t in self.trees for s in t.splits()])
 
 
 # ---------------------------------------------------------------------------

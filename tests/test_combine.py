@@ -169,9 +169,9 @@ class TestCombineMany:
             assert ta.combine_many(trees).n_nodes == 2 ** (m + 1) - 1
 
     def test_an_axis_aligned_fold_is_one_walk(self, d2, make_stump, monkeypatch):
-        """An axis-aligned fold walks all its trees in one node table; a
-        tree with a hyperplane split is overlaid on the fold so far, one
-        table per step."""
+        """An axis-aligned fold walks all its trees in one node table; from
+        a tree with a hyperplane split on, each tree is overlaid on the fold
+        so far depth first, with no table."""
         built = []
         init = NodeTable.__init__
         monkeypatch.setattr(NodeTable, "__init__",
@@ -185,10 +185,10 @@ class TestCombineMany:
         hyper = b.build()
         built.clear()
         ta.combine_many([hyper] + stumps[:4])
-        assert built == [2] * 4
+        assert built == []
         built.clear()
         ta.combine_many(stumps[:3] + [hyper] + stumps[3:])
-        assert built == [3, 2, 2, 2]
+        assert built == [3]
 
     def test_empty_fold_is_refused(self):
         with pytest.raises(ta.DomainError, match="^combine_many needs at least one tree$"):
@@ -407,8 +407,10 @@ def grid_pool(schema, steps):
 
 
 class TestFrontierOverlayMatchesReference:
-    """The frontier overlay builds the tree the depth-first reference
-    overlay builds, array for array, on pairs and on folds of 3-10 trees."""
+    """The walk of an axis-aligned fold builds the tree the depth-first
+    reference fold builds, array for array, on pairs and on folds of 3-10
+    trees; a fold with hyperplanes is depth first from its first tree with
+    one on, and matches too."""
 
     def check(self, trees, lps=None):
         """The overlay of some trees by both; with ``lps``, the list that
@@ -503,11 +505,21 @@ class TestFrontierOverlayMatchesReference:
         for node, value in zip(stump.split_node(stump.add_root(), NumericThreshold(1, 0.0)),
                                (4.0, 5.0)):
             stump.set_value(node, Scalar(value))
-        self.check([a.build(), stump.build()], calls)
+        folds = [[a.build(), stump.build()]]
         for _ in range(50):
             k = int(rng.choice([2, 2, 3, 4]))
-            trees = [pool_tree(schema, rng, int(rng.integers(1, 6)), pool) for _ in range(k)]
-            self.check(trees, calls)
+            folds.append([pool_tree(schema, rng, int(rng.integers(1, 6)), pool) for _ in range(k)])
+        # a one-leaf first tree has the second copied below its leaf, one
+        # state per node of the second, within the n1 * n2 bound of check
+        folds.append([pool_tree(schema, rng, 0, pool), a.build()])
+        for _ in range(10):
+            folds.append([pool_tree(schema, rng, 0, pool),
+                          pool_tree(schema, rng, int(rng.integers(1, 6)), pool)])
+        for trees in folds:
+            # the fold of a tree with a hyperplane is the reference's own
+            # overlay, so it is also checked against its sources
+            got = self.check(trees, calls)
+            assert ta.pointwise_equivalence(got, trees, 200, seed=0) is None
         assert len(calls) > 100
 
     def test_budget_overflow_matches(self, rng):

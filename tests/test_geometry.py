@@ -246,8 +246,8 @@ class TestFeasibilityLPCount:
         assert len(count_lps) == 1
 
     def test_lp_count_of_a_fixed_hyperplane_overlay(self, mixed_pair, count_lps):
-        """The overlay runs as many LPs as the per-node overlay it replaced
-        (4, 4 and 466 for these inputs), so no region decides a split twice."""
+        """The depth-first overlay runs as many LPs as it always has (4, 4
+        and 466 for these inputs), so no region decides a split twice."""
         a, b = mixed_pair
         counts = []
         for trees in ([a, b], [b, a]):

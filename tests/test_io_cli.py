@@ -751,6 +751,11 @@ class TestCli:
         # ... but not in place of a message that names the fault
         (stump_json(value={"type": "scalar", "v": "x", "probs": None}), "validate {}",
          'PARSE msg="{}: nodes[1].value.v must be a number, got "x""'),
+        # nor does a field the value's or split's type never reads
+        (stump_json(value={"type": "scalar", "v": "x", "probs": 5}), "validate {}",
+         'PARSE msg="{}: nodes[1].value.v must be a number, got "x""'),
+        (stump_json(split={"type": "numeric", "feature": 0, "threshold": "x", "coeffs": 5}),
+         "validate {}", 'PARSE msg="{}: nodes[0].split.threshold must be a number, got "x""'),
         ('{"features": null}', "import --table {table} --schema {} --out {out}",
          'PARSE msg="{}: schema.features must be a list, got null"'),
         ('{"schema": null}', "import --table {table} --schema {} --out {out}",
@@ -792,7 +797,7 @@ class TestCli:
         assert run_cli(["mds", "--matrix", str(workdir / "D.csv"), "--dims", "2",
                         "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        assert captured.err == "note: only 1 positive eigenvalues; trailing coordinates are zero\n"
+        assert captured.err == "note: only 1 positive eigenvalue; trailing coordinates are zero\n"
         assert captured.out == "stress=0\n"
         assert (io.read_matrix_csv(str(out))[:, 1] == 0.0).all()
 
