@@ -23,7 +23,13 @@ From the first tree with a hyperplane split on, each tree is overlaid on
 the fold so far by the paper's depth-first recursion, one output node at a
 time, in :class:`Region` objects from :meth:`Region.full`: each step
 decides the splits of the tree folded so far again with
-:meth:`Region.split`. :func:`treealgebra.oracle.combine_many_reference`
+:meth:`Region.split`. A state splits by the first tree's split, or by the
+second's when the first is at a leaf, and a split that misses the region
+descends. Where both trees share a split, the second tree's split is
+already settled in each child region (a threshold or level set by the box,
+a hyperplane by the path that holds it), so both trees descend together
+with no special case and no LP, and no hyperplane is written below itself.
+:func:`treealgebra.oracle.combine_many_reference`
 folds every tree with that recursion, the reference the tests compare the
 walk with array for array.
 """
@@ -38,13 +44,9 @@ import numpy as np
 from .errors import DomainError, LeafKindError, SchemaError
 from .trees import (
     HYPERPLANE,
-    CategoricalSubset,
-    Hyperplane,
     Leaves,
     NodeTable,
-    NumericThreshold,
     Region,
-    Split,
     Tree,
     TreeBuilder,
     check_node_budget,
@@ -71,8 +73,9 @@ class CombineBudget:
     spends at a node, where a row at a leaf goes on in the next tree in the
     same round, so a pair takes at most ``(n1 - L1) + L1 * n2`` (``L1``: the
     first tree's leaves); then, in each depth-first step, one per pair of
-    node positions it visits in a region, and no pair arises twice. Either
-    way a pair of trees takes at most ``n1 * n2``.
+    node positions it visits in a region, pairs of two leaves and pairs
+    with one tree at a leaf included, and no pair arises twice. Either way
+    a pair of trees takes at most ``n1 * n2``.
     """
 
     max_nodes: int = 10_000_000
@@ -217,37 +220,6 @@ def _walk(trees: Sequence[Tree], budget: CombineBudget) -> Tree:
 # Depth-first overlay
 
 
-def same_partition_in_region(
-    split_u: Split, split_v: Split, region: Region
-) -> Optional[str]:
-    """``"same"``/``"swapped"`` when two splits induce one bipartition of the
-    region, else None.
-
-    Numeric thresholds and hyperplanes are compared by exact equality (trees
-    built from the same data reuse exact split values; epsilon-merging would
-    silently change the represented function). Categorical splits compare
-    their left level sets restricted to the region.
-    """
-    if isinstance(split_u, NumericThreshold) and isinstance(split_v, NumericThreshold):
-        if split_u.feature == split_v.feature and split_u.threshold == split_v.threshold:
-            return "same"
-        return None
-    if isinstance(split_u, CategoricalSubset) and isinstance(split_v, CategoricalSubset):
-        if split_u.feature != split_v.feature:
-            return None
-        admissible: frozenset = region.constraints[split_u.feature]
-        lu = split_u.left_levels & admissible
-        lv = split_v.left_levels & admissible
-        if lu == lv:
-            return "same"
-        if lu == admissible - lv:
-            return "swapped"
-        return None
-    if isinstance(split_u, Hyperplane) and isinstance(split_v, Hyperplane):
-        return "same" if split_u == split_v else None
-    return None
-
-
 def _descend(tree, i: int, sides):
     """Where a tree continues in a region, given the sides of its split
     there: the node and those sides when the split cuts the region, else the
@@ -258,28 +230,6 @@ def _descend(tree, i: int, sides):
     if right is None:
         return tree[0][i], None
     return i, sides
-
-
-def _collect_into(builder, w, region, tree, v, budget, value_fn, sides=None):
-    """Copy ``tree`` (its :func:`_arrays`) below node ``v`` into ``builder``
-    at ``w``, keeping only the splits that cut ``region``; ``sides`` is
-    ``v``'s split already decided in ``region``, when known. Counts every
-    state it visits, the one it starts from too."""
-    left, right, leaf, splits = tree
-    stack = [(w, region, v, sides)]
-    while stack:
-        w, region, v, sides = stack.pop()
-        budget.calls_made += 1
-        if left[v] < 0:
-            builder.set_value(w, value_fn(leaf[v]))
-            continue
-        u, sides = _descend(tree, v, sides or region.split(splits[v]))
-        if sides is None:
-            stack.append((w, region, u, None))
-            continue
-        lw, rw = builder.split_node(w, splits[v])
-        stack.append((rw, sides[1], right[v], None))
-        stack.append((lw, sides[0], left[v], None))
 
 
 def _combine(t1: Tree, t2: Tree, budget: CombineBudget, second: int) -> Tree:
@@ -296,37 +246,37 @@ def _combine(t1: Tree, t2: Tree, budget: CombineBudget, second: int) -> Tree:
     stack = [(t1.root_pos, t2.root_pos, builder.add_root(), Region.full(schema), None, None)]
     while stack:
         u, v, w, region, su, sv = stack.pop()
-        if left1[u] < 0:
-            _collect_into(builder, w, region, b, v, budget, lambda j, i=leaf1[u]: (i, j), sv)
-            continue
-        if left2[v] < 0:
-            _collect_into(builder, w, region, a, u, budget, lambda i, j=leaf2[v]: (i, j), su)
-            continue
         budget.calls_made += 1
-        cu, cv = splits1[u], splits2[v]
-        u2, su = _descend(a, u, su or region.split(cu))
-        v2, sv = _descend(b, v, sv or region.split(cv))
-        if su is None or sv is None:
-            # a split that misses the region descends without adding a node
+        if left1[u] < 0 and left2[v] < 0:
+            builder.set_value(w, (leaf1[u], leaf2[v]))
+            continue
+        # a tree at a leaf stays there; a split that misses the region
+        # descends without adding a node
+        u2, su = (u, None) if left1[u] < 0 else _descend(a, u, su or region.split(splits1[u]))
+        v2, sv = (v, None) if left2[v] < 0 else _descend(b, v, sv or region.split(splits2[v]))
+        if u2 != u or v2 != v:
             stack.append((u2, v2, w, region, su, sv))
             continue
-        ident = same_partition_in_region(cu, cv, region)
-        lw, rw = builder.split_node(w, cu)
-        left_region, right_region = su
-        if ident:
-            vl, vr = (left2[v], right2[v]) if ident == "same" else (right2[v], left2[v])
-            stack.append((right1[u], vr, rw, right_region, None, None))
-            stack.append((left1[u], vl, lw, left_region, None, None))
+        if su is None:
+            # the first tree is at a leaf: copy the second tree's split
+            lw, rw = builder.split_node(w, splits2[v])
+            stack.append((u, right2[v], rw, sv[1], None, None))
+            stack.append((u, left2[v], lw, sv[0], None, None))
             continue
-        # crossing or parallel splits: split by the first tree's condition;
-        # each child keeps the second tree's node if its condition still cuts
-        # the child region and otherwise descends to the matching daughter.
-        # The child's sides of cv are cv's sides split by cu, which start from
-        # their own witnesses (a categorical cu needs no LP at all).
-        (ll, lr), (rl, rr) = sv[0].split(cu), sv[1].split(cu)
-        (vl, sl), (vr, sr) = _descend(b, v, (ll, rl)), _descend(b, v, (lr, rr))
-        stack.append((right1[u], vr, rw, right_region, None, sr))
-        stack.append((left1[u], vl, lw, left_region, None, sl))
+        # split by the first tree's condition cu; each child keeps the second
+        # tree's node v if its split still cuts the child region and
+        # otherwise descends to the matching daughter, so a split both trees
+        # share descends both at once. The child's sides of v's split are its
+        # sides split by cu, which start from their own witnesses (a
+        # categorical cu, or one already on the path, needs no LP at all).
+        cu = splits1[u]
+        lw, rw = builder.split_node(w, cu)
+        (vl, sl), (vr, sr) = (v, None), (v, None)
+        if sv is not None:
+            (ll, lr), (rl, rr) = sv[0].split(cu), sv[1].split(cu)
+            (vl, sl), (vr, sr) = _descend(b, v, (ll, rl)), _descend(b, v, (lr, rr))
+        stack.append((right1[u], vr, rw, su[1], None, sr))
+        stack.append((left1[u], vl, lw, su[0], None, sl))
 
     return builder.build(lambda pairs: _pack_rows(
         (t1, t2), (0, second), np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)))

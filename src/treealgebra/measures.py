@@ -187,14 +187,20 @@ def _sub_stack(t: _LeafTable, first: int, stop: int) -> _LeafTable:
     """Trees ``first`` to ``stop - 1`` of the stack ``t``: ``t`` or views of it."""
     if first == 0 and stop == len(t.offsets) - 1:
         return t
-    lo, hi = t.offsets[first], t.offsets[stop]
+    return _leaf_rows(t, t.offsets[first : stop + 1])
+
+
+def _leaf_rows(t: _LeafTable, offsets: Sequence[int]) -> _LeafTable:
+    """Leaves ``offsets[0]`` to ``offsets[-1] - 1`` of the stack ``t``, as
+    views of it, as a stack whose trees start at each offset but the last."""
+    lo, hi = offsets[0], offsets[-1]
     return _LeafTable(
         t.schema,
         t.lo[:, lo:hi],
         t.hi[:, lo:hi],
         tuple(m[lo:hi] for m in t.levels),
         t.values[lo:hi],
-        tuple(o - lo for o in t.offsets[first : stop + 1]),
+        tuple(o - lo for o in offsets),
     )
 
 
@@ -256,7 +262,8 @@ def _pair_block(a: _LeafTable, b: _LeafTable, term) -> np.ndarray:
 # Under the uniform measure one row tree is scored against a run of whole
 # column trees at once; a run grows while its largest pair-sized temporary,
 # (row leaves, run leaves, width) floats, stays within this many bytes, and
-# holds at least one tree.
+# holds at least one tree. A run of one tree over the budget is scored in
+# chunks of the row tree's leaves, each within the budget.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -268,7 +275,8 @@ def _row_integrals(a, cols, first: int, measure: Measure, term) -> list[float]:
     pair is the one-tree case. Under the uniform measure each run of column
     trees costs one :func:`_pair_block`, and each tree's sum is taken over a
     contiguous copy of its columns, so it adds the same floats in the same
-    order whether its run holds it alone or among others."""
+    order whether its run holds it alone or among others. A pair over the
+    budget adds its chunks' sums in row order instead."""
     if not isinstance(measure, UniformBox):
         return [float(measure.weights @ term(a[0], b)) for b in cols[first:]]
     offsets, row_bytes = cols.offsets, a.values.nbytes
@@ -279,10 +287,20 @@ def _row_integrals(a, cols, first: int, measure: Measure, term) -> list[float]:
         while stop < n and row_bytes * (offsets[stop + 1] - offsets[k]) <= _BLOCK_BYTES:
             stop += 1
         run = _sub_stack(cols, k, stop)
+        k = stop
+        leaves = run.offsets[-1]
+        if row_bytes * leaves > _BLOCK_BYTES:
+            rows = len(a.values)
+            step = max(1, _BLOCK_BYTES * rows // (row_bytes * leaves))
+            acc = 0.0
+            for lo in range(0, rows, step):
+                chunk = _leaf_rows(a, (lo, min(lo + step, rows)))
+                acc += float(_pair_block(chunk, run, term).sum())
+            out.append(acc)
+            continue
         block = _pair_block(a, run, term)
         for lo, hi in zip(run.offsets, run.offsets[1:]):
             out.append(float(np.ascontiguousarray(block[:, lo:hi]).sum()))
-        k = stop
     return out
 
 

@@ -21,8 +21,7 @@ in a region. :func:`route` routes one point at a time, one split at a time
 :func:`combine_many_reference` folds every tree with the depth-first pair
 overlay of :mod:`treealgebra.combine`, which the library uses only from
 the first tree with a hyperplane split on: the check on its walk of an
-axis-aligned fold. :func:`same_partition_in_region`, which that overlay
-matches identical splits with, is re-exported here.
+axis-aligned fold.
 
 :func:`validate_reference` checks a tree one node at a time, depth first,
 and is the only code that writes validation messages: the stacked pass of
@@ -46,7 +45,7 @@ from .errors import (
     UnknownNodeError,
     UnsupportedGeometryError,
 )
-from .combine import CombineBudget, _combine, _tuple_tree, same_partition_in_region
+from .combine import CombineBudget, _combine, _tuple_tree
 from .geometry import Empirical, Measure, UniformBox
 from .trees import (
     HYPERPLANE,
@@ -69,6 +68,7 @@ from .trees import (
     TupleValue,
     _entry,
     _goes_left_batch,
+    _overflows,
     _pack,
     _positions,
     _route_batch,
@@ -89,7 +89,6 @@ __all__ = [
     "region_measure",
     "node_region",
     "iter_leaves_with_regions",
-    "same_partition_in_region",
     "combine_many_reference",
     "validate_reference",
     "recursive_pair_sum",
@@ -424,11 +423,14 @@ def _split_faults(kind: int, j: int, t: float, split: Optional[Split],
     """What is wrong with a split on a schema: a numeric split is feature
     ``j`` and threshold ``t``, the others are ``split``."""
     if kind == HYPERPLANE:
-        return [text for bad, text in (
+        faults = [text for bad, text in (
             (len(split.coefficients) != len(schema.numeric_indices),
              "hyperplane arity != number of numeric features"),
             (not all(map(isfinite, split.coefficients)), "hyperplane coefficient is not finite"),
             (not isfinite(split.offset), "hyperplane offset is not finite")) if bad]
+        if not faults and _overflows(split, schema):
+            faults.append("hyperplane overflows on the domain box")
+        return faults
     if not 0 <= j < schema.n_features:
         return [f"split feature index {j} out of range"]
     on_numeric = isinstance(schema.features[j], NumericFeature)

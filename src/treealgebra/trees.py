@@ -236,6 +236,18 @@ class Hyperplane:
 Split = Union[NumericThreshold, CategoricalSubset, Hyperplane]
 
 
+def _overflows(h: Hyperplane, schema: FeatureSchema) -> bool:
+    """Whether a hyperplane's products ``c_k * x_k`` on the schema's box,
+    their sum or its offset can leave the float range: the sum of
+    ``|offset|`` and every ``|c_k| * max(|low_k|, |high_k|)`` is not finite,
+    as it is for a coefficient or offset that is not finite."""
+    total = abs(h.offset)
+    for c, j in zip(h.coefficients, schema.numeric_indices):
+        f = schema.features[j]
+        total += abs(c) * max(abs(f.low), abs(f.high))
+    return not isfinite(total)
+
+
 class Side(Enum):
     LEFT = "left"
     RIGHT = "right"
@@ -309,9 +321,11 @@ class Region:
     nonempty by construction. A numeric or categorical split cuts the box
     by :func:`box_sides`, the rule that the leaf tables of
     :mod:`treealgebra.measures` and the oracle's validation walk follow too.
-    Emptiness under half-spaces is decided by a feasibility LP that relaxes
-    strict inequalities to closed ones, so a region touching a hyperplane
-    in a measure-zero set counts as nonempty.
+    A hyperplane already among the half-spaces keeps the region on the
+    side the path took, exactly, as a repeated threshold does in the box.
+    Any other emptiness under half-spaces is decided by a feasibility LP
+    that relaxes strict inequalities to closed ones, so a region touching a
+    hyperplane in a measure-zero set counts as nonempty.
 
     ``witness`` is a point of the numeric subspace (in
     ``schema.numeric_indices`` order) that meets the closed constraints. A
@@ -352,13 +366,17 @@ class Region:
         """The two sides of a split within this region, each None when empty.
 
         One None means the region lies in the other side, which is then the
-        region itself. Each side is decided under the closed relaxation, so
-        a split that only touches the region still splits it. Without
-        half-spaces a numeric or categorical split runs no LP; otherwise the
-        side that holds the witness is nonempty for free and the other side
-        runs one feasibility LP.
+        region itself. A hyperplane equal to one on the path gives the side
+        the path took, with no LP. Any other side is decided under the
+        closed relaxation, so a split that only touches the region still
+        splits it. Without half-spaces a numeric or categorical split runs
+        no LP; otherwise the side that holds the witness is nonempty for
+        free and the other side runs one feasibility LP.
         """
         if isinstance(split, Hyperplane):
+            for h, side in self.half_spaces:
+                if h == split:
+                    return (self, None) if side is Side.LEFT else (None, self)
             w = self._witness()
             s = np.nan if w is None else float(np.asarray(split.coefficients) @ w)
             left, right = (
@@ -1024,7 +1042,7 @@ def check_trees(trees: Sequence[Tree]) -> list[list[str]]:
                       (kind == CATEGORICAL) & ~nodes.proper)
     at = (kind == HYPERPLANE).nonzero()[0]
     faulty[at] = [len(h.coefficients) != len(schema.numeric_indices)
-                  or not all(map(isfinite, h.coefficients + (h.offset,))) for h in nodes.split[at].tolist()]
+                  or _overflows(h, schema) for h in nodes.split[at].tolist()]
     sound = np.where(linked, (kind > 0) & (leaf < 0) & ~faulty,
                      (left < 0) & (right < 0) & (leaf >= 0) & (kind == 0))
     live, roots = nodes.roots >= 0, nodes.roots

@@ -406,6 +406,25 @@ def grid_pool(schema, steps):
     return pool
 
 
+def mixed_pool():
+    """A schema, five hyperplanes and a split pool that draws them with the
+    grid of :func:`grid_pool`. The pool is small, so identical hyperplanes
+    recur within and across trees; x0 + x1 <= 0 only touches the domain at
+    a corner, and x0 <= 0.5 as a hyperplane only touches the region right
+    of the same threshold."""
+    schema = ta.FeatureSchema((
+        ta.CategoricalFeature("many", tuple(f"m{i}" for i in range(70))),
+        ta.NumericFeature("x0", 0.0, 1.0),
+        ta.NumericFeature("x1", 0.0, 1.0),
+        ta.CategoricalFeature("c", ("a", "b", "c")),
+    ))
+    planes = [Hyperplane((1.0, 1.0), 0.0), Hyperplane((1.0, 1.0), 1.0),
+              Hyperplane((1.0, -1.0), 0.25), Hyperplane((1.0, 0.0), 0.5),
+              Hyperplane((-1.0, 2.0), 0.5)]
+    pool = grid_pool(schema, 2) + [lambda rng: planes[int(rng.integers(0, len(planes)))]] * 4
+    return schema, planes, pool
+
+
 class TestFrontierOverlayMatchesReference:
     """The walk of an axis-aligned fold builds the tree the depth-first
     reference fold builds, array for array, on pairs and on folds of 3-10
@@ -472,20 +491,7 @@ class TestFrontierOverlayMatchesReference:
         assert max(sizes) > 50
 
     def test_hyperplane_and_numeric_mixes(self, rng, monkeypatch):
-        schema = ta.FeatureSchema((
-            ta.CategoricalFeature("many", tuple(f"m{i}" for i in range(70))),
-            ta.NumericFeature("x0", 0.0, 1.0),
-            ta.NumericFeature("x1", 0.0, 1.0),
-            ta.CategoricalFeature("c", ("a", "b", "c")),
-        ))
-        # a small pool, so identical hyperplanes recur within and across
-        # trees; x0 + x1 <= 0 only touches the domain at a corner, and
-        # x0 <= 0.5 as a hyperplane only touches the region right of the
-        # same threshold
-        planes = [Hyperplane((1.0, 1.0), 0.0), Hyperplane((1.0, 1.0), 1.0),
-                  Hyperplane((1.0, -1.0), 0.25), Hyperplane((1.0, 0.0), 0.5),
-                  Hyperplane((-1.0, 2.0), 0.5)]
-        pool = grid_pool(schema, 2) + [lambda rng: planes[int(rng.integers(0, len(planes)))]] * 4
+        schema, planes, pool = mixed_pool()
         calls = []
         feasible = simplex.feasible
 
@@ -533,3 +539,99 @@ class TestFrontierOverlayMatchesReference:
                 combine_many_reference(trees, CombineBudget(max_nodes=max_nodes))
             assert str(got.value) == str(want.value)
         assert ta.combine_many(trees, CombineBudget(max_nodes=size)).n_nodes == size
+
+
+def repeated_hyperplanes(tree):
+    """The number of nodes whose hyperplane split is already on their path,
+    which leaves one of their sides empty."""
+    left, right, splits = tree.left_pos.tolist(), tree.right_pos.tolist(), tree.splits()
+    count, stack = 0, [(tree.root_pos, ())]
+    while stack:
+        i, path = stack.pop()
+        if left[i] < 0:
+            continue
+        if isinstance(splits[i], Hyperplane):
+            count += splits[i] in path
+            path += (splits[i],)
+        stack += [(left[i], path), (right[i], path)]
+    return count
+
+
+def build(schema, node):
+    """A tree from nested ``(split, left, right)`` tuples with scalar leaves."""
+    b = ta.TreeBuilder(schema)
+    stack = [(b.add_root(), node)]
+    while stack:
+        nid, node = stack.pop()
+        if isinstance(node, tuple):
+            lw, rw = b.split_node(nid, node[0])
+            stack += [(lw, node[1]), (rw, node[2])]
+        else:
+            b.set_value(nid, Scalar(node))
+    return b.build()
+
+
+class TestSplitsAlreadyOnThePath:
+    """The depth-first overlay descends both trees at once where a split of
+    the second tree is already settled on the path, whether both trees
+    stand at it together or it comes back deeper: no node is added for it."""
+
+    SCHEMA = ta.FeatureSchema((ta.NumericFeature("x", 0.0, 1.0), ta.NumericFeature("y", 0.0, 1.0),
+                               ta.CategoricalFeature("c", ("a", "b", "c", "d"))))
+    H, G = Hyperplane((1.0, 1.0), 1.0), Hyperplane((1.0, -1.0), 0.0)
+
+    @pytest.mark.parametrize("split, again", [
+        (NumericThreshold(0, 0.25), NumericThreshold(0, 0.25)),
+        # the complement: the same bipartition, sides swapped
+        (ta.CategoricalSubset(2, {0}), ta.CategoricalSubset(2, {1, 2, 3})),
+        # different level sets that agree on the region's levels {a, b}
+        (ta.CategoricalSubset(2, {0}), ta.CategoricalSubset(2, {0, 2})),
+        (G, G),
+    ], ids=["numeric", "swapped-categorical", "region-categorical", "hyperplane"])
+    def test_a_repeated_split_adds_no_node(self, split, again):
+        # a hyperplane at the root makes the fold depth first; the split
+        # stands in the region left of it with levels {a, b}
+        def tree(s):
+            levels = ta.CategoricalSubset(2, {0, 1})
+            return build(self.SCHEMA, (self.H, (levels, (s, 1.0, 2.0), 3.0), 4.0))
+
+        t, t2 = tree(split), tree(again)
+        for pair in ([t, t2], [t2, t]):
+            got = ta.combine_many(pair)
+            assert got.n_nodes == t.n_nodes == 7
+            assert ta.validate(got) == []
+            assert ta.pointwise_equivalence(got, pair, 200, seed=0) is None
+
+    def test_a_hyperplane_deeper_on_the_path_adds_no_node(self):
+        # the stump's hyperplane comes back under both children of the
+        # second tree's root: the overlay writes it once, not 15 nodes
+        stump = build(self.SCHEMA, (self.H, 1.0, 2.0))
+        tree = build(self.SCHEMA, (self.G, (self.H, 3.0, 4.0), (self.H, 5.0, 6.0)))
+        for pair in ([stump, tree], [tree, stump]):
+            got = ta.combine_many(pair)
+            assert got.n_nodes == 7
+            assert repeated_hyperplanes(got) == 0
+            assert ta.validate(got) == []
+            assert ta.pointwise_equivalence(got, pair, 200, seed=0) is None
+
+    def test_a_hyperplane_below_itself_does_not_validate(self):
+        tree = build(self.SCHEMA, (self.G, (self.G, 1.0, 2.0), 3.0))
+        assert ta.validate(tree) == ["node 1: split does not partition node region"]
+
+    def test_fuzzed_folds_repeat_no_hyperplane(self):
+        """Folds of pool trees whose hyperplanes recur across trees write
+        none below itself, and each equals its sources pointwise."""
+        schema, _, pool = mixed_pool()
+        rng = np.random.default_rng(7)
+        nodes = shared = 0
+        for _ in range(80):
+            k = int(rng.integers(2, 5))
+            trees = [pool_tree(schema, rng, int(rng.integers(0, 6)), pool) for _ in range(k)]
+            got = ta.combine_many(trees)
+            assert repeated_hyperplanes(got) == 0
+            assert ta.validate(got) == []
+            assert ta.pointwise_equivalence(got, trees, 200, seed=0) is None
+            nodes += got.n_nodes
+            used = [{s for s in t.splits() if isinstance(s, Hyperplane)} for t in trees]
+            shared += any(a & b for m, a in enumerate(used) for b in used[m + 1:])
+        assert shared > 20 and nodes > 1000

@@ -1,5 +1,5 @@
 """Region.split (which sides of a split a region meets, with at most one
-feasibility LP), identical-split detection and measures."""
+feasibility LP) and measures."""
 
 import itertools
 
@@ -14,7 +14,6 @@ from treealgebra.oracle import (
     iter_leaves_with_regions,
     node_region,
     region_measure,
-    same_partition_in_region,
 )
 from treealgebra.trees import Hyperplane, NumericThreshold, Region, Side
 
@@ -104,6 +103,17 @@ class TestSplitPartitionsRegion:
             a, b = region.lp_rows()
             assert (a @ region.witness <= b + 1e-9).all()
 
+    def test_a_hyperplane_on_the_path_keeps_its_side_without_an_lp(self, d2, count_lps):
+        # the region touches x1 + x2 = 5 all along its edge, so under the
+        # closed relaxation an LP would find the other side nonempty
+        h = Hyperplane((1.0, 1.0), 5.0)
+        left, right = Region.full(d2).split(h)
+        left = left.split(NumericThreshold(0, 4.0))[1]
+        count_lps.clear()
+        assert left.split(h) == (left, None) and right.split(h) == (None, right)
+        assert left.split(Hyperplane((1.0, 1.0), 5.0))[1] is None
+        assert count_lps == []
+
     def test_region_without_a_witness_runs_both_lps(self, d2, count_lps):
         half = ((Hyperplane((1.0, 1.0), 5.0), Side.LEFT),)
         region = Region(d2, Region.full(d2).constraints, half)
@@ -115,8 +125,12 @@ class TestSplitPartitionsRegion:
 
 def reference_sides(region, split):
     """Each side of a numeric or hyperplane split in a region, decided apart
-    from Region.split: the box side's ends, then a plain feasibility LP on
-    the region's rows plus the side's closed row."""
+    from Region.split: a hyperplane already on the path holds the region on
+    the side the path took; otherwise the box side's ends, then a plain
+    feasibility LP on the region's rows plus the side's closed row."""
+    for h, side in region.half_spaces:
+        if h == split:
+            return side is Side.LEFT, side is Side.RIGHT
     a, b = region.lp_rows()
     num = region.schema.numeric_indices
     out = []
@@ -291,56 +305,6 @@ class TestFeasibilityLPCount:
     def assert_no_repeats(calls):
         keys = [tuple(sorted(zip(map(bytes, a), b.tolist()))) for a, b in calls]
         assert len(set(keys)) == len(keys)
-
-
-class TestSamePartitionInRegion:
-    def test_identical_same_orientation(self, d2):
-        out = same_partition_in_region(
-            NumericThreshold(0, 4.0), NumericThreshold(0, 4.0), Region.full(d2)
-        )
-        assert out == "same"
-
-    def test_identical_swapped_categorical(self):
-        schema = ta.FeatureSchema((ta.CategoricalFeature("c", ("a", "b", "c")),))
-        out = same_partition_in_region(
-            ta.CategoricalSubset(0, frozenset({0})),
-            ta.CategoricalSubset(0, frozenset({1, 2})),
-            Region.full(schema),
-        )
-        assert out == "swapped"
-
-    def test_identical_categorical_restricted_to_region(self):
-        # left sets differ as sets but agree inside the region
-        schema = ta.FeatureSchema((ta.CategoricalFeature("c", ("a", "b", "c", "d")),))
-        region = Region.full(schema).split(ta.CategoricalSubset(0, frozenset({0, 1})))[0]
-        split_u = ta.CategoricalSubset(0, frozenset({0}))
-        split_v = ta.CategoricalSubset(0, frozenset({0, 2}))
-        assert same_partition_in_region(split_u, split_v, region) == "same"
-        assert same_partition_in_region(split_u, split_v, Region.full(schema)) is None
-
-    def test_swap_symmetry(self, d2, rng):
-        """Swapping the arguments never changes the answer."""
-        region = Region.full(d2)
-        seen = set()
-        for _ in range(200):
-            u = NumericThreshold(int(rng.integers(0, 2)), float(rng.choice([2.0, 4.0, 6.0])))
-            v = NumericThreshold(int(rng.integers(0, 2)), float(rng.choice([2.0, 4.0, 6.0])))
-            out_uv = same_partition_in_region(u, v, region)
-            assert same_partition_in_region(v, u, region) == out_uv
-            seen.add(out_uv)
-        schema = ta.FeatureSchema((ta.CategoricalFeature("c", ("a", "b", "c", "d")),))
-        region = Region.full(schema)
-
-        def subset():
-            levels = rng.choice(4, int(rng.integers(1, 4)), replace=False)
-            return ta.CategoricalSubset(0, frozenset(levels.tolist()))
-
-        for _ in range(200):
-            u, v = subset(), subset()
-            out_uv = same_partition_in_region(u, v, region)
-            assert same_partition_in_region(v, u, region) == out_uv
-            seen.add(out_uv)
-        assert seen == {"same", "swapped", None}
 
 
 class TestRegionMeasure:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -623,6 +624,28 @@ class TestCli:
         cyclic.write_text(json.dumps(doc))
         assert run_cli(["validate", str(cyclic)]) == 2
         assert capsys.readouterr().err.startswith("code=VALIDATION")
+
+    @pytest.mark.parametrize("split_0, split_1, message", [
+        # a hyperplane below itself leaves its right side empty
+        ({"type": "hyperplane", "coeffs": [1.0, 1.0], "offset": 5.0},) * 2
+        + ("node 1: split does not partition node region",),
+        # 1e308 * x overflows on [0, 10], so no LP may run on it
+        ({"type": "hyperplane", "coeffs": [1e308, 1.0], "offset": 5.0}, None,
+         "node 0: hyperplane overflows on the domain box"),
+    ], ids=["repeated", "overflow"])
+    def test_hyperplane_files_that_do_not_validate(self, tmp_path, capsys, split_0, split_1,
+                                                   message):
+        doc = json.loads(stump_json(split=split_0))
+        if split_1:
+            doc["nodes"][1:2] = [{"id": 1, "split": split_1, "left": 3, "right": 4},
+                                 {"id": 3, "value": {"type": "scalar", "v": 3.0}},
+                                 {"id": 4, "value": {"type": "scalar", "v": 4.0}}]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning
+            assert run_cli(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f'code=VALIDATION msg="tree 0: {message}"\n')
 
     def test_input_checks_run_before_any_work(self, workdir, capsys):
         missing = str(workdir / "missing.csv")

@@ -657,7 +657,8 @@ def count_pair_blocks(monkeypatch):
 
 
 class TestForestKernel:
-    # 0: one column tree per run; 4 KiB: runs of a few trees
+    # 0: one column tree per run, scored one row leaf at a time; 4 KiB:
+    # runs of a few trees
     BUDGETS = (0, 4096, measures._BLOCK_BYTES)
 
     @pytest.mark.parametrize("budget", BUDGETS)
@@ -678,7 +679,8 @@ class TestForestKernel:
         if empirical:
             assert calls == []
         elif budget == 0:
-            assert len(calls) == n * (n - 1) // 2
+            # every pair is over the budget: one block per row leaf
+            assert len(calls) == sum(t.n_leaves * (n - 1 - i) for i, t in enumerate(forest))
         elif budget == 4096:
             # several runs per row, several trees per run
             assert n - 1 < len(calls) < n * (n - 1) // 2
@@ -720,3 +722,20 @@ class TestForestKernel:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+    def test_pair_over_the_budget_is_scored_in_chunks(self, uniform, monkeypatch):
+        # 1,601 leaves each: the kernel peaks near 1.6 MiB; the whole
+        # leaf-pair block (1,601 x 1,601) would peak near 79 MiB
+        rng = np.random.default_rng(5)
+        schema = ta.FeatureSchema(tuple(ta.NumericFeature(f"x{i}", 0.0, 1.0) for i in range(4)))
+        t1, t2 = (ta.random_tree(schema, rng, 1600) for _ in range(2))
+        assert t1.n_leaves == t2.n_leaves == 1601
+        tracemalloc.start()
+        try:
+            d = ta.tree_distance(t1, t2, uniform)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 2**40)
+        assert d == pytest.approx(ta.tree_distance(t1, t2, uniform), rel=1e-12, abs=0)

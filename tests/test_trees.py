@@ -290,6 +290,9 @@ class TestValidate:
             ((float("inf"), 1.0), 0.5, "node 0: hyperplane coefficient is not finite"),
             ((1.0, 1.0), float("nan"), "node 0: hyperplane offset is not finite"),
             ((1.0, 1.0), float("-inf"), "node 0: hyperplane offset is not finite"),
+            # each product is finite on [0, 1], their sum is not
+            ((1e308, 1e308), 0.5, "node 0: hyperplane overflows on the domain box"),
+            ((1e308, 1.0), -1e308, "node 0: hyperplane overflows on the domain box"),
         ],
     )
     def test_non_finite_hyperplane_is_named(self, unit2, coefficients, offset, message):
@@ -318,8 +321,8 @@ class TestValidate:
         assert ta.validate(b.build()) == ["node 0: leaf value is not finite"]
 
     def test_cycle_of_consistent_links_terminates(self, unit2):
-        # 0 -> 1 -> 0 through identical hyperplanes, which keep touching the
-        # region, so only the once-per-node rule ends the geometric pass
+        # 0 -> 1 -> 0 through identical hyperplanes: node 1 repeats node 0's
+        # on the side the path took, so it leaves its right side empty
         h = {"type": "hyperplane", "coeffs": [1.0, 1.0], "offset": 1.0}
         nodes = [
             {"id": 0, "split": h, "left": 1, "right": 2},
@@ -327,6 +330,12 @@ class TestValidate:
             {"id": 2, "value": {"type": "scalar", "v": 1.0}},
             {"id": 3, "value": {"type": "scalar", "v": 2.0}},
         ]
+        messages = ta.validate(tree_from_nodes(unit2, nodes, 0))
+        assert messages == ["expected exactly one parentless node 0, found []",
+                            "node 1: split does not partition node region"]
+        # through two hyperplanes that cut each other's regions, only the
+        # once-per-node rule ends the geometric pass
+        nodes[1]["split"] = {"type": "hyperplane", "coeffs": [1.0, -1.0], "offset": 0.0}
         messages = ta.validate(tree_from_nodes(unit2, nodes, 0))
         assert messages == ["expected exactly one parentless node 0, found []"]
 
