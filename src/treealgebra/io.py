@@ -364,14 +364,16 @@ def _body_text(tree: Tree) -> str:
         '"left": %s, "right": %s}'.__mod__,
         zip(tree.ids[numeric].tolist(), tree.feature[numeric].tolist(), thresholds.tolist(),
             _links(tree.left[numeric]), _links(tree.right[numeric]))))
-    at = np.flatnonzero(tree.kind > NUMERIC)
+    # each split object once, by identity (0.0 == -0.0): combined trees share them
+    at, split_texts = np.flatnonzero(tree.kind > NUMERIC), {}
     for i, nid, k, left, right in zip(at.tolist(), tree.ids[at].tolist(), tree.kind[at].tolist(),
                                       _links(tree.left[at]), _links(tree.right[at])):
         s = tree.split[i]
-        split = ('{"type": "categorical", "feature": %d, "left_levels": [%s]}' % (
-            s.feature, ", ".join(map(repr, sorted(s.left_levels)))) if k == CATEGORICAL else
+        split = split_texts.get(id(s)) or split_texts.setdefault(id(s), (
+            '{"type": "categorical", "feature": %d, "left_levels": [%s]}' % (
+                s.feature, ", ".join(map(repr, sorted(s.left_levels)))) if k == CATEGORICAL else
             '{"type": "hyperplane", "coeffs": %s, "offset": %s}' % (
-                _dumps(s.coefficients), _dumps(s.offset)))
+                _dumps(s.coefficients), _dumps(s.offset))))
         out[i] = '{"id": %d, "split": %s, "left": %s, "right": %s}' % (nid, split, left, right)
     return '"nodes": [%s], "root": %s' % (", ".join(out.tolist()), json.dumps(tree.root))
 

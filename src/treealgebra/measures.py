@@ -183,16 +183,12 @@ def _leaf_table(trees: Sequence[Tree]) -> _LeafTable:
     return _LeafTable(schema, lo, hi, levels, np.concatenate(values), tuple(offsets))
 
 
-def _sub_stack(t: _LeafTable, first: int, stop: int) -> _LeafTable:
-    """Trees ``first`` to ``stop - 1`` of the stack ``t``: ``t`` or views of it."""
-    if first == 0 and stop == len(t.offsets) - 1:
-        return t
-    return _leaf_rows(t, t.offsets[first : stop + 1])
-
-
 def _leaf_rows(t: _LeafTable, offsets: Sequence[int]) -> _LeafTable:
     """Leaves ``offsets[0]`` to ``offsets[-1] - 1`` of the stack ``t``, as
-    views of it, as a stack whose trees start at each offset but the last."""
+    views of it, as a stack whose trees start at each offset but the last:
+    ``t`` itself when those are its own offsets."""
+    if tuple(offsets) == t.offsets:
+        return t
     lo, hi = offsets[0], offsets[-1]
     return _LeafTable(
         t.schema,
@@ -250,7 +246,7 @@ def _parts(stack) -> list:
     """Each tree of a stack, as a stack of one."""
     if isinstance(stack, list):
         return [[v] for v in stack]
-    return [_sub_stack(stack, k, k + 1) for k in range(len(stack.offsets) - 1)]
+    return [_leaf_rows(stack, stack.offsets[k : k + 2]) for k in range(len(stack.offsets) - 1)]
 
 
 def _pair_block(a: _LeafTable, b: _LeafTable, term) -> np.ndarray:
@@ -262,8 +258,8 @@ def _pair_block(a: _LeafTable, b: _LeafTable, term) -> np.ndarray:
 # Under the uniform measure one row tree is scored against a run of whole
 # column trees at once; a run grows while its largest pair-sized temporary,
 # (row leaves, run leaves, width) floats, stays within this many bytes, and
-# holds at least one tree. A run of one tree over the budget is scored in
-# chunks of the row tree's leaves, each within the budget.
+# holds at least one tree. A run is scored in chunks of the row tree's
+# leaves, each within the budget: one chunk when the run is.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -272,35 +268,29 @@ def _row_integrals(a, cols, first: int, measure: Measure, term) -> list[float]:
     for the tree ``f`` of the stack of one ``a`` and every tree ``g`` of the
     stack ``cols`` from index ``first`` on, in order. ``term`` maps arrays
     of values (width on the last axis) to that axis summed out. A single
-    pair is the one-tree case. Under the uniform measure each run of column
-    trees costs one :func:`_pair_block`, and each tree's sum is taken over a
-    contiguous copy of its columns, so it adds the same floats in the same
-    order whether its run holds it alone or among others. A pair over the
-    budget adds its chunks' sums in row order instead."""
+    pair is the one-tree case. Under the uniform measure each chunk of a
+    run of column trees costs one :func:`_pair_block`, and each tree adds
+    its chunks' sums in row order, each taken over a contiguous copy of its
+    columns, so it adds the same floats in the same order whether its run
+    holds it alone or among others."""
     if not isinstance(measure, UniformBox):
         return [float(measure.weights @ term(a[0], b)) for b in cols[first:]]
-    offsets, row_bytes = cols.offsets, a.values.nbytes
+    offsets, row_bytes, rows = cols.offsets, a.values.nbytes, len(a.values)
     out: list[float] = []
     k, n = first, len(offsets) - 1
     while k < n:
         stop = k + 1
         while stop < n and row_bytes * (offsets[stop + 1] - offsets[k]) <= _BLOCK_BYTES:
             stop += 1
-        run = _sub_stack(cols, k, stop)
+        run = _leaf_rows(cols, offsets[k : stop + 1])
         k = stop
-        leaves = run.offsets[-1]
-        if row_bytes * leaves > _BLOCK_BYTES:
-            rows = len(a.values)
-            step = max(1, _BLOCK_BYTES * rows // (row_bytes * leaves))
-            acc = 0.0
-            for lo in range(0, rows, step):
-                chunk = _leaf_rows(a, (lo, min(lo + step, rows)))
-                acc += float(_pair_block(chunk, run, term).sum())
-            out.append(acc)
-            continue
-        block = _pair_block(a, run, term)
-        for lo, hi in zip(run.offsets, run.offsets[1:]):
-            out.append(float(np.ascontiguousarray(block[:, lo:hi]).sum()))
+        step = max(1, _BLOCK_BYTES * rows // (row_bytes * run.offsets[-1]))
+        sums = [0.0] * (len(run.offsets) - 1)
+        for lo in range(0, rows, step):
+            block = _pair_block(_leaf_rows(a, (lo, min(lo + step, rows))), run, term)
+            for t, (c0, c1) in enumerate(zip(run.offsets, run.offsets[1:])):
+                sums[t] += float(np.ascontiguousarray(block[:, c0:c1]).sum())
+        out += sums
     return out
 
 

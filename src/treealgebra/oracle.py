@@ -27,7 +27,9 @@ axis-aligned fold.
 and is the only code that writes validation messages: the stacked pass of
 :func:`treealgebra.trees.check_trees` decides which trees may be invalid
 and imports this module to describe only those. So the library needs this
-module on the error path, and a valid file never loads it.
+module on the error path, and a valid file never loads it. Both find the
+splits that leave a side of their region empty with the one partition
+walk, :func:`treealgebra.trees.partition_faults`.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from .trees import (
     evaluate_batch,
     kinds_and_lengths,
     leaf_kind_of,
+    partition_faults,
     value_kinds,
 )
 
@@ -535,29 +538,6 @@ def _reached(tree: Tree) -> np.ndarray:
     return out
 
 
-def _partition_faults(tree: Tree, well: list[bool]) -> list[int]:
-    """The positions of the well-formed splits reachable from the root that
-    leave a side of their node's region empty, depth first, right before
-    left. Each node is placed once, so a cycle of consistent links cannot
-    loop. Each split is decided by one :meth:`Region.split`."""
-    left, right, splits = tree.left_pos.tolist(), tree.right_pos.tolist(), tree.splits()
-    placed, faults, stack = set(), [], [(tree.root_pos, Region.full(tree.schema))]
-    while stack:
-        i, region = stack.pop()
-        if not well[i] or i in placed:
-            continue
-        placed.add(i)
-        if left[i] < 0:
-            continue
-        left_side, right_side = region.split(splits[i])
-        if left_side is None or right_side is None:
-            faults.append(i)
-            continue
-        stack.append((left[i], left_side))
-        stack.append((right[i], right_side))
-    return faults
-
-
 def _tuple_faults(values: Sequence[LeafValue], schema: FeatureSchema) -> list[str]:
     """The ways tuple leaves differ from each other, so that no one matrix
     can hold them."""
@@ -606,7 +586,7 @@ def validate_reference(tree: Tree) -> list[str]:
         v.extend(_tuple_faults(values, schema))
 
     v.extend(f"node {ids[i]}: split does not partition node region"
-             for i in _partition_faults(tree, well))
+             for i in partition_faults(tree, well)[0])
     return v
 
 

@@ -71,8 +71,10 @@ def _pivot_until_optimal(t, basis, n_cols):
         if not negative[col]:
             return
         rows = (t[:-1, col] > _TOL).nonzero()[0]
+        with np.errstate(over="ignore"):  # a ratio past the float range bounds nothing
+            ratios = (t[rows, -1] / t[rows, col]).tolist()
         leave, best = -1, np.inf
-        for i, ratio in zip(rows.tolist(), (t[rows, -1] / t[rows, col]).tolist()):
+        for i, ratio in zip(rows.tolist(), ratios):
             if ratio < best - _TOL or (abs(ratio - best) <= _TOL and basis[i] < basis[leave]):
                 leave, best = i, ratio
         if leave < 0:

@@ -997,22 +997,26 @@ def _cut_reach(nodes: NodeTable, roots: np.ndarray) -> np.ndarray:
     return reached
 
 
-def _regions_cut(tree: Tree) -> bool:
-    """Whether the root of a tree with hyperplane splits reaches every node
-    through splits that leave neither side of their node's region empty,
-    each decided by one :meth:`Region.split`, depth first; the tree must be
-    one as for :func:`_cut_reach`."""
+def partition_faults(tree: Tree, well: Optional[Sequence[bool]] = None) -> tuple[list[int], int]:
+    """The positions of the splits reachable from the root that leave a side
+    of their node's region empty, each decided by one :meth:`Region.split`,
+    depth first, right before left, and the number of nodes placed. Each
+    node that is ``well`` (by default every node) is placed at most once, so
+    a cycle of consistent links cannot loop; it never goes below a fault."""
     left, right, splits = tree.left_pos.tolist(), tree.right_pos.tolist(), tree.splits()
-    stack, reached = [(tree.root_pos, Region.full(tree.schema))], 0
+    placed, faults, stack = set(), [], [(tree.root_pos, Region.full(tree.schema))]
     while stack:
         i, region = stack.pop()
-        reached += 1
+        if i in placed or not (well is None or well[i]):
+            continue
+        placed.add(i)
         if left[i] >= 0:
             sides = region.split(splits[i])
             if None in sides:
-                return False
-            stack += zip((left[i], right[i]), sides)
-    return reached == tree.n_nodes
+                faults.append(i)
+            else:
+                stack += zip((left[i], right[i]), sides)
+    return faults, len(placed)
 
 
 def check_trees(trees: Sequence[Tree]) -> list[list[str]]:
@@ -1022,9 +1026,11 @@ def check_trees(trees: Sequence[Tree]) -> list[list[str]]:
     The trees are decided together over one :class:`NodeTable` of all
     their nodes: each node rule is a mask, and the splits of the trees
     without hyperplanes one frontier of boxes, which also finds the nodes
-    the root reaches. A tree that may be invalid is then checked alone, one
-    node at a time (:func:`treealgebra.oracle.validate_reference`), and that
-    check writes its messages; a tree found valid never loads the oracle.
+    the root reaches. A tree with hyperplanes that passes the masks is valid
+    when :func:`partition_faults` finds no fault and places every node. A
+    tree that may be invalid is then checked alone, one node at a time
+    (:func:`treealgebra.oracle.validate_reference`), and that check writes
+    its messages; a tree found valid never loads the oracle.
     """
     if not trees:
         return []
@@ -1059,7 +1065,7 @@ def check_trees(trees: Sequence[Tree]) -> list[list[str]]:
     boxed = ~suspect & ~oblique
     suspect[tree_of[~_cut_reach(nodes, roots[boxed]) & boxed[tree_of]]] = True
     for t in (~suspect & oblique).nonzero()[0].tolist():
-        suspect[t] = not _regions_cut(trees[t])
+        suspect[t] = partition_faults(trees[t]) != ([], trees[t].n_nodes)
     if not suspect.any():
         return [[] for _ in trees]
     from .oracle import validate_reference

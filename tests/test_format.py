@@ -155,6 +155,15 @@ class TestWriterParity:
             text = io.forest_to_json(forest)
             assert text == reference_forest_json(forest)
             assert '"threshold": -0.0' in text and '"threshold": 0.0' in text
+        # two hyperplanes equal by value keep their own texts
+        b = ta.TreeBuilder(schema)
+        nodes = [b.add_root()]
+        for coefficients in ((0.0, 1.0), (-0.0, 1.0)):
+            nodes[:1] = b.split_node(nodes[0], ta.Hyperplane(coefficients, 0.5))
+        for nid in nodes:
+            b.set_value(nid, ta.Scalar(1.0))
+        text = io.tree_to_json(b.build())
+        assert '"coeffs": [0.0, 1.0]' in text and '"coeffs": [-0.0, 1.0]' in text
 
     def test_non_finite_value_is_refused_as_json_refuses_it(self, make_stump):
         tree = make_stump(0, 4.0, high=float("inf"))
@@ -708,6 +717,26 @@ class TestStackedValidation:
                 assert ta.validate(tree) == ta.oracle.validate_reference(tree)
             messages += len(expected)
         assert messages > 200
+
+    def test_unreachable_cycle_of_hyperplanes_is_left_unplaced(self, tmp_path):
+        """Nodes 3 and 4 are each other's child, so every node has one
+        parent and the masks pass; the partition walk from the root places
+        only the stump's three nodes and finds no fault."""
+        h = {"type": "hyperplane", "coeffs": [1.0, 1.0], "offset": 10.0}
+        nodes = [{"id": 0, "split": h, "left": 1, "right": 2},
+                 {"id": 1, "value": scalar()}, {"id": 2, "value": scalar()},
+                 {"id": 3, "split": h, "left": 4, "right": 5},
+                 {"id": 4, "split": {**h, "offset": 5.0}, "left": 3, "right": 6},
+                 {"id": 5, "value": scalar()}, {"id": 6, "value": scalar()}]
+        schema = {"features": [{"name": n, "kind": "numeric", "low": 0.0, "high": 10.0}
+                               for n in "xy"], "class_labels": None}
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"schema": schema, "nodes": nodes, "root": 0}))
+        (tree,) = read_unchecked(path)
+        assert ta.trees.partition_faults(tree) == ([], 3)
+        expected = ta.oracle.validate_reference(tree)
+        assert expected == [f"node {i}: unreachable from root" for i in range(3, 7)]
+        assert ta.trees.check_trees([tree]) == [expected]
 
     def test_dense_ids_map_a_child_beyond_them_to_no_position(self, tmp_path):
         nodes = [{"id": 0, "split": NUM, "left": 1, "right": 6},

@@ -72,6 +72,33 @@ options:
 """
 
 
+# what a mutation sets a field to; () deletes the field instead
+MUTANT_VALUES = ((), None, True, 0, -1, 2**63, 1e308, -1e308, "", [], {})
+
+
+def single_mutations(doc):
+    """Every copy of a JSON document with one field deleted (a key of an
+    object) or set to one of :data:`MUTANT_VALUES`, with the field's path."""
+
+    def paths(node, path):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            if isinstance(value, (dict, list)):
+                yield from paths(value, path + (key,))
+
+    for path in paths(doc, ()):
+        for value in MUTANT_VALUES[isinstance(path[-1], int):]:
+            mutant = json.loads(json.dumps(doc))
+            field = mutant
+            for key in path[:-1]:
+                field = field[key]
+            if value == ():
+                del field[path[-1]]
+            else:
+                field[path[-1]] = value
+            yield path, value, mutant
+
+
 class TestJsonRoundTrip:
     def test_spec_stump_layout_loads(self, tmp_path):
         doc = {
@@ -632,7 +659,11 @@ class TestCli:
         # 1e308 * x overflows on [0, 10], so no LP may run on it
         ({"type": "hyperplane", "coeffs": [1e308, 1.0], "offset": 5.0}, None,
          "node 0: hyperplane overflows on the domain box"),
-    ], ids=["repeated", "overflow"])
+        # the sum stays finite, but the LP's ratios overflow past the float
+        # range, and such a ratio bounds nothing
+        ({"type": "hyperplane", "coeffs": [0.3, -0.7], "offset": 1e308}, None,
+         "node 0: split does not partition node region"),
+    ], ids=["repeated", "overflow", "offset"])
     def test_hyperplane_files_that_do_not_validate(self, tmp_path, capsys, split_0, split_1,
                                                    message):
         doc = json.loads(stump_json(split=split_0))
@@ -646,6 +677,36 @@ class TestCli:
             warnings.simplefilter("error")  # no numpy overflow warning
             assert run_cli(["validate", str(path)]) == 2
         assert capsys.readouterr() == ("", f'code=VALIDATION msg="tree 0: {message}"\n')
+
+    def test_every_single_mutation_of_an_oblique_forest_fails_cleanly(self, tmp_path, capsys):
+        # one stump is the offset case above before its mutation
+        schema = ta.FeatureSchema((ta.NumericFeature("x", 0.0, 10.0),
+                                   ta.NumericFeature("y", 0.0, 10.0),
+                                   ta.CategoricalFeature("c", ("a", "b", "c"))))
+        trees = []
+        for splits in ([ta.Hyperplane((0.3, -0.7), 1.0)],
+                       [ta.Hyperplane((1.0, 1.0), 10.0), ta.NumericThreshold(0, 2.0),
+                        ta.CategoricalSubset(2, {0, 2})]):
+            b = ta.TreeBuilder(schema)
+            nodes = [b.add_root()]
+            for split in splits:
+                nodes[:1] = b.split_node(nodes[0], split)
+            for k, nid in enumerate(nodes):
+                b.set_value(nid, ta.Scalar(float(k)))
+            trees.append(b.build())
+        doc = json.loads(io.forest_to_json(io.ForestFile(schema, trees)))
+        path, runs = tmp_path / "mutant.json", 0
+        for field, value, mutant in single_mutations(doc):
+            path.write_text(json.dumps(mutant))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_cli(["validate", str(path)])
+            err = capsys.readouterr().err
+            assert code in (0, 2), (field, value)
+            assert caught == [], (field, value, str(caught[0].message))
+            assert err == "" or (err.startswith("code=") and err.count("\n") == 1), (field, value)
+            runs += 1
+        assert runs == 1032
 
     def test_input_checks_run_before_any_work(self, workdir, capsys):
         missing = str(workdir / "missing.csv")

@@ -737,5 +737,13 @@ class TestForestKernel:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+        # 20 row leaves by 1,601 column leaves of 8 bytes fit in 256 KiB:
+        # the chunk sums, added in row order
+        a, b = (measures._prepare([t], uniform) for t in (t1, t2))
+        acc = 0.0
+        for lo in range(0, 1601, 20):
+            chunk = measures._leaf_rows(a, (lo, min(lo + 20, 1601)))
+            acc += float(measures._pair_block(chunk, b, measures._sq_diff).sum())
+        assert d == math.sqrt(acc)
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 2**40)
         assert d == pytest.approx(ta.tree_distance(t1, t2, uniform), rel=1e-12, abs=0)
