@@ -24,7 +24,9 @@ number on its own.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import json
 import os
 from dataclasses import dataclass, field
@@ -221,90 +223,129 @@ def _value_from_dict(doc: dict, where: str):
                      f"got {json.dumps(kind)}")
 
 
-def _tree_from_body(doc: dict, schema: FeatureSchema, where: str) -> Tree:
-    """One tree body, read a field at a time into the node arrays;
-    ``where`` prefixes the field names in errors.
+def _trees_from_bodies(docs: list, schema: FeatureSchema, wheres: list) -> list[Tree]:
+    """The tree bodies of one file, read a field at a time over all their
+    nodes into one stack of node arrays; ``wheres[t]`` prefixes the field
+    names of body ``t`` in errors.
 
     Node ids and child ids are non-negative JSON integers; feature and level
     indices and source ids are JSON integers; every real is a JSON number.
     A null ``split``, ``value``, ``left`` or ``right`` counts as absent.
     Splits other than numeric ones, and leaf values that are not all floats
-    of one kind and shape, are read one at a time into objects.
-    """
-    entries = doc["nodes"]
-    ids = _ints([e["id"] for e in entries], where, "nodes[{}].id", 0)
-    if len(set(ids)) != len(ids):
-        seen: set = set()  # the first entry whose id an earlier entry has
-        k = next(k for k, i in enumerate(ids) if i in seen or seen.add(i))
-        raise ParseError(f"{where}nodes[{k}].id: duplicate node id {ids[k]}")
-    links = []
-    for side_name in ("left", "right"):
-        children = [e.get(side_name) for e in entries]
-        _ints([0 if x is None else x for x in children], where, f"nodes[{{}}].{side_name}", 0)
-        links.append([-1 if x is None else x for x in children])
-    n = len(entries)
-    kind, feature, threshold, split = [0] * n, [-1] * n, [np.nan] * n, [None] * n
-    at = [k for k, e in enumerate(entries) if e.get("split") is not None]
-    numeric = [k for k in at if entries[k]["split"].get("type") == "numeric"]
-    features = _ints([entries[k]["split"]["feature"] for k in numeric], where,
-                     "nodes[{}].split.feature", at=numeric)
-    thresholds = _reals([entries[k]["split"]["threshold"] for k in numeric], where,
-                        "nodes[{}].split.threshold", at=numeric)
-    for k, f, t in zip(numeric, features, thresholds):
-        kind[k], feature[k], threshold[k] = NUMERIC, f, t
-    for k in at:
-        d = entries[k]["split"]
-        if d.get("type") != "numeric":
-            split[k] = s = _split_from_dict(d, f"{where}nodes[{k}].split")
-            kind[k] = CATEGORICAL if isinstance(s, CategoricalSubset) else HYPERPLANE
-            feature[k] = getattr(s, "feature", -1)
-    at = [k for k, e in enumerate(entries) if e.get("value") is not None]
-    leaf = [-1] * n
-    for row, k in enumerate(at):
-        leaf[k] = row
-    docs = [entries[k]["value"] for k in at]
-    leaves = pack_documents(docs)
-    if leaves is None:
-        leaves = _pack([_value_from_dict(d, f"{where}nodes[{k}].value") for k, d in zip(at, docs)])
-    return _assemble(schema, _int(doc["root"], where, "root"), ids, *links, kind, feature,
-                     threshold, split, leaf, leaves)
+    of one kind and shape, are read one at a time into objects; equal
+    categorical splits of JSON integers share one. Messages name the fields
+    of one body, so several bodies that fail, or whose leaves do not share
+    one table, are built again a body at a time."""
+    where = wheres[0] if docs else ""
+    try:
+        sizes = [len(d["nodes"]) for d in docs]
+        bounds, entries = np.cumsum([0, *sizes]).tolist(), [e for d in docs for e in d["nodes"]]
+        ids = _ints([e["id"] for e in entries], where, "nodes[{}].id", 0)
+        if any(len(set(ids[a:b])) != b - a for a, b in zip(bounds, bounds[1:])):
+            seen: set = set()  # the first entry whose id an earlier entry has
+            k = next(k for k, i in enumerate(ids) if i in seen or seen.add(i))
+            raise ParseError(f"{where}nodes[{k}].id: duplicate node id {ids[k]}")
+        links = []
+        for side_name in ("left", "right"):
+            children = [e.get(side_name) for e in entries]
+            _ints([0 if x is None else x for x in children], where, f"nodes[{{}}].{side_name}", 0)
+            links.append([-1 if x is None else x for x in children])
+        n = len(entries)
+        kind, feature, threshold, split = [0] * n, [-1] * n, [np.nan] * n, [None] * n
+        at = [k for k, e in enumerate(entries) if e.get("split") is not None]
+        numeric = [k for k in at if entries[k]["split"].get("type") == "numeric"]
+        features = _ints([entries[k]["split"]["feature"] for k in numeric], where,
+                         "nodes[{}].split.feature", at=numeric)
+        thresholds = _reals([entries[k]["split"]["threshold"] for k in numeric], where,
+                            "nodes[{}].split.threshold", at=numeric)
+        for k, f, t in zip(numeric, features, thresholds):
+            kind[k], feature[k], threshold[k] = NUMERIC, f, t
+        built: dict = {}  # by (feature, levels) when all are ints, else by node
+        for k in at:
+            d = entries[k]["split"]
+            if d.get("type") != "numeric":
+                f, levels = d.get("feature"), d.get("left_levels")
+                key = (f, tuple(levels)) if (d.get("type") == "categorical" and type(levels) is list
+                                             and {type(f), *map(type, levels)} == {int}) else k
+                split[k] = s = built.get(key) or built.setdefault(
+                    key, _split_from_dict(d, f"{where}nodes[{k}].split"))
+                kind[k] = CATEGORICAL if isinstance(s, CategoricalSubset) else HYPERPLANE
+                feature[k] = getattr(s, "feature", -1)
+        at = [k for k, e in enumerate(entries) if e.get("value") is not None]
+        leaf = [-1] * n
+        for row, k in enumerate(at):
+            leaf[k] = row
+        values = [entries[k]["value"] for k in at]
+        leaves = pack_documents(values)
+        if leaves is None:
+            if len(docs) > 1:
+                raise ValueError("leaf values of more than one table")
+            leaves = _pack([_value_from_dict(d, f"{where}nodes[{k}].value")
+                            for k, d in zip(at, values)])
+        roots = [_int(d["root"], where, "root") for d in docs]
+        return _assemble(schema, roots, sizes, ids, *links, kind, feature, threshold, split, leaf,
+                         leaves)
+    except Exception:
+        # each field is read over every body in turn, so a later body's
+        # fault, of any kind, can come before an earlier body's
+        if len(docs) == 1:
+            raise
+        return [t for d, w in zip(docs, wheres) for t in _trees_from_bodies([d], schema, [w])]
 
 
 class _ByType(dict):
-    """The shape of an object by its ``type``; another type checks none."""
+    """The shape of an object by its ``key`` field (``type``), added to the
+    shape ``base`` of every such object; another type adds nothing."""
+
+    def __init__(self, key: str = "type", base: dict | None = None, **shapes):
+        super().__init__(shapes)
+        self.key, self.base = key, base or {}
 
 
-# The objects and lists of a tree or forest file: an object maps keys to the
-# shapes of their values, a list holds the shape of its elements, if checked.
-_VALUE_SHAPE = _ByType(class_probs={"probs": []}, tuple={"source_ids": []})
+# The objects and lists of a tree or forest file: an object maps the keys it
+# may hold to the shapes of their values (None: any value), a list holds the
+# shape of its elements, if checked.
+_VALUE_SHAPE = _ByType(scalar={"v": None}, class_probs={"probs": []}, tuple={"source_ids": []})
 _VALUE_SHAPE["tuple"]["values"] = [_VALUE_SHAPE]
-_SPLIT_SHAPE = _ByType(categorical={"left_levels": []}, hyperplane={"coeffs": []})
-_BODY_SHAPE = {"nodes": [{"split": _SPLIT_SHAPE, "value": _VALUE_SHAPE}]}
-_FILE_SHAPE = {"schema": {"features": [{}]}, "trees": [_BODY_SHAPE], "metadata": {},
-               **_BODY_SHAPE}
+_SPLIT_SHAPE = _ByType(numeric={"feature": None, "threshold": None},
+                       categorical={"feature": None, "left_levels": []},
+                       hyperplane={"coeffs": [], "offset": None})
+_FEATURE_SHAPE = _ByType("kind", {"name": None, "kind": None},
+                         numeric={"low": None, "high": None}, categorical={"levels": None})
+_BODY_SHAPE = {"nodes": [{"id": None, "split": _SPLIT_SHAPE, "value": _VALUE_SHAPE}],
+               "root": None}
+_FILE_SHAPE = {"schema": {"features": [_FEATURE_SHAPE]}, "trees": [_BODY_SHAPE],
+               "metadata": {}, **_BODY_SHAPE}
 
 
-def _check_shape(x, shape, path: str, where: str = "", nulls: bool = True) -> None:
+def _check_shape(x, shape, path: str, where: str = "", nulls: bool = True,
+                 missing=None) -> None:
     """Raise a ParseError naming the first field of ``x`` (the field
     ``where`` of the file ``path``, or the whole document) that should hold
     a JSON object or list but holds another value, with ``nulls`` null too
-    unless it is a ``split`` or ``value``. A split or value is checked only
-    for the fields its ``type`` reads. Run only once loading has failed, so
-    valid loads pay nothing."""
+    unless it is a ``split`` or ``value``, or the first object that lacks
+    the key ``missing`` where its shape has it. A split or value is checked
+    only for the fields its ``type`` reads. Run only once loading has
+    failed, so valid loads pay nothing."""
     kind, name = (dict, "an object") if isinstance(shape, dict) else (list, "a list")
     if not isinstance(x, kind):
         text = json.dumps(x)
         raise ParseError(f"{path}: {where or 'document'} must be {name}, "
                          f"got {text if len(text) <= 40 else text[:37] + '...'}")
     if isinstance(shape, _ByType):
-        shape = shape.get(x.get("type"), {}) if isinstance(x.get("type"), str) else {}
+        t = x.get(shape.key)
+        shape = {**shape.base, **(shape.get(t, {}) if isinstance(t, str) else {})}
     if kind is dict:
         for key, inner in shape.items():
-            if key in x and (x[key] is not None or nulls and key not in ("split", "value")):
-                _check_shape(x[key], inner, path, f"{where}.{key}".lstrip("."), nulls)
+            at = f"{where}.{key}".lstrip(".")
+            if key == missing and key not in x:
+                raise ParseError(f"{path}: {at} is missing")
+            if inner is not None and key in x and (
+                    x[key] is not None or nulls and key not in ("split", "value")):
+                _check_shape(x[key], inner, path, at, nulls, missing)
     elif shape:
         for k, item in enumerate(x):
-            _check_shape(item, shape[0], path, f"{where}[{k}]", nulls)
+            _check_shape(item, shape[0], path, f"{where}[{k}]", nulls, missing)
 
 
 def _real_texts(values: np.ndarray) -> np.ndarray:
@@ -437,6 +478,20 @@ def _parse_json(path: str):
         raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Each call with the cyclic collector off, then as it was: a parsed
+    document is many young objects and no cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def load_forest(path: str) -> ForestFile:
     """Load and fully validate a tree or forest JSON file.
 
@@ -447,19 +502,19 @@ def load_forest(path: str) -> ForestFile:
     try:
         schema = _schema_from_dict(doc["schema"], f"{path}: schema.")
         if "trees" in doc:
-            trees = [_tree_from_body(td, schema, f"{path}: trees[{ti}].")
-                     for ti, td in enumerate(doc["trees"])]
+            trees = _trees_from_bodies(doc["trees"], schema, [
+                f"{path}: trees[{ti}]." for ti in range(len(doc["trees"]))])
             metadata = {str(k): str(v) for k, v in doc.get("metadata", {}).items()}
         else:
-            trees = [_tree_from_body(doc, schema, f"{path}: ")]
+            trees = _trees_from_bodies([doc], schema, [f"{path}: "])
             metadata = {}
     except (ParseError, KeyError, TypeError, ValueError, AttributeError) as e:
         # a field of the wrong JSON type can fail far from where it is read;
-        # a null one is named only in place of Python's own error text
+        # a null or missing one is named only in place of Python's own text
         _check_shape(doc, _FILE_SHAPE, path, nulls=False)
         if isinstance(e, ParseError):
             raise
-        _check_shape(doc, _FILE_SHAPE, path)
+        _check_shape(doc, _FILE_SHAPE, path, missing=e.args[0] if isinstance(e, KeyError) else None)
         raise ParseError(f"{path}: malformed document ({e})")
     # the parsed document goes before the validation arrays are made
     del doc
@@ -469,14 +524,15 @@ def load_forest(path: str) -> ForestFile:
 
 def load_schema(path: str) -> FeatureSchema:
     """Load a bare schema JSON file (the ``schema`` object on its own, or
-    in a document under ``schema``); a field of the wrong JSON type is
-    named as ``schema.`` and its path."""
+    in a document under ``schema``); a field of the wrong JSON type, or a
+    missing one, is named as ``schema.`` and its path."""
     doc = _parse_json(path)
     try:
         return _schema_from_dict(doc.get("schema", doc), f"{path}: schema.")
     except (KeyError, TypeError, ValueError, AttributeError) as e:
-        if isinstance(doc, dict):
-            _check_shape(doc.get("schema", doc), _FILE_SHAPE["schema"], path, "schema")
+        _check_shape(doc, {}, path)
+        _check_shape(doc.get("schema", doc), _FILE_SHAPE["schema"], path, "schema",
+                     missing=e.args[0] if isinstance(e, KeyError) else None)
         raise ParseError(f"{path}: malformed document ({e})")
 
 
@@ -564,6 +620,7 @@ def _parse_leaf(token: str) -> dict:
     return {"type": "scalar", "v": float(token)}
 
 
+@_collector_paused()
 def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> ForestFile:
     """Translate a flat node-table CSV dump into a validated forest.
 
@@ -669,7 +726,7 @@ def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> Fo
                 except ValueError:
                     raise ParseError(f"{where}: bad leaf_value {row['leaf_value']!r}")
             nodes.append(entry)
-        trees.append(_tree_from_body({"nodes": nodes, "root": roots[0]}, schema, f"{path}: "))
+        trees += _trees_from_bodies([{"nodes": nodes, "root": roots[0]}], schema, [f"{path}: "])
     if not trees:
         raise ParseError(f"{path}: no nodes")
     _validate_forest(schema, trees)

@@ -1,5 +1,6 @@
 """Serialization, the flat-table import dialect, and the CLI surface."""
 
+import gc
 import json
 import os
 import subprocess
@@ -45,6 +46,20 @@ def stump_with(*keys, to, forest=False) -> str:
 # a forest file of two stumps
 TWO_STUMPS = stump_with("trees", to=[{"nodes": json.loads(stump_json())["nodes"], "root": 0}] * 2,
                         forest=True)
+
+# a categorical second feature, and a split by its level 1
+LEVELS = {"name": "c", "kind": "categorical", "levels": ["a", "b"]}
+LEVEL_1 = {"type": "categorical", "feature": 1, "left_levels": [1]}
+
+
+def forest_of(*roots, feature=None) -> str:
+    """A forest file of stumps of :func:`stump_json` (with its ``feature``),
+    one per entry of ``roots``, a dict of fields that replace the root's."""
+    doc = json.loads(stump_json(feature=feature))
+    bodies = [{"nodes": [{**doc["nodes"][0], **root}, *doc["nodes"][1:]], "root": 0}
+              for root in roots]
+    return json.dumps({"schema": doc["schema"], "trees": bodies, "metadata": {}})
+
 
 GOLDEN_USAGE = """\
 usage: treealgebra [-h] COMMAND ...
@@ -205,6 +220,33 @@ class TestJsonRoundTrip:
         with pytest.raises(ta.ValidationError) as err:
             io.load_forest(str(path))
         assert err.value.violations == ["forest mixes class-probability lengths [2, 3]"]
+
+    def test_equal_categorical_splits_share_one_object(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(forest_of({"split": LEVEL_1}, {"split": LEVEL_1},
+                                  {"split": {**LEVEL_1, "left_levels": [0]}}, feature=LEVELS))
+        forest = io.load_forest(str(path))
+        (a, b, c) = (t.split[t.root_pos] for t in forest.trees)
+        assert a is b and a is not c and c.left_levels == {0}
+        assert io.forest_to_json(forest) == path.read_text() + "\n"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_load_restores_the_collector_state(self, tmp_path, enabled):
+        files = {name: tmp_path / f"{name}.json" for name in ("ok", "parse", "validation")}
+        files["ok"].write_text(stump_json())
+        files["parse"].write_text(stump_json(split={"type": "x"}))
+        files["validation"].write_text(stump_with("nodes", 2, "value", to=None))
+        before = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            io.load_forest(str(files["ok"]))
+            assert gc.isenabled() is enabled
+            for name, error in (("parse", ta.ParseError), ("validation", ta.ValidationError)):
+                with pytest.raises(error):
+                    io.load_forest(str(files[name]))
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
 
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -679,14 +721,16 @@ class TestCli:
         assert capsys.readouterr() == ("", f'code=VALIDATION msg="tree 0: {message}"\n')
 
     def test_every_single_mutation_of_an_oblique_forest_fails_cleanly(self, tmp_path, capsys):
-        # one stump is the offset case above before its mutation
+        # one stump is the offset case above before its mutation; the last
+        # repeats the categorical split before it, which a load builds once
         schema = ta.FeatureSchema((ta.NumericFeature("x", 0.0, 10.0),
                                    ta.NumericFeature("y", 0.0, 10.0),
                                    ta.CategoricalFeature("c", ("a", "b", "c"))))
         trees = []
         for splits in ([ta.Hyperplane((0.3, -0.7), 1.0)],
                        [ta.Hyperplane((1.0, 1.0), 10.0), ta.NumericThreshold(0, 2.0),
-                        ta.CategoricalSubset(2, {0, 2})]):
+                        ta.CategoricalSubset(2, {0, 2})],
+                       [ta.CategoricalSubset(2, {0, 2})]):
             b = ta.TreeBuilder(schema)
             nodes = [b.add_root()]
             for split in splits:
@@ -705,8 +749,9 @@ class TestCli:
             assert code in (0, 2), (field, value)
             assert caught == [], (field, value, str(caught[0].message))
             assert err == "" or (err.startswith("code=") and err.count("\n") == 1), (field, value)
+            assert "malformed document (" not in err, (field, value)
             runs += 1
-        assert runs == 1032
+        assert runs == 1279
 
     def test_input_checks_run_before_any_work(self, workdir, capsys):
         missing = str(workdir / "missing.csv")
@@ -752,9 +797,9 @@ class TestCli:
         ("1e308\n1e308\n1e308\n", "affine --forest {three} --weights {} --out {out}",
          'DOMAIN msg="affine combination overflows to a non-finite leaf value"'),
         ("{}", "import --table {table} --schema {} --out {out}",
-         "PARSE msg=\"{}: malformed document ('features')\""),
+         'PARSE msg="{}: schema.features is missing"'),
         ("[1, 2]", "import --table {table} --schema {} --out {out}",
-         "PARSE msg=\"{}: malformed document ('list' object has no attribute 'get')\""),
+         'PARSE msg="{}: document must be an object, got [1, 2]"'),
         (FLAT_HEADER + "0,0,,,0,4.0,\n0,1,x,1,,,0.0\n0,2,0,0,,,1.0\n",
          "import --table {} --schema {schema} --out {out}",
          "PARSE msg=\"{}: line 3: bad parent_id 'x'\""),
@@ -817,9 +862,24 @@ class TestCli:
         ("0,1\n1,0\n", "mds --matrix {} --dims 0 --out {out}", 'DOMAIN msg="dims must be in [1, 2]"'),
         ("", "mds --matrix {} --dims 1 --out {out}", 'PARSE msg="{}: empty matrix"'),
         ("", "affine --forest {three} --weights {} --out {out}", 'PARSE msg="{}: no weights"'),
-        # README's example of a field a loader reads without naming it
+        # a split that repeats an earlier one is the same split only when
+        # its feature and levels are JSON integers too
+        (forest_of({"split": LEVEL_1}, {"split": {**LEVEL_1, "left_levels": [True]}},
+                   feature=LEVELS), "validate {}",
+         'PARSE msg="{}: trees[1].nodes[0].split.left_levels[0] must be an integer, got true"'),
+        (forest_of({"split": LEVEL_1}, {"split": {**LEVEL_1, "left_levels": [1.0]}},
+                   feature=LEVELS), "validate {}",
+         'PARSE msg="{}: trees[1].nodes[0].split.left_levels[0] must be an integer, got 1.0"'),
+        (forest_of({"split": LEVEL_1}, {"split": {**LEVEL_1, "feature": True}},
+                   feature=LEVELS), "validate {}",
+         'PARSE msg="{}: trees[1].nodes[0].split.feature must be an integer, got true"'),
+        # the first tree's fault is named, though the second's is in a field
+        # a load reads first
+        (forest_of({"left": -1}, {"id": "x"}), "validate {}",
+         'PARSE msg="{}: trees[0].nodes[0].left must be a non-negative integer, got -1"'),
+        # README's example of a missing key
         (stump_json().replace('{"id": 1, ', "{"), "validate {}",
-         "PARSE msg=\"{}: malformed document ('id')\""),
+         'PARSE msg="{}: nodes[1].id is missing"'),
         # null is absent only for a split or a value; any other field is named
         (stump_with("nodes", to=None), "validate {}", 'PARSE msg="{}: nodes must be a list, got null"'),
         (stump_with("trees", to=None, forest=True), "validate {}",
