@@ -223,74 +223,66 @@ def _value_from_dict(doc: dict, where: str):
                      f"got {json.dumps(kind)}")
 
 
-def _trees_from_bodies(docs: list, schema: FeatureSchema, wheres: list) -> list[Tree]:
-    """The tree bodies of one file, read a field at a time over all their
-    nodes into one stack of node arrays; ``wheres[t]`` prefixes the field
-    names of body ``t`` in errors.
+def _tree_from_body(doc: dict, schema: FeatureSchema, where: str,
+                    built: dict | None = None) -> Tree:
+    """One tree body, read a field at a time into the node arrays;
+    ``where`` prefixes the field names in errors, and ``built`` holds the
+    categorical splits built so far for the file.
 
     Node ids and child ids are non-negative JSON integers; feature and level
     indices and source ids are JSON integers; every real is a JSON number.
     A null ``split``, ``value``, ``left`` or ``right`` counts as absent.
     Splits other than numeric ones, and leaf values that are not all floats
-    of one kind and shape, are read one at a time into objects; equal
-    categorical splits of JSON integers share one. Messages name the fields
-    of one body, so several bodies that fail, or whose leaves do not share
-    one table, are built again a body at a time."""
-    where = wheres[0] if docs else ""
-    try:
-        sizes = [len(d["nodes"]) for d in docs]
-        bounds, entries = np.cumsum([0, *sizes]).tolist(), [e for d in docs for e in d["nodes"]]
-        ids = _ints([e["id"] for e in entries], where, "nodes[{}].id", 0)
-        if any(len(set(ids[a:b])) != b - a for a, b in zip(bounds, bounds[1:])):
-            seen: set = set()  # the first entry whose id an earlier entry has
-            k = next(k for k, i in enumerate(ids) if i in seen or seen.add(i))
-            raise ParseError(f"{where}nodes[{k}].id: duplicate node id {ids[k]}")
-        links = []
-        for side_name in ("left", "right"):
-            children = [e.get(side_name) for e in entries]
-            _ints([0 if x is None else x for x in children], where, f"nodes[{{}}].{side_name}", 0)
-            links.append([-1 if x is None else x for x in children])
-        n = len(entries)
-        kind, feature, threshold, split = [0] * n, [-1] * n, [np.nan] * n, [None] * n
-        at = [k for k, e in enumerate(entries) if e.get("split") is not None]
-        numeric = [k for k in at if entries[k]["split"].get("type") == "numeric"]
-        features = _ints([entries[k]["split"]["feature"] for k in numeric], where,
-                         "nodes[{}].split.feature", at=numeric)
-        thresholds = _reals([entries[k]["split"]["threshold"] for k in numeric], where,
-                            "nodes[{}].split.threshold", at=numeric)
-        for k, f, t in zip(numeric, features, thresholds):
-            kind[k], feature[k], threshold[k] = NUMERIC, f, t
-        built: dict = {}  # by (feature, levels) when all are ints, else by node
-        for k in at:
-            d = entries[k]["split"]
-            if d.get("type") != "numeric":
-                f, levels = d.get("feature"), d.get("left_levels")
-                key = (f, tuple(levels)) if (d.get("type") == "categorical" and type(levels) is list
-                                             and {type(f), *map(type, levels)} == {int}) else k
-                split[k] = s = built.get(key) or built.setdefault(
-                    key, _split_from_dict(d, f"{where}nodes[{k}].split"))
-                kind[k] = CATEGORICAL if isinstance(s, CategoricalSubset) else HYPERPLANE
-                feature[k] = getattr(s, "feature", -1)
-        at = [k for k, e in enumerate(entries) if e.get("value") is not None]
-        leaf = [-1] * n
-        for row, k in enumerate(at):
-            leaf[k] = row
-        values = [entries[k]["value"] for k in at]
-        leaves = pack_documents(values)
-        if leaves is None:
-            if len(docs) > 1:
-                raise ValueError("leaf values of more than one table")
-            leaves = _pack([_value_from_dict(d, f"{where}nodes[{k}].value")
-                            for k, d in zip(at, values)])
-        roots = [_int(d["root"], where, "root") for d in docs]
-        return _assemble(schema, roots, sizes, ids, *links, kind, feature, threshold, split, leaf,
-                         leaves)
-    except Exception:
-        # each field is read over every body in turn, so a later body's
-        # fault, of any kind, can come before an earlier body's
-        if len(docs) == 1:
-            raise
-        return [t for d, w in zip(docs, wheres) for t in _trees_from_bodies([d], schema, [w])]
+    of one kind and shape, are read one at a time into objects; categorical
+    splits with equal JSON integers for feature and levels share one.
+    """
+    built = {} if built is None else built
+    entries = doc["nodes"]
+    ids = _ints([e["id"] for e in entries], where, "nodes[{}].id", 0)
+    if len(set(ids)) != len(ids):
+        seen: set = set()  # the first entry whose id an earlier entry has
+        k = next(k for k, i in enumerate(ids) if i in seen or seen.add(i))
+        raise ParseError(f"{where}nodes[{k}].id: duplicate node id {ids[k]}")
+    links = []
+    for side_name in ("left", "right"):
+        children = [e.get(side_name) for e in entries]
+        _ints([0 if x is None else x for x in children], where, f"nodes[{{}}].{side_name}", 0)
+        links.append([-1 if x is None else x for x in children])
+    n = len(entries)
+    kind, feature, threshold, split = [0] * n, [-1] * n, [np.nan] * n, [None] * n
+    at = [k for k, e in enumerate(entries) if e.get("split") is not None]
+    numeric = [k for k in at if entries[k]["split"].get("type") == "numeric"]
+    features = _ints([entries[k]["split"]["feature"] for k in numeric], where,
+                     "nodes[{}].split.feature", at=numeric)
+    thresholds = _reals([entries[k]["split"]["threshold"] for k in numeric], where,
+                        "nodes[{}].split.threshold", at=numeric)
+    for k, f, t in zip(numeric, features, thresholds):
+        kind[k], feature[k], threshold[k] = NUMERIC, f, t
+    for k in at:
+        d = entries[k]["split"]
+        if d.get("type") != "numeric":
+            # exact ints only: true and 1.0 equal 1 but are not valid levels
+            f, levels = d.get("feature"), d.get("left_levels")
+            key = ((f, tuple(levels)) if d.get("type") == "categorical" and type(levels) is list
+                   and {type(f), *map(type, levels)} == {int} else None)
+            s = built.get(key) if key else None
+            if s is None:
+                s = _split_from_dict(d, f"{where}nodes[{k}].split")
+                if key:
+                    built[key] = s
+            split[k] = s
+            kind[k] = CATEGORICAL if isinstance(s, CategoricalSubset) else HYPERPLANE
+            feature[k] = getattr(s, "feature", -1)
+    at = [k for k, e in enumerate(entries) if e.get("value") is not None]
+    leaf = [-1] * n
+    for row, k in enumerate(at):
+        leaf[k] = row
+    docs = [entries[k]["value"] for k in at]
+    leaves = pack_documents(docs)
+    if leaves is None:
+        leaves = _pack([_value_from_dict(d, f"{where}nodes[{k}].value") for k, d in zip(at, docs)])
+    return _assemble(schema, _int(doc["root"], where, "root"), ids, *links, kind, feature,
+                     threshold, split, leaf, leaves)
 
 
 class _ByType(dict):
@@ -502,11 +494,12 @@ def load_forest(path: str) -> ForestFile:
     try:
         schema = _schema_from_dict(doc["schema"], f"{path}: schema.")
         if "trees" in doc:
-            trees = _trees_from_bodies(doc["trees"], schema, [
-                f"{path}: trees[{ti}]." for ti in range(len(doc["trees"]))])
+            built: dict = {}  # the file's categorical splits, shared by its trees
+            trees = [_tree_from_body(td, schema, f"{path}: trees[{ti}].", built)
+                     for ti, td in enumerate(doc["trees"])]
             metadata = {str(k): str(v) for k, v in doc.get("metadata", {}).items()}
         else:
-            trees = _trees_from_bodies([doc], schema, [f"{path}: "])
+            trees = [_tree_from_body(doc, schema, f"{path}: ")]
             metadata = {}
     except (ParseError, KeyError, TypeError, ValueError, AttributeError) as e:
         # a field of the wrong JSON type can fail far from where it is read;
@@ -661,7 +654,7 @@ def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> Fo
                 raise ParseError(f"{path}: line {line_no}: bad {key} {row[key]!r}")
         by_tree.setdefault(tid, []).append((line_no, row))
 
-    trees = []
+    trees, built = [], {}  # the trees, and the file's categorical splits
     for tid in sorted(by_tree):
         # each node's row and the line it came from
         nodes_raw: dict[int, tuple[int, dict]] = {}
@@ -726,7 +719,8 @@ def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> Fo
                 except ValueError:
                     raise ParseError(f"{where}: bad leaf_value {row['leaf_value']!r}")
             nodes.append(entry)
-        trees += _trees_from_bodies([{"nodes": nodes, "root": roots[0]}], schema, [f"{path}: "])
+        trees.append(_tree_from_body({"nodes": nodes, "root": roots[0]}, schema, f"{path}: ",
+                                     built))
     if not trees:
         raise ParseError(f"{path}: no nodes")
     _validate_forest(schema, trees)

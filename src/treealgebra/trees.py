@@ -516,11 +516,6 @@ class Leaves:
         return TupleValue(tuple(_entry(self.entry, b) for b in self.blocks()[row].tolist()),
                           tuple(self.sources[row].tolist()))
 
-    def rows(self, start: int, stop: int) -> "Leaves":
-        """Rows ``start`` to ``stop - 1`` as a table of their own."""
-        cut = lambda a: None if a is None else a[start:stop]
-        return Leaves(self.kind, self.entry, *map(cut, (self.values, self.sources, self.ragged)))
-
 
 def _document(value: LeafValue) -> dict:
     """A leaf value in the form a tree file gives it."""
@@ -662,47 +657,33 @@ def _split_arrays(splits: Sequence[Optional[Split]]):
                          for s in splits), dtype=object, count=len(splits)))
 
 
-def _assemble(schema, roots, sizes, ids, left, right, kind, feature, threshold, split, leaf,
-              leaves) -> list[Tree]:
-    """Trees from per-node lists that hold each tree's ``sizes[t]`` nodes in
-    turn, in any order, e.g. a file's: tree ``t`` has the root ``roots[t]``,
-    is sorted by id, and each node's parent is the last node of the tree in
-    the given order that names it as a child. Ids must be distinct within a
-    tree and non-negative. ``leaf`` holds rows of ``leaves``, each tree's
-    after those of the trees before it."""
+def _assemble(schema, root, ids, left, right, kind, feature, threshold, split, leaf,
+              leaves) -> Tree:
+    """A tree from per-node lists in any order, e.g. a file's: sorted by
+    id, with each node's parent the last node in the given order that names
+    it as a child. Ids must be distinct and non-negative."""
     as_int = partial(np.array, dtype=np.int64)
     columns = [as_int(ids), as_int(left), as_int(right), np.array(kind, dtype=np.int8),
                as_int(feature), np.array(threshold, dtype=float),
                np.fromiter(split, dtype=object, count=len(split)), as_int(leaf)]
-    ids, bounds = columns[0], np.cumsum([0, *sizes]).tolist()
-    # tree t's ids and links moved by t times a bound on them all, so that
-    # sorting and parent links stay inside each tree; one tree never overflows
-    span = max(int(c.max(initial=-1)) for c in columns[:3]) + 1
-    if len(sizes) * span > 2 ** 63:
-        raise OverflowError("moved node ids pass 2**63")
-    shift = np.repeat(as_int([t * span for t in range(len(sizes))]), sizes)
+    ids = columns[0]
     # every child link in the given order, left before right, and its node
     links, namer = np.empty(2 * len(ids), dtype=np.int64), np.repeat(ids, 2)
     links[0::2], links[1::2] = columns[1], columns[2]
-    links = np.where(links >= 0, links + np.repeat(shift, 2), -1)
-    key = ids + shift
-    if not (key[1:] > key[:-1]).all():
-        order = np.argsort(key)
-        columns, key = [c[order] for c in columns], key[order]
+    if not (ids[1:] > ids[:-1]).all():
+        order = np.argsort(ids)
+        columns = [c[order] for c in columns]
     ids, left, right, kind, feature, threshold, split, leaf = columns
     # a stable sort keeps the links to each child in the given order
-    pos = _positions(key, links)
+    pos = _positions(ids, links)
     by = np.argsort(pos, kind="stable")
     pos, namer = pos[by], namer[by]
     last = pos >= 0
     last[:-1] &= pos[1:] != pos[:-1]
     parent = np.full(len(ids), -1, dtype=np.int64)
     parent[pos[last]] = namer[last]
-    rows = np.concatenate(([0], np.cumsum(leaf >= 0)))[bounds].tolist()
-    leaf = np.where(leaf >= 0, leaf - np.repeat(rows[:-1], sizes), -1)
-    columns = ids, left, right, parent, kind, feature, threshold, split, leaf
-    return [Tree(schema, root, *(c[a:b] for c in columns), leaves.rows(r, s))
-            for root, a, b, r, s in zip(roots, bounds, bounds[1:], rows, rows[1:])]
+    return Tree(schema, root, ids, left, right, parent, kind, feature, threshold, split, leaf,
+                leaves)
 
 
 def check_node_budget(n_nodes: int, max_nodes: Optional[int]) -> None:

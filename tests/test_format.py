@@ -656,8 +656,7 @@ def read_unchecked(path):
     """The trees of a tree or forest file, not validated."""
     doc = json.loads(path.read_text())
     schema = io._schema_from_dict(doc["schema"], "")
-    bodies = doc.get("trees", [doc])
-    return io._trees_from_bodies(bodies, schema, [""] * len(bodies))
+    return [io._tree_from_body(body, schema, "") for body in doc.get("trees", [doc])]
 
 
 def reference_violations(trees):

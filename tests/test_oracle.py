@@ -166,7 +166,7 @@ class TestPointwiseEquivalence:
         doc = json.loads(io.tree_to_json(combined))
         entry = next(e for e in doc["nodes"] if e["id"] == target)
         entry["value"]["values"][0]["v"] = 42.0
-        corrupted = io._trees_from_bodies([doc], d2, [""])[0]
+        corrupted = io._tree_from_body(doc, d2, "")
         counterexample = ta.pointwise_equivalence(corrupted, [stump4, stump_y5], 10_000, seed=0)
         assert counterexample is not None
         assert counterexample.combined_value.values[0] == Scalar(42.0)

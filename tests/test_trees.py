@@ -21,7 +21,7 @@ from treealgebra.trees import Region, evaluate_batch, route_batch
 def tree_from_nodes(schema, nodes, root):
     """A tree read from a file body that lists ``nodes``, so it may break
     any invariant that ``validate`` checks."""
-    return io._trees_from_bodies([{"nodes": nodes, "root": root}], schema, [""])[0]
+    return io._tree_from_body({"nodes": nodes, "root": root}, schema, "")
 
 
 class TestSchema:
