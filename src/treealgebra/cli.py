@@ -18,9 +18,9 @@ import numpy as np
 
 from . import io, measures, mds
 from .combine import CombineBudget, affine_combination, combine_many, simplify
-from .errors import DomainError, LeafKindError, TreeAlgebraError
+from .errors import DomainError, TreeAlgebraError
 from .geometry import Empirical, UniformBox
-from .trees import leaf_kind_of
+from .trees import _require_scalar
 
 PROG = "treealgebra"
 
@@ -65,11 +65,7 @@ def _build_measure(args, schema):
     if args.data is None:
         raise DomainError("--measure empirical needs --data")
     points = io.read_points_csv(args.data, schema)
-    if args.weights is not None:
-        weights = io.read_weights_csv(args.weights)
-    else:
-        weights = np.full(len(points), 1.0 / len(points))
-    return Empirical(points, weights)
+    return Empirical(points, None if args.weights is None else io.read_weights_csv(args.weights))
 
 
 @cache  # once per process: a default read from the environment is read per request
@@ -227,8 +223,7 @@ def _cmd_oracle_check(args) -> int:
     from . import oracle
 
     forest = io.load_forest(args.forest)
-    if any(leaf_kind_of(t) != "scalar" for t in forest.trees):
-        raise LeafKindError("oracle-check needs scalar leaves")
+    _require_scalar(forest.trees, "oracle-check")
     measure = _build_measure(args, forest.schema)
     trees = forest.trees
     seed = int(os.environ.get("TREEALG_SEED", "0")) if args.seed is None else args.seed

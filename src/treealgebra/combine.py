@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, LeafKindError, SchemaError
+from .errors import DomainError
 from .trees import (
     HYPERPLANE,
     Leaves,
@@ -49,8 +49,8 @@ from .trees import (
     Region,
     Tree,
     TreeBuilder,
+    _require_schema_and_kind,
     check_node_budget,
-    leaf_kind_of,
 )
 
 __all__ = [
@@ -99,7 +99,7 @@ def _tuple_tree(tree: Tree) -> Tree:
     """A tree with its leaves as tuples of one block from source 0, the
     start of a fold."""
     values, sources = _blocks(tree.leaves, 0)
-    return replace(tree, leaves=Leaves("tuple", tree.leaves.kind, values, sources))
+    return replace(tree, leaves=Leaves(tree.leaves.entry, values, sources))
 
 
 def _pack_rows(trees: Sequence[Tree], sources: Sequence[int], rows: np.ndarray) -> Leaves:
@@ -107,7 +107,7 @@ def _pack_rows(trees: Sequence[Tree], sources: Sequence[int], rows: np.ndarray) 
     of ``trees[k]``: the blocks of every tree in turn. A leaf that is not a
     tuple is one block, from source ``sources[k]``."""
     values, ids = zip(*(_blocks(t.leaves, s) for t, s in zip(trees, sources)))
-    return Leaves("tuple", trees[-1].leaves.entry, np.hstack([v[r] for v, r in zip(values, rows.T)]),
+    return Leaves(trees[-1].leaves.entry, np.hstack([v[r] for v, r in zip(values, rows.T)]),
                   np.hstack([i[r] for i, r in zip(ids, rows.T)]))
 
 
@@ -282,26 +282,6 @@ def _combine(t1: Tree, t2: Tree, budget: CombineBudget, second: int) -> Tree:
         (t1, t2), (0, second), np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)))
 
 
-def _require_schema_and_kind(trees: Sequence[Tree]) -> str:
-    schema = trees[0].schema
-    for t in trees[1:]:
-        if t.schema != schema:
-            raise SchemaError("trees use different schemas")
-    kinds, lengths = set(), set()
-    for t in trees:
-        kinds.add(leaf_kind_of(t))
-        if t.leaves.kind == "class_probs":
-            lengths.add(t.leaves.values.shape[1])
-    kinds = sorted(kinds)
-    if len(kinds) > 1:
-        raise LeafKindError(f"trees mix leaf kinds {kinds}")
-    if kinds == ["tuple"]:
-        raise LeafKindError("input trees must have scalar or class_probs leaves")
-    if len(lengths) > 1:
-        raise LeafKindError(f"trees mix class-probability lengths {sorted(lengths)}")
-    return kinds[0]
-
-
 def combine_pair(
     t1: Tree, t2: Tree, budget: Optional[CombineBudget] = None
 ) -> Tree:
@@ -365,8 +345,7 @@ def affine_combination(
             acc = acc + ws[m] * blocks[:, m]
     if not np.isfinite(acc).all():
         raise DomainError("affine combination overflows to a non-finite leaf value")
-    kind = combined.leaves.entry
-    return replace(combined, leaves=Leaves(kind, kind, acc))
+    return replace(combined, leaves=Leaves(combined.leaves.entry, acc))
 
 
 def simplify(tree: Tree) -> Tree:

@@ -36,14 +36,18 @@ class UniformBox:
 
 @dataclass(frozen=True, eq=False)
 class Empirical:
-    """Point masses at encoded sample points; weights sum to one."""
+    """Point masses at encoded sample points; weights sum to one, and are
+    equal when none are given."""
 
     points: np.ndarray
-    weights: np.ndarray
+    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        if not len(pts):
+            raise DomainError("empirical measure needs at least one point")
+        w = np.asarray(np.full(len(pts), 1.0 / len(pts)) if self.weights is None
+                       else self.weights, dtype=float)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
         if len(pts) != len(w):
@@ -55,7 +59,7 @@ class Empirical:
         if np.any(w < 0):
             raise DomainError("negative empirical weight")
         if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise DomainError(f"empirical weights sum {w.sum()!r} != 1")
+            raise DomainError(f"empirical weights sum {float(w.sum())!r} != 1")
 
     @classmethod
     def from_rows(
@@ -64,12 +68,7 @@ class Empirical:
         rows: Sequence[Sequence],
         weights: Optional[Sequence[float]] = None,
     ) -> "Empirical":
-        pts = schema.encode_points(rows)
-        if weights is None:
-            w = np.full(len(pts), 1.0 / len(pts))
-        else:
-            w = np.asarray(list(weights), dtype=float)
-        return cls(pts, w)
+        return cls(schema.encode_points(rows), None if weights is None else list(weights))
 
 
 Measure = Union[UniformBox, Empirical]

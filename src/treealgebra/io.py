@@ -304,10 +304,11 @@ _SPLIT_SHAPE = _ByType(numeric={"feature": None, "threshold": None},
                        hyperplane={"coeffs": [], "offset": None})
 _FEATURE_SHAPE = _ByType("kind", {"name": None, "kind": None},
                          numeric={"low": None, "high": None}, categorical={"levels": None})
+_SCHEMA_SHAPE = {"features": [_FEATURE_SHAPE]}
 _BODY_SHAPE = {"nodes": [{"id": None, "split": _SPLIT_SHAPE, "value": _VALUE_SHAPE}],
                "root": None}
-_FILE_SHAPE = {"schema": {"features": [_FEATURE_SHAPE]}, "trees": [_BODY_SHAPE],
-               "metadata": {}, **_BODY_SHAPE}
+_TREE_SHAPE = {"schema": _SCHEMA_SHAPE, **_BODY_SHAPE}
+_FOREST_SHAPE = {"schema": _SCHEMA_SHAPE, "trees": [_BODY_SHAPE], "metadata": {}}
 
 
 def _check_shape(x, shape, path: str, where: str = "", nulls: bool = True,
@@ -491,23 +492,22 @@ def load_forest(path: str) -> ForestFile:
     line and column, or name the field.
     """
     doc = _parse_json(path)
+    # a file is a forest or a single tree, and only its own form's keys count
+    forest = isinstance(doc, dict) and "trees" in doc
     try:
         schema = _schema_from_dict(doc["schema"], f"{path}: schema.")
-        if "trees" in doc:
-            built: dict = {}  # the file's categorical splits, shared by its trees
-            trees = [_tree_from_body(td, schema, f"{path}: trees[{ti}].", built)
-                     for ti, td in enumerate(doc["trees"])]
-            metadata = {str(k): str(v) for k, v in doc.get("metadata", {}).items()}
-        else:
-            trees = [_tree_from_body(doc, schema, f"{path}: ")]
-            metadata = {}
+        built: dict = {}  # the file's categorical splits, shared by its trees
+        trees = [_tree_from_body(body, schema, f"{path}: trees[{ti}]." if forest else f"{path}: ", built)
+                 for ti, body in enumerate(doc["trees"] if forest else [doc])]
+        metadata = {str(k): str(v) for k, v in doc.get("metadata", {}).items()} if forest else {}
     except (ParseError, KeyError, TypeError, ValueError, AttributeError) as e:
         # a field of the wrong JSON type can fail far from where it is read;
         # a null or missing one is named only in place of Python's own text
-        _check_shape(doc, _FILE_SHAPE, path, nulls=False)
+        shape = _FOREST_SHAPE if forest else _TREE_SHAPE
+        _check_shape(doc, shape, path, nulls=False)
         if isinstance(e, ParseError):
             raise
-        _check_shape(doc, _FILE_SHAPE, path, missing=e.args[0] if isinstance(e, KeyError) else None)
+        _check_shape(doc, shape, path, missing=e.args[0] if isinstance(e, KeyError) else None)
         raise ParseError(f"{path}: malformed document ({e})")
     # the parsed document goes before the validation arrays are made
     del doc
@@ -524,7 +524,7 @@ def load_schema(path: str) -> FeatureSchema:
         return _schema_from_dict(doc.get("schema", doc), f"{path}: schema.")
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         _check_shape(doc, {}, path)
-        _check_shape(doc.get("schema", doc), _FILE_SHAPE["schema"], path, "schema",
+        _check_shape(doc.get("schema", doc), _SCHEMA_SHAPE, path, "schema",
                      missing=e.args[0] if isinstance(e, KeyError) else None)
         raise ParseError(f"{path}: malformed document ({e})")
 

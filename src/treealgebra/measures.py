@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import copysign, sqrt
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .combine import CombineBudget, _require_schema_and_kind
 from .errors import (
     DegenerateCorrelationError,
     DomainError,
@@ -46,6 +45,8 @@ from .trees import (
     FeatureSchema,
     NumericFeature,
     Tree,
+    _require_scalar,
+    _require_schema_and_kind,
     box_sides,
     evaluate_batch,
     full_box,
@@ -302,20 +303,13 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x * y).sum(axis=-1)
 
 
-def _require_scalar(trees: Sequence[Tree], name: str) -> None:
-    if any(leaf_kind_of(t) != "scalar" for t in trees):
-        raise LeafKindError(f"{name} needs scalar leaves")
-
-
-def tree_distance(
-    t1: Tree, t2: Tree, measure: Measure, budget: Optional[CombineBudget] = None
-) -> float:
+def tree_distance(t1: Tree, t2: Tree, measure: Measure, budget: object = None) -> float:
     """L2 distance between two tree functions under a probability measure.
 
     Scalar leaves use the squared scalar difference; class-probability
     leaves use the squared Euclidean distance of the probability vectors.
-    No combined tree is built, so ``budget`` bounds nothing; it stays in
-    the signature for callers that pass it positionally.
+    No combined tree is built, so ``budget``, a ``CombineBudget``, bounds
+    nothing; it stays in the signature for callers that pass it positionally.
     """
     _require_schema_and_kind([t1, t2])
     a, b = _prepare([t1], measure), _prepare([t2], measure)
@@ -387,7 +381,7 @@ def forest_distance(f: Sequence[Tree], g: Sequence[Tree], measure: Measure) -> f
     """
     if not f or not g:
         raise DomainError("forest_distance needs nonempty forests")
-    _require_scalar([*f, *g], "tree_inner_product")
+    _require_scalar([*f, *g], "forest_distance")
     _require_schema_and_kind([*f, *g])
     sf, sg = _prepare(f, measure), _prepare(g, measure)
 

@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    LeafKindError,
     SchemaError,
     UnknownNodeError,
     UnsupportedGeometryError,
@@ -73,6 +72,7 @@ from .trees import (
     _overflows,
     _pack,
     _positions,
+    _require_scalar,
     _route_batch,
     _value_rules,
     evaluate_batch,
@@ -264,12 +264,6 @@ def _resolve_combiner(combiner: Combiner, weights):
     return lambda values: fn(values, weights=weights)
 
 
-def _require_scalar_leaves(trees: Sequence[Tree], name: str) -> None:
-    # the combiners act on one value per point and tree
-    if any(t.leaves.kind != "scalar" for t in trees):
-        raise LeafKindError(f"{name} needs scalar leaves")
-
-
 def grid_integral(
     trees: Sequence[Tree],
     combiner: Combiner,
@@ -283,7 +277,7 @@ def grid_integral(
     against the cell masses. Exact (up to float summation) because each tree
     is constant on each cell.
     """
-    _require_scalar_leaves(trees, "grid_integral")
+    _require_scalar(trees, "grid_integral")
     schema = trees[0].schema
     grid = CellGrid.from_trees(schema, trees)
     if grid.n_cells > _MAX_CELLS:
@@ -466,7 +460,7 @@ def _ragged_faults(value: LeafValue, schema: FeatureSchema) -> list[str]:
     kinds = {type(e) for e in value.values}
     out = (["nested tuple value"] if TupleValue in kinds
            else ["tuple mixes value kinds"] if len(kinds) > 1 else [])
-    ids = Leaves(None, None, np.zeros((1, 0)), np.array([value.source_ids], dtype=np.int64))
+    ids = Leaves(None, np.zeros((1, 0)), np.array([value.source_ids], dtype=np.int64))
     out += _messages(_value_rules(ids, schema), 0)
     for e in value.values:
         if not isinstance(e, TupleValue):
@@ -678,7 +672,7 @@ def monte_carlo_integral(
 
     Reproducible: identical inputs and seed give bit-identical results.
     """
-    _require_scalar_leaves(trees, "monte_carlo_integral")
+    _require_scalar(trees, "monte_carlo_integral")
     if n < 100:
         raise DomainError("monte_carlo_integral needs n >= 100")
     rng = np.random.default_rng(seed)

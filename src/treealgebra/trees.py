@@ -248,6 +248,19 @@ def _overflows(h: Hyperplane, schema: FeatureSchema) -> bool:
     return not isfinite(total)
 
 
+def _check_split(split: Split, schema: FeatureSchema) -> None:
+    """Raise :class:`SchemaError` unless a split fits the schema: it reads a
+    feature of its kind, or has one coefficient per numeric feature."""
+    if isinstance(split, Hyperplane):
+        if len(split.coefficients) != len(schema.numeric_indices):
+            raise SchemaError("hyperplane arity != number of numeric features")
+        return
+    j, numeric = split.feature, isinstance(split, NumericThreshold)
+    if not (0 <= j < schema.n_features and isinstance(
+            schema.features[j], NumericFeature if numeric else CategoricalFeature)):
+        raise SchemaError(f"{'numeric' if numeric else 'categorical'} split on feature index {j}")
+
+
 class Side(Enum):
     LEFT = "left"
     RIGHT = "right"
@@ -373,6 +386,7 @@ class Region:
         no LP; otherwise the side that holds the witness is nonempty for
         free and the other side runs one feasibility LP.
         """
+        _check_split(split, self.schema)
         if isinstance(split, Hyperplane):
             for h, side in self.half_spaces:
                 if h == split:
@@ -386,9 +400,6 @@ class Region:
             return self._checked(left, s <= split.offset), self._checked(right, s >= split.offset)
         j, schema = split.feature, self.schema
         numeric = isinstance(split, NumericThreshold)
-        if not (0 <= j < schema.n_features and isinstance(
-                schema.features[j], NumericFeature if numeric else CategoricalFeature)):
-            raise SchemaError(f"{'numeric' if numeric else 'categorical'} split on feature index {j}")
         cut = split.threshold if numeric else split.left_levels
         left, right, both = box_sides(self.constraints, j, cut)
         if not both:
@@ -469,15 +480,6 @@ def kinds_and_lengths(values: Sequence[LeafValue]) -> tuple[list[str], list[int]
             sorted({len(v.probs) for v in values if isinstance(v, ClassProbs)}))
 
 
-def _kind_of(values: Sequence[LeafValue]) -> str:
-    kinds, lengths = kinds_and_lengths(values)
-    if len(kinds) != 1:
-        raise LeafKindError(f"mixed leaf kinds {kinds}")
-    if len(lengths) > 1:
-        raise LeafKindError(f"class-probability leaves mix lengths {lengths}")
-    return kinds[0]
-
-
 def _entry(kind: str, row: list) -> LeafValue:
     return Scalar(row[0]) if kind == "scalar" else ClassProbs(row)
 
@@ -494,11 +496,17 @@ class Leaves:
     names, keep their value objects in ``ragged`` and have no kind.
     """
 
-    kind: Optional[str]
     entry: Optional[str]
     values: np.ndarray
     sources: Optional[np.ndarray] = None
     ragged: Optional[tuple] = None
+
+    @property
+    def kind(self) -> Optional[str]:
+        """``"tuple"`` when there are sources, else ``entry``; None when ragged."""
+        if self.ragged is not None:
+            return None
+        return "tuple" if self.sources is not None else self.entry
 
     def blocks(self) -> np.ndarray:
         """``values`` as a (leaves, sources, entry width) array."""
@@ -512,7 +520,7 @@ class Leaves:
         if self.ragged is not None:
             return self.ragged[row]
         if self.sources is None:
-            return _entry(self.kind, self.values[row].tolist())
+            return _entry(self.entry, self.values[row].tolist())
         return TupleValue(tuple(_entry(self.entry, b) for b in self.blocks()[row].tolist()),
                           tuple(self.sources[row].tolist()))
 
@@ -556,7 +564,7 @@ def pack_documents(docs: Sequence[dict]) -> Optional[Leaves]:
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
     values = np.array(flat, dtype=float)
-    return Leaves(kind, entry, values.reshape(len(docs), values.size // len(docs)), sources)
+    return Leaves(entry, values.reshape(len(docs), values.size // len(docs)), sources)
 
 
 def _pack(values: Sequence[LeafValue]) -> Leaves:
@@ -564,14 +572,41 @@ def _pack(values: Sequence[LeafValue]) -> Leaves:
     that no matrix can hold keep their objects."""
     packed = pack_documents([_document(v) for v in values])
     if packed is None:
-        return Leaves(None, None, np.zeros((len(values), 0)), None, tuple(values))
+        return Leaves(None, np.zeros((len(values), 0)), None, tuple(values))
     return packed
 
 
 def leaf_kind_of(tree: "Tree") -> str:
     """The single leaf-value kind of a tree; raises when leaves mix kinds."""
-    leaves = tree.leaves
-    return leaves.kind if leaves.ragged is None else _kind_of(leaves.ragged)
+    if tree.leaves.ragged is None:
+        return tree.leaves.kind
+    kinds, lengths = kinds_and_lengths(tree.leaves.ragged)
+    if len(kinds) != 1:
+        raise LeafKindError(f"mixed leaf kinds {kinds}")
+    if len(lengths) > 1:
+        raise LeafKindError(f"class-probability leaves mix lengths {lengths}")
+    return kinds[0]
+
+
+def _require_scalar(trees: Sequence["Tree"], name: str) -> None:
+    if any(leaf_kind_of(t) != "scalar" for t in trees):
+        raise LeafKindError(f"{name} needs scalar leaves")
+
+
+def _require_schema_and_kind(trees: Sequence["Tree"]) -> str:
+    """The check of every operation's input trees: one schema and one leaf
+    kind, scalar or class-probability, of one length; returns the kind."""
+    if any(t.schema != trees[0].schema for t in trees[1:]):
+        raise SchemaError("trees use different schemas")
+    kinds = sorted({leaf_kind_of(t) for t in trees})
+    lengths = sorted({t.leaves.values.shape[1] for t in trees if t.leaves.kind == "class_probs"})
+    if len(kinds) > 1:
+        raise LeafKindError(f"trees mix leaf kinds {kinds}")
+    if kinds == ["tuple"]:
+        raise LeafKindError("input trees must have scalar or class_probs leaves")
+    if len(lengths) > 1:
+        raise LeafKindError(f"trees mix class-probability lengths {lengths}")
+    return kinds[0]
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +769,11 @@ class TreeBuilder:
         return self.root
 
     def split_node(self, nid: int, split: Split) -> tuple[int, int]:
-        """Turn a leaf of the arena into an internal node; returns (left, right)."""
+        """Turn a leaf of the arena into an internal node; returns (left, right).
+        A split that does not fit the schema raises :class:`SchemaError`."""
         if self._split[nid] is not None or self._leaf[nid] >= 0:
             raise ValueError(f"node {nid} already finished")
+        _check_split(split, self.schema)
         self._split[nid] = split
         left = self._new(nid)
         right = self._new(nid)
@@ -778,22 +815,23 @@ def evaluate(tree: Tree, point: Sequence) -> LeafValue:
 def _route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     """The position of the leaf that every row of an encoded (n, p) matrix
     reaches. A numeric split compares its column with its threshold; only
-    the other kinds read their split objects."""
-    left, right, kind, feature, threshold = (a.tolist() for a in (
-        tree.left_pos, tree.right_pos, tree.kind, tree.feature, tree.threshold))
+    the other kinds read their split objects. Only the visited nodes' cells
+    are read, so a point costs its path."""
+    left, right, kind, feature, threshold = (
+        tree.left_pos, tree.right_pos, tree.kind, tree.feature, tree.threshold)
     out = np.empty(len(X), dtype=np.int64)
     stack = [(tree.root_pos, np.arange(len(X)))]
     while stack:
         i, idx = stack.pop()
         if idx.size == 0:
             continue
-        if left[i] < 0:
+        if left.item(i) < 0:
             out[idx] = i
             continue
-        go = (X[idx, feature[i]] <= threshold[i] if kind[i] == NUMERIC
+        go = (X[idx, feature.item(i)] <= threshold.item(i) if kind.item(i) == NUMERIC
               else _goes_left_batch(tree.split[i], X, tree.schema, idx))
-        stack.append((right[i], idx[~go]))
-        stack.append((left[i], idx[go]))
+        stack.append((right.item(i), idx[~go]))
+        stack.append((left.item(i), idx[go]))
     return out
 
 

@@ -330,8 +330,22 @@ class TestRegionMeasure:
             region_measure(region, uniform)
 
     def test_empirical_weights_must_sum_to_one(self, d2):
-        with pytest.raises(ta.DomainError):
+        # the sum is a Python float's text whatever numpy's scalar repr is
+        with pytest.raises(ta.DomainError, match=r"^empirical weights sum 0\.9 != 1$"):
             Empirical.from_rows(d2, [(1, 1), (2, 2)], weights=[0.5, 0.4])
+
+    def test_empirical_weights_default_to_equal(self, d2):
+        rows = [(1, 1), (2, 2), (3, 5), (9, 0), (4, 4), (7, 7), (0, 10)]
+        default = Empirical(d2.encode_points(rows))
+        assert default.weights.tobytes() == Empirical.from_rows(d2, rows).weights.tobytes()
+        assert default.weights.tobytes() == np.full(7, 1.0 / 7).tobytes()
+
+    def test_empirical_refuses_an_empty_point_set(self, d2):
+        for make in (lambda: Empirical.from_rows(d2, []),
+                     lambda: Empirical(np.zeros((0, 2))),
+                     lambda: Empirical(np.zeros((0, 2)), np.zeros(0))):
+            with pytest.raises(ta.DomainError, match="^empirical measure needs at least one point$"):
+                make()
 
     @pytest.mark.parametrize("point, weight, message", [
         (np.nan, 0.5, "empirical point is not finite"),

@@ -452,19 +452,43 @@ class TestFlatTableImport:
          "line 4: tree 0 node 2: bad leaf_value 'one'"),
         ("0,0,,,0,4.0,\n0,1,0,maybe,,,0.0\n0,2,0,0,,,1.0\n",
          "line 3: tree 0 node 1: bad is_left_child 'maybe'"),
+        ("x,0,,,0,4.0,\n0,1,0,1,,,0.0\n0,2,0,0,,,1.0\n", "line 2: bad tree_id/node_id"),
+        ("0,-1,,,0,4.0,\n0,1,0,1,,,0.0\n0,2,0,0,,,1.0\n", "line 2: bad tree_id/node_id"),
+        ("0,0,,,,4.0,\n0,1,0,1,,,0.0\n0,2,0,0,,,1.0\n",
+         "line 2: tree 0 node 0: internal node without split_feature"),
+        ("0,0,,,0,4.0,\n0,1,0,1,,,\n0,2,0,0,,,1.0\n",
+         "line 3: tree 0 node 1: leaf without leaf_value"),
         ("", "no nodes"),
     ])
     def test_node_messages_name_the_file_and_line(self, tmp_path, d2, capsys, rows, message):
+        self.assert_refused(tmp_path, d2, capsys, FLAT_HEADER + rows, message)
+
+    @staticmethod
+    def assert_refused(tmp_path, schema, capsys, text, message):
+        """The table ``text`` is refused with ``message`` after its path, by
+        the import function and by the command."""
         path = tmp_path / "table.csv"
-        path.write_text(FLAT_HEADER + rows)
+        path.write_text(text)
         with pytest.raises(ta.ParseError) as err:
-            io.import_external_forest(str(path), "flat-table", d2)
+            io.import_external_forest(str(path), "flat-table", schema)
         assert str(err.value) == f"{path}: {message}"
-        schema = tmp_path / "schema.json"
-        schema.write_text(json.dumps({"schema": io._schema_to_dict(d2)}))
-        argv = ["import", "--table", str(path), "--schema", str(schema), "--out", str(tmp_path / "o")]
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps({"schema": io._schema_to_dict(schema)}))
+        argv = ["import", "--table", str(path), "--schema", str(schema_path),
+                "--out", str(tmp_path / "o")]
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == f'code=PARSE msg="{path}: {message}"\n'
+
+    def test_header_must_name_every_column_in_order(self, tmp_path, d2, capsys):
+        header = ",".join(io.FLAT_TABLE_COLUMNS[::-1]) + "\n"
+        self.assert_refused(tmp_path, d2, capsys, header + "0,0,,,0,4.0,\n",
+                            f"header must be exactly {','.join(io.FLAT_TABLE_COLUMNS)}")
+
+    def test_unknown_level_is_named(self, tmp_path, capsys):
+        schema = ta.FeatureSchema((ta.CategoricalFeature("c", ("a", "b")),))
+        self.assert_refused(tmp_path, schema, capsys,
+                            FLAT_HEADER + "0,0,,,0,a|zz,\n0,1,0,1,,,0.0\n0,2,0,0,,,1.0\n",
+                            "line 2: tree 0 node 0: unknown level 'zz'")
 
     def test_unknown_dialect(self, tmp_path, d2):
         path = tmp_path / "table.csv"
@@ -658,6 +682,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == 'code=LEAF_KIND msg="oracle-check needs scalar leaves"\n'
 
+    def test_forest_dist_rejects_class_probability_forests(self, tmp_path, d2, capsys):
+        schema = ta.FeatureSchema(d2.features, ("a", "b"))
+        trees = [ta.random_tree(schema, np.random.default_rng(k), 3, "class_probs") for k in range(2)]
+        path = str(tmp_path / "probs.json")
+        io.save_forest(io.ForestFile(schema, trees), path)
+        assert run_cli(["forest-dist", "--f", path, "--g", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'code=LEAF_KIND msg="forest_distance needs scalar leaves"\n'
+
     def test_import_command(self, workdir):
         (workdir / "table.csv").write_text(TestFlatTableImport.STUMP_TABLE)
         out = workdir / "imported.json"
@@ -792,6 +826,14 @@ class TestCli:
          "--data {pts} --weights {}", 'DOMAIN msg="empirical weight is not finite"'),
         ("0.5\nnan\n0.5\n", "corr --a {stump4} --b {stump6} --measure empirical "
          "--data {pts} --weights {}", 'DOMAIN msg="empirical weight is not finite"'),
+        ("0.5\n0.5\n", "dist --a {stump4} --b {stump6} --measure empirical "
+         "--data {pts} --weights {}", 'DOMAIN msg="points and weights differ in length"'),
+        ("0.5\n0.7\n-0.2\n", "dist --a {stump4} --b {stump6} --measure empirical "
+         "--data {pts} --weights {}", 'DOMAIN msg="negative empirical weight"'),
+        ("0.5\n0.4\n0.0\n", "dist --a {stump4} --b {stump6} --measure empirical "
+         "--data {pts} --weights {}", 'DOMAIN msg="empirical weights sum 0.9 != 1"'),
+        ("", "dist --a {stump4} --b {stump6} --measure empirical --data {}",
+         'PARSE msg="{}: no data points"'),
         ("0.5\nnan\n0.5\n", "affine --forest {three} --weights {} --out {out}",
          'DOMAIN msg="affine weights must be finite, got [0.5, nan, 0.5]"'),
         ("1e308\n1e308\n1e308\n", "affine --forest {three} --weights {} --out {out}",
@@ -877,6 +919,13 @@ class TestCli:
         # a load reads first
         (forest_of({"left": -1}, {"id": "x"}), "validate {}",
          'PARSE msg="{}: trees[0].nodes[0].left must be a non-negative integer, got -1"'),
+        # a key of the other form is not looked at: a forest's stray nodes
+        # and a tree's stray metadata leave the loader's own message
+        (json.dumps({**json.loads(stump_with("trees", 0, "nodes", 1, "value", "v", to="x",
+                                             forest=True)), "nodes": 5}), "validate {}",
+         'PARSE msg="{}: trees[0].nodes[1].value.v must be a number, got "x""'),
+        (json.dumps({**json.loads(stump_json(value={"type": "scalar", "v": "x"})), "metadata": 5}),
+         "validate {}", 'PARSE msg="{}: nodes[1].value.v must be a number, got "x""'),
         # README's example of a missing key
         (stump_json().replace('{"id": 1, ', "{"), "validate {}",
          'PARSE msg="{}: nodes[1].id is missing"'),

@@ -103,6 +103,19 @@ class TestGridIntegral:
         with pytest.raises(ta.LeafKindError, match="^grid_integral needs scalar leaves$"):
             ta.grid_integral([b.build()], "raw-value", uniform)
 
+    def test_leaves_of_mixed_kinds_are_named_as_every_operation_names_them(self, d2, uniform):
+        b = ta.TreeBuilder(d2)
+        left, right = b.split_node(b.add_root(), ta.NumericThreshold(0, 4.0))
+        b.set_value(left, Scalar(1.0))
+        b.set_value(right, ta.ClassProbs((0.5, 0.5)))
+        ragged = b.build()
+        message = r"^mixed leaf kinds \['class_probs', 'scalar'\]$"
+        for call in (lambda: ta.grid_integral([ragged], "raw-value", uniform),
+                     lambda: ta.monte_carlo_integral([ragged], "raw-value", uniform, 1000, 0),
+                     lambda: ta.tree_mean(ragged, uniform)):
+            with pytest.raises(ta.LeafKindError, match=message):
+                call()
+
 
 class TestMonteCarlo:
     def test_class_probability_tree_is_a_leaf_kind_error(self, rng, uniform):

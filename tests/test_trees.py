@@ -1,6 +1,7 @@
 """Schema, routing, regions, and tree validation."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -428,3 +429,58 @@ class TestNumericSplitBoundaries:
                 for side, expected in zip(region.split(split), (inside & go, inside & ~go)):
                     got = np.zeros(len(X), dtype=bool) if side is None else contains_batch(side, X)
                     assert got.tolist() == expected.tolist(), (region, t)
+
+
+class TestSplitsFitTheSchema:
+    """A split enters a tree only when it reads a feature of its kind, or,
+    as a hyperplane, has one coefficient per numeric feature."""
+
+    @pytest.mark.parametrize("split, message", [
+        (ta.NumericThreshold(1, 0.5), "numeric split on feature index 1"),
+        (ta.NumericThreshold(5, 0.5), "numeric split on feature index 5"),
+        (ta.NumericThreshold(-1, 0.5), "numeric split on feature index -1"),
+        (ta.CategoricalSubset(0, {0}), "categorical split on feature index 0"),
+        (ta.CategoricalSubset(2, {0}), "categorical split on feature index 2"),
+    ])
+    def test_builder_refuses_a_split_on_a_feature_of_another_kind(self, split, message):
+        schema = ta.FeatureSchema((ta.NumericFeature("x", 0, 1),
+                                   ta.CategoricalFeature("c", ("a", "b"))))
+        b = ta.TreeBuilder(schema)
+        root = b.add_root()
+        with pytest.raises(ta.SchemaError, match=f"^{re.escape(message)}$"):
+            b.split_node(root, split)
+        with pytest.raises(ta.SchemaError, match=f"^{re.escape(message)}$"):
+            Region.full(schema).split(split)
+        # the node stays a leaf
+        b.set_value(root, ta.Scalar(1.0))
+        assert ta.validate(b.build()) == []
+
+    @pytest.mark.parametrize("coefficients", [(1.0,), (1.0, 1.0, 1.0)])
+    def test_hyperplane_of_another_arity_is_refused(self, unit2, coefficients):
+        message = "^hyperplane arity != number of numeric features$"
+        b = ta.TreeBuilder(unit2)
+        with pytest.raises(ta.SchemaError, match=message):
+            b.split_node(b.add_root(), ta.Hyperplane(coefficients, 5.0))
+        with pytest.raises(ta.SchemaError, match=message):
+            Region.full(unit2).split(ta.Hyperplane(coefficients, 5.0))
+
+
+class TestLeafTables:
+    def test_kind_is_tuple_with_sources_else_the_entry_and_none_when_ragged(self, d2):
+        def leaves(*values):
+            b = ta.TreeBuilder(d2)
+            nodes = b.split_node(b.add_root(), ta.NumericThreshold(0, 4.0))
+            for nid, value in zip(nodes, values):
+                b.set_value(nid, value)
+            return b.build().leaves
+
+        pair = ta.TupleValue((ta.Scalar(1.0), ta.Scalar(2.0)), (0, 1))
+        for table, kind, entry in (
+            (leaves(ta.Scalar(0.0), ta.Scalar(1.0)), "scalar", "scalar"),
+            (leaves(ta.ClassProbs((0.5, 0.5)), ta.ClassProbs((1.0, 0.0))),
+             "class_probs", "class_probs"),
+            (leaves(pair, pair), "tuple", "scalar"),
+            (leaves(ta.Scalar(0.0), ta.ClassProbs((0.5, 0.5))), None, None),
+        ):
+            assert (table.kind, table.entry) == (kind, entry)
+            assert (table.ragged is None) == (kind is not None)
