@@ -4,6 +4,11 @@ That is all the region tests need: the constraint rows always include a
 bounding box, so the set is a (possibly empty) polytope in a handful of
 dimensions (on the empirical-sample benchmark inputs, seeds 1-3, the LPs of
 ``affine``, ``combine`` and ``validate`` have 11-20 rows over 5 unknowns).
+Given a point to start from, most of those sets are shown nonempty without
+the LP: the relaxation method for linear inequalities (Agmon 1954;
+Motzkin and Schoenberg 1954) moves the point onto its most violated row,
+and a point that then meets every row exactly, with no tolerance, is a
+certificate. Only an empty set, or one those few moves miss, runs Phase I.
 Free variables are handled with the classic ``x = x+ - x-`` splitting and
 Bland's rule keeps the tiny tableaus from cycling. The tableau is built
 and pivoted as arrays; two loops stay because an array form could change
@@ -22,17 +27,42 @@ import numpy as np
 _TOL = 1e-9
 
 
-def feasible(a, b) -> Optional[np.ndarray]:
+def feasible(a, b, start=None) -> Optional[np.ndarray]:
     """A point of ``{x : a x <= b}``, or None when that set is empty.
 
-    The point is the basic solution Phase I ends on, a vertex of the set; it
-    meets every row to within the solver tolerance.
+    Given a ``start`` point, the point may be a certificate: ``start`` moved
+    onto its most violated row at most three times, returned once it meets
+    every row exactly. Otherwise it is the basic solution Phase I ends on in
+    the split variables, which need not be a vertex of the set (``x = 0``
+    can be one); it meets every row to within the solver tolerance.
     """
     a = np.asarray(a, dtype=float)
     b = np.atleast_1d(np.asarray(b, dtype=float))
+    if start is not None:
+        x = _certificate(a, b, np.asarray(start, dtype=float))
+        if x is not None:
+            return x
     n = a.shape[1]
     y = _phase1(np.hstack([a, -a]), b)
     return None if y is None else y[:n] - y[n:]
+
+
+def _certificate(a, b, x) -> Optional[np.ndarray]:
+    """``x`` moved onto the most violated row of ``a x <= b`` until it meets
+    every row, at most three times; None when it still misses one, or when
+    a row's value leaves the float range, where it has no sign to trust."""
+    with np.errstate(all="ignore"):
+        for moves in range(4):
+            ax = a @ x
+            gaps = ax - b
+            i = gaps.argmax()
+            gap = gaps.item(i)
+            if gap <= 0.0:
+                return x if np.isfinite(ax).all() else None
+            if moves < 3:
+                row = a[i]
+                x = x - gap / row.dot(row) * row
+    return None
 
 
 def _phase1(a, b) -> Optional[np.ndarray]:

@@ -336,15 +336,17 @@ class Region:
     :mod:`treealgebra.measures` and the oracle's validation walk follow too.
     A hyperplane already among the half-spaces keeps the region on the
     side the path took, exactly, as a repeated threshold does in the box.
-    Any other emptiness under half-spaces is decided by a feasibility LP
-    that relaxes strict inequalities to closed ones, so a region touching a
-    hyperplane in a measure-zero set counts as nonempty.
+    Any other emptiness under half-spaces is decided under the closed
+    relaxation of strict inequalities, so a region touching a hyperplane in
+    a measure-zero set counts as nonempty: by a certificate point when one
+    is found, else by a Phase-I feasibility LP (:func:`simplex.feasible`).
 
     ``witness`` is a point of the numeric subspace (in
     ``schema.numeric_indices`` order) that meets the closed constraints. A
     split side that holds it is nonempty under the closed relaxation, which
     is what the LP would report, so :meth:`split` skips that LP and no result
-    changes; the witness is left out of equality and hashing. A region
+    changes; the witness is left out of equality and hashing. A side that
+    does not hold it starts its certificate from it. A region
     without half-spaces keeps None and uses its box centre, computed only
     when a hyperplane cuts the box, so ``full`` starts from the centre and
     axis-aligned splits never pay for a witness.
@@ -368,11 +370,13 @@ class Region:
         num, hs, box = self.schema.numeric_indices, self.half_spaces, self.constraints
         d = len(num)
         a, b = np.zeros((2 * d + len(hs), d)), np.empty(2 * d + len(hs))
-        a[np.arange(2 * d), np.arange(2 * d) // 2] = np.tile([1.0, -1.0], d)
+        np.fill_diagonal(a[: 2 * d : 2], 1.0)
+        np.fill_diagonal(a[1 : 2 * d : 2], -1.0)
         b[: 2 * d] = [bound for j in num for bound in (box[j][1], -box[j][0])]
-        sign = np.array([1.0 if side is Side.LEFT else -1.0 for _, side in hs])
-        a[2 * d :] = sign[:, None] * np.reshape([h.coefficients for h, _ in hs], (-1, d))
-        b[2 * d :] = sign * [h.offset for h, _ in hs]
+        if hs:
+            a[2 * d :] = [h.coefficients if side is Side.LEFT else [-c for c in h.coefficients]
+                          for h, side in hs]
+            b[2 * d :] = [h.offset if side is Side.LEFT else -h.offset for h, side in hs]
         return a, b
 
     def split(self, split: Split) -> tuple[Optional["Region"], Optional["Region"]]:
@@ -384,7 +388,8 @@ class Region:
         closed relaxation, so a split that only touches the region still
         splits it. Without half-spaces a numeric or categorical split runs
         no LP; otherwise the side that holds the witness is nonempty for
-        free and the other side runs one feasibility LP.
+        free and the other side is one feasibility decision, which runs a
+        Phase-I LP only when no certificate is found.
         """
         _check_split(split, self.schema)
         if isinstance(split, Hyperplane):
@@ -392,7 +397,8 @@ class Region:
                 if h == split:
                     return (self, None) if side is Side.LEFT else (None, self)
             w = self._witness()
-            s = np.nan if w is None else float(np.asarray(split.coefficients) @ w)
+            with np.errstate(all="ignore"):  # a value past the float range is no fault
+                s = np.nan if w is None else float(np.asarray(split.coefficients) @ w)
             left, right = (
                 Region(self.schema, self.constraints, self.half_spaces + ((split, side),), w)
                 for side in (Side.LEFT, Side.RIGHT)
@@ -422,11 +428,13 @@ class Region:
 
     def _checked(self, side: "Region", inside: bool) -> Optional["Region"]:
         """A side built with this region's witness, kept as it is when the
-        witness lies inside it and otherwise decided by one feasibility LP,
-        whose point becomes the side's witness."""
+        witness lies inside it and otherwise decided by one call of
+        :func:`simplex.feasible` that starts from the witness: a certificate
+        point when its moves reach the side, else Phase I's verdict. The
+        point found becomes the side's witness."""
         if inside:
             return side
-        point = simplex.feasible(*side.lp_rows())
+        point = simplex.feasible(*side.lp_rows(), side.witness)
         return None if point is None else replace(side, witness=point)
 
 
@@ -770,10 +778,20 @@ class TreeBuilder:
 
     def split_node(self, nid: int, split: Split) -> tuple[int, int]:
         """Turn a leaf of the arena into an internal node; returns (left, right).
-        A split that does not fit the schema raises :class:`SchemaError`."""
+        A split that does not fit the schema, a threshold that is not finite
+        and left levels that are not a nonempty proper subset of the
+        feature's levels raise :class:`SchemaError`, in ``validate``'s words."""
         if self._split[nid] is not None or self._leaf[nid] >= 0:
             raise ValueError(f"node {nid} already finished")
         _check_split(split, self.schema)
+        if isinstance(split, NumericThreshold) and not isfinite(split.threshold):
+            raise SchemaError("split threshold is NaN" if split.threshold != split.threshold
+                              else "split threshold is infinite")
+        if isinstance(split, CategoricalSubset):
+            if not split.left_levels:
+                raise SchemaError("empty left level set")
+            if not split.left_levels < set(range(len(self.schema.features[split.feature].levels))):
+                raise SchemaError("left levels not a proper subset of the levels")
         self._split[nid] = split
         left = self._new(nid)
         right = self._new(nid)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from treealgebra import io
+from treealgebra import io, simplex
 from treealgebra import (
     FeatureSchema,
     Hyperplane,
@@ -13,6 +13,21 @@ from treealgebra import (
     TreeBuilder,
     UniformBox,
 )
+
+
+@pytest.fixture
+def count_phase1(monkeypatch):
+    """The list of Phase-I simplex runs from now on, as (a, b) pairs: the
+    feasibility decisions that no certificate settled."""
+    calls = []
+    phase1 = simplex._phase1
+
+    def counted(a, b):
+        calls.append((np.array(a), np.array(b)))
+        return phase1(a, b)
+
+    monkeypatch.setattr(simplex, "_phase1", counted)
+    return calls
 
 
 @pytest.fixture

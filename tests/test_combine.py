@@ -495,9 +495,9 @@ class TestFrontierOverlayMatchesReference:
         calls = []
         feasible = simplex.feasible
 
-        def counted(a, b):
+        def counted(a, b, start=None):
             calls.append(1)
-            return feasible(a, b)
+            return feasible(a, b, start)
 
         monkeypatch.setattr(simplex, "feasible", counted)
         # a row that meets a hyperplane right of x0 <= 0, whose region is

@@ -29,12 +29,30 @@ def count_lps(monkeypatch):
     calls = []
     feasible = simplex.feasible
 
-    def counted(a, b):
+    def counted(a, b, start=None):
         calls.append((np.array(a), np.array(b)))
-        return feasible(a, b)
+        return feasible(a, b, start)
 
     monkeypatch.setattr(simplex, "feasible", counted)
     return calls
+
+
+@pytest.fixture
+def certificates(monkeypatch, count_phase1):
+    """The (a, b, point) of every feasibility decision from now on that a
+    certificate settled, with no Phase-I run."""
+    out = []
+    feasible = simplex.feasible
+
+    def recorded(a, b, start=None):
+        runs = len(count_phase1)
+        point = feasible(a, b, start)
+        if point is not None and len(count_phase1) == runs:
+            out.append((np.array(a), np.array(b), point))
+        return point
+
+    monkeypatch.setattr(simplex, "feasible", recorded)
+    return out
 
 
 class TestSplitPartitionsRegion:
@@ -77,6 +95,15 @@ class TestSplitPartitionsRegion:
         # x0 > 5 meets x0 + x1 <= 5 only on the segment's end (5, 0)
         region = Region.full(d2).split(Hyperplane((1.0, 1.0), 5.0))[0]
         assert nonempty(region.split(NumericThreshold(0, 5.0))) == (True, True)
+
+    def test_a_hyperplane_past_the_float_range_warns_of_nothing(self, d2):
+        # c'x overflows at the box centre (5, 5) and at the certificate's
+        # start (5.5, 4.5) for x0 - x1 >= 1, where a sum of overflowed terms
+        # has no sign to trust; any warning fails the test
+        assert nonempty(Region.full(d2).split(Hyperplane((1e308, 1e308), 1e308))) == (True, True)
+        region = Region.full(d2).split(Hyperplane((1.0, -1.0), 1.0))[1]
+        assert list(region.witness) == [5.5, 4.5]
+        assert nonempty(region.split(Hyperplane((1e308, -1e308), 0.0))) == (False, True)
 
     def test_numeric_split_the_half_space_leaves_no_room_for(self, d2):
         region = Region.full(d2).split(Hyperplane((1.0, 1.0), 5.0))[0]
@@ -218,6 +245,63 @@ class TestSplitMatchesPlainLP:
         assert checked > 1000
 
 
+def touching_planes(region, rng):
+    """Hyperplanes that meet a region's box or polytope only in a vertex, an
+    edge or a face: through a random vertex of the box, with coefficient
+    signs that put the rest of the box on the right side (one coefficient
+    zero for an edge, one nonzero for a face); and through the point Phase
+    I gives, with a normal that weights two or all of its tight rows, so
+    that the rest of the region lies on the left side. (That point need not
+    be a vertex of the region, as splitting free variables adds bounds of
+    its own, so it may have fewer tight rows.)"""
+    num = region.schema.numeric_indices
+    at_low = rng.random(len(num)) < 0.5
+    vertex = np.array([region.constraints[j][0 if low else 1] for j, low in zip(num, at_low)])
+    coeffs = np.where(at_low, 1.0, -1.0) * rng.uniform(0.5, 2.0, len(num))
+    planes = [Hyperplane(tuple(coeffs), float(coeffs @ vertex))]
+    coeffs[int(rng.integers(0, len(num)))] = 0.0
+    planes.append(Hyperplane(tuple(coeffs), float(coeffs @ vertex)))
+    face = np.where(at_low, 1.0, -1.0) * (np.arange(len(num)) == rng.integers(0, len(num)))
+    planes.append(Hyperplane(tuple(face), float(face @ vertex)))
+    a, b = region.lp_rows()
+    vertex = simplex.feasible(a, b)
+    tight = a[np.abs(a @ vertex - b) <= 1e-9]
+    for k in {min(2, len(tight)), len(tight)} - {0}:
+        coeffs = rng.uniform(0.5, 2.0, k) @ tight[rng.permutation(len(tight))[:k]]
+        if coeffs.any():
+            planes.append(Hyperplane(tuple(coeffs), float(coeffs @ vertex)))
+    return planes
+
+
+class TestCertificates:
+    def test_certified_sides_are_nonempty_for_phase1(self, rng, mixed_pair, certificates):
+        """Every point a certificate gives meets its rows exactly, and Phase I
+        on the same rows finds a point too: on every region of random
+        oblique trees and their combinations, split by every split of the
+        trees and by hyperplanes that only touch the region."""
+        forests = [list(mixed_pair) + [ta.combine_pair(*mixed_pair)]]
+        schema = ta.FeatureSchema(
+            tuple(ta.NumericFeature(f"x{i}", -1.0, float(i + 1)) for i in range(3))
+        )
+        for _ in range(4):
+            t1, t2 = (random_mixed_tree(schema, rng, 8) for _ in range(2))
+            forests.append([t1, t2, ta.combine_pair(t1, t2)])
+        touching = 0
+        for trees in forests:
+            splits = [s for t in trees[:2] for s in t.splits() if s is not None]
+            for region in node_regions(trees[2]):
+                for split in splits:
+                    region.split(split)
+                before = len(certificates)
+                for plane in touching_planes(region, rng):
+                    region.split(plane)
+                touching += len(certificates) - before
+        assert len(certificates) > 500 and touching > 50
+        for a, b, point in certificates:
+            assert (a @ point <= b).all()
+            assert simplex._phase1(np.hstack([a, -a]), b) is not None
+
+
 class TestFeasibilityLPCount:
     """Each region decides each split once, with at most one LP.
 
@@ -259,30 +343,37 @@ class TestFeasibilityLPCount:
         # the hyperplane is decided once, in the root region
         assert len(count_lps) == 1
 
-    def test_lp_count_of_a_fixed_hyperplane_overlay(self, mixed_pair, count_lps):
+    def test_lp_count_of_a_fixed_hyperplane_overlay(self, mixed_pair, count_lps, count_phase1):
         """The depth-first overlay runs as many LPs as it always has (4, 4
-        and 466 for these inputs), so no region decides a split twice."""
+        and 466 for these inputs), so no region decides a split twice. A
+        certificate settles all but 2, 2 and 381 of them: 172 of those sides
+        are empty, which no certificate shows, and most others are thin
+        wedges that three moves do not reach."""
         a, b = mixed_pair
         counts = []
         for trees in ([a, b], [b, a]):
             count_lps.clear()
+            count_phase1.clear()
             ta.combine_pair(*trees)
-            counts.append(len(count_lps))
+            counts.append((len(count_lps), len(count_phase1)))
         schema = ta.FeatureSchema(
             tuple(ta.NumericFeature(f"x{i}", 0.0, 1.0) for i in range(3))
         )
         rng = np.random.default_rng(11)
         trees = [random_mixed_tree(schema, rng, 12) for _ in range(3)]
         count_lps.clear()
+        count_phase1.clear()
         assert ta.combine_many(trees).n_nodes == 349
-        counts.append(len(count_lps))
-        assert counts == [4, 4, 466]
+        counts.append((len(count_lps), len(count_phase1)))
+        assert counts == [(4, 2), (4, 2), (466, 381)]
 
-    def test_lp_count_of_validating_a_fixed_hyperplane_forest(self, count_lps, tmp_path):
+    def test_lp_count_of_validating_a_fixed_hyperplane_forest(self, count_lps, count_phase1,
+                                                               tmp_path):
         """Validating runs as many LPs as the per-node validation did (8, 12,
         12 and 170 for these trees, 32 for a file of the first three and an
         axis-aligned tree): trees with hyperplanes keep their Region.split
-        walk, and the box frontier of the others runs none."""
+        walk, and the box frontier of the others runs none. A certificate
+        settles all but 3, 8, 7, 133 and 18 of them."""
         schema = ta.FeatureSchema(
             tuple(ta.NumericFeature(f"x{i}", 0.0, 1.0) for i in range(3))
         )
@@ -292,14 +383,16 @@ class TestFeasibilityLPCount:
         counts = []
         for tree in trees:
             count_lps.clear()
+            count_phase1.clear()
             assert ta.validate(tree) == []
-            counts.append(len(count_lps))
+            counts.append((len(count_lps), len(count_phase1)))
         path = str(tmp_path / "forest.json")
         io.save_forest(io.ForestFile(schema, trees[:3] + [ta.random_tree(schema, rng, 10)]), path)
         count_lps.clear()
+        count_phase1.clear()
         io.load_forest(path)
-        counts.append(len(count_lps))
-        assert counts == [8, 12, 12, 170, 32]
+        counts.append((len(count_lps), len(count_phase1)))
+        assert counts == [(8, 3), (12, 8), (12, 7), (170, 133), (32, 18)]
 
     @staticmethod
     def assert_no_repeats(calls):

@@ -563,6 +563,21 @@ class TestFastPathsMatchReference:
                 with pytest.raises(ta.DomainError, match="leaf value is not finite"):
                     call()
 
+    def test_empirical_points_need_one_column_per_feature(self, stump4, make_constant):
+        # a one-column matrix would be indexed past its end, and a
+        # three-column one routed on its first two columns unnoticed
+        const = make_constant(1.0)
+        for points in (np.ones((3, 1)), np.ones((3, 3)), np.ones(3)):
+            emp = ta.Empirical(points)
+            for call in (
+                lambda: ta.tree_mean(stump4, emp),
+                lambda: ta.tree_distance(stump4, const, emp),
+                lambda: ta.distance_matrix([stump4, const], emp),
+                lambda: ta.forest_distance([stump4], [const], emp),
+            ):
+                with pytest.raises(ta.DomainError, match="not one column per feature"):
+                    call()
+
     def test_correlation_of_class_probability_trees_is_a_leaf_kind_error(
         self, probs_schema, uniform
     ):

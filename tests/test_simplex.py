@@ -145,3 +145,34 @@ def test_degenerate_systems_end_on_pinned_point(name):
     (a, b), expected = PINNED[name]
     x = simplex.feasible(a, b)
     assert (None if x is None else [float(v).hex() for v in x]) == expected
+
+
+def test_a_start_in_the_set_or_one_move_from_it_is_the_point(count_phase1):
+    a, b = box_rows([0, 0], [1, 1])
+    assert list(simplex.feasible(a, b, np.array([0.25, 0.5]))) == [0.25, 0.5]
+    # one move from the centre onto x + y >= 2 lands on the corner exactly
+    a2, b2 = np.vstack([a, [-1.0, -1.0]]), np.append(b, -2.0)
+    assert list(simplex.feasible(a2, b2, np.array([0.5, 0.5]))) == [1.0, 1.0]
+    assert count_phase1 == []
+
+
+@pytest.mark.parametrize("name", ["infeasible_by_2e-9", "within_tol_5e-10"])
+def test_a_start_that_no_move_certifies_leaves_the_verdict_to_phase1(name, count_phase1):
+    # no point meets x <= 0.25 and x >= 0.25 + 2e-9 (or + 5e-10) exactly,
+    # so Phase I decides, within its tolerance, and ends as pinned
+    (a, b), expected = PINNED[name]
+    x = simplex.feasible(a, b, np.array([0.5]))
+    assert (None if x is None else [float(v).hex() for v in x]) == expected
+    assert len(count_phase1) == 1
+
+
+def test_a_row_past_the_float_range_certifies_nothing(count_phase1):
+    # 1e308 x - 1e308 y <= 0 overflows at this start, where the sign of the
+    # row's value is lost; the certificate warns of nothing and leaves the
+    # verdict to Phase I
+    a, b = box_rows([0, 0], [10, 10])
+    a2, b2 = np.vstack([a, [1e308, -1e308]]), np.append(b, 0.0)
+    x = simplex.feasible(a2, b2, np.array([5.5, 4.5]))
+    assert_point_of(x, a, b)
+    assert x[0] <= x[1]
+    assert len(count_phase1) == 1

@@ -25,6 +25,13 @@ def tree_from_nodes(schema, nodes, root):
     return io._tree_from_body({"nodes": nodes, "root": root}, schema, "")
 
 
+def stump_from_body(schema, split):
+    """A stump read from a file body whose root has the split document
+    ``split``."""
+    leaves = [{"id": k, "value": {"type": "scalar", "v": float(k)}} for k in (1, 2)]
+    return tree_from_nodes(schema, [{"id": 0, "split": split, "left": 1, "right": 2}] + leaves, 0)
+
+
 class TestSchema:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ta.SchemaError):
@@ -276,12 +283,14 @@ class TestValidate:
             f"node {left}: split does not partition node region"
         ]
 
-    def test_nan_threshold_is_named(self, make_stump):
-        tree = make_stump(0, float("nan"))
+    # a builder refuses these thresholds, so the stumps are read from a file body
+
+    def test_nan_threshold_is_named(self, d2):
+        tree = stump_from_body(d2, {"type": "numeric", "feature": 0, "threshold": float("nan")})
         assert ta.validate(tree) == ["node 0: split threshold is NaN"]
 
-    def test_infinite_threshold_is_named(self, make_stump):
-        tree = make_stump(0, float("inf"))
+    def test_infinite_threshold_is_named(self, d2):
+        tree = stump_from_body(d2, {"type": "numeric", "feature": 0, "threshold": float("inf")})
         assert ta.validate(tree) == ["node 0: split threshold is infinite"]
 
     @pytest.mark.parametrize(
@@ -433,7 +442,8 @@ class TestNumericSplitBoundaries:
 
 class TestSplitsFitTheSchema:
     """A split enters a tree only when it reads a feature of its kind, or,
-    as a hyperplane, has one coefficient per numeric feature."""
+    as a hyperplane, has one coefficient per numeric feature; a builder
+    also refuses the thresholds and level sets that validate names."""
 
     @pytest.mark.parametrize("split, message", [
         (ta.NumericThreshold(1, 0.5), "numeric split on feature index 1"),
@@ -451,6 +461,30 @@ class TestSplitsFitTheSchema:
             b.split_node(root, split)
         with pytest.raises(ta.SchemaError, match=f"^{re.escape(message)}$"):
             Region.full(schema).split(split)
+        # the node stays a leaf
+        b.set_value(root, ta.Scalar(1.0))
+        assert ta.validate(b.build()) == []
+
+    @pytest.mark.parametrize("split", [
+        ta.NumericThreshold(0, float("nan")),
+        ta.NumericThreshold(0, float("inf")),
+        ta.NumericThreshold(0, -float("inf")),
+        ta.CategoricalSubset(1, {5}),
+        ta.CategoricalSubset(1, {0, 5}),
+        ta.CategoricalSubset(1, set()),
+        ta.CategoricalSubset(1, {0, 1}),
+    ])
+    def test_builder_refuses_a_split_value_in_the_words_of_validate(self, split):
+        schema = ta.FeatureSchema((ta.NumericFeature("x", 0, 1),
+                                   ta.CategoricalFeature("c", ("a", "b"))))
+        doc = ({"type": "numeric", "feature": 0, "threshold": split.threshold}
+               if isinstance(split, ta.NumericThreshold) else
+               {"type": "categorical", "feature": 1, "left_levels": sorted(split.left_levels)})
+        (fault,) = ta.validate(stump_from_body(schema, doc))
+        b = ta.TreeBuilder(schema)
+        root = b.add_root()
+        with pytest.raises(ta.SchemaError, match=f"^{re.escape(fault.removeprefix('node 0: '))}$"):
+            b.split_node(root, split)
         # the node stays a leaf
         b.set_value(root, ta.Scalar(1.0))
         assert ta.validate(b.build()) == []
