@@ -35,7 +35,6 @@ walk, :func:`treealgebra.trees.partition_faults`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -69,7 +68,6 @@ from .trees import (
     TupleValue,
     _entry,
     _goes_left_batch,
-    _overflows,
     _pack,
     _positions,
     _require_scalar,
@@ -79,6 +77,7 @@ from .trees import (
     kinds_and_lengths,
     leaf_kind_of,
     partition_faults,
+    split_faults,
     value_kinds,
 )
 
@@ -415,37 +414,6 @@ def combine_many_reference(
 # Per-node validation
 
 
-def _split_faults(kind: int, j: int, t: float, split: Optional[Split],
-                  schema: FeatureSchema) -> list[str]:
-    """What is wrong with a split on a schema: a numeric split is feature
-    ``j`` and threshold ``t``, the others are ``split``."""
-    if kind == HYPERPLANE:
-        faults = [text for bad, text in (
-            (len(split.coefficients) != len(schema.numeric_indices),
-             "hyperplane arity != number of numeric features"),
-            (not all(map(isfinite, split.coefficients)), "hyperplane coefficient is not finite"),
-            (not isfinite(split.offset), "hyperplane offset is not finite")) if bad]
-        if not faults and _overflows(split, schema):
-            faults.append("hyperplane overflows on the domain box")
-        return faults
-    if not 0 <= j < schema.n_features:
-        return [f"split feature index {j} out of range"]
-    on_numeric = isinstance(schema.features[j], NumericFeature)
-    if kind == NUMERIC:
-        if not on_numeric:
-            return ["numeric split on categorical feature"]
-        if t != t:
-            return ["split threshold is NaN"]
-        return [] if isfinite(t) else ["split threshold is infinite"]
-    if on_numeric:
-        return ["categorical split on numeric feature"]
-    if not split.left_levels:
-        return ["empty left level set"]
-    if not split.left_levels < set(range(len(schema.features[j].levels))):
-        return ["left levels not a proper subset of the levels"]
-    return []
-
-
 def _messages(rules: Sequence[Rule], k: int) -> list[str]:
     return [text for mask, texts in rules if mask[k] for text in texts(k)]
 
@@ -474,8 +442,7 @@ def _node_faults(tree: Tree) -> tuple[list[str], list[bool]]:
     back, and leaves with a value. Leaf values are checked a whole table at
     a time (:func:`_value_rules`), a ragged table's rows one at a time; only
     a flagged row is looked at again."""
-    parent, feature, threshold, split = (a.tolist() for a in (
-        tree.parent, tree.feature, tree.threshold, tree.split))
+    parent, splits = tree.parent.tolist(), tree.splits()
     leaves, schema = tree.leaves, tree.schema
     rules = (_value_rules(leaves, schema) if leaves.ragged is None else
              [(np.ones(len(leaves.ragged), dtype=bool),
@@ -500,7 +467,7 @@ def _node_faults(tree: Tree) -> tuple[list[str], list[bool]]:
                     v.append(f"node {child}: parent link does not point to {nid}")
                     ok = False
             if ok:
-                faults = _split_faults(kind, feature[i], threshold[i], split[i], tree.schema)
+                faults = split_faults(splits[i], schema)
                 v.extend(f"node {nid}: {text}" for text in faults)
                 ok = not faults
             well.append(ok)

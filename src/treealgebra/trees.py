@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
 from math import isfinite
+from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -44,6 +45,7 @@ __all__ = [
     "route_batch",
     "evaluate_batch",
     "leaf_kind_of",
+    "split_faults",
     "validate",
 ]
 
@@ -121,6 +123,12 @@ class FeatureSchema:
         return tuple(
             j for j, f in enumerate(self.features) if isinstance(f, NumericFeature)
         )
+
+    @cached_property
+    def magnitudes(self) -> tuple[float, ...]:
+        """``max(|low|, |high|)`` per numeric feature, in :attr:`numeric_indices` order."""
+        return tuple(max(abs(self.features[j].low), abs(self.features[j].high))
+                     for j in self.numeric_indices)
 
     def encode_value(self, j: int, value) -> float:
         """Encode one raw feature value to its internal float form."""
@@ -236,29 +244,37 @@ class Hyperplane:
 Split = Union[NumericThreshold, CategoricalSubset, Hyperplane]
 
 
-def _overflows(h: Hyperplane, schema: FeatureSchema) -> bool:
-    """Whether a hyperplane's products ``c_k * x_k`` on the schema's box,
-    their sum or its offset can leave the float range: the sum of
-    ``|offset|`` and every ``|c_k| * max(|low_k|, |high_k|)`` is not finite,
-    as it is for a coefficient or offset that is not finite."""
-    total = abs(h.offset)
-    for c, j in zip(h.coefficients, schema.numeric_indices):
-        f = schema.features[j]
-        total += abs(c) * max(abs(f.low), abs(f.high))
-    return not isfinite(total)
-
-
-def _check_split(split: Split, schema: FeatureSchema) -> None:
-    """Raise :class:`SchemaError` unless a split fits the schema: it reads a
-    feature of its kind, or has one coefficient per numeric feature."""
+def split_faults(split: Split, schema: FeatureSchema) -> list[str]:
+    """The faults of a split on a schema, in :func:`validate`'s words and
+    order; empty when the split may enter a tree. A hyperplane's value must
+    not overflow on the box: the sum of ``|offset|`` and then every
+    ``|c_k| * max(|low_k|, |high_k|)``, left to right, must be finite."""
     if isinstance(split, Hyperplane):
-        if len(split.coefficients) != len(schema.numeric_indices):
-            raise SchemaError("hyperplane arity != number of numeric features")
-        return
-    j, numeric = split.feature, isinstance(split, NumericThreshold)
-    if not (0 <= j < schema.n_features and isinstance(
-            schema.features[j], NumericFeature if numeric else CategoricalFeature)):
-        raise SchemaError(f"{'numeric' if numeric else 'categorical'} split on feature index {j}")
+        c, mags = split.coefficients, schema.magnitudes
+        if len(c) == len(mags) and isfinite(sum(map(mul, map(abs, c), mags), abs(split.offset))):
+            return []
+        faults = [text for bad, text in (
+            (len(c) != len(mags), "hyperplane arity != number of numeric features"),
+            (not all(map(isfinite, c)), "hyperplane coefficient is not finite"),
+            (not isfinite(split.offset), "hyperplane offset is not finite")) if bad]
+        return faults or ["hyperplane overflows on the domain box"]
+    j = split.feature
+    if not 0 <= j < schema.n_features:
+        return [f"split feature index {j} out of range"]
+    f = schema.features[j]
+    if isinstance(split, NumericThreshold):
+        if not isinstance(f, NumericFeature):
+            return ["numeric split on categorical feature"]
+        t = split.threshold
+        return [] if isfinite(t) else ["split threshold is NaN" if t != t
+                                       else "split threshold is infinite"]
+    if isinstance(f, NumericFeature):
+        return ["categorical split on numeric feature"]
+    if not split.left_levels:
+        return ["empty left level set"]
+    if not split.left_levels < set(range(len(f.levels))):
+        return ["left levels not a proper subset of the levels"]
+    return []
 
 
 class Side(Enum):
@@ -389,9 +405,11 @@ class Region:
         splits it. Without half-spaces a numeric or categorical split runs
         no LP; otherwise the side that holds the witness is nonempty for
         free and the other side is one feasibility decision, which runs a
-        Phase-I LP only when no certificate is found.
+        Phase-I LP only when no certificate is found. A split with a fault
+        (:func:`split_faults`) raises :class:`SchemaError` naming the first.
         """
-        _check_split(split, self.schema)
+        if faults := split_faults(split, self.schema):
+            raise SchemaError(faults[0])
         if isinstance(split, Hyperplane):
             for h, side in self.half_spaces:
                 if h == split:
@@ -778,20 +796,12 @@ class TreeBuilder:
 
     def split_node(self, nid: int, split: Split) -> tuple[int, int]:
         """Turn a leaf of the arena into an internal node; returns (left, right).
-        A split that does not fit the schema, a threshold that is not finite
-        and left levels that are not a nonempty proper subset of the
-        feature's levels raise :class:`SchemaError`, in ``validate``'s words."""
+        A split with a fault (:func:`split_faults`) raises
+        :class:`SchemaError` naming the first, in ``validate``'s words."""
         if self._split[nid] is not None or self._leaf[nid] >= 0:
             raise ValueError(f"node {nid} already finished")
-        _check_split(split, self.schema)
-        if isinstance(split, NumericThreshold) and not isfinite(split.threshold):
-            raise SchemaError("split threshold is NaN" if split.threshold != split.threshold
-                              else "split threshold is infinite")
-        if isinstance(split, CategoricalSubset):
-            if not split.left_levels:
-                raise SchemaError("empty left level set")
-            if not split.left_levels < set(range(len(self.schema.features[split.feature].levels))):
-                raise SchemaError("left levels not a proper subset of the levels")
+        if faults := split_faults(split, self.schema):
+            raise SchemaError(faults[0])
         self._split[nid] = split
         left = self._new(nid)
         right = self._new(nid)
@@ -1103,8 +1113,7 @@ def check_trees(trees: Sequence[Tree]) -> list[list[str]]:
     faulty = np.where(kind == NUMERIC, (nodes.slot == nodes.slots - 1) | ~np.isfinite(nodes.threshold),
                       (kind == CATEGORICAL) & ~nodes.proper)
     at = (kind == HYPERPLANE).nonzero()[0]
-    faulty[at] = [len(h.coefficients) != len(schema.numeric_indices)
-                  or _overflows(h, schema) for h in nodes.split[at].tolist()]
+    faulty[at] = [bool(split_faults(h, schema)) for h in nodes.split[at].tolist()]
     sound = np.where(linked, (kind > 0) & (leaf < 0) & ~faulty,
                      (left < 0) & (right < 0) & (leaf >= 0) & (kind == 0))
     live, roots = nodes.roots >= 0, nodes.roots

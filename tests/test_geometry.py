@@ -97,13 +97,20 @@ class TestSplitPartitionsRegion:
         assert nonempty(region.split(NumericThreshold(0, 5.0))) == (True, True)
 
     def test_a_hyperplane_past_the_float_range_warns_of_nothing(self, d2):
-        # c'x overflows at the box centre (5, 5) and at the certificate's
-        # start (5.5, 4.5) for x0 - x1 >= 1, where a sum of overflowed terms
-        # has no sign to trust; any warning fails the test
-        assert nonempty(Region.full(d2).split(Hyperplane((1e308, 1e308), 1e308))) == (True, True)
+        # c'x would overflow at the certificate's start (5.5, 4.5) for
+        # x0 - x1 >= 1, where a sum of overflowed terms has no sign to
+        # trust: Region.split and the builder refuse such a hyperplane, in
+        # validate's words, before any arithmetic on it; any warning fails
+        # the test
         region = Region.full(d2).split(Hyperplane((1.0, -1.0), 1.0))[1]
         assert list(region.witness) == [5.5, 4.5]
-        assert nonempty(region.split(Hyperplane((1e308, -1e308), 0.0))) == (False, True)
+        message = "^hyperplane overflows on the domain box$"
+        for h in (Hyperplane((1e308, 1e308), 1e308), Hyperplane((1e308, -1e308), 0.0)):
+            with pytest.raises(ta.SchemaError, match=message):
+                region.split(h)
+            builder = ta.TreeBuilder(d2)
+            with pytest.raises(ta.SchemaError, match=message):
+                builder.split_node(builder.add_root(), h)
 
     def test_numeric_split_the_half_space_leaves_no_room_for(self, d2):
         region = Region.full(d2).split(Hyperplane((1.0, 1.0), 5.0))[0]

@@ -114,6 +114,10 @@ def single_mutations(doc):
             yield path, value, mutant
 
 
+# what a mutation sets one cell of a CSV file to
+CSV_MUTANTS = ("", "nan", "inf", "-1", "1e309", "x")
+
+
 class TestJsonRoundTrip:
     def test_spec_stump_layout_loads(self, tmp_path):
         doc = {
@@ -786,6 +790,48 @@ class TestCli:
             assert "malformed document (" not in err, (field, value)
             runs += 1
         assert runs == 1279
+
+    def test_every_single_cell_mutation_of_a_csv_input_fails_cleanly(self, tmp_path, capsys):
+        # a points, weights and matrix CSV and a flat table, each given to
+        # the command that reads it, with one cell replaced by each of
+        # CSV_MUTANTS or followed by an extra field
+        forest = tmp_path / "two.json"
+        forest.write_text(forest_of({}, {"split": LEVEL_1}, feature=LEVELS))
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"schema": json.loads(forest.read_text())["schema"]}))
+        out = str(tmp_path / "out")
+        inputs = [
+            ("1.0,a\n5.0,b\n9.0,a\n",
+             ["dist-matrix", "--forest", str(forest), "--out", out, "--measure", "empirical",
+              "--data"]),
+            ("0.25\n0.75\n", ["affine", "--forest", str(forest), "--out", out, "--weights"]),
+            ("0,1,2\n1,0,1\n2,1,0\n", ["mds", "--dims", "2", "--out", out, "--matrix"]),
+            (FLAT_HEADER + "0,0,,,0,4.0,\n0,1,0,1,,,0.0\n0,2,0,0,,,1.0\n1,0,,,1,b,\n"
+             "1,1,0,true,,,2.0\n1,2,0,false,,,3.0\n",
+             ["import", "--schema", str(schema), "--out", out, "--table"]),
+        ]
+        path, runs = tmp_path / "mutant.csv", 0
+        for text, argv in inputs:
+            path.write_text(text)
+            assert run_cli(argv + [str(path)]) == 0, capsys.readouterr().err
+            rows = [line.split(",") for line in text.splitlines()]
+            for r, row in enumerate(rows):
+                for c, cell in enumerate(row):
+                    for value in CSV_MUTANTS + (cell + ",1",):
+                        mutant = [list(line) for line in rows]
+                        mutant[r][c] = value
+                        path.write_text("".join(",".join(line) + "\n" for line in mutant))
+                        with warnings.catch_warnings(record=True) as caught:
+                            warnings.simplefilter("always")
+                            code = run_cli(argv + [str(path)])
+                        err = capsys.readouterr().err
+                        where = (argv[0], r, c, value)
+                        assert code in (0, 2), where
+                        assert caught == [], (where, str(caught[0].message))
+                        assert err == "" or (err.startswith("code=") and err.count("\n") == 1), (
+                            where, err)
+                        runs += 1
+        assert runs == 7 * (6 + 2 + 9 + 7 * 7)
 
     def test_input_checks_run_before_any_work(self, workdir, capsys):
         missing = str(workdir / "missing.csv")

@@ -306,13 +306,12 @@ class TestValidate:
         ],
     )
     def test_non_finite_hyperplane_is_named(self, unit2, coefficients, offset, message):
-        b = ta.TreeBuilder(unit2)
-        left, right = b.split_node(b.add_root(), ta.Hyperplane(coefficients, offset))
-        b.set_value(left, ta.Scalar(0.0))
-        b.set_value(right, ta.Scalar(1.0))
+        # a builder refuses these hyperplanes, so the stumps are read from a file body
+        tree = stump_from_body(unit2, {"type": "hyperplane", "coeffs": list(coefficients),
+                                       "offset": offset})
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no simplex on NaN rows
-            assert ta.validate(b.build()) == [message]
+            assert ta.validate(tree) == [message]
 
     def test_non_finite_leaf_values_are_named(self, make_stump, d2):
         assert ta.validate(make_stump(0, 4.0, high=float("nan"))) == [
@@ -440,63 +439,59 @@ class TestNumericSplitBoundaries:
                     assert got.tolist() == expected.tolist(), (region, t)
 
 
-class TestSplitsFitTheSchema:
-    """A split enters a tree only when it reads a feature of its kind, or,
-    as a hyperplane, has one coefficient per numeric feature; a builder
-    also refuses the thresholds and level sets that validate names."""
+def _split_document(split):
+    """A split in the form a tree file gives it."""
+    if isinstance(split, ta.NumericThreshold):
+        return {"type": "numeric", "feature": split.feature, "threshold": split.threshold}
+    if isinstance(split, ta.CategoricalSubset):
+        return {"type": "categorical", "feature": split.feature,
+                "left_levels": sorted(split.left_levels)}
+    return {"type": "hyperplane", "coeffs": list(split.coefficients), "offset": split.offset}
 
-    @pytest.mark.parametrize("split, message", [
-        (ta.NumericThreshold(1, 0.5), "numeric split on feature index 1"),
-        (ta.NumericThreshold(5, 0.5), "numeric split on feature index 5"),
-        (ta.NumericThreshold(-1, 0.5), "numeric split on feature index -1"),
-        (ta.CategoricalSubset(0, {0}), "categorical split on feature index 0"),
-        (ta.CategoricalSubset(2, {0}), "categorical split on feature index 2"),
+
+class TestSplitsFitTheSchema:
+    """A split enters a tree only without a fault that validate names: the
+    builder and Region.split refuse it in validate's words, naming the
+    first, and leave the node a leaf."""
+
+    @pytest.mark.parametrize("split, texts", [
+        (ta.Hyperplane((1.0, 1.0), 5.0), ["hyperplane arity != number of numeric features"]),
+        (ta.Hyperplane((1.0, 1.0, 1.0), 5.0), ["hyperplane arity != number of numeric features"]),
+        (ta.Hyperplane((float("nan"),), 5.0), ["hyperplane coefficient is not finite"]),
+        (ta.Hyperplane((float("inf"),), 5.0), ["hyperplane coefficient is not finite"]),
+        (ta.Hyperplane((1.0,), float("nan")), ["hyperplane offset is not finite"]),
+        (ta.Hyperplane((1.0,), float("-inf")), ["hyperplane offset is not finite"]),
+        # each term is finite on [0, 1], their sum is not
+        (ta.Hyperplane((1e308,), -1e308), ["hyperplane overflows on the domain box"]),
+        (ta.Hyperplane((1.0, float("nan")), 5.0),
+         ["hyperplane arity != number of numeric features", "hyperplane coefficient is not finite"]),
+        (ta.NumericThreshold(1, 0.5), ["numeric split on categorical feature"]),
+        (ta.NumericThreshold(5, 0.5), ["split feature index 5 out of range"]),
+        (ta.NumericThreshold(-1, 0.5), ["split feature index -1 out of range"]),
+        (ta.CategoricalSubset(0, {0}), ["categorical split on numeric feature"]),
+        (ta.CategoricalSubset(2, {0}), ["split feature index 2 out of range"]),
+        (ta.NumericThreshold(0, float("nan")), ["split threshold is NaN"]),
+        (ta.NumericThreshold(0, float("inf")), ["split threshold is infinite"]),
+        (ta.NumericThreshold(0, -float("inf")), ["split threshold is infinite"]),
+        (ta.CategoricalSubset(1, set()), ["empty left level set"]),
+        (ta.CategoricalSubset(1, {5}), ["left levels not a proper subset of the levels"]),
+        (ta.CategoricalSubset(1, {0, 5}), ["left levels not a proper subset of the levels"]),
+        (ta.CategoricalSubset(1, {0, 1}), ["left levels not a proper subset of the levels"]),
     ])
-    def test_builder_refuses_a_split_on_a_feature_of_another_kind(self, split, message):
+    def test_a_split_with_a_fault_is_refused_in_the_words_of_validate(self, split, texts):
         schema = ta.FeatureSchema((ta.NumericFeature("x", 0, 1),
                                    ta.CategoricalFeature("c", ("a", "b"))))
+        assert ta.validate(stump_from_body(schema, _split_document(split))) == [
+            f"node 0: {text}" for text in texts]
         b = ta.TreeBuilder(schema)
         root = b.add_root()
-        with pytest.raises(ta.SchemaError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ta.SchemaError, match=f"^{re.escape(texts[0])}$"):
             b.split_node(root, split)
-        with pytest.raises(ta.SchemaError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ta.SchemaError, match=f"^{re.escape(texts[0])}$"):
             Region.full(schema).split(split)
         # the node stays a leaf
         b.set_value(root, ta.Scalar(1.0))
         assert ta.validate(b.build()) == []
-
-    @pytest.mark.parametrize("split", [
-        ta.NumericThreshold(0, float("nan")),
-        ta.NumericThreshold(0, float("inf")),
-        ta.NumericThreshold(0, -float("inf")),
-        ta.CategoricalSubset(1, {5}),
-        ta.CategoricalSubset(1, {0, 5}),
-        ta.CategoricalSubset(1, set()),
-        ta.CategoricalSubset(1, {0, 1}),
-    ])
-    def test_builder_refuses_a_split_value_in_the_words_of_validate(self, split):
-        schema = ta.FeatureSchema((ta.NumericFeature("x", 0, 1),
-                                   ta.CategoricalFeature("c", ("a", "b"))))
-        doc = ({"type": "numeric", "feature": 0, "threshold": split.threshold}
-               if isinstance(split, ta.NumericThreshold) else
-               {"type": "categorical", "feature": 1, "left_levels": sorted(split.left_levels)})
-        (fault,) = ta.validate(stump_from_body(schema, doc))
-        b = ta.TreeBuilder(schema)
-        root = b.add_root()
-        with pytest.raises(ta.SchemaError, match=f"^{re.escape(fault.removeprefix('node 0: '))}$"):
-            b.split_node(root, split)
-        # the node stays a leaf
-        b.set_value(root, ta.Scalar(1.0))
-        assert ta.validate(b.build()) == []
-
-    @pytest.mark.parametrize("coefficients", [(1.0,), (1.0, 1.0, 1.0)])
-    def test_hyperplane_of_another_arity_is_refused(self, unit2, coefficients):
-        message = "^hyperplane arity != number of numeric features$"
-        b = ta.TreeBuilder(unit2)
-        with pytest.raises(ta.SchemaError, match=message):
-            b.split_node(b.add_root(), ta.Hyperplane(coefficients, 5.0))
-        with pytest.raises(ta.SchemaError, match=message):
-            Region.full(unit2).split(ta.Hyperplane(coefficients, 5.0))
 
 
 class TestLeafTables:
