@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import gc
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -342,12 +343,9 @@ def _check_shape(x, shape, path: str, where: str = "", nulls: bool = True,
 
 
 def _real_texts(values: np.ndarray) -> np.ndarray:
-    """The text of every float of a 1-D array, as an object array. Each
+    """The ``repr`` of every float of a 1-D array, as an object array. Each
     distinct bit pattern is formatted once: keyed on the value instead,
     ``0.0`` and ``-0.0`` would share one text."""
-    bad = values[~np.isfinite(values)]
-    if bad.size:
-        _dumps(float(bad[0]))  # raises json's ValueError
     keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
     return np.array(list(map(repr, keys.view(float).tolist())), dtype=object)[inverse]
 
@@ -384,7 +382,9 @@ def _body_text(tree: Tree) -> str:
     # ragged leaves have no value matrix; they are written, and refused, first
     ragged = None if leaves.ragged is None else [_dumps(_document(v)) for v in leaves.ragged]
     size = leaves.values.size
-    texts = _real_texts(np.concatenate([leaves.values.ravel(), tree.threshold[numeric]]))
+    values = np.concatenate([leaves.values.ravel(), tree.threshold[numeric]])
+    _dumps(values[~np.isfinite(values)][:1].tolist())  # json's ValueError on a non-finite one
+    texts = _real_texts(values)
     (template, fields), thresholds = _leaf_fields(leaves, texts[:size], ragged), texts[size:]
     out = np.empty(len(tree.ids), dtype=object)
     leaf = tree.kind == 0
@@ -534,63 +534,76 @@ def load_schema(path: str) -> FeatureSchema:
 
 
 def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
-    """Plain headerless reals, row-major, shortest round-trippable decimals."""
-    rows = [", ".join(repr(float(x)) for x in row) for row in np.atleast_2d(matrix)]
-    write_text_atomic(path, "\n".join(rows) + "\n")
+    """Plain headerless reals, row-major, shortest round-trippable decimals
+    (``nan`` and ``inf`` included), each distinct float formatted once."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    rows = _real_texts(matrix.ravel()).reshape(matrix.shape).tolist()
+    write_text_atomic(path, "\n".join(map(", ".join, rows)) + "\n")
 
 
-def _real_rows(path: str) -> list[tuple[int, list[float]]]:
-    """The non-blank lines of a headerless CSV file of reals, each with its
-    line number."""
-    rows = []
+def _csv_lines(path: str) -> tuple[list[str], list[str]]:
+    """The stripped lines of a headerless CSV file, split on newlines only
+    (reading turns CRLF and CR into one), and the non-blank ones."""
     with open(path) as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if line:
-                try:
-                    rows.append((line_no, [float(tok) for tok in line.split(",")]))
-                except ValueError as e:
-                    raise ParseError(f"{path}: line {line_no}: {e}")
-    return rows
+        lines = list(map(str.strip, handle.read().split("\n")))
+    return lines, list(filter(None, lines))
+
+
+def _check_width(path: str, lines: list[str], rows: list[str], width: int) -> None:
+    """Raise a ParseError naming the first non-blank line without ``width`` cells."""
+    if list(map(str.count, rows, itertools.repeat(","))).count(width - 1) != len(rows):
+        line_no, line = next((i, s) for i, s in enumerate(lines, 1)
+                             if s and s.count(",") != width - 1)
+        raise ParseError(f"{path}: line {line_no}: {line.count(',') + 1} columns, "
+                         f"expected {width}")
+
+
+def _real_cells(path: str, lines: list[str]) -> np.ndarray:
+    """The cells of the non-blank ``lines`` as floats, row-major; the first
+    that ``float`` cannot read is named with its line."""
+    values: list[float] = []
+    for line_no, line in enumerate(lines, 1):
+        try:
+            values.extend(map(float, line.split(",")) if line else ())
+        except ValueError as e:
+            raise ParseError(f"{path}: line {line_no}: {e}")
+    return np.array(values)
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
-    rows = _real_rows(path)
+    lines, rows = _csv_lines(path)
     if not rows:
         raise ParseError(f"{path}: empty matrix")
-    width = len(rows[0][1])
-    for line_no, row in rows:
-        if len(row) != width:
-            raise ParseError(f"{path}: line {line_no}: {len(row)} columns, expected {width}")
-    return np.array([row for _, row in rows])
+    values = _real_cells(path, lines)
+    _check_width(path, lines, rows, rows[0].count(",") + 1)
+    return values.reshape(len(rows), -1)
 
 
 def read_points_csv(path: str, schema: FeatureSchema) -> np.ndarray:
     """Headerless data points, columns in schema feature order, categorical
-    values given by level name."""
-    raw = []
-    with open(path) as handle:
-        lines = handle.read().split("\n")
-    for line_no, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        toks = line.split(",")
-        if len(toks) != schema.n_features:
-            raise ParseError(
-                f"{path}: line {line_no}: {len(toks)} columns, expected {schema.n_features}"
-            )
-        raw.append([t.strip() for t in toks])
-    if not raw:
+    values given by level name; read a column at a time, and again a row at
+    a time when a value is bad, so that the first one is named."""
+    lines, rows = _csv_lines(path)
+    p = schema.n_features
+    _check_width(path, lines, rows, p)
+    if not rows:
         raise ParseError(f"{path}: no data points")
-    return schema.encode_points(raw)
+    cells = ",".join(rows).split(",")
+    # numbers are not stripped: float() ignores the spaces around them, and a
+    # cell it cannot read goes to the row pass
+    columns = [cells[j::p] if isinstance(f, NumericFeature) else list(map(str.strip, cells[j::p]))
+               for j, f in enumerate(schema.features)]
+    X = schema._encode_columns(columns, len(rows))
+    if X is None:
+        X = schema.encode_points([[t.strip() for t in row.split(",")] for row in rows])
+    return X
 
 
 def read_weights_csv(path: str) -> np.ndarray:
-    values = [x for _, row in _real_rows(path) for x in row]
-    if not values:
+    lines, rows = _csv_lines(path)
+    if not rows:
         raise ParseError(f"{path}: no weights")
-    return np.array(values)
+    return _real_cells(path, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -170,28 +170,30 @@ class FeatureSchema:
         does.
         """
         n, p = len(rows), self.n_features
-        if all(len(r) == p for r in rows):
-            X = np.empty((n, p))
-            try:
-                for j, column in enumerate(zip(*rows)):
-                    X[:, j] = self._encode_column(j, column)
-                return X
-            except (KeyError, TypeError, ValueError):
-                pass
-        return np.array([self.encode_point(r) for r in rows], dtype=float).reshape(n, p)
+        X = self._encode_columns(list(zip(*rows)), n) if all(len(r) == p for r in rows) else None
+        if X is None:
+            X = np.array([self.encode_point(r) for r in rows], dtype=float).reshape(n, p)
+        return X
 
-    def _encode_column(self, j: int, column: Sequence) -> np.ndarray:
-        """Encode one column of level names or in-range numbers; raises
-        KeyError, TypeError or ValueError on any other value."""
-        f = self.features[j]
-        if isinstance(f, NumericFeature):
-            x = np.fromiter(map(float, column), float, len(column))
-            if not (np.isfinite(x) & (x >= f.low) & (x <= f.high)).all():
-                raise ValueError
-            return x
-        # only names are keys: a level index or any other value misses
-        index = {name: float(k) for k, name in enumerate(f.levels) if isinstance(name, str)}
-        return np.fromiter(map(index.__getitem__, column), float, len(column))
+    def _encode_columns(self, columns: Sequence[Sequence], n: int) -> Optional[np.ndarray]:
+        """The (n, p) matrix of ``columns`` of n raw values each, in schema
+        feature order, or None unless every value is a level name or an
+        in-range number."""
+        X = np.empty((n, self.n_features))
+        try:
+            for j, (f, column) in enumerate(zip(self.features, columns)):
+                if isinstance(f, CategoricalFeature):
+                    # only names are keys: a level index or any other value misses
+                    index = {name: float(k) for k, name in enumerate(f.levels)
+                             if isinstance(name, str)}
+                    X[:, j] = np.fromiter(map(index.__getitem__, column), float, len(column))
+                    continue
+                x = X[:, j] = np.fromiter(map(float, column), float, len(column))
+                if not (np.isfinite(x) & (x >= f.low) & (x <= f.high)).all():
+                    return None
+        except (KeyError, TypeError, ValueError):
+            return None
+        return X
 
     def decode_point(self, x: Sequence[float]) -> tuple:
         """Inverse of :meth:`encode_point`: level indices back to level names."""

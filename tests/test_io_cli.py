@@ -340,6 +340,8 @@ class TestReadPointsCsv:
             ("nan,a\n", ta.DomainError, "feature 'x1': nan outside [0.0, 10.0]"),
             ("1,zz\n", ta.DomainError, "feature 'c': unknown level 'zz'"),
             ("1,zz\n-1,a\n", ta.DomainError, "feature 'c': unknown level 'zz'"),
+            # a column at a time would name 'abc' first
+            ("1,zz\nabc,a\n", ta.DomainError, "feature 'c': unknown level 'zz'"),
             ("1,a\n\n1,a,3\n", ta.ParseError, "{path}: line 3: 3 columns, expected 2"),
             ("\n \n", ta.ParseError, "{path}: no data points"),
         ],
@@ -350,6 +352,92 @@ class TestReadPointsCsv:
         with pytest.raises(error) as err:
             io.read_points_csv(str(path), schema)
         assert str(err.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1,a\r\n2,a b\r\n", [[1.0, 0.0], [2.0, 1.0]]),
+        ("1,a\r2,a b\r", [[1.0, 0.0], [2.0, 1.0]]),
+        ("\t\n1,a\n \r\n\x0c\n2,a\n", [[1.0, 0.0], [2.0, 0.0]]),
+        ("1\x0c,\x0ca\n2\x1c,a\x1c\n", [[1.0, 0.0], [2.0, 0.0]]),
+        ("  1 ,  a b \n", [[1.0, 1.0]]),
+        ("1_0,a", [[10.0, 0.0]]),
+        # newlines alone end a line, so \x0c and \x1c do not move line 2
+        ("1,\x0ca\x1c2\n1,a,3\n", "{path}: line 2: 3 columns, expected 2"),
+        ("\r\n \r\n1,a\r\n1\r\n", "{path}: line 4: 1 columns, expected 2"),
+    ])
+    def test_line_ends_whitespace_and_numbers(self, tmp_path, text, expected):
+        schema = ta.FeatureSchema((ta.NumericFeature("x", 0, 10),
+                                   ta.CategoricalFeature("c", ("a", "a b"))))
+        path = tmp_path / "pts.csv"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(ta.ParseError) as err:
+                io.read_points_csv(str(path), schema)
+            assert str(err.value) == expected.format(path=path)
+        else:
+            assert io.read_points_csv(str(path), schema).tolist() == expected
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_reader_equals_the_row_rule(self, tmp_path, seed):
+        # the points a row at a time: each non-blank line stripped and split
+        # on commas, and once every line has its width, the stripped cells
+        # encoded one value at a time
+        schema = ta.FeatureSchema((ta.NumericFeature("x", -1, 1),
+                                   ta.CategoricalFeature("c", ("a", "b", "a b")),
+                                   ta.NumericFeature("y", 0, 100)))
+
+        def row_rule(path):
+            with open(path) as handle:
+                lines = handle.read().split("\n")
+            rows = []
+            for line_no, line in enumerate(lines, 1):
+                cells = line.strip().split(",")
+                if cells == [""]:
+                    continue
+                if len(cells) != 3:
+                    raise ta.ParseError(f"{path}: line {line_no}: {len(cells)} columns, expected 3")
+                rows.append([c.strip() for c in cells])
+            if not rows:
+                raise ta.ParseError(f"{path}: no data points")
+            return np.array([schema.encode_point(row) for row in rows])
+
+        def outcome(read, path):
+            try:
+                X = read(path)
+            except (ta.ParseError, ta.DomainError) as e:
+                return type(e), str(e)
+            return X.shape, X.tobytes()
+
+        columns = [["0.5", " -1", "1 ", "1e-3", "0_1", "\x0c.25", "-0.0"],
+                   ["a", " b", "a b", "\x0ca", "b\x1c"],
+                   ["2", "1_0", " 100\t", "77", "\x1c3"]]
+        bad = ["nan", "x", "", "1e309", "a", "-5", "c", "0.5"]
+        ends = ["\n", "\r\n", "\r", "\n \n", "\n\x0c\n"]
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "pts.csv"
+        kinds = set()
+        for _ in range(300):
+            lines = [",".join(rng.choice(bad if rng.random() < 0.02 else column)
+                              for column in (columns * 2)[:rng.choice([3] * 30 + [2, 4])])
+                     for _ in range(rng.integers(0, 8))]
+            text = "".join(line + rng.choice(ends) for line in lines)
+            path.write_bytes(text[:len(text) - rng.integers(0, 2)].encode())
+            expected = outcome(row_rule, str(path))
+            assert outcome(lambda p: io.read_points_csv(p, schema), str(path)) == expected, text
+            kinds.add(expected[0] if expected[0] in (ta.ParseError, ta.DomainError) else "points")
+        assert kinds == {"points", ta.ParseError, ta.DomainError}
+
+
+class TestMatrixCsv:
+    def test_each_float_keeps_its_own_text(self, tmp_path):
+        # texts are shared by bit pattern: 0.0 and -0.0 are equal but
+        # written apart, and non-finite values are written, not refused
+        path = tmp_path / "m.csv"
+        matrix = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 0.1], [0.1, -0.0, 0.0]])
+        io.write_matrix_csv(str(path), matrix)
+        assert path.read_text() == "0.0, -0.0, nan\ninf, -inf, 0.1\n0.1, -0.0, 0.0\n"
+        assert io.read_matrix_csv(str(path)).tobytes() == matrix.tobytes()
+        io.write_matrix_csv(str(path), np.array([1, 2]))
+        assert path.read_text() == "1.0, 2.0\n"
 
 
 class TestAtomicWrites:
@@ -832,6 +920,34 @@ class TestCli:
                             where, err)
                         runs += 1
         assert runs == 7 * (6 + 2 + 9 + 7 * 7)
+
+    def test_every_single_mutation_of_a_schema_file_fails_cleanly(self, tmp_path, capsys):
+        # a schema of a numeric and a categorical feature and class labels,
+        # each mutant given to import with a table that fits the original
+        doc = {"schema": {"features": [{"name": "x", "kind": "numeric", "low": 0.0, "high": 10.0},
+                                       {"name": "c", "kind": "categorical",
+                                        "levels": ["a", "b"]}],
+                          "class_labels": ["u", "v"]}}
+        table = tmp_path / "table.csv"
+        table.write_text(FLAT_HEADER + "0,0,,,0,4.0,\n0,1,0,1,,,0.25|0.75\n0,2,0,0,1,b,\n"
+                         "0,3,2,1,,,1.0|0.0\n0,4,2,0,,,0.5|0.5\n")
+        path, runs = tmp_path / "schema.json", 0
+        argv = ["import", "--table", str(table), "--schema", str(path), "--out",
+                str(tmp_path / "out.json")]
+        path.write_text(json.dumps(doc))
+        assert run_cli(argv) == 0, capsys.readouterr().err
+        for field, value, mutant in single_mutations(doc):
+            path.write_text(json.dumps(mutant))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_cli(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 2), (field, value)
+            assert caught == [], (field, value, str(caught[0].message))
+            assert err == "" or (err.startswith("code=") and err.count("\n") == 1), (field, value)
+            assert "malformed document (" not in err, (field, value)
+            runs += 1
+        assert runs == 170
 
     def test_input_checks_run_before_any_work(self, workdir, capsys):
         missing = str(workdir / "missing.csv")

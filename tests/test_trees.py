@@ -80,6 +80,8 @@ class TestSchema:
             ([("0.5", "a"), ("4", "a")], "feature 'x': 4.0 outside [-2.0, 3.0]"),
             ([("nan", "a")], "feature 'x': nan outside [-2.0, 3.0]"),
             ([("0.5", "zz")], "feature 'c': unknown level 'zz'"),
+            # only the points reader strips its cells
+            ([("0.5", " a")], "feature 'c': unknown level ' a'"),
             ([("0.5", 7)], "feature 'c': bad level index 7"),
             ([("0.5", "a", "b")], "point has 3 values, schema has 2 features"),
             # the first bad value in row-major order is named
