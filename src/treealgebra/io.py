@@ -31,6 +31,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
+from io import StringIO
 from typing import Sequence
 
 import numpy as np
@@ -457,6 +458,18 @@ def _validate_forest(schema: FeatureSchema, trees: Sequence[Tree]) -> None:
         raise ValidationError(problems)
 
 
+def _read_text(path: str, newline: str | None = None) -> str:
+    """The text of a file, read whole with ``open(path, newline=newline)``;
+    bytes that do not decode are a ParseError naming the first of them and
+    its offset in the file."""
+    with open(path, newline=newline) as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not {e.encoding} text: byte {e.object[e.start]:#04x} "
+                             f"at offset {e.start} ({e.reason})") from None
+
+
 def _parse_json(path: str):
     """Read and parse a JSON file, rejecting the non-standard ``NaN``,
     ``Infinity`` and ``-Infinity`` literals."""
@@ -465,8 +478,7 @@ def _parse_json(path: str):
         raise ParseError(f"{path}: non-finite number {literal} is not allowed")
 
     try:
-        with open(path) as handle:
-            return json.load(handle, parse_constant=reject)
+        return json.loads(_read_text(path), parse_constant=reject)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
 
@@ -544,8 +556,7 @@ def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
 def _csv_lines(path: str) -> tuple[list[str], list[str]]:
     """The stripped lines of a headerless CSV file, split on newlines only
     (reading turns CRLF and CR into one), and the non-blank ones."""
-    with open(path) as handle:
-        lines = list(map(str.strip, handle.read().split("\n")))
+    lines = list(map(str.strip, _read_text(path).split("\n")))
     return lines, list(filter(None, lines))
 
 
@@ -641,13 +652,12 @@ def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> Fo
     """
     if dialect != "flat-table":
         raise ParseError(f"unknown dialect {dialect!r} (supported: flat-table)")
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != FLAT_TABLE_COLUMNS:
-            raise ParseError(
-                f"{path}: header must be exactly {','.join(FLAT_TABLE_COLUMNS)}"
-            )
-        rows = list(reader)
+    reader = csv.DictReader(StringIO(_read_text(path, newline=""), newline=""))
+    if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != FLAT_TABLE_COLUMNS:
+        raise ParseError(
+            f"{path}: header must be exactly {','.join(FLAT_TABLE_COLUMNS)}"
+        )
+    rows = list(reader)
     by_tree: dict[int, list[tuple[int, dict]]] = {}
     for line_no, row in enumerate(rows, 2):
         if None in row:  # the fields past the header's

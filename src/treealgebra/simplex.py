@@ -6,8 +6,10 @@ dimensions (on the empirical-sample benchmark inputs, seeds 1-3, the LPs of
 ``affine``, ``combine`` and ``validate`` have 11-20 rows over 5 unknowns).
 Given a point to start from, most of those sets are shown nonempty without
 the LP: the relaxation method for linear inequalities (Agmon 1954;
-Motzkin and Schoenberg 1954) moves the point onto its most violated row,
-and a point that then meets every row exactly, with no tolerance, is a
+Motzkin and Schoenberg 1954) moves the point toward its most violated row,
+over-relaxed twice so that it lands inside the set rather than on its
+boundary, then exactly, which still reaches a set that is one face. A
+point that then meets every row exactly, with no tolerance, is a
 certificate. Only an empty set, or one those few moves miss, runs Phase I.
 Free variables are handled with the classic ``x = x+ - x-`` splitting and
 Bland's rule keeps the tiny tableaus from cycling. The tableau is built
@@ -31,10 +33,10 @@ def feasible(a, b, start=None) -> Optional[np.ndarray]:
     """A point of ``{x : a x <= b}``, or None when that set is empty.
 
     Given a ``start`` point, the point may be a certificate: ``start`` moved
-    onto its most violated row at most three times, returned once it meets
-    every row exactly. Otherwise it is the basic solution Phase I ends on in
-    the split variables, which need not be a vertex of the set (``x = 0``
-    can be one); it meets every row to within the solver tolerance.
+    by :func:`_certificate`, returned once it meets every row exactly.
+    Otherwise it is the basic solution Phase I ends on in the split
+    variables, which need not be a vertex of the set (``x = 0`` can be
+    one); it meets every row to within the solver tolerance.
     """
     a = np.asarray(a, dtype=float)
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -48,9 +50,10 @@ def feasible(a, b, start=None) -> Optional[np.ndarray]:
 
 
 def _certificate(a, b, x) -> Optional[np.ndarray]:
-    """``x`` moved onto the most violated row of ``a x <= b`` until it meets
-    every row, at most three times; None when it still misses one, or when
-    a row's value leaves the float range, where it has no sign to trust."""
+    """``x`` moved toward the most violated row of ``a x <= b`` until it
+    meets every row, at most three times: 1.5 times the way onto the row
+    twice, then exactly onto it. None when it still misses one, or when a
+    row's value leaves the float range, where it has no sign to trust."""
     with np.errstate(all="ignore"):
         for moves in range(4):
             ax = a @ x
@@ -61,7 +64,7 @@ def _certificate(a, b, x) -> Optional[np.ndarray]:
                 return x if np.isfinite(ax).all() else None
             if moves < 3:
                 row = a[i]
-                x = x - gap / row.dot(row) * row
+                x = x - (1.5 if moves < 2 else 1.0) * gap / row.dot(row) * row
     return None
 
 

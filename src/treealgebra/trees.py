@@ -13,7 +13,7 @@ open at ``t``. Categorical splits route left when the point's level is in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
 from math import isfinite
@@ -338,6 +338,18 @@ def box_sides(box: tuple, j: int, cut) -> tuple:
     return box[:j] + (left,) + box[j + 1 :], box[:j] + (right,) + box[j + 1 :], both
 
 
+def _with_row(a: np.ndarray, b: np.ndarray, row: np.ndarray, rhs: float) -> tuple:
+    """The rows ``a x <= b`` and then ``row x <= rhs``."""
+    return np.concatenate((a, [row])), np.concatenate((b, [rhs]))
+
+
+def _with_bounds(a: np.ndarray, b: np.ndarray, k: int, high: float, neg_low: float) -> tuple:
+    """The rows ``a x <= b`` (``a`` shared) with one feature's bounds ``b[k : k + 2]`` set."""
+    b = b.copy()
+    b[k], b[k + 1] = high, neg_low
+    return a, b
+
+
 @dataclass(frozen=True)
 class Region:
     """A box plus half-space constraints.
@@ -360,20 +372,25 @@ class Region:
     is found, else by a Phase-I feasibility LP (:func:`simplex.feasible`).
 
     ``witness`` is a point of the numeric subspace (in
-    ``schema.numeric_indices`` order) that meets the closed constraints. A
-    split side that holds it is nonempty under the closed relaxation, which
-    is what the LP would report, so :meth:`split` skips that LP and no result
-    changes; the witness is left out of equality and hashing. A side that
-    does not hold it starts its certificate from it. A region
-    without half-spaces keeps None and uses its box centre, computed only
-    when a hyperplane cuts the box, so ``full`` starts from the centre and
-    axis-aligned splits never pay for a witness.
+    ``schema.numeric_indices`` order) that meets the closed constraints:
+    the parent's witness when it lies in the side, else the point that
+    decided the side, which an over-relaxed certificate leaves inside it
+    rather than on the row it crossed. A split side that holds the witness
+    is nonempty under the closed relaxation, which is what the LP would
+    report, so :meth:`split` skips that LP and no result changes. A side
+    that does not hold it starts its certificate from it. A region without
+    half-spaces keeps None and uses its box centre, computed only when a
+    hyperplane cuts the box, so ``full`` starts from the centre and
+    axis-aligned splits never pay for a witness. ``rows`` caches
+    :meth:`lp_rows`; a side of :meth:`split` is made with them, derived
+    from its parent's. Neither takes part in equality or hashing.
     """
 
     schema: FeatureSchema
     constraints: tuple
     half_spaces: tuple[tuple[Hyperplane, Side], ...] = ()
     witness: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    rows: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def full(cls, schema: FeatureSchema) -> "Region":
@@ -384,18 +401,24 @@ class Region:
         """Closed-inequality rows ``A x <= b`` over the numeric subspace:
         ``+x_j`` and then ``-x_j`` per numeric feature, then the half-spaces
         in path order, a RIGHT one negated. Strict parts are relaxed to
-        closed, which is what the LP machinery expects."""
-        num, hs, box = self.schema.numeric_indices, self.half_spaces, self.constraints
-        d = len(num)
-        a, b = np.zeros((2 * d + len(hs), d)), np.empty(2 * d + len(hs))
-        np.fill_diagonal(a[: 2 * d : 2], 1.0)
-        np.fill_diagonal(a[1 : 2 * d : 2], -1.0)
-        b[: 2 * d] = [bound for j in num for bound in (box[j][1], -box[j][0])]
-        if hs:
-            a[2 * d :] = [h.coefficients if side is Side.LEFT else [-c for c in h.coefficients]
-                          for h, side in hs]
-            b[2 * d :] = [h.offset if side is Side.LEFT else -h.offset for h, side in hs]
-        return a, b
+        closed, which is what the LP machinery expects. A side of
+        :meth:`split` is made with them derived from its parent's, the same
+        bits: a hyperplane appends its signed row, a numeric cut sets its
+        feature's bounds, and a categorical side shares them. The arrays
+        are kept and shared, so they are not to be written to."""
+        if self.rows is None:
+            num, hs, box = self.schema.numeric_indices, self.half_spaces, self.constraints
+            d = len(num)
+            a, b = np.zeros((2 * d + len(hs), d)), np.empty(2 * d + len(hs))
+            np.fill_diagonal(a[: 2 * d : 2], 1.0)
+            np.fill_diagonal(a[1 : 2 * d : 2], -1.0)
+            b[: 2 * d] = [bound for j in num for bound in (box[j][1], -box[j][0])]
+            if hs:
+                a[2 * d :] = [h.coefficients if side is Side.LEFT else [-c for c in h.coefficients]
+                              for h, side in hs]
+                b[2 * d :] = [h.offset if side is Side.LEFT else -h.offset for h, side in hs]
+            object.__setattr__(self, "rows", (a, b))
+        return self.rows
 
     def split(self, split: Split) -> tuple[Optional["Region"], Optional["Region"]]:
         """The two sides of a split within this region, each None when empty.
@@ -412,50 +435,50 @@ class Region:
         """
         if faults := split_faults(split, self.schema):
             raise SchemaError(faults[0])
+        schema, box, hs, w = self.schema, self.constraints, self.half_spaces, self.witness
         if isinstance(split, Hyperplane):
-            for h, side in self.half_spaces:
+            for h, side in hs:
                 if h == split:
                     return (self, None) if side is Side.LEFT else (None, self)
-            w = self._witness()
+            if not hs:
+                w = np.array([(box[j][0] + box[j][1]) / 2 for j in schema.numeric_indices])
+            c, o = np.asarray(split.coefficients), split.offset
             with np.errstate(all="ignore"):  # a value past the float range is no fault
-                s = np.nan if w is None else float(np.asarray(split.coefficients) @ w)
-            left, right = (
-                Region(self.schema, self.constraints, self.half_spaces + ((split, side),), w)
-                for side in (Side.LEFT, Side.RIGHT)
-            )
-            return self._checked(left, s <= split.offset), self._checked(right, s >= split.offset)
-        j, schema = split.feature, self.schema
+                s = np.nan if w is None else float(c @ w)
+            a, b = self.lp_rows()
+            return (self._side(box, hs + ((split, Side.LEFT),), w, s <= o, _with_row(a, b, c, o)),
+                    self._side(box, hs + ((split, Side.RIGHT),), w, s >= o, _with_row(a, b, -c, -o)))
+        j = split.feature
         numeric = isinstance(split, NumericThreshold)
         cut = split.threshold if numeric else split.left_levels
-        left, right, both = box_sides(self.constraints, j, cut)
+        left, right, both = box_sides(box, j, cut)
         if not both:
             # the side that is not empty keeps the whole box
-            return (self, None) if left[j] == self.constraints[j] else (None, self)
-        left, right = (Region(schema, box, self.half_spaces, self.witness) for box in (left, right))
-        if not (numeric and self.half_spaces):
-            return left, right
+            return (self, None) if left[j] == box[j] else (None, self)
+        if not (numeric and hs):
+            rows = None if numeric else self.rows
+            return tuple(self._side(side, hs, w, True, rows) for side in (left, right))
         # a box that is still nonempty can leave the half-spaces no room
         # (categorical levels stay outside the LP, so only here)
-        w = self.witness
-        wj = np.nan if w is None else w[schema.numeric_indices.index(j)]
-        return self._checked(left, wj <= cut), self._checked(right, wj >= cut)
+        k = 2 * schema.numeric_indices.index(j)
+        wj = np.nan if w is None else w[k // 2]
+        a, b = self.lp_rows()
+        return (self._side(left, hs, w, wj <= cut, _with_bounds(a, b, k, left[j][1], -left[j][0])),
+                self._side(right, hs, w, wj >= cut,
+                           _with_bounds(a, b, k, right[j][1], -right[j][0])))
 
-    def _witness(self) -> Optional[np.ndarray]:
-        if self.half_spaces:
-            return self.witness
-        return np.array([(self.constraints[j][0] + self.constraints[j][1]) / 2
-                         for j in self.schema.numeric_indices])
-
-    def _checked(self, side: "Region", inside: bool) -> Optional["Region"]:
-        """A side built with this region's witness, kept as it is when the
-        witness lies inside it and otherwise decided by one call of
-        :func:`simplex.feasible` that starts from the witness: a certificate
-        point when its moves reach the side, else Phase I's verdict. The
-        point found becomes the side's witness."""
-        if inside:
-            return side
-        point = simplex.feasible(*side.lp_rows(), side.witness)
-        return None if point is None else replace(side, witness=point)
+    def _side(self, box: tuple, half_spaces: tuple, w: Optional[np.ndarray], inside: bool,
+              rows: Optional[tuple]) -> Optional["Region"]:
+        """The side with ``box``, ``half_spaces`` and LP ``rows``: with the
+        witness ``w`` when that lies ``inside`` it, else decided by one call
+        of :func:`simplex.feasible` on ``rows`` from ``w`` (a certificate
+        point when its moves reach the side, else Phase I's verdict) with
+        the point found as its witness."""
+        if not inside and (w := simplex.feasible(*rows, w)) is None:
+            return None
+        side = Region(self.schema, box, half_spaces, w)
+        object.__setattr__(side, "rows", rows)
+        return side
 
 
 # ---------------------------------------------------------------------------

@@ -97,13 +97,13 @@ class TestSplitPartitionsRegion:
         assert nonempty(region.split(NumericThreshold(0, 5.0))) == (True, True)
 
     def test_a_hyperplane_past_the_float_range_warns_of_nothing(self, d2):
-        # c'x would overflow at the certificate's start (5.5, 4.5) for
+        # c'x would overflow at the certificate's start (5.75, 4.25) for
         # x0 - x1 >= 1, where a sum of overflowed terms has no sign to
         # trust: Region.split and the builder refuse such a hyperplane, in
         # validate's words, before any arithmetic on it; any warning fails
         # the test
         region = Region.full(d2).split(Hyperplane((1.0, -1.0), 1.0))[1]
-        assert list(region.witness) == [5.5, 4.5]
+        assert list(region.witness) == [5.75, 4.25]
         message = "^hyperplane overflows on the domain box$"
         for h in (Hyperplane((1e308, 1e308), 1e308), Hyperplane((1e308, -1e308), 0.0)):
             with pytest.raises(ta.SchemaError, match=message):
@@ -186,10 +186,12 @@ def reference_sides(region, split):
     return tuple(out)
 
 
-def random_mixed_tree(schema, rng, n_splits, numeric_share=0.3):
+def random_mixed_tree(schema, rng, n_splits, numeric_share=0.3, level_share=0.0):
     """Hyperplanes through random box points, mixed with numeric thresholds
-    at the rate ``numeric_share``."""
+    at the rate ``numeric_share`` and, when ``level_share`` is not zero,
+    random level subsets of a categorical feature at that rate."""
     num = schema.numeric_indices
+    cat = [j for j in range(schema.n_features) if j not in num]
     b = ta.TreeBuilder(schema)
     leaves = [(b.add_root(), Region.full(schema))]
     for _ in range(20 * n_splits):
@@ -197,7 +199,14 @@ def random_mixed_tree(schema, rng, n_splits, numeric_share=0.3):
             break
         k = int(rng.integers(0, len(leaves)))
         nid, region = leaves[k]
-        if rng.random() < numeric_share:
+        if level_share and rng.random() < level_share:
+            j = cat[int(rng.integers(0, len(cat)))]
+            n = len(schema.features[j].levels)
+            levels = frozenset(np.flatnonzero(rng.random(n) < 0.5).tolist())
+            if not 0 < len(levels) < n:
+                continue
+            split = ta.CategoricalSubset(j, levels)
+        elif rng.random() < numeric_share:
             j = num[int(rng.integers(0, len(num)))]
             low, high, _ = region.constraints[j]
             split = NumericThreshold(j, float(rng.uniform(low, high)))
@@ -250,6 +259,70 @@ class TestSplitMatchesPlainLP:
                     assert nonempty(region.split(split)) == reference_sides(region, split)
                     checked += 1
         assert checked > 1000
+
+
+class TestDerivedRows:
+    """The rows a side of Region.split derives from its parent's are the
+    rows lp_rows builds from the box and half-spaces, bit for bit."""
+
+    def test_every_region_split_reaches_has_the_reference_rows(self, rng, monkeypatch):
+        """On random trees that mix hyperplanes, thresholds and level
+        subsets, on their overlays and on the validation of those."""
+        reached = []
+        split = Region.split
+
+        def recorded(region, s):
+            sides = split(region, s)
+            kind = type(s).__name__ if region.half_spaces or isinstance(s, Hyperplane) else "box"
+            reached.extend((kind, side) for side in sides if side is not None)
+            return sides
+
+        monkeypatch.setattr(Region, "split", recorded)
+        schema = ta.FeatureSchema((
+            ta.NumericFeature("x0", -1.0, 1.0),
+            ta.CategoricalFeature("c", ("a", "b", "c", "d")),
+            ta.NumericFeature("x1", 0.0, 2.0),
+            ta.NumericFeature("x2", -3.0, 0.5),
+        ))
+        for _ in range(4):
+            t1, t2 = (random_mixed_tree(schema, rng, 10, 0.3, 0.25) for _ in range(2))
+            assert ta.validate(ta.combine_pair(t1, t2)) == []
+        for kind, region in reached:
+            # a side with half-spaces is made with its derived rows
+            assert kind == "box" or region.rows is not None
+            got = region.lp_rows()
+            want = Region(schema, region.constraints, region.half_spaces).lp_rows()
+            for g, w in zip(got, want):
+                assert (g.dtype, g.shape) == (w.dtype, w.shape)
+                assert g.tobytes() == w.tobytes()
+        # each way a side derives its rows, and the box-only sides that
+        # build them from the box, is seen many times
+        kinds = [kind for kind, _ in reached]
+        counts = {kind: kinds.count(kind) for kind in set(kinds)}
+        assert set(counts) == {"Hyperplane", "NumericThreshold", "CategoricalSubset", "box"}
+        assert min(counts.values()) > 20
+
+    def test_a_side_split_by_levels_or_a_threshold_costs_no_extra_lp(self, count_lps):
+        schema = ta.FeatureSchema((ta.NumericFeature("x", 0.0, 10.0),
+                                   ta.CategoricalFeature("c", ("a", "b", "c")),
+                                   ta.NumericFeature("y", 0.0, 10.0)))
+        # the centre (5, 5) lies in x + y <= 12, so that side runs no LP
+        region = Region.full(schema).split(Hyperplane((1.0, 1.0), 12.0))[0]
+        count_lps.clear()
+        left, right = region.split(ta.CategoricalSubset(1, frozenset({0})))
+        assert isinstance(region.rows, tuple)
+        assert left.rows is right.rows is region.rows
+        # the witness's x = 5 holds the cut, so neither side runs an LP
+        left, right = left.split(NumericThreshold(0, 5.0))
+        assert count_lps == []
+        # the witness's y = 5 lies above y <= 4, so only that side is decided,
+        # on its parent's rows with y's bounds set
+        below, above = left.split(NumericThreshold(2, 4.0))
+        assert below is not None and above is not None
+        assert len(count_lps) == 1
+        ref = Region(schema, below.constraints, below.half_spaces).lp_rows()
+        for got, want in zip(count_lps[0], ref):
+            assert got.tobytes() == want.tobytes()
 
 
 def touching_planes(region, rng):
@@ -353,8 +426,8 @@ class TestFeasibilityLPCount:
     def test_lp_count_of_a_fixed_hyperplane_overlay(self, mixed_pair, count_lps, count_phase1):
         """The depth-first overlay runs as many LPs as it always has (4, 4
         and 466 for these inputs), so no region decides a split twice. A
-        certificate settles all but 2, 2 and 381 of them: 172 of those sides
-        are empty, which no certificate shows, and most others are thin
+        certificate settles all but 1, 1 and 250 of them: 172 of those sides
+        are empty, which no certificate shows, and the others are thin
         wedges that three moves do not reach."""
         a, b = mixed_pair
         counts = []
@@ -372,7 +445,7 @@ class TestFeasibilityLPCount:
         count_phase1.clear()
         assert ta.combine_many(trees).n_nodes == 349
         counts.append((len(count_lps), len(count_phase1)))
-        assert counts == [(4, 2), (4, 2), (466, 381)]
+        assert counts == [(4, 1), (4, 1), (466, 250)]
 
     def test_lp_count_of_validating_a_fixed_hyperplane_forest(self, count_lps, count_phase1,
                                                                tmp_path):
@@ -380,7 +453,7 @@ class TestFeasibilityLPCount:
         12 and 170 for these trees, 32 for a file of the first three and an
         axis-aligned tree): trees with hyperplanes keep their Region.split
         walk, and the box frontier of the others runs none. A certificate
-        settles all but 3, 8, 7, 133 and 18 of them."""
+        settles all but 0, 2, 4, 48 and 6 of them."""
         schema = ta.FeatureSchema(
             tuple(ta.NumericFeature(f"x{i}", 0.0, 1.0) for i in range(3))
         )
@@ -399,7 +472,7 @@ class TestFeasibilityLPCount:
         count_phase1.clear()
         io.load_forest(path)
         counts.append((len(count_lps), len(count_phase1)))
-        assert counts == [(8, 3), (12, 8), (12, 7), (170, 133), (32, 18)]
+        assert counts == [(8, 0), (12, 2), (12, 4), (170, 48), (32, 6)]
 
     @staticmethod
     def assert_no_repeats(calls):

@@ -1139,6 +1139,35 @@ class TestCli:
         assert capsys.readouterr().err == f"code={err.format(bad)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, command", [
+        ("pts.csv", "dist-matrix --forest {three} --out {out} --measure empirical --data {}"),
+        ("w.csv", "affine --forest {three} --weights {} --out {out}"),
+        ("D.csv", "mds --matrix {} --dims 1 --out {out}"),
+        ("table.csv", "import --table {} --schema {schema} --out {out}"),
+        ("schema.json", "import --table {table} --schema {} --out {out}"),
+        ("stump4.json", "validate {}"),
+    ])
+    def test_a_byte_that_is_not_utf8_is_a_parse_error(self, workdir, capsys, name, command):
+        """A \\xff byte in an input file that is valid without it gets one
+        code=PARSE line naming the file and the byte's offset, and exit 2."""
+        (workdir / "pts.csv").write_text("1,0\n5,0\n9,0\n")
+        (workdir / "D.csv").write_text("0,1\n1,0\n")
+        (workdir / "table.csv").write_text(TestFlatTableImport.STUMP_TABLE)
+        good = (workdir / name).read_bytes()
+        # on the second line of a CSV file, inside a feature name of a JSON one
+        at = good.index(b"\n") + 1 if name.endswith(".csv") else good.index(b'"x1"') + 2
+        bad, out = workdir / f"bad_{name}", workdir / "out.txt"
+        bad.write_bytes(good[:at] + b"\xff" + good[at:])
+        files = {key: str(workdir / f"{key}.{ext}") for key, ext in (
+            ("three", "json"), ("table", "csv"), ("schema", "json"))}
+        argv = [arg.format(str(bad), out=str(out), **files) for arg in command.split()]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f'code=PARSE msg="{bad}: not utf-8 text: byte 0xff at offset {at} '
+                                '(invalid start byte)"\n')
+        assert not out.exists()
+
     def test_a_directory_as_input_is_an_io_error(self, workdir, capsys):
         out = workdir / "o.json"
         assert run_cli(["combine", "--forest", str(workdir), "--out", str(out)]) == 2

@@ -150,9 +150,13 @@ def test_degenerate_systems_end_on_pinned_point(name):
 def test_a_start_in_the_set_or_one_move_from_it_is_the_point(count_phase1):
     a, b = box_rows([0, 0], [1, 1])
     assert list(simplex.feasible(a, b, np.array([0.25, 0.5]))) == [0.25, 0.5]
-    # one move from the centre onto x + y >= 2 lands on the corner exactly
-    a2, b2 = np.vstack([a, [-1.0, -1.0]]), np.append(b, -2.0)
-    assert list(simplex.feasible(a2, b2, np.array([0.5, 0.5]))) == [1.0, 1.0]
+    # one move onto x + y >= 1 goes half as far again past the row, inside
+    a2, b2 = np.vstack([a, [-1.0, -1.0]]), np.append(b, -1.0)
+    assert list(simplex.feasible(a2, b2, np.array([0.25, 0.5]))) == [0.4375, 0.6875]
+    # the set {1}: two over-relaxed moves overshoot it, 0 -> 1.5 -> 0.75, and
+    # the third, exact move lands on it
+    assert list(simplex.feasible(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]),
+                                 np.array([0.0]))) == [1.0]
     assert count_phase1 == []
 
 
