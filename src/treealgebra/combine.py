@@ -49,7 +49,7 @@ from .trees import (
     Region,
     Tree,
     TreeBuilder,
-    _require_schema_and_kind,
+    _operands,
     check_node_budget,
 )
 
@@ -294,7 +294,7 @@ def combine_pair(
     so the overlay may assign points exactly on their shared boundary (a
     measure-zero set) the value from the wrong side of the second tree.
     """
-    return combine_many([t1, t2], budget)
+    return _combine_many([t1, t2], budget, "combine_pair")
 
 
 def combine_many(trees: Sequence[Tree], budget: Optional[CombineBudget] = None) -> Tree:
@@ -305,9 +305,14 @@ def combine_many(trees: Sequence[Tree], budget: Optional[CombineBudget] = None) 
     before the first with a hyperplane split are overlaid by one walk, and
     each later tree is overlaid on the fold so far, depth first.
     """
+    return _combine_many(trees, budget, "combine_many")
+
+
+def _combine_many(trees: Sequence[Tree], budget: Optional[CombineBudget], name: str) -> Tree:
+    """:func:`combine_many` for the operation ``name``."""
     if not trees:
-        raise DomainError("combine_many needs at least one tree")
-    _require_schema_and_kind(trees)
+        raise DomainError(f"{name} needs at least one tree")
+    _operands(trees, name)
     budget = budget if budget is not None else CombineBudget()
     k = next((k for k, t in enumerate(trees) if (t.kind == HYPERPLANE).any()), len(trees))
     result = _tuple_tree(trees[0]) if k < 2 else _walk(trees[:k], budget)
@@ -330,14 +335,13 @@ def affine_combination(
     not a convex combination the resulting vectors can leave the probability
     simplex, which ``validate`` then reports.
     """
-    if len(weights) != len(trees):
-        raise DomainError(
-            f"{len(weights)} weights for {len(trees)} trees"
-        )
+    n, m = len(weights), len(trees)
+    if n != m:
+        raise DomainError(f"{n} weight{'s' * (n != 1)} for {m} tree{'s' * (m != 1)}")
     ws = [float(w) for w in weights]
     if not np.isfinite(ws).all():
         raise DomainError(f"affine weights must be finite, got {ws}")
-    combined = combine_many(trees, budget)
+    combined = _combine_many(trees, budget, "affine_combination")
     blocks = combined.leaves.blocks()
     with np.errstate(over="ignore", invalid="ignore"):
         acc = ws[0] * blocks[:, 0]

@@ -657,6 +657,7 @@ def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> Fo
         raise ParseError(
             f"{path}: header must be exactly {','.join(FLAT_TABLE_COLUMNS)}"
         )
+    reader.fieldnames = FLAT_TABLE_COLUMNS  # key rows by the names, not their padding
     rows = list(reader)
     by_tree: dict[int, list[tuple[int, dict]]] = {}
     for line_no, row in enumerate(rows, 2):

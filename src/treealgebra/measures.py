@@ -34,7 +34,6 @@ import numpy as np
 from .errors import (
     DegenerateCorrelationError,
     DomainError,
-    LeafKindError,
     UnsupportedGeometryError,
 )
 from .geometry import Measure, UniformBox
@@ -45,12 +44,10 @@ from .trees import (
     FeatureSchema,
     NumericFeature,
     Tree,
-    _require_scalar,
-    _require_schema_and_kind,
+    _operands,
     box_sides,
     evaluate_batch,
     full_box,
-    leaf_kind_of,
 )
 
 __all__ = [
@@ -84,23 +81,24 @@ def tree_mean(tree: Tree, measure: Measure) -> Union[float, np.ndarray]:
     Returns a float for scalar trees and a per-class vector for
     class-probability trees.
     """
-    return tree_statistics(tree, measure).mean
+    _operands([tree], "tree_mean")
+    return _statistics(tree, measure)[1].mean
 
 
 def tree_variance(tree: Tree, measure: Measure) -> float:
     """Integral of the squared deviation from the mean (never negative)."""
-    return tree_statistics(tree, measure).variance
+    _operands([tree], "tree_variance")
+    return _statistics(tree, measure)[1].variance
 
 
 def tree_statistics(tree: Tree, measure: Measure) -> TreeStatistics:
+    _operands([tree], "tree_statistics")
     return _statistics(tree, measure)[1]
 
 
 def _statistics(tree: Tree, measure: Measure):
-    """The tree prepared as a stack of one, and its statistics."""
-    kind = leaf_kind_of(tree)
-    if kind not in ("scalar", "class_probs"):
-        raise LeafKindError("tree_mean needs scalar or class_probs leaves")
+    """The tree prepared as a stack of one, and its statistics; the caller
+    has checked the tree (:func:`~treealgebra.trees._operands`)."""
     prepared = _prepare([tree], measure)
     if isinstance(measure, UniformBox):
         weights, values = _masses(prepared), prepared.values
@@ -108,7 +106,7 @@ def _statistics(tree: Tree, measure: Measure):
         weights, values = measure.weights, prepared[0]
     mu = weights @ values
     stats = TreeStatistics(
-        float(mu[0]) if kind == "scalar" else mu,
+        float(mu[0]) if tree.leaves.kind == "scalar" else mu,
         float(weights @ np.square(values - mu).sum(axis=1)),
         float(weights @ np.square(values).sum(axis=1)),
     )
@@ -316,15 +314,14 @@ def tree_distance(t1: Tree, t2: Tree, measure: Measure, budget: object = None) -
     No combined tree is built, so ``budget``, a ``CombineBudget``, bounds
     nothing; it stays in the signature for callers that pass it positionally.
     """
-    _require_schema_and_kind([t1, t2])
+    _operands([t1, t2], "tree_distance")
     a, b = _prepare([t1], measure), _prepare([t2], measure)
     return sqrt(max(_row_integrals(a, b, 0, measure, _sq_diff)[0], 0.0))
 
 
 def tree_inner_product(t1: Tree, t2: Tree, measure: Measure) -> float:
     """Integral of the product of two scalar tree functions."""
-    _require_scalar([t1, t2], "tree_inner_product")
-    _require_schema_and_kind([t1, t2])
+    _operands([t1, t2], "tree_inner_product", scalar=True)
     a, b = _prepare([t1], measure), _prepare([t2], measure)
     return _row_integrals(a, b, 0, measure, _product)[0]
 
@@ -335,10 +332,9 @@ def _covariance(a, b, mu1: float, mu2: float, measure: Measure) -> float:
 
 def tree_covariance(t1: Tree, t2: Tree, measure: Measure) -> float:
     """Integral of the product of the two trees' deviations from their means."""
-    _require_scalar([t1, t2], "tree_covariance")
+    _operands([t1, t2], "tree_covariance", scalar=True)
     a, stats1 = _statistics(t1, measure)
     b, stats2 = _statistics(t2, measure)
-    _require_schema_and_kind([t1, t2])
     return _covariance(a, b, stats1.mean, stats2.mean, measure)
 
 
@@ -355,16 +351,15 @@ def tree_correlation(t1: Tree, t2: Tree, measure: Measure) -> float:
     unit magnitude snaps to exactly +-1, so correlations of exact affine
     transforms compare exactly.
     """
+    _operands([t1, t2], "tree_correlation", scalar=True)
     a, stats1 = _statistics(t1, measure)
     b, stats2 = _statistics(t2, measure)
-    _require_scalar([t1, t2], "tree_correlation")
     for name, stats, tree in (("first", stats1, t1), ("second", stats2, t2)):
         scale = max(1.0, _max_abs_leaf(tree))
         if stats.variance <= (1e-12 * scale) ** 2:
             raise DegenerateCorrelationError(
                 f"zero variance in the {name} tree"
             )
-    _require_schema_and_kind([t1, t2])
     cov = _covariance(a, b, stats1.mean, stats2.mean, measure)
     rho = cov / (sqrt(stats1.variance) * sqrt(stats2.variance))
     if abs(abs(rho) - 1.0) <= _CORRELATION_SNAP:
@@ -386,8 +381,7 @@ def forest_distance(f: Sequence[Tree], g: Sequence[Tree], measure: Measure) -> f
     """
     if not f or not g:
         raise DomainError("forest_distance needs nonempty forests")
-    _require_scalar([*f, *g], "forest_distance")
-    _require_schema_and_kind([*f, *g])
+    _operands([*f, *g], "forest_distance", scalar=True)
     sf, sg = _prepare(f, measure), _prepare(g, measure)
 
     # all ordered pairs, in the same loop order for each of the three sums:
@@ -412,7 +406,7 @@ def distance_matrix(trees: Sequence[Tree], measure: Measure) -> np.ndarray:
     """
     if len(trees) < 2:
         raise DomainError("distance_matrix needs at least two trees")
-    _require_schema_and_kind(trees)
+    _operands(trees, "distance_matrix")
     stack = _prepare(trees, measure)
     n = len(trees)
     out = np.zeros((n, n))

@@ -68,14 +68,13 @@ from .trees import (
     TupleValue,
     _entry,
     _goes_left_batch,
+    _operands,
     _pack,
     _positions,
-    _require_scalar,
     _route_batch,
     _value_rules,
     evaluate_batch,
     kinds_and_lengths,
-    leaf_kind_of,
     partition_faults,
     split_faults,
     value_kinds,
@@ -276,7 +275,7 @@ def grid_integral(
     against the cell masses. Exact (up to float summation) because each tree
     is constant on each cell.
     """
-    _require_scalar(trees, "grid_integral")
+    _operands(trees, "grid_integral", scalar=True)
     schema = trees[0].schema
     grid = CellGrid.from_trees(schema, trees)
     if grid.n_cells > _MAX_CELLS:
@@ -639,7 +638,7 @@ def monte_carlo_integral(
 
     Reproducible: identical inputs and seed give bit-identical results.
     """
-    _require_scalar(trees, "monte_carlo_integral")
+    _operands(trees, "monte_carlo_integral", scalar=True)
     if n < 100:
         raise DomainError("monte_carlo_integral needs n >= 100")
     rng = np.random.default_rng(seed)
@@ -688,7 +687,7 @@ def pointwise_equivalence(
     return Counterexample(
         schema.decode_point(X[i]),
         t_combined.leaves.value(int(rows[i])),
-        tuple(_entry(leaf_kind_of(orig), values[i].tolist())
+        tuple(_entry(orig.leaves.entry, values[i].tolist())
               for orig, values in zip(originals, per_source)),
     )
 

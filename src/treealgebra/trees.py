@@ -44,7 +44,6 @@ __all__ = [
     "evaluate",
     "route_batch",
     "evaluate_batch",
-    "leaf_kind_of",
     "split_faults",
     "validate",
 ]
@@ -627,37 +626,34 @@ def _pack(values: Sequence[LeafValue]) -> Leaves:
     return packed
 
 
-def leaf_kind_of(tree: "Tree") -> str:
-    """The single leaf-value kind of a tree; raises when leaves mix kinds."""
-    if tree.leaves.ragged is None:
-        return tree.leaves.kind
-    kinds, lengths = kinds_and_lengths(tree.leaves.ragged)
-    if len(kinds) != 1:
-        raise LeafKindError(f"mixed leaf kinds {kinds}")
-    if len(lengths) > 1:
-        raise LeafKindError(f"class-probability leaves mix lengths {lengths}")
-    return kinds[0]
-
-
-def _require_scalar(trees: Sequence["Tree"], name: str) -> None:
-    if any(leaf_kind_of(t) != "scalar" for t in trees):
-        raise LeafKindError(f"{name} needs scalar leaves")
-
-
-def _require_schema_and_kind(trees: Sequence["Tree"]) -> str:
-    """The check of every operation's input trees: one schema and one leaf
-    kind, scalar or class-probability, of one length; returns the kind."""
+def _operands(trees: Sequence["Tree"], name: str, scalar: bool = False) -> str:
+    """The check of an operation's input trees, which names the operation
+    ``name``: one schema, then only leaf kinds it takes (scalar, and
+    class-probability unless ``scalar``), then one kind, then one
+    class-probability length. A ragged tree counts each of its kinds, and a
+    tree without values counts as no kind the operation takes. Returns the
+    kind."""
     if any(t.schema != trees[0].schema for t in trees[1:]):
         raise SchemaError("trees use different schemas")
-    kinds = sorted({leaf_kind_of(t) for t in trees})
-    lengths = sorted({t.leaves.values.shape[1] for t in trees if t.leaves.kind == "class_probs"})
+    kinds, lengths = set(), set()
+    for t in trees:
+        leaves = t.leaves
+        if leaves.ragged is None:
+            kinds.add(leaves.kind)
+            if leaves.kind == "class_probs":
+                lengths.add(leaves.values.shape[1])
+        else:
+            k, n = kinds_and_lengths(leaves.ragged)
+            kinds.update(k or [None])
+            lengths.update(n)
+    takes = ("scalar",) if scalar else ("scalar", "class_probs")
+    if not kinds <= set(takes):
+        raise LeafKindError(f"{name} needs {' or '.join(takes)} leaves")
     if len(kinds) > 1:
-        raise LeafKindError(f"trees mix leaf kinds {kinds}")
-    if kinds == ["tuple"]:
-        raise LeafKindError("input trees must have scalar or class_probs leaves")
+        raise LeafKindError(f"trees mix leaf kinds {sorted(kinds)}")
     if len(lengths) > 1:
-        raise LeafKindError(f"trees mix class-probability lengths {lengths}")
-    return kinds[0]
+        raise LeafKindError(f"trees mix class-probability lengths {sorted(lengths)}")
+    return kinds.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -899,9 +895,7 @@ def evaluate_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     Returns shape (n,) for scalar leaves and (n, n_classes) for
     class-probability leaves.
     """
-    kind = leaf_kind_of(tree)
-    if kind not in ("scalar", "class_probs"):
-        raise LeafKindError("evaluate_batch supports scalar and class_probs leaves")
+    kind = _operands([tree], "evaluate_batch")
     table = tree.leaves.values[:, 0] if kind == "scalar" else tree.leaves.values
     return table[tree.leaf[_route_batch(tree, X)]]
 

@@ -81,32 +81,6 @@ class TestCombinePair:
         pairs = sorted(tuple(v.value for v in tv.values) for tv in leaf_values(combined))
         assert pairs == [(0.0, 0.0), (1.0, 1.0)]
 
-    def test_schema_and_kind_preconditions(self, stump4, make_stump):
-        other_schema = ta.FeatureSchema((ta.NumericFeature("x1", 0, 10),))
-        b = ta.TreeBuilder(other_schema)
-        b.set_value(b.add_root(), Scalar(0.0))
-        with pytest.raises(ta.SchemaError):
-            ta.combine_pair(stump4, b.build())
-        probs_schema = ta.FeatureSchema(stump4.schema.features, ("a", "b"))
-        pb = ta.TreeBuilder(probs_schema)
-        pb.set_value(pb.add_root(), ta.ClassProbs((1.0, 0.0)))
-        with pytest.raises(ta.SchemaError):
-            ta.combine_pair(stump4, pb.build())
-
-    def test_tuple_inputs_rejected(self, stump4, stump6):
-        combined = ta.combine_pair(stump4, stump6)
-        with pytest.raises(ta.LeafKindError, match=r"^trees mix leaf kinds \['scalar', 'tuple'\]$"):
-            ta.combine_pair(combined, stump4)
-        with pytest.raises(ta.LeafKindError,
-                           match="^input trees must have scalar or class_probs leaves$"):
-            ta.combine_pair(combined, combined)
-        b = ta.TreeBuilder(stump4.schema)
-        left, right = b.split_node(b.add_root(), NumericThreshold(0, 4.0))
-        b.set_value(left, Scalar(0.0))
-        b.set_value(right, ta.ClassProbs((0.5, 0.5)))
-        with pytest.raises(ta.LeafKindError, match=r"^mixed leaf kinds \['class_probs', 'scalar'\]$"):
-            ta.combine_pair(stump6, b.build())
-
     def test_budget_abort_reports_partial_size(self, stump4, stump_y5):
         with pytest.raises(ta.BudgetExceededError) as err:
             ta.combine_pair(stump4, stump_y5, CombineBudget(max_nodes=3))
@@ -208,9 +182,11 @@ class TestAffineCombination:
         out = ta.affine_combination([stump4, stump4], [1.0, -1.0])
         assert scalar_leaves(out) == [0.0, 0.0]
 
-    def test_weight_length_mismatch(self, stump4):
-        with pytest.raises(ta.DomainError):
+    def test_weight_length_mismatch(self, stump4, stump6):
+        with pytest.raises(ta.DomainError, match="^2 weights for 1 tree$"):
             ta.affine_combination([stump4], [1.0, 2.0])
+        with pytest.raises(ta.DomainError, match="^1 weight for 2 trees$"):
+            ta.affine_combination([stump4, stump6], [1.0])
 
     def test_pointwise_weighted_sum(self, rng):
         schema = ta.random_schema(rng, max_features=5)

@@ -113,7 +113,7 @@ class TestWriterParity:
                 text = io.tree_to_json(tree)
                 assert text == reference_tree_json(tree)
                 checked |= {type(s).__name__ for s in tree.splits() if s is not None}
-                checked.add(ta.trees.leaf_kind_of(tree) + ":" + tree.leaves.entry)
+                checked.add(tree.leaves.kind + ":" + tree.leaves.entry)
                 if ta.validate(tree) == []:
                     path = tmp_path / "t.json"
                     path.write_text(text)

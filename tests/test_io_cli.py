@@ -793,6 +793,19 @@ class TestCli:
         ) == 0
         assert len(io.load_forest(str(out)).trees) == 1
 
+    def test_import_of_a_padded_header_writes_the_same_bytes(self, workdir):
+        plain, padded = workdir / "plain.json", workdir / "padded.json"
+        header, body = TestFlatTableImport.STUMP_TABLE.split("\n", 1)
+        cells = header.split(",")
+        (workdir / "padded.csv").write_text(",".join(
+            (" " if k % 2 else "\t") + c + (" " if k % 2 else "\t")
+            for k, c in enumerate(cells)) + "\n" + body)
+        (workdir / "table.csv").write_text(TestFlatTableImport.STUMP_TABLE)
+        for table, out in (("table.csv", plain), ("padded.csv", padded)):
+            assert run_cli(["import", "--table", str(workdir / table),
+                            "--schema", str(workdir / "schema.json"), "--out", str(out)]) == 0
+        assert padded.read_bytes() == plain.read_bytes()
+
     def test_validation_failure_exits_2(self, workdir, capsys):
         bad = workdir / "bad.json"
         doc = json.loads((workdir / "stump4.json").read_text())
@@ -882,7 +895,7 @@ class TestCli:
     def test_every_single_cell_mutation_of_a_csv_input_fails_cleanly(self, tmp_path, capsys):
         # a points, weights and matrix CSV and a flat table, each given to
         # the command that reads it, with one cell replaced by each of
-        # CSV_MUTANTS or followed by an extra field
+        # CSV_MUTANTS, padded with spaces or followed by an extra field
         forest = tmp_path / "two.json"
         forest.write_text(forest_of({}, {"split": LEVEL_1}, feature=LEVELS))
         schema = tmp_path / "schema.json"
@@ -905,7 +918,7 @@ class TestCli:
             rows = [line.split(",") for line in text.splitlines()]
             for r, row in enumerate(rows):
                 for c, cell in enumerate(row):
-                    for value in CSV_MUTANTS + (cell + ",1",):
+                    for value in CSV_MUTANTS + (" " + cell + " ", cell + ",1"):
                         mutant = [list(line) for line in rows]
                         mutant[r][c] = value
                         path.write_text("".join(",".join(line) + "\n" for line in mutant))
@@ -919,7 +932,7 @@ class TestCli:
                         assert err == "" or (err.startswith("code=") and err.count("\n") == 1), (
                             where, err)
                         runs += 1
-        assert runs == 7 * (6 + 2 + 9 + 7 * 7)
+        assert runs == 8 * (6 + 2 + 9 + 7 * 7)
 
     def test_every_single_mutation_of_a_schema_file_fails_cleanly(self, tmp_path, capsys):
         # a schema of a numeric and a categorical feature and class labels,
@@ -1120,9 +1133,11 @@ class TestCli:
         (TWO_STUMPS, "dist --a {} --b {stump4}", 'DOMAIN msg="{} holds 2 trees, expected 1"'),
         (TWO_STUMPS, "corr --a {stump4} --b {}", 'DOMAIN msg="{} holds 2 trees, expected 1"'),
         (stump_json(feature={"name": "z", "kind": "numeric", "low": 0.0, "high": 10.0}),
-         "dist --a {} --b {stump4}", 'DOMAIN msg="the two trees use different schemas"'),
+         "dist --a {} --b {stump4}", 'SCHEMA msg="trees use different schemas"'),
         (stump_json(feature={"name": "z", "kind": "numeric", "low": 0.0, "high": 10.0}),
-         "forest-dist --f {three} --g {}", 'DOMAIN msg="the two forests use different schemas"'),
+         "corr --a {stump4} --b {}", 'SCHEMA msg="trees use different schemas"'),
+        (stump_json(feature={"name": "z", "kind": "numeric", "low": 0.0, "high": 10.0}),
+         "forest-dist --f {three} --g {}", 'SCHEMA msg="trees use different schemas"'),
     ])
     def test_malformed_or_non_finite_input_exits_2(self, workdir, capsys, text, command, err):
         """A bad input file gets one diagnostic line and exit 2, and no

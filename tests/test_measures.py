@@ -578,41 +578,6 @@ class TestFastPathsMatchReference:
                 with pytest.raises(ta.DomainError, match="not one column per feature"):
                     call()
 
-    def test_correlation_of_class_probability_trees_is_a_leaf_kind_error(
-        self, probs_schema, uniform
-    ):
-        t1 = ta.random_tree(probs_schema, np.random.default_rng(3), 4, "class_probs")
-        with pytest.raises(ta.LeafKindError, match="tree_correlation needs scalar leaves"):
-            ta.tree_correlation(t1, t1, uniform)
-
-    def test_mixed_class_probability_lengths_are_a_leaf_kind_error(
-        self, d2, uniform, monkeypatch
-    ):
-        # no class labels, so nothing else pins the lengths
-        t2 = constant_probs_tree(d2, (0.5, 0.5))
-        t3 = constant_probs_tree(d2, (0.2, 0.3, 0.5))
-        b = ta.TreeBuilder(d2)
-        left, right = b.split_node(b.add_root(), ta.NumericThreshold(0, 4.0))
-        b.set_value(left, ClassProbs((0.5, 0.5)))
-        b.set_value(right, ClassProbs((0.2, 0.3, 0.5)))
-        mixed = b.build()
-        monkeypatch.setattr(measures, "_prepare", no_pair_block)
-        monkeypatch.setattr(measures, "_pair_block", no_pair_block)
-        for call in (
-            lambda: ta.tree_distance(t2, t3, uniform),
-            lambda: ta.distance_matrix([t2, t2, t3], uniform),
-            lambda: ta.combine_pair(t2, t3),
-        ):
-            with pytest.raises(ta.LeafKindError, match=r"trees mix class-probability lengths \[2, 3\]"):
-                call()
-        for call in (
-            lambda: ta.tree_mean(mixed, uniform),
-            lambda: ta.tree_distance(mixed, mixed, uniform),
-            lambda: ta.evaluate_batch(mixed, np.zeros((1, 2))),
-        ):
-            with pytest.raises(ta.LeafKindError, match=r"class-probability leaves mix lengths \[2, 3\]"):
-                call()
-
 
 # ---------------------------------------------------------------------------
 # The whole-forest kernel against the single-pair path

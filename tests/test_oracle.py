@@ -81,19 +81,6 @@ class TestGridIntegral:
         with pytest.raises(ta.UnsupportedGeometryError):
             ta.grid_integral([b.build()], "raw-value", uniform)
 
-
-    def test_class_probability_tree_is_a_leaf_kind_error(self, rng, uniform):
-        schema = ta.random_schema(rng, max_features=2, class_labels=("a", "b"))
-        probs = ta.random_tree(schema, rng, 3, "class_probs")
-        scalar = ta.random_tree(schema, rng, 3)
-        for trees, combiner in (
-            ([probs], "raw-value"),
-            ([scalar, probs], "squared-difference"),
-            ([probs, probs], "product"),
-        ):
-            with pytest.raises(ta.LeafKindError, match="^grid_integral needs scalar leaves$"):
-                ta.grid_integral(trees, combiner, uniform)
-
     def test_leaf_kind_is_checked_before_the_grid(self, d2, uniform):
         # the hyperplane would be rejected by the grid if it were built
         b = ta.TreeBuilder(d2)
@@ -102,19 +89,6 @@ class TestGridIntegral:
         b.set_value(right, ta.ClassProbs((1.0, 0.0)))
         with pytest.raises(ta.LeafKindError, match="^grid_integral needs scalar leaves$"):
             ta.grid_integral([b.build()], "raw-value", uniform)
-
-    def test_leaves_of_mixed_kinds_are_named_as_every_operation_names_them(self, d2, uniform):
-        b = ta.TreeBuilder(d2)
-        left, right = b.split_node(b.add_root(), ta.NumericThreshold(0, 4.0))
-        b.set_value(left, Scalar(1.0))
-        b.set_value(right, ta.ClassProbs((0.5, 0.5)))
-        ragged = b.build()
-        message = r"^mixed leaf kinds \['class_probs', 'scalar'\]$"
-        for call in (lambda: ta.grid_integral([ragged], "raw-value", uniform),
-                     lambda: ta.monte_carlo_integral([ragged], "raw-value", uniform, 1000, 0),
-                     lambda: ta.tree_mean(ragged, uniform)):
-            with pytest.raises(ta.LeafKindError, match=message):
-                call()
 
 
 class TestMonteCarlo:
