@@ -310,8 +310,6 @@ def combine_many(trees: Sequence[Tree], budget: Optional[CombineBudget] = None) 
 
 def _combine_many(trees: Sequence[Tree], budget: Optional[CombineBudget], name: str) -> Tree:
     """:func:`combine_many` for the operation ``name``."""
-    if not trees:
-        raise DomainError(f"{name} needs at least one tree")
     _operands(trees, name)
     budget = budget if budget is not None else CombineBudget()
     k = next((k for k, t in enumerate(trees) if (t.kind == HYPERPLANE).any()), len(trees))

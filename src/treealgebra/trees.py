@@ -628,11 +628,13 @@ def _pack(values: Sequence[LeafValue]) -> Leaves:
 
 def _operands(trees: Sequence["Tree"], name: str, scalar: bool = False) -> str:
     """The check of an operation's input trees, which names the operation
-    ``name``: one schema, then only leaf kinds it takes (scalar, and
-    class-probability unless ``scalar``), then one kind, then one
-    class-probability length. A ragged tree counts each of its kinds, and a
-    tree without values counts as no kind the operation takes. Returns the
-    kind."""
+    ``name``: at least one tree, then one schema, then only leaf kinds it
+    takes (scalar, and class-probability unless ``scalar``), then one kind,
+    then one class-probability length. A ragged tree counts each of its
+    kinds, and a tree without values counts as no kind the operation takes.
+    Returns the kind."""
+    if not trees:
+        raise DomainError(f"{name} needs at least one tree")
     if any(t.schema != trees[0].schema for t in trees[1:]):
         raise SchemaError("trees use different schemas")
     kinds, lengths = set(), set()

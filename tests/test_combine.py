@@ -164,10 +164,6 @@ class TestCombineMany:
         ta.combine_many(stumps[:3] + [hyper] + stumps[3:])
         assert built == [3]
 
-    def test_empty_fold_is_refused(self):
-        with pytest.raises(ta.DomainError, match="^combine_many needs at least one tree$"):
-            ta.combine_many([])
-
 
 class TestAffineCombination:
     def test_scaling(self, stump4):

@@ -1130,6 +1130,11 @@ class TestCli:
          'PARSE msg="{}: schema must be an object, got null"'),
         (stump_json(), "dist --a {stump4} --b {stump6} --measure empirical",
          'DOMAIN msg="--measure empirical needs --data"'),
+        # a forest of no trees loads, and an operation on it names itself
+        (stump_with("trees", to=[], forest=True), "oracle-check --forest {} --samples 200",
+         'DOMAIN msg="oracle-check needs at least one tree"'),
+        (stump_with("trees", to=[], forest=True), "combine --forest {} --out {out}",
+         'DOMAIN msg="combine_many needs at least one tree"'),
         (TWO_STUMPS, "dist --a {} --b {stump4}", 'DOMAIN msg="{} holds 2 trees, expected 1"'),
         (TWO_STUMPS, "corr --a {stump4} --b {}", 'DOMAIN msg="{} holds 2 trees, expected 1"'),
         (stump_json(feature={"name": "z", "kind": "numeric", "low": 0.0, "high": 10.0}),

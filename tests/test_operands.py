@@ -36,12 +36,17 @@ MIX_KINDS = "trees mix leaf kinds ['class_probs', 'scalar']"
 MIX_LENGTHS = "trees mix class-probability lengths [2, 3]"
 # each bad input: its error class and its text for a scalar-only operation
 # and for any other (None where the input is valid)
+SCHEMAS = "trees use different schemas"
 CASES = {
-    "two schemas": (ta.SchemaError, "trees use different schemas", "trees use different schemas"),
+    "two schemas": (ta.SchemaError, SCHEMAS, SCHEMAS),
+    # the schema is checked before the kinds
+    "two schemas and two kinds": (ta.SchemaError, SCHEMAS, SCHEMAS),
     "tuple leaves": (ta.LeafKindError, "{} needs scalar leaves",
                      "{} needs scalar or class_probs leaves"),
     "class_probs leaves": (ta.LeafKindError, "{} needs scalar leaves", None),
     "kinds mixed across trees": (ta.LeafKindError, "{} needs scalar leaves", MIX_KINDS),
+    "scalar and tuple across trees": (ta.LeafKindError, "{} needs scalar leaves",
+                                      "{} needs scalar or class_probs leaves"),
     "one tree of mixed kinds": (ta.LeafKindError, "{} needs scalar leaves", MIX_KINDS),
     "one tree of mixed lengths": (ta.LeafKindError, "{} needs scalar leaves", MIX_LENGTHS),
     "lengths mixed across trees": (ta.LeafKindError, "{} needs scalar leaves", MIX_LENGTHS),
@@ -65,11 +70,15 @@ def inputs(d2, stump4, stump6):
     p3 = _stump(d2, ClassProbs((0.2, 0.3, 0.5)), ClassProbs((1.0, 0.0, 0.0)))
     kinds = _stump(d2, Scalar(1.0), ClassProbs((0.5, 0.5)))
     lengths = _stump(d2, ClassProbs((0.5, 0.5)), ClassProbs((0.2, 0.3, 0.5)))
+    labelled = ta.FeatureSchema(d2.features, ("a", "b"))
     return {
         "two schemas": [stump4, _stump(other, Scalar(0.0), Scalar(1.0))],
+        "two schemas and two kinds": [
+            stump4, _stump(labelled, ClassProbs((0.5, 0.5)), ClassProbs((1.0, 0.0)))],
         "tuple leaves": [combined, combined],
         "class_probs leaves": [p2, p2],
         "kinds mixed across trees": [stump4, p2],
+        "scalar and tuple across trees": [stump4, combined],
         "one tree of mixed kinds": [kinds, kinds],
         "one tree of mixed lengths": [lengths, lengths],
         "lengths mixed across trees": [p2, p3],
@@ -94,12 +103,30 @@ def test_every_operation_names_each_bad_input_by_one_rule(name, inputs, monkeypa
             call(trees)
         assert str(raised.value) == message.format(name), case
         checked += 1
-    assert checked == (4 if name in ONE_TREE else 7) - (not scalar)
+    assert checked == (4 if name in ONE_TREE else 9) - (not scalar)
 
 
 def test_a_tree_without_leaf_values_has_no_kind_an_operation_takes(d2):
     with pytest.raises(ta.LeafKindError, match="^tree_mean needs scalar or class_probs leaves$"):
         ta.tree_mean(ta.TreeBuilder(d2).build(), U)
+
+
+# each operation on a sequence of trees, called with none, and its text
+EMPTY = [
+    ("combine_many", "combine_many needs at least one tree"),
+    ("affine_combination", "affine_combination needs at least one tree"),
+    ("grid_integral", "grid_integral needs at least one tree"),
+    ("monte_carlo_integral", "monte_carlo_integral needs at least one tree"),
+    ("distance_matrix", "distance_matrix needs at least two trees"),
+    ("forest_distance", "forest_distance needs nonempty forests"),
+]
+
+
+@pytest.mark.parametrize("name, text", EMPTY)
+def test_no_trees_is_a_domain_error(name, text):
+    with pytest.raises(ta.DomainError) as raised:
+        OPERATIONS[name][0]([])
+    assert str(raised.value) == text
 
 
 def test_operands_are_checked_before_a_zero_variance(inputs, make_constant):
