@@ -336,6 +336,8 @@ def affine_combination(
     n, m = len(weights), len(trees)
     if n != m:
         raise DomainError(f"{n} weight{'s' * (n != 1)} for {m} tree{'s' * (m != 1)}")
+    if np.ndim(weights) != 1:
+        raise DomainError(f"affine weights have shape {np.shape(weights)}, not one weight per tree")
     ws = [float(w) for w in weights]
     if not np.isfinite(ws).all():
         raise DomainError(f"affine weights must be finite, got {ws}")

@@ -50,6 +50,8 @@ class Empirical:
                        else self.weights, dtype=float)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
+        if w.ndim != 1:
+            raise DomainError(f"empirical weights have shape {w.shape}, not one weight per point")
         if len(pts) != len(w):
             raise DomainError("points and weights differ in length")
         if not np.isfinite(pts).all():

@@ -56,7 +56,6 @@ from .trees import (
     _pack,
     check_trees,
     pack_documents,
-    value_kinds,
 )
 
 __all__ = [
@@ -447,7 +446,7 @@ def _validate_forest(schema: FeatureSchema, trees: Sequence[Tree]) -> None:
     for ti, (tree, violations) in enumerate(zip(trees, check_trees(trees))):
         for violation in violations:
             problems.append(f"tree {ti}: {violation}")
-        k, n, _ = value_kinds(tree, tree.left < 0)
+        k, n = tree.leaves.kinds(tree.leaf[(tree.left < 0) & (tree.leaf >= 0)])
         kinds.update(k)
         lengths.update(n)
     if len(kinds) > 1:

@@ -65,12 +65,15 @@ def pairwise_distances(coords: np.ndarray) -> np.ndarray:
 
 
 def mds_stress(dist: np.ndarray, coords: np.ndarray) -> float:
-    """Sum of squared distance residuals over the sum of squared distances."""
-    d = np.asarray(dist, dtype=float)
-    if not (np.isfinite(d).all() and np.isfinite(coords).all()):
-        raise DomainError("distances and coordinates must be finite")
-    rec = pairwise_distances(coords)
-    iu = np.triu_indices(d.shape[0], k=1)
+    """Sum of squared distance residuals over the sum of squared distances;
+    0 when every distance is 0."""
+    d, c = _check_distance_matrix(dist), np.asarray(coords, dtype=float)
+    if c.ndim != 2 or len(c) != len(d):
+        raise DomainError(f"coordinates have shape {c.shape}, not one row per point ({len(d)})")
+    if not np.isfinite(c).all():
+        raise DomainError("coordinates must be finite")
+    rec = pairwise_distances(c)
+    iu = np.triu_indices(len(d), k=1)
     denom = float((d[iu] ** 2).sum())
     if denom == 0.0:
         return 0.0

@@ -45,8 +45,8 @@ from .trees import (
     NumericFeature,
     Tree,
     _operands,
+    _route_batch,
     box_sides,
-    evaluate_batch,
     full_box,
 )
 
@@ -234,16 +234,11 @@ def _overlap(a: _LeafTable, b: _LeafTable) -> np.ndarray:
 def _prepare(trees: Sequence[Tree], measure: Measure) -> Union[_LeafTable, list]:
     """The trees as one stack: under the uniform measure the leaf table of
     all their leaves, under the empirical one the list of each tree's
-    (points, width) values. Each tree's values are checked once it is read,
-    and the points must have one column per feature of the trees' schema."""
+    (points, width) values, routed by :func:`~treealgebra.trees._route_batch`.
+    Each tree's values are checked once it is read."""
     if isinstance(measure, UniformBox):
         return _leaf_table(trees)
-    shape, n = measure.points.shape, trees[0].schema.n_features
-    if len(shape) != 2 or shape[1] != n:
-        raise DomainError(f"empirical points have shape {shape}, not one column per "
-                          f"feature ({n})")
-    values = (evaluate_batch(t, measure.points) for t in trees)
-    return [_finite(v.reshape(len(v), -1)) for v in values]
+    return [_finite(t.leaves.values[t.leaf[_route_batch(t, measure.points)]]) for t in trees]
 
 
 def _parts(stack) -> list:

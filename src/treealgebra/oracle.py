@@ -74,10 +74,8 @@ from .trees import (
     _route_batch,
     _value_rules,
     evaluate_batch,
-    kinds_and_lengths,
     partition_faults,
     split_faults,
-    value_kinds,
 )
 
 __all__ = [
@@ -506,7 +504,7 @@ def _tuple_faults(values: Sequence[LeafValue], schema: FeatureSchema) -> list[st
     lengths = sorted({len(v.values) for v in tuples} | {len(v.source_ids) for v in tuples})
     if len(lengths) > 1:
         out.append(f"tuple leaves mix lengths {lengths}")
-    inner = [kinds_and_lengths([e for e in v.values if not isinstance(e, TupleValue)])
+    inner = [_pack([e for e in v.values if not isinstance(e, TupleValue)]).kinds()
              for v in tuples]
     kinds = sorted({k[0] for k, _ in inner if len(k) == 1})
     if len(kinds) > 1:
@@ -536,14 +534,15 @@ def validate_reference(tree: Tree) -> list[str]:
     v.extend(f"node {i}: unreachable from root" for i in ids[~seen].tolist())
 
     # leaf kind consistency
-    kinds, lengths, values = value_kinds(tree, seen & (tree.left < 0))
+    rows = tree.leaf[seen & (tree.left < 0) & (tree.leaf >= 0)]
+    kinds, lengths = tree.leaves.kinds(rows)
     if len(kinds) > 1:
         v.append(f"leaf values mix kinds {kinds}")
     # with class labels every leaf's length is checked against them
     if schema.class_labels is None and len(lengths) > 1:
         v.append(f"class-probability leaves mix lengths {lengths}")
-    if values:
-        v.extend(_tuple_faults(values, schema))
+    if tree.leaves.ragged is not None:
+        v.extend(_tuple_faults([tree.leaves.ragged[r] for r in rows.tolist()], schema))
 
     v.extend(f"node {ids[i]}: split does not partition node region"
              for i in partition_faults(tree, well)[0])

@@ -519,17 +519,6 @@ LeafValue = Union[Scalar, ClassProbs, TupleValue]
 _KIND_NAMES = {Scalar: "scalar", ClassProbs: "class_probs", TupleValue: "tuple"}
 
 
-def kinds_and_lengths(values: Sequence[LeafValue]) -> tuple[list[str], list[int]]:
-    """The distinct kinds of some leaf values and the distinct lengths of
-    their class-probability vectors, each sorted.
-
-    Leaves that are meant to go together have one kind, and, when the schema
-    has no class labels to fix each length, at most one length.
-    """
-    return (sorted({_KIND_NAMES[type(v)] for v in values}),
-            sorted({len(v.probs) for v in values if isinstance(v, ClassProbs)}))
-
-
 def _entry(kind: str, row: list) -> LeafValue:
     return Scalar(row[0]) if kind == "scalar" else ClassProbs(row)
 
@@ -557,6 +546,22 @@ class Leaves:
         if self.ragged is not None:
             return None
         return "tuple" if self.sources is not None else self.entry
+
+    def kinds(self, rows: Optional[np.ndarray] = None) -> tuple[list[str], list[int]]:
+        """The distinct kinds of some rows (by default every row) and the
+        distinct lengths of their class-probability vectors, each sorted.
+        Only a ragged table reads its value objects.
+
+        Leaves that are meant to go together have one kind, and, when the
+        schema has no class labels to fix each length, at most one length.
+        """
+        if self.ragged is not None:
+            values = self.ragged if rows is None else [self.ragged[r] for r in rows.tolist()]
+            return (sorted({_KIND_NAMES[type(v)] for v in values}),
+                    sorted({len(v.probs) for v in values if isinstance(v, ClassProbs)}))
+        if rows is not None and not rows.size:
+            return [], []
+        return [self.kind], [self.values.shape[1]] if self.kind == "class_probs" else []
 
     def blocks(self) -> np.ndarray:
         """``values`` as a (leaves, sources, entry width) array."""
@@ -631,7 +636,7 @@ def _operands(trees: Sequence["Tree"], name: str, scalar: bool = False) -> str:
     ``name``: at least one tree, then one schema, then only leaf kinds it
     takes (scalar, and class-probability unless ``scalar``), then one kind,
     then one class-probability length. A ragged tree counts each of its
-    kinds, and a tree without values counts as no kind the operation takes.
+    kinds, and a leaf without a value counts as no kind the operation takes.
     Returns the kind."""
     if not trees:
         raise DomainError(f"{name} needs at least one tree")
@@ -639,15 +644,12 @@ def _operands(trees: Sequence["Tree"], name: str, scalar: bool = False) -> str:
         raise SchemaError("trees use different schemas")
     kinds, lengths = set(), set()
     for t in trees:
-        leaves = t.leaves
-        if leaves.ragged is None:
-            kinds.add(leaves.kind)
-            if leaves.kind == "class_probs":
-                lengths.add(leaves.values.shape[1])
-        else:
-            k, n = kinds_and_lengths(leaves.ragged)
-            kinds.update(k or [None])
-            lengths.update(n)
+        k, n = t.leaves.kinds()
+        kinds.update(k)
+        lengths.update(n)
+        # each value sits on one leaf, so fewer rows than leaves leave one unset
+        if not k or len(t.leaves.values) < t.n_leaves:
+            kinds.add(None)
     takes = ("scalar",) if scalar else ("scalar", "class_probs")
     if not kinds <= set(takes):
         raise LeafKindError(f"{name} needs {' or '.join(takes)} leaves")
@@ -698,6 +700,8 @@ class Tree:
     root_pos: int = field(init=False, repr=False)
     left_pos: np.ndarray = field(init=False, repr=False)
     right_pos: np.ndarray = field(init=False, repr=False)
+    # the number of nodes without a left child
+    n_leaves: int = field(init=False, repr=False)
 
     def __post_init__(self):
         at = len(self.ids) if self.root is None else int(np.searchsorted(self.ids, self.root))
@@ -705,15 +709,11 @@ class Tree:
         object.__setattr__(self, "root_pos", at if found else -1)
         object.__setattr__(self, "left_pos", _positions(self.ids, self.left))
         object.__setattr__(self, "right_pos", _positions(self.ids, self.right))
+        object.__setattr__(self, "n_leaves", int(np.count_nonzero(self.left < 0)))
 
     @property
     def n_nodes(self) -> int:
         return len(self.ids)
-
-    @property
-    def n_leaves(self) -> int:
-        """The number of nodes without a left child."""
-        return int(np.count_nonzero(self.left < 0))
 
     def splits(self) -> Sequence[Optional[Split]]:
         """The split object of every node, None for a node without one."""
@@ -865,9 +865,13 @@ def evaluate(tree: Tree, point: Sequence) -> LeafValue:
 
 def _route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     """The position of the leaf that every row of an encoded (n, p) matrix
-    reaches. A numeric split compares its column with its threshold; only
-    the other kinds read their split objects. Only the visited nodes' cells
-    are read, so a point costs its path."""
+    reaches; a :class:`DomainError` unless ``X`` has one column per feature.
+    A numeric split compares its column with its threshold; only the other
+    kinds read their split objects. Only the visited nodes' cells are read,
+    so a point costs its path."""
+    shape, p = np.shape(X), tree.schema.n_features
+    if len(shape) != 2 or shape[1] != p:
+        raise DomainError(f"points have shape {shape}, not one column per feature ({p})")
     left, right, kind, feature, threshold = (
         tree.left_pos, tree.right_pos, tree.kind, tree.feature, tree.threshold)
     out = np.empty(len(X), dtype=np.int64)
@@ -1047,19 +1051,6 @@ def _value_rules(leaves: Leaves, schema: FeatureSchema) -> list[Rule]:
             text = f"{V.shape[1]} probabilities for {len(labels)} class labels"
             rules.append((np.ones(len(V), dtype=bool), lambda r, text=text: [text]))
     return rules
-
-
-def value_kinds(tree: Tree, nodes: np.ndarray) -> tuple[list[str], list[int], list]:
-    """:func:`kinds_and_lengths` of the values of some nodes (a mask), and
-    those values when the leaves are ragged (else an empty list)."""
-    rows = tree.leaf[nodes & (tree.leaf >= 0)]
-    leaves = tree.leaves
-    if leaves.ragged is not None:
-        values = [leaves.ragged[r] for r in rows.tolist()]
-        return (*kinds_and_lengths(values), values)
-    if not rows.size:
-        return [], [], []
-    return [leaves.kind], [leaves.values.shape[1]] if leaves.kind == "class_probs" else [], []
 
 
 def _cut_reach(nodes: NodeTable, roots: np.ndarray) -> np.ndarray:

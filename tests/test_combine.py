@@ -184,6 +184,14 @@ class TestAffineCombination:
         with pytest.raises(ta.DomainError, match="^1 weight for 2 trees$"):
             ta.affine_combination([stump4, stump6], [1.0])
 
+    def test_weights_must_be_a_vector(self, stump4, stump6):
+        with pytest.raises(ta.DomainError) as raised:
+            ta.affine_combination([stump4, stump6], np.array([[1.0], [2.0]]))
+        assert str(raised.value) == "affine weights have shape (2, 1), not one weight per tree"
+        # the count is checked first
+        with pytest.raises(ta.DomainError, match="^3 weights for 2 trees$"):
+            ta.affine_combination([stump4, stump6], np.ones((3, 1)))
+
     def test_pointwise_weighted_sum(self, rng):
         schema = ta.random_schema(rng, max_features=5)
         trees = [ta.random_tree(schema, rng, int(rng.integers(1, 20))) for _ in range(4)]

@@ -665,7 +665,7 @@ def reference_violations(trees):
                 for m in ta.oracle.validate_reference(t)]
     kinds, lengths = set(), set()
     for tree in trees:
-        k, n, _ = ta.trees.value_kinds(tree, tree.left < 0)
+        k, n = tree.leaves.kinds(tree.leaf[(tree.left < 0) & (tree.leaf >= 0)])
         kinds.update(k)
         lengths.update(n)
     if len(kinds) > 1:

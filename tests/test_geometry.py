@@ -507,6 +507,12 @@ class TestRegionMeasure:
         with pytest.raises(ta.DomainError, match=r"^empirical weights sum 0\.9 != 1$"):
             Empirical.from_rows(d2, [(1, 1), (2, 2)], weights=[0.5, 0.4])
 
+    def test_empirical_weights_must_be_a_vector(self):
+        # a column of weights would pass the other checks and fail in matmul
+        with pytest.raises(ta.DomainError) as raised:
+            Empirical(np.array([[1.0], [8.0]]), np.array([[0.5], [0.5]]))
+        assert str(raised.value) == "empirical weights have shape (2, 1), not one weight per point"
+
     def test_empirical_weights_default_to_equal(self, d2):
         rows = [(1, 1), (2, 2), (3, 5), (9, 0), (4, 4), (7, 7), (0, 10)]
         default = Empirical(d2.encode_points(rows))

@@ -1205,6 +1205,16 @@ class TestCli:
         assert captured.out == "stress=0\n"
         assert (io.read_matrix_csv(str(out))[:, 1] == 0.0).all()
 
+    def test_mds_of_zero_distances_has_zero_stress(self, workdir, capsys):
+        (workdir / "D.csv").write_text("0,0\n0,0\n")
+        out = workdir / "coords.csv"
+        assert run_cli(["mds", "--matrix", str(workdir / "D.csv"), "--dims", "1",
+                        "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "note: only 0 positive eigenvalues; trailing coordinates are zero\n"
+        assert captured.out == "stress=0\n"
+        assert (io.read_matrix_csv(str(out)) == 0.0).all()
+
     def test_unknown_flag_exits_1(self, workdir, capsys):
         assert run_cli(["dist", "--bogus"]) == 1
 

@@ -103,6 +103,22 @@ class TestClassicalMDS:
         assert np.isfinite(stress) and stress > 0.0
 
 
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_stress_needs_one_coordinate_row_per_point(self, rows):
+        with pytest.raises(ta.DomainError) as raised:
+            mds_stress(np.ones((3, 3)) - np.eye(3), np.zeros((rows, 1)))
+        assert str(raised.value) == f"coordinates have shape ({rows}, 1), not one row per point (3)"
+
+    def test_stress_checks_its_distance_matrix(self):
+        # the zero matrix gave 0 for any coordinates
+        with pytest.raises(ta.DomainError, match="^coordinates have shape"):
+            mds_stress(np.zeros((3, 3)), np.zeros((2, 1)))
+        with pytest.raises(ta.DomainError, match="^distance matrix is not symmetric$"):
+            mds_stress(np.array([[0.0, 1.0], [2.0, 0.0]]), np.zeros((2, 1)))
+        with pytest.raises(ta.DomainError, match="^distance matrix must be square$"):
+            mds_stress(np.zeros(3), np.zeros((3, 1)))
+
+
 class TestTreeDistancePipeline:
     def test_distances_from_trees_embed(self, stump4, stump6, stump_y5, uniform):
         D = ta.distance_matrix([stump4, stump6, stump_y5], uniform)

@@ -50,6 +50,9 @@ CASES = {
     "one tree of mixed kinds": (ta.LeafKindError, "{} needs scalar leaves", MIX_KINDS),
     "one tree of mixed lengths": (ta.LeafKindError, "{} needs scalar leaves", MIX_LENGTHS),
     "lengths mixed across trees": (ta.LeafKindError, "{} needs scalar leaves", MIX_LENGTHS),
+    # a leaf row -1 would read the last value of the table
+    "a leaf without a value": (ta.LeafKindError, "{} needs scalar leaves",
+                               "{} needs scalar or class_probs leaves"),
 }
 
 
@@ -71,6 +74,9 @@ def inputs(d2, stump4, stump6):
     kinds = _stump(d2, Scalar(1.0), ClassProbs((0.5, 0.5)))
     lengths = _stump(d2, ClassProbs((0.5, 0.5)), ClassProbs((0.2, 0.3, 0.5)))
     labelled = ta.FeatureSchema(d2.features, ("a", "b"))
+    b = ta.TreeBuilder(d2)
+    b.set_value(b.split_node(b.add_root(), NumericThreshold(0, 4.0))[0], Scalar(1.0))
+    unset = b.build()
     return {
         "two schemas": [stump4, _stump(other, Scalar(0.0), Scalar(1.0))],
         "two schemas and two kinds": [
@@ -82,6 +88,7 @@ def inputs(d2, stump4, stump6):
         "one tree of mixed kinds": [kinds, kinds],
         "one tree of mixed lengths": [lengths, lengths],
         "lengths mixed across trees": [p2, p3],
+        "a leaf without a value": [unset, unset],
     }
 
 
@@ -103,12 +110,32 @@ def test_every_operation_names_each_bad_input_by_one_rule(name, inputs, monkeypa
             call(trees)
         assert str(raised.value) == message.format(name), case
         checked += 1
-    assert checked == (4 if name in ONE_TREE else 9) - (not scalar)
+    assert checked == (5 if name in ONE_TREE else 10) - (not scalar)
 
 
 def test_a_tree_without_leaf_values_has_no_kind_an_operation_takes(d2):
     with pytest.raises(ta.LeafKindError, match="^tree_mean needs scalar or class_probs leaves$"):
         ta.tree_mean(ta.TreeBuilder(d2).build(), U)
+
+
+# each operation that routes points, as a call on a tree and a points matrix
+ROUTERS = {
+    "evaluate_batch": ta.evaluate_batch,
+    "route_batch": ta.trees.route_batch,
+    "tree_distance": lambda t, X: ta.tree_distance(t, t, ta.Empirical(X)),
+    "distance_matrix": lambda t, X: ta.distance_matrix([t, t], ta.Empirical(X)),
+    "forest_distance": lambda t, X: ta.forest_distance([t], [t], ta.Empirical(X)),
+}
+
+
+@pytest.mark.parametrize("name", ROUTERS)
+def test_points_of_the_wrong_shape_are_refused_in_one_text(name, stump4):
+    # evaluate_batch and route_batch routed a matrix of any width
+    for X in (np.ones((2, 3)), np.ones((2, 1)), np.ones(2), np.ones((2, 2, 1))):
+        with pytest.raises(ta.DomainError) as raised:
+            ROUTERS[name](stump4, X)
+        assert str(raised.value) == f"points have shape {X.shape}, not one column per feature (2)"
+    ROUTERS[name](stump4, np.ones((2, 2)))  # one column per feature routes
 
 
 # each operation on a sequence of trees, called with none, and its text
