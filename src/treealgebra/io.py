@@ -620,20 +620,39 @@ def read_weights_csv(path: str) -> np.ndarray:
 # Flat-table import
 
 
-def _parse_levels(token: str, feature: CategoricalFeature, where: str) -> list[int]:
-    out = set()
-    for name in token.split("|"):
+def _node_entry(schema: FeatureSchema, row: tuple, kids: dict) -> dict:
+    """The body entry of a table row: a leaf when its node has no ``kids``."""
+    at, nid, _, feature, _, token, value = row
+    where = f"{at} node {nid}"
+    if not kids:
+        if value == "":
+            raise ParseError(f"{where}: leaf without leaf_value")
         try:
-            out.add(feature.levels.index(name))
+            probs = [float(p) for p in value.split("|")]
         except ValueError:
-            raise ParseError(f"{where}: unknown level {name!r}")
-    return sorted(out)
-
-
-def _parse_leaf(token: str) -> dict:
-    if "|" in token:
-        return {"type": "class_probs", "probs": [float(p) for p in token.split("|")]}
-    return {"type": "scalar", "v": float(token)}
+            raise ParseError(f"{where}: bad leaf_value {value!r}")
+        return {"id": nid, "value": {"type": "class_probs", "probs": probs} if "|" in value
+                else {"type": "scalar", "v": probs[0]}}
+    if len(kids) != 2:
+        raise ParseError(f"{where}: needs both a left and a right child")
+    if feature is None:
+        raise ParseError(f"{where}: internal node without split_feature")
+    if not 0 <= feature < schema.n_features:
+        raise ParseError(f"{where}: split feature {feature} out of range")
+    f = schema.features[feature]
+    if isinstance(f, NumericFeature):
+        try:
+            split = {"type": "numeric", "feature": feature, "threshold": float(token)}
+        except ValueError:
+            raise ParseError(f"{where}: bad numeric threshold {token!r}")
+    else:
+        left = set()
+        for name in token.split("|"):
+            if name not in f.levels:
+                raise ParseError(f"{where}: unknown level {name!r}")
+            left.add(f.levels.index(name))
+        split = {"type": "categorical", "feature": feature, "left_levels": sorted(left)}
+    return {"id": nid, "split": split, **kids}
 
 
 @_collector_paused()
@@ -651,99 +670,60 @@ def import_external_forest(path: str, dialect: str, schema: FeatureSchema) -> Fo
     """
     if dialect != "flat-table":
         raise ParseError(f"unknown dialect {dialect!r} (supported: flat-table)")
-    reader = csv.DictReader(StringIO(_read_text(path, newline=""), newline=""))
-    if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != FLAT_TABLE_COLUMNS:
-        raise ParseError(
-            f"{path}: header must be exactly {','.join(FLAT_TABLE_COLUMNS)}"
-        )
-    reader.fieldnames = FLAT_TABLE_COLUMNS  # key rows by the names, not their padding
-    rows = list(reader)
-    by_tree: dict[int, list[tuple[int, dict]]] = {}
-    for line_no, row in enumerate(rows, 2):
-        if None in row:  # the fields past the header's
-            raise ParseError(f"{path}: line {line_no}: {len(FLAT_TABLE_COLUMNS) + len(row[None])} "
-                             f"fields, expected {len(FLAT_TABLE_COLUMNS)}")
-        row = {k: (v or "").strip() for k, v in row.items()}
+    reader = csv.reader(StringIO(_read_text(path, newline=""), newline=""))
+    header, width = next(reader, None), len(FLAT_TABLE_COLUMNS)
+    if header is None or [c.strip() for c in header] != FLAT_TABLE_COLUMNS:
+        raise ParseError(f"{path}: header must be exactly {','.join(FLAT_TABLE_COLUMNS)}")
+    # every row, named by the line it starts on, as (where, node id, parent
+    # id, split feature, is_left_child, threshold or levels, leaf value)
+    by_tree: dict[int, list[tuple]] = {}
+    start = reader.line_num + 1
+    for cells in reader:
+        at, start = f"{path}: line {start}", reader.line_num + 1
+        if not cells:
+            continue
+        if len(cells) > width:
+            raise ParseError(f"{at}: {len(cells)} fields, expected {width}")
+        tid, nid, parent, flag, feature, token, value = (
+            [c.strip() for c in cells] + [""] * (width - len(cells)))
         try:
-            tid = int(row["tree_id"])
-            if int(row["node_id"]) < 0:
+            tid, nid = int(tid), int(nid)
+            if not 0 <= nid < _INT64:
                 raise ValueError
         except ValueError:
-            raise ParseError(f"{path}: line {line_no}: bad tree_id/node_id")
-        for key in ("parent_id", "split_feature"):
+            raise ParseError(f"{at}: bad tree_id/node_id")
+        row = [f"{at}: tree {tid}", nid]
+        for key, cell in (("parent_id", parent), ("split_feature", feature)):
             try:
-                int(row[key] or 0)
+                row.append(int(cell) if cell else None)
             except ValueError:
-                raise ParseError(f"{path}: line {line_no}: bad {key} {row[key]!r}")
-        by_tree.setdefault(tid, []).append((line_no, row))
+                raise ParseError(f"{at}: bad {key} {cell!r}")
+        by_tree.setdefault(tid, []).append((*row, flag.lower(), token, value))
 
     trees, built = [], {}  # the trees, and the file's categorical splits
     for tid in sorted(by_tree):
-        # each node's row and the line it came from
-        nodes_raw: dict[int, tuple[int, dict]] = {}
-        for line_no, row in by_tree[tid]:
-            nid = int(row["node_id"])
-            if nid in nodes_raw:
-                raise ParseError(f"{path}: line {line_no}: tree {tid} node {nid}: duplicate node id")
-            nodes_raw[nid] = line_no, row
-        children: dict[int, dict[str, int]] = {}
-        roots = []
-        for nid, (line_no, row) in nodes_raw.items():
-            at = f"{path}: line {line_no}: tree {tid}"
-            if row["parent_id"] == "":
+        rows: dict[int, tuple] = {}  # each node's row, in row order
+        for row in by_tree[tid]:
+            if rows.setdefault(row[1], row) is not row:
+                raise ParseError(f"{row[0]} node {row[1]}: duplicate node id")
+        children, roots = {}, []  # each parent's child by side, and the roots
+        for at, nid, pid, _, flag, *_ in rows.values():
+            if pid is None:
                 roots.append(nid)
-                continue
-            pid = int(row["parent_id"])
-            if pid not in nodes_raw:
+            elif pid not in rows:
                 raise ParseError(f"{at} node {nid}: orphan node (parent {pid} missing)")
-            flag = row["is_left_child"].lower()
-            if flag not in ("0", "1", "true", "false"):
+            elif flag not in ("0", "1", "true", "false"):
                 raise ParseError(f"{at} node {nid}: bad is_left_child {flag!r}")
-            side = "left" if flag in ("1", "true") else "right"
-            slot = children.setdefault(pid, {})
-            if side in slot:
-                raise ParseError(f"{at} node {pid}: two {side} children")
-            slot[side] = nid
-        if len(roots) != 1:
-            # the second root's line, or the tree's first line when none is
-            line_no = nodes_raw[roots[1]][0] if roots else by_tree[tid][0][0]
-            raise ParseError(f"{path}: line {line_no}: tree {tid}: expected one root, "
-                             f"found {sorted(roots)}")
-
-        nodes = []
-        for nid, (line_no, row) in nodes_raw.items():
-            where = f"{path}: line {line_no}: tree {tid} node {nid}"
-            kids = children.get(nid, {})
-            entry = {"id": nid}
-            if kids:
-                if set(kids) != {"left", "right"}:
-                    raise ParseError(f"{where}: needs both a left and a right child")
-                if row["split_feature"] == "":
-                    raise ParseError(f"{where}: internal node without split_feature")
-                j = int(row["split_feature"])
-                if not 0 <= j < schema.n_features:
-                    raise ParseError(f"{where}: split feature {j} out of range")
-                f = schema.features[j]
-                token = row["split_threshold_or_levels"]
-                if isinstance(f, NumericFeature):
-                    try:
-                        entry["split"] = {"type": "numeric", "feature": j, "threshold": float(token)}
-                    except ValueError:
-                        raise ParseError(f"{where}: bad numeric threshold {token!r}")
-                else:
-                    entry["split"] = {"type": "categorical", "feature": j,
-                                      "left_levels": _parse_levels(token, f, where)}
-                entry.update(kids)
             else:
-                if row["leaf_value"] == "":
-                    raise ParseError(f"{where}: leaf without leaf_value")
-                try:
-                    entry["value"] = _parse_leaf(row["leaf_value"])
-                except ValueError:
-                    raise ParseError(f"{where}: bad leaf_value {row['leaf_value']!r}")
-            nodes.append(entry)
-        trees.append(_tree_from_body({"nodes": nodes, "root": roots[0]}, schema, f"{path}: ",
-                                     built))
+                side = "left" if flag in ("1", "true") else "right"
+                if children.setdefault(pid, {}).setdefault(side, nid) != nid:
+                    raise ParseError(f"{at} node {pid}: two {side} children")
+        if len(roots) != 1:
+            # the second root's row, or the tree's first row when none is
+            at = rows[roots[1]][0] if roots else by_tree[tid][0][0]
+            raise ParseError(f"{at}: expected one root, found {sorted(roots)}")
+        nodes = [_node_entry(schema, row, children.get(nid, {})) for nid, row in rows.items()]
+        trees.append(_tree_from_body(dict(nodes=nodes, root=roots[0]), schema, f"{path}: ", built))
     if not trees:
         raise ParseError(f"{path}: no nodes")
     _validate_forest(schema, trees)

@@ -865,13 +865,16 @@ def evaluate(tree: Tree, point: Sequence) -> LeafValue:
 
 def _route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     """The position of the leaf that every row of an encoded (n, p) matrix
-    reaches; a :class:`DomainError` unless ``X`` has one column per feature.
+    reaches; a :class:`DomainError` unless ``X`` has one column per feature
+    and holds bools, ints or floats. A nested list routes as its array does.
     A numeric split compares its column with its threshold; only the other
     kinds read their split objects. Only the visited nodes' cells are read,
     so a point costs its path."""
-    shape, p = np.shape(X), tree.schema.n_features
-    if len(shape) != 2 or shape[1] != p:
-        raise DomainError(f"points have shape {shape}, not one column per feature ({p})")
+    X, p = np.asarray(X), tree.schema.n_features
+    if X.ndim != 2 or X.shape[1] != p:
+        raise DomainError(f"points have shape {X.shape}, not one column per feature ({p})")
+    if X.dtype.kind not in "biuf":
+        raise DomainError(f"points have dtype {X.dtype}, not bool, int or float")
     left, right, kind, feature, threshold = (
         tree.left_pos, tree.right_pos, tree.kind, tree.feature, tree.threshold)
     out = np.empty(len(X), dtype=np.int64)

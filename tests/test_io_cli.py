@@ -551,9 +551,47 @@ class TestFlatTableImport:
         ("0,0,,,0,4.0,\n0,1,0,1,,,\n0,2,0,0,,,1.0\n",
          "line 3: tree 0 node 1: leaf without leaf_value"),
         ("", "no nodes"),
+        # the line a row starts on, counting blank lines and the lines of a
+        # quoted cell
+        ("0,0,,,0,4.0,\n0,1,0,1,,,0.0\n\n0,2,0,0,,,one\n",
+         "line 5: tree 0 node 2: bad leaf_value 'one'"),
+        ('0,0,,,0,4.0,\n0,1,0,1,,,"0.0\n"\n0,2,0,0,,,one\n',
+         "line 5: tree 0 node 2: bad leaf_value 'one'"),
+        ('0,0,,,0,4.0,\n0,1,0,1,,,0.0\n0,2,0,0,,,"o\nne"\n',
+         "line 4: tree 0 node 2: bad leaf_value 'o\\nne'"),
+        # a node id that no JSON tree file can hold
+        ("0,0,,,0,4.0,\n0,1,0,1,,,0.0\n0,9223372036854775808,0,0,,,1.0\n",
+         "line 4: bad tree_id/node_id"),
     ])
     def test_node_messages_name_the_file_and_line(self, tmp_path, d2, capsys, rows, message):
         self.assert_refused(tmp_path, d2, capsys, FLAT_HEADER + rows, message)
+
+    @pytest.mark.parametrize("rows, message", [
+        # every row is read before any tree is assembled
+        ("0,0,,,0,4.0,\n0,0,0,1,,,0.0\n0,2,0,0,,,1.0\n0,3,x,1,,,2.0\n",
+         "line 5: bad parent_id 'x'"),
+        # trees are assembled in ascending tree_id, whatever their rows' order
+        ("1,0,,,,,1.0\n1,0,,,,,2.0\n0,0,,,0,4.0,\n0,1,0,1,,,0.0\n0,2,5,0,,,1.0\n",
+         "line 6: tree 0 node 2: orphan node (parent 5 missing)"),
+        # in a tree: node ids, then links in row order, then the root, then
+        # the node entries
+        ("0,0,,,0,4.0,\n0,1,7,1,,,0.0\n0,2,0,0,,,1.0\n0,2,0,1,,,1.0\n",
+         "line 5: tree 0 node 2: duplicate node id"),
+        ("0,0,,,0,4.0,\n0,1,0,1,,,\n0,2,0,1,,,1.0\n",
+         "line 4: tree 0 node 0: two left children"),
+        ("0,0,,,0,4.0,\n0,1,0,1,,,\n0,2,,,,,1.0\n",
+         "line 4: tree 0: expected one root, found [0, 2]"),
+    ])
+    def test_a_table_with_two_faults_names_the_same_one(self, tmp_path, d2, capsys, rows,
+                                                          message):
+        self.assert_refused(tmp_path, d2, capsys, FLAT_HEADER + rows, message)
+
+    def test_the_largest_node_id_a_tree_file_holds_imports(self, tmp_path, d2):
+        path = tmp_path / "table.csv"
+        path.write_text(FLAT_HEADER + "0,0,,,0,4.0,\n0,1,0,1,,,0.0\n"
+                        "0,9223372036854775807,0,0,,,1.0\n")
+        tree = io.import_external_forest(str(path), "flat-table", d2).trees[0]
+        assert tree.ids.tolist() == [0, 1, 2 ** 63 - 1]
 
     @staticmethod
     def assert_refused(tmp_path, schema, capsys, text, message):

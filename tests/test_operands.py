@@ -1,6 +1,8 @@
 """The operand rule: every operation on trees checks its input trees in one
 place, in one order, and names itself when it cannot take their leaves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,42 @@ def test_points_of_the_wrong_shape_are_refused_in_one_text(name, stump4):
             ROUTERS[name](stump4, X)
         assert str(raised.value) == f"points have shape {X.shape}, not one column per feature (2)"
     ROUTERS[name](stump4, np.ones((2, 2)))  # one column per feature routes
+
+
+@pytest.mark.parametrize("route", [ta.evaluate_batch, ta.trees.route_batch])
+def test_points_that_are_not_bools_ints_or_floats_are_refused_by_dtype(route, stump4):
+    # no conversion to float either: it would turn None into NaN and route it
+    for X in (np.array([["1.0", "2.0"]]), np.array([[None, 1.0]]), np.array([[1j, 2.0]])):
+        with pytest.raises(ta.DomainError) as raised:
+            route(stump4, X)
+        assert str(raised.value) == f"points have dtype {X.dtype}, not bool, int or float"
+
+
+@pytest.mark.parametrize("route", [ta.evaluate_batch, ta.trees.route_batch])
+def test_a_nested_list_routes_as_its_array_does(route, stump4):
+    # a nested list ended in a bare TypeError at the first split
+    X = [[1, 2], [5, 0], [4, 9]]
+    expected = route(stump4, np.array(X, dtype=float))
+    for points in (X, np.array(X), [[1.0, 2.0], [5.0, 0.0], [4.0, 9.0]]):
+        np.testing.assert_array_equal(route(stump4, points), expected)
+    np.testing.assert_array_equal(route(stump4, np.array(X) > 4),
+                                  route(stump4, (np.array(X) > 4).astype(float)))
+
+
+def test_a_float_matrix_is_routed_without_a_copy():
+    # a stump on the first of 50 features reads one column of the points
+    schema = ta.FeatureSchema(tuple(ta.NumericFeature(f"x{j}", 0.0, 1.0) for j in range(50)))
+    b = ta.TreeBuilder(schema)
+    for k, leaf in enumerate(b.split_node(b.add_root(), NumericThreshold(0, 0.5))):
+        b.set_value(leaf, Scalar(float(k)))
+    X = np.random.default_rng(0).random((1000, 50))
+    tracemalloc.start()
+    try:
+        ta.trees.route_batch(b.build(), X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 4, peak
 
 
 # each operation on a sequence of trees, called with none, and its text
