@@ -14,10 +14,12 @@ combined tree is never built. Hyperplane splits are unsupported there, as
 the uniform mass of a polyhedron is. Under the empirical measure a stack
 holds each tree's values at the sample points, and every integral is a
 weighted sum over the points, for any split geometry and with the
-``x <= t`` boundary rule of routing. Every pair integral comes from one
-kernel, :func:`_row_integrals`, which scores one tree against the trees of
-a stack; a single pair is its one-tree case. The region-by-region sum and
-the paper's recursion down the combined tree,
+``x <= t`` boundary rule of routing. Those values are one gather per tree:
+the router gives each point's leaf position, and two ``take`` calls map it
+to the leaf's row and the row to its values. Every pair integral comes
+from one kernel, :func:`_row_integrals`, which scores one tree against the
+trees of a stack; a single pair is its one-tree case. The
+region-by-region sum and the paper's recursion down the combined tree,
 :func:`treealgebra.oracle.recursive_pair_sum`, are the references these
 sums are tested against. Every sum runs in a fixed order, so results are
 bit-reproducible.
@@ -238,7 +240,8 @@ def _prepare(trees: Sequence[Tree], measure: Measure) -> Union[_LeafTable, list]
     Each tree's values are checked once it is read."""
     if isinstance(measure, UniformBox):
         return _leaf_table(trees)
-    return [_finite(t.leaves.values[t.leaf[_route_batch(t, measure.points)]]) for t in trees]
+    return [_finite(t.leaves.values.take(t.leaf.take(_route_batch(t, measure.points)), axis=0))
+            for t in trees]
 
 
 def _parts(stack) -> list:
@@ -294,7 +297,10 @@ def _row_integrals(a, cols, first: int, measure: Measure, term) -> list[float]:
 
 
 def _sq_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.square(x - y).sum(axis=-1)
+    # squared in place: the difference is a fresh array, and one (points,
+    # width) temporary fewer spares a pair the page faults of a new one
+    d = x - y
+    return np.square(d, out=d).sum(axis=-1)
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:

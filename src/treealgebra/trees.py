@@ -284,26 +284,25 @@ class Side(Enum):
 
 
 def _goes_left_batch(
-    split: Split,
+    split: Hyperplane,
     X: np.ndarray,
     schema: FeatureSchema,
     rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Route the rows of an encoded matrix (all rows, or the index array
-    ``rows``) through one categorical or hyperplane split, gathering only
-    the columns it reads.
+    ``rows``) through one hyperplane split, gathering only the columns it
+    reads. The router and :func:`treealgebra.oracle.contains_batch` call it,
+    so both put a point that lies on the hyperplane on the same side.
 
-    A hyperplane sums ``c_k * x_k`` left to right, one column at a time, so
-    each row gets the same bits however many other rows are routed with it
-    (a matrix product may round differently with the number of rows).
+    It sums ``c_k * x_k`` left to right, one column at a time, so each row
+    gets the same bits however many other rows are routed with it (a matrix
+    product may round differently with the number of rows).
     """
-    if isinstance(split, Hyperplane):
-        acc = 0.0
-        for c, j in zip(split.coefficients, schema.numeric_indices):
-            acc = acc + c * (X[:, j] if rows is None else X[rows, j])
-        return acc <= split.offset
-    col = X[:, split.feature] if rows is None else X[rows, split.feature]
-    return np.isin(col.astype(np.int64), np.fromiter(split.left_levels, dtype=np.int64))
+    acc = 0.0
+    for c, j in zip(split.coefficients, schema.numeric_indices):
+        col = X[:, j]
+        acc = acc + c * (col if rows is None else col[rows])
+    return acc <= split.offset
 
 
 # ---------------------------------------------------------------------------
@@ -867,29 +866,42 @@ def _route_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     """The position of the leaf that every row of an encoded (n, p) matrix
     reaches; a :class:`DomainError` unless ``X`` has one column per feature
     and holds bools, ints or floats. A nested list routes as its array does.
-    A numeric split compares its column with its threshold; only the other
-    kinds read their split objects. Only the visited nodes' cells are read,
-    so a point costs its path."""
+    Each split reads its column as a view and gathers the node's rows from
+    it. A numeric split compares them with its threshold. A categorical
+    split truncates each code toward zero, as ``astype(int64)`` does, and
+    looks it up in a table of its left levels with one slot below and one
+    above them, so a code outside the levels (negative, too large, NaN or
+    inf) goes right. A hyperplane is :func:`_goes_left_batch`. Only the
+    visited nodes' cells are read, so a point costs its path."""
     X, p = np.asarray(X), tree.schema.n_features
     if X.ndim != 2 or X.shape[1] != p:
         raise DomainError(f"points have shape {X.shape}, not one column per feature ({p})")
     if X.dtype.kind not in "biuf":
         raise DomainError(f"points have dtype {X.dtype}, not bool, int or float")
-    left, right, kind, feature, threshold = (
-        tree.left_pos, tree.right_pos, tree.kind, tree.feature, tree.threshold)
+    left, right, kind, feature, threshold, split = (
+        tree.left_pos, tree.right_pos, tree.kind, tree.feature, tree.threshold, tree.split)
     out = np.empty(len(X), dtype=np.int64)
-    stack = [(tree.root_pos, np.arange(len(X)))]
+    stack = [(tree.root_pos, np.arange(len(X)))] if len(X) else []
     while stack:
         i, idx = stack.pop()
-        if idx.size == 0:
-            continue
         if left.item(i) < 0:
             out[idx] = i
             continue
-        go = (X[idx, feature.item(i)] <= threshold.item(i) if kind.item(i) == NUMERIC
-              else _goes_left_batch(tree.split[i], X, tree.schema, idx))
-        stack.append((right.item(i), idx[~go]))
-        stack.append((left.item(i), idx[go]))
+        k = kind.item(i)
+        if k == NUMERIC:
+            go = X[:, feature.item(i)][idx] <= threshold.item(i)
+        elif k == HYPERPLANE:
+            go = _goes_left_batch(split[i], X, tree.schema, idx)
+        else:
+            j = feature.item(i)
+            n = len(tree.schema.features[j].levels)
+            table = np.zeros(n + 2, dtype=bool)
+            table[[level + 1 for level in split[i].left_levels]] = True
+            code = X[:, j][idx].astype(np.int64)
+            go = table[np.clip(code, -1, n, out=code) + 1]
+        for child, rows in ((right.item(i), idx[~go]), (left.item(i), idx[go])):
+            if rows.size:
+                stack.append((child, rows))
     return out
 
 

@@ -727,3 +727,32 @@ class TestForestKernel:
         assert d == math.sqrt(acc)
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 2**40)
         assert d == pytest.approx(ta.tree_distance(t1, t2, uniform), rel=1e-12, abs=0)
+
+
+class TestEmpiricalBitsPinned:
+    # float.hex of each result as first recorded: a faster route or sum
+    # must keep every bit
+    DISTANCE = "0x1.b515bc092567bp+1"
+    COVARIANCE = "0x1.f4e4dab6c6afap-3"
+    MATRIX = ("0x1.b515bc092567bp+1", "0x1.d9e955ccf5da7p+2", "0x1.d3759864b2b3ap+1",
+              "0x1.9256bb0584a58p+2", "0x1.ca97cca39d39ep+1", "0x1.41e2b769e3effp+2")
+
+    def test_numeric_categorical_and_hyperplane_splits_keep_their_bits(self, mixed_schema):
+        """Four trees, each the sum of a seeded random tree and a hyperplane
+        stump, so each holds all three split kinds."""
+        rng = np.random.default_rng(11)
+        trees = []
+        for _ in range(4):
+            tree = ta.random_tree(mixed_schema, rng, 6, value_range=(-5.0, 5.0))
+            b = ta.TreeBuilder(mixed_schema)
+            plane = ta.Hyperplane(tuple(rng.choice([-1.0, 1.0, 2.0], 2)), float(rng.uniform(-1, 1)))
+            for nid in b.split_node(b.add_root(), plane):
+                b.set_value(nid, Scalar(float(rng.uniform(-5, 5))))
+            trees.append(ta.affine_combination([tree, b.build()], [1.0, 1.0]))
+        assert all(ta.validate(t) == [] for t in trees)
+        assert all(set(t.kind.tolist()) == {0, 1, 2, 3} for t in trees)
+        emp = ta.Empirical(ta.oracle.sample_points(mixed_schema, ta.UniformBox(), 500, rng))
+        assert ta.tree_distance(trees[0], trees[1], emp).hex() == self.DISTANCE
+        assert ta.tree_covariance(trees[2], trees[3], emp).hex() == self.COVARIANCE
+        D = ta.distance_matrix(trees, emp)
+        assert tuple(D[i, j].hex() for i in range(4) for j in range(i + 1, 4)) == self.MATRIX

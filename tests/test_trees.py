@@ -145,6 +145,25 @@ class TestEvaluate:
         for x, value in zip(X, values):
             assert ta.evaluate(tree, schema.decode_point(x)) == ta.Scalar(value)
 
+    def test_categorical_code_truncates_and_out_of_range_goes_right(self):
+        """A categorical split reads a code truncated toward zero, and a code
+        outside the levels goes right: negative, too large, NaN or inf."""
+        schema = ta.FeatureSchema([ta.CategoricalFeature("c", ("a", "b", "c", "d"))])
+        b = ta.TreeBuilder(schema)
+        left, right = b.split_node(b.add_root(), ta.CategoricalSubset(0, {0, 1, 3}))
+        left_left, left_right = b.split_node(left, ta.CategoricalSubset(0, {1, 3}))
+        for nid, v in ((left_left, 1.0), (left_right, 2.0), (right, 3.0)):
+            b.set_value(nid, ta.Scalar(v))
+        tree = b.build()
+        codes = np.array([[-1.0], [-0.5], [0.0], [1.5], [3.0], [4.0], [7.0], [np.nan], [np.inf]])
+        want = [right, left_right, left_right, left_left, left_left, right, right, right, right]
+        # casting NaN and inf to int64 warns; the cast is what routing reads
+        with np.errstate(invalid="ignore"):
+            assert route_batch(tree, codes).tolist() == want
+            assert evaluate_batch(tree, codes).tolist() == [
+                3.0, 2.0, 2.0, 1.0, 1.0, 3.0, 3.0, 3.0, 3.0]
+            assert route_batch(tree, codes[:7].astype(np.int64)).tolist() == want[:7]
+
     def test_batch_matches_pointwise(self, rng):
         schema = ta.random_schema(rng, max_features=5)
         tree = ta.random_tree(schema, rng, 20)
